@@ -13,6 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gcnt_core::{Gcn, GcnConfig, GraphData, MatrixBackend};
 use gcnt_netlist::{generate, DesignPreset};
 use gcnt_nn::seeded_rng;
+use gcnt_tensor::Budget;
 
 fn bench_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale");
@@ -24,7 +25,12 @@ fn bench_scale(c: &mut Criterion) {
         let mut backend = MatrixBackend::serial();
         b.iter(|| {
             model
-                .embed_with(&data.tensors, &data.features, &mut backend)
+                .embed_budgeted_with(
+                    &data.tensors,
+                    &data.features,
+                    &Budget::unlimited(),
+                    &mut backend,
+                )
                 .expect("shapes agree")
         })
     });
@@ -33,7 +39,12 @@ fn bench_scale(c: &mut Criterion) {
             MatrixBackend::partitioned(&data.tensors, 4).expect("design shards cleanly");
         b.iter(|| {
             model
-                .embed_with(&data.tensors, &data.features, &mut backend)
+                .embed_budgeted_with(
+                    &data.tensors,
+                    &data.features,
+                    &Budget::unlimited(),
+                    &mut backend,
+                )
                 .expect("shapes agree")
         })
     });

@@ -6,10 +6,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use gcnt_core::{Gcn, GcnConfig, GraphData, MultiStageGcn};
+use gcnt_core::{Gcn, GcnConfig, GraphData, MatrixBackend, MultiStageGcn};
 use gcnt_dft::flow::{BatchRecord, FlowConfig, InferenceStats};
 use gcnt_netlist::{generate, GeneratorConfig};
-use gcnt_serve::{classify_with_ladder, FlowJournal, JournalHeader};
+use gcnt_serve::{classify_with_ladder_backed, FlowJournal, JournalHeader};
 use gcnt_tensor::Budget;
 
 fn scratch_wal() -> std::path::PathBuf {
@@ -102,8 +102,16 @@ fn bench_ladder(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let budget = Budget::with_cap(cap);
-                classify_with_ladder(&model, &data.tensors, &data.features, &budget, poison)
-                    .expect("ladder completes")
+                classify_with_ladder_backed(
+                    &model,
+                    &data.tensors,
+                    &data.features,
+                    &budget,
+                    poison,
+                    &mut MatrixBackend::serial(),
+                )
+                .expect("ladder completes")
+                .0
             })
         });
     }

@@ -19,13 +19,6 @@
 //! the same bits a serial session would, so `refresh`/`revert` and the
 //! generation discipline carry over unchanged.
 //!
-//! The same discipline extends down one more level: every SpMM here also
-//! dispatches between the scalar and register-blocked *row kernels*
-//! ([`gcnt_tensor::KernelPolicy`], `GCNT_KERNEL`), which are themselves
-//! bit-identical by construction. Backend choice and kernel choice are
-//! therefore orthogonal, and any of the six combinations produces the
-//! same bits.
-//!
 //! The partitioned representation lives *outside* [`GraphTensors`]
 //! (which is serialized and cloned freely); staleness against the graph
 //! is policed with the same generation counter the embedding caches use.

@@ -18,11 +18,7 @@
 //! per-row accumulation order, the patched cache is **bit-for-bit equal** to
 //! a full recompute — not merely close. That exactness is load-bearing: the
 //! flow compares probabilities against a threshold, and a `1e-7` drift could
-//! flip a candidate across it. The guarantee survives the tensor layer's
-//! runtime kernel dispatch ([`gcnt_tensor::KernelPolicy`]) because the
-//! scalar and register-blocked row kernels are themselves bit-identical —
-//! the full pass and the row-sliced patch agree whichever kernel either of
-//! them happened to run on.
+//! flip a candidate across it.
 //!
 //! Staleness is policed with a generation counter:
 //! [`GraphTensors::insert_observation_point`] bumps
@@ -36,6 +32,7 @@
 use gcnt_tensor::{ops, Budget, Matrix, Result, TensorError};
 
 use crate::backend::MatrixBackend;
+use crate::multistage::combine_stage_probs;
 use crate::{Gcn, GraphTensors, MultiStageGcn};
 
 /// Per-layer embeddings `E_1..E_D` of one [`Gcn`] on one graph state.
@@ -165,38 +162,23 @@ impl Gcn {
     /// Returns a shape error if `x` does not match the graph/node shape, or
     /// a length error for a depth-0 model (nothing to cache).
     pub fn embed_cached(&self, t: &GraphTensors, x: &Matrix) -> Result<EmbeddingCache> {
-        self.embed_cached_budgeted(t, x, &Budget::unlimited())
+        self.embed_cached_budgeted_with(t, x, &Budget::unlimited(), &mut MatrixBackend::serial())
     }
 
-    /// [`Gcn::embed_cached`] under a cooperative work [`Budget`]: each
-    /// layer charges one unit per node before computing, so an exhausted
-    /// or cancelled budget stops the pass at a layer boundary.
+    /// [`Gcn::embed_cached`] under an explicit work [`Budget`] and
+    /// [`MatrixBackend`]: each layer charges one unit per node before
+    /// computing, so an exhausted or cancelled budget stops the pass at a
+    /// layer boundary. The seeded cache is bit-identical across backends,
+    /// so the dirty-halo incremental patching that follows (always serial
+    /// — its frontier is a sparse row subset that does not benefit from
+    /// partitioning) composes with a partition-built cache.
     ///
     /// # Errors
     ///
     /// As [`Gcn::embed_cached`], plus budget errors
     /// ([`TensorError::BudgetExceeded`] / [`TensorError::Cancelled`])
-    /// from the inter-layer checkpoints.
-    pub fn embed_cached_budgeted(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-    ) -> Result<EmbeddingCache> {
-        self.embed_cached_budgeted_with(t, x, budget, &mut MatrixBackend::serial())
-    }
-
-    /// [`Gcn::embed_cached_budgeted`] through an explicit
-    /// [`MatrixBackend`]. The seeded cache is bit-identical across
-    /// backends, so the dirty-halo incremental patching that follows
-    /// (always serial — its frontier is a sparse row subset that does not
-    /// benefit from partitioning) composes with a partition-built cache.
-    ///
-    /// # Errors
-    ///
-    /// As [`Gcn::embed_cached_budgeted`], plus
-    /// [`TensorError::StaleCache`] from a partitioned backend built
-    /// against an older graph generation.
+    /// from the inter-layer checkpoints and [`TensorError::StaleCache`]
+    /// from a partitioned backend built against an older graph generation.
     pub fn embed_cached_budgeted_with(
         &self,
         t: &GraphTensors,
@@ -210,6 +192,12 @@ impl Gcn {
                 actual: 0,
             });
         }
+        // The `ops::relu` copy and the clone look redundant beside
+        // `Gcn::embed_budgeted_with`'s in-place loop, but this allocation
+        // order is load-bearing: caching the in-place output instead
+        // doubled the page faults of a 20k-node flow (22k -> 55k per run,
+        // +0.1 s per session open) — glibc then hands every transient of
+        // the pass back to the OS between stages.
         let mut layers = Vec::with_capacity(self.depth());
         let mut e = x.clone();
         for enc in self.encoders() {
@@ -406,37 +394,16 @@ impl<'m> CascadeSession<'m> {
         )
     }
 
-    /// [`CascadeSession::for_gcn`] under a cooperative work [`Budget`];
-    /// the opening full pass charges one unit per node per layer.
+    /// [`CascadeSession::for_gcn`] under an explicit work [`Budget`] and
+    /// [`MatrixBackend`] for the opening full pass, which charges one
+    /// unit per node per layer. The session it produces is bit-identical
+    /// to the serial one; later `refresh`/`revert` calls always use the
+    /// serial dirty-halo path.
     ///
     /// # Errors
     ///
-    /// Returns a shape error if `x` does not match the graph, or a budget
-    /// error from the inter-layer checkpoints.
-    pub fn for_gcn_budgeted(
-        gcn: &'m Gcn,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-    ) -> Result<Self> {
-        Self::open(
-            std::slice::from_ref(gcn),
-            0.0,
-            t,
-            x,
-            budget,
-            &mut MatrixBackend::serial(),
-        )
-    }
-
-    /// [`CascadeSession::for_gcn_budgeted`] through an explicit
-    /// [`MatrixBackend`] for the opening full pass. The session it
-    /// produces is bit-identical to the serial one; later
-    /// `refresh`/`revert` calls always use the serial dirty-halo path.
-    ///
-    /// # Errors
-    ///
-    /// As [`CascadeSession::for_gcn_budgeted`], plus
+    /// Returns a shape error if `x` does not match the graph, a budget
+    /// error from the inter-layer checkpoints, or
     /// [`TensorError::StaleCache`] from a stale partitioned backend.
     pub fn for_gcn_budgeted_with(
         gcn: &'m Gcn,
@@ -464,38 +431,16 @@ impl<'m> CascadeSession<'m> {
         )
     }
 
-    /// [`CascadeSession::for_cascade`] under a cooperative work
-    /// [`Budget`]; the opening full pass charges one unit per node per
-    /// layer across every stage.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` does not match the graph, or a budget
-    /// error from the inter-layer checkpoints.
-    pub fn for_cascade_budgeted(
-        model: &'m MultiStageGcn,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-    ) -> Result<Self> {
-        Self::open(
-            model.stages(),
-            model.filter_threshold(),
-            t,
-            x,
-            budget,
-            &mut MatrixBackend::serial(),
-        )
-    }
-
-    /// [`CascadeSession::for_cascade_budgeted`] through an explicit
-    /// [`MatrixBackend`] for the opening full pass (every stage shares
-    /// the one backend — the adjacency, and hence the partitioning, is
+    /// [`CascadeSession::for_cascade`] under an explicit work [`Budget`]
+    /// and [`MatrixBackend`] for the opening full pass, which charges one
+    /// unit per node per layer across every stage (every stage shares the
+    /// one backend — the adjacency, and hence the partitioning, is
     /// stage-independent). Bit-identical to the serial open.
     ///
     /// # Errors
     ///
-    /// As [`CascadeSession::for_cascade_budgeted`], plus
+    /// Returns a shape error if `x` does not match the graph, a budget
+    /// error from the inter-layer checkpoints, or
     /// [`TensorError::StaleCache`] from a stale partitioned backend.
     pub fn for_cascade_budgeted_with(
         model: &'m MultiStageGcn,
@@ -630,26 +575,12 @@ impl<'m> CascadeSession<'m> {
         Ok(session)
     }
 
-    /// Per-row replica of the cascade combination in
-    /// [`MultiStageGcn::predict_proba`]; row-local, so it can be re-run for
-    /// just the refreshed rows.
+    /// The cascade rule ([`combine_stage_probs`]) for row `r`.
     fn combine_row(&self, r: usize) -> f32 {
-        let last = self.stage_probs.len() - 1;
-        let mut out = 0.0f32;
-        let mut alive = true;
-        for (s, sp) in self.stage_probs.iter().enumerate() {
-            if !alive {
-                continue;
-            }
-            let p = sp[r];
-            if s == last {
-                out = p;
-            } else if p < self.filter_threshold {
-                alive = false;
-                out = p.min(0.49);
-            }
-        }
-        out
+        combine_stage_probs(
+            self.stage_probs.iter().map(|sp| sp[r]),
+            self.filter_threshold,
+        )
     }
 
     /// Re-derives embeddings and probabilities after the feature rows

@@ -51,7 +51,6 @@ pub mod train;
 pub use adjacency::GraphTensors;
 pub use backend::{MatrixBackend, PartitionedGraph};
 pub use dataset::{balanced_indices, train_test_rotation, GraphData};
-pub use gcnt_tensor::{Kernel, KernelPolicy};
 pub use incremental::{CascadeSession, EmbeddingCache, EmbeddingDelta, SessionDelta};
 pub use metrics::Confusion;
 pub use model::{Gcn, GcnCache, GcnConfig, GcnGrads};

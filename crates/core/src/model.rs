@@ -210,51 +210,24 @@ impl Gcn {
     ///
     /// Returns a shape error if `x` does not match the graph/node shape.
     pub fn embed(&self, t: &GraphTensors, x: &Matrix) -> Result<Matrix> {
-        self.embed_budgeted(t, x, &Budget::unlimited())
+        self.embed_budgeted_with(t, x, &Budget::unlimited(), &mut MatrixBackend::serial())
     }
 
-    /// [`Gcn::embed`] under a cooperative work [`Budget`]: each layer
-    /// charges one unit per node *before* computing, so an exhausted or
-    /// cancelled budget stops the pass at a layer boundary instead of
-    /// running to completion.
+    /// [`Gcn::embed`] with the execution context explicit: a cooperative
+    /// work [`Budget`] and a [`MatrixBackend`]. Each layer charges one
+    /// unit per node *before* computing, so an exhausted or cancelled
+    /// budget stops the pass at a layer boundary instead of running to
+    /// completion. The serial backend reproduces [`Gcn::embed`] exactly,
+    /// and the partitioned backend produces bit-identical embeddings via
+    /// partition-parallel SpMM (see [`crate::backend`]).
     ///
     /// # Errors
     ///
     /// Returns a shape error if `x` does not match the graph/node shape,
-    /// or a budget error ([`gcnt_tensor::TensorError::BudgetExceeded`] /
+    /// a budget error ([`gcnt_tensor::TensorError::BudgetExceeded`] /
     /// [`gcnt_tensor::TensorError::Cancelled`]) from the checkpoint
-    /// between layers.
-    pub fn embed_budgeted(&self, t: &GraphTensors, x: &Matrix, budget: &Budget) -> Result<Matrix> {
-        self.embed_budgeted_with(t, x, budget, &mut MatrixBackend::serial())
-    }
-
-    /// [`Gcn::embed`] through an explicit [`MatrixBackend`]: the serial
-    /// backend reproduces [`Gcn::embed`] exactly, and the partitioned
-    /// backend produces bit-identical embeddings via partition-parallel
-    /// SpMM (see [`crate::backend`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` does not match the graph/node shape,
-    /// or [`gcnt_tensor::TensorError::StaleCache`] from a partitioned
-    /// backend built against an older graph generation.
-    pub fn embed_with(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        backend: &mut MatrixBackend,
-    ) -> Result<Matrix> {
-        self.embed_budgeted_with(t, x, &Budget::unlimited(), backend)
-    }
-
-    /// [`Gcn::embed_budgeted`] through an explicit [`MatrixBackend`].
-    /// Budget charging is backend-independent: each layer charges one
-    /// unit per node *before* aggregating, exactly as the serial path.
-    ///
-    /// # Errors
-    ///
-    /// Shape, budget and backend-staleness errors as in
-    /// [`Gcn::embed_budgeted`] and [`Gcn::embed_with`].
+    /// between layers, or [`gcnt_tensor::TensorError::StaleCache`] from a
+    /// partitioned backend built against an older graph generation.
     pub fn embed_budgeted_with(
         &self,
         t: &GraphTensors,
@@ -282,28 +255,10 @@ impl Gcn {
     ///
     /// Returns a shape error if `x` does not match the graph/node shape.
     pub fn predict_proba(&self, t: &GraphTensors, x: &Matrix) -> Result<Vec<f32>> {
-        self.predict_proba_budgeted(t, x, &Budget::unlimited())
+        self.predict_proba_budgeted_with(t, x, &Budget::unlimited(), &mut MatrixBackend::serial())
     }
 
-    /// [`Gcn::predict_proba`] under a cooperative work [`Budget`]; see
-    /// [`Gcn::embed_budgeted`] for the checkpoint semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` does not match the graph/node shape,
-    /// or a budget error from the inter-layer checkpoints.
-    pub fn predict_proba_budgeted(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-    ) -> Result<Vec<f32>> {
-        let logits = self.head.predict(&self.embed_budgeted(t, x, budget)?)?;
-        // Same max/exp/sum order as `softmax_rows`, minus the full matrix.
-        Ok(ops::softmax_col(&logits, 1))
-    }
-
-    /// [`Gcn::predict_proba_budgeted`] through an explicit
+    /// [`Gcn::predict_proba`] under an explicit [`Budget`] and
     /// [`MatrixBackend`]; bit-identical across backends.
     ///
     /// # Errors
@@ -320,6 +275,7 @@ impl Gcn {
         let logits = self
             .head
             .predict(&self.embed_budgeted_with(t, x, budget, backend)?)?;
+        // Same max/exp/sum order as `softmax_rows`, minus the full matrix.
         Ok(ops::softmax_col(&logits, 1))
     }
 

@@ -216,35 +216,26 @@ impl MultiStageGcn {
     ///
     /// Returns a shape error if the graph disagrees with the model.
     pub fn predict_proba(&self, t: &GraphTensors, x: &Matrix) -> Result<Vec<f32>> {
-        self.predict_proba_budgeted(t, x, &gcnt_tensor::Budget::unlimited())
+        self.predict_proba_budgeted_with(
+            t,
+            x,
+            &gcnt_tensor::Budget::unlimited(),
+            &mut crate::MatrixBackend::serial(),
+        )
     }
 
-    /// [`MultiStageGcn::predict_proba`] under a cooperative work
-    /// [`gcnt_tensor::Budget`]: every stage's layers charge the budget
-    /// before computing, so an exhausted or cancelled budget stops the
-    /// cascade at a layer boundary.
+    /// [`MultiStageGcn::predict_proba`] under an explicit work
+    /// [`gcnt_tensor::Budget`] and [`crate::MatrixBackend`]: every
+    /// stage's layers charge the budget before computing, so an exhausted
+    /// or cancelled budget stops the cascade at a layer boundary, and
+    /// every stage shares the one backend (the adjacency, and hence any
+    /// partitioning, is stage-independent). Bit-identical probabilities
+    /// across backends.
     ///
     /// # Errors
     ///
-    /// Returns a shape error if the graph disagrees with the model, or a
-    /// budget error from the inter-layer checkpoints.
-    pub fn predict_proba_budgeted(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &gcnt_tensor::Budget,
-    ) -> Result<Vec<f32>> {
-        self.predict_proba_budgeted_with(t, x, budget, &mut crate::MatrixBackend::serial())
-    }
-
-    /// [`MultiStageGcn::predict_proba_budgeted`] through an explicit
-    /// [`crate::MatrixBackend`]: every stage shares the one backend
-    /// (the adjacency, and hence any partitioning, is stage-independent).
-    /// Bit-identical probabilities across backends.
-    ///
-    /// # Errors
-    ///
-    /// As [`MultiStageGcn::predict_proba_budgeted`], plus
+    /// Returns a shape error if the graph disagrees with the model, a
+    /// budget error from the inter-layer checkpoints, or
     /// [`gcnt_tensor::TensorError::StaleCache`] from a partitioned
     /// backend built against an older graph generation.
     pub fn predict_proba_budgeted_with(
@@ -255,26 +246,38 @@ impl MultiStageGcn {
         backend: &mut crate::MatrixBackend,
     ) -> Result<Vec<f32>> {
         gcnt_obs::global().incr(gcnt_obs::counters::CORE_CASCADE_INFERENCES);
-        let n = t.node_count();
-        let mut out = vec![0.0f32; n];
-        let mut alive: Vec<bool> = vec![true; n];
-        for (s, gcn) in self.stages.iter().enumerate() {
-            let probs = gcn.predict_proba_budgeted_with(t, x, budget, backend)?;
-            let last = s + 1 == self.stages.len();
-            for i in 0..n {
-                if !alive[i] {
-                    continue;
-                }
-                if last {
-                    out[i] = probs[i];
-                } else if probs[i] < self.filter_threshold {
-                    alive[i] = false;
-                    out[i] = probs[i].min(0.49);
-                }
-            }
-        }
-        Ok(out)
+        let stage_probs = self
+            .stages
+            .iter()
+            .map(|gcn| gcn.predict_proba_budgeted_with(t, x, budget, backend))
+            .collect::<Result<Vec<_>>>()?;
+        Ok((0..t.node_count())
+            .map(|i| combine_stage_probs(stage_probs.iter().map(|sp| sp[i]), self.filter_threshold))
+            .collect())
     }
+}
+
+/// The cascade rule for one node, over its per-stage positive
+/// probabilities in stage order: the first non-final stage that scores
+/// the node below `filter_threshold` filters it, and it reports that
+/// probability capped at 0.49 (a filtered node is never a positive);
+/// a node that survives every filter reports the last stage's
+/// probability. Row-local, so a session can re-run it for just the
+/// refreshed rows.
+pub(crate) fn combine_stage_probs(
+    stage_probs: impl ExactSizeIterator<Item = f32>,
+    filter_threshold: f32,
+) -> f32 {
+    let stages = stage_probs.len();
+    for (s, p) in stage_probs.enumerate() {
+        if s + 1 == stages {
+            return p;
+        }
+        if p < filter_threshold {
+            return p.min(0.49);
+        }
+    }
+    0.0
 }
 
 #[cfg(test)]

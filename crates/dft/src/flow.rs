@@ -41,8 +41,7 @@ use serde::{Deserialize, Serialize};
 
 use gcnt_core::features::{squash, FeatureNormalizer, OBSERVATION_POINT_ATTRS, RAW_DIM};
 use gcnt_core::{
-    CascadeSession, EmbeddingCache, Gcn, GraphTensors, KernelPolicy, MatrixBackend, MultiStageGcn,
-    SessionDelta,
+    CascadeSession, EmbeddingCache, Gcn, GraphTensors, MatrixBackend, MultiStageGcn, SessionDelta,
 };
 use gcnt_lint::{
     lint_embedding_caches, lint_graph_tensors, lint_netlist, lint_partitioned_graph, lint_scoap,
@@ -190,182 +189,48 @@ impl Default for ImpactMode {
     }
 }
 
-/// Which matrix backend the flow's full inference passes run on; see
-/// `gcnt_core::backend`. Probabilities — and hence the outcome — are
-/// bit-identical across all three choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FlowBackend {
-    /// Serial CSR kernels, the original path.
-    Serial,
-    /// Partition-parallel kernels regardless of design size (at least two
-    /// partitions, one per core up to the auto cap).
-    Partitioned,
-    /// Pick by design size and host parallelism
-    /// ([`MatrixBackend::auto`]): partitioned for 10^5-node-class designs
-    /// on multi-core hosts, serial otherwise.
-    Auto,
-}
-
-#[allow(clippy::derivable_impls)] // shim serde derive cannot parse #[default]
-impl Default for FlowBackend {
-    fn default() -> Self {
-        FlowBackend::Auto
-    }
-}
-
-impl FlowBackend {
-    /// Materialises the backend for the given graph.
-    ///
-    /// # Errors
-    ///
-    /// Propagates partition-construction errors for
-    /// [`FlowBackend::Partitioned`].
-    pub fn build(self, t: &GraphTensors) -> Result<MatrixBackend, TensorError> {
-        match self {
-            FlowBackend::Serial => Ok(MatrixBackend::serial()),
-            FlowBackend::Partitioned => {
-                let cores = std::thread::available_parallelism()
-                    .map(|c| c.get())
-                    .unwrap_or(1);
-                MatrixBackend::partitioned(
-                    t,
-                    cores.clamp(2, gcnt_core::backend::PARTITION_MAX_AUTO),
-                )
-            }
-            FlowBackend::Auto => Ok(MatrixBackend::auto(t)),
-        }
-    }
-}
-
-impl fmt::Display for FlowBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            FlowBackend::Serial => "serial",
-            FlowBackend::Partitioned => "partitioned",
-            FlowBackend::Auto => "auto",
-        })
-    }
-}
-
-impl std::str::FromStr for FlowBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "serial" => Ok(FlowBackend::Serial),
-            "partitioned" => Ok(FlowBackend::Partitioned),
-            "auto" => Ok(FlowBackend::Auto),
-            other => Err(format!(
-                "unknown backend '{other}' (use serial, partitioned or auto)"
-            )),
-        }
-    }
-}
-
-/// Which tensor row kernel the flow's matrix products run on
-/// ([`gcnt_core::KernelPolicy`]). Scalar and blocked kernels are
-/// bit-identical, so — like [`FlowBackend`] — this only moves throughput,
-/// never the outcome.
-///
-/// Unlike the backend, the kernel policy is a *process-wide* setting
-/// (`GCNT_KERNEL`), so the default here is [`FlowKernel::Inherit`]: the
-/// flow leaves whatever policy the process already runs under untouched
-/// unless explicitly told otherwise. That keeps `gcnt flow` runs from
-/// stomping an operator's (or a test harness's) environment choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FlowKernel {
-    /// Leave the process-wide policy (env or prior install) as-is.
-    Inherit,
-    /// Install the scalar reference kernel for this process.
-    Scalar,
-    /// Install the register-blocked kernel for this process.
-    Blocked,
-    /// Install automatic per-product selection for this process.
-    Auto,
-}
-
-#[allow(clippy::derivable_impls)] // shim serde derive cannot parse #[default]
-impl Default for FlowKernel {
-    fn default() -> Self {
-        FlowKernel::Inherit
-    }
-}
-
-impl FlowKernel {
-    /// Installs the requested policy process-wide; a no-op for
-    /// [`FlowKernel::Inherit`].
-    pub fn install(self) {
-        if let Some(policy) = self.policy() {
-            policy.set_global();
-        }
-    }
-
-    /// The [`KernelPolicy`] this choice pins, `None` for
-    /// [`FlowKernel::Inherit`].
-    pub fn policy(self) -> Option<KernelPolicy> {
-        match self {
-            FlowKernel::Inherit => None,
-            FlowKernel::Scalar => Some(KernelPolicy::Scalar),
-            FlowKernel::Blocked => Some(KernelPolicy::Blocked),
-            FlowKernel::Auto => Some(KernelPolicy::Auto),
-        }
-    }
-}
-
-impl fmt::Display for FlowKernel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            FlowKernel::Inherit => "inherit",
-            FlowKernel::Scalar => "scalar",
-            FlowKernel::Blocked => "blocked",
-            FlowKernel::Auto => "auto",
-        })
-    }
-}
-
-impl std::str::FromStr for FlowKernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "inherit" => Ok(FlowKernel::Inherit),
-            "scalar" => Ok(FlowKernel::Scalar),
-            "blocked" => Ok(FlowKernel::Blocked),
-            "auto" => Ok(FlowKernel::Auto),
-            other => Err(format!(
-                "unknown kernel '{other}' (use inherit, scalar, blocked or auto)"
-            )),
-        }
-    }
-}
-
 /// A classifier the flow can drive: a full-graph probability pass, plus an
 /// optional incremental-session fast path used by
-/// [`ImpactMode::Incremental`].
+/// [`ImpactMode::Incremental`]. Every pass runs under the flow's
+/// cooperative work [`Budget`] and on its [`MatrixBackend`].
 ///
-/// Implemented for [`Gcn`], [`MultiStageGcn`] (and references to them, so
-/// callers can keep ownership), and blanket-implemented for any
+/// Implemented for references to [`Gcn`] and [`MultiStageGcn`], and
+/// blanket-implemented for any
 /// `Fn(&GraphTensors, &Matrix) -> Result<Vec<f32>, TensorError>` closure —
 /// closures get no session and always run full inference.
 pub trait FlowClassifier {
     /// Full forward pass: the positive-class probability per node.
+    /// Budget-aware classifiers ([`Gcn`], [`MultiStageGcn`]) check the
+    /// budget between layers and aggregate through `backend`.
     ///
     /// # Errors
     ///
-    /// Returns a tensor error if the model and graph shapes disagree.
-    fn classify(&self, t: &GraphTensors, x: &Matrix) -> Result<Vec<f32>, TensorError>;
+    /// Returns a tensor error if the model and graph shapes disagree, a
+    /// budget error ([`TensorError::BudgetExceeded`] /
+    /// [`TensorError::Cancelled`]), or a staleness error from a
+    /// partitioned backend built against an older graph generation.
+    fn classify(
+        &self,
+        t: &GraphTensors,
+        x: &Matrix,
+        budget: &Budget,
+        backend: &mut MatrixBackend,
+    ) -> Result<Vec<f32>, TensorError>;
 
     /// Opens an incremental-inference session over the current graph
-    /// state, if this classifier supports one. The default (`None`) makes
+    /// state, if this classifier supports one; its opening full pass runs
+    /// under `budget` on `backend`. The default (`None`) makes
     /// [`ImpactMode::Incremental`] fall back to full re-inference.
     ///
     /// # Errors
     ///
-    /// Returns a tensor error if the model and graph shapes disagree.
+    /// As [`FlowClassifier::classify`].
     fn open_session(
         &self,
         _t: &GraphTensors,
         _x: &Matrix,
+        _budget: &Budget,
+        _backend: &mut MatrixBackend,
     ) -> Result<Option<CascadeSession<'_>>, TensorError> {
         Ok(None)
     }
@@ -376,240 +241,30 @@ pub trait FlowClassifier {
     fn full_rows_per_inference(&self, n: usize) -> u64 {
         n as u64
     }
-
-    /// [`FlowClassifier::classify`] under a cooperative work [`Budget`].
-    /// Budget-aware classifiers ([`Gcn`], [`MultiStageGcn`]) check between
-    /// layers; the default charges the whole pass up front and then runs
-    /// [`FlowClassifier::classify`], so even opaque closures participate
-    /// in budget accounting at call granularity.
-    ///
-    /// # Errors
-    ///
-    /// As [`FlowClassifier::classify`], plus
-    /// [`TensorError::BudgetExceeded`] / [`TensorError::Cancelled`].
-    fn classify_budgeted(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-    ) -> Result<Vec<f32>, TensorError> {
-        budget.charge(self.full_rows_per_inference(t.node_count()))?;
-        self.classify(t, x)
-    }
-
-    /// [`FlowClassifier::open_session`] under a cooperative work
-    /// [`Budget`]; the default ignores the budget and opens an unbudgeted
-    /// session (or none).
-    ///
-    /// # Errors
-    ///
-    /// As [`FlowClassifier::open_session`], plus budget errors for
-    /// budget-aware classifiers.
-    fn open_session_budgeted(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        _budget: &Budget,
-    ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        self.open_session(t, x)
-    }
-
-    /// [`FlowClassifier::classify_budgeted`] through an explicit
-    /// [`MatrixBackend`]. The default ignores the backend and runs the
-    /// serial path — opaque closures cannot route their internals through
-    /// it; backend-aware classifiers ([`Gcn`], [`MultiStageGcn`])
-    /// override this with their bit-identical `_with` variants.
-    ///
-    /// # Errors
-    ///
-    /// As [`FlowClassifier::classify_budgeted`], plus backend-staleness
-    /// errors for overriding implementations.
-    fn classify_budgeted_with(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-        _backend: &mut MatrixBackend,
-    ) -> Result<Vec<f32>, TensorError> {
-        self.classify_budgeted(t, x, budget)
-    }
-
-    /// [`FlowClassifier::open_session_budgeted`] through an explicit
-    /// [`MatrixBackend`] for the opening full pass; the default ignores
-    /// the backend.
-    ///
-    /// # Errors
-    ///
-    /// As [`FlowClassifier::open_session_budgeted`], plus
-    /// backend-staleness errors for overriding implementations.
-    fn open_session_budgeted_with(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-        _backend: &mut MatrixBackend,
-    ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        self.open_session_budgeted(t, x, budget)
-    }
 }
 
+/// Opaque closures cannot route their internals through a backend or
+/// check a budget between layers: the whole pass is charged up front, so
+/// they still participate in budget accounting at call granularity, and
+/// the backend is ignored.
 impl<F> FlowClassifier for F
 where
     F: Fn(&GraphTensors, &Matrix) -> Result<Vec<f32>, TensorError>,
 {
-    fn classify(&self, t: &GraphTensors, x: &Matrix) -> Result<Vec<f32>, TensorError> {
+    fn classify(
+        &self,
+        t: &GraphTensors,
+        x: &Matrix,
+        budget: &Budget,
+        _backend: &mut MatrixBackend,
+    ) -> Result<Vec<f32>, TensorError> {
+        budget.charge(self.full_rows_per_inference(t.node_count()))?;
         self(t, x)
     }
 }
 
-impl FlowClassifier for Gcn {
-    fn classify(&self, t: &GraphTensors, x: &Matrix) -> Result<Vec<f32>, TensorError> {
-        self.predict_proba(t, x)
-    }
-
-    fn open_session(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-    ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        CascadeSession::for_gcn(self, t, x).map(Some)
-    }
-
-    fn full_rows_per_inference(&self, n: usize) -> u64 {
-        self.depth() as u64 * n as u64
-    }
-
-    fn classify_budgeted(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-    ) -> Result<Vec<f32>, TensorError> {
-        self.predict_proba_budgeted(t, x, budget)
-    }
-
-    fn open_session_budgeted(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-    ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        CascadeSession::for_gcn_budgeted(self, t, x, budget).map(Some)
-    }
-
-    fn classify_budgeted_with(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-        backend: &mut MatrixBackend,
-    ) -> Result<Vec<f32>, TensorError> {
-        self.predict_proba_budgeted_with(t, x, budget, backend)
-    }
-
-    fn open_session_budgeted_with(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-        backend: &mut MatrixBackend,
-    ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        CascadeSession::for_gcn_budgeted_with(self, t, x, budget, backend).map(Some)
-    }
-}
-
 impl FlowClassifier for &Gcn {
-    fn classify(&self, t: &GraphTensors, x: &Matrix) -> Result<Vec<f32>, TensorError> {
-        Gcn::predict_proba(self, t, x)
-    }
-
-    fn open_session(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-    ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        CascadeSession::for_gcn(self, t, x).map(Some)
-    }
-
-    fn full_rows_per_inference(&self, n: usize) -> u64 {
-        self.depth() as u64 * n as u64
-    }
-
-    fn classify_budgeted(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-    ) -> Result<Vec<f32>, TensorError> {
-        Gcn::predict_proba_budgeted(self, t, x, budget)
-    }
-
-    fn open_session_budgeted(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-    ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        CascadeSession::for_gcn_budgeted(self, t, x, budget).map(Some)
-    }
-
-    fn classify_budgeted_with(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-        backend: &mut MatrixBackend,
-    ) -> Result<Vec<f32>, TensorError> {
-        Gcn::predict_proba_budgeted_with(self, t, x, budget, backend)
-    }
-
-    fn open_session_budgeted_with(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-        backend: &mut MatrixBackend,
-    ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        CascadeSession::for_gcn_budgeted_with(self, t, x, budget, backend).map(Some)
-    }
-}
-
-impl FlowClassifier for MultiStageGcn {
-    fn classify(&self, t: &GraphTensors, x: &Matrix) -> Result<Vec<f32>, TensorError> {
-        self.predict_proba(t, x)
-    }
-
-    fn open_session(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-    ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        CascadeSession::for_cascade(self, t, x).map(Some)
-    }
-
-    fn full_rows_per_inference(&self, n: usize) -> u64 {
-        self.stages().iter().map(|g| g.depth() as u64).sum::<u64>() * n as u64
-    }
-
-    fn classify_budgeted(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-    ) -> Result<Vec<f32>, TensorError> {
-        self.predict_proba_budgeted(t, x, budget)
-    }
-
-    fn open_session_budgeted(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-    ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        CascadeSession::for_cascade_budgeted(self, t, x, budget).map(Some)
-    }
-
-    fn classify_budgeted_with(
+    fn classify(
         &self,
         t: &GraphTensors,
         x: &Matrix,
@@ -619,63 +274,33 @@ impl FlowClassifier for MultiStageGcn {
         self.predict_proba_budgeted_with(t, x, budget, backend)
     }
 
-    fn open_session_budgeted_with(
+    fn open_session(
         &self,
         t: &GraphTensors,
         x: &Matrix,
         budget: &Budget,
         backend: &mut MatrixBackend,
     ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        CascadeSession::for_cascade_budgeted_with(self, t, x, budget, backend).map(Some)
+        CascadeSession::for_gcn_budgeted_with(self, t, x, budget, backend).map(Some)
+    }
+
+    fn full_rows_per_inference(&self, n: usize) -> u64 {
+        self.depth() as u64 * n as u64
     }
 }
 
 impl FlowClassifier for &MultiStageGcn {
-    fn classify(&self, t: &GraphTensors, x: &Matrix) -> Result<Vec<f32>, TensorError> {
-        MultiStageGcn::predict_proba(self, t, x)
-    }
-
-    fn open_session(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-    ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        CascadeSession::for_cascade(self, t, x).map(Some)
-    }
-
-    fn full_rows_per_inference(&self, n: usize) -> u64 {
-        self.stages().iter().map(|g| g.depth() as u64).sum::<u64>() * n as u64
-    }
-
-    fn classify_budgeted(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-    ) -> Result<Vec<f32>, TensorError> {
-        MultiStageGcn::predict_proba_budgeted(self, t, x, budget)
-    }
-
-    fn open_session_budgeted(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-    ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        CascadeSession::for_cascade_budgeted(self, t, x, budget).map(Some)
-    }
-
-    fn classify_budgeted_with(
+    fn classify(
         &self,
         t: &GraphTensors,
         x: &Matrix,
         budget: &Budget,
         backend: &mut MatrixBackend,
     ) -> Result<Vec<f32>, TensorError> {
-        MultiStageGcn::predict_proba_budgeted_with(self, t, x, budget, backend)
+        self.predict_proba_budgeted_with(t, x, budget, backend)
     }
 
-    fn open_session_budgeted_with(
+    fn open_session(
         &self,
         t: &GraphTensors,
         x: &Matrix,
@@ -683,6 +308,10 @@ impl FlowClassifier for &MultiStageGcn {
         backend: &mut MatrixBackend,
     ) -> Result<Option<CascadeSession<'_>>, TensorError> {
         CascadeSession::for_cascade_budgeted_with(self, t, x, budget, backend).map(Some)
+    }
+
+    fn full_rows_per_inference(&self, n: usize) -> u64 {
+        self.stages().iter().map(|g| g.depth() as u64).sum::<u64>() * n as u64
     }
 }
 
@@ -713,13 +342,6 @@ pub struct FlowConfig {
     /// [`ImpactMode::Incremental`]. The two modes produce bit-identical
     /// outcomes — only [`FlowOutcome::inference`] differs.
     pub impact_mode: ImpactMode,
-    /// Matrix backend for full inference passes; defaults to
-    /// [`FlowBackend::Auto`]. All choices are bit-identical.
-    pub backend: FlowBackend,
-    /// Tensor row-kernel policy installed before the run; defaults to
-    /// [`FlowKernel::Inherit`] (keep the process-wide setting). All
-    /// choices are bit-identical.
-    pub kernel: FlowKernel,
 }
 
 impl Default for FlowConfig {
@@ -732,8 +354,6 @@ impl Default for FlowConfig {
             cone_limit: 500,
             skip_budget: 0,
             impact_mode: ImpactMode::Incremental,
-            backend: FlowBackend::Auto,
-            kernel: FlowKernel::Inherit,
         }
     }
 }
@@ -835,44 +455,25 @@ pub fn run_gcn_opi<F>(
 where
     F: FlowClassifier,
 {
-    run_gcn_opi_budgeted(net, normalizer, classify, cfg, &Budget::unlimited())
-}
-
-/// [`run_gcn_opi`] under a cooperative work [`Budget`]: every inference —
-/// full passes, session refreshes, impact previews — checks the budget
-/// between GCN layers. A budget stop surfaces as
-/// [`TensorError::BudgetExceeded`] (or [`TensorError::Cancelled`]) with
-/// `net` left in the last consistent committed state, so a caller can
-/// restart or degrade without repair work.
-///
-/// # Errors
-///
-/// As [`run_gcn_opi`], plus budget errors from the cooperative
-/// checkpoints.
-pub fn run_gcn_opi_budgeted<F>(
-    net: &mut Netlist,
-    normalizer: &FeatureNormalizer,
-    classify: F,
-    cfg: &FlowConfig,
-    budget: &Budget,
-) -> Result<FlowOutcome, FlowError>
-where
-    F: FlowClassifier,
-{
-    run_flow(
+    run_gcn_opi_resumable(
         net,
         normalizer,
         classify,
         cfg,
-        budget,
+        &Budget::unlimited(),
         &[],
-        commit_insertion,
         &mut |_| Ok(()),
     )
 }
 
-/// Resumable variant of [`run_gcn_opi_budgeted`] for long-running jobs
-/// behind a write-ahead journal.
+/// [`run_gcn_opi`] under a cooperative work [`Budget`] and resumable, for
+/// long-running jobs behind a write-ahead journal.
+///
+/// Every inference — full passes, session refreshes, impact previews —
+/// checks `budget` between GCN layers. A budget stop surfaces as
+/// [`TensorError::BudgetExceeded`] (or [`TensorError::Cancelled`]) with
+/// `net` left in the last consistent committed state, so a caller can
+/// restart or degrade without repair work.
 ///
 /// `net` must be the **original** (pre-flow) design. `resume` is the
 /// prefix of [`BatchRecord`]s a previous run journaled (empty for a fresh
@@ -890,7 +491,8 @@ where
 ///
 /// # Errors
 ///
-/// As [`run_gcn_opi_budgeted`], plus whatever `observer` returns.
+/// As [`run_gcn_opi`], plus budget errors from the cooperative
+/// checkpoints and whatever `observer` returns.
 #[allow(clippy::type_complexity)]
 pub fn run_gcn_opi_resumable<F>(
     net: &mut Netlist,
@@ -912,6 +514,7 @@ where
         budget,
         resume,
         commit_insertion,
+        MatrixBackend::auto,
         observer,
     )
 }
@@ -1045,23 +648,21 @@ fn current_probs<F: FlowClassifier>(
         }
         None => {
             refresh_backend(backend, &state.tensors)?;
-            let probs = classify.classify_budgeted_with(
-                &state.tensors,
-                &state.features,
-                budget,
-                backend,
-            )?;
+            let probs = classify.classify(&state.tensors, &state.features, budget, backend)?;
             note_full_pass(stats, classify, state.tensors.node_count());
             Ok(probs)
         }
     }
 }
 
-/// The flow loop with an injectable commit step — production code enters
-/// through [`run_gcn_opi`] and friends; tests substitute a failing commit
-/// to exercise the skip-budget rollback path.
+/// The flow loop with an injectable commit step and backend builder —
+/// production code enters through [`run_gcn_opi`] and
+/// [`run_gcn_opi_resumable`], which commit for real and ask
+/// [`MatrixBackend::auto`]; tests substitute a failing commit to exercise
+/// the skip-budget rollback path, or force a partitioned backend onto a
+/// design `auto` would keep serial.
 #[allow(clippy::too_many_arguments)]
-fn run_flow<F, C>(
+fn run_flow<F, C, B>(
     net: &mut Netlist,
     normalizer: &FeatureNormalizer,
     classify: F,
@@ -1069,11 +670,13 @@ fn run_flow<F, C>(
     budget: &Budget,
     resume: &[BatchRecord],
     mut commit: C,
+    build_backend: B,
     observer: &mut dyn FnMut(&BatchRecord) -> Result<(), FlowError>,
 ) -> Result<FlowOutcome, FlowError>
 where
     F: FlowClassifier,
     C: FnMut(&mut FlowState, NodeId) -> Result<(), FlowError>,
+    B: FnOnce(&GraphTensors) -> MatrixBackend,
 {
     let levels = logic_levels(net)?;
     let scoap = Scoap::compute(net)?;
@@ -1156,14 +759,10 @@ where
             return Ok(());
         }
 
-        // Pin the tensor row-kernel policy for the run (a no-op under the
-        // default `Inherit`, which keeps the process-wide setting).
-        cfg.kernel.install();
-
         // The matrix backend for full inference passes, built against the
         // post-replay graph state. Commits bump the generation;
         // `refresh_backend` re-shards lazily before each use.
-        let mut backend = cfg.backend.build(&state.tensors)?;
+        let mut backend = build_backend(&state.tensors);
 
         // One live session for the whole run (Incremental mode with a
         // session-capable classifier); its opening full pass is counted —
@@ -1171,12 +770,8 @@ where
         // already inside the restored stats.
         let mut session: Option<CascadeSession<'_>> = match cfg.impact_mode {
             ImpactMode::Incremental => {
-                let s = classify.open_session_budgeted_with(
-                    &state.tensors,
-                    &state.features,
-                    budget,
-                    &mut backend,
-                )?;
+                let s =
+                    classify.open_session(&state.tensors, &state.features, budget, &mut backend)?;
                 if s.is_some() && resume.is_empty() {
                     note_full_pass(&mut stats, &classify, state.tensors.node_count());
                 }
@@ -1457,8 +1052,7 @@ fn score_preview<F: FlowClassifier>(
         }
         None => {
             refresh_backend(backend, tensors)?;
-            let probs_after =
-                classify.classify_budgeted_with(tensors, features, budget, backend)?;
+            let probs_after = classify.classify(tensors, features, budget, backend)?;
             note_full_pass(stats, classify, tensors.node_count());
             Ok(cone
                 .iter()
@@ -1480,6 +1074,7 @@ fn rows_to_matrix(rows: &[[f32; RAW_DIM]]) -> Matrix {
 mod tests {
     use super::*;
     use gcnt_netlist::{generate, GeneratorConfig};
+    use proptest::prelude::*;
 
     fn shadowed_design(seed: u64) -> Netlist {
         let mut cfg = GeneratorConfig::sized("flow", seed, 900);
@@ -1663,6 +1258,7 @@ mod tests {
                 }
                 commit_insertion(state, target)
             },
+            MatrixBackend::auto,
             &mut |_| Ok(()),
         )
         .unwrap();
@@ -1692,6 +1288,7 @@ mod tests {
             &Budget::unlimited(),
             &[],
             |_state, target| Err(FlowError::Netlist(NetlistError::UnknownNode(target))),
+            MatrixBackend::auto,
             &mut |_| Ok(()),
         )
         .unwrap_err();
@@ -1998,31 +1595,18 @@ mod tests {
         let norm = FeatureNormalizer::fit(&[&raw]);
         // The oracle closure charges full passes up front; a tiny cap
         // stops the very first classification.
-        let err = run_gcn_opi_budgeted(
+        let err = run_gcn_opi_resumable(
             &mut net,
             &norm,
             oracle(2.0),
             &FlowConfig::default(),
             &Budget::with_cap(1),
+            &[],
+            &mut |_| Ok(()),
         )
         .unwrap_err();
         assert!(err.is_budget_stop(), "{err}");
         assert!(!gcnt_lint::lint_netlist_deep(&net).has_errors());
-    }
-
-    /// An unlimited budget must not perturb the flow at all.
-    #[test]
-    fn unlimited_budget_matches_unbudgeted_run() {
-        let mut net_a = shadowed_design(106);
-        let mut net_b = shadowed_design(106);
-        let raw = gcnt_core::features::raw_features_of(&net_a).unwrap();
-        let norm = FeatureNormalizer::fit(&[&raw]);
-        let cfg = FlowConfig::default();
-        let a = run_gcn_opi(&mut net_a, &norm, oracle(2.0), &cfg).unwrap();
-        let b = run_gcn_opi_budgeted(&mut net_b, &norm, oracle(2.0), &cfg, &Budget::unlimited())
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(net_a, net_b);
     }
 
     /// An observer refusal stops the flow but keeps the committed batch:
@@ -2085,5 +1669,79 @@ mod tests {
         let b = run_gcn_opi(&mut net_b, &norm, oracle(2.0), &cfg_inc).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.inference.rows_computed, a.inference.rows_full);
+    }
+
+    proptest! {
+        // Each case runs two full flows; keep the case count modest.
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The OP-insertion flow is outcome-identical across matrix
+        /// backends: same insertions, same history, same final netlist.
+        /// These designs sit far below `MatrixBackend::auto`'s threshold,
+        /// so the partitioned run is forced through the backend builder.
+        #[test]
+        fn flow_outcome_is_backend_invariant(
+            inputs in 2usize..12,
+            gates in 5usize..60,
+            design_seed in any::<u64>(),
+            seed in any::<u64>(),
+        ) {
+            use gcnt_core::{GcnConfig, GraphData};
+
+            let net = generate(&GeneratorConfig {
+                inputs,
+                gates,
+                seed: design_seed,
+                shadow_regions: 0,
+                ..GeneratorConfig::default()
+            });
+            let data = GraphData::from_netlist(&net, None).unwrap();
+            let gcn = Gcn::new(
+                &GcnConfig {
+                    embed_dims: vec![8, 8],
+                    fc_dims: vec![8],
+                    ..GcnConfig::default()
+                },
+                &mut gcnt_nn::seeded_rng(seed),
+            );
+            let cfg = FlowConfig {
+                max_iterations: 3,
+                ops_per_iteration: 2,
+                candidate_limit: 6,
+                ..FlowConfig::default()
+            };
+            let mut net_serial = net.clone();
+            let serial = run_flow(
+                &mut net_serial,
+                &data.normalizer,
+                &gcn,
+                &cfg,
+                &Budget::unlimited(),
+                &[],
+                commit_insertion,
+                |_| MatrixBackend::serial(),
+                &mut |_| Ok(()),
+            )
+            .unwrap();
+            let mut net_part = net.clone();
+            let part = run_flow(
+                &mut net_part,
+                &data.normalizer,
+                &gcn,
+                &cfg,
+                &Budget::unlimited(),
+                &[],
+                commit_insertion,
+                |t| MatrixBackend::partitioned(t, 3).unwrap(),
+                &mut |_| Ok(()),
+            )
+            .unwrap();
+            prop_assert_eq!(serial.inserted, part.inserted);
+            prop_assert_eq!(serial.converged, part.converged);
+            prop_assert_eq!(serial.remaining_positives, part.remaining_positives);
+            prop_assert_eq!(serial.history, part.history);
+            prop_assert_eq!(serial.skipped, part.skipped);
+            prop_assert_eq!(net_serial, net_part);
+        }
     }
 }

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use gcnt_dft::flow::FlowConfig;
 use gcnt_netlist::format;
-use gcnt_runtime::{fnv1a64, FaultPlan};
+use gcnt_runtime::{checksum_hex, FaultPlan};
 use gcnt_serve::{ServeCore, ServeError};
 
 use crate::error::NetError;
@@ -125,10 +125,6 @@ fn map_serve_error(e: &ServeError) -> ErrorReply {
         message: e.to_string(),
         retryable,
     }
-}
-
-fn checksum_hex(bytes: &[u8]) -> String {
-    format!("{:016x}", fnv1a64(bytes))
 }
 
 /// The digest of a flow answer: outcome JSON + post-flow design text —

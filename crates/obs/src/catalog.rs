@@ -155,12 +155,6 @@ declare_counters! {
     /// Halo rows gathered from other partitions by partitioned SpMM.
     TENSOR_HALO_ROWS => "gcnt_tensor_halo_rows_exchanged_total",
         "Halo rows exchanged between partitions by partitioned SpMM";
-    /// Matrix products dispatched to the scalar reference kernel.
-    TENSOR_KERNEL_SCALAR_DISPATCH => "gcnt_tensor_kernel_scalar_dispatch_total",
-        "Matrix products dispatched to the scalar reference kernel";
-    /// Matrix products dispatched to the register-blocked kernel.
-    TENSOR_KERNEL_BLOCKED_DISPATCH => "gcnt_tensor_kernel_blocked_dispatch_total",
-        "Matrix products dispatched to the register-blocked kernel";
 
     // --- core: training, cascade, incremental inference ---
     /// Training epochs completed (`gcnt_core::train`).
@@ -395,12 +389,9 @@ declare_histograms! {
     /// Wall-clock latency of one partition worker's SpMM block.
     TENSOR_PARTITION_SPMM_NS => "gcnt_tensor_partition_spmm_ns",
         "Per-partition SpMM worker latency (ns)", NS_BUCKETS;
-    /// Wall-clock latency of full SpMM passes run on the scalar kernel.
-    TENSOR_SPMM_SCALAR_NS => "gcnt_tensor_spmm_scalar_ns",
-        "Full SpMM pass latency on the scalar reference kernel (ns)", NS_BUCKETS;
-    /// Wall-clock latency of full SpMM passes run on the blocked kernel.
-    TENSOR_SPMM_BLOCKED_NS => "gcnt_tensor_spmm_blocked_ns",
-        "Full SpMM pass latency on the register-blocked kernel (ns)", NS_BUCKETS;
+    /// Wall-clock latency of full SpMM passes (serial and partitioned).
+    TENSOR_SPMM_NS => "gcnt_tensor_spmm_ns",
+        "Full SpMM pass latency (ns)", NS_BUCKETS;
     /// Client-observed wall-clock latency per network request
     /// (loadgen's p50/p99/p999 source).
     NET_REQUEST_NS => "gcnt_net_request_latency_ns",

@@ -1,17 +1,26 @@
 //! The disabled registry must be free in both senses: it records nothing,
 //! and the record paths allocate nothing. A counting global allocator makes
 //! the second claim testable — any heap traffic inside the measured window
-//! is a regression in the "observability off" cost story.
+//! is a regression in the "observability off" cost story. The count is
+//! per thread, so each test measures only its own window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use gcnt_obs::catalog::{counters, gauges, histograms};
 use gcnt_obs::{MetricsRegistry, SpanTimer};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. The default test runner runs the
+    /// two tests (and its own harness thread) concurrently, so a
+    /// process-wide count would charge one test for another's heap
+    /// traffic. `const`-initialised and without a destructor, so touching
+    /// it from inside the allocator neither allocates nor registers
+    /// anything.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 // SAFETY: every call delegates to the `System` allocator unchanged; the
 // only extra work is a counter bump, so `GlobalAlloc`'s layout/pointer
@@ -19,7 +28,7 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: `layout` is forwarded to `System.alloc` untouched.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -34,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]

@@ -173,13 +173,10 @@ impl std::error::Error for CheckpointError {
 
 /// FNV-1a 64-bit hash — small, dependency-free, and byte-order stable,
 /// which is all a corruption check needs (this is not a cryptographic
-/// integrity guarantee). Re-exported from `gcnt-store`, which owns the
-/// checksum primitive the whole workspace shares.
-pub use gcnt_store::fnv1a64;
-
-fn checksum_hex(payload: &str) -> String {
-    format!("{:016x}", fnv1a64(payload.as_bytes()))
-}
+/// integrity guarantee) — and its 16-hex-digit envelope form.
+/// Re-exported from `gcnt-store`, which owns the checksum primitive the
+/// whole workspace shares.
+pub use gcnt_store::{checksum_hex, fnv1a64};
 
 /// Writes `bytes` to `path` atomically: temp file in the same directory,
 /// fsync, then rename over the final name. Readers never observe a torn
@@ -276,7 +273,7 @@ impl CheckpointStore {
         })?;
         let file = CheckpointFile {
             version: CHECKPOINT_VERSION,
-            checksum: checksum_hex(&payload),
+            checksum: checksum_hex(payload.as_bytes()),
             payload,
         };
         let bytes = serde_json::to_string(&file).map_err(|e| CheckpointError::Malformed {
@@ -327,7 +324,7 @@ impl CheckpointStore {
             version: file.version,
             supported_version: CHECKPOINT_VERSION,
             stored_checksum: file.checksum.clone(),
-            computed_checksum: checksum_hex(&file.payload),
+            computed_checksum: checksum_hex(file.payload.as_bytes()),
             missing_state: Vec::new(),
         });
         if report.has_errors() {
@@ -456,7 +453,7 @@ mod tests {
         // Reference vectors for FNV-1a 64.
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(checksum_hex("a"), "af63dc4c8601ec8c");
+        assert_eq!(checksum_hex(b"a"), "af63dc4c8601ec8c");
     }
 
     #[test]

@@ -52,7 +52,8 @@ mod guard;
 mod multistage;
 
 pub use checkpoint::{
-    atomic_write, fnv1a64, CheckpointError, CheckpointStore, TrainState, CHECKPOINT_VERSION,
+    atomic_write, checksum_hex, fnv1a64, CheckpointError, CheckpointStore, TrainState,
+    CHECKPOINT_VERSION,
 };
 pub use fault::FaultPlan;
 #[cfg(feature = "fault-inject")]

@@ -70,8 +70,8 @@ use gcnt_lint::{
     lint_journal_growth, lint_journal_records, JournalCaps, JournalRecordMeta, LintReport,
 };
 use gcnt_netlist::{format, Netlist};
-use gcnt_runtime::{atomic_write, fnv1a64, FaultPlan};
-use gcnt_store::{PageStore, SegmentKey};
+use gcnt_runtime::{atomic_write, FaultPlan};
+use gcnt_store::{checksum_hex, PageStore, SegmentKey};
 
 use crate::error::ServeError;
 
@@ -143,10 +143,6 @@ fn journal_segment_key(header: &JournalHeader) -> SegmentKey {
         start: 0,
         end: 0,
     }
-}
-
-fn checksum_hex(bytes: &[u8]) -> String {
-    format!("{:016x}", fnv1a64(bytes))
 }
 
 fn payload_checksum(rec: &BatchRecord) -> Result<String, ServeError> {
@@ -967,6 +963,24 @@ mod tests {
         let other = generate(&GeneratorConfig::sized("other", 4, 100));
         let other_header = JournalHeader::describe(&other, &cfg).unwrap();
         let err = FlowJournal::open(&path, &other_header).unwrap_err();
+        assert!(err.to_string().contains("different job"), "{err}");
+
+        // A journal from before `FlowConfig` lost its `backend`/`kernel`
+        // fields: same design, but its flow checksum covered them.
+        let legacy_cfg = serde_json::to_string(&cfg).unwrap().replacen(
+            '{',
+            r#"{"backend":"Auto","kernel":"Inherit","#,
+            1,
+        );
+        let legacy = JournalHeader {
+            flow_checksum: checksum_hex(legacy_cfg.as_bytes()),
+            ..header.clone()
+        };
+        assert_eq!(legacy.design_checksum, header.design_checksum);
+        let legacy_path = temp_journal("legacy-flow-config");
+        fs::write(&legacy_path, header_line(&legacy).unwrap()).unwrap();
+        let err = FlowJournal::open(&legacy_path, &header).unwrap_err();
+        assert!(matches!(err, ServeError::Journal(_)), "{err}");
         assert!(err.to_string().contains("different job"), "{err}");
 
         let future = JournalHeader {

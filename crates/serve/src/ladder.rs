@@ -100,60 +100,26 @@ fn degrades(e: &TensorError) -> bool {
     )
 }
 
-/// Runs the ladder for one request. `poison_incremental` is the injected
-/// stale-cache fault: the incremental rung is abandoned exactly as if its
-/// cache generation had drifted.
+/// Runs the ladder for one request on an explicit [`MatrixBackend`]: the
+/// two full-quality rungs run their SpMM aggregations through `backend`
+/// (bit-identical to serial by construction), so a large design can
+/// answer on the partition-parallel kernels. The unbudgeted floor rung
+/// stays serial — it is the availability guarantee and must not depend on
+/// a shard plan that could be stale.
+///
+/// `poison_incremental` is the injected stale-cache fault: the
+/// incremental rung is abandoned exactly as if its cache generation had
+/// drifted.
+///
+/// Besides the result, hands back the incremental rung's per-stage
+/// embedding caches when that rung answered — the warm-restart save path
+/// persists them to a page store. Lower rungs never build caches, so they
+/// return `None`.
 ///
 /// # Errors
 ///
 /// [`ServeError::Tensor`] on a real model/graph error (shape mismatch,
 /// cancellation) — never on deadline pressure, which degrades instead.
-pub fn classify_with_ladder(
-    model: &MultiStageGcn,
-    t: &GraphTensors,
-    x: &Matrix,
-    budget: &Budget,
-    poison_incremental: bool,
-) -> Result<LadderResult, ServeError> {
-    classify_with_ladder_sessioned(model, t, x, budget, poison_incremental)
-        .map(|(result, _)| result)
-}
-
-/// [`classify_with_ladder`], additionally handing back the incremental
-/// rung's per-stage embedding caches when that rung answered — the
-/// warm-restart save path persists them to a page store. Lower rungs
-/// never build caches, so they return `None`.
-///
-/// # Errors
-///
-/// As [`classify_with_ladder`].
-pub fn classify_with_ladder_sessioned(
-    model: &MultiStageGcn,
-    t: &GraphTensors,
-    x: &Matrix,
-    budget: &Budget,
-    poison_incremental: bool,
-) -> Result<(LadderResult, Option<Vec<EmbeddingCache>>), ServeError> {
-    classify_with_ladder_backed(
-        model,
-        t,
-        x,
-        budget,
-        poison_incremental,
-        &mut MatrixBackend::serial(),
-    )
-}
-
-/// [`classify_with_ladder_sessioned`] on an explicit [`MatrixBackend`]:
-/// the two full-quality rungs run their SpMM aggregations through
-/// `backend` (bit-identical to serial by construction), so a large design
-/// can answer on the partition-parallel kernels. The unbudgeted floor
-/// rung stays serial — it is the availability guarantee and must not
-/// depend on a shard plan that could be stale.
-///
-/// # Errors
-///
-/// As [`classify_with_ladder`].
 pub fn classify_with_ladder_backed(
     model: &MultiStageGcn,
     t: &GraphTensors,
@@ -246,6 +212,25 @@ mod tests {
             Gcn::new(&cfg, &mut seeded_rng(22)),
         ];
         (data, MultiStageGcn::from_stages(stages, 0.5))
+    }
+
+    /// The ladder on the serial backend, result only.
+    fn classify_with_ladder(
+        model: &MultiStageGcn,
+        t: &GraphTensors,
+        x: &Matrix,
+        budget: &Budget,
+        poison_incremental: bool,
+    ) -> Result<LadderResult, ServeError> {
+        classify_with_ladder_backed(
+            model,
+            t,
+            x,
+            budget,
+            poison_incremental,
+            &mut MatrixBackend::serial(),
+        )
+        .map(|(result, _)| result)
     }
 
     #[test]

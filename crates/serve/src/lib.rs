@@ -73,10 +73,7 @@ pub mod store;
 pub use breaker::{BreakerConfig, CircuitBreaker, RetryPolicy};
 pub use error::ServeError;
 pub use journal::{FlowJournal, JournalHeader, Recovered, JOURNAL_SEGMENT_KIND, JOURNAL_VERSION};
-pub use ladder::{
-    classify_with_ladder, classify_with_ladder_backed, classify_with_ladder_sessioned,
-    LadderResult, Rung, RungDrop,
-};
+pub use ladder::{classify_with_ladder_backed, LadderResult, Rung, RungDrop};
 pub use queue::BoundedQueue;
 pub use server::{
     FlowJobResult, FlowResponse, InferResponse, ServeConfig, ServeCore, ServeHandle, Ticket,

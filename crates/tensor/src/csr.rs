@@ -1,7 +1,7 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::kernel::{self, KernelPolicy};
+use crate::kernel;
 use crate::{CooMatrix, Matrix, Result, TensorError};
 
 /// spmm falls back to a serial loop below this many output elements.
@@ -267,26 +267,13 @@ impl CsrMatrix {
             .map(|(&c, &v)| (c as usize, v))
     }
 
-    /// Sparse × dense product `self * rhs`, parallelised over output rows,
-    /// on the process-wide [`KernelPolicy`].
+    /// Sparse × dense product `self * rhs`, parallelised over output rows.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless
     /// `self.cols() == rhs.rows()`.
     pub fn spmm(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.spmm_with_kernel(rhs, KernelPolicy::global())
-    }
-
-    /// [`CsrMatrix::spmm`] on an explicit kernel policy, bypassing the
-    /// process-wide setting. Both kernels produce bit-identical output
-    /// (see [`crate::kernel`]); the choice is purely a throughput one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] unless
-    /// `self.cols() == rhs.rows()`.
-    pub fn spmm_with_kernel(&self, rhs: &Matrix, policy: KernelPolicy) -> Result<Matrix> {
         debug_assert!(self.structure_ok(), "spmm on a malformed CSR matrix");
         if self.cols != rhs.rows() {
             return Err(TensorError::ShapeMismatch {
@@ -296,12 +283,10 @@ impl CsrMatrix {
             });
         }
         let n = rhs.cols();
-        let kernel = policy.resolve(n);
         let obs = gcnt_obs::global();
         let enabled = obs.is_enabled();
         if enabled {
             obs.incr(gcnt_obs::counters::TENSOR_SPMM_CALLS);
-            obs.incr(kernel.dispatch_counter());
             obs.add(gcnt_obs::counters::TENSOR_SPMM_ROWS, self.rows as u64);
             obs.add(
                 gcnt_obs::counters::TENSOR_SPMM_NNZ,
@@ -315,7 +300,7 @@ impl CsrMatrix {
             let end = self.indptr.get(r + 1).copied().unwrap_or(start);
             let idx = self.indices.get(start..end).unwrap_or(&[]);
             let vals = self.values.get(start..end).unwrap_or(&[]);
-            kernel::spmm_row(kernel, out_row, idx, vals, |c| rhs.row(c));
+            kernel::spmm_row(out_row, idx, vals, |c| rhs.row(c));
         };
         if self.rows * n >= PAR_SPMM_THRESHOLD {
             out.as_mut_slice()
@@ -330,14 +315,16 @@ impl CsrMatrix {
         }
         if let Some(t0) = started {
             // CAST: saturating at u64::MAX ns is fine for a latency sample.
-            obs.observe(kernel.spmm_histogram(), t0.elapsed().as_nanos() as u64);
+            obs.observe(
+                gcnt_obs::histograms::TENSOR_SPMM_NS,
+                t0.elapsed().as_nanos() as u64,
+            );
         }
         Ok(out)
     }
 
     /// Accumulates one product row into a caller-provided buffer:
-    /// `out[j] += (self * rhs)[row][j]`, on the process-wide
-    /// [`KernelPolicy`].
+    /// `out[j] += (self * rhs)[row][j]`.
     ///
     /// This is the raw per-row primitive behind [`CsrMatrix::spmm`] —
     /// identical kernel, identical stored-coefficient accumulation order,
@@ -368,12 +355,11 @@ impl CsrMatrix {
                 shape: self.shape(),
             });
         }
-        let kernel = KernelPolicy::global().resolve(rhs.cols());
         let start = self.indptr.get(row).copied().unwrap_or(0);
         let end = self.indptr.get(row + 1).copied().unwrap_or(start);
         let idx = self.indices.get(start..end).unwrap_or(&[]);
         let vals = self.values.get(start..end).unwrap_or(&[]);
-        kernel::spmm_row(kernel, out, idx, vals, |c| rhs.row(c));
+        kernel::spmm_row(out, idx, vals, |c| rhs.row(c));
         Ok(())
     }
 
@@ -392,23 +378,6 @@ impl CsrMatrix {
     /// `self.cols() == rhs.rows()`, and [`TensorError::IndexOutOfBounds`] if
     /// any requested row is out of range.
     pub fn spmm_rows(&self, rhs: &Matrix, rows: &[usize]) -> Result<Matrix> {
-        self.spmm_rows_with_kernel(rhs, rows, KernelPolicy::global())
-    }
-
-    /// [`CsrMatrix::spmm_rows`] on an explicit kernel policy, bypassing the
-    /// process-wide setting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] unless
-    /// `self.cols() == rhs.rows()`, and [`TensorError::IndexOutOfBounds`] if
-    /// any requested row is out of range.
-    pub fn spmm_rows_with_kernel(
-        &self,
-        rhs: &Matrix,
-        rows: &[usize],
-        policy: KernelPolicy,
-    ) -> Result<Matrix> {
         debug_assert!(self.structure_ok(), "spmm_rows on a malformed CSR matrix");
         if self.cols != rhs.rows() {
             return Err(TensorError::ShapeMismatch {
@@ -424,11 +393,9 @@ impl CsrMatrix {
             });
         }
         let n = rhs.cols();
-        let kernel = policy.resolve(n);
         let obs = gcnt_obs::global();
         if obs.is_enabled() {
             obs.incr(gcnt_obs::counters::TENSOR_SPMM_CALLS);
-            obs.incr(kernel.dispatch_counter());
             obs.add(gcnt_obs::counters::TENSOR_SPMM_ROWS, rows.len() as u64);
             let nnz: usize = rows
                 .iter()
@@ -449,7 +416,7 @@ impl CsrMatrix {
             let end = self.indptr.get(r + 1).copied().unwrap_or(start);
             let idx = self.indices.get(start..end).unwrap_or(&[]);
             let vals = self.values.get(start..end).unwrap_or(&[]);
-            kernel::spmm_row(kernel, out_row, idx, vals, |c| rhs.row(c));
+            kernel::spmm_row(out_row, idx, vals, |c| rhs.row(c));
         }
         Ok(out)
     }

@@ -1,7 +1,7 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::kernel::{self, KernelPolicy};
+use crate::kernel::{self, Kernel};
 use crate::{Result, TensorError};
 
 /// GEMM falls back to a serial loop below this many output elements; the
@@ -182,25 +182,26 @@ impl Matrix {
     }
 
     /// Matrix product `self * rhs`, parallelised over rows for large
-    /// outputs, on the process-wide [`KernelPolicy`].
+    /// outputs, on the blocked GEMM row.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless
     /// `self.cols() == rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.matmul_with_kernel(rhs, KernelPolicy::global())
+        self.matmul_with_kernel(rhs, Kernel::Blocked)
     }
 
-    /// [`Matrix::matmul`] on an explicit kernel policy, bypassing the
-    /// process-wide setting. Both kernels produce bit-identical output
-    /// (see [`crate::kernel`]); the choice is purely a throughput one.
+    /// [`Matrix::matmul`] on an explicit GEMM row kernel — the entry
+    /// point tests and benches use to compare the blocked row against
+    /// the scalar reference. Both produce bit-identical output (see
+    /// [`crate::kernel`]).
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless
     /// `self.cols() == rhs.rows()`.
-    pub fn matmul_with_kernel(&self, rhs: &Matrix, policy: KernelPolicy) -> Result<Matrix> {
+    pub fn matmul_with_kernel(&self, rhs: &Matrix, kern: Kernel) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul",
@@ -211,13 +212,6 @@ impl Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         let n = rhs.cols;
         let k = self.cols;
-        let kern = policy.resolve(n);
-        {
-            let obs = gcnt_obs::global();
-            if obs.is_enabled() {
-                obs.incr(kern.dispatch_counter());
-            }
-        }
         let gemm_row = |(r, out_row): (usize, &mut [f32])| {
             let lhs_row = self.data.get(r * k..(r + 1) * k).unwrap_or(&[]);
             kernel::gemm_row(kern, out_row, lhs_row, &rhs.data, n);
@@ -235,8 +229,7 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix product plus row-broadcast bias `self * rhs + bias`, on
-    /// the process-wide [`KernelPolicy`].
+    /// Matrix product plus row-broadcast bias `self * rhs + bias`.
     ///
     /// The bias is added to each output row immediately after that row's
     /// accumulation finishes — while the row is still cache-hot — which
@@ -250,21 +243,6 @@ impl Matrix {
     /// Returns [`TensorError::ShapeMismatch`] unless
     /// `self.cols() == rhs.rows()` and `bias.len() == rhs.cols()`.
     pub fn matmul_bias(&self, rhs: &Matrix, bias: &[f32]) -> Result<Matrix> {
-        self.matmul_bias_with_kernel(rhs, bias, KernelPolicy::global())
-    }
-
-    /// [`Matrix::matmul_bias`] on an explicit kernel policy, bypassing
-    /// the process-wide setting.
-    ///
-    /// # Errors
-    ///
-    /// As [`Matrix::matmul_bias`].
-    pub fn matmul_bias_with_kernel(
-        &self,
-        rhs: &Matrix,
-        bias: &[f32],
-        policy: KernelPolicy,
-    ) -> Result<Matrix> {
         if self.cols != rhs.rows || bias.len() != rhs.cols {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul_bias",
@@ -279,16 +257,9 @@ impl Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         let n = rhs.cols;
         let k = self.cols;
-        let kern = policy.resolve(n);
-        {
-            let obs = gcnt_obs::global();
-            if obs.is_enabled() {
-                obs.incr(kern.dispatch_counter());
-            }
-        }
         let gemm_row = |(r, out_row): (usize, &mut [f32])| {
             let lhs_row = self.data.get(r * k..(r + 1) * k).unwrap_or(&[]);
-            kernel::gemm_row(kern, out_row, lhs_row, &rhs.data, n);
+            kernel::gemm_row_blocked(out_row, lhs_row, &rhs.data, n);
             for (o, &b) in out_row.iter_mut().zip(bias) {
                 *o += b;
             }
@@ -371,7 +342,7 @@ impl Matrix {
         // Dot-product form: each output element is one serial reduction, so
         // this stays on the scalar loop — unrolling it with partial
         // accumulators would change the summation order and break the
-        // bit-exactness contract the kernel dispatch is built on.
+        // bit-exactness contract the blocked kernels are built on.
         let gemm_row = |(r, out_row): (usize, &mut [f32])| {
             let lhs_row = self.data.get(r * k..(r + 1) * k).unwrap_or(&[]);
             for (o, rhs_row) in out_row.iter_mut().zip(rhs.data.chunks_exact(k.max(1))) {

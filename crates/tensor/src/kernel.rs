@@ -1,185 +1,53 @@
-//! Runtime-dispatched row kernels: the scalar reference loops and their
-//! register-blocked, autovectorization-friendly twins.
+//! Row kernels: the sparse row primitive and the dense GEMM row in its
+//! scalar reference form and its register-blocked form.
 //!
 //! Every hot product in this crate (sparse [`crate::CsrMatrix::spmm`],
 //! partitioned [`crate::PartitionedCsr::spmm`], dense
 //! [`crate::Matrix::matmul`]) is built from one row primitive: *for each
 //! stored coefficient `v` of the row, accumulate `out[j] += v * src[j]`
-//! over the dense operand*. [`KernelPolicy`] selects between two
-//! implementations of that primitive:
+//! over the dense operand*.
 //!
-//! * **scalar** — the original element-at-a-time loop, kept verbatim as
-//!   the bit-exactness reference;
-//! * **blocked** — the same arithmetic restructured for throughput
-//!   (stable rustc autovectorizes every inner body to packed f32 lanes —
-//!   no `unsafe`, no nightly): sparse rows fuse up to four stored
-//!   coefficients into one pass over a 64-column output tile, quartering
-//!   output-row read/write traffic; dense rows get fixed-width fast
-//!   paths for the embedding dimensions the model actually uses (32 and
-//!   64) and for narrow outputs up to 8 columns (the two-class head)
-//!   that keep the whole output row in a stack accumulator — i.e. in
-//!   vector registers — across the shared dimension, plus the same
-//!   64-column tiling for other widths.
-//!
-//! The split is empirical, not aesthetic: on netlist adjacencies
-//! (~1.4 nnz/row) there is nothing to amortize blocking bookkeeping
-//! against, so short sparse rows run the scalar loop unchanged, while
-//! the dense `embed` GEMM — where one rhs row is reused across the whole
-//! lhs row — is where the register accumulator pays (measured 1.4–2.3x;
-//! see EXPERIMENTS.md).
+//! * The **sparse** row ([`spmm_row`]) is the plain element-at-a-time
+//!   zip. Netlist adjacencies hold ~1.4 stored coefficients per row, so
+//!   there is nothing to amortize blocking bookkeeping against, and LLVM
+//!   already vectorizes the zip.
+//! * The **dense** row has two implementations ([`Kernel`]): the scalar
+//!   loop, kept verbatim as the bit-exactness reference the property
+//!   tests compare against, and the blocked one every product runs —
+//!   fixed-width fast paths for the embedding dimensions the model
+//!   actually uses (32 and 64) and for narrow outputs up to 8 columns
+//!   (the two-class head) that keep the whole output row in a stack
+//!   accumulator — i.e. in vector registers — across the shared
+//!   dimension, plus 64-column tiling for other widths. One rhs row is
+//!   reused across the whole lhs row, which is where the register
+//!   accumulator pays (measured 1.4–2.3x; see EXPERIMENTS.md).
 //!
 //! # Bit-identity
 //!
-//! The blocked kernels are **bit-identical** to the scalar ones, by
+//! The blocked GEMM row is **bit-identical** to the scalar one, by
 //! construction rather than by tolerance:
 //!
 //! * every output element `out[j]` accumulates its terms in exactly the
-//!   scalar order (the stored-coefficient order `k`); tiling and
-//!   coefficient fusion only regroup the *independent* `j` lanes —
-//!   within one fused pass the two (or four) adds to an element stay
-//!   sequenced in `k` order, so the dependent chain never reorders;
+//!   scalar order (the shared-dimension order `k`); tiling only regroups
+//!   the *independent* `j` lanes, so the dependent chain never reorders;
 //! * each term stays a separate `mul` + `add` — nothing is fused into a
 //!   wider accumulation tree, and rustc does not contract `a * b + c`
 //!   into an FMA on its own (not even under `-C target-cpu=native`,
-//!   which the CI kernel-equivalence matrix pins down);
-//! * the fixed-width GEMM paths copy the output row into the stack
-//!   accumulator and back bitwise;
-//! * the scalar loop truncates every `out`/`src` zip independently, so
-//!   fused passes only engage when the fused sources agree in length and
-//!   fall back to single passes otherwise.
+//!   which the CI kernel-equivalence job pins down);
+//! * the fixed-width paths copy the output row into the stack
+//!   accumulator and back bitwise.
 //!
-//! This is what lets the dispatch stay a pure performance choice: the
-//! full / incremental / partitioned equality properties the rest of the
-//! workspace is built on keep holding under either kernel, property-
-//! tested in `tests/kernel_properties.rs`.
-//!
-//! # Selection
-//!
-//! The process-wide policy defaults to [`KernelPolicy::Auto`] and is
-//! overridable with the `GCNT_KERNEL` environment variable
-//! (`scalar` | `blocked` | `auto`; anything else falls back to `auto`)
-//! or programmatically via [`KernelPolicy::set_global`] (the `gcnt flow
-//! --kernel` flag). Explicit `*_with` kernel entry points on the matrix
-//! types bypass the global for tests and benches.
-
-use std::fmt;
-use std::str::FromStr;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-use serde::{Deserialize, Serialize};
+//! This is what keeps the full / incremental / partitioned equality
+//! properties the rest of the workspace is built on; the dense
+//! equivalence is property-tested in `tests/kernel_properties.rs`
+//! through [`crate::Matrix::matmul_with_kernel`].
 
 /// Columns per tile in the generic blocked path: 64 f32 = 256 bytes of
 /// output tile, four cache lines, comfortably register/L1-resident
 /// across one row's coefficients.
 const TILE_COLS: usize = 64;
 
-/// How the matrix products pick their row kernel; see the module docs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum KernelPolicy {
-    /// Always the element-at-a-time reference loops.
-    Scalar,
-    /// Always the register-blocked kernels (bit-identical to scalar).
-    Blocked,
-    /// Defer to the library's choice — currently the blocked kernels
-    /// everywhere, since they degrade to the scalar loops exactly where
-    /// blocking cannot win (short sparse rows, widths with no fixed
-    /// path). The default.
-    #[default]
-    Auto,
-}
-
-/// Global policy cell: 0 = not yet initialised (read `GCNT_KERNEL` on
-/// first use), otherwise `KernelPolicy as u8 + 1`.
-static GLOBAL_POLICY: AtomicU8 = AtomicU8::new(0);
-
-impl KernelPolicy {
-    /// The process-wide policy: whatever [`KernelPolicy::set_global`]
-    /// installed, else the `GCNT_KERNEL` environment variable, else
-    /// [`KernelPolicy::Auto`].
-    pub fn global() -> Self {
-        match GLOBAL_POLICY.load(Ordering::Relaxed) {
-            0 => {
-                let policy = Self::from_env();
-                policy.set_global();
-                policy
-            }
-            v => Self::decode(v),
-        }
-    }
-
-    /// Installs `self` as the process-wide policy (overrides
-    /// `GCNT_KERNEL`; the CLI's `--kernel` flag lands here).
-    pub fn set_global(self) {
-        GLOBAL_POLICY.store(self.encode(), Ordering::Relaxed);
-    }
-
-    /// The policy named by `GCNT_KERNEL`, or `Auto` when the variable is
-    /// unset or holds anything unrecognised.
-    pub fn from_env() -> Self {
-        std::env::var("GCNT_KERNEL")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_default()
-    }
-
-    /// Resolves the policy against a dense operand width. `Auto` picks
-    /// blocked at every width today — the width hook stays so a future
-    /// heuristic can discriminate without touching call sites.
-    pub fn resolve(self, _dense_cols: usize) -> Kernel {
-        match self {
-            KernelPolicy::Scalar => Kernel::Scalar,
-            KernelPolicy::Blocked | KernelPolicy::Auto => Kernel::Blocked,
-        }
-    }
-
-    /// Stable label for reports and CLI output.
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelPolicy::Scalar => "scalar",
-            KernelPolicy::Blocked => "blocked",
-            KernelPolicy::Auto => "auto",
-        }
-    }
-
-    fn encode(self) -> u8 {
-        match self {
-            KernelPolicy::Scalar => 1,
-            KernelPolicy::Blocked => 2,
-            KernelPolicy::Auto => 3,
-        }
-    }
-
-    fn decode(v: u8) -> Self {
-        match v {
-            1 => KernelPolicy::Scalar,
-            2 => KernelPolicy::Blocked,
-            _ => KernelPolicy::Auto,
-        }
-    }
-}
-
-impl fmt::Display for KernelPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl FromStr for KernelPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(KernelPolicy::Scalar),
-            "blocked" => Ok(KernelPolicy::Blocked),
-            "auto" => Ok(KernelPolicy::Auto),
-            other => Err(format!(
-                "unknown kernel '{other}' (use scalar, blocked or auto)"
-            )),
-        }
-    }
-}
-
-/// A resolved kernel choice (no `Auto` left to decide).
+/// Which implementation of the dense GEMM row to run; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// The element-at-a-time reference loops.
@@ -188,125 +56,17 @@ pub enum Kernel {
     Blocked,
 }
 
-impl Kernel {
-    /// Stable label for reports and metric attribution.
-    pub fn label(self) -> &'static str {
-        match self {
-            Kernel::Scalar => "scalar",
-            Kernel::Blocked => "blocked",
-        }
-    }
-
-    /// The dispatch counter charged when a product runs on this kernel.
-    pub(crate) fn dispatch_counter(self) -> gcnt_obs::CounterId {
-        match self {
-            Kernel::Scalar => gcnt_obs::counters::TENSOR_KERNEL_SCALAR_DISPATCH,
-            Kernel::Blocked => gcnt_obs::counters::TENSOR_KERNEL_BLOCKED_DISPATCH,
-        }
-    }
-
-    /// The latency histogram an SpMM pass on this kernel reports into.
-    pub(crate) fn spmm_histogram(self) -> gcnt_obs::HistogramId {
-        match self {
-            Kernel::Scalar => gcnt_obs::histograms::TENSOR_SPMM_SCALAR_NS,
-            Kernel::Blocked => gcnt_obs::histograms::TENSOR_SPMM_BLOCKED_NS,
-        }
-    }
-}
-
 /// One sparse output row: `out_row[j] += v * fetch(c)[j]` for every
-/// stored `(c, v)` of the row, on the chosen kernel. `fetch` maps a
-/// stored column index to its dense source row (the CSR product passes
+/// stored `(c, v)` of the row, in stored order. `fetch` maps a stored
+/// column index to its dense source row (the CSR product passes
 /// `rhs.row`; the partitioned product also resolves halo positions).
 #[inline]
-pub(crate) fn spmm_row<'a, F>(
-    kernel: Kernel,
-    out_row: &mut [f32],
-    idx: &[u32],
-    vals: &[f32],
-    fetch: F,
-) where
-    F: Fn(usize) -> &'a [f32],
-{
-    match kernel {
-        Kernel::Scalar => {
-            for (&ci, &v) in idx.iter().zip(vals) {
-                for (o, &b) in out_row.iter_mut().zip(fetch(ci as usize)) {
-                    *o += v * b;
-                }
-            }
-        }
-        Kernel::Blocked => spmm_row_blocked(out_row, idx, vals, fetch),
-    }
-}
-
-/// Minimum stored coefficients before the fused-tile path pays for its
-/// bookkeeping. Netlist adjacencies average well under 2 nnz per row
-/// (fanin 1–3); at those counts the scalar zip — which LLVM already
-/// vectorizes — is the fastest implementation, measured, so shorter
-/// rows run it unchanged.
-const FUSE_MIN_NNZ: usize = 4;
-
-/// Blocked sparse row: short rows run the scalar zip unchanged (it is
-/// already optimal there — see [`FUSE_MIN_NNZ`]); longer rows walk the
-/// output in 64-column tiles, fusing four stored coefficients into each
-/// pass over a tile so the output elements are read and written once
-/// per quartet instead of once per coefficient. Each output tile
-/// accumulates all of the row's coefficients before the next tile
-/// starts, keeping the tile L1-hot while `idx`/`vals` are re-read.
-/// Per-element accumulation order is still the stored order: every
-/// element belongs to exactly one tile, and the fused adds stay
-/// sequenced within the pass.
-fn spmm_row_blocked<'a, F>(out_row: &mut [f32], idx: &[u32], vals: &[f32], fetch: F)
+pub(crate) fn spmm_row<'a, F>(out_row: &mut [f32], idx: &[u32], vals: &[f32], fetch: F)
 where
     F: Fn(usize) -> &'a [f32],
 {
-    let nnz = idx.len().min(vals.len());
-    if nnz < FUSE_MIN_NNZ {
-        for (&ci, &v) in idx.iter().zip(vals) {
-            for (o, &b) in out_row.iter_mut().zip(fetch(ci as usize)) {
-                *o += v * b;
-            }
-        }
-        return;
-    }
-    let mut offset = 0usize;
-    for tile in out_row.chunks_mut(TILE_COLS) {
-        let mut idx_q = idx.chunks_exact(4);
-        let mut val_q = vals.chunks_exact(4);
-        for (cq, vq) in (&mut idx_q).zip(&mut val_q) {
-            if let ([c0, c1, c2, c3], &[v0, v1, v2, v3]) = (cq, vq) {
-                axpy4(
-                    tile,
-                    v0,
-                    fetch(*c0 as usize).get(offset..).unwrap_or(&[]),
-                    v1,
-                    fetch(*c1 as usize).get(offset..).unwrap_or(&[]),
-                    v2,
-                    fetch(*c2 as usize).get(offset..).unwrap_or(&[]),
-                    v3,
-                    fetch(*c3 as usize).get(offset..).unwrap_or(&[]),
-                );
-            }
-        }
-        let mut idx_pairs = idx_q.remainder().chunks_exact(2);
-        let mut val_pairs = val_q.remainder().chunks_exact(2);
-        for (cp, vp) in (&mut idx_pairs).zip(&mut val_pairs) {
-            if let ([c0, c1], &[v0, v1]) = (cp, vp) {
-                axpy2(
-                    tile,
-                    v0,
-                    fetch(*c0 as usize).get(offset..).unwrap_or(&[]),
-                    v1,
-                    fetch(*c1 as usize).get(offset..).unwrap_or(&[]),
-                );
-            }
-        }
-        for (&ci, &v) in idx_pairs.remainder().iter().zip(val_pairs.remainder()) {
-            let src = fetch(ci as usize);
-            axpy(tile, v, src.get(offset..).unwrap_or(&[]));
-        }
-        offset += TILE_COLS;
+    for (&ci, &v) in idx.iter().zip(vals) {
+        axpy(out_row, v, fetch(ci as usize));
     }
 }
 
@@ -346,7 +106,7 @@ pub(crate) fn gemm_row(
 /// `k` — unlike the sparse case, where nnz is tiny; for narrow outputs
 /// the fully-unrolled body also removes the per-`kk` loop machinery
 /// that otherwise dwarfs the arithmetic), else 64-column tiles.
-fn gemm_row_blocked(out_row: &mut [f32], lhs_row: &[f32], rhs: &[f32], n: usize) {
+pub(crate) fn gemm_row_blocked(out_row: &mut [f32], lhs_row: &[f32], rhs: &[f32], n: usize) {
     macro_rules! fixed {
         ($d:literal) => {
             if let Ok(out) = <&mut [f32; $d]>::try_from(&mut *out_row) {
@@ -402,56 +162,6 @@ fn gemm_row_fixed<const D: usize>(out: &mut [f32; D], lhs_row: &[f32], rhs: &[f3
     *out = acc;
 }
 
-/// Four fused axpys in one pass over `out`: per element, the four adds
-/// run sequenced in coefficient order — exactly four consecutive scalar
-/// axpys — while the output elements are read and written once instead
-/// of four times.
-///
-/// Falls back to two pair passes when the sources disagree in length,
-/// because the scalar kernel truncates each zip *independently* and a
-/// shared fused length would truncate differently.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn axpy4(
-    out: &mut [f32],
-    v0: f32,
-    src0: &[f32],
-    v1: f32,
-    src1: &[f32],
-    v2: f32,
-    src2: &[f32],
-    v3: f32,
-    src3: &[f32],
-) {
-    if src0.len() != src1.len() || src1.len() != src2.len() || src2.len() != src3.len() {
-        axpy2(out, v0, src0, v1, src1);
-        axpy2(out, v2, src2, v3, src3);
-        return;
-    }
-    for ((((o, &b0), &b1), &b2), &b3) in out.iter_mut().zip(src0).zip(src1).zip(src2).zip(src3) {
-        *o += v0 * b0;
-        *o += v1 * b1;
-        *o += v2 * b2;
-        *o += v3 * b3;
-    }
-}
-
-/// Two fused axpys in one pass: `out[j] += v0 * src0[j]` then
-/// `out[j] += v1 * src1[j]`, sequenced per element. Same independent-
-/// truncation fallback as [`axpy4`].
-#[inline]
-fn axpy2(out: &mut [f32], v0: f32, src0: &[f32], v1: f32, src1: &[f32]) {
-    if src0.len() != src1.len() {
-        axpy(out, v0, src0);
-        axpy(out, v1, src1);
-        return;
-    }
-    for ((o, &b), &c) in out.iter_mut().zip(src0).zip(src1) {
-        *o += v0 * b;
-        *o += v1 * c;
-    }
-}
-
 /// `out[j] += v * src[j]` — the plain zip, which LLVM turns into packed
 /// f32 ops on its own. Lane `j` touches only lane `j`, so the
 /// element-wise accumulation order is untouched.
@@ -465,38 +175,6 @@ fn axpy(out: &mut [f32], v: f32, src: &[f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn src_rows(cols: usize, n: usize) -> Vec<Vec<f32>> {
-        (0..n)
-            .map(|r| {
-                (0..cols)
-                    .map(|c| ((r * 31 + c * 7) % 23) as f32 * 0.37 - 2.11)
-                    .collect()
-            })
-            .collect()
-    }
-
-    fn run_spmm_row(kernel: Kernel, cols: usize) -> Vec<f32> {
-        let rows = src_rows(cols, 6);
-        let idx: Vec<u32> = vec![0, 2, 3, 5];
-        let vals: Vec<f32> = vec![0.5, -1.25, 3.0, 0.125];
-        let mut out = vec![0.0f32; cols];
-        spmm_row(kernel, &mut out, &idx, &vals, |c| {
-            rows.get(c).map(Vec::as_slice).unwrap_or(&[])
-        });
-        out
-    }
-
-    #[test]
-    fn blocked_spmm_row_matches_scalar_across_widths() {
-        for cols in [0usize, 1, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 200] {
-            assert_eq!(
-                run_spmm_row(Kernel::Scalar, cols),
-                run_spmm_row(Kernel::Blocked, cols),
-                "cols = {cols}"
-            );
-        }
-    }
 
     #[test]
     fn blocked_gemm_row_matches_scalar_across_widths() {
@@ -513,28 +191,5 @@ mod tests {
             gemm_row(Kernel::Blocked, &mut blocked, &lhs, &rhs, n);
             assert_eq!(scalar, blocked, "n = {n}");
         }
-    }
-
-    #[test]
-    fn policy_resolution_and_parsing() {
-        assert_eq!(KernelPolicy::Scalar.resolve(64), Kernel::Scalar);
-        assert_eq!(KernelPolicy::Blocked.resolve(2), Kernel::Blocked);
-        assert_eq!(KernelPolicy::Auto.resolve(4), Kernel::Blocked);
-        assert_eq!(KernelPolicy::Auto.resolve(8), Kernel::Blocked);
-        assert_eq!("scalar".parse::<KernelPolicy>(), Ok(KernelPolicy::Scalar));
-        assert_eq!("blocked".parse::<KernelPolicy>(), Ok(KernelPolicy::Blocked));
-        assert_eq!("auto".parse::<KernelPolicy>(), Ok(KernelPolicy::Auto));
-        assert!("simd".parse::<KernelPolicy>().is_err());
-        assert_eq!(KernelPolicy::Blocked.to_string(), "blocked");
-    }
-
-    #[test]
-    fn global_round_trips() {
-        // Whatever the ambient env says, an explicit install wins and is
-        // what `global` then reports.
-        KernelPolicy::Scalar.set_global();
-        assert_eq!(KernelPolicy::global(), KernelPolicy::Scalar);
-        KernelPolicy::Auto.set_global();
-        assert_eq!(KernelPolicy::global(), KernelPolicy::Auto);
     }
 }

@@ -15,9 +15,9 @@
 //!   fanout-balanced row blocks with per-partition halos, whose
 //!   partition-parallel [`PartitionedCsr::spmm`] is bit-identical to the
 //!   serial kernel. This is what makes 10^5–10^6-node designs tractable.
-//! * [`KernelPolicy`] — runtime dispatch between the scalar reference row
-//!   kernels and the register-blocked, autovectorization-friendly ones
-//!   (bit-identical by construction; see [`kernel`]).
+//! * [`kernel`] — the row kernels those products are built from; the
+//!   dense GEMM row runs register-blocked, bit-identical by construction
+//!   to the scalar reference ([`Kernel`]) the property tests compare it to.
 //!
 //! # Examples
 //!
@@ -50,5 +50,5 @@ pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use dense::Matrix;
 pub use error::{Result, TensorError};
-pub use kernel::{Kernel, KernelPolicy};
+pub use kernel::Kernel;
 pub use partition::{PartitionPlan, PartitionScratch, PartitionedCsr};

@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use crate::kernel::{self, Kernel, KernelPolicy};
+use crate::kernel;
 use crate::{CsrMatrix, Matrix, Result, TensorError};
 
 /// A contiguous row-range partitioning of an `n x n` adjacency: `P + 1`
@@ -377,24 +377,6 @@ impl PartitionedCsr {
     /// Returns [`TensorError::ShapeMismatch`] unless
     /// `self.cols() == rhs.rows()`.
     pub fn spmm_with(&self, rhs: &Matrix, scratch: &mut PartitionScratch) -> Result<Matrix> {
-        self.spmm_with_kernel(rhs, scratch, KernelPolicy::global())
-    }
-
-    /// [`PartitionedCsr::spmm_with`] on an explicit kernel policy,
-    /// bypassing the process-wide setting. The policy is resolved once
-    /// and every partition worker runs the same resolved kernel, so the
-    /// bit-identity with [`CsrMatrix::spmm`] holds kernel-by-kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] unless
-    /// `self.cols() == rhs.rows()`.
-    pub fn spmm_with_kernel(
-        &self,
-        rhs: &Matrix,
-        scratch: &mut PartitionScratch,
-        policy: KernelPolicy,
-    ) -> Result<Matrix> {
         if self.cols != rhs.rows() {
             return Err(TensorError::ShapeMismatch {
                 op: "partitioned_spmm",
@@ -403,12 +385,10 @@ impl PartitionedCsr {
             });
         }
         let n = rhs.cols();
-        let kernel = policy.resolve(n);
         let obs = gcnt_obs::global();
         let enabled = obs.is_enabled();
         if enabled {
             obs.incr(gcnt_obs::counters::TENSOR_SPMM_CALLS);
-            obs.incr(kernel.dispatch_counter());
             obs.add(gcnt_obs::counters::TENSOR_SPMM_ROWS, self.rows as u64);
             obs.add(
                 gcnt_obs::counters::TENSOR_SPMM_NNZ,
@@ -426,7 +406,7 @@ impl PartitionedCsr {
         }
         scratch.data.resize(self.halo_cols.len() * n, 0.0);
         let blocks = self.blocks(out.as_mut_slice(), scratch.data.as_mut_slice(), n);
-        let timings = run_blocks(blocks, rhs, self.cols, n, kernel);
+        let timings = run_blocks(blocks, rhs, self.cols, n);
         if enabled {
             for ns in timings {
                 obs.observe(gcnt_obs::histograms::TENSOR_PARTITION_SPMM_NS, ns);
@@ -434,7 +414,10 @@ impl PartitionedCsr {
         }
         if let Some(t0) = started {
             // CAST: saturating at u64::MAX ns is fine for a latency sample.
-            obs.observe(kernel.spmm_histogram(), t0.elapsed().as_nanos() as u64);
+            obs.observe(
+                gcnt_obs::histograms::TENSOR_SPMM_NS,
+                t0.elapsed().as_nanos() as u64,
+            );
         }
         Ok(out)
     }
@@ -481,17 +464,11 @@ impl PartitionedCsr {
 /// returns each worker's wall-clock nanoseconds. A panicking worker is
 /// resumed on the caller's thread, exactly as a serial kernel panic
 /// would surface.
-fn run_blocks(
-    blocks: Vec<Block<'_>>,
-    rhs: &Matrix,
-    cols: usize,
-    n: usize,
-    kernel: Kernel,
-) -> Vec<u64> {
+fn run_blocks(blocks: Vec<Block<'_>>, rhs: &Matrix, cols: usize, n: usize) -> Vec<u64> {
     let scoped = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = blocks
             .into_iter()
-            .map(|block| scope.spawn(move |_| spmm_block(block, rhs, cols, n, kernel)))
+            .map(|block| scope.spawn(move |_| spmm_block(block, rhs, cols, n)))
             .collect();
         handles
             .into_iter()
@@ -508,11 +485,10 @@ fn run_blocks(
 }
 
 /// One partition's work: halo exchange, then the shared CSR row kernel
-/// over the block on the resolved [`Kernel`]. Accumulation order per
-/// output row is exactly [`CsrMatrix::spmm`]'s on the same kernel, and
-/// both kernels agree bitwise, so the result is bit-identical to the
-/// serial product whatever the policy.
-fn spmm_block(block: Block<'_>, rhs: &Matrix, cols: usize, n: usize, kern: Kernel) -> u64 {
+/// over the block. Accumulation order per output row is exactly
+/// [`CsrMatrix::spmm`]'s, so the result is bit-identical to the serial
+/// product.
+fn spmm_block(block: Block<'_>, rhs: &Matrix, cols: usize, n: usize) -> u64 {
     let t0 = Instant::now();
     let Block {
         indptr,
@@ -544,7 +520,7 @@ fn spmm_block(block: Block<'_>, rhs: &Matrix, cols: usize, n: usize, kern: Kerne
     for ((out_row, &s), &e) in out.chunks_mut(n).zip(row_starts).zip(row_ends) {
         let idx = indices.get(s as usize..e as usize).unwrap_or(&[]);
         let vals = values.get(s as usize..e as usize).unwrap_or(&[]);
-        kernel::spmm_row(kern, out_row, idx, vals, fetch);
+        kernel::spmm_row(out_row, idx, vals, fetch);
     }
     // CAST: saturating clock-to-u64; 2^64 ns is ~584 years.
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)

@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use serde::{Deserialize, Serialize};
 
 use gcn_testability::dft::atpg::{run_random_atpg, AtpgConfig};
-use gcn_testability::dft::flow::{run_gcn_opi, FlowBackend, FlowConfig, FlowKernel, ImpactMode};
+use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig, ImpactMode};
 use gcn_testability::dft::labeler::{label_difficult_to_observe, LabelConfig};
 use gcn_testability::gcn::features::FeatureNormalizer;
 use gcn_testability::gcn::{
@@ -106,8 +106,7 @@ fn print_usage() {
          \x20\x20\x20\x20 [--checkpoint-dir DIR] [--resume] [--checkpoint-every N] [--keep N]\n\
          \x20 gcnt infer design.bench --model model.json [--threshold F]\n\
          \x20 gcnt flow design.bench --model model.json [--out modified.bench] [--skip-budget N]\n\
-         \x20\x20\x20\x20 [--impact-mode full|incremental] [--backend serial|partitioned|auto]\n\
-         \x20\x20\x20\x20 [--kernel inherit|scalar|blocked|auto] [--metrics-out m.json]\n\
+         \x20\x20\x20\x20 [--impact-mode full|incremental] [--metrics-out m.json]\n\
          \x20 gcnt bench-scale [--sizes 1000,10000,100000 | --preset B1..B4] [--parts N]\n\
          \x20\x20\x20\x20 [--repeat N]\n\
          \x20 gcnt atpg design.bench [--patterns N]\n\
@@ -408,22 +407,11 @@ fn cmd_flow(
             return Err(format!("unknown impact mode '{other}' (use full or incremental)").into())
         }
     };
-    let backend = match options.get("backend") {
-        Some(s) => s.parse::<FlowBackend>()?,
-        None => FlowBackend::Auto,
-    };
-    // Flag beats env (`GCNT_KERNEL`, honoured by `Inherit`) beats default.
-    let kernel = match options.get("kernel") {
-        Some(s) => s.parse::<FlowKernel>()?,
-        None => FlowKernel::Inherit,
-    };
     let cfg = FlowConfig {
         max_iterations: opt_usize(options, "iterations", 12),
         ops_per_iteration: opt_usize(options, "ops-per-iteration", 16),
         skip_budget: opt_usize(options, "skip-budget", 0),
         impact_mode,
-        backend,
-        kernel,
         ..FlowConfig::default()
     };
     let outcome = run_gcn_opi(&mut net, &bundle.normalizer, &bundle.model, &cfg)?;
@@ -546,7 +534,12 @@ fn time_embed(
     let mut out = None;
     for _ in 0..repeat {
         let start = std::time::Instant::now();
-        let e = model.embed_with(&data.tensors, &data.features, backend)?;
+        let e = model.embed_budgeted_with(
+            &data.tensors,
+            &data.features,
+            &gcn_testability::tensor::Budget::unlimited(),
+            backend,
+        )?;
         best = best.min(start.elapsed().as_secs_f64() * 1e3);
         out = Some(e);
     }

@@ -1,65 +1,22 @@
-//! Property-based tests for the kernel dispatch layer: the blocked
-//! kernels must be *bit-identical* to the scalar reference on arbitrary
-//! shapes — every product (sparse, row-sliced, partitioned, dense), at
-//! every dimension around the blocking breakpoints (the 4-coefficient
-//! fusion gate, the 64-column tile edge, the 32/64 fixed GEMM widths) —
-//! the invariant that makes `KernelPolicy` a pure performance choice.
+//! Property-based tests for the dense row kernels: the blocked GEMM row
+//! every product runs must be *bit-identical* to the scalar reference on
+//! arbitrary shapes, at every dimension around the blocking breakpoints
+//! (the narrow 1..=8 fixed paths, the 32/64 fixed widths, the 64-column
+//! tile edge).
 //!
-//! The CI kernel-equivalence matrix runs this file under
-//! `GCNT_KERNEL=scalar` and `GCNT_KERNEL=blocked` and again under
-//! `RUSTFLAGS="-C target-cpu=native"`; the assertions themselves bypass
-//! the global policy via the explicit `*_with_kernel` entry points, so
-//! both kernels are exercised regardless of the environment.
+//! The CI kernel-equivalence job runs this file as built and again under
+//! `RUSTFLAGS="-C target-cpu=native"`, the leg that would expose an FMA
+//! contraction; the assertions select each kernel explicitly through
+//! `Matrix::matmul_with_kernel`.
 
 use proptest::prelude::*;
 
-use gcn_testability::tensor::{
-    CooMatrix, CsrMatrix, KernelPolicy, Matrix, PartitionScratch, PartitionedCsr,
-};
+use gcn_testability::tensor::{Kernel, Matrix};
 
-/// Dense widths straddling every dispatch breakpoint: each narrow
+/// Dense widths straddling every blocking breakpoint: each narrow
 /// fixed GEMM path (1..=8) plus just past it, the 32/64 fixed paths,
 /// and the 64-column tile edge.
 const DIMS: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 63, 64, 65];
-
-/// Strategy: a random sparse matrix as (rows, cols, entries). Entry
-/// values avoid exact zeros so the matrix's stored pattern is what the
-/// kernels actually see; row fill spans empty rows through rows dense
-/// enough to cross the 4-coefficient fusion gate several times over.
-fn arb_sparse() -> impl Strategy<Value = CsrMatrix> {
-    (
-        1usize..24,
-        1usize..24,
-        proptest::collection::vec((any::<u32>(), any::<u32>(), -8i32..8), 0..160),
-    )
-        .prop_map(|(rows, cols, es)| {
-            let mut coo = CooMatrix::new(rows, cols);
-            for (r, c, v) in es {
-                coo.push(
-                    r as usize % rows,
-                    c as usize % cols,
-                    v as f32 * 0.375 + 0.0625,
-                );
-            }
-            CsrMatrix::from_coo(&coo)
-        })
-}
-
-/// Strategy: a random *square* sparse matrix (the partitioned backend
-/// shards adjacency matrices, which are n × n by construction).
-fn arb_square_sparse() -> impl Strategy<Value = CsrMatrix> {
-    (
-        1usize..24,
-        proptest::collection::vec((any::<u32>(), any::<u32>(), -8i32..8), 0..160),
-    )
-        .prop_map(|(n, es)| {
-            let mut coo = CooMatrix::new(n, n);
-            for (r, c, v) in es {
-                coo.push(r as usize % n, c as usize % n, v as f32 * 0.375 + 0.0625);
-            }
-            CsrMatrix::from_coo(&coo)
-        })
-}
 
 /// A deterministic dense operand with negative, positive and fractional
 /// values (exact in f32, so accumulation-order bugs surface as real bit
@@ -72,75 +29,6 @@ fn dense_operand(rows: usize, cols: usize, salt: usize) -> Matrix {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Sparse × dense: blocked equals scalar bit for bit at every width.
-    #[test]
-    fn spmm_blocked_is_bitwise_scalar(csr in arb_sparse(), salt in 0usize..64) {
-        for &dim in DIMS {
-            let rhs = dense_operand(csr.cols(), dim, salt);
-            let scalar = csr.spmm_with_kernel(&rhs, KernelPolicy::Scalar).unwrap();
-            let blocked = csr.spmm_with_kernel(&rhs, KernelPolicy::Blocked).unwrap();
-            prop_assert_eq!(
-                scalar.as_slice(),
-                blocked.as_slice(),
-                "spmm diverged at dim {}",
-                dim
-            );
-        }
-    }
-
-    /// Row-sliced sparse × dense (the incremental engine's primitive):
-    /// blocked equals scalar on an arbitrary row subset.
-    #[test]
-    fn spmm_rows_blocked_is_bitwise_scalar(
-        csr in arb_sparse(),
-        salt in 0usize..64,
-        picks in proptest::collection::vec(any::<u32>(), 1..12),
-    ) {
-        let rows: Vec<usize> = picks.iter().map(|&p| p as usize % csr.rows()).collect();
-        for &dim in DIMS {
-            let rhs = dense_operand(csr.cols(), dim, salt);
-            let scalar = csr
-                .spmm_rows_with_kernel(&rhs, &rows, KernelPolicy::Scalar)
-                .unwrap();
-            let blocked = csr
-                .spmm_rows_with_kernel(&rhs, &rows, KernelPolicy::Blocked)
-                .unwrap();
-            prop_assert_eq!(
-                scalar.as_slice(),
-                blocked.as_slice(),
-                "spmm_rows diverged at dim {}",
-                dim
-            );
-        }
-    }
-
-    /// Partitioned sparse × dense: the blocked kernel threaded through
-    /// the halo-exchange workers equals the serial scalar product, at
-    /// every partition count.
-    #[test]
-    fn partitioned_spmm_blocked_is_bitwise_scalar(
-        csr in arb_square_sparse(),
-        salt in 0usize..64,
-        parts in 1usize..7,
-    ) {
-        let sharded = PartitionedCsr::from_csr(&csr, parts).unwrap();
-        let mut scratch = PartitionScratch::new();
-        for &dim in DIMS {
-            let rhs = dense_operand(csr.cols(), dim, salt);
-            let scalar = csr.spmm_with_kernel(&rhs, KernelPolicy::Scalar).unwrap();
-            let blocked = sharded
-                .spmm_with_kernel(&rhs, &mut scratch, KernelPolicy::Blocked)
-                .unwrap();
-            prop_assert_eq!(
-                scalar.as_slice(),
-                blocked.as_slice(),
-                "partitioned spmm diverged at dim {} / {} partitions",
-                dim,
-                parts
-            );
-        }
-    }
 
     /// Dense × dense (the embed loop's GEMM): blocked equals scalar,
     /// including through the zero-skip path (post-ReLU activations are
@@ -162,8 +50,8 @@ proptest! {
                 }
             }
             let rhs = dense_operand(k, dim, salt + 1);
-            let scalar = lhs.matmul_with_kernel(&rhs, KernelPolicy::Scalar).unwrap();
-            let blocked = lhs.matmul_with_kernel(&rhs, KernelPolicy::Blocked).unwrap();
+            let scalar = lhs.matmul_with_kernel(&rhs, Kernel::Scalar).unwrap();
+            let blocked = lhs.matmul_with_kernel(&rhs, Kernel::Blocked).unwrap();
             prop_assert_eq!(
                 scalar.as_slice(),
                 blocked.as_slice(),

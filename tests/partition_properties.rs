@@ -3,10 +3,12 @@
 //! graphs, at every partition count, and through every inference path
 //! (full, backend-threaded, incremental) — the invariant that makes the
 //! backend a pure performance choice with no numerical consequences.
+//! (The flow-level property, which has to force a partitioned backend
+//! onto designs `MatrixBackend::auto` keeps serial, lives in-crate in
+//! `gcnt_dft::flow`'s tests.)
 
 use proptest::prelude::*;
 
-use gcn_testability::dft::flow::{run_gcn_opi, FlowBackend, FlowConfig};
 use gcn_testability::gcn::{Gcn, GcnConfig, GraphData, GraphTensors, MatrixBackend};
 use gcn_testability::netlist::{generate, GeneratorConfig, Netlist};
 use gcn_testability::nn::seeded_rng;
@@ -82,7 +84,12 @@ proptest! {
         // Full serial vs backend-threaded full pass.
         let full = gcn.embed(&data.tensors, &data.features).unwrap();
         let backed = gcn
-            .embed_with(&data.tensors, &data.features, &mut backend)
+            .embed_budgeted_with(
+                &data.tensors,
+                &data.features,
+                &Budget::unlimited(),
+                &mut backend,
+            )
             .unwrap();
         prop_assert_eq!(&full, &backed);
 
@@ -108,53 +115,5 @@ proptest! {
             .unwrap();
         let fresh = gcn.embed(&data.tensors, &x).unwrap();
         prop_assert_eq!(cache.final_embedding(), &fresh);
-    }
-}
-
-proptest! {
-    // Each case runs two full flows; keep the case count modest.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The OP-insertion flow is outcome-identical across matrix backends:
-    /// same insertions, same history, same final netlist.
-    #[test]
-    fn flow_outcome_is_backend_invariant(net in arb_netlist(), seed in any::<u64>()) {
-        let data = GraphData::from_netlist(&net, None).unwrap();
-        let gcn = Gcn::new(
-            &GcnConfig {
-                embed_dims: vec![8, 8],
-                fc_dims: vec![8],
-                ..GcnConfig::default()
-            },
-            &mut seeded_rng(seed),
-        );
-        let cfg = FlowConfig {
-            max_iterations: 3,
-            ops_per_iteration: 2,
-            candidate_limit: 6,
-            ..FlowConfig::default()
-        };
-        let mut net_serial = net.clone();
-        let serial = run_gcn_opi(
-            &mut net_serial,
-            &data.normalizer,
-            &gcn,
-            &FlowConfig { backend: FlowBackend::Serial, ..cfg.clone() },
-        )
-        .unwrap();
-        let mut net_part = net.clone();
-        let part = run_gcn_opi(
-            &mut net_part,
-            &data.normalizer,
-            &gcn,
-            &FlowConfig { backend: FlowBackend::Partitioned, ..cfg },
-        )
-        .unwrap();
-        prop_assert_eq!(serial.inserted, part.inserted);
-        prop_assert_eq!(serial.converged, part.converged);
-        prop_assert_eq!(serial.remaining_positives, part.remaining_positives);
-        prop_assert_eq!(serial.history, part.history);
-        prop_assert_eq!(serial.skipped, part.skipped);
-        prop_assert_eq!(net_serial, net_part);
     }
 }

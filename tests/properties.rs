@@ -378,7 +378,8 @@ proptest! {
         cap_a in 1u64..20_000,
         cap_b in 1u64..20_000,
     ) {
-        use gcn_testability::serve::classify_with_ladder;
+        use gcn_testability::gcn::MatrixBackend;
+        use gcn_testability::serve::classify_with_ladder_backed;
         use gcn_testability::tensor::Budget;
 
         let data = GraphData::from_netlist(&net, None).unwrap();
@@ -393,14 +394,16 @@ proptest! {
         );
         let (loose, tight) = (cap_a.max(cap_b), cap_a.min(cap_b));
         let at = |cap: u64| {
-            classify_with_ladder(
+            classify_with_ladder_backed(
                 &model,
                 &data.tensors,
                 &data.features,
                 &Budget::with_cap(cap),
                 false,
+                &mut MatrixBackend::serial(),
             )
             .unwrap()
+            .0
         };
         let loose_out = at(loose);
         let tight_out = at(tight);
