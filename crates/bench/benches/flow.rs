@@ -1,14 +1,14 @@
 //! Flow bench (Table 3 cost model): one iteration of the GCN-guided
 //! OP-insertion flow, dominated by impact evaluation, plus the baseline
 //! testability-analysis round it replaces, plus a full-vs-incremental
-//! impact-mode comparison on a real GCN classifier.
+//! impact-scoring comparison on a real GCN classifier.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use gcnt_core::features::FeatureNormalizer;
-use gcnt_core::{Gcn, GcnConfig, GraphData};
+use gcnt_core::{Gcn, GcnConfig, GraphData, GraphTensors};
 use gcnt_dft::baseline::{testability_opi, BaselineConfig};
-use gcnt_dft::flow::{run_gcn_opi, FlowConfig, ImpactMode};
+use gcnt_dft::flow::{run_gcn_opi, FlowConfig};
 use gcnt_dft::labeler::LabelConfig;
 use gcnt_netlist::{generate, GeneratorConfig, Netlist};
 use gcnt_tensor::Matrix;
@@ -101,7 +101,7 @@ fn bench_flow(c: &mut Criterion) {
     group.finish();
 }
 
-/// The seeded reference design for the impact-mode comparison: 9 levels,
+/// The seeded reference design for the impact-scoring comparison: 9 levels,
 /// 400 nodes (see EXPERIMENTS.md / BENCH_flow.json).
 fn reference_design() -> (Netlist, GraphData, Gcn) {
     let net = generate(&GeneratorConfig::sized("x", 9, 400));
@@ -117,64 +117,55 @@ fn reference_design() -> (Netlist, GraphData, Gcn) {
     (net, data, gcn)
 }
 
-fn mode_cfg(mode: ImpactMode) -> FlowConfig {
+fn reference_cfg() -> FlowConfig {
     FlowConfig {
         max_iterations: 2,
         ops_per_iteration: 4,
-        impact_mode: mode,
         ..FlowConfig::default()
     }
 }
 
-fn bench_impact_modes(c: &mut Criterion) {
+fn bench_impact_paths(c: &mut Criterion) {
     let (net, data, gcn) = reference_design();
+    let cfg = reference_cfg();
+    // A closure classifier gets no session: every preview is a full pass.
+    let full_pass = |t: &GraphTensors, x: &Matrix| gcn.predict_proba(t, x);
 
-    // One-shot work accounting: the two modes are bit-identical in outcome,
-    // so the embedding-row counts are the honest comparison.
-    let full = run_gcn_opi(
-        &mut net.clone(),
-        &data.normalizer,
-        &gcn,
-        &mode_cfg(ImpactMode::Full),
-    )
-    .expect("flow runs");
-    let inc = run_gcn_opi(
-        &mut net.clone(),
-        &data.normalizer,
-        &gcn,
-        &mode_cfg(ImpactMode::Incremental),
-    )
-    .expect("flow runs");
-    assert_eq!(full.inserted, inc.inserted, "modes must agree bit-for-bit");
+    // One-shot work accounting: the two paths are bit-identical in outcome,
+    // so the inference counts are the honest comparison.
+    let full = run_gcn_opi(&mut net.clone(), &data.normalizer, full_pass, &cfg).expect("flow runs");
+    let inc = run_gcn_opi(&mut net.clone(), &data.normalizer, &gcn, &cfg).expect("flow runs");
+    assert_eq!(full.inserted, inc.inserted, "paths must agree bit-for-bit");
     println!(
-        "flow/impact_modes: embedding rows full {} vs incremental {} ({:.1}x fewer), \
-         {} inferences over {} iterations",
-        full.inference.rows_computed,
-        inc.inference.rows_computed,
-        full.inference.rows_computed as f64 / inc.inference.rows_computed.max(1) as f64,
+        "flow/impact_paths: {} inferences over {} iterations; the session computed \
+         {} embedding rows of {} full-equivalent ({:.1}x fewer)",
         inc.inference.inferences,
         inc.history.len(),
+        inc.inference.rows_computed,
+        inc.inference.rows_full,
+        inc.inference.rows_full as f64 / inc.inference.rows_computed.max(1) as f64,
     );
 
     let mut group = c.benchmark_group("flow");
     group.sample_size(10);
-    for (name, mode) in [
-        ("impact_full", ImpactMode::Full),
-        ("impact_incremental", ImpactMode::Incremental),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter_batched(
-                || net.clone(),
-                |mut net2| {
-                    run_gcn_opi(&mut net2, &data.normalizer, &gcn, &mode_cfg(mode))
-                        .expect("flow runs")
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
+    group.bench_function("impact_full", |b| {
+        b.iter_batched(
+            || net.clone(),
+            |mut net2| {
+                run_gcn_opi(&mut net2, &data.normalizer, full_pass, &cfg).expect("flow runs")
+            },
+            criterion::BatchSize::LargeInput,
+        )
+    });
+    group.bench_function("impact_incremental", |b| {
+        b.iter_batched(
+            || net.clone(),
+            |mut net2| run_gcn_opi(&mut net2, &data.normalizer, &gcn, &cfg).expect("flow runs"),
+            criterion::BatchSize::LargeInput,
+        )
+    });
     group.finish();
 }
 
-criterion_group!(benches, bench_flow, bench_impact_modes);
+criterion_group!(benches, bench_flow, bench_impact_paths);
 criterion_main!(benches);

@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use gcnt_netlist::{Netlist, NodeId};
@@ -17,21 +19,24 @@ use gcnt_tensor::{CooMatrix, CsrMatrix, Matrix, Result};
 /// Because `w_pr` / `w_su` are *learned*, `P` and `S` are kept as separate
 /// unweighted matrices; the scalars are applied per multiplication.
 ///
-/// The COO originals are retained so that observation-point insertion can
-/// extend the graph incrementally — exactly the three-tuple append of §4 —
-/// followed by a cheap CSR rebuild.
+/// The graph is stored once per reading direction: CSR rows are cheap to
+/// read and expensive to read transposed, and every consumer needs both —
+/// the forward pass reads the rows of `P` and `S`, the backward pass
+/// multiplies by `Pᵀ` and `Sᵀ`, and the dirty-halo expansion asks who
+/// *reads* a node. `S ≡ Pᵀ` (a wire `u → v` is `P[v][u]` and `S[u][v]`),
+/// so `succ` serves as `Pᵀ` and `pred` as `Sᵀ`. That is an invariant of
+/// the type, not a cache: both matrices are built from the netlist and an
+/// observation point is appended to both in place
+/// ([`GraphTensors::insert_observation_point`], the update of §4).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GraphTensors {
     n: usize,
-    pred_coo: CooMatrix,
-    succ_coo: CooMatrix,
     pred: CsrMatrix,
     succ: CsrMatrix,
-    pred_t: CsrMatrix,
-    succ_t: CsrMatrix,
-    /// Adjacency lists for the recursion-based baseline inference.
-    pred_lists: Vec<Vec<u32>>,
-    succ_lists: Vec<Vec<u32>>,
+    /// Whether each direction takes part in aggregation; both `true`
+    /// except for [`GraphTensors::with_directions`] ablations.
+    use_pred: bool,
+    use_succ: bool,
     /// Structural-update counter, bumped by every successful
     /// [`GraphTensors::insert_observation_point`]. Embedding caches record
     /// the generation they were built against and refuse to serve a graph
@@ -46,14 +51,20 @@ pub struct GraphTensors {
 impl PartialEq for GraphTensors {
     fn eq(&self, other: &Self) -> bool {
         self.n == other.n
-            && self.pred_coo == other.pred_coo
-            && self.succ_coo == other.succ_coo
             && self.pred == other.pred
             && self.succ == other.succ
-            && self.pred_t == other.pred_t
-            && self.succ_t == other.succ_t
-            && self.pred_lists == other.pred_lists
-            && self.succ_lists == other.succ_lists
+            && self.use_pred == other.use_pred
+            && self.use_succ == other.use_succ
+    }
+}
+
+/// The matrix a direction multiplies by: the stored one, or an empty one
+/// of the same shape when [`GraphTensors::with_directions`] disabled it.
+fn active(m: &CsrMatrix, enabled: bool) -> Cow<'_, CsrMatrix> {
+    if enabled {
+        Cow::Borrowed(m)
+    } else {
+        Cow::Owned(CsrMatrix::new(m.rows(), m.cols()))
     }
 }
 
@@ -64,46 +75,31 @@ impl GraphTensors {
     }
 
     /// Builds the tensors with one aggregation direction optionally
-    /// disabled (its matrix left empty) — the ablation of Eq. (1): does the
-    /// model need predecessors, successors, or both?
+    /// disabled — the ablation of Eq. (1): does the model need
+    /// predecessors, successors, or both?
+    ///
+    /// The structure is stored complete either way ([`GraphTensors::pred`]
+    /// and [`GraphTensors::succ`] return it, and so does anything built
+    /// from them); a disabled direction contributes an all-zero product
+    /// to the `aggregate*` methods of this value.
     pub fn with_directions(net: &Netlist, use_pred: bool, use_succ: bool) -> Self {
         let n = net.node_count();
-        let mut pred_coo = CooMatrix::with_capacity(n, n, net.edge_count());
-        let mut succ_coo = CooMatrix::with_capacity(n, n, net.edge_count());
-        let mut pred_lists = vec![Vec::new(); n];
-        let mut succ_lists = vec![Vec::new(); n];
+        let mut fanin = CooMatrix::with_capacity(n, n, net.edge_count());
+        let mut fanout = CooMatrix::with_capacity(n, n, net.edge_count());
         for v in net.nodes() {
-            if use_pred {
-                for &u in net.fanin(v) {
-                    pred_coo.push(v.index(), u.index(), 1.0);
-                    if let Some(list) = pred_lists.get_mut(v.index()) {
-                        list.push(u.index() as u32);
-                    }
-                }
+            for &u in net.fanin(v) {
+                fanin.push(v.index(), u.index(), 1.0);
             }
-            if use_succ {
-                for &u in net.fanout(v) {
-                    succ_coo.push(v.index(), u.index(), 1.0);
-                    if let Some(list) = succ_lists.get_mut(v.index()) {
-                        list.push(u.index() as u32);
-                    }
-                }
+            for &u in net.fanout(v) {
+                fanout.push(v.index(), u.index(), 1.0);
             }
         }
-        let pred = pred_coo.to_csr();
-        let succ = succ_coo.to_csr();
-        let pred_t = pred.transpose();
-        let succ_t = succ.transpose();
         GraphTensors {
             n,
-            pred_coo,
-            succ_coo,
-            pred,
-            succ,
-            pred_t,
-            succ_t,
-            pred_lists,
-            succ_lists,
+            pred: fanin.to_csr(),
+            succ: fanout.to_csr(),
+            use_pred,
+            use_succ,
             generation: 0,
         }
     }
@@ -127,7 +123,11 @@ impl GraphTensors {
     /// Sparsity of the combined adjacency (the `> 99.95%` the paper
     /// reports).
     pub fn sparsity(&self) -> f64 {
-        self.pred_coo.sparsity()
+        let total = self.n as f64 * self.n as f64;
+        if total == 0.0 {
+            return 1.0;
+        }
+        1.0 - self.pred.nnz() as f64 / total
     }
 
     /// The predecessor matrix `P` in CSR form.
@@ -140,16 +140,6 @@ impl GraphTensors {
         &self.succ
     }
 
-    /// Predecessor adjacency lists (`pred_lists[v]` = drivers of `v`).
-    pub fn pred_lists(&self) -> &[Vec<u32>] {
-        &self.pred_lists
-    }
-
-    /// Successor adjacency lists (`succ_lists[v]` = sinks of `v`).
-    pub fn succ_lists(&self) -> &[Vec<u32>] {
-        &self.succ_lists
-    }
-
     /// Computes one aggregation step `G = E + w_pr * P·E + w_su * S·E`.
     ///
     /// Also returns the intermediate products `P·E` and `S·E`, which the
@@ -160,8 +150,8 @@ impl GraphTensors {
     ///
     /// Returns a shape error unless `e.rows()` equals the node count.
     pub fn aggregate(&self, e: &Matrix, w_pr: f32, w_su: f32) -> Result<(Matrix, Matrix, Matrix)> {
-        let pe = self.pred.spmm(e)?;
-        let se = self.succ.spmm(e)?;
+        let pe = active(&self.pred, self.use_pred).spmm(e)?;
+        let se = active(&self.succ, self.use_succ).spmm(e)?;
         let g = e.add_scaled2(w_pr, &pe, w_su, &se)?;
         Ok((g, pe, se))
     }
@@ -185,10 +175,11 @@ impl GraphTensors {
         // arithmetic it saves; the whole-matrix SpMM amortises that
         // machinery across rows and the fused combine stays bit-identical
         // (same per-row k-order, same `(e + w_pr·pe) + w_su·se` element
-        // order), so below this width take the materialising path.
-        if cols < 16 {
-            let pe = self.pred.spmm(e)?;
-            let se = self.succ.spmm(e)?;
+        // order), so below this width take the materialising path — as
+        // does a direction ablation, which only that path knows about.
+        if cols < 16 || !(self.use_pred && self.use_succ) {
+            let pe = active(&self.pred, self.use_pred).spmm(e)?;
+            let se = active(&self.succ, self.use_succ).spmm(e)?;
             return e.add_scaled2(w_pr, &pe, w_su, &se);
         }
         let mut pe_row = vec![0.0f32; cols];
@@ -233,8 +224,8 @@ impl GraphTensors {
         w_pr: f32,
         w_su: f32,
     ) -> Result<Matrix> {
-        let pe = self.pred.spmm_rows(e, rows)?;
-        let se = self.succ.spmm_rows(e, rows)?;
+        let pe = active(&self.pred, self.use_pred).spmm_rows(e, rows)?;
+        let se = active(&self.succ, self.use_succ).spmm_rows(e, rows)?;
         e.gather_rows(rows).add_scaled2(w_pr, &pe, w_su, &se)
     }
 
@@ -255,15 +246,9 @@ impl GraphTensors {
         let mut touched = vec![false; self.n];
         for &u in rows {
             touched[u] = true;
-            // Readers of u: nodes v with u in PR(v) are the rows of P^T at
-            // u; likewise for S. Using the cached transposes keeps this
-            // O(degree) even when a direction was built empty.
-            for (v, _) in self.pred_t.row(u) {
-                if let Some(t) = touched.get_mut(v) {
-                    *t = true;
-                }
-            }
-            for (v, _) in self.succ_t.row(u) {
+            // Readers of u: the nodes v with u in PR(v) are row u of
+            // P^T = S, and those with u in SU(v) are row u of S^T = P.
+            for (v, _) in self.succ.row(u).chain(self.pred.row(u)) {
                 if let Some(t) = touched.get_mut(v) {
                     *t = true;
                 }
@@ -283,27 +268,29 @@ impl GraphTensors {
     ///
     /// Returns a shape error unless `dg.rows()` equals the node count.
     pub fn aggregate_backward(&self, dg: &Matrix, w_pr: f32, w_su: f32) -> Result<Matrix> {
-        let pt = self.pred_t.spmm(dg)?;
-        let st = self.succ_t.spmm(dg)?;
+        let pt = active(&self.succ, self.use_pred).spmm(dg)?;
+        let st = active(&self.pred, self.use_succ).spmm(dg)?;
         let mut de = dg.clone();
         de.axpy(w_pr, &pt)?;
         de.axpy(w_su, &st)?;
         Ok(de)
     }
 
-    /// Incrementally extends the tensors after an observation point `op`
-    /// has been inserted at `target` in the netlist.
-    ///
-    /// Appends the COO tuples for the new node and edge (the paper's
-    /// three-tuple update, §4: `(w_pr, p, v)`, `(w_su, v, p)` — the
-    /// identity diagonal is implicit here because aggregation adds `E`
-    /// directly) and rebuilds the CSR forms.
+    /// Extends the tensors in place after an observation point `op` has
+    /// been inserted at `target` in the netlist: the paper's three-tuple
+    /// update (§4: `(w_pr, p, v)`, `(w_su, v, p)` — the identity diagonal
+    /// is implicit here because aggregation adds `E` directly), applied to
+    /// both CSR forms. `op` is the largest index on both axes, so `pred`
+    /// gains the last row `[target]` and `succ` an entry at the end of row
+    /// `target` — what a rebuild from the netlist would produce.
     ///
     /// # Errors
     ///
     /// Returns [`gcnt_tensor::TensorError::LengthMismatch`] if `op` is not
     /// the next node index after the current node count (i.e. the tensors
-    /// are out of sync with the netlist); the tensors are left untouched.
+    /// are out of sync with the netlist), and
+    /// [`gcnt_tensor::TensorError::IndexOutOfBounds`] if `target` is not an
+    /// existing node; the tensors are left untouched.
     pub fn insert_observation_point(&mut self, target: NodeId, op: NodeId) -> Result<()> {
         if op.index() != self.n {
             return Err(gcnt_tensor::TensorError::LengthMismatch {
@@ -311,20 +298,15 @@ impl GraphTensors {
                 actual: op.index(),
             });
         }
-        self.n += 1;
-        self.pred_coo.grow(self.n, self.n);
-        self.succ_coo.grow(self.n, self.n);
-        self.pred_coo.push(op.index(), target.index(), 1.0);
-        self.succ_coo.push(target.index(), op.index(), 1.0);
-        self.pred = self.pred_coo.to_csr();
-        self.succ = self.succ_coo.to_csr();
-        self.pred_t = self.pred.transpose();
-        self.succ_t = self.succ.transpose();
-        self.pred_lists.push(vec![target.index() as u32]);
-        self.succ_lists.push(Vec::new());
-        if let Some(list) = self.succ_lists.get_mut(target.index()) {
-            list.push(op.index() as u32);
+        if target.index() >= self.n {
+            return Err(gcnt_tensor::TensorError::IndexOutOfBounds {
+                index: (op.index(), target.index()),
+                shape: (self.n, self.n),
+            });
         }
+        self.pred.append_node(Some(target.index()), None)?;
+        self.succ.append_node(None, Some(target.index()))?;
+        self.n += 1;
         self.generation += 1;
         Ok(())
     }
@@ -353,12 +335,13 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_lists_match_netlist() {
+    fn adjacency_rows_match_netlist() {
         let (net, a, g, o) = tiny_net();
         let t = GraphTensors::from_netlist(&net);
-        assert_eq!(t.pred_lists()[g.index()], vec![a.index() as u32]);
-        assert_eq!(t.succ_lists()[g.index()], vec![o.index() as u32]);
-        assert!(t.pred_lists()[a.index()].is_empty());
+        let cols = |m: &CsrMatrix, v: NodeId| m.row(v.index()).map(|(c, _)| c).collect::<Vec<_>>();
+        assert_eq!(cols(t.pred(), g), vec![a.index()]);
+        assert_eq!(cols(t.succ(), g), vec![o.index()]);
+        assert!(cols(t.pred(), a).is_empty());
     }
 
     #[test]
@@ -396,8 +379,8 @@ mod tests {
         let op = net.insert_observation_point(g).unwrap();
         t.insert_observation_point(g, op).unwrap();
         assert_eq!(t.node_count(), 4);
-        assert_eq!(t.pred_lists()[op.index()], vec![g.index() as u32]);
-        assert!(t.succ_lists()[g.index()].contains(&(op.index() as u32)));
+        assert_eq!(t.pred().row(op.index()).next(), Some((g.index(), 1.0)));
+        assert_eq!(t.succ().row(g.index()).last(), Some((op.index(), 1.0)));
         // Incremental result equals a from-scratch rebuild.
         let fresh = GraphTensors::from_netlist(&net);
         assert_eq!(t, fresh);
@@ -417,8 +400,18 @@ mod tests {
                 actual: 10
             })
         ));
-        // The tensors are untouched after the rejected insert.
+        // A target that is not an existing node: beyond the graph, or the
+        // new node itself (which would record a self-loop).
+        for target in [7, 3] {
+            let err = t.insert_observation_point(NodeId::from_index(target), NodeId::from_index(3));
+            assert!(
+                matches!(err, Err(gcnt_tensor::TensorError::IndexOutOfBounds { .. })),
+                "target {target}: {err:?}"
+            );
+        }
+        // The tensors are untouched after the rejected inserts.
         assert_eq!(t, before);
+        assert_eq!(t.generation(), 0);
     }
 
     #[test]
@@ -469,17 +462,33 @@ mod tests {
     fn directions_can_be_disabled() {
         let (net, a, g, o) = tiny_net();
         let pred_only = GraphTensors::with_directions(&net, true, false);
-        assert_eq!(pred_only.succ().nnz(), 0);
-        assert_eq!(pred_only.pred().nnz(), 2);
-        assert!(pred_only.succ_lists()[g.index()].is_empty());
-        let succ_only = GraphTensors::with_directions(&net, false, true);
-        assert_eq!(succ_only.pred().nnz(), 0);
-        assert!(succ_only.succ_lists()[a.index()].contains(&(g.index() as u32)));
         // Aggregation with a disabled direction ignores that direction.
         let e = Matrix::from_rows(&[&[1.0], &[10.0], &[100.0]]).unwrap();
-        let (gm, _, _) = pred_only.aggregate(&e, 1.0, 1.0).unwrap();
+        let (gm, _, se) = pred_only.aggregate(&e, 1.0, 1.0).unwrap();
         assert_eq!(gm.get(a.index(), 0), 1.0); // no successor term
         assert_eq!(gm.get(o.index(), 0), 110.0); // predecessor g still counted
+        assert_eq!(gm, pred_only.aggregate_g(&e, 1.0, 1.0).unwrap());
+        assert_eq!(
+            gm.gather_rows(&[2, 0]),
+            pred_only.aggregate_rows(&e, &[2, 0], 1.0, 1.0).unwrap()
+        );
+        // The w_su gradient is <dG, S·E>: exactly 0 with S·E all zero.
+        let dg = Matrix::from_rows(&[&[2.0], &[3.0], &[5.0]]).unwrap();
+        assert_eq!(se.dot(&dg).unwrap(), 0.0);
+        // Backward: dE = dG + w_pr * P^T dG, with no S^T term.
+        let de = pred_only.aggregate_backward(&dg, 1.0, 1.0).unwrap();
+        assert_eq!(de.get(a.index(), 0), 2.0 + 3.0); // a drives g
+        assert_eq!(de.get(g.index(), 0), 3.0 + 5.0); // g drives o
+        assert_eq!(de.get(o.index(), 0), 5.0); // o drives nothing
+
+        let succ_only = GraphTensors::with_directions(&net, false, true);
+        let (gm, pe, _) = succ_only.aggregate(&e, 1.0, 1.0).unwrap();
+        assert_eq!(gm.get(a.index(), 0), 11.0); // successor g counted
+        assert_eq!(gm.get(o.index(), 0), 100.0); // no predecessor term
+        assert_eq!(pe.dot(&dg).unwrap(), 0.0);
+        let de = succ_only.aggregate_backward(&dg, 1.0, 1.0).unwrap();
+        assert_eq!(de.get(a.index(), 0), 2.0); // nobody lists a as successor
+        assert_eq!(de.get(o.index(), 0), 5.0 + 3.0); // g lists o
     }
 
     #[test]

@@ -91,16 +91,13 @@ fn representation_tree(
         return Ok(x.row(node as usize).to_vec());
     }
     let mut g = representation_tree(gcn, t, x, node, depth - 1)?;
-    for &u in &t.pred_lists()[node as usize] {
-        let r = representation_tree(gcn, t, x, u, depth - 1)?;
-        for (gi, ri) in g.iter_mut().zip(&r) {
-            *gi += gcn.w_pr() * ri;
-        }
-    }
-    for &u in &t.succ_lists()[node as usize] {
-        let r = representation_tree(gcn, t, x, u, depth - 1)?;
-        for (gi, ri) in g.iter_mut().zip(&r) {
-            *gi += gcn.w_su() * ri;
+    for (w, m) in [(gcn.w_pr(), t.pred()), (gcn.w_su(), t.succ())] {
+        for (u, coeff) in m.row(node as usize) {
+            // CAST: a CSR column index is stored as u32.
+            let r = representation_tree(gcn, t, x, u as u32, depth - 1)?;
+            for (gi, ri) in g.iter_mut().zip(&r) {
+                *gi += w * coeff * ri;
+            }
         }
     }
     let enc = &gcn.encoders()[depth as usize - 1];
@@ -125,16 +122,13 @@ fn representation(
     }
     // Aggregation: g = e_v + w_pr * sum(pred) + w_su * sum(succ).
     let mut g = representation(gcn, t, x, node, depth - 1, memo)?;
-    for &u in &t.pred_lists()[node as usize] {
-        let r = representation(gcn, t, x, u, depth - 1, memo)?;
-        for (gi, ri) in g.iter_mut().zip(&r) {
-            *gi += gcn.w_pr() * ri;
-        }
-    }
-    for &u in &t.succ_lists()[node as usize] {
-        let r = representation(gcn, t, x, u, depth - 1, memo)?;
-        for (gi, ri) in g.iter_mut().zip(&r) {
-            *gi += gcn.w_su() * ri;
+    for (w, m) in [(gcn.w_pr(), t.pred()), (gcn.w_su(), t.succ())] {
+        for (u, coeff) in m.row(node as usize) {
+            // CAST: a CSR column index is stored as u32.
+            let r = representation(gcn, t, x, u as u32, depth - 1, memo)?;
+            for (gi, ri) in g.iter_mut().zip(&r) {
+                *gi += w * coeff * ri;
+            }
         }
     }
     // Encoding: e = ReLU(g W_d + b).

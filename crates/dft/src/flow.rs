@@ -11,18 +11,17 @@
 //!    observability over the fan-in cone ([`Scoap::preview_observe`]) and
 //!    re-running inference with the updated attributes.
 //! 3. The top-ranked locations receive observation points. The graph is
-//!    updated *incrementally*: the COO adjacency gains the new tuples, the
+//!    updated *incrementally*: the adjacency gains the new tuples, the
 //!    new node gets the attribute row `[0, 1, 1, 0]`, and only the fan-in
 //!    cone's observability is refreshed (§4).
 //! 4. Repeat until no positive predictions remain.
 //!
-//! # Impact modes
+//! # Impact scoring
 //!
 //! Step 2 re-runs inference once per candidate, which makes the flow's
-//! inner loop `O(candidates × N)` embedding rows per iteration. With
-//! [`ImpactMode::Incremental`] (the default) and a classifier that
-//! supports it ([`Gcn`] or [`MultiStageGcn`], not a bare closure), the
-//! flow instead keeps a [`CascadeSession`] alive across the run and each
+//! inner loop `O(candidates × N)` embedding rows per iteration. With a
+//! classifier that offers a session ([`Gcn`] or [`MultiStageGcn`], not a
+//! bare closure), the flow instead keeps a [`CascadeSession`] alive and each
 //! preview only recomputes the D-hop halo of the previewed cone —
 //! `O(candidates × |cone halo|)` — with bit-identical probabilities (see
 //! `gcnt_core::incremental`). [`FlowOutcome::inference`] reports the rows
@@ -167,31 +166,8 @@ fn refresh_backend(backend: &mut MatrixBackend, t: &GraphTensors) -> Result<(), 
     Ok(())
 }
 
-/// How the flow runs inference for impact previews and per-iteration
-/// re-classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ImpactMode {
-    /// Full re-inference over the whole graph for every preview and every
-    /// iteration — the paper's literal procedure.
-    Full,
-    /// Dirty-cone incremental inference through a [`CascadeSession`] when
-    /// the classifier provides one ([`FlowClassifier::open_session`]);
-    /// classifiers without session support (bare closures) silently fall
-    /// back to full re-inference. Probabilities — and hence the outcome —
-    /// are bit-identical to [`ImpactMode::Full`].
-    Incremental,
-}
-
-#[allow(clippy::derivable_impls)] // shim serde derive cannot parse #[default]
-impl Default for ImpactMode {
-    fn default() -> Self {
-        ImpactMode::Incremental
-    }
-}
-
 /// A classifier the flow can drive: a full-graph probability pass, plus an
-/// optional incremental-session fast path used by
-/// [`ImpactMode::Incremental`]. Every pass runs under the flow's
+/// optional incremental-session fast path. Every pass runs under the flow's
 /// cooperative work [`Budget`] and on its [`MatrixBackend`].
 ///
 /// Implemented for references to [`Gcn`] and [`MultiStageGcn`], and
@@ -219,8 +195,9 @@ pub trait FlowClassifier {
 
     /// Opens an incremental-inference session over the current graph
     /// state, if this classifier supports one; its opening full pass runs
-    /// under `budget` on `backend`. The default (`None`) makes
-    /// [`ImpactMode::Incremental`] fall back to full re-inference.
+    /// under `budget` on `backend`. The default (`None`) makes the flow
+    /// run full re-inference for every preview and every iteration — the
+    /// paper's literal procedure, with bit-identical probabilities.
     ///
     /// # Errors
     ///
@@ -338,10 +315,6 @@ pub struct FlowConfig {
     /// default) disables the snapshotting entirely: every failure is
     /// immediately fatal, exactly as if the budget did not exist.
     pub skip_budget: usize,
-    /// Inference strategy for previews and re-classification; defaults to
-    /// [`ImpactMode::Incremental`]. The two modes produce bit-identical
-    /// outcomes — only [`FlowOutcome::inference`] differs.
-    pub impact_mode: ImpactMode,
 }
 
 impl Default for FlowConfig {
@@ -353,7 +326,6 @@ impl Default for FlowConfig {
             prob_threshold: 0.5,
             cone_limit: 500,
             skip_budget: 0,
-            impact_mode: ImpactMode::Incremental,
         }
     }
 }
@@ -427,8 +399,7 @@ pub struct BatchRecord {
 /// Runs the iterative GCN-guided OP insertion flow, mutating `net`.
 ///
 /// `classify` is the trained model — pass a [`Gcn`] or [`MultiStageGcn`]
-/// (or a reference to one) to unlock the incremental fast path of
-/// [`ImpactMode::Incremental`]; a bare
+/// (or a reference to one) to unlock the incremental fast path; a bare
 /// `Fn(&GraphTensors, &Matrix) -> Result<Vec<f32>, TensorError>` closure
 /// also works but always runs full inference.
 ///
@@ -764,21 +735,15 @@ where
         // `refresh_backend` re-shards lazily before each use.
         let mut backend = build_backend(&state.tensors);
 
-        // One live session for the whole run (Incremental mode with a
-        // session-capable classifier); its opening full pass is counted —
-        // except on resume, where the original run's opening pass is
-        // already inside the restored stats.
-        let mut session: Option<CascadeSession<'_>> = match cfg.impact_mode {
-            ImpactMode::Incremental => {
-                let s =
-                    classify.open_session(&state.tensors, &state.features, budget, &mut backend)?;
-                if s.is_some() && resume.is_empty() {
-                    note_full_pass(&mut stats, &classify, state.tensors.node_count());
-                }
-                s
-            }
-            ImpactMode::Full => None,
-        };
+        // One live session for the whole run, if the classifier offers
+        // one; its opening full pass is counted — except on resume, where
+        // the original run's opening pass is already inside the restored
+        // stats.
+        let mut session: Option<CascadeSession<'_>> =
+            classify.open_session(&state.tensors, &state.features, budget, &mut backend)?;
+        if session.is_some() && resume.is_empty() {
+            note_full_pass(&mut stats, &classify, state.tensors.node_count());
+        }
 
         let first_iteration = if loop_done {
             cfg.max_iterations // skip straight to the final count
@@ -1404,8 +1369,9 @@ mod tests {
         assert!(checked > 0, "design has positive candidates");
     }
 
-    /// A seeded (untrained) GCN drives both modes to the same outcome —
-    /// the incremental path must be bit-identical, not just close.
+    /// A seeded (untrained) GCN drives the session path and the full path
+    /// (what a closure classifier gets) to the same outcome — the
+    /// incremental path must be bit-identical, not just close.
     #[test]
     fn incremental_mode_matches_full_mode_with_a_real_model() {
         use gcnt_core::{GcnConfig, GraphData};
@@ -1421,7 +1387,7 @@ mod tests {
             &mut gcnt_nn::seeded_rng(7),
         );
         let norm = data.normalizer.clone();
-        let cfg_base = FlowConfig {
+        let cfg = FlowConfig {
             max_iterations: 3,
             ops_per_iteration: 4,
             candidate_limit: 6,
@@ -1429,27 +1395,10 @@ mod tests {
         };
 
         let mut net_full = net.clone();
-        let full = run_gcn_opi(
-            &mut net_full,
-            &norm,
-            &gcn,
-            &FlowConfig {
-                impact_mode: ImpactMode::Full,
-                ..cfg_base.clone()
-            },
-        )
-        .unwrap();
+        let full_pass = |t: &GraphTensors, x: &Matrix| gcn.predict_proba(t, x);
+        let full = run_gcn_opi(&mut net_full, &norm, full_pass, &cfg).unwrap();
         let mut net_inc = net.clone();
-        let inc = run_gcn_opi(
-            &mut net_inc,
-            &norm,
-            &gcn,
-            &FlowConfig {
-                impact_mode: ImpactMode::Incremental,
-                ..cfg_base
-            },
-        )
-        .unwrap();
+        let inc = run_gcn_opi(&mut net_inc, &norm, &gcn, &cfg).unwrap();
 
         assert_eq!(full.inserted, inc.inserted);
         assert_eq!(full.converged, inc.converged);
@@ -1648,26 +1597,19 @@ mod tests {
         assert!(!gcnt_lint::lint_netlist_deep(&net).has_errors());
     }
 
-    /// Closures have no session: Incremental mode silently falls back to
-    /// full inference and the two modes produce identical stats.
+    /// Closures have no session: every preview and every iteration is a
+    /// full pass, and the accounting says so.
     #[test]
     fn closures_fall_back_to_full_inference() {
-        let mut net_a = shadowed_design(102);
-        let mut net_b = shadowed_design(102);
-        let raw = gcnt_core::features::raw_features_of(&net_a).unwrap();
+        let mut net = shadowed_design(102);
+        let raw = gcnt_core::features::raw_features_of(&net).unwrap();
         let norm = FeatureNormalizer::fit(&[&raw]);
-        let cfg_full = FlowConfig {
+        let cfg = FlowConfig {
             max_iterations: 4,
-            impact_mode: ImpactMode::Full,
             ..Default::default()
         };
-        let cfg_inc = FlowConfig {
-            impact_mode: ImpactMode::Incremental,
-            ..cfg_full.clone()
-        };
-        let a = run_gcn_opi(&mut net_a, &norm, oracle(2.0), &cfg_full).unwrap();
-        let b = run_gcn_opi(&mut net_b, &norm, oracle(2.0), &cfg_inc).unwrap();
-        assert_eq!(a, b);
+        let a = run_gcn_opi(&mut net, &norm, oracle(2.0), &cfg).unwrap();
+        assert!(!a.inserted.is_empty());
         assert_eq!(a.inference.rows_computed, a.inference.rows_full);
     }
 

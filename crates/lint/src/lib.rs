@@ -20,7 +20,7 @@
 //! | `NL005` | `level-monotonicity` | error | stored logic levels = 1 + max fanin level |
 //! | `NL006` | `scoap-range` | error | SCOAP measures within their legal ranges |
 //! | `TS001` | `adjacency-netlist-mismatch` | error | graph tensors mirror the netlist |
-//! | `TS002` | `csr-sorted-indices` | error | CSR/COO structural invariants |
+//! | `TS002` | `csr-sorted-indices` | error | CSR structural invariants |
 //! | `TS003` | `nan-or-inf-value` | error | finite sparse-matrix values |
 //! | `MD001` | `weight-nan` | error | finite model parameters |
 //! | `MD002` | `layer-shape-mismatch` | error | adjacent model layers chain |
@@ -46,7 +46,7 @@
 //!   derived logic levels and SCOAP measures.
 //! - [`lint_levels`] / [`lint_scoap`] — externally stored per-node
 //!   vectors against the graph.
-//! - [`lint_csr`] / [`lint_coo`] / [`lint_graph_tensors`] — sparse
+//! - [`lint_csr`] / [`lint_graph_tensors`] — sparse
 //!   matrices, standalone or against their netlist.
 //! - [`lint_linear`] / [`lint_mlp`] / [`lint_gcn`] / [`lint_multistage`]
 //!   — model parameters, e.g. after loading a checkpoint.
@@ -116,7 +116,7 @@ pub use page_rules::{
 };
 pub use partition_rules::{lint_partitioned_csr, lint_partitioned_graph};
 pub use report::{Finding, LintReport, RuleId, Severity};
-pub use tensor_rules::{lint_coo, lint_csr, lint_graph_tensors};
+pub use tensor_rules::{lint_csr, lint_graph_tensors};
 
 use gcnt_core::GraphTensors;
 use gcnt_netlist::Netlist;

@@ -8,8 +8,9 @@ use crate::{CsrMatrix, Matrix, Result, TensorError};
 /// supports *incremental* construction: inserting one observation point
 /// appends exactly three `(value, row, col)` tuples — `(w_pr, p, v)`,
 /// `(w_su, v, p)` and `(1, p, p)` — without touching the rest of the matrix
-/// (paper §4). Convert to [`CsrMatrix`] with [`CooMatrix::to_csr`] for fast
-/// products.
+/// (paper §4). Here COO is the construction format only: convert to
+/// [`CsrMatrix`] with [`CooMatrix::to_csr`] for fast products, and apply
+/// that same update to the CSR form with [`CsrMatrix::append_node`].
 ///
 /// Duplicate coordinates are allowed and are summed during CSR conversion,
 /// matching the usual COO semantics.
@@ -107,23 +108,6 @@ impl CooMatrix {
         self.row_indices.push(r32);
         self.col_indices.push(c32);
         Ok(())
-    }
-
-    /// Grows the matrix to `rows x cols`, keeping all existing entries.
-    ///
-    /// Observation-point insertion adds one node to the graph, which grows
-    /// the adjacency by one row and one column; existing entries stay valid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new shape is smaller than the current shape.
-    pub fn grow(&mut self, rows: usize, cols: usize) {
-        assert!(
-            rows >= self.rows && cols >= self.cols,
-            "grow cannot shrink a COO matrix"
-        );
-        self.rows = rows;
-        self.cols = cols;
     }
 
     /// Number of rows.
@@ -240,22 +224,6 @@ mod tests {
         let mut m = CooMatrix::new(10, 10);
         m.push(0, 0, 1.0);
         assert!((m.sparsity() - 0.99).abs() < 1e-12);
-    }
-
-    #[test]
-    fn grow_preserves_entries() {
-        let mut m = CooMatrix::new(2, 2);
-        m.push(1, 1, 5.0);
-        m.grow(3, 3);
-        m.push(2, 2, 1.0);
-        assert_eq!(m.shape(), (3, 3));
-        assert_eq!(m.nnz(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "grow cannot shrink")]
-    fn grow_cannot_shrink() {
-        CooMatrix::new(3, 3).grow(2, 3);
     }
 
     #[test]

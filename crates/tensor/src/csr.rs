@@ -421,42 +421,60 @@ impl CsrMatrix {
         Ok(out)
     }
 
-    /// Sparse × dense product using the *transpose* of `self`:
-    /// `self^T * rhs`, without materialising the transpose.
+    /// Grows a square adjacency by one node: appends row and column
+    /// `n = self.rows()`, optionally with a unit entry `(n, driver)` in the
+    /// new last row and a unit entry `(reader, n)` in an existing row.
     ///
-    /// Used by the GCN backward pass (`dE_{d-1} = A^T · dG_d`).
+    /// `n` is the largest index on both axes, so the second entry lands at
+    /// the end of row `reader` and every row stays sorted — the result is
+    /// element for element what [`CsrMatrix::from_coo`] builds from the
+    /// grown edge list. This is the paper's observation-point update (§4)
+    /// applied to the CSR form directly.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] unless
-    /// `self.rows() == rhs.rows()`.
-    pub fn transpose_spmm(&self, rhs: &Matrix) -> Result<Matrix> {
-        debug_assert!(
-            self.structure_ok(),
-            "transpose_spmm on a malformed CSR matrix"
-        );
-        if self.rows != rhs.rows() {
+    /// Returns [`TensorError::ShapeMismatch`] unless the matrix is square,
+    /// and [`TensorError::IndexOutOfBounds`] unless `driver` and `reader`
+    /// name existing nodes and `n` fits the `u32` index storage; the
+    /// matrix is left untouched.
+    pub fn append_node(&mut self, driver: Option<usize>, reader: Option<usize>) -> Result<()> {
+        if self.rows != self.cols {
             return Err(TensorError::ShapeMismatch {
-                op: "transpose_spmm",
+                op: "append_node",
                 lhs: self.shape(),
-                rhs: rhs.shape(),
+                rhs: self.shape(),
             });
         }
-        // Scatter form: out[c] += v * rhs[r]. Serial to stay deterministic;
-        // callers that need throughput should cache `self.transpose()` and
-        // use spmm instead.
-        let n = rhs.cols();
-        let mut out = Matrix::zeros(self.cols, n);
-        for r in 0..self.rows {
-            let rhs_row: Vec<f32> = rhs.row(r).to_vec();
-            for (c, v) in self.row(r) {
-                let out_row = out.row_mut(c);
-                for (o, &b) in out_row.iter_mut().zip(&rhs_row) {
-                    *o += v * b;
-                }
+        let n = self.rows;
+        let oob = |r: usize, c: usize| TensorError::IndexOutOfBounds {
+            index: (r, c),
+            shape: (n, n),
+        };
+        let new_col = u32::try_from(n).map_err(|_| oob(n, n))?;
+        let driver = match driver {
+            Some(c) if c >= n => return Err(oob(n, c)),
+            Some(c) => Some(u32::try_from(c).map_err(|_| oob(n, c))?),
+            None => None,
+        };
+        if let Some(r) = reader {
+            if r >= n {
+                return Err(oob(r, n));
+            }
+            let at = self.indptr.get(r + 1).copied().ok_or_else(|| oob(r, n))?;
+            self.indices.insert(at, new_col);
+            self.values.insert(at, 1.0);
+            for end in self.indptr.iter_mut().skip(r + 1) {
+                *end += 1;
             }
         }
-        Ok(out)
+        if let Some(c) = driver {
+            self.indices.push(c);
+            self.values.push(1.0);
+        }
+        self.indptr.push(self.indices.len());
+        self.rows = n + 1;
+        self.cols = n + 1;
+        Ok(())
     }
 
     /// Returns the transpose as a new CSR matrix.
@@ -646,12 +664,45 @@ mod tests {
     }
 
     #[test]
-    fn transpose_spmm_matches_explicit_transpose() {
-        let csr = sample_coo().to_csr();
-        let x = Matrix::from_fn(3, 2, |r, c| (2 * r + c) as f32);
-        let fast = csr.transpose_spmm(&x).unwrap();
-        let slow = csr.transpose().spmm(&x).unwrap();
-        assert_eq!(fast, slow);
+    fn append_node_equals_rebuilding_from_the_grown_edge_list() {
+        // Row 2 gains (2, 3) behind its existing columns; row 3 is [1].
+        let mut grown = sample_coo().to_csr();
+        grown.append_node(Some(1), Some(2)).unwrap();
+        let mut coo = CooMatrix::new(4, 4);
+        coo.extend(sample_coo().iter());
+        coo.push(3, 1, 1.0);
+        coo.push(2, 3, 1.0);
+        assert_eq!(grown, coo.to_csr());
+        assert!(grown.structure_ok());
+
+        // No entries at all still grows the shape.
+        let mut bare = CsrMatrix::new(0, 0);
+        bare.append_node(None, None).unwrap();
+        assert_eq!(bare, CsrMatrix::new(1, 1));
+    }
+
+    #[test]
+    fn append_node_rejects_bad_input_and_leaves_the_matrix_untouched() {
+        let mut csr = sample_coo().to_csr();
+        let before = csr.clone();
+        // Neither end of a new edge may be the new node itself (or beyond).
+        assert!(matches!(
+            csr.append_node(Some(3), None),
+            Err(TensorError::IndexOutOfBounds { .. })
+        ));
+        assert!(matches!(
+            csr.append_node(None, Some(3)),
+            Err(TensorError::IndexOutOfBounds { .. })
+        ));
+        assert!(matches!(
+            csr.append_node(Some(0), Some(usize::MAX)),
+            Err(TensorError::IndexOutOfBounds { .. })
+        ));
+        assert_eq!(csr, before);
+        assert!(matches!(
+            CsrMatrix::new(2, 3).append_node(None, None),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

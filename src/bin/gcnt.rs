@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use serde::{Deserialize, Serialize};
 
 use gcn_testability::dft::atpg::{run_random_atpg, AtpgConfig};
-use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig, ImpactMode};
+use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig};
 use gcn_testability::dft::labeler::{label_difficult_to_observe, LabelConfig};
 use gcn_testability::gcn::features::FeatureNormalizer;
 use gcn_testability::gcn::{
@@ -106,7 +106,7 @@ fn print_usage() {
          \x20\x20\x20\x20 [--checkpoint-dir DIR] [--resume] [--checkpoint-every N] [--keep N]\n\
          \x20 gcnt infer design.bench --model model.json [--threshold F]\n\
          \x20 gcnt flow design.bench --model model.json [--out modified.bench] [--skip-budget N]\n\
-         \x20\x20\x20\x20 [--impact-mode full|incremental] [--metrics-out m.json]\n\
+         \x20\x20\x20\x20 [--metrics-out m.json]\n\
          \x20 gcnt bench-scale [--sizes 1000,10000,100000 | --preset B1..B4] [--parts N]\n\
          \x20\x20\x20\x20 [--repeat N]\n\
          \x20 gcnt atpg design.bench [--patterns N]\n\
@@ -400,18 +400,10 @@ fn cmd_flow(
     let path = positional.first().ok_or("expected a design file")?;
     let mut net = load_design(path)?;
     let bundle = load_model(options)?;
-    let impact_mode = match options.get("impact-mode").map(String::as_str) {
-        None | Some("incremental") => ImpactMode::Incremental,
-        Some("full") => ImpactMode::Full,
-        Some(other) => {
-            return Err(format!("unknown impact mode '{other}' (use full or incremental)").into())
-        }
-    };
     let cfg = FlowConfig {
         max_iterations: opt_usize(options, "iterations", 12),
         ops_per_iteration: opt_usize(options, "ops-per-iteration", 16),
         skip_budget: opt_usize(options, "skip-budget", 0),
-        impact_mode,
         ..FlowConfig::default()
     };
     let outcome = run_gcn_opi(&mut net, &bundle.normalizer, &bundle.model, &cfg)?;

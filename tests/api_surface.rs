@@ -10,8 +10,8 @@
 use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig};
 use gcn_testability::gcn::features::squash;
 use gcn_testability::gcn::{
-    CascadeSession, EmbeddingCache, Gcn, GcnConfig, GraphData, MatrixBackend, MultiStageGcn,
-    PartitionedGraph,
+    recursive, CascadeSession, EmbeddingCache, Gcn, GcnConfig, GraphData, MatrixBackend,
+    MultiStageGcn, PartitionedGraph,
 };
 use gcn_testability::netlist::{generate, GeneratorConfig, Netlist, Scoap};
 use gcn_testability::nn::seeded_rng;
@@ -145,6 +145,27 @@ fn cascade_default_explicit_and_session_forms_agree() {
         model.predict_proba(&t, &x).unwrap().as_slice(),
         "a refreshed session serves the full pass's bits"
     );
+
+    // The structure readers, on tensors that have absorbed the insertion:
+    // only `target` reads the new node, the shards see the appended rows,
+    // and the recursion oracle walks them to the matrix form's answer.
+    assert_eq!(t.halo_step(&[op.index()]), vec![target.index(), op.index()]);
+    let sharded = PartitionedGraph::new(&t, 3).unwrap();
+    assert_eq!(sharded.generation(), t.generation());
+    assert_eq!(sharded.succ().spmm(&x).unwrap(), t.succ().spmm(&x).unwrap());
+    let gcn = &model.stages()[0];
+    let nodes = [target.index(), op.index()];
+    let oracle = recursive::predict_nodes(gcn, &t, &x, &nodes).unwrap();
+    let logits = gcn.predict(&t, &x).unwrap();
+    for (i, &node) in nodes.iter().enumerate() {
+        for c in 0..logits.cols() {
+            let (a, b) = (logits.get(node, c), oracle.get(i, c));
+            assert!(
+                (a - b).abs() < 1e-3 * (1.0 + a.abs()),
+                "node {node}: {a} vs {b}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -160,7 +181,9 @@ fn flow_and_ladder_entry_points() {
     };
     let cfg_json = serde_json::to_string(&FlowConfig::default()).unwrap();
     assert!(
-        !cfg_json.contains("backend") && !cfg_json.contains("kernel"),
+        !cfg_json.contains("backend")
+            && !cfg_json.contains("kernel")
+            && !cfg_json.contains("impact"),
         "FlowConfig carries no execution options: {cfg_json}"
     );
 

@@ -5,7 +5,7 @@
 //! the seeded 9-level/400-node netlist used by BENCH_flow.json and
 //! EXPERIMENTS.md.
 
-use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig, ImpactMode};
+use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig};
 use gcn_testability::gcn::{Gcn, GcnConfig, GraphData};
 use gcn_testability::netlist::{generate, GeneratorConfig};
 use gcn_testability::nn::seeded_rng;
@@ -43,7 +43,6 @@ fn flow_metrics_match_inference_accounting() {
     let cfg = FlowConfig {
         max_iterations: 2,
         ops_per_iteration: 4,
-        impact_mode: ImpactMode::Incremental,
         ..FlowConfig::default()
     };
 

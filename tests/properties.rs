@@ -3,9 +3,9 @@
 
 use proptest::prelude::*;
 
-use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig, ImpactMode};
+use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig};
 use gcn_testability::gcn::{recursive, Gcn, GcnConfig, GraphData, GraphTensors};
-use gcn_testability::lint::{lint_csr, lint_netlist, lint_scoap, RuleId};
+use gcn_testability::lint::{lint_csr, lint_graph_tensors, lint_netlist, lint_scoap, RuleId};
 use gcn_testability::netlist::{generate, CellKind, GeneratorConfig, Netlist, Scoap, SCOAP_INF};
 use gcn_testability::nn::seeded_rng;
 use gcn_testability::tensor::{CooMatrix, CsrMatrix, Matrix};
@@ -285,6 +285,36 @@ proptest! {
         );
     }
 
+    /// Appending observation points in place is a rebuild, array for
+    /// array: after every insertion the tensors equal
+    /// `GraphTensors::from_netlist` (a `succ` entry anywhere but the end of
+    /// row `target` would break the sorted-row equality), `succ` is still
+    /// `pred` transposed, and TS001 finds the structure in the netlist.
+    /// (`Netlist::connect` refuses a second wire between the same two
+    /// cells, so no design here has a doubly-connected driver.)
+    #[test]
+    fn in_place_insertion_equals_rebuild(
+        net in arb_netlist(),
+        picks in proptest::collection::vec(any::<u32>(), 1..13),
+    ) {
+        let mut net = net;
+        let mut t = GraphTensors::from_netlist(&net);
+        for (k, pick) in picks.into_iter().enumerate() {
+            let internal: Vec<_> = net
+                .nodes()
+                .filter(|&v| net.kind(v) != CellKind::Output)
+                .collect();
+            let target = internal[pick as usize % internal.len()];
+            let op = net.insert_observation_point(target).unwrap();
+            t.insert_observation_point(target, op).unwrap();
+            prop_assert_eq!(t.generation(), k as u64 + 1);
+            prop_assert_eq!(&t, &GraphTensors::from_netlist(&net));
+            prop_assert_eq!(t.succ(), &t.pred().transpose());
+            let report = lint_graph_tensors(&net, &t);
+            prop_assert!(report.is_clean(), "after insertion {k}:\n{report}");
+        }
+    }
+
     /// The incremental dirty-halo engine is bit-for-bit identical to the
     /// full forward pass at every depth, and its revert restores the
     /// cache exactly — the invariant the flow's preview path stands on.
@@ -325,8 +355,9 @@ proptest! {
         prop_assert_eq!(cache.layers(), pristine.layers());
     }
 
-    /// The flow's incremental impact mode is outcome-identical to full
-    /// re-inference on random designs and random (untrained) models:
+    /// The flow's incremental impact scoring (a model reference opens a
+    /// session) is outcome-identical to full re-inference (what a closure
+    /// classifier gets) on random designs and random (untrained) models:
     /// same insertions, same history, same final netlist.
     #[test]
     fn flow_incremental_equals_full(net in arb_netlist(), seed in any::<u64>()) {
@@ -346,21 +377,10 @@ proptest! {
             ..FlowConfig::default()
         };
         let mut net_full = net.clone();
-        let full = run_gcn_opi(
-            &mut net_full,
-            &data.normalizer,
-            &gcn,
-            &FlowConfig { impact_mode: ImpactMode::Full, ..cfg.clone() },
-        )
-        .unwrap();
+        let full_pass = |t: &GraphTensors, x: &Matrix| gcn.predict_proba(t, x);
+        let full = run_gcn_opi(&mut net_full, &data.normalizer, full_pass, &cfg).unwrap();
         let mut net_inc = net.clone();
-        let inc = run_gcn_opi(
-            &mut net_inc,
-            &data.normalizer,
-            &gcn,
-            &FlowConfig { impact_mode: ImpactMode::Incremental, ..cfg },
-        )
-        .unwrap();
+        let inc = run_gcn_opi(&mut net_inc, &data.normalizer, &gcn, &cfg).unwrap();
         prop_assert_eq!(full.inserted, inc.inserted);
         prop_assert_eq!(full.converged, inc.converged);
         prop_assert_eq!(full.remaining_positives, inc.remaining_positives);
