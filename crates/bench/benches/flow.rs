@@ -102,7 +102,8 @@ fn bench_flow(c: &mut Criterion) {
 }
 
 /// The seeded reference design for the impact-scoring comparison: 9 levels,
-/// 400 nodes (see EXPERIMENTS.md / BENCH_flow.json).
+/// 400 nodes (see EXPERIMENTS.md; the benchmark's `flow_b1_20k` is this flow
+/// at 20k nodes).
 fn reference_design() -> (Netlist, GraphData, Gcn) {
     let net = generate(&GeneratorConfig::sized("x", 9, 400));
     let data = GraphData::from_netlist(&net, None).expect("acyclic");

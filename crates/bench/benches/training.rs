@@ -1,15 +1,15 @@
-//! Criterion bench for §3.4.2: per-epoch training cost, serial multi-graph
-//! loop vs the crossbeam data-parallel scheme (one worker per graph).
+//! Criterion bench for §3.4.2: per-epoch training cost, graph after graph
+//! on one thread vs the one-worker-per-graph scheme every trainer runs.
 //!
-//! On a single-core host the two are expected to tie (the parallel scheme
-//! is a scheduling change, not an algorithmic one — the test suite asserts
-//! they produce bit-identical models); on a multi-core host the parallel
+//! The serial arm is the by-parts loop written here (the library has no
+//! serial trainer). On a single-core host the two are expected to tie
+//! (workers are a scheduling change, not an algorithmic one — the test
+//! suite asserts bit-identical models); on a multi-core host the worker
 //! variant approaches a `#graphs`-fold speedup.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use gcnt_core::parallel::train_parallel;
-use gcnt_core::train::{train, TrainConfig};
+use gcnt_core::train::{apply_update, masked_loss_grads, train, TrainConfig};
 use gcnt_core::{Gcn, GcnConfig, GraphData};
 use gcnt_netlist::{generate, GeneratorConfig, Scoap};
 use gcnt_nn::seeded_rng;
@@ -48,13 +48,21 @@ fn bench_training(c: &mut Criterion) {
     group.bench_function("serial_3_graphs", |b| {
         b.iter(|| {
             let mut gcn = Gcn::new(&GcnConfig::with_depth(2), &mut seeded_rng(7));
-            train(&mut gcn, &refs, &masks, &cfg).expect("shapes agree")
+            let mut total = gcn.zero_grads();
+            for (data, mask) in refs.iter().zip(&masks) {
+                let (_, grads, _) = masked_loss_grads(&gcn, data, mask, &[1.0, cfg.pos_weight])
+                    .expect("shapes agree");
+                total.accumulate(&grads);
+            }
+            total.scale(1.0 / refs.len() as f32);
+            apply_update(&mut gcn, &total, &cfg, &mut None);
+            gcn
         })
     });
     group.bench_function("parallel_3_graphs", |b| {
         b.iter(|| {
             let mut gcn = Gcn::new(&GcnConfig::with_depth(2), &mut seeded_rng(7));
-            train_parallel(&mut gcn, &refs, &masks, &cfg).expect("shapes agree")
+            train(&mut gcn, &refs, &masks, &cfg).expect("shapes agree")
         })
     });
     group.finish();

@@ -66,6 +66,139 @@ pub struct StageReport {
     pub filtered: usize,
 }
 
+/// A stage between [`CascadeTraining::begin_stage`] and
+/// [`CascadeTraining::finish_stage`]: the model to train and how.
+#[derive(Debug)]
+pub struct OpenStage {
+    /// The stage's GCN — freshly initialised, or restored mid-stage.
+    pub gcn: Gcn,
+    /// Epochs, rate and the stage's positive class weight.
+    pub train: TrainConfig,
+    /// The stage's report so far (`filtered` is set when it finishes).
+    report: StageReport,
+}
+
+/// The cascade's training state between stages, and the only place its
+/// stage decisions are made: which nodes are still active, how heavily
+/// positives weigh, the one RNG draw per stage, which confident negatives
+/// a finished stage filters. Whoever drives it chooses only how a stage's
+/// GCN is trained — [`MultiStageGcn::train`] with plain [`train`],
+/// `gcnt-runtime` with its guarded, checkpointing session. The four
+/// fields are exactly what a checkpoint must carry to continue a cascade
+/// bit for bit, so restoring one is a struct literal.
+#[derive(Debug, Clone)]
+pub struct CascadeTraining {
+    /// Seeds each stage's weights; drawn from once per fresh stage.
+    pub rng: gcnt_nn::Rng,
+    /// Per-graph nodes no completed stage has filtered.
+    pub active: Vec<Vec<usize>>,
+    /// Fully trained stages.
+    pub completed: Vec<Gcn>,
+    /// One report per completed stage.
+    pub reports: Vec<StageReport>,
+}
+
+impl CascadeTraining {
+    /// The state before stage 0: every node of every graph is active.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graphs` is empty.
+    pub fn new(cfg: &MultiStageConfig, graphs: &[&GraphData]) -> Self {
+        assert!(!graphs.is_empty(), "need at least one training graph");
+        CascadeTraining {
+            rng: gcnt_nn::seeded_rng(cfg.seed),
+            active: graphs
+                .iter()
+                .map(|g| (0..g.node_count()).collect())
+                .collect(),
+            completed: Vec::with_capacity(cfg.stages),
+            reports: Vec::with_capacity(cfg.stages),
+        }
+    }
+
+    /// Opens the next stage: weighs positives by the active set's
+    /// imbalance (`#neg / #pos`, clamped to `1..=cfg.max_pos_weight`) and
+    /// draws the stage's initial weights — unless `restored` hands in a
+    /// model checkpointed mid-stage, whose draw was already made.
+    pub fn begin_stage(
+        &mut self,
+        cfg: &MultiStageConfig,
+        graphs: &[&GraphData],
+        restored: Option<Gcn>,
+    ) -> OpenStage {
+        let stage = self.completed.len();
+        let active: usize = self.active.iter().map(Vec::len).sum();
+        let gauges = [
+            gcnt_obs::gauges::CORE_CASCADE_STAGE0_ACTIVE,
+            gcnt_obs::gauges::CORE_CASCADE_STAGE1_ACTIVE,
+            gcnt_obs::gauges::CORE_CASCADE_STAGE2_ACTIVE,
+            gcnt_obs::gauges::CORE_CASCADE_STAGE3_ACTIVE,
+        ];
+        if let Some(&gauge) = gauges.get(stage) {
+            gcnt_obs::global().gauge_set(gauge, active as f64);
+        }
+        let positives: usize = graphs
+            .iter()
+            .zip(&self.active)
+            .map(|(g, mask)| {
+                mask.iter()
+                    .filter(|&&i| g.labels.get(i) == Some(&1))
+                    .count()
+            })
+            .sum();
+        let negatives = active.saturating_sub(positives);
+        let pos_weight = if positives == 0 {
+            1.0
+        } else {
+            (negatives as f32 / positives as f32).clamp(1.0, cfg.max_pos_weight)
+        };
+        OpenStage {
+            gcn: restored.unwrap_or_else(|| Gcn::new(&cfg.gcn, &mut self.rng)),
+            train: TrainConfig {
+                epochs: cfg.epochs_per_stage,
+                lr: cfg.lr,
+                pos_weight,
+                momentum: 0.0,
+            },
+            report: StageReport {
+                stage,
+                active,
+                positives,
+                pos_weight,
+                filtered: 0,
+            },
+        }
+    }
+
+    /// Closes a trained stage: drops from every graph's active set the
+    /// nodes the stage scores below `cfg.filter_threshold` (confident
+    /// negatives), and records the stage and its report.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if a graph disagrees with the model.
+    pub fn finish_stage(
+        &mut self,
+        cfg: &MultiStageConfig,
+        graphs: &[&GraphData],
+        stage: OpenStage,
+    ) -> Result<()> {
+        let OpenStage {
+            gcn, mut report, ..
+        } = stage;
+        for (g, mask) in graphs.iter().zip(self.active.iter_mut()) {
+            let probs = gcn.predict_proba(&g.tensors, &g.features)?;
+            let before = mask.len();
+            mask.retain(|&i| probs.get(i).is_some_and(|&p| p >= cfg.filter_threshold));
+            report.filtered += before - mask.len();
+        }
+        self.reports.push(report);
+        self.completed.push(gcn);
+        Ok(())
+    }
+}
+
 /// A trained cascade of GCNs.
 ///
 /// # Examples
@@ -104,69 +237,18 @@ impl MultiStageGcn {
         cfg: &MultiStageConfig,
         graphs: &[&GraphData],
     ) -> Result<(Self, Vec<StageReport>)> {
-        assert!(!graphs.is_empty(), "need at least one training graph");
-        let mut rng = gcnt_nn::seeded_rng(cfg.seed);
-        // Active set per graph: initially every node.
-        let mut active: Vec<Vec<usize>> = graphs
-            .iter()
-            .map(|g| (0..g.node_count()).collect())
-            .collect();
-        let mut stages = Vec::with_capacity(cfg.stages);
-        let mut reports = Vec::with_capacity(cfg.stages);
-        for stage in 0..cfg.stages {
-            let total_active: usize = active.iter().map(Vec::len).sum();
-            if stage < 4 {
-                let gauge = [
-                    gcnt_obs::gauges::CORE_CASCADE_STAGE0_ACTIVE,
-                    gcnt_obs::gauges::CORE_CASCADE_STAGE1_ACTIVE,
-                    gcnt_obs::gauges::CORE_CASCADE_STAGE2_ACTIVE,
-                    gcnt_obs::gauges::CORE_CASCADE_STAGE3_ACTIVE,
-                ][stage];
-                gcnt_obs::global().gauge_set(gauge, total_active as f64);
-            }
-            let positives: usize = graphs
-                .iter()
-                .zip(&active)
-                .map(|(g, mask)| mask.iter().filter(|&&i| g.labels[i] == 1).count())
-                .sum();
-            let negatives = total_active.saturating_sub(positives);
-            let pos_weight = if positives == 0 {
-                1.0
-            } else {
-                (negatives as f32 / positives as f32).clamp(1.0, cfg.max_pos_weight)
-            };
-            let mut gcn = Gcn::new(&cfg.gcn, &mut rng);
-            let train_cfg = TrainConfig {
-                epochs: cfg.epochs_per_stage,
-                lr: cfg.lr,
-                pos_weight,
-                momentum: 0.0,
-            };
-            train(&mut gcn, graphs, &active, &train_cfg)?;
-
-            // Filter confident negatives from each graph's active set.
-            let mut filtered = 0usize;
-            for (g, mask) in graphs.iter().zip(active.iter_mut()) {
-                let probs = gcn.predict_proba(&g.tensors, &g.features)?;
-                let before = mask.len();
-                mask.retain(|&i| probs[i] >= cfg.filter_threshold);
-                filtered += before - mask.len();
-            }
-            reports.push(StageReport {
-                stage,
-                active: total_active,
-                positives,
-                pos_weight,
-                filtered,
-            });
-            stages.push(gcn);
+        let mut cascade = CascadeTraining::new(cfg, graphs);
+        while cascade.completed.len() < cfg.stages {
+            let mut stage = cascade.begin_stage(cfg, graphs, None);
+            train(&mut stage.gcn, graphs, &cascade.active, &stage.train)?;
+            cascade.finish_stage(cfg, graphs, stage)?;
         }
         Ok((
             MultiStageGcn {
-                stages,
+                stages: cascade.completed,
                 filter_threshold: cfg.filter_threshold,
             },
-            reports,
+            cascade.reports,
         ))
     }
 
@@ -331,6 +413,52 @@ mod tests {
         assert!(reports[2].active <= reports[1].active);
         // The cascade uses a >1 positive weight on imbalanced data.
         assert!(reports[0].pos_weight > 1.0);
+    }
+
+    #[test]
+    fn a_graph_filtered_empty_keeps_the_cascade_training() {
+        let (a, b) = (imbalanced_data(76), imbalanced_data(77));
+        let graphs = [&a, &b];
+        let mut cfg = small_cfg(2);
+        cfg.epochs_per_stage = 10;
+        // Stage 0 does not depend on the threshold, so a probe run tells
+        // where to put it: between the two graphs' best scores, which
+        // filters every node of one graph and not all of the other.
+        let mut probe = CascadeTraining::new(&cfg, &graphs);
+        let mut stage = probe.begin_stage(&cfg, &graphs, None);
+        train(&mut stage.gcn, &graphs, &probe.active, &stage.train).unwrap();
+        let best: Vec<f32> = graphs
+            .iter()
+            .map(|g| {
+                let probs = stage.gcn.predict_proba(&g.tensors, &g.features).unwrap();
+                probs.into_iter().fold(f32::MIN, f32::max)
+            })
+            .collect();
+        assert_ne!(best[0], best[1]);
+        cfg.filter_threshold = (best[0] + best[1]) / 2.0;
+        let emptied = usize::from(best[1] < best[0]);
+
+        let mut cascade = CascadeTraining::new(&cfg, &graphs);
+        let mut losses = Vec::new();
+        while cascade.completed.len() < cfg.stages {
+            let mut stage = cascade.begin_stage(&cfg, &graphs, None);
+            let history = train(&mut stage.gcn, &graphs, &cascade.active, &stage.train).unwrap();
+            losses.extend(history.iter().map(|s| s.loss));
+            cascade.finish_stage(&cfg, &graphs, stage).unwrap();
+            if cascade.completed.len() == 1 {
+                assert!(cascade.active[emptied].is_empty());
+                assert!(!cascade.active[1 - emptied].is_empty());
+            }
+        }
+        assert!(losses.iter().all(|l| l.is_finite()), "{losses:?}");
+        let reports = &cascade.reports;
+        assert_eq!(reports[0].active, a.node_count() + b.node_count());
+        assert_eq!(reports[1].active, reports[0].active - reports[0].filtered);
+        assert!(reports[0].filtered >= graphs[emptied].node_count());
+        // The public entry point is this loop.
+        let (model, same_reports) = MultiStageGcn::train(&cfg, &graphs).unwrap();
+        assert_eq!(model.stages(), &cascade.completed[..]);
+        assert_eq!(&same_reports, reports);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Single-worker GCN training.
+//! GCN training: the one-worker-per-graph epoch of §3.4.2 and the plain
+//! epoch loop around it.
 //!
 //! Training is full-batch per graph: the forward pass runs over the whole
 //! netlist (embeddings of unlabeled/unselected nodes are still needed as
@@ -6,6 +7,7 @@
 //! either a balanced sample (Table 2 protocol) or the active set of a
 //! multi-stage cascade (§3.3).
 
+use crossbeam::thread;
 use serde::{Deserialize, Serialize};
 
 use gcnt_nn::loss::weighted_softmax_cross_entropy;
@@ -84,15 +86,36 @@ pub fn masked_loss_grads(
     Ok((loss, grads, preds))
 }
 
-/// Computes one full-batch epoch over all graphs *without* applying the
-/// parameter update: the mean loss, the mean gradient (graphs summed in
-/// order, then scaled by `1 / graphs.len()`), and the merged confusion of
-/// the masked predictions.
+/// One epoch's gathered worker output, before the parameter update.
+#[derive(Debug, Clone)]
+pub struct EpochGrads {
+    /// Mean weighted loss over all training graphs.
+    pub loss: f32,
+    /// Mean gradient: graphs summed in order, then scaled by
+    /// `1 / graphs.len()`.
+    pub grads: GcnGrads,
+    /// Merged confusion of the masked predictions.
+    pub confusion: Confusion,
+    /// Workers (graph indices) that died and whose graphs were recomputed
+    /// on the calling thread.
+    pub recovered: Vec<usize>,
+}
+
+/// The epoch kernel of every trainer (§3.4.2, Fig. 5): one graph's
+/// adjacency cannot be split, so *whole graphs* are distributed — "each
+/// GPU processes one graph, and all of the output is gathered to
+/// calculate the loss and then do back-propagation". One scoped worker
+/// thread per graph computes that graph's loss and gradient against the
+/// shared read-only model (a single graph is computed inline), and the
+/// calling thread sums them in graph order: the result does not depend
+/// on scheduling and equals the by-parts sum of [`masked_loss_grads`]
+/// bit for bit. The parameter update is the caller's.
 ///
-/// This is the shared epoch kernel of [`train`] and the resilient trainer
-/// in `gcnt-runtime`: both must produce bit-identical updates, so both go
-/// through this function (or, for the parallel scheme, sum per-worker
-/// results in the same fixed graph order).
+/// A worker that dies is recovered by recomputing its graph on the
+/// calling thread, in its place in the sum, and listed in
+/// [`EpochGrads::recovered`]. `on_worker(i)` runs first on worker `i`'s
+/// thread — the seam fault-injection tests kill a worker through;
+/// everyone else passes `&|_| {}`.
 ///
 /// # Errors
 ///
@@ -106,24 +129,82 @@ pub fn epoch_grads(
     graphs: &[&GraphData],
     masks: &[Vec<usize>],
     class_weights: &[f32; 2],
-) -> Result<(f32, GcnGrads, Confusion)> {
+    on_worker: &(dyn Fn(usize) + Sync),
+) -> Result<EpochGrads> {
     assert_eq!(graphs.len(), masks.len(), "one mask per graph");
-    let mut total = gcn.zero_grads();
-    let mut loss_sum = 0.0f32;
-    let mut confusion = Confusion::default();
-    for (data, mask) in graphs.iter().zip(masks) {
-        let (loss, grads, preds) = masked_loss_grads(gcn, data, mask, class_weights)?;
-        total.accumulate(&grads);
-        loss_sum += loss;
-        confusion.merge(&Confusion::from_predictions(&data.labels_at(mask), &preds));
+    let jobs = || graphs.iter().zip(masks).enumerate();
+    let compute =
+        |data: &GraphData, mask: &[usize]| masked_loss_grads(gcn, data, mask, class_weights);
+    // One result per graph; `None` where the worker died.
+    let joined: Vec<Option<_>> = if graphs.len() > 1 {
+        thread::scope(|scope| {
+            let handles: Vec<_> = jobs()
+                .map(|(worker, (data, mask))| {
+                    scope.spawn(move |_| {
+                        on_worker(worker);
+                        compute(data, mask)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().ok()).collect()
+        })
+        .expect("crossbeam scope")
+    } else {
+        jobs()
+            .map(|(_, (data, mask))| Some(compute(data, mask)))
+            .collect()
+    };
+
+    let mut out = EpochGrads {
+        loss: 0.0,
+        grads: gcn.zero_grads(),
+        confusion: Confusion::default(),
+        recovered: Vec::new(),
+    };
+    for ((worker, (data, mask)), result) in jobs().zip(joined) {
+        let (loss, grads, preds) = match result {
+            Some(r) => r?,
+            None => {
+                out.recovered.push(worker);
+                compute(data, mask)?
+            }
+        };
+        out.grads.accumulate(&grads);
+        out.loss += loss;
+        out.confusion
+            .merge(&Confusion::from_predictions(&data.labels_at(mask), &preds));
     }
-    total.scale(1.0 / graphs.len() as f32);
-    Ok((loss_sum / graphs.len() as f32, total, confusion))
+    out.grads.scale(1.0 / graphs.len() as f32);
+    out.loss /= graphs.len() as f32;
+    Ok(out)
 }
 
-/// Trains on one or more graphs with plain SGD, summing gradients across
-/// graphs each epoch (the serial reference for the parallel scheme of
-/// §3.4.2). `masks[i]` selects the training nodes of `graphs[i]`.
+/// Applies one accepted epoch — the parameter update, the
+/// `gcnt_core_train_epochs_total` / `gcnt_core_train_loss` metrics — and
+/// returns its history row. Both epoch loops (plain [`train`] and the
+/// guarded one in `gcnt-runtime`) end an epoch here, so neither can
+/// forget the metrics.
+pub fn commit_epoch(
+    gcn: &mut Gcn,
+    epoch: usize,
+    computed: &EpochGrads,
+    cfg: &TrainConfig,
+    optimizer: &mut Option<gcnt_nn::ModelOptimizer>,
+) -> EpochStats {
+    apply_update(gcn, &computed.grads, cfg, optimizer);
+    gcnt_obs::global().incr(gcnt_obs::counters::CORE_TRAIN_EPOCHS);
+    gcnt_obs::global().gauge_set(gcnt_obs::gauges::CORE_TRAIN_LOSS, f64::from(computed.loss));
+    EpochStats {
+        epoch,
+        loss: computed.loss,
+        train_accuracy: computed.confusion.accuracy(),
+    }
+}
+
+/// Trains on one or more graphs with SGD: each epoch is one
+/// [`epoch_grads`] (one worker per graph) and one update. `masks[i]`
+/// selects the training nodes of `graphs[i]`. Peak memory is the sum of
+/// the graphs' forward caches, as on the paper's one-graph-per-GPU setup.
 ///
 /// Returns per-epoch statistics.
 ///
@@ -140,20 +221,12 @@ pub fn train(
     masks: &[Vec<usize>],
     cfg: &TrainConfig,
 ) -> Result<Vec<EpochStats>> {
-    assert_eq!(graphs.len(), masks.len(), "one mask per graph");
     let class_weights = [1.0, cfg.pos_weight];
     let mut optimizer = optimizer_for(gcn, cfg);
     let mut history = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
-        let (loss, total, confusion) = epoch_grads(gcn, graphs, masks, &class_weights)?;
-        apply_update(gcn, &total, cfg, &mut optimizer);
-        gcnt_obs::global().incr(gcnt_obs::counters::CORE_TRAIN_EPOCHS);
-        gcnt_obs::global().gauge_set(gcnt_obs::gauges::CORE_TRAIN_LOSS, f64::from(loss));
-        history.push(EpochStats {
-            epoch,
-            loss,
-            train_accuracy: confusion.accuracy(),
-        });
+        let computed = epoch_grads(gcn, graphs, masks, &class_weights, &|_| {})?;
+        history.push(commit_epoch(gcn, epoch, &computed, cfg, &mut optimizer));
     }
     Ok(history)
 }
@@ -261,30 +334,87 @@ mod tests {
         assert!(acc > 0.7, "balanced accuracy {acc}");
     }
 
+    /// The reference the epoch kernel is held to: graph after graph on
+    /// this thread, summed in graph order, one update per epoch.
+    fn train_by_parts(
+        gcn: &mut Gcn,
+        graphs: &[&GraphData],
+        masks: &[Vec<usize>],
+        cfg: &TrainConfig,
+    ) -> Vec<f32> {
+        let class_weights = [1.0, cfg.pos_weight];
+        let mut optimizer = optimizer_for(gcn, cfg);
+        (0..cfg.epochs)
+            .map(|_| {
+                let mut total = gcn.zero_grads();
+                let mut loss_sum = 0.0f32;
+                for (data, mask) in graphs.iter().zip(masks) {
+                    let (loss, grads, _) =
+                        masked_loss_grads(gcn, data, mask, &class_weights).unwrap();
+                    total.accumulate(&grads);
+                    loss_sum += loss;
+                }
+                total.scale(1.0 / graphs.len() as f32);
+                apply_update(gcn, &total, cfg, &mut optimizer);
+                loss_sum / graphs.len() as f32
+            })
+            .collect()
+    }
+
     #[test]
-    fn multi_graph_training_runs() {
-        let d1 = labeled_data(32);
-        let d2 = labeled_data(33);
-        let mut rng = seeded_rng(1);
-        let m1 = balanced_indices(&d1.labels, &mut rng);
-        let m2 = balanced_indices(&d2.labels, &mut rng);
-        let mut gcn = Gcn::new(
-            &GcnConfig {
-                embed_dims: vec![8],
-                fc_dims: vec![8],
-                ..GcnConfig::default()
-            },
-            &mut rng,
-        );
-        let cfg = TrainConfig {
-            epochs: 10,
-            lr: 0.05,
-            pos_weight: 2.0,
-            momentum: 0.0,
+    fn kernel_equals_by_parts_sum_in_graph_order() {
+        let data: Vec<GraphData> = (32..35).map(labeled_data).collect();
+        let masks: Vec<Vec<usize>> = data
+            .iter()
+            .map(|d| (0..d.node_count()).step_by(3).collect())
+            .collect();
+        let fresh = || {
+            Gcn::new(
+                &GcnConfig {
+                    embed_dims: vec![4, 8],
+                    fc_dims: vec![4],
+                    ..GcnConfig::default()
+                },
+                &mut seeded_rng(50),
+            )
         };
-        let history = train(&mut gcn, &[&d1, &d2], &[m1, m2], &cfg).unwrap();
-        assert_eq!(history.len(), 10);
-        assert!(history.iter().all(|s| s.loss.is_finite()));
+        for n in 1..=3 {
+            for momentum in [0.0, 0.9] {
+                let graphs: Vec<&GraphData> = data.iter().take(n).collect();
+                let cfg = TrainConfig {
+                    epochs: 4,
+                    lr: 0.05,
+                    pos_weight: 3.0,
+                    momentum,
+                };
+                let mut reference = fresh();
+                let losses = train_by_parts(&mut reference, &graphs, &masks[..n], &cfg);
+                let mut trained = fresh();
+                let history = train(&mut trained, &graphs, &masks[..n], &cfg).unwrap();
+                assert_eq!(reference, trained, "{n} graphs, momentum {momentum}");
+                let got: Vec<f32> = history.iter().map(|s| s.loss).collect();
+                assert_eq!(losses, got, "{n} graphs, momentum {momentum}");
+                assert!(got.iter().all(|l| l.is_finite()));
+            }
+        }
+    }
+
+    #[test]
+    fn dead_worker_is_recomputed_in_place() {
+        let data: Vec<GraphData> = (32..35).map(labeled_data).collect();
+        let graphs: Vec<&GraphData> = data.iter().collect();
+        let masks: Vec<Vec<usize>> = data.iter().map(|d| (0..d.node_count()).collect()).collect();
+        let gcn = Gcn::new(&GcnConfig::default(), &mut seeded_rng(4));
+        let clean = epoch_grads(&gcn, &graphs, &masks, &[1.0, 2.0], &|_| {}).unwrap();
+        assert!(clean.recovered.is_empty());
+        let hurt = epoch_grads(&gcn, &graphs, &masks, &[1.0, 2.0], &|worker| {
+            assert_ne!(worker, 1, "worker 1 dies");
+        })
+        .unwrap();
+        assert_eq!(hurt.recovered, vec![1]);
+        assert_eq!(clean.grads, hurt.grads);
+        assert_eq!(clean.loss, hurt.loss);
+        assert_eq!(clean.confusion, hurt.confusion);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`loss`] — class-weighted softmax cross-entropy, the loss that drives
 //!   the multi-stage imbalance handling of §3.3.
 //! * [`ParamOptimizer`] / [`ModelOptimizer`] — plain SGD (with momentum)
-//!   and Adam over flat parameter slices.
+//!   over flat parameter slices.
 //! * [`seeded_rng`] — a portable, seeded RNG so training is reproducible
 //!   bit-for-bit.
 //!
@@ -37,7 +37,7 @@ mod optimizer;
 pub use init::xavier_uniform;
 pub use linear::{Linear, LinearGrads};
 pub use mlp::{Mlp, MlpCache, MlpGrads};
-pub use optimizer::{AdamConfig, ModelOptimizer, OptimizerConfig, ParamOptimizer, SgdConfig};
+pub use optimizer::{ModelOptimizer, OptimizerConfig, ParamOptimizer, SgdConfig};
 
 use rand_chacha::ChaCha8Rng;
 

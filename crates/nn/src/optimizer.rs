@@ -9,55 +9,13 @@ pub struct SgdConfig {
     pub momentum: f32,
 }
 
-impl Default for SgdConfig {
-    fn default() -> Self {
-        SgdConfig {
-            lr: 0.1,
-            momentum: 0.9,
-        }
-    }
-}
-
-/// Adam configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdamConfig {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical-stability epsilon.
-    pub eps: f32,
-}
-
-impl Default for AdamConfig {
-    fn default() -> Self {
-        AdamConfig {
-            lr: 1e-3,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-        }
-    }
-}
-
-/// Choice of optimisation algorithm.
-///
-/// The paper uses stochastic gradient descent (§5); Adam is provided for
-/// the ablation benches and the classical baselines.
+/// Choice of optimisation algorithm: the paper uses stochastic gradient
+/// descent (§5), and so does everything here. An enum because that is the
+/// shape checkpoints carry (`{"Sgd": {..}}`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum OptimizerConfig {
     /// Stochastic gradient descent with optional momentum.
     Sgd(SgdConfig),
-    /// Adam.
-    Adam(AdamConfig),
-}
-
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        OptimizerConfig::Sgd(SgdConfig::default())
-    }
 }
 
 /// Optimiser state for one flat parameter slice.
@@ -77,37 +35,22 @@ impl Default for OptimizerConfig {
 pub struct ParamOptimizer {
     cfg: OptimizerConfig,
     velocity: Vec<f32>,
-    second: Vec<f32>,
-    t: u32,
 }
 
 impl ParamOptimizer {
     /// Creates optimiser state for a parameter of `len` elements.
     pub fn new(cfg: OptimizerConfig, len: usize) -> Self {
-        let second = match cfg {
-            OptimizerConfig::Adam(_) => vec![0.0; len],
-            OptimizerConfig::Sgd(_) => Vec::new(),
-        };
         ParamOptimizer {
             cfg,
             velocity: vec![0.0; len],
-            second,
-            t: 0,
         }
-    }
-
-    /// The algorithm this optimiser state was built for.
-    pub fn config(&self) -> OptimizerConfig {
-        self.cfg
     }
 
     /// Overrides the learning rate while keeping all accumulated state —
     /// how a divergence guard backs off without discarding momentum.
     pub fn set_lr(&mut self, lr: f32) {
-        match &mut self.cfg {
-            OptimizerConfig::Sgd(c) => c.lr = lr,
-            OptimizerConfig::Adam(c) => c.lr = lr,
-        }
+        let OptimizerConfig::Sgd(c) = &mut self.cfg;
+        c.lr = lr;
     }
 
     /// Length of the parameter slice this state covers.
@@ -120,14 +63,11 @@ impl ParamOptimizer {
         self.velocity.is_empty()
     }
 
-    /// Whether every state value (velocity, second moments) is finite — a
-    /// deserialised checkpoint can carry NaN momentum that would poison
-    /// every subsequent step even if the weights themselves are clean.
+    /// Whether every velocity value is finite — a deserialised
+    /// checkpoint can carry NaN momentum that would poison every
+    /// subsequent step even if the weights themselves are clean.
     pub fn is_finite(&self) -> bool {
-        self.velocity
-            .iter()
-            .chain(&self.second)
-            .all(|v| v.is_finite())
+        self.velocity.iter().all(|v| v.is_finite())
     }
 
     /// Applies one update step.
@@ -138,39 +78,15 @@ impl ParamOptimizer {
     pub fn step(&mut self, param: &mut [f32], grad: &[f32]) {
         assert_eq!(param.len(), self.velocity.len(), "param length");
         assert_eq!(grad.len(), self.velocity.len(), "grad length");
-        match self.cfg {
-            OptimizerConfig::Sgd(SgdConfig { lr, momentum }) => {
-                if momentum == 0.0 {
-                    for (p, &g) in param.iter_mut().zip(grad) {
-                        *p -= lr * g;
-                    }
-                } else {
-                    for ((p, v), &g) in param.iter_mut().zip(&mut self.velocity).zip(grad) {
-                        *v = momentum * *v + g;
-                        *p -= lr * *v;
-                    }
-                }
+        let OptimizerConfig::Sgd(SgdConfig { lr, momentum }) = self.cfg;
+        if momentum == 0.0 {
+            for (p, &g) in param.iter_mut().zip(grad) {
+                *p -= lr * g;
             }
-            OptimizerConfig::Adam(AdamConfig {
-                lr,
-                beta1,
-                beta2,
-                eps,
-            }) => {
-                self.t += 1;
-                let bc1 = 1.0 - beta1.powi(self.t as i32);
-                let bc2 = 1.0 - beta2.powi(self.t as i32);
-                for ((p, (m, v)), &g) in param
-                    .iter_mut()
-                    .zip(self.velocity.iter_mut().zip(&mut self.second))
-                    .zip(grad)
-                {
-                    *m = beta1 * *m + (1.0 - beta1) * g;
-                    *v = beta2 * *v + (1.0 - beta2) * g * g;
-                    let m_hat = *m / bc1;
-                    let v_hat = *v / bc2;
-                    *p -= lr * m_hat / (v_hat.sqrt() + eps);
-                }
+        } else {
+            for ((p, v), &g) in param.iter_mut().zip(&mut self.velocity).zip(grad) {
+                *v = momentum * *v + g;
+                *p -= lr * *v;
             }
         }
     }
@@ -234,6 +150,11 @@ impl ModelOptimizer {
 mod tests {
     use super::*;
 
+    const MOMENTUM_SGD: OptimizerConfig = OptimizerConfig::Sgd(SgdConfig {
+        lr: 0.1,
+        momentum: 0.9,
+    });
+
     #[test]
     fn sgd_without_momentum() {
         let mut opt = ParamOptimizer::new(
@@ -264,26 +185,8 @@ mod tests {
     }
 
     #[test]
-    fn adam_converges_on_quadratic() {
-        // Minimise f(x) = (x - 3)^2 with gradient 2(x - 3).
-        let mut opt = ParamOptimizer::new(
-            OptimizerConfig::Adam(AdamConfig {
-                lr: 0.1,
-                ..AdamConfig::default()
-            }),
-            1,
-        );
-        let mut p = [0.0f32];
-        for _ in 0..500 {
-            let g = 2.0 * (p[0] - 3.0);
-            opt.step(&mut p, &[g]);
-        }
-        assert!((p[0] - 3.0).abs() < 0.05, "x = {}", p[0]);
-    }
-
-    #[test]
     fn sgd_converges_on_quadratic() {
-        let mut opt = ParamOptimizer::new(OptimizerConfig::default(), 1);
+        let mut opt = ParamOptimizer::new(MOMENTUM_SGD, 1);
         let mut p = [10.0f32];
         for _ in 0..200 {
             let g = 2.0 * (p[0] - 3.0);
@@ -307,38 +210,8 @@ mod tests {
     }
 
     #[test]
-    fn adam_trains_an_mlp() {
-        use crate::loss::softmax_cross_entropy;
-        use crate::{seeded_rng, Mlp};
-        use gcnt_tensor::Matrix;
-
-        let mut rng = seeded_rng(11);
-        let mut mlp = Mlp::new(&[2, 8, 2], &mut rng);
-        let x =
-            Matrix::from_rows(&[&[-1.0, 0.2], &[-0.6, -0.1], &[0.7, 0.3], &[1.1, -0.2]]).unwrap();
-        let labels = [0usize, 0, 1, 1];
-        let lens: Vec<usize> = mlp.params_mut().iter().map(|s| s.len()).collect();
-        let mut opt = ModelOptimizer::new(
-            OptimizerConfig::Adam(AdamConfig {
-                lr: 0.02,
-                ..AdamConfig::default()
-            }),
-            lens,
-        );
-        let initial = softmax_cross_entropy(&mlp.predict(&x).unwrap(), &labels).0;
-        for _ in 0..150 {
-            let (logits, cache) = mlp.forward(&x).unwrap();
-            let (_, dlogits) = softmax_cross_entropy(&logits, &labels);
-            let (grads, _) = mlp.backward(&cache, &dlogits).unwrap();
-            opt.step(mlp.params_mut(), grads.params());
-        }
-        let final_loss = softmax_cross_entropy(&mlp.predict(&x).unwrap(), &labels).0;
-        assert!(final_loss < initial * 0.2, "loss {initial} -> {final_loss}");
-    }
-
-    #[test]
     fn state_export_reports_shape_and_finiteness() {
-        let mut opt = ModelOptimizer::new(OptimizerConfig::default(), [2, 3]);
+        let mut opt = ModelOptimizer::new(MOMENTUM_SGD, [2, 3]);
         assert_eq!(opt.param_lens(), vec![2, 3]);
         assert!(opt.is_finite());
         let mut a = [1.0f32, 2.0];
@@ -367,7 +240,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "param length")]
     fn length_mismatch_panics() {
-        let mut opt = ParamOptimizer::new(OptimizerConfig::default(), 2);
+        let mut opt = ParamOptimizer::new(MOMENTUM_SGD, 2);
         let mut p = [0.0f32];
         opt.step(&mut p, &[1.0]);
     }

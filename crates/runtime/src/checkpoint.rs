@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use gcnt_core::{EpochStats, Gcn, StageReport};
+use gcnt_core::{CascadeTraining, EpochStats, Gcn, StageReport};
 use gcnt_lint::{lint_checkpoint_meta, lint_gcn, lint_optimizer_shape, CheckpointMeta, LintReport};
 use gcnt_nn::ModelOptimizer;
 use rand_chacha::ChaCha8Rng;
@@ -62,7 +62,7 @@ pub struct TrainState {
     pub retries_used: usize,
     /// The model being trained.
     pub model: Gcn,
-    /// Momentum/Adam state, absent for plain SGD.
+    /// Momentum state, absent for plain SGD.
     pub optimizer: Option<ModelOptimizer>,
     /// Per-epoch statistics of the current stage so far.
     pub history: Vec<EpochStats>,
@@ -100,6 +100,28 @@ impl TrainState {
             active: Vec::new(),
             reports: Vec::new(),
             rng: None,
+        }
+    }
+
+    /// State for a cascade run: the cursor's stage is the number of
+    /// completed stages, and the stepper's state rides along, so
+    /// `epoch == 0` is a stage boundary and anything else is mid-stage.
+    pub fn cascade(
+        cascade: &CascadeTraining,
+        epoch: usize,
+        model: &Gcn,
+        optimizer: &Option<ModelOptimizer>,
+        lr: f32,
+        retries_used: usize,
+        history: &[EpochStats],
+    ) -> Self {
+        TrainState {
+            stage: cascade.completed.len(),
+            completed: cascade.completed.clone(),
+            active: cascade.active.clone(),
+            reports: cascade.reports.clone(),
+            rng: Some(cascade.rng.clone()),
+            ..TrainState::single(epoch, model, optimizer, lr, retries_used, history)
         }
     }
 }
@@ -503,6 +525,38 @@ mod tests {
         let (state, findings) = store.load_latest(false).unwrap();
         assert!(state.is_none());
         assert!(findings.is_clean());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A momentum checkpoint written by the build before `ParamOptimizer`
+    /// lost its Adam state: every per-parameter entry still carries
+    /// `"second":[],"t":0`. The payload is checksummed as written, extra
+    /// fields are ignored on parse, so it loads — velocity included.
+    const PRE_ADAM_REMOVAL_CHECKPOINT: &str = r#"{"version":1,"checksum":"22c3d9ba139ca124","payload":"{\"stage\":0,\"epoch\":1,\"lr\":0.05000000074505806,\"retries_used\":0,\"model\":{\"agg_weights\":[0.4749999940395355,0.5],\"encoders\":[{\"weight\":{\"rows\":4,\"cols\":1,\"data\":[1.0034422874450684,0.29499173164367676,-0.3195344805717468,-0.28922832012176514]},\"bias\":[0.0]}],\"head\":{\"layers\":[{\"weight\":{\"rows\":1,\"cols\":1,\"data\":[1.5707393884658813]},\"bias\":[0.0]},{\"weight\":{\"rows\":1,\"cols\":2,\"data\":[-0.9608134031295776,-1.1394996643066406]},\"bias\":[0.0,0.0]}]}},\"optimizer\":{\"params\":[{\"cfg\":{\"Sgd\":{\"lr\":0.05000000074505806,\"momentum\":0.8999999761581421}},\"velocity\":[0.5,0.0],\"second\":[],\"t\":0},{\"cfg\":{\"Sgd\":{\"lr\":0.05000000074505806,\"momentum\":0.8999999761581421}},\"velocity\":[0.0,0.0,0.0,0.0],\"second\":[],\"t\":0},{\"cfg\":{\"Sgd\":{\"lr\":0.05000000074505806,\"momentum\":0.8999999761581421}},\"velocity\":[0.0],\"second\":[],\"t\":0},{\"cfg\":{\"Sgd\":{\"lr\":0.05000000074505806,\"momentum\":0.8999999761581421}},\"velocity\":[0.0],\"second\":[],\"t\":0},{\"cfg\":{\"Sgd\":{\"lr\":0.05000000074505806,\"momentum\":0.8999999761581421}},\"velocity\":[0.0],\"second\":[],\"t\":0},{\"cfg\":{\"Sgd\":{\"lr\":0.05000000074505806,\"momentum\":0.8999999761581421}},\"velocity\":[0.0,0.0],\"second\":[],\"t\":0},{\"cfg\":{\"Sgd\":{\"lr\":0.05000000074505806,\"momentum\":0.8999999761581421}},\"velocity\":[0.0,0.0],\"second\":[],\"t\":0}]},\"history\":[],\"completed\":[],\"active\":[],\"reports\":[],\"rng\":null}"}"#;
+
+    #[test]
+    fn momentum_checkpoint_from_before_adam_removal_still_loads() {
+        let dir = temp_dir("pre-adam-removal");
+        let store = CheckpointStore::open(&dir, 3).unwrap();
+        let path = dir.join("ckpt-0000-000001.json");
+        fs::write(&path, PRE_ADAM_REMOVAL_CHECKPOINT).unwrap();
+        let state = store.load(&path, true).unwrap();
+        assert_eq!(state.epoch, 1);
+        let mut model = state.model;
+        let mut optimizer = state.optimizer;
+        let before = model.params_mut()[0][0];
+        // The stored velocity of the first parameter is 0.5: a zero
+        // gradient still moves it by lr * momentum * 0.5.
+        let cfg = gcnt_core::TrainConfig {
+            epochs: 1,
+            lr: 0.05,
+            momentum: 0.9,
+            pos_weight: 1.0,
+        };
+        let no_gradient = model.zero_grads();
+        gcnt_core::apply_update(&mut model, &no_gradient, &cfg, &mut optimizer);
+        let moved = before - model.params_mut()[0][0];
+        assert!((moved - 0.05 * 0.9 * 0.5).abs() < 1e-7, "moved {moved}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

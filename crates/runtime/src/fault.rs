@@ -79,8 +79,9 @@ impl FaultPlan {
     }
 
     /// Panics the given worker thread at the given epoch — a died-worker
-    /// fault the parallel trainer must recover from by recomputing that
-    /// worker's graph serially.
+    /// fault the epoch kernel must recover from by recomputing that
+    /// worker's graph on the training thread. (A single graph trains
+    /// inline, with no worker to kill.)
     #[cfg(feature = "fault-inject")]
     pub fn with_worker_kill(mut self, epoch: usize, worker: usize) -> Self {
         self.kill_worker = Some((epoch, worker));

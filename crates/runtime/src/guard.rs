@@ -2,18 +2,15 @@
 //! gradients during training; roll back to the last good state with a
 //! learning-rate backoff and a bounded retry budget.
 //!
-//! The guarded epoch loop is built on [`gcnt_core::epoch_grads`] — the
-//! same kernel the plain trainers use — so a guarded run that never
-//! trips a guard is bit-for-bit identical to [`gcnt_core::train`] (and,
-//! in parallel mode, to [`gcnt_core::train_parallel`]).
+//! The guarded epoch loop is [`gcnt_core::epoch_grads`] and
+//! [`gcnt_core::commit_epoch`] — the two halves of the plain trainer's
+//! epoch — with the checks in between, so a guarded run that never trips
+//! a guard is bit-for-bit identical to [`gcnt_core::train()`].
 
 use std::fmt;
 
-use crossbeam::thread;
-
 use gcnt_core::{
-    apply_update, epoch_grads, masked_loss_grads, optimizer_for, Confusion, EpochStats, Gcn,
-    GcnGrads, GraphData, TrainConfig,
+    commit_epoch, epoch_grads, optimizer_for, EpochStats, Gcn, GcnGrads, GraphData, TrainConfig,
 };
 use gcnt_nn::ModelOptimizer;
 use gcnt_tensor::TensorError;
@@ -164,8 +161,8 @@ pub struct GuardedOutcome {
     pub history: Vec<EpochStats>,
     /// Rollbacks performed, in order.
     pub rollbacks: Vec<RollbackEvent>,
-    /// Workers that died and whose graphs were recomputed serially, as
-    /// `(epoch, worker)` pairs.
+    /// Workers that died and whose graphs were recomputed on the
+    /// training thread, as `(epoch, worker)` pairs.
     pub recovered_workers: Vec<(usize, usize)>,
     /// Guard retries consumed.
     pub retries_used: usize,
@@ -175,23 +172,8 @@ pub struct GuardedOutcome {
     pub resumed_from: Option<usize>,
 }
 
-/// Where within a stage to pick up a restored run.
-#[derive(Debug, Clone)]
-pub struct ResumePoint {
-    /// Next epoch to run.
-    pub epoch: usize,
-    /// Effective learning rate.
-    pub lr: f32,
-    /// Guard retries already consumed.
-    pub retries: usize,
-    /// History of the completed epochs.
-    pub history: Vec<EpochStats>,
-    /// Restored optimizer state.
-    pub optimizer: Option<ModelOptimizer>,
-}
-
-/// A guarded, checkpointing, optionally parallel training session for one
-/// model. See [`crate::MultiStageTrainer`] for the cascade-level driver.
+/// A guarded, checkpointing training session for one model. See
+/// [`crate::MultiStageTrainer`] for the cascade-level driver.
 #[derive(Debug)]
 pub struct TrainSession<'a> {
     /// Training hyper-parameters (`lr` is the starting rate; the guard
@@ -203,8 +185,6 @@ pub struct TrainSession<'a> {
     pub store: Option<&'a CheckpointStore>,
     /// Restore the newest usable checkpoint before training.
     pub resume: bool,
-    /// Use one worker thread per graph (bit-identical to serial).
-    pub parallel: bool,
     /// Faults to inject (empty outside recovery tests).
     pub fault: FaultPlan,
 }
@@ -217,7 +197,6 @@ impl<'a> TrainSession<'a> {
             guard: GuardConfig::default(),
             store: None,
             resume: false,
-            parallel: false,
             fault: FaultPlan::none(),
         }
     }
@@ -240,29 +219,20 @@ impl<'a> TrainSession<'a> {
         graphs: &[&GraphData],
         masks: &[Vec<usize>],
     ) -> Result<GuardedOutcome, TrainError> {
-        let mut resume_point = None;
+        let mut restored = None;
         if self.resume {
             if let Some(store) = self.store {
                 let require_optimizer = self.cfg.momentum != 0.0;
-                let (state, _findings) = store.load_latest(require_optimizer)?;
-                if let Some(state) = state {
-                    *gcn = state.model.clone();
-                    resume_point = Some(ResumePoint {
-                        epoch: state.epoch,
-                        lr: state.lr,
-                        retries: state.retries_used,
-                        history: state.history.clone(),
-                        optimizer: state.optimizer.clone(),
-                    });
-                }
+                restored = store.load_latest(require_optimizer)?.0;
             }
         }
-        self.run_stage(gcn, graphs, masks, resume_point, TrainState::single)
+        self.run_stage(gcn, graphs, masks, restored, TrainState::single)
     }
 
-    /// The guarded epoch loop. `resume` positions the loop mid-stage;
-    /// `snapshot` builds the full checkpoint payload (a cascade driver
-    /// embeds its stage context here).
+    /// The guarded epoch loop. `resume` replaces `gcn` with a
+    /// checkpointed model and positions the loop where that checkpoint
+    /// was taken; `snapshot` builds the full checkpoint payload (a
+    /// cascade driver embeds its stage context here).
     ///
     /// # Errors
     ///
@@ -277,7 +247,7 @@ impl<'a> TrainSession<'a> {
         gcn: &mut Gcn,
         graphs: &[&GraphData],
         masks: &[Vec<usize>],
-        resume: Option<ResumePoint>,
+        resume: Option<TrainState>,
         mut snapshot: impl FnMut(
             usize,
             &Gcn,
@@ -292,11 +262,12 @@ impl<'a> TrainSession<'a> {
         let resumed_from = resume.as_ref().map(|r| r.epoch);
         let (mut epoch, mut lr, mut retries, mut history, mut optimizer) = match resume {
             Some(r) => {
+                *gcn = r.model;
                 let mut opt = r.optimizer;
                 if let Some(o) = &mut opt {
                     o.set_lr(r.lr);
                 }
-                (r.epoch, r.lr, r.retries, r.history, opt)
+                (r.epoch, r.lr, r.retries_used, r.history, opt)
             }
             None => (
                 0,
@@ -315,17 +286,16 @@ impl<'a> TrainSession<'a> {
         let mut good_prev_loss = prev_loss;
 
         while epoch < self.cfg.epochs {
-            let (loss, mut grads, confusion) = if self.parallel {
-                let (l, g, c, recovered) =
-                    parallel_epoch(gcn, graphs, masks, &class_weights, &self.fault, epoch)?;
-                recovered_workers.extend(recovered.into_iter().map(|w| (epoch, w)));
-                (l, g, c)
-            } else {
-                epoch_grads(gcn, graphs, masks, &class_weights)?
-            };
-            self.fault.corrupt_grads(epoch, &mut grads);
+            let fault = &self.fault;
+            let mut computed = epoch_grads(gcn, graphs, masks, &class_weights, &|worker| {
+                if fault.should_kill(epoch, worker) {
+                    panic!("injected fault: worker {worker} killed at epoch {epoch}");
+                }
+            })?;
+            recovered_workers.extend(computed.recovered.iter().map(|&w| (epoch, w)));
+            self.fault.corrupt_grads(epoch, &mut computed.grads);
 
-            if let Some(cause) = self.check_epoch(loss, &grads, prev_loss) {
+            if let Some(cause) = self.check_epoch(computed.loss, &computed.grads, prev_loss) {
                 if retries >= self.guard.max_retries {
                     return Err(TrainError::Diverged {
                         epoch,
@@ -362,13 +332,14 @@ impl<'a> TrainSession<'a> {
                 lr,
                 ..self.cfg.clone()
             };
-            apply_update(gcn, &grads, &step_cfg, &mut optimizer);
-            history.push(EpochStats {
+            history.push(commit_epoch(
+                gcn,
                 epoch,
-                loss,
-                train_accuracy: confusion.accuracy(),
-            });
-            prev_loss = Some(loss);
+                &computed,
+                &step_cfg,
+                &mut optimizer,
+            ));
+            prev_loss = Some(computed.loss);
             epoch += 1;
 
             if let Some(store) = self.store {
@@ -420,65 +391,6 @@ impl<'a> TrainSession<'a> {
         }
         None
     }
-}
-
-type EpochResult = Result<(f32, GcnGrads, Vec<usize>), TensorError>;
-
-/// One data-parallel epoch: a worker thread per graph, gradients summed
-/// on the main thread in fixed graph order (bit-identical to serial). A
-/// worker that dies is recovered by recomputing its graph serially;
-/// returns the indices of recovered workers.
-fn parallel_epoch(
-    gcn: &Gcn,
-    graphs: &[&GraphData],
-    masks: &[Vec<usize>],
-    class_weights: &[f32; 2],
-    fault: &FaultPlan,
-    epoch: usize,
-) -> Result<(f32, GcnGrads, Confusion, Vec<usize>), TensorError> {
-    let snapshot: &Gcn = gcn;
-    let results: Vec<std::thread::Result<EpochResult>> = thread::scope(|scope| {
-        let handles: Vec<_> = graphs
-            .iter()
-            .zip(masks)
-            .enumerate()
-            .map(|(worker, (data, mask))| {
-                scope.spawn(move |_| {
-                    if fault.should_kill(epoch, worker) {
-                        panic!("injected fault: worker {worker} killed at epoch {epoch}");
-                    }
-                    masked_loss_grads(snapshot, data, mask, class_weights)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    })
-    .expect("crossbeam scope");
-
-    let mut total = gcn.zero_grads();
-    let mut loss_sum = 0.0f32;
-    let mut confusion = Confusion::default();
-    let mut recovered = Vec::new();
-    for (worker, (result, (data, mask))) in results
-        .into_iter()
-        .zip(graphs.iter().zip(masks))
-        .enumerate()
-    {
-        let (loss, grads, preds) = match result {
-            Ok(r) => r?,
-            Err(_) => {
-                // The worker died; its graph's gradient is recomputed on
-                // this thread, preserving the fixed summation order.
-                recovered.push(worker);
-                masked_loss_grads(gcn, data, mask, class_weights)?
-            }
-        };
-        total.accumulate(&grads);
-        loss_sum += loss;
-        confusion.merge(&Confusion::from_predictions(&data.labels_at(mask), &preds));
-    }
-    total.scale(1.0 / graphs.len() as f32);
-    Ok((loss_sum / graphs.len() as f32, total, confusion, recovered))
 }
 
 #[cfg(test)]

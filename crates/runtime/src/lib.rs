@@ -1,9 +1,11 @@
 //! `gcnt-runtime`: the resilience layer of the GCN testability
 //! workspace.
 //!
-//! Long training runs and insertion flows fail in practice: a worker
-//! thread dies, a learning rate diverges, a machine goes down mid-write.
-//! This crate makes those failures recoverable instead of fatal:
+//! Long training runs and insertion flows fail in practice: a learning
+//! rate diverges, a machine goes down mid-write. (A worker thread that
+//! dies is already survived one layer down: `gcnt_core::epoch_grads`, the
+//! one epoch every trainer runs, recomputes its graph.) This crate makes
+//! those failures recoverable instead of fatal:
 //!
 //! - **Checkpoint/resume** ([`CheckpointStore`], [`TrainState`]):
 //!   versioned, checksummed training checkpoints — model weights,
@@ -23,8 +25,11 @@
 //!   poison a gradient with NaN, corrupt a checkpoint file — so the
 //!   recovery paths are tested, not hoped for.
 //!
-//! [`MultiStageTrainer`] applies all three to the paper's multi-stage
-//! cascade (§3.3), checkpointing at epoch and stage granularity.
+//! [`TrainSession`] is the guarded epoch loop around
+//! `gcnt_core::epoch_grads`; [`MultiStageTrainer`] drives
+//! `gcnt_core::CascadeTraining` — the stage stepper
+//! `MultiStageGcn::train` drives too — with a `TrainSession` per stage,
+//! checkpointing at epoch and stage granularity.
 //!
 //! # Examples
 //!
@@ -59,7 +64,6 @@ pub use fault::FaultPlan;
 #[cfg(feature = "fault-inject")]
 pub use fault::{flip_byte, truncate_file};
 pub use guard::{
-    DivergenceCause, GuardConfig, GuardedOutcome, ResumePoint, RollbackEvent, TrainError,
-    TrainSession,
+    DivergenceCause, GuardConfig, GuardedOutcome, RollbackEvent, TrainError, TrainSession,
 };
 pub use multistage::{MultiStageOutcome, MultiStageTrainer};

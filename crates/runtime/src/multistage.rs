@@ -1,20 +1,19 @@
 //! Checkpointed, guarded multi-stage cascade training.
 //!
-//! [`MultiStageTrainer`] reproduces the exact stage loop of
-//! [`gcnt_core::MultiStageGcn::train`] — same RNG draws, same per-stage
-//! positive weight, same filtering — but runs each stage through the
-//! guarded [`TrainSession`] and checkpoints both within stages (epoch
-//! granularity) and at stage boundaries. Because the only RNG use is the
-//! per-stage weight initialisation, persisting the RNG state alongside
-//! the completed stages makes a resumed run bit-for-bit identical to an
-//! uninterrupted one.
+//! [`MultiStageTrainer`] drives the same [`CascadeTraining`] stepper as
+//! [`gcnt_core::MultiStageGcn::train`] — the stepper owns the RNG draws,
+//! the per-stage positive weight and the filtering — but trains each
+//! stage through the guarded [`TrainSession`] and checkpoints both within
+//! stages (epoch granularity) and at stage boundaries. A checkpoint
+//! carries the stepper's whole state, so a resumed run is bit-for-bit
+//! identical to an uninterrupted one.
 
-use gcnt_core::{Gcn, GraphData, MultiStageConfig, MultiStageGcn, StageReport, TrainConfig};
+use gcnt_core::{CascadeTraining, GraphData, MultiStageConfig, MultiStageGcn, StageReport};
 use gcnt_lint::LintReport;
 
 use crate::checkpoint::{CheckpointStore, TrainState};
 use crate::fault::FaultPlan;
-use crate::guard::{GuardConfig, ResumePoint, RollbackEvent, TrainError, TrainSession};
+use crate::guard::{GuardConfig, RollbackEvent, TrainError, TrainSession};
 
 /// Result of a resilient cascade run.
 #[derive(Debug, Clone)]
@@ -45,8 +44,6 @@ pub struct MultiStageTrainer<'a> {
     pub store: Option<&'a CheckpointStore>,
     /// Restore the newest usable checkpoint before training.
     pub resume: bool,
-    /// Train each stage with one worker thread per graph.
-    pub parallel: bool,
     /// Faults to inject (empty outside recovery tests).
     pub fault: FaultPlan,
 }
@@ -59,7 +56,6 @@ impl<'a> MultiStageTrainer<'a> {
             guard: GuardConfig::default(),
             store: None,
             resume: false,
-            parallel: false,
             fault: FaultPlan::none(),
         }
     }
@@ -76,16 +72,9 @@ impl<'a> MultiStageTrainer<'a> {
     ///
     /// Panics if `graphs` is empty or any graph is unlabeled.
     pub fn run(&mut self, graphs: &[&GraphData]) -> Result<MultiStageOutcome, TrainError> {
-        assert!(!graphs.is_empty(), "need at least one training graph");
-        let mut rng = gcnt_nn::seeded_rng(self.cfg.seed);
-        let mut active: Vec<Vec<usize>> = graphs
-            .iter()
-            .map(|g| (0..g.node_count()).collect())
-            .collect();
-        let mut completed: Vec<Gcn> = Vec::new();
-        let mut reports: Vec<StageReport> = Vec::new();
-        let mut start_stage = 0usize;
-        let mut mid_stage: Option<(Gcn, ResumePoint)> = None;
+        let cfg = &self.cfg;
+        let mut cascade = CascadeTraining::new(cfg, graphs);
+        let mut mid_stage: Option<TrainState> = None;
         let mut resumed_from = None;
         let mut load_findings = LintReport::new();
 
@@ -95,30 +84,19 @@ impl<'a> MultiStageTrainer<'a> {
                 // but the RNG is mandatory for deterministic resumption.
                 let (state, findings) = store.load_latest(false)?;
                 load_findings = findings;
-                match state {
-                    Some(state) if state.rng.is_some() => {
-                        if let Some(saved) = state.rng.clone() {
-                            rng = saved;
-                        }
-                        active = state.active.clone();
-                        completed = state.completed.clone();
-                        reports = state.reports.clone();
-                        start_stage = state.stage;
+                if let Some(mut state) = state {
+                    if let Some(rng) = state.rng.take() {
                         resumed_from = Some((state.stage, state.epoch));
-                        if state.epoch > 0 && state.stage < self.cfg.stages {
-                            mid_stage = Some((
-                                state.model.clone(),
-                                ResumePoint {
-                                    epoch: state.epoch,
-                                    lr: state.lr,
-                                    retries: state.retries_used,
-                                    history: state.history.clone(),
-                                    optimizer: state.optimizer.clone(),
-                                },
-                            ));
+                        cascade = CascadeTraining {
+                            rng,
+                            active: std::mem::take(&mut state.active),
+                            completed: std::mem::take(&mut state.completed),
+                            reports: std::mem::take(&mut state.reports),
+                        };
+                        if state.epoch > 0 && state.stage < cfg.stages {
+                            mid_stage = Some(state);
                         }
-                    }
-                    Some(state) => {
+                    } else {
                         load_findings.report(
                             gcnt_lint::RuleId::MissingState,
                             format!("stage {} checkpoint", state.stage),
@@ -126,64 +104,29 @@ impl<'a> MultiStageTrainer<'a> {
                              deterministic, starting fresh",
                         );
                     }
-                    None => {}
                 }
             }
         }
 
         let mut rollbacks = Vec::new();
         let mut recovered_workers = Vec::new();
-        for stage in start_stage..self.cfg.stages {
-            let total_active: usize = active.iter().map(Vec::len).sum();
-            let positives: usize = graphs
-                .iter()
-                .zip(&active)
-                .map(|(g, mask)| {
-                    mask.iter()
-                        .filter(|&&i| g.labels.get(i) == Some(&1))
-                        .count()
-                })
-                .sum();
-            let negatives = total_active.saturating_sub(positives);
-            let pos_weight = if positives == 0 {
-                1.0
-            } else {
-                (negatives as f32 / positives as f32).clamp(1.0, self.cfg.max_pos_weight)
-            };
-            let (mut gcn, resume_point) = match mid_stage.take() {
-                Some((model, point)) => (model, Some(point)),
-                None => (Gcn::new(&self.cfg.gcn, &mut rng), None),
-            };
+        while cascade.completed.len() < cfg.stages {
+            let restored = mid_stage.as_ref().map(|state| state.model.clone());
+            let mut stage = cascade.begin_stage(cfg, graphs, restored);
             let mut session = TrainSession {
-                cfg: TrainConfig {
-                    epochs: self.cfg.epochs_per_stage,
-                    lr: self.cfg.lr,
-                    pos_weight,
-                    momentum: 0.0,
-                },
+                cfg: stage.train.clone(),
                 guard: self.guard,
                 store: self.store,
                 resume: false,
-                parallel: self.parallel,
                 fault: std::mem::take(&mut self.fault),
             };
             let outcome = session.run_stage(
-                &mut gcn,
+                &mut stage.gcn,
                 graphs,
-                &active,
-                resume_point,
-                |epoch, model, optimizer, lr, retries, history| TrainState {
-                    stage,
-                    epoch,
-                    lr,
-                    retries_used: retries,
-                    model: model.clone(),
-                    optimizer: optimizer.clone(),
-                    history: history.to_vec(),
-                    completed: completed.clone(),
-                    active: active.clone(),
-                    reports: reports.clone(),
-                    rng: Some(rng.clone()),
+                &cascade.active,
+                mid_stage.take(),
+                |epoch, model, optimizer, lr, retries, history| {
+                    TrainState::cascade(&cascade, epoch, model, optimizer, lr, retries, history)
                 },
             );
             self.fault = std::mem::take(&mut session.fault);
@@ -191,47 +134,23 @@ impl<'a> MultiStageTrainer<'a> {
             rollbacks.extend(outcome.rollbacks);
             recovered_workers.extend(outcome.recovered_workers);
 
-            // Filter confident negatives, exactly as the plain trainer.
-            let mut filtered = 0usize;
-            for (g, mask) in graphs.iter().zip(active.iter_mut()) {
-                let probs = gcn.predict_proba(&g.tensors, &g.features)?;
-                let before = mask.len();
-                mask.retain(|&i| {
-                    probs
-                        .get(i)
-                        .is_some_and(|&p| p >= self.cfg.filter_threshold)
-                });
-                filtered += before - mask.len();
-            }
-            reports.push(StageReport {
-                stage,
-                active: total_active,
-                positives,
-                pos_weight,
-                filtered,
-            });
-            completed.push(gcn);
-
-            if let (Some(store), Some(last)) = (self.store, completed.last()) {
-                store.save(&TrainState {
-                    stage: stage + 1,
-                    epoch: 0,
-                    lr: self.cfg.lr,
-                    retries_used: 0,
-                    model: last.clone(),
-                    optimizer: None,
-                    history: Vec::new(),
-                    completed: completed.clone(),
-                    active: active.clone(),
-                    reports: reports.clone(),
-                    rng: Some(rng.clone()),
-                })?;
+            cascade.finish_stage(cfg, graphs, stage)?;
+            if let (Some(store), Some(last)) = (self.store, cascade.completed.last()) {
+                store.save(&TrainState::cascade(
+                    &cascade,
+                    0,
+                    last,
+                    &None,
+                    cfg.lr,
+                    0,
+                    &[],
+                ))?;
             }
         }
 
         Ok(MultiStageOutcome {
-            model: MultiStageGcn::from_stages(completed, self.cfg.filter_threshold),
-            reports,
+            model: MultiStageGcn::from_stages(cascade.completed, cfg.filter_threshold),
+            reports: cascade.reports,
             resumed_from,
             rollbacks,
             recovered_workers,

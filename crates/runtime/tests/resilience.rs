@@ -326,10 +326,9 @@ fn single_model_resume_is_bit_for_bit_identical() {
 }
 
 #[test]
-fn parallel_guarded_matches_serial_guarded() {
-    let d1 = labeled_data(88, 250);
-    let d2 = labeled_data(89, 250);
-    let masks: Vec<Vec<usize>> = [&d1, &d2]
+fn guarded_run_equals_by_parts_sum_in_graph_order() {
+    let data: Vec<GraphData> = (88..91).map(|seed| labeled_data(seed, 250)).collect();
+    let masks: Vec<Vec<usize>> = data
         .iter()
         .map(|d| (0..d.node_count()).step_by(3).collect())
         .collect();
@@ -343,21 +342,38 @@ fn parallel_guarded_matches_serial_guarded() {
             &mut gcnt_nn::seeded_rng(6),
         )
     };
-    let cfg = TrainConfig {
-        epochs: 6,
-        lr: 0.05,
-        momentum: 0.0,
-        pos_weight: 2.0,
-    };
-    let mut serial = fresh_gcn();
-    TrainSession::new(cfg.clone())
-        .run(&mut serial, &[&d1, &d2], &masks)
-        .unwrap();
-    let mut parallel = fresh_gcn();
-    let mut session = TrainSession::new(cfg);
-    session.parallel = true;
-    session.run(&mut parallel, &[&d1, &d2], &masks).unwrap();
-    assert_eq!(serial, parallel);
+    for n in 1..=3 {
+        for momentum in [0.0, 0.9] {
+            let graphs: Vec<&GraphData> = data.iter().take(n).collect();
+            let cfg = TrainConfig {
+                epochs: 6,
+                lr: 0.05,
+                momentum,
+                pos_weight: 2.0,
+            };
+            // The reference: graph after graph on this thread, summed
+            // in graph order, one update per epoch.
+            let mut reference = fresh_gcn();
+            let mut optimizer = gcnt_core::optimizer_for(&mut reference, &cfg);
+            for _ in 0..cfg.epochs {
+                let mut total = reference.zero_grads();
+                for (d, mask) in graphs.iter().zip(&masks) {
+                    let (_, grads, _) =
+                        gcnt_core::masked_loss_grads(&reference, d, mask, &[1.0, cfg.pos_weight])
+                            .unwrap();
+                    total.accumulate(&grads);
+                }
+                total.scale(1.0 / n as f32);
+                gcnt_core::apply_update(&mut reference, &total, &cfg, &mut optimizer);
+            }
+            let mut guarded = fresh_gcn();
+            let outcome = TrainSession::new(cfg)
+                .run(&mut guarded, &graphs, &masks[..n])
+                .unwrap();
+            assert_eq!(reference, guarded, "{n} graphs, momentum {momentum}");
+            assert!(outcome.recovered_workers.is_empty());
+        }
+    }
 }
 
 #[test]
@@ -473,7 +489,6 @@ mod fault_injected {
 
         let mut survivor = fresh_gcn();
         let mut session = TrainSession::new(cfg);
-        session.parallel = true;
         session.fault = FaultPlan::none().with_worker_kill(2, 1);
         let outcome = session.run(&mut survivor, &[&d1, &d2], &masks).unwrap();
         assert_eq!(outcome.recovered_workers, vec![(2, 1)]);

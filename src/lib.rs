@@ -17,7 +17,7 @@
 //! | [`netlist`] | gate-level graphs, SCOAP, synthetic design generator, test-point primitives |
 //! | [`tensor`] | dense + COO/CSR sparse kernels |
 //! | [`nn`] | linear/MLP layers, weighted losses, optimisers |
-//! | [`gcn`] | the GCN model, multi-stage cascade, sparse + recursive inference, (parallel) training |
+//! | [`gcn`] | the GCN model, multi-stage cascade, sparse + recursive inference, one-worker-per-graph training |
 //! | [`mlbase`] | LR / RF / SVM / MLP baselines with cone features |
 //! | [`dft`] | logic simulation, CPT, ATPG, labeling, both OP-insertion flows |
 //! | [`lint`] | cross-crate static analysis of *runtime data*: netlist, tensor and model invariants with stable rule ids |

@@ -9,12 +9,13 @@
 
 use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig};
 use gcn_testability::gcn::features::squash;
+use gcn_testability::gcn::train::{apply_update, masked_loss_grads, optimizer_for, train};
 use gcn_testability::gcn::{
-    recursive, CascadeSession, EmbeddingCache, Gcn, GcnConfig, GraphData, MatrixBackend,
-    MultiStageGcn, PartitionedGraph,
+    recursive, train_parallel, CascadeSession, EmbeddingCache, Gcn, GcnConfig, GcnGrads, GraphData,
+    MatrixBackend, MultiStageConfig, MultiStageGcn, PartitionedGraph, StageReport, TrainConfig,
 };
 use gcn_testability::netlist::{generate, GeneratorConfig, Netlist, Scoap};
-use gcn_testability::nn::seeded_rng;
+use gcn_testability::nn::{seeded_rng, ModelOptimizer};
 use gcn_testability::serve::{
     classify_with_ladder_backed, LadderResult, Rung, ServeConfig, ServeCore,
 };
@@ -237,6 +238,50 @@ fn flow_and_ladder_entry_points() {
     assert_eq!(job.outcome, outcome);
     assert_eq!(served, flowed);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn training_entry_points() {
+    // The signatures `benchmark/src/workloads/train.rs` and
+    // `benchmark/src/fixture.rs` are written against.
+    type Tensor<T> = gcn_testability::tensor::Result<T>;
+    type MaskedLossGrads =
+        fn(&Gcn, &GraphData, &[usize], &[f32; 2]) -> Tensor<(f32, GcnGrads, Vec<usize>)>;
+    type CascadeTrain =
+        fn(&MultiStageConfig, &[&GraphData]) -> Tensor<(MultiStageGcn, Vec<StageReport>)>;
+    let _: fn(&mut Gcn, &GcnGrads, &TrainConfig, &mut Option<ModelOptimizer>) = apply_update;
+    let _: fn(&mut Gcn, &TrainConfig) -> Option<ModelOptimizer> = optimizer_for;
+    let _: MaskedLossGrads = masked_loss_grads;
+    let _: CascadeTrain = MultiStageGcn::train;
+
+    // `train_parallel` is `train` under the name the benchmark imports.
+    let graphs: Vec<GraphData> = [13, 14]
+        .iter()
+        .map(|&seed| {
+            let net = generate(&GeneratorConfig::sized("surface", seed, 200));
+            let labels = net.nodes().map(|v| u8::from(v.index() % 7 == 0)).collect();
+            GraphData::from_netlist(&net, None)
+                .unwrap()
+                .with_labels(labels)
+        })
+        .collect();
+    let refs: Vec<&GraphData> = graphs.iter().collect();
+    let masks: Vec<Vec<usize>> = graphs
+        .iter()
+        .map(|g| (0..g.node_count()).step_by(2).collect())
+        .collect();
+    let cfg = TrainConfig {
+        epochs: 3,
+        lr: 0.02,
+        momentum: 0.9,
+        pos_weight: 4.0,
+    };
+    let mut by_name = cascade().stages()[0].clone();
+    let mut by_alias = by_name.clone();
+    let history = train(&mut by_name, &refs, &masks, &cfg).unwrap();
+    let aliased = train_parallel(&mut by_alias, &refs, &masks, &cfg).unwrap();
+    assert_eq!(by_name, by_alias);
+    assert_eq!(history, aliased);
 }
 
 #[test]

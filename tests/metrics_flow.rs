@@ -2,12 +2,14 @@
 //! OP-insertion flow with metrics enabled must produce nonzero SpMM-row,
 //! cache-reuse, and insertion counters whose values are consistent with the
 //! flow's own `FlowOutcome::inference` accounting. The reference design is
-//! the seeded 9-level/400-node netlist used by BENCH_flow.json and
-//! EXPERIMENTS.md.
+//! the seeded 9-level/400-node netlist of `benches/flow.rs` and
+//! EXPERIMENTS.md (the benchmark's `flow_b1_20k` is the same flow at 20k
+//! nodes). Training metrics are checked the same way: every training path
+//! must record its epochs.
 
 use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig};
-use gcn_testability::gcn::{Gcn, GcnConfig, GraphData};
-use gcn_testability::netlist::{generate, GeneratorConfig};
+use gcn_testability::gcn::{Gcn, GcnConfig, GraphData, MultiStageConfig, MultiStageGcn};
+use gcn_testability::netlist::{generate, GeneratorConfig, Scoap};
 use gcn_testability::nn::seeded_rng;
 use gcn_testability::obs::catalog::counters;
 
@@ -86,5 +88,44 @@ fn flow_metrics_match_inference_accounting() {
         rows_computed < rows_full,
         "incremental mode must compute fewer rows than full equivalents \
          ({rows_computed} vs {rows_full})"
+    );
+}
+
+#[test]
+fn every_training_path_records_its_epochs() {
+    let net = generate(&GeneratorConfig::sized("epochs", 5, 150));
+    let scoap = Scoap::compute(&net).expect("acyclic");
+    let labels = net.nodes().map(|v| u8::from(scoap.co(v) > 6)).collect();
+    let data = GraphData::from_netlist(&net, None)
+        .expect("acyclic")
+        .with_labels(labels);
+    let cfg = MultiStageConfig {
+        stages: 2,
+        gcn: GcnConfig {
+            embed_dims: vec![4],
+            fc_dims: vec![4],
+            ..GcnConfig::default()
+        },
+        epochs_per_stage: 3,
+        ..MultiStageConfig::default()
+    };
+    let expected = (cfg.stages * cfg.epochs_per_stage) as u64;
+
+    gcn_testability::obs::global().enable();
+    let [plain] = counter_deltas([counters::CORE_TRAIN_EPOCHS], || {
+        MultiStageGcn::train(&cfg, &[&data]).expect("trains");
+    });
+    assert_eq!(plain, expected, "MultiStageGcn::train");
+    let [guarded] = counter_deltas([counters::CORE_TRAIN_EPOCHS], || {
+        gcn_testability::runtime::MultiStageTrainer::new(cfg.clone())
+            .run(&[&data])
+            .expect("trains");
+    });
+    assert_eq!(guarded, expected, "MultiStageTrainer::run");
+    let loss = gcn_testability::obs::global()
+        .gauge(gcn_testability::obs::catalog::gauges::CORE_TRAIN_LOSS);
+    assert!(
+        loss.is_finite() && loss > 0.0,
+        "last epoch's loss, got {loss}"
     );
 }
