@@ -93,16 +93,6 @@ impl PartitionedGraph {
         self.generation
     }
 
-    /// Node count this partitioning was built for.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// Number of row blocks.
-    pub fn partitions(&self) -> usize {
-        self.pred.partitions()
-    }
-
     /// Refuses to serve against a graph state this partitioning was not
     /// built for — the same staleness discipline as [`crate::EmbeddingCache`].
     fn check_fresh(&self, t: &GraphTensors) -> Result<()> {
@@ -187,47 +177,12 @@ impl MatrixBackend {
         }
     }
 
-    /// Whether this is the partitioned backend.
-    pub fn is_partitioned(&self) -> bool {
-        matches!(self, MatrixBackend::Partitioned(_))
-    }
-
-    /// Partition count (1 for the serial backend — one logical block).
-    pub fn partition_count(&self) -> usize {
-        match self {
-            MatrixBackend::Serial => 1,
-            MatrixBackend::Partitioned(pg) => pg.partitions(),
-        }
-    }
-
     /// Stable label for reports and CLI output.
     pub fn label(&self) -> &'static str {
         match self {
             MatrixBackend::Serial => "serial",
             MatrixBackend::Partitioned(_) => "partitioned",
         }
-    }
-
-    /// The partitioned graph, if any (for consistency linting).
-    pub fn partitioned_graph(&self) -> Option<&PartitionedGraph> {
-        match self {
-            MatrixBackend::Serial => None,
-            MatrixBackend::Partitioned(pg) => Some(pg),
-        }
-    }
-
-    /// Re-shards a partitioned backend against the graph's current state
-    /// (call after committed insertions); a serial backend is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PartitionedGraph::new`] errors.
-    pub fn rebuild(&mut self, t: &GraphTensors) -> Result<()> {
-        if let MatrixBackend::Partitioned(pg) = self {
-            let parts = pg.partitions();
-            **pg = PartitionedGraph::new(t, parts)?;
-        }
-        Ok(())
     }
 
     /// Runs one aggregate round through the selected backend; both arms
@@ -237,7 +192,8 @@ impl MatrixBackend {
     ///
     /// Shape errors from the kernels, plus
     /// [`TensorError::StaleCache`] from a partitioned backend whose graph
-    /// moved on (call [`MatrixBackend::rebuild`] after insertions).
+    /// moved on — a backend lives for one pass over one graph state; build
+    /// a new one after insertions.
     pub fn aggregate(
         &mut self,
         t: &GraphTensors,
@@ -273,7 +229,7 @@ mod tests {
         let (serial, _, _) = d.tensors.aggregate(e, 0.45, 0.55).unwrap();
         for parts in [1usize, 2, 3, 5, 8] {
             let mut backend = MatrixBackend::partitioned(&d.tensors, parts).unwrap();
-            assert!(backend.is_partitioned());
+            assert_eq!(backend.label(), "partitioned");
             let got = backend.aggregate(&d.tensors, e, 0.45, 0.55).unwrap();
             assert_eq!(got, serial, "parts = {parts}");
         }
@@ -284,7 +240,6 @@ mod tests {
         let d = data(150);
         let (reference, _, _) = d.tensors.aggregate(&d.features, 0.5, 0.5).unwrap();
         let mut backend = MatrixBackend::serial();
-        assert_eq!(backend.partition_count(), 1);
         assert_eq!(backend.label(), "serial");
         let got = backend
             .aggregate(&d.tensors, &d.features, 0.5, 0.5)
@@ -293,9 +248,8 @@ mod tests {
     }
 
     #[test]
-    fn stale_partitioning_is_refused_and_rebuild_heals() {
-        let net = generate(&GeneratorConfig::sized("bk", 5, 200));
-        let mut net = net;
+    fn stale_partitioning_is_refused_and_a_fresh_one_serves() {
+        let mut net = generate(&GeneratorConfig::sized("bk", 5, 200));
         let d = GraphData::from_netlist(&net, None).unwrap();
         let mut t = d.tensors.clone();
         let mut backend = MatrixBackend::partitioned(&t, 4).unwrap();
@@ -309,15 +263,19 @@ mod tests {
         x.push_row(&[0.0, 1.0, 1.0, 0.0]).unwrap();
         let err = backend.aggregate(&t, &x, 0.5, 0.5);
         assert!(matches!(err, Err(TensorError::StaleCache { .. })));
-        backend.rebuild(&t).unwrap();
+        // A partitioning built against the grown graph shares one plan
+        // between both directions (a block owns the same node range in
+        // either) and serves the serial bits.
+        let mut fresh = PartitionedGraph::new(&t, 4).unwrap();
+        assert_eq!(fresh.pred().starts(), fresh.succ().starts());
         let (reference, _, _) = t.aggregate(&x, 0.5, 0.5).unwrap();
-        assert_eq!(backend.aggregate(&t, &x, 0.5, 0.5).unwrap(), reference);
+        assert_eq!(fresh.aggregate(&t, &x, 0.5, 0.5).unwrap(), reference);
     }
 
     #[test]
     fn auto_stays_serial_for_small_designs() {
         let d = data(120);
         let backend = MatrixBackend::auto(&d.tensors);
-        assert!(!backend.is_partitioned(), "120 nodes must stay serial");
+        assert_eq!(backend.label(), "serial", "120 nodes must stay serial");
     }
 }

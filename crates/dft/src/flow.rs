@@ -16,16 +16,25 @@
 //!    cone's observability is refreshed (§4).
 //! 4. Repeat until no positive predictions remain.
 //!
-//! # Impact scoring
+//! # One inference per run
 //!
-//! Step 2 re-runs inference once per candidate, which makes the flow's
-//! inner loop `O(candidates × N)` embedding rows per iteration. With a
-//! classifier that offers a session ([`Gcn`] or [`MultiStageGcn`], not a
-//! bare closure), the flow instead keeps a [`CascadeSession`] alive and each
-//! preview only recomputes the D-hop halo of the previewed cone —
-//! `O(candidates × |cone halo|)` — with bit-identical probabilities (see
-//! `gcnt_core::incremental`). [`FlowOutcome::inference`] reports the rows
-//! actually computed against the full-recompute equivalent.
+//! The loop asks its [`FlowClassifier`] one thing, once: `open` an
+//! [`Inference`] over the (post-replay) graph state. Everything after
+//! that — the probabilities of step 1, the per-candidate previews of
+//! step 2, adopting the graph step 3 grew — is a question to that object,
+//! which also owns the run's work budget and its accounting.
+//!
+//! Step 2 re-runs inference once per candidate, which read literally makes
+//! the inner loop `O(candidates × N)` embedding rows per iteration. A
+//! model ([`Gcn`] or [`MultiStageGcn`]) instead opens a [`CascadeSession`]
+//! with one full pass — the only pass that runs on a matrix backend
+//! ([`MatrixBackend::auto`], built and dropped inside `open`) — and each
+//! preview recomputes only the D-hop halo of the previewed cone,
+//! `O(candidates × |cone halo|)`, with bit-identical probabilities (see
+//! `gcnt_core::incremental`). A bare closure gets the literal procedure,
+//! which is the reference the session path is tested against.
+//! [`FlowOutcome::inference`] reports the rows actually computed against
+//! the full-recompute equivalent.
 //!
 //! Deviation from the paper, for exactness bookkeeping: during *impact
 //! preview* (step 2) the candidate's would-be OP cell is not added to the
@@ -38,13 +47,10 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use gcnt_core::features::{squash, FeatureNormalizer, OBSERVATION_POINT_ATTRS, RAW_DIM};
-use gcnt_core::{
-    CascadeSession, EmbeddingCache, Gcn, GraphTensors, MatrixBackend, MultiStageGcn, SessionDelta,
-};
+use gcnt_core::features::{raw_features, squash, FeatureNormalizer};
+use gcnt_core::{CascadeSession, EmbeddingCache, Gcn, GraphTensors, MatrixBackend, MultiStageGcn};
 use gcnt_lint::{
-    lint_embedding_caches, lint_graph_tensors, lint_netlist, lint_partitioned_graph, lint_scoap,
-    LintReport, RuleId,
+    lint_embedding_caches, lint_graph_tensors, lint_netlist, lint_scoap, LintReport, RuleId,
 };
 use gcnt_netlist::{logic_levels, CellKind, Netlist, NetlistError, NodeId, Scoap};
 use gcnt_tensor::{Budget, Matrix, TensorError};
@@ -135,7 +141,6 @@ fn relint_incremental(
     tensors: &GraphTensors,
     scoap: &Scoap,
     caches: Option<&[EmbeddingCache]>,
-    backend: Option<&MatrixBackend>,
 ) -> Result<(), FlowError> {
     let mut report = lint_netlist(net);
     report.merge(lint_graph_tensors(net, tensors));
@@ -143,153 +148,237 @@ fn relint_incremental(
     if let Some(caches) = caches {
         report.merge(lint_embedding_caches(tensors, caches));
     }
-    if let Some(pg) = backend.and_then(MatrixBackend::partitioned_graph) {
-        report.merge(lint_partitioned_graph(tensors, pg, "flow.backend"));
-    }
     if report.has_errors() {
         return Err(report.into());
     }
     Ok(())
 }
 
-/// Re-shards a partitioned backend whose graph moved on (committed
-/// insertions bump the generation); serial backends and fresh
-/// partitionings are untouched. Called before every backend use, so the
-/// flow never hands a stale partitioning to a kernel.
-fn refresh_backend(backend: &mut MatrixBackend, t: &GraphTensors) -> Result<(), FlowError> {
-    let stale = backend
-        .partitioned_graph()
-        .is_some_and(|pg| pg.generation() != t.generation() || pg.node_count() != t.node_count());
-    if stale {
-        backend.rebuild(t)?;
-    }
-    Ok(())
-}
+/// An opaque full-graph probability pass, as [`Inference::full_pass`] takes it.
+pub type FullPass<'a> = &'a dyn Fn(&GraphTensors, &Matrix) -> Result<Vec<f32>, TensorError>;
 
-/// A classifier the flow can drive: a full-graph probability pass, plus an
-/// optional incremental-session fast path. Every pass runs under the flow's
-/// cooperative work [`Budget`] and on its [`MatrixBackend`].
+/// A classifier the flow can drive. The flow asks it one thing — open an
+/// [`Inference`] over the current graph state — and puts every later
+/// question to that object.
 ///
-/// Implemented for references to [`Gcn`] and [`MultiStageGcn`], and
+/// Implemented for references to [`Gcn`] and [`MultiStageGcn`], which run
+/// one full pass on [`MatrixBackend::auto`] to open a [`CascadeSession`]
+/// and serve everything after it from halo refreshes, and
 /// blanket-implemented for any
-/// `Fn(&GraphTensors, &Matrix) -> Result<Vec<f32>, TensorError>` closure —
-/// closures get no session and always run full inference.
+/// `Fn(&GraphTensors, &Matrix) -> Result<Vec<f32>, TensorError>` closure,
+/// which gets no session and re-runs the whole pass for every answer.
 pub trait FlowClassifier {
-    /// Full forward pass: the positive-class probability per node.
-    /// Budget-aware classifiers ([`Gcn`], [`MultiStageGcn`]) check the
-    /// budget between layers and aggregate through `backend`.
+    /// Opens the run's inference over graph `t` with features `x`. Every
+    /// pass the returned object runs — the opening one included — checks
+    /// `budget`.
     ///
     /// # Errors
     ///
-    /// Returns a tensor error if the model and graph shapes disagree, a
-    /// budget error ([`TensorError::BudgetExceeded`] /
-    /// [`TensorError::Cancelled`]), or a staleness error from a
-    /// partitioned backend built against an older graph generation.
-    fn classify(
-        &self,
+    /// Returns a tensor error if the model and graph shapes disagree, or
+    /// a budget error ([`TensorError::BudgetExceeded`] /
+    /// [`TensorError::Cancelled`]) from the opening pass.
+    fn open<'a>(
+        &'a self,
         t: &GraphTensors,
         x: &Matrix,
-        budget: &Budget,
-        backend: &mut MatrixBackend,
-    ) -> Result<Vec<f32>, TensorError>;
-
-    /// Opens an incremental-inference session over the current graph
-    /// state, if this classifier supports one; its opening full pass runs
-    /// under `budget` on `backend`. The default (`None`) makes the flow
-    /// run full re-inference for every preview and every iteration — the
-    /// paper's literal procedure, with bit-identical probabilities.
-    ///
-    /// # Errors
-    ///
-    /// As [`FlowClassifier::classify`].
-    fn open_session(
-        &self,
-        _t: &GraphTensors,
-        _x: &Matrix,
-        _budget: &Budget,
-        _backend: &mut MatrixBackend,
-    ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        Ok(None)
-    }
-
-    /// Embedding rows one *full* inference computes on an `n`-node graph —
-    /// the work unit of [`InferenceStats`]. Defaults to `n` (one row per
-    /// node) for classifiers of unknown depth.
-    fn full_rows_per_inference(&self, n: usize) -> u64 {
-        n as u64
-    }
+        budget: &'a Budget,
+    ) -> Result<Inference<'a>, TensorError>;
 }
 
-/// Opaque closures cannot route their internals through a backend or
-/// check a budget between layers: the whole pass is charged up front, so
-/// they still participate in budget accounting at call granularity, and
-/// the backend is ignored.
+/// Opaque closures cannot check a budget between layers: each pass is
+/// charged whole, up front, so they still participate in budget
+/// accounting at call granularity.
 impl<F> FlowClassifier for F
 where
     F: Fn(&GraphTensors, &Matrix) -> Result<Vec<f32>, TensorError>,
 {
-    fn classify(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-        _backend: &mut MatrixBackend,
-    ) -> Result<Vec<f32>, TensorError> {
-        budget.charge(self.full_rows_per_inference(t.node_count()))?;
-        self(t, x)
+    fn open<'a>(
+        &'a self,
+        _t: &GraphTensors,
+        _x: &Matrix,
+        budget: &'a Budget,
+    ) -> Result<Inference<'a>, TensorError> {
+        Ok(Inference::full_pass(self, budget))
     }
 }
 
 impl FlowClassifier for &Gcn {
-    fn classify(
-        &self,
+    fn open<'a>(
+        &'a self,
         t: &GraphTensors,
         x: &Matrix,
-        budget: &Budget,
-        backend: &mut MatrixBackend,
-    ) -> Result<Vec<f32>, TensorError> {
-        self.predict_proba_budgeted_with(t, x, budget, backend)
-    }
-
-    fn open_session(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-        backend: &mut MatrixBackend,
-    ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        CascadeSession::for_gcn_budgeted_with(self, t, x, budget, backend).map(Some)
-    }
-
-    fn full_rows_per_inference(&self, n: usize) -> u64 {
-        self.depth() as u64 * n as u64
+        budget: &'a Budget,
+    ) -> Result<Inference<'a>, TensorError> {
+        // Only the opening pass can read the backend: drop it with it.
+        let mut backend = MatrixBackend::auto(t);
+        let session = CascadeSession::for_gcn_budgeted_with(self, t, x, budget, &mut backend)?;
+        Ok(Inference::session(session, budget))
     }
 }
 
 impl FlowClassifier for &MultiStageGcn {
-    fn classify(
-        &self,
+    fn open<'a>(
+        &'a self,
         t: &GraphTensors,
         x: &Matrix,
-        budget: &Budget,
-        backend: &mut MatrixBackend,
-    ) -> Result<Vec<f32>, TensorError> {
-        self.predict_proba_budgeted_with(t, x, budget, backend)
+        budget: &'a Budget,
+    ) -> Result<Inference<'a>, TensorError> {
+        let mut backend = MatrixBackend::auto(t);
+        let session = CascadeSession::for_cascade_budgeted_with(self, t, x, budget, &mut backend)?;
+        Ok(Inference::session(session, budget))
+    }
+}
+
+/// How an [`Inference`] produces probabilities.
+enum Engine<'a> {
+    /// A live incremental session: one full pass opened it, every later
+    /// answer recomputes only the halo of the rows that changed.
+    Session(CascadeSession<'a>),
+    /// An opaque pass, re-run whole for every answer — the paper's literal
+    /// procedure and the reference the session path is tested against.
+    FullPass(FullPass<'a>),
+}
+
+/// One run's inference: the session (or opaque full pass) a
+/// [`FlowClassifier`] opened, the work [`Budget`] every pass checks, and
+/// the accounting of what those passes computed. It answers the three
+/// questions the flow loop has — the current probabilities, the positives
+/// a previewed insertion would leave in a cone, and (for the re-lint) the
+/// caches it serves from.
+pub struct Inference<'a> {
+    engine: Engine<'a>,
+    stats: InferenceStats,
+    budget: &'a Budget,
+}
+
+impl<'a> Inference<'a> {
+    fn new(engine: Engine<'a>, budget: &'a Budget) -> Self {
+        Inference {
+            engine,
+            stats: InferenceStats::default(),
+            budget,
+        }
     }
 
-    fn open_session(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-        backend: &mut MatrixBackend,
-    ) -> Result<Option<CascadeSession<'_>>, TensorError> {
-        CascadeSession::for_cascade_budgeted_with(self, t, x, budget, backend).map(Some)
+    /// An inference served by an already opened incremental session.
+    pub fn session(session: CascadeSession<'a>, budget: &'a Budget) -> Self {
+        Self::new(Engine::Session(session), budget)
     }
 
-    fn full_rows_per_inference(&self, n: usize) -> u64 {
-        self.stages().iter().map(|g| g.depth() as u64).sum::<u64>() * n as u64
+    /// An inference that re-runs `pass` over the whole graph for every
+    /// answer, charging `budget` one row per node before each run.
+    pub fn full_pass(pass: FullPass<'a>, budget: &'a Budget) -> Self {
+        Self::new(Engine::FullPass(pass), budget)
     }
+
+    /// Accounts the full pass that opened a session. (A full-pass
+    /// inference has run nothing yet.)
+    fn note_opening_pass(&mut self) {
+        if let Engine::Session(s) = &self.engine {
+            let rows = s.full_rows(s.node_count());
+            self.stats.note(rows, rows);
+        }
+    }
+
+    /// The current probabilities: refreshes the session with the rows
+    /// dirtied since the last consistent point, or runs a full pass.
+    fn probs(&mut self, state: &mut FlowState) -> Result<Vec<f32>, FlowError> {
+        match &mut self.engine {
+            Engine::Session(s) => {
+                let dirty = std::mem::take(&mut state.pending_dirty);
+                if !dirty.is_empty() {
+                    let refreshed =
+                        s.refresh_budgeted(&state.tensors, &state.features, &dirty, self.budget);
+                    match refreshed {
+                        Ok(delta) => self
+                            .stats
+                            .note(delta.rows_computed(), delta.rows_full_equivalent()),
+                        Err(e) => {
+                            // A budget stop rolled the session back; put the
+                            // dirty rows back too so a retry (with a fresh
+                            // budget) still refreshes them.
+                            state.pending_dirty = dirty;
+                            return Err(e.into());
+                        }
+                    }
+                }
+                Ok(s.probs().to_vec())
+            }
+            Engine::FullPass(pass) => Ok(run_full_pass(
+                *pass,
+                &mut self.stats,
+                self.budget,
+                &state.tensors,
+                &state.features,
+            )?),
+        }
+    }
+
+    /// Positives inside `cone` under already-patched preview `features`:
+    /// a session refresh over the `dirty` halo, counted and reverted, or a
+    /// full pass.
+    fn positives_after(
+        &mut self,
+        tensors: &GraphTensors,
+        features: &Matrix,
+        dirty: &[usize],
+        cone: &[NodeId],
+        threshold: f32,
+    ) -> Result<i64, FlowError> {
+        match &mut self.engine {
+            Engine::Session(s) => {
+                let delta = s.refresh_budgeted(tensors, features, dirty, self.budget)?;
+                self.stats
+                    .note(delta.rows_computed(), delta.rows_full_equivalent());
+                let positives = positives_in(cone, s.probs(), threshold);
+                s.revert(delta);
+                Ok(positives)
+            }
+            Engine::FullPass(pass) => {
+                let probs = run_full_pass(*pass, &mut self.stats, self.budget, tensors, features)?;
+                Ok(positives_in(cone, &probs, threshold))
+            }
+        }
+    }
+
+    /// Adopts a graph grown by a committed insertion; the commit's dirty
+    /// rows are refreshed by the next [`Inference::probs`].
+    fn adopt(&mut self, tensors: &GraphTensors) {
+        if let Engine::Session(s) = &mut self.engine {
+            s.sync_nodes(tensors);
+        }
+    }
+
+    /// The session's embedding caches, for the post-batch re-lint.
+    fn caches(&self) -> Option<&[EmbeddingCache]> {
+        match &self.engine {
+            Engine::Session(s) => Some(s.caches()),
+            Engine::FullPass(_) => None,
+        }
+    }
+}
+
+/// Runs an opaque pass over the whole graph: one row per node, charged
+/// before the pass and accounted after it.
+fn run_full_pass(
+    pass: FullPass<'_>,
+    stats: &mut InferenceStats,
+    budget: &Budget,
+    tensors: &GraphTensors,
+    features: &Matrix,
+) -> Result<Vec<f32>, TensorError> {
+    let rows = tensors.node_count() as u64;
+    budget.charge(rows)?;
+    let probs = pass(tensors, features)?;
+    stats.note(rows, rows);
+    Ok(probs)
+}
+
+/// Nodes of `cone` predicted positive.
+fn positives_in(cone: &[NodeId], probs: &[f32], threshold: f32) -> i64 {
+    cone.iter()
+        .filter(|&&v| probs[v.index()] >= threshold)
+        .count() as i64
 }
 
 /// Configuration of the iterative flow.
@@ -352,6 +441,22 @@ pub struct InferenceStats {
     pub rows_full: u64,
     /// Number of inference calls (full passes plus session refreshes).
     pub inferences: u64,
+}
+
+impl InferenceStats {
+    /// Accounts one inference — a full pass or a session refresh — here
+    /// and in the global metrics.
+    fn note(&mut self, rows_computed: u64, rows_full: u64) {
+        self.rows_computed += rows_computed;
+        self.rows_full += rows_full;
+        self.inferences += 1;
+        let obs = gcnt_obs::global();
+        if obs.is_enabled() {
+            obs.add(gcnt_obs::counters::DFT_FLOW_ROWS_COMPUTED, rows_computed);
+            obs.add(gcnt_obs::counters::DFT_FLOW_ROWS_FULL, rows_full);
+            obs.incr(gcnt_obs::counters::DFT_FLOW_INFERENCES);
+        }
+    }
 }
 
 /// Outcome of the iterative flow.
@@ -485,7 +590,6 @@ where
         budget,
         resume,
         commit_insertion,
-        MatrixBackend::auto,
         observer,
     )
 }
@@ -498,9 +602,8 @@ struct FlowState {
     net: Netlist,
     tensors: GraphTensors,
     scoap: Scoap,
-    raw: Vec<[f32; RAW_DIM]>,
-    /// Normalised features, maintained cell-by-cell in lockstep with
-    /// `raw` — bit-identical to `normalizer.apply(raw)` at all times.
+    /// Normalised features, patched cell by cell — bit-identical to
+    /// re-normalising the design's raw attributes at all times.
     features: Matrix,
     stale: Vec<bool>,
     /// Feature/structure rows dirtied by commits since the session's last
@@ -513,7 +616,7 @@ struct FlowState {
 
 /// Commits one observation point at `target`: structural netlist update,
 /// incremental tensor append, SCOAP refresh over the changed cone, and
-/// the new node's attribute row (raw and normalised). Leaves `state`
+/// the new node's normalised attribute row. Leaves `state`
 /// untouched on the lint error path only by accident of ordering —
 /// callers that need rollback must snapshot before calling.
 fn commit_insertion(state: &mut FlowState, target: NodeId) -> Result<(), FlowError> {
@@ -536,14 +639,12 @@ fn commit_insertion(state: &mut FlowState, target: NodeId) -> Result<(), FlowErr
     for v in changed {
         let i = v.index();
         let sq = squash(state.scoap.co(v));
-        state.raw[i][3] = sq;
         state
             .features
             .set(i, 3, state.normalizer.normalize_cell(3, sq));
         state.stale[i] = true;
         state.pending_dirty.push(i);
     }
-    state.raw.push(OBSERVATION_POINT_ATTRS);
     state
         .features
         .push_row(&state.normalizer.observation_point_row())?;
@@ -554,86 +655,12 @@ fn commit_insertion(state: &mut FlowState, target: NodeId) -> Result<(), FlowErr
     Ok(())
 }
 
-/// Accounts one full inference pass over an `n`-node graph.
-fn note_full_pass<F: FlowClassifier>(stats: &mut InferenceStats, classify: &F, n: usize) {
-    let rows = classify.full_rows_per_inference(n);
-    stats.rows_computed += rows;
-    stats.rows_full += rows;
-    stats.inferences += 1;
-    let obs = gcnt_obs::global();
-    if obs.is_enabled() {
-        obs.add(gcnt_obs::counters::DFT_FLOW_ROWS_COMPUTED, rows);
-        obs.add(gcnt_obs::counters::DFT_FLOW_ROWS_FULL, rows);
-        obs.incr(gcnt_obs::counters::DFT_FLOW_INFERENCES);
-    }
-}
-
-/// Accounts one incremental session refresh.
-fn note_refresh(stats: &mut InferenceStats, delta: &SessionDelta) {
-    stats.rows_computed += delta.rows_computed();
-    stats.rows_full += delta.rows_full_equivalent();
-    stats.inferences += 1;
-    let obs = gcnt_obs::global();
-    if obs.is_enabled() {
-        obs.add(
-            gcnt_obs::counters::DFT_FLOW_ROWS_COMPUTED,
-            delta.rows_computed(),
-        );
-        obs.add(
-            gcnt_obs::counters::DFT_FLOW_ROWS_FULL,
-            delta.rows_full_equivalent(),
-        );
-        obs.incr(gcnt_obs::counters::DFT_FLOW_INFERENCES);
-    }
-}
-
-/// Serves the current probabilities: refreshes the session with the rows
-/// dirtied since the last consistent point, or runs a full pass when no
-/// session is live.
-fn current_probs<F: FlowClassifier>(
-    state: &mut FlowState,
-    session: &mut Option<CascadeSession<'_>>,
-    classify: &F,
-    stats: &mut InferenceStats,
-    budget: &Budget,
-    backend: &mut MatrixBackend,
-) -> Result<Vec<f32>, FlowError> {
-    match session.as_mut() {
-        Some(s) => {
-            let dirty = std::mem::take(&mut state.pending_dirty);
-            if !dirty.is_empty() {
-                let delta =
-                    match s.refresh_budgeted(&state.tensors, &state.features, &dirty, budget) {
-                        Ok(delta) => delta,
-                        Err(e) => {
-                            // A budget stop rolled the session back; put the
-                            // dirty rows back too so a retry (with a fresh
-                            // budget) still refreshes them.
-                            state.pending_dirty = dirty;
-                            return Err(e.into());
-                        }
-                    };
-                note_refresh(stats, &delta);
-            }
-            Ok(s.probs().to_vec())
-        }
-        None => {
-            refresh_backend(backend, &state.tensors)?;
-            let probs = classify.classify(&state.tensors, &state.features, budget, backend)?;
-            note_full_pass(stats, classify, state.tensors.node_count());
-            Ok(probs)
-        }
-    }
-}
-
-/// The flow loop with an injectable commit step and backend builder —
-/// production code enters through [`run_gcn_opi`] and
-/// [`run_gcn_opi_resumable`], which commit for real and ask
-/// [`MatrixBackend::auto`]; tests substitute a failing commit to exercise
-/// the skip-budget rollback path, or force a partitioned backend onto a
-/// design `auto` would keep serial.
+/// The flow loop with an injectable commit step — production code enters
+/// through [`run_gcn_opi`] and [`run_gcn_opi_resumable`], which commit for
+/// real; tests substitute a failing commit to exercise the skip-budget
+/// rollback path.
 #[allow(clippy::too_many_arguments)]
-fn run_flow<F, C, B>(
+fn run_flow<F, C>(
     net: &mut Netlist,
     normalizer: &FeatureNormalizer,
     classify: F,
@@ -641,33 +668,19 @@ fn run_flow<F, C, B>(
     budget: &Budget,
     resume: &[BatchRecord],
     mut commit: C,
-    build_backend: B,
     observer: &mut dyn FnMut(&BatchRecord) -> Result<(), FlowError>,
 ) -> Result<FlowOutcome, FlowError>
 where
     F: FlowClassifier,
     C: FnMut(&mut FlowState, NodeId) -> Result<(), FlowError>,
-    B: FnOnce(&GraphTensors) -> MatrixBackend,
 {
     let levels = logic_levels(net)?;
     let scoap = Scoap::compute(net)?;
-    // Raw (log-squashed) attribute rows, kept as a Vec so appends are O(1).
-    let raw: Vec<[f32; RAW_DIM]> = (0..net.node_count())
-        .map(|i| {
-            [
-                squash(levels[i]),
-                squash(scoap.cc0_all()[i]),
-                squash(scoap.cc1_all()[i]),
-                squash(scoap.co_all()[i]),
-            ]
-        })
-        .collect();
-    let features = normalizer.apply(&rows_to_matrix(&raw));
+    let features = normalizer.apply(&raw_features(&levels, &scoap));
     let mut state = FlowState {
         tensors: GraphTensors::from_netlist(net),
         net: net.clone(),
         scoap,
-        raw,
         features,
         stale: Vec::new(),
         pending_dirty: Vec::new(),
@@ -711,7 +724,7 @@ where
             } else if rec.inserted.is_empty() {
                 loop_done = true; // the run broke on a no-progress iteration
             } else {
-                relint_incremental(&state.net, &state.tensors, &state.scoap, None, None)?;
+                relint_incremental(&state.net, &state.tensors, &state.scoap, None)?;
             }
             // The uninterrupted run drained these dirty rows at the next
             // iteration's refresh — already paid for inside the journaled
@@ -730,19 +743,15 @@ where
             return Ok(());
         }
 
-        // The matrix backend for full inference passes, built against the
-        // post-replay graph state. Commits bump the generation;
-        // `refresh_backend` re-shards lazily before each use.
-        let mut backend = build_backend(&state.tensors);
-
-        // One live session for the whole run, if the classifier offers
-        // one; its opening full pass is counted — except on resume, where
-        // the original run's opening pass is already inside the restored
-        // stats.
-        let mut session: Option<CascadeSession<'_>> =
-            classify.open_session(&state.tensors, &state.features, budget, &mut backend)?;
-        if session.is_some() && resume.is_empty() {
-            note_full_pass(&mut stats, &classify, state.tensors.node_count());
+        // One inference for the whole run, opened over the post-replay
+        // graph state. A session's opening pass is counted — except on
+        // resume, where the original run's opening pass is already inside
+        // the restored stats.
+        let mut inference = classify.open(&state.tensors, &state.features, budget)?;
+        if resume.is_empty() {
+            inference.note_opening_pass();
+        } else {
+            inference.stats = stats;
         }
 
         let first_iteration = if loop_done {
@@ -755,14 +764,7 @@ where
             let _iter_span = gcnt_obs::span(gcnt_obs::histograms::DFT_FLOW_ITERATION_NS);
             gcnt_obs::global().incr(gcnt_obs::counters::DFT_FLOW_ITERATIONS);
             let skipped_before = skipped.len();
-            let probs = current_probs(
-                &mut state,
-                &mut session,
-                &classify,
-                &mut stats,
-                budget,
-                &mut backend,
-            )?;
+            let probs = inference.probs(&mut state)?;
             // Positive predictions, excluding nodes that are already
             // observed or are themselves observe points.
             let mut positives: Vec<(NodeId, f32)> = state
@@ -787,7 +789,7 @@ where
                     inserted: Vec::new(),
                     skipped: Vec::new(),
                     converged: true,
-                    stats_after: stats,
+                    stats_after: inference.stats,
                 })?;
                 break;
             }
@@ -798,21 +800,7 @@ where
             // Impact evaluation (Fig. 6).
             let mut scored: Vec<(NodeId, i64, f32)> = Vec::with_capacity(positives.len());
             for &(v, p) in &positives {
-                let impact = evaluate_impact(
-                    &state.net,
-                    &state.scoap,
-                    &state.tensors,
-                    &state.normalizer,
-                    &mut state.features,
-                    &probs,
-                    &classify,
-                    session.as_mut(),
-                    &mut stats,
-                    budget,
-                    &mut backend,
-                    v,
-                    cfg,
-                )?;
+                let impact = evaluate_impact(&mut state, &mut inference, &probs, v, cfg)?;
                 scored.push((v, impact, p));
                 gcnt_obs::global().incr(gcnt_obs::counters::DFT_FLOW_CANDIDATES_SCORED);
             }
@@ -837,17 +825,13 @@ where
                 }
                 // Snapshot only while skip budget remains: the default
                 // budget of 0 never clones, and a spent budget means the
-                // next failure propagates anyway. The session is not
+                // next failure propagates anyway. The inference is not
                 // snapshotted: commits never touch it, so after a state
                 // rollback it is still consistent with the restored state.
                 let snapshot = (skipped.len() < cfg.skip_budget).then(|| state.clone());
                 match commit(&mut state, target) {
                     Ok(()) => {
-                        // Adopt the grown graph; the commit's dirty rows
-                        // are refreshed at the next iteration start.
-                        if let Some(s) = session.as_mut() {
-                            s.sync_nodes(&state.tensors);
-                        }
+                        inference.adopt(&state.tensors);
                         inserted.push(target);
                         inserted_now += 1;
                         gcnt_obs::global().incr(gcnt_obs::counters::DFT_FLOW_OPS_INSERTED);
@@ -868,17 +852,7 @@ where
                 inserted: inserted_now,
             });
             if inserted_now > 0 {
-                // Re-shard eagerly so the post-batch lint (PT001) checks a
-                // partitioning that matches the committed state — the same
-                // state the next full pass would use.
-                refresh_backend(&mut backend, &state.tensors)?;
-                relint_incremental(
-                    &state.net,
-                    &state.tensors,
-                    &state.scoap,
-                    session.as_ref().map(|s| s.caches()),
-                    Some(&backend),
-                )?;
+                relint_incremental(&state.net, &state.tensors, &state.scoap, inference.caches())?;
             }
             // Journal the batch only once it is lint-clean: a record is a
             // promise that the committed state is consistent.
@@ -888,7 +862,7 @@ where
                 inserted: inserted[inserted.len() - inserted_now..].to_vec(),
                 skipped: skipped[skipped_before..].to_vec(),
                 converged: false,
-                stats_after: stats,
+                stats_after: inference.stats,
             })?;
             if inserted_now == 0 {
                 break; // cannot make progress
@@ -897,14 +871,7 @@ where
 
         // Final positive count if we exited by iteration cap.
         if !converged {
-            let probs = current_probs(
-                &mut state,
-                &mut session,
-                &classify,
-                &mut stats,
-                budget,
-                &mut backend,
-            )?;
+            let probs = inference.probs(&mut state)?;
             remaining = state
                 .net
                 .nodes()
@@ -914,6 +881,7 @@ where
                 .count();
             converged = remaining == 0;
         }
+        stats = inference.stats;
         Ok(())
     })();
 
@@ -935,109 +903,56 @@ where
 /// Impact of a hypothetical OP at `target`: positive predictions in the
 /// fan-in cone before minus after the preview insertion (Fig. 6).
 ///
-/// The previewed attribute rows are patched directly into `features` and
-/// restored before returning (error paths included), so no full-matrix
-/// clone or re-normalisation happens per candidate.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_impact<F: FlowClassifier>(
-    net: &Netlist,
-    scoap: &Scoap,
-    tensors: &GraphTensors,
-    normalizer: &FeatureNormalizer,
-    features: &mut Matrix,
+/// The previewed attribute rows are patched directly into
+/// `state.features` and restored before returning (error paths included),
+/// so no full-matrix clone or re-normalisation happens per candidate.
+fn evaluate_impact(
+    state: &mut FlowState,
+    inference: &mut Inference<'_>,
     probs: &[f32],
-    classify: &F,
-    session: Option<&mut CascadeSession<'_>>,
-    stats: &mut InferenceStats,
-    budget: &Budget,
-    backend: &mut MatrixBackend,
     target: NodeId,
     cfg: &FlowConfig,
 ) -> Result<i64, FlowError> {
-    let mut cone = net.fanin_cone(target, cfg.cone_limit);
+    let mut cone = state.net.fanin_cone(target, cfg.cone_limit);
     // `fanin_cone` excludes its root today; the guard keeps the apex
     // counted exactly once even if that contract ever changes.
     if !cone.contains(&target) {
         cone.push(target);
     }
-    let pos_before = cone
-        .iter()
-        .filter(|&&v| probs[v.index()] >= cfg.prob_threshold)
-        .count() as i64;
+    let pos_before = positives_in(&cone, probs, cfg.prob_threshold);
     if pos_before == 0 {
         return Ok(0);
     }
     // Preview the observability improvement directly in the feature
     // matrix, recording an undo list of the touched cells.
-    let preview = scoap.preview_observe(net, target);
+    let preview = state.scoap.preview_observe(&state.net, target);
     let mut undo: Vec<(usize, f32)> = Vec::with_capacity(preview.len());
     let mut dirty: Vec<usize> = Vec::with_capacity(preview.len());
     for &(v, co) in &preview {
         let i = v.index();
-        undo.push((i, features.get(i, 3)));
-        features.set(i, 3, normalizer.normalize_cell(3, squash(co)));
+        undo.push((i, state.features.get(i, 3)));
+        let cell = state.normalizer.normalize_cell(3, squash(co));
+        state.features.set(i, 3, cell);
         dirty.push(i);
     }
-    let scored = score_preview(
-        tensors, features, &dirty, &cone, classify, session, stats, budget, backend, cfg,
+    let pos_after = inference.positives_after(
+        &state.tensors,
+        &state.features,
+        &dirty,
+        &cone,
+        cfg.prob_threshold,
     );
     // Always restore the previewed cells, error path included.
     for &(i, old) in undo.iter().rev() {
-        features.set(i, 3, old);
+        state.features.set(i, 3, old);
     }
-    Ok(pos_before - scored?)
-}
-
-/// Counts the positives inside `cone` under the already-patched preview
-/// features: a session refresh + revert over the dirty halo, or a full
-/// pass when no session is live.
-#[allow(clippy::too_many_arguments)]
-fn score_preview<F: FlowClassifier>(
-    tensors: &GraphTensors,
-    features: &Matrix,
-    dirty: &[usize],
-    cone: &[NodeId],
-    classify: &F,
-    session: Option<&mut CascadeSession<'_>>,
-    stats: &mut InferenceStats,
-    budget: &Budget,
-    backend: &mut MatrixBackend,
-    cfg: &FlowConfig,
-) -> Result<i64, FlowError> {
-    match session {
-        Some(s) => {
-            let delta = s.refresh_budgeted(tensors, features, dirty, budget)?;
-            note_refresh(stats, &delta);
-            let pos = cone
-                .iter()
-                .filter(|&&v| s.probs()[v.index()] >= cfg.prob_threshold)
-                .count() as i64;
-            s.revert(delta);
-            Ok(pos)
-        }
-        None => {
-            refresh_backend(backend, tensors)?;
-            let probs_after = classify.classify(tensors, features, budget, backend)?;
-            note_full_pass(stats, classify, tensors.node_count());
-            Ok(cone
-                .iter()
-                .filter(|&&v| probs_after[v.index()] >= cfg.prob_threshold)
-                .count() as i64)
-        }
-    }
-}
-
-fn rows_to_matrix(rows: &[[f32; RAW_DIM]]) -> Matrix {
-    let mut data = Vec::with_capacity(rows.len() * RAW_DIM);
-    for r in rows {
-        data.extend_from_slice(r);
-    }
-    Matrix::from_vec(rows.len(), RAW_DIM, data).expect("row-major data is consistent")
+    Ok(pos_before - pos_after?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcnt_core::features::RAW_DIM;
     use gcnt_netlist::{generate, GeneratorConfig};
     use proptest::prelude::*;
 
@@ -1217,13 +1132,13 @@ mod tests {
                 if failures > 0 {
                     failures -= 1;
                     // Poison the state before failing, to prove the rollback
-                    // restores it rather than trusting commit to be atomic.
-                    state.raw.push([9.0; RAW_DIM]);
+                    // restores it rather than trusting commit to be atomic: a
+                    // surviving extra feature row fails the next inference.
+                    state.features.push_row(&[9.0; RAW_DIM]).unwrap();
                     return Err(FlowError::Netlist(NetlistError::UnknownNode(target)));
                 }
                 commit_insertion(state, target)
             },
-            MatrixBackend::auto,
             &mut |_| Ok(()),
         )
         .unwrap();
@@ -1253,7 +1168,6 @@ mod tests {
             &Budget::unlimited(),
             &[],
             |_state, target| Err(FlowError::Netlist(NetlistError::UnknownNode(target))),
-            MatrixBackend::auto,
             &mut |_| Ok(()),
         )
         .unwrap_err();
@@ -1291,7 +1205,7 @@ mod tests {
         let smaller = shadowed_design(97);
         let tensors = GraphTensors::from_netlist(&smaller);
         let scoap = Scoap::compute(&net).unwrap();
-        let err = relint_incremental(&net, &tensors, &scoap, None, None).unwrap_err();
+        let err = relint_incremental(&net, &tensors, &scoap, None).unwrap_err();
         match err {
             FlowError::Lint(report) => {
                 assert!(report.fired(RuleId::AdjacencyNetlistMismatch), "{report}")
@@ -1310,13 +1224,23 @@ mod tests {
         let net = shadowed_design(93);
         let raw = gcnt_core::features::raw_features_of(&net).unwrap();
         let norm = FeatureNormalizer::fit(&[&raw]);
-        let mut features = norm.apply(&raw);
-        let pristine = features.clone();
+        let pristine = norm.apply(&raw);
         let tensors = GraphTensors::from_netlist(&net);
         let scoap = Scoap::compute(&net).unwrap();
         let cfg = FlowConfig::default();
         let classify = oracle(2.0);
-        let probs = classify(&tensors, &features).unwrap();
+        let probs = classify(&tensors, &pristine).unwrap();
+        let mut state = FlowState {
+            net: net.clone(),
+            tensors: tensors.clone(),
+            scoap: scoap.clone(),
+            features: pristine.clone(),
+            stale: Vec::new(),
+            pending_dirty: Vec::new(),
+            normalizer: norm.clone(),
+        };
+        let budget = Budget::unlimited();
+        let mut inference = classify.open(&tensors, &pristine, &budget).unwrap();
 
         let mut checked = 0;
         for target in net.nodes() {
@@ -1342,25 +1266,9 @@ mod tests {
                 .filter(|&&v| probs2[v.index()] >= cfg.prob_threshold)
                 .count() as i64;
 
-            let mut stats = InferenceStats::default();
-            let impact = evaluate_impact(
-                &net,
-                &scoap,
-                &tensors,
-                &norm,
-                &mut features,
-                &probs,
-                &classify,
-                None,
-                &mut stats,
-                &Budget::unlimited(),
-                &mut MatrixBackend::serial(),
-                target,
-                &cfg,
-            )
-            .unwrap();
+            let impact = evaluate_impact(&mut state, &mut inference, &probs, target, &cfg).unwrap();
             assert_eq!(impact, before - after, "target {target:?}");
-            assert_eq!(features, pristine, "features must be restored");
+            assert_eq!(state.features, pristine, "features must be restored");
             checked += 1;
             if checked >= 10 {
                 break;
@@ -1416,6 +1324,24 @@ mod tests {
             );
         }
         assert_eq!(full.inference.rows_computed, full.inference.rows_full);
+    }
+
+    /// A [`Gcn`] whose session opens on a three-way partitioned backend,
+    /// whatever the design size.
+    struct Sharded<'g>(&'g Gcn);
+
+    impl FlowClassifier for Sharded<'_> {
+        fn open<'a>(
+            &'a self,
+            t: &GraphTensors,
+            x: &Matrix,
+            budget: &'a Budget,
+        ) -> Result<Inference<'a>, TensorError> {
+            let mut backend = MatrixBackend::partitioned(t, 3)?;
+            let session =
+                CascadeSession::for_gcn_budgeted_with(self.0, t, x, budget, &mut backend)?;
+            Ok(Inference::session(session, budget))
+        }
     }
 
     fn record_collector(records: &mut Vec<BatchRecord>) -> impl FnMut(&BatchRecord) + '_ {
@@ -1620,7 +1546,7 @@ mod tests {
         /// The OP-insertion flow is outcome-identical across matrix
         /// backends: same insertions, same history, same final netlist.
         /// These designs sit far below `MatrixBackend::auto`'s threshold,
-        /// so the partitioned run is forced through the backend builder.
+        /// so the sharded opening pass is forced by [`Sharded`].
         #[test]
         fn flow_outcome_is_backend_invariant(
             inputs in 2usize..12,
@@ -1653,36 +1579,10 @@ mod tests {
                 ..FlowConfig::default()
             };
             let mut net_serial = net.clone();
-            let serial = run_flow(
-                &mut net_serial,
-                &data.normalizer,
-                &gcn,
-                &cfg,
-                &Budget::unlimited(),
-                &[],
-                commit_insertion,
-                |_| MatrixBackend::serial(),
-                &mut |_| Ok(()),
-            )
-            .unwrap();
+            let serial = run_gcn_opi(&mut net_serial, &data.normalizer, &gcn, &cfg).unwrap();
             let mut net_part = net.clone();
-            let part = run_flow(
-                &mut net_part,
-                &data.normalizer,
-                &gcn,
-                &cfg,
-                &Budget::unlimited(),
-                &[],
-                commit_insertion,
-                |t| MatrixBackend::partitioned(t, 3).unwrap(),
-                &mut |_| Ok(()),
-            )
-            .unwrap();
-            prop_assert_eq!(serial.inserted, part.inserted);
-            prop_assert_eq!(serial.converged, part.converged);
-            prop_assert_eq!(serial.remaining_positives, part.remaining_positives);
-            prop_assert_eq!(serial.history, part.history);
-            prop_assert_eq!(serial.skipped, part.skipped);
+            let part = run_gcn_opi(&mut net_part, &data.normalizer, Sharded(&gcn), &cfg).unwrap();
+            prop_assert_eq!(serial, part);
             prop_assert_eq!(net_serial, net_part);
         }
     }

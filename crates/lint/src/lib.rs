@@ -34,7 +34,6 @@
 //! | `PG001` | `page-checksum-mismatch` | error | store page integrity (magic/length/checksum) |
 //! | `PG002` | `store-version-unsupported` | error | store metadata format version known |
 //! | `PG003` | `segment-page-missing` | error | segment page refs within committed count |
-//! | `PT001` | `partition-consistency` | error | sharded adjacency invariants and freshness |
 //! | `NT001` | `frame-envelope-broken` | error | wire frame envelope integrity (magic/length-cap/checksum) |
 //! | `NT002` | `frame-version-unsupported` | error | wire frame protocol version known |
 //!
@@ -64,9 +63,6 @@
 //! - [`lint_embedding_cache`] / [`lint_embedding_caches`] — incremental
 //!   inference caches against their graph, checked by the flow after
 //!   every insertion batch.
-//! - [`lint_partitioned_csr`] / [`lint_partitioned_graph`] — sharded
-//!   adjacency invariants and freshness, checked alongside the caches
-//!   when the flow runs on the partitioned backend.
 //! - [`lint_design`] — everything derivable from a netlist in one call;
 //!   this is what `gcnt lint` runs.
 //!
@@ -100,7 +96,6 @@ mod model_rules;
 mod net_rules;
 mod netlist_rules;
 mod page_rules;
-mod partition_rules;
 mod tensor_rules;
 
 pub use checkpoint_rules::{lint_checkpoint_meta, lint_optimizer_shape, CheckpointMeta};
@@ -114,7 +109,6 @@ pub use netlist_rules::{lint_levels, lint_netlist, lint_netlist_deep, lint_scoap
 pub use page_rules::{
     lint_store_pages, lint_store_segments, lint_store_version, PageMeta, SegmentMeta,
 };
-pub use partition_rules::{lint_partitioned_csr, lint_partitioned_graph};
 pub use report::{Finding, LintReport, RuleId, Severity};
 pub use tensor_rules::{lint_csr, lint_graph_tensors};
 

@@ -170,13 +170,6 @@ pub const RULES: &[RuleDescriptor] = &[
         summary: "segment references a page past the committed page count",
     },
     RuleDescriptor {
-        id: RuleId::PartitionConsistency,
-        code: "PT001",
-        slug: "partition-consistency",
-        severity: Severity::Error,
-        summary: "partitioned adjacency violates sharding invariants or lags its graph",
-    },
-    RuleDescriptor {
         id: RuleId::FrameEnvelopeBroken,
         code: "NT001",
         slug: "frame-envelope-broken",
@@ -224,8 +217,7 @@ mod tests {
         assert!(RULES.iter().any(|r| r.code.starts_with("EC")));
         assert!(RULES.iter().any(|r| r.code.starts_with("JN")));
         assert!(RULES.iter().any(|r| r.code.starts_with("PG")));
-        assert!(RULES.iter().any(|r| r.code.starts_with("PT")));
         assert!(RULES.iter().any(|r| r.code.starts_with("NT")));
-        assert_eq!(RULES.len(), 24);
+        assert_eq!(RULES.len(), 23);
     }
 }

@@ -98,11 +98,6 @@ pub enum RuleId {
     /// `PG003 segment-page-missing`: a committed segment references a
     /// page index past the store's committed page count.
     SegmentPageMissing,
-    /// `PT001 partition-consistency`: a partitioned adjacency violates
-    /// its sharding invariants (non-covering boundaries, broken local
-    /// indptr, column index outside its block and halo, unsorted halo
-    /// table) or was built at a different graph generation/size.
-    PartitionConsistency,
     /// `NT001 frame-envelope-broken`: a wire frame's envelope is
     /// malformed — bad magic, a declared payload length over the cap, or
     /// a payload whose checksum disagrees with the stored one.

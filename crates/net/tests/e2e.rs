@@ -173,6 +173,48 @@ fn unparseable_design_is_a_typed_refusal() {
     assert!(summary.refusals >= 1);
 }
 
+/// `format::read` checks syntax, not arity: `y = NOT()` parses and used to
+/// panic the shard's worker inside SCOAP. It is the request's fault — a
+/// non-retryable `BadRequest` on both request kinds — and the shard must
+/// answer the next request.
+#[test]
+fn malformed_design_is_a_bad_request_and_the_shard_lives() {
+    let net = generate(&GeneratorConfig::sized("e2e-arity", 3, 90));
+    let (dialer, handle) = start_server(&net, 1, "arity", server_config(), FaultPlan::none());
+    let mut client = quick_client(dialer);
+
+    let bad = "INPUT(a)\ny = NOT()\nz = AND(a, y)\nOUTPUT(z)\n";
+    let bad_flow = FlowRequest {
+        design: bad.to_string(),
+        ..flow_request(&net, "arity")
+    };
+    for err in [
+        client.infer(bad, 0).unwrap_err(),
+        client.flow(&bad_flow).unwrap_err(),
+    ] {
+        match err {
+            NetError::Server {
+                code, retryable, ..
+            } => {
+                assert_eq!(code, ErrorCode::BadRequest);
+                assert!(!retryable);
+            }
+            other => panic!("expected a typed server refusal, got {other}"),
+        }
+    }
+    let ok = client.infer(&format::write(&net), 0).unwrap();
+    assert_eq!(ok.probs_len as usize, net.node_count());
+
+    client.drain().unwrap();
+    let (summary, cores) = handle.join().unwrap().unwrap();
+    assert!(summary.refusals >= 2);
+    assert_eq!(
+        cores.len(),
+        1,
+        "the shard's worker survived to hand its core back"
+    );
+}
+
 #[test]
 fn wrong_wire_version_gets_a_typed_version_mismatch() {
     use gcnt_net::{decode, Frame, FrameKind, ReadOutcome};

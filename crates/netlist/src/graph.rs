@@ -200,6 +200,19 @@ impl Netlist {
     /// * [`NetlistError::CombinationalCycle`] if the combinational logic
     ///   (with DFFs cut) contains a cycle.
     pub fn validate(&self) -> Result<()> {
+        self.check_arity()?;
+        self.topo_order().map(|_| ())
+    }
+
+    /// Checks every cell's fanin count against [`CellKind::arity`] — the
+    /// precondition of anything that reads "the" driver of a one-input
+    /// cell, such as [`crate::Scoap::compute`]. The parser does not
+    /// establish it: `y = NOT()` is a well-formed line.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::BadArity`] for the first offending cell.
+    pub(crate) fn check_arity(&self) -> Result<()> {
         for id in self.nodes() {
             let kind = self.kind(id);
             let (lo, hi) = kind.arity();
@@ -212,7 +225,7 @@ impl Netlist {
                 });
             }
         }
-        self.topo_order().map(|_| ())
+        Ok(())
     }
 
     /// Returns the cells in a combinational evaluation order: every non-DFF

@@ -66,10 +66,14 @@ impl Scoap {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::NetlistError::CombinationalCycle`] if the netlist
-    /// has a combinational cycle.
+    /// Returns [`crate::NetlistError::BadArity`] if a cell's fanin count
+    /// is outside its kind's bounds (the controllability rules below read
+    /// a one-input cell's driver unconditionally), and
+    /// [`crate::NetlistError::CombinationalCycle`] if the netlist has a
+    /// combinational cycle.
     pub fn compute(net: &Netlist) -> Result<Self> {
         gcnt_obs::global().incr(gcnt_obs::counters::NETLIST_SCOAP_COMPUTES);
+        net.check_arity()?;
         let order = net.topo_order()?;
         let n = net.node_count();
         let mut scoap = Scoap {

@@ -139,6 +139,21 @@ impl<T> BoundedQueue<T> {
         self.shared.lock().closed = true;
         self.shared.ready.notify_all();
     }
+
+    /// Closes the queue and drops whatever is still pending — for a
+    /// consumer that will never pop again. An item that owns a reply
+    /// channel thereby hangs up on its waiter instead of leaving it
+    /// blocked on a queue nobody drains.
+    pub fn abandon(&self) {
+        let orphans = {
+            let mut state = self.shared.lock();
+            state.closed = true;
+            std::mem::take(&mut state.items)
+        };
+        self.shared.ready.notify_all();
+        // Dropped outside the lock: an item's drop may do arbitrary work.
+        drop(orphans);
+    }
 }
 
 #[cfg(test)]
@@ -176,6 +191,22 @@ mod tests {
         ));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn abandon_closes_and_drops_what_is_pending() {
+        let q = BoundedQueue::new(4);
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        q.try_push(tx).unwrap();
+        q.abandon();
+        assert!(rx.recv().is_err(), "the queued sender was dropped");
+        assert!(q.is_empty());
+        let (tx, _rx) = std::sync::mpsc::channel::<()>();
+        assert!(matches!(
+            q.try_push(tx).unwrap_err().1,
+            ServeError::WorkerGone
+        ));
+        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -382,6 +382,8 @@ impl ServeCore {
     ///
     /// # Errors
     ///
+    /// [`ServeError::Load`] if the design is malformed (bad arity,
+    /// combinational cycle) — nothing is journaled for it,
     /// [`ServeError::Journal`] if the journal cannot be recovered or
     /// appended, [`ServeError::Store`] if a store-backed journal's
     /// compacted prefix cannot be read back or a compaction commit fails,
@@ -394,6 +396,11 @@ impl ServeCore {
         journal_path: &Path,
         deadline: Option<u64>,
     ) -> Result<FlowResponse, ServeError> {
+        // Requests are parsed, not validated: refuse a malformed design as
+        // the request's fault — as `handle_infer` does when it cannot
+        // featurise one — before a journal exists for it.
+        net.validate()
+            .map_err(|e| ServeError::Load(format!("design `{}`: {e}", net.name())))?;
         let header = JournalHeader::describe(net, cfg)?;
         let budget = self.budget_for(deadline);
         let ServeCore {
@@ -469,10 +476,11 @@ enum Job {
         deadline: Option<u64>,
         reply: mpsc::Sender<Result<FlowJobResult, ServeError>>,
     },
-    /// Test hook: park the worker until the sender is dropped, so tests
-    /// can fill the queue deterministically.
+    /// Test hook, run on the worker thread: park it on a channel so the
+    /// queue fills deterministically, or panic the way a bug in a request
+    /// handler would.
     #[cfg(test)]
-    Barrier(mpsc::Receiver<()>),
+    Run(Box<dyn FnOnce() + Send>),
 }
 
 impl fmt::Debug for Job {
@@ -481,7 +489,7 @@ impl fmt::Debug for Job {
             Job::Infer { .. } => "Job::Infer",
             Job::Flow { .. } => "Job::Flow",
             #[cfg(test)]
-            Job::Barrier(_) => "Job::Barrier",
+            Job::Run(_) => "Job::Run",
         })
     }
 }
@@ -517,6 +525,19 @@ impl<T> Ticket<T> {
     }
 }
 
+/// Held by the worker for its whole life: however the worker exits — the
+/// clean drain after `close`, or a panic unwinding out of a handler — the
+/// queue is closed and what is left in it dropped, so every queued and
+/// every future ticket resolves to [`ServeError::WorkerGone`] instead of
+/// waiting on a queue nobody pops.
+struct AbandonOnExit(BoundedQueue<Job>);
+
+impl Drop for AbandonOnExit {
+    fn drop(&mut self) {
+        self.0.abandon();
+    }
+}
+
 /// The in-process service front end: a bounded queue feeding one worker
 /// thread that owns the [`ServeCore`]. Submission never blocks — a full
 /// queue rejects immediately with [`ServeError::Overloaded`], which is
@@ -541,8 +562,9 @@ impl ServeHandle {
         let worker = thread::Builder::new()
             .name("gcnt-serve-worker".to_string())
             .spawn(move || {
+                let jobs = AbandonOnExit(jobs);
                 let mut core = core;
-                while let Some(job) = jobs.pop() {
+                while let Some(job) = jobs.0.pop() {
                     match job {
                         Job::Infer {
                             net,
@@ -564,9 +586,7 @@ impl ServeHandle {
                             let _ = reply.send(out);
                         }
                         #[cfg(test)]
-                        Job::Barrier(hold) => {
-                            let _ = hold.recv();
-                        }
+                        Job::Run(hook) => hook(),
                     }
                 }
                 core
@@ -598,7 +618,8 @@ impl ServeHandle {
     /// # Errors
     ///
     /// [`ServeError::Overloaded`] if the queue is full (or saturated by
-    /// fault injection); nothing was enqueued.
+    /// fault injection), [`ServeError::WorkerGone`] if the worker died;
+    /// nothing was enqueued.
     pub fn submit_infer(
         &self,
         net: Netlist,
@@ -627,7 +648,7 @@ impl ServeHandle {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`] if the queue is full.
+    /// As [`ServeHandle::submit_infer`].
     pub fn submit_flow(
         &self,
         net: Netlist,
@@ -731,6 +752,29 @@ mod tests {
         )
     }
 
+    /// Parks the worker on a channel until the returned sender is dropped;
+    /// returns once the worker has taken the hook off the queue.
+    fn park_worker(handle: &ServeHandle) -> mpsc::Sender<()> {
+        let (hold_tx, hold_rx) = mpsc::channel::<()>();
+        let hook = Job::Run(Box::new(move || {
+            let _ = hold_rx.recv();
+        }));
+        handle.queue.try_push(hook).unwrap();
+        while handle.pending() > 0 {
+            std::thread::yield_now();
+        }
+        hold_tx
+    }
+
+    /// Designs `format::read` accepts and `Netlist::validate` does not:
+    /// a zero-fan-in NOT (what `Scoap` used to index into), a flip-flop
+    /// without a driver, and a one-input AND.
+    const MALFORMED: [&str; 3] = [
+        "INPUT(a)\ny = NOT()\nz = AND(a, y)\nOUTPUT(z)\n",
+        "INPUT(a)\nd = DFF()\nz = AND(a, d)\nOUTPUT(z)\n",
+        "INPUT(a)\ny = AND(a)\nOUTPUT(y)\n",
+    ];
+
     #[test]
     fn handle_round_trips_an_inference_request() {
         let (core, net) = core();
@@ -772,12 +816,7 @@ mod tests {
         );
         let handle = ServeHandle::start(core).expect("start worker");
         // Park the worker so the queue genuinely fills.
-        let (hold_tx, hold_rx) = mpsc::channel::<()>();
-        handle.queue.try_push(Job::Barrier(hold_rx)).unwrap();
-        // Give the worker a moment to take the barrier off the queue.
-        while handle.pending() > 0 {
-            std::thread::yield_now();
-        }
+        let hold_tx = park_worker(&handle);
         let t1 = handle.submit_infer(net.clone(), None).unwrap();
         let t2 = handle.submit_infer(net.clone(), None).unwrap();
         let err = handle.submit_infer(net.clone(), None).unwrap_err();
@@ -787,6 +826,57 @@ mod tests {
         assert!(t1.wait().is_ok());
         assert!(t2.wait().is_ok());
         drop(handle);
+    }
+
+    #[test]
+    fn malformed_design_is_a_typed_refusal_and_the_worker_lives() {
+        let (core, net) = core();
+        let handle = ServeHandle::start(core).expect("start worker");
+        let dir = temp_dir("malformed");
+        for (i, text) in MALFORMED.iter().enumerate() {
+            let bad = gcnt_netlist::format::read(text).expect("parses: arity is not syntax");
+            let err = handle.infer(bad.clone(), None).unwrap_err();
+            assert!(matches!(err, ServeError::Load(_)), "infer {i}: {err}");
+            let wal = dir.join(format!("bad{i}.wal"));
+            let err = handle
+                .flow(bad, FlowConfig::default(), wal.clone(), None)
+                .unwrap_err();
+            assert!(matches!(err, ServeError::Load(_)), "flow {i}: {err}");
+            assert!(!wal.exists(), "a refused design gets no journal");
+            // The same worker answers the next request.
+            let ok = handle.infer(net.clone(), None).unwrap();
+            assert_eq!(ok.probs.len(), net.node_count());
+        }
+        handle.shutdown().expect("worker exits cleanly");
+    }
+
+    #[test]
+    fn dead_worker_resolves_every_ticket_to_worker_gone() {
+        use std::sync::mpsc::RecvTimeoutError;
+        use std::time::Duration;
+
+        let (core, net) = core();
+        let handle = ServeHandle::start(core).expect("start worker");
+        // Behind the parked worker: a job that kills it, then a request
+        // that is still queued when it dies.
+        let hold_tx = park_worker(&handle);
+        let die = Job::Run(Box::new(|| panic!("injected worker death")));
+        handle.queue.try_push(die).unwrap();
+        let queued = handle.submit_infer(net.clone(), None).unwrap();
+        drop(hold_tx);
+        assert!(
+            matches!(
+                queued.rx.recv_timeout(Duration::from_secs(10)),
+                Err(RecvTimeoutError::Disconnected)
+            ),
+            "the queued ticket must hang up, not wait on a dead worker"
+        );
+        // Later callers are refused at admission — which never blocks.
+        assert!(matches!(
+            handle.infer(net, None),
+            Err(ServeError::WorkerGone)
+        ));
+        assert!(matches!(handle.shutdown(), Err(ServeError::WorkerGone)));
     }
 
     #[test]

@@ -26,10 +26,8 @@ use gcn_testability::dft::atpg::{run_random_atpg, AtpgConfig};
 use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig};
 use gcn_testability::dft::labeler::{label_difficult_to_observe, LabelConfig};
 use gcn_testability::gcn::features::FeatureNormalizer;
-use gcn_testability::gcn::{
-    Gcn, GcnConfig, GraphData, MatrixBackend, MultiStageConfig, MultiStageGcn,
-};
-use gcn_testability::netlist::{format, generate, profile, DesignPreset, GeneratorConfig, Netlist};
+use gcn_testability::gcn::{GraphData, MultiStageConfig, MultiStageGcn};
+use gcn_testability::netlist::{format, generate, profile, GeneratorConfig, Netlist};
 use gcn_testability::report;
 use gcn_testability::runtime::{atomic_write, CheckpointStore, MultiStageTrainer};
 
@@ -74,7 +72,6 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
         "train" => cmd_train(&positional, &options),
         "infer" => cmd_infer(&positional, &options),
         "flow" => cmd_flow(&positional, &options),
-        "bench-scale" => cmd_bench_scale(&options),
         "atpg" => cmd_atpg(&positional, &options),
         "lint" => cmd_lint(&positional, &options),
         "analyze" => cmd_analyze(&options),
@@ -107,8 +104,6 @@ fn print_usage() {
          \x20 gcnt infer design.bench --model model.json [--threshold F]\n\
          \x20 gcnt flow design.bench --model model.json [--out modified.bench] [--skip-budget N]\n\
          \x20\x20\x20\x20 [--metrics-out m.json]\n\
-         \x20 gcnt bench-scale [--sizes 1000,10000,100000 | --preset B1..B4] [--parts N]\n\
-         \x20\x20\x20\x20 [--repeat N]\n\
          \x20 gcnt atpg design.bench [--patterns N]\n\
          \x20 gcnt lint design.bench [--model model.json] [--format text|json]\n\
          \x20 gcnt analyze [--root DIR] [--format text|json] [--ratchet-update]\n\
@@ -445,98 +440,6 @@ fn cmd_flow(
         report::write_metrics_snapshot(&metrics)?;
     }
     Ok(())
-}
-
-/// `gcnt bench-scale`: the scaling curve behind EXPERIMENTS.md. For each
-/// design size (or one paper-scale preset), it times a full embedding
-/// pass on both the serial and the partitioned backend, checks the two
-/// outputs are bit-identical, and emits one `BENCH_SCALE` line per
-/// backend × size sample.
-fn cmd_bench_scale(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let parts = opt_usize(options, "parts", 4).max(1);
-    let repeat = opt_usize(options, "repeat", 3).max(1);
-    let configs: Vec<GeneratorConfig> = if let Some(p) = options.get("preset") {
-        let preset = DesignPreset::ALL
-            .iter()
-            .copied()
-            .find(|d| d.name().eq_ignore_ascii_case(p))
-            .ok_or_else(|| format!("unknown preset '{p}' (use B1..B4)"))?;
-        vec![preset.paper_config()]
-    } else {
-        let sizes: Vec<usize> = match options.get("sizes") {
-            Some(list) => list
-                .split(',')
-                .map(|t| t.trim().parse::<usize>())
-                .collect::<Result<_, _>>()?,
-            None => vec![1_000, 10_000, 100_000],
-        };
-        sizes
-            .into_iter()
-            .map(|n| GeneratorConfig::sized("scale", 0x5C, n))
-            .collect()
-    };
-    let model = Gcn::new(
-        &GcnConfig::default(),
-        &mut gcn_testability::nn::seeded_rng(7),
-    );
-    for cfg in configs {
-        let net = generate(&cfg);
-        let data = GraphData::from_netlist(&net, None)?;
-        let mut serial = MatrixBackend::serial();
-        let mut sharded = MatrixBackend::partitioned(&data.tensors, parts)?;
-        let (serial_ms, a) = time_embed(&model, &data, &mut serial, repeat)?;
-        let (part_ms, b) = time_embed(&model, &data, &mut sharded, repeat)?;
-        let equal = a == b;
-        report::bench("SCALE")
-            .field("nodes", net.node_count())
-            .field("edges", net.edge_count())
-            .field("backend", "serial")
-            .field("parts", 1)
-            .field("embed_ms", format_args!("{serial_ms:.3}"))
-            .emit();
-        report::bench("SCALE")
-            .field("nodes", net.node_count())
-            .field("edges", net.edge_count())
-            .field("backend", "partitioned")
-            .field("parts", sharded.partition_count())
-            .field("embed_ms", format_args!("{part_ms:.3}"))
-            .field("bitwise_equal", equal)
-            .emit();
-        println!(
-            "{} nodes: serial {serial_ms:.1} ms, partitioned({}) {part_ms:.1} ms, bitwise equal: {equal}",
-            net.node_count(),
-            sharded.partition_count(),
-        );
-        if !equal {
-            return Err("partitioned embedding diverged from serial".into());
-        }
-    }
-    Ok(())
-}
-
-/// Best-of-`repeat` wall time (ms) of one full embedding pass on
-/// `backend`, plus the embedding itself for bit-identity checks.
-fn time_embed(
-    model: &Gcn,
-    data: &GraphData,
-    backend: &mut MatrixBackend,
-    repeat: usize,
-) -> Result<(f64, gcn_testability::tensor::Matrix), Box<dyn Error>> {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..repeat {
-        let start = std::time::Instant::now();
-        let e = model.embed_budgeted_with(
-            &data.tensors,
-            &data.features,
-            &gcn_testability::tensor::Budget::unlimited(),
-            backend,
-        )?;
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        out = Some(e);
-    }
-    out.map(|e| (best, e))
-        .ok_or_else(|| "repeat must be >= 1".into())
 }
 
 fn cmd_lint(

@@ -9,9 +9,6 @@
 //!   `SELFTEST_OVERLOADED`, `SELFTEST_METRICS`, `SELFTEST_DONE`.
 //! * `METRICS_<EVENT> key=value ...` — metrics-snapshot bookkeeping.
 //!   Existing events: `METRICS_SNAPSHOT` (a snapshot file was written).
-//! * `BENCH_<EVENT> key=value ...` — measurements from `gcnt
-//!   bench-scale`. Existing events: `BENCH_SCALE` (one backend × design
-//!   size sample).
 //! * `NET_<EVENT> key=value ...` — lifecycle of `gcnt netserve` and the
 //!   `SELFTEST_NET` drill. Existing events: `NET_READY` (the listener is
 //!   bound and accepting), `NET_DRAIN` (graceful drain finished, with
@@ -55,13 +52,6 @@ pub fn selftest(event: &str) -> Line {
 pub fn metrics(event: &str) -> Line {
     Line {
         buf: format!("METRICS_{event}"),
-    }
-}
-
-/// Starts a `BENCH_<event>` line.
-pub fn bench(event: &str) -> Line {
-    Line {
-        buf: format!("BENCH_{event}"),
     }
 }
 
@@ -146,10 +136,6 @@ mod tests {
         assert_eq!(
             metrics("SNAPSHOT").field("path", "m.json").into_string(),
             "METRICS_SNAPSHOT path=m.json"
-        );
-        assert_eq!(
-            bench("SCALE").field("nodes", 1000).into_string(),
-            "BENCH_SCALE nodes=1000"
         );
         assert_eq!(
             net("READY").field("addr", "127.0.0.1:7421").into_string(),

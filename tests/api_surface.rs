@@ -12,7 +12,8 @@ use gcn_testability::gcn::features::squash;
 use gcn_testability::gcn::train::{apply_update, masked_loss_grads, optimizer_for, train};
 use gcn_testability::gcn::{
     recursive, train_parallel, CascadeSession, EmbeddingCache, Gcn, GcnConfig, GcnGrads, GraphData,
-    MatrixBackend, MultiStageConfig, MultiStageGcn, PartitionedGraph, StageReport, TrainConfig,
+    GraphTensors, MatrixBackend, MultiStageConfig, MultiStageGcn, PartitionedGraph, StageReport,
+    TrainConfig,
 };
 use gcn_testability::netlist::{generate, GeneratorConfig, Netlist, Scoap};
 use gcn_testability::nn::{seeded_rng, ModelOptimizer};
@@ -193,6 +194,17 @@ fn flow_and_ladder_entry_points() {
     assert_eq!(
         flowed.node_count(),
         net.node_count() + outcome.inserted.len()
+    );
+    // The other two classifier kinds: a single GCN (session path) and a
+    // bare closure over the same model (full passes) pick the same OPs.
+    let gcn = &model.stages()[0];
+    let by_session = run_gcn_opi(&mut net.clone(), &data.normalizer, gcn, &cfg).unwrap();
+    let full_pass = |t: &GraphTensors, x: &Matrix| gcn.predict_proba(t, x);
+    let by_closure = run_gcn_opi(&mut net.clone(), &data.normalizer, full_pass, &cfg).unwrap();
+    assert_eq!(by_session.inserted, by_closure.inserted);
+    assert_eq!(
+        by_closure.inference.rows_computed,
+        by_closure.inference.rows_full
     );
 
     let (serial, caches): (LadderResult, Option<Vec<EmbeddingCache>>) =
