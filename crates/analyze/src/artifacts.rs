@@ -1,10 +1,11 @@
 //! Cross-artifact consistency rules (`SA601`–`SA604`).
 //!
 //! The repo commits several generated-looking artifacts next to the code
-//! that defines them: the golden metric-key list, the bench baseline,
-//! the README rule tables, the changelog. Each pair can drift silently —
-//! a metric renamed but the golden stale, a bench added but never gated,
-//! a lint rule undocumented. These rules re-derive each artifact's
+//! that defines them: the golden metric-key list, the benchmark's
+//! declared metrics, the README rule tables, the changelog. Each pair can
+//! drift silently — a metric renamed but the golden stale, a documented
+//! number citing a metric the benchmark no longer emits, a lint rule
+//! undocumented. These rules re-derive each artifact's
 //! expected content from its source of truth and report the diff.
 //!
 //! Everything here parses *text* with the same light touch as the rest
@@ -25,14 +26,15 @@ pub struct Artifacts {
     pub catalog: Option<String>,
     /// `tests/golden/metrics_keys.txt`.
     pub metrics_keys: Option<String>,
-    /// `BENCH_baseline.json`.
-    pub bench_baseline: Option<String>,
-    /// `(path, text)` of every file under `crates/bench/benches/`.
-    pub bench_sources: Vec<(String, String)>,
+    /// `BENCHMARK.json`.
+    pub benchmark: Option<String>,
+    /// `(path, text)` of `README.md`, `DESIGN.md` and `EXPERIMENTS.md`.
+    pub docs: Vec<(String, String)>,
+    /// `(path, text)` of the CI workflow and every `.rs` file outside
+    /// `benchmark/`.
+    pub sources: Vec<(String, String)>,
     /// `crates/lint/src/registry.rs`.
     pub lint_registry: Option<String>,
-    /// `README.md`.
-    pub readme: Option<String>,
     /// `CHANGES.md`.
     pub changes: Option<String>,
 }
@@ -41,7 +43,7 @@ pub struct Artifacts {
 pub fn check_artifacts(a: &Artifacts) -> Vec<Finding> {
     let mut findings = Vec::new();
     check_metrics_keys(a, &mut findings);
-    check_bench_baseline(a, &mut findings);
+    check_benchmark_metrics(a, &mut findings);
     check_rule_tables(a, &mut findings);
     check_changes_log(a, &mut findings);
     findings
@@ -126,149 +128,85 @@ fn check_metrics_keys(a: &Artifacts, findings: &mut Vec<Finding>) {
     }
 }
 
-/// `SA602`: every baseline entry must correspond to a bench the suites
-/// can produce, and every literal bench in a *gated* group (one present
-/// in the baseline) must be gated by a baseline entry.
-///
-/// Covers both `bench_function("name", ..)` (id `group/name`) and
-/// `bench_with_input(BenchmarkId::new("name", param), ..)` (id
-/// `group/name/param` — a literal *prefix*, since the param half is a
-/// runtime value). A group whose `bench_with_input` calls outnumber its
-/// literal `BenchmarkId::new("...")` ids has a dynamically named bench
-/// and is exempt from per-name coverage, exactly like a dynamic
-/// `bench_function` name.
-fn check_bench_baseline(a: &Artifacts, findings: &mut Vec<Finding>) {
-    let Some(baseline) = &a.bench_baseline else {
-        missing(
-            RuleId::ArtifactBenchBaseline,
-            "BENCH_baseline.json",
-            findings,
-        );
+/// Layer prefixes of `BENCHMARK.json`'s per-layer metric names.
+const METRIC_LAYERS: &[&str] = &[
+    "tensor", "nn", "netlist", "core", "dft", "lint", "serve", "net", "store", "obs", "proc",
+    "trace",
+];
+
+/// Names of the retired micro-bench gate, spelled in halves so that this
+/// file passes its own rule.
+const RETIRED: &[&str] = &[
+    concat!("BENCH_", "baseline.json"),
+    concat!("bench", "_gate"),
+    concat!("cargo", " bench"),
+];
+
+/// `SA602`: a benchmark-shaped name cited in backticks by a doc must be
+/// declared in `BENCHMARK.json` (or be the stem of a declared metric, as
+/// the trace span `core.session_refresh` is of `core.session_refresh_us`),
+/// and nothing may still mention the retired micro-bench gate.
+fn check_benchmark_metrics(a: &Artifacts, findings: &mut Vec<Finding>) {
+    let Some(benchmark) = &a.benchmark else {
+        missing(RuleId::ArtifactBenchmarkMetrics, "BENCHMARK.json", findings);
         return;
     };
-    let mut baseline_ids = BTreeSet::new();
-    for line in baseline.lines() {
-        if let Some(pos) = line.find("\"id\": \"") {
-            let rest = &line[pos + 7..];
-            if let Some(end) = rest.find('"') {
-                baseline_ids.insert(rest[..end].to_string());
-            }
-        }
-    }
-    // Walk the bench sources: the last `benchmark_group("...")` literal
-    // owns subsequent `bench_function` calls; a non-literal first
-    // argument marks the group as dynamically named.
-    let mut literal: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut prefixed: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut dynamic_groups: BTreeSet<String> = BTreeSet::new();
-    let mut known_groups: BTreeSet<String> = BTreeSet::new();
-    // `bench_with_input` calls are often rustfmt-wrapped with the
-    // `BenchmarkId::new("...")` on the following line, so the two are
-    // counted per group rather than matched per line: a surplus of calls
-    // over literal ids means some id was built dynamically.
-    let mut with_input_calls: std::collections::BTreeMap<String, usize> = Default::default();
-    let mut with_input_literals: std::collections::BTreeMap<String, usize> = Default::default();
-    for (_, text) in &a.bench_sources {
-        let mut group = String::new();
-        for line in text.lines() {
-            if let Some(pos) = line.find("benchmark_group(\"") {
-                let rest = &line[pos + 17..];
-                if let Some(end) = rest.find('"') {
-                    group = rest[..end].to_string();
-                    known_groups.insert(group.clone());
-                }
-            }
-            if let Some(pos) = line.find("bench_function(") {
-                let rest = &line[pos + 15..];
-                if let Some(name) = rest.strip_prefix('"') {
-                    if let Some(end) = name.find('"') {
-                        literal.insert((group.clone(), name[..end].to_string()));
-                    }
-                } else if !group.is_empty() {
-                    dynamic_groups.insert(group.clone());
-                }
-            }
-            if line.contains("bench_with_input(") && !group.is_empty() {
-                *with_input_calls.entry(group.clone()).or_default() += 1;
-            }
-            if let Some(pos) = line.find("BenchmarkId::new(\"") {
-                let rest = &line[pos + 18..];
-                if let Some(end) = rest.find('"') {
-                    if !group.is_empty() {
-                        prefixed.insert((group.clone(), rest[..end].to_string()));
-                        *with_input_literals.entry(group.clone()).or_default() += 1;
-                    }
-                }
-            }
-        }
-    }
-    for (group, calls) in &with_input_calls {
-        if *calls > with_input_literals.get(group).copied().unwrap_or(0) {
-            dynamic_groups.insert(group.clone());
-        }
-    }
-    let gated_groups: BTreeSet<&str> = baseline_ids
-        .iter()
-        .filter_map(|id| id.split_once('/').map(|(g, _)| g))
+    let declared: Vec<&str> = benchmark
+        .split("\"name\": \"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
         .collect();
-    for id in &baseline_ids {
-        let Some((group, name)) = id.split_once('/') else {
-            findings.push(Finding::new(
-                RuleId::ArtifactBenchBaseline,
-                "BENCH_baseline.json",
-                0,
-                format!("entry `{id}` is not of the form group/name"),
-            ));
-            continue;
-        };
-        if !known_groups.contains(group) {
-            findings.push(Finding::new(
-                RuleId::ArtifactBenchBaseline,
-                "BENCH_baseline.json",
-                0,
-                format!("entry `{id}`: no bench declares group `{group}`"),
-            ));
-        } else if !literal.contains(&(group.to_string(), name.to_string()))
-            && !dynamic_groups.contains(group)
-            && !prefixed.iter().any(|(g, p)| {
-                g == group
-                    && name
-                        .strip_prefix(p.as_str())
-                        .is_some_and(|r| r.starts_with('/'))
-            })
-        {
-            findings.push(Finding::new(
-                RuleId::ArtifactBenchBaseline,
-                "BENCH_baseline.json",
-                0,
-                format!("entry `{id}`: group `{group}` has no such bench"),
-            ));
+    let known = |token: &str| {
+        declared.iter().any(|d| {
+            d.strip_prefix(token)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with('_'))
+        })
+    };
+    for (path, text) in &a.docs {
+        for (i, line) in text.lines().enumerate() {
+            for token in line.split('`').skip(1).step_by(2) {
+                if benchmark_shaped(token) && !known(token) {
+                    findings.push(Finding::new(
+                        RuleId::ArtifactBenchmarkMetrics,
+                        path,
+                        i + 1,
+                        format!("`{token}` is cited but BENCHMARK.json declares no such name"),
+                    ));
+                }
+            }
         }
     }
-    for (group, name) in &literal {
-        if gated_groups.contains(group.as_str())
-            && !baseline_ids.contains(&format!("{group}/{name}"))
-        {
-            findings.push(Finding::new(
-                RuleId::ArtifactBenchBaseline,
-                "BENCH_baseline.json",
-                0,
-                format!("bench `{group}/{name}` exists but the gated baseline lacks it"),
-            ));
+    for (path, text) in a.docs.iter().chain(&a.sources) {
+        for (i, line) in text.lines().enumerate() {
+            for name in RETIRED.iter().filter(|name| line.contains(**name)) {
+                findings.push(Finding::new(
+                    RuleId::ArtifactBenchmarkMetrics,
+                    path,
+                    i + 1,
+                    format!("mentions `{name}`, which is retired; cite a BENCHMARK.json metric"),
+                ));
+            }
         }
     }
-    for (group, name) in &prefixed {
-        if gated_groups.contains(group.as_str())
-            && !baseline_ids
-                .iter()
-                .any(|id| id.strip_prefix(&format!("{group}/{name}/")).is_some())
-        {
-            findings.push(Finding::new(
-                RuleId::ArtifactBenchBaseline,
-                "BENCH_baseline.json",
-                0,
-                format!("bench `{group}/{name}/*` exists but the gated baseline lacks it"),
-            ));
+}
+
+/// Whether a backticked doc token is shaped like a benchmark name: a
+/// per-layer metric `layer.some_name` (the name carries an underscore,
+/// which file names such as `store.json` and Rust paths do not) or a
+/// workload `kind_design_NNk`.
+fn benchmark_shaped(token: &str) -> bool {
+    let word = |s: &str| {
+        s.bytes()
+            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+    };
+    match token.split_once('.') {
+        Some((layer, name)) => METRIC_LAYERS.contains(&layer) && name.contains('_') && word(name),
+        None => {
+            word(token)
+                && token
+                    .strip_suffix('k')
+                    .and_then(|t| t.rsplit_once('_'))
+                    .is_some_and(|(_, n)| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
         }
     }
 }
@@ -277,7 +215,7 @@ fn check_bench_baseline(a: &Artifacts, findings: &mut Vec<Finding>) {
 /// own registry must appear in a README table row, and every code-shaped
 /// name in a README table must resolve to a real rule.
 fn check_rule_tables(a: &Artifacts, findings: &mut Vec<Finding>) {
-    let Some(readme) = &a.readme else {
+    let Some((_, readme)) = a.docs.iter().find(|(path, _)| path == "README.md") else {
         missing(RuleId::ArtifactRuleTable, "README.md", findings);
         return;
     };
@@ -395,32 +333,26 @@ mod tests {
             metrics_keys: Some(
                 "counter gcnt_a_total\ncounter gcnt_b_total\ngauge gcnt_g\n".to_string(),
             ),
-            bench_baseline: Some(
-                "\"id\": \"flow/fast\",\n\"id\": \"serve/dyn_deadline_10\",\n\
-                 \"id\": \"spmm/csr/4000\",\n"
+            benchmark: Some(
+                "{\"name\": \"flow_b1_20k\", \"why\": \"x\"},\n\
+                 {\"name\": \"op_p50_ms\", \"unit\": \"ms\"},\n\
+                 {\"name\": \"core.session_refresh_us\", \"unit\": \"us\"},\n"
                     .to_string(),
             ),
-            bench_sources: vec![
+            docs: vec![
+                ("README.md".to_string(), readme_with(&["NL001", "JN002"])),
                 (
-                    "crates/bench/benches/flow.rs".to_string(),
-                    "c.benchmark_group(\"flow\");\ngroup.bench_function(\"fast\", |b| {});\n"
-                        .to_string(),
-                ),
-                (
-                    "crates/bench/benches/serve.rs".to_string(),
-                    "c.benchmark_group(\"serve\");\ngroup.bench_function(name, |b| {});\n\
-                     c.benchmark_group(\"ungated\");\ngroup.bench_function(\"free\", |b| {});\n"
-                        .to_string(),
-                ),
-                (
-                    "crates/bench/benches/spmm.rs".to_string(),
-                    "c.benchmark_group(\"spmm\");\n\
-                     group.bench_with_input(BenchmarkId::new(\"csr\", n), &(), |b, ()| {});\n"
+                    "EXPERIMENTS.md".to_string(),
+                    "`flow_b1_20k` spends `core.session_refresh_us` per refresh (span \
+                     `core.session_refresh`, file `store.json`, `core::session`).\n"
                         .to_string(),
                 ),
             ],
+            sources: vec![(
+                "crates/x/src/lib.rs".to_string(),
+                "//! Timed by the benchmark.\n".to_string(),
+            )],
             lint_registry: Some("code: \"NL001\",\ncode: \"JN002\",\n".to_string()),
-            readme: Some(readme_with(&["NL001", "JN002"])),
             changes: Some("- PR 1 (x): a\n- PR 2 (y): b\n".to_string()),
         }
     }
@@ -459,79 +391,54 @@ mod tests {
     }
 
     #[test]
-    fn bench_drift_is_caught() {
-        // A baseline entry no bench can produce.
+    fn benchmark_drift_is_caught() {
+        // A cited metric and a cited workload that BENCHMARK.json lacks.
         let mut a = base();
-        a.bench_baseline = Some("\"id\": \"flow/gone\",\n".to_string());
-        assert!(check_artifacts(&a)
-            .iter()
-            .any(|f| f.rule == RuleId::ArtifactBenchBaseline && f.message.contains("flow/gone")));
-        // A literal bench in a gated group missing from the baseline.
-        let mut a = base();
-        a.bench_baseline = Some("\"id\": \"flow/other\",\n".to_string());
-        a.bench_sources[0]
+        a.docs[1]
             .1
-            .push_str("group.bench_function(\"other\", |b| {});\n");
-        assert!(check_artifacts(&a)
-            .iter()
-            .any(|f| f.message.contains("`flow/fast` exists")));
-        // Dynamic names satisfy baseline entries; ungated groups are free.
-        assert!(check_artifacts(&base()).is_empty());
-    }
-
-    #[test]
-    fn with_input_coverage_is_checked() {
-        // A literal BenchmarkId in a gated group with no `group/name/*`
-        // baseline entry.
-        let mut a = base();
-        if let Some(src) = a.bench_sources.get_mut(2) {
-            src.1.push_str(
-                "group.bench_with_input(BenchmarkId::new(\"coo\", n), &(), |b, ()| {});\n",
+            .push_str("see `tensor.nonexistent_ms` on `flow_b1_2k`\n");
+        let findings = check_artifacts(&a);
+        for gone in ["tensor.nonexistent_ms", "flow_b1_2k"] {
+            assert!(
+                findings.iter().any(|f| {
+                    f.rule == RuleId::ArtifactBenchmarkMetrics
+                        && f.path == "EXPERIMENTS.md"
+                        && f.line == 2
+                        && f.message.contains(gone)
+                }),
+                "{gone}: {findings:?}"
             );
         }
-        assert!(check_artifacts(&a)
-            .iter()
-            .any(|f| f.message.contains("`spmm/coo/*` exists")));
-        // A wrapped call whose BenchmarkId lands on the next line still
-        // pairs up (call count == literal count — not dynamic, and the
-        // literal is seen).
-        let mut a = base();
-        if let Some(src) = a.bench_sources.get_mut(2) {
-            src.1 = "c.benchmark_group(\"spmm\");\ngroup.bench_with_input(\n\
-                     BenchmarkId::new(\"csr\", n),\n&(), |b, ()| {});\n"
-                .to_string();
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        // A stale mention of the retired gate, in a doc and in a source.
+        for name in RETIRED {
+            let mut a = base();
+            a.docs[0].1.push_str(&format!("run `{name}` first\n"));
+            a.sources[0].1.push_str(&format!("// see {name}\n"));
+            let findings = check_artifacts(&a);
+            let hits: Vec<&str> = findings
+                .iter()
+                .filter(|f| f.message.contains(name))
+                .map(|f| f.path.as_str())
+                .collect();
+            assert_eq!(hits, ["README.md", "crates/x/src/lib.rs"], "{name}");
         }
-        assert!(check_artifacts(&a).is_empty());
-        // A dynamically built id (no literal) exempts the group.
-        let mut a = base();
-        if let Some(src) = a.bench_sources.get_mut(2) {
-            src.1 = "c.benchmark_group(\"spmm\");\n\
-                     group.bench_with_input(BenchmarkId::new(kind, n), &(), |b, ()| {});\n"
-                .to_string();
-        }
-        assert!(check_artifacts(&a).is_empty());
-        // A baseline entry whose prefix no bench declares.
-        let mut a = base();
-        a.bench_baseline = Some(
-            "\"id\": \"flow/fast\",\n\"id\": \"serve/x\",\n\"id\": \"spmm/gone/4000\",\n"
-                .to_string(),
-        );
-        assert!(check_artifacts(&a)
-            .iter()
-            .any(|f| f.message.contains("spmm/gone/4000")));
+        // Declared names, a declared metric's stem, file names and Rust
+        // paths all pass.
+        assert!(check_artifacts(&base()).is_empty());
     }
 
     #[test]
     fn undocumented_rule_is_caught() {
         let mut a = base();
-        a.readme = Some(readme_with(&["NL001"])); // JN002 row dropped
+        a.docs[0].1 = readme_with(&["NL001"]); // JN002 row dropped
         let findings = check_artifacts(&a);
         assert!(findings
             .iter()
             .any(|f| f.rule == RuleId::ArtifactRuleTable && f.message.contains("JN002")));
         // And the reverse: a documented ghost rule.
         let mut a = base();
-        a.readme = Some(readme_with(&["NL001", "JN002", "ZZ999"]));
+        a.docs[0].1 = readme_with(&["NL001", "JN002", "ZZ999"]);
         assert!(check_artifacts(&a)
             .iter()
             .any(|f| f.message.contains("ZZ999")));
@@ -556,7 +463,7 @@ mod tests {
             .any(|f| f.rule == RuleId::ArtifactMetricsKeys));
         assert!(findings
             .iter()
-            .any(|f| f.rule == RuleId::ArtifactBenchBaseline));
+            .any(|f| f.rule == RuleId::ArtifactBenchmarkMetrics));
         assert!(findings.iter().any(|f| f.rule == RuleId::ArtifactRuleTable));
         assert!(findings
             .iter()

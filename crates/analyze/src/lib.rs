@@ -21,8 +21,8 @@
 //! * **Feature-gate hygiene** (`SA501`) — fault-injection state stays
 //!   behind its cargo feature.
 //! * **Artifact consistency** (`SA601`–`SA604`) — metric golden list,
-//!   bench baseline, README rule tables, and changelog numbering match
-//!   their sources of truth.
+//!   documented benchmark metrics, README rule tables, and changelog
+//!   numbering match their sources of truth.
 //!
 //! The crate deliberately has **no dependencies** — not even the
 //! workspace shims — because it vets the tree that builds everything
@@ -151,17 +151,24 @@ fn gather_artifacts(root: &Path, raw: &[(String, String)]) -> Artifacts {
             .find(|(p, _)| p == path)
             .map(|(_, text)| text.clone())
     };
+    let read_all = |paths: &[&str]| -> Vec<(String, String)> {
+        paths
+            .iter()
+            .filter_map(|p| Some((p.to_string(), walk::read_rel(root, p)?)))
+            .collect()
+    };
     Artifacts {
         catalog: source("crates/obs/src/catalog.rs"),
         metrics_keys: walk::read_rel(root, "tests/golden/metrics_keys.txt"),
-        bench_baseline: walk::read_rel(root, "BENCH_baseline.json"),
-        bench_sources: raw
+        benchmark: walk::read_rel(root, "BENCHMARK.json"),
+        docs: read_all(&["README.md", "DESIGN.md", "EXPERIMENTS.md"]),
+        sources: raw
             .iter()
-            .filter(|(p, _)| p.starts_with("crates/bench/benches/"))
+            .filter(|(p, _)| !p.starts_with("benchmark/"))
             .cloned()
+            .chain(read_all(&[".github/workflows/ci.yml"]))
             .collect(),
         lint_registry: source("crates/lint/src/registry.rs"),
-        readme: walk::read_rel(root, "README.md"),
         changes: walk::read_rel(root, "CHANGES.md"),
     }
 }

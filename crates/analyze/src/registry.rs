@@ -52,9 +52,10 @@ pub enum RuleId {
     /// `SA601 artifact-metrics-keys`: the obs metric catalog and
     /// `tests/golden/metrics_keys.txt` disagree.
     ArtifactMetricsKeys,
-    /// `SA602 artifact-bench-baseline`: `BENCH_baseline.json` entries
-    /// and the gated bench suites disagree.
-    ArtifactBenchBaseline,
+    /// `SA602 artifact-benchmark-metrics`: a doc cites a workload or
+    /// metric `BENCHMARK.json` does not declare, or something still
+    /// mentions the retired micro-bench gate.
+    ArtifactBenchmarkMetrics,
     /// `SA603 artifact-rule-table`: the README rule tables and the
     /// lint/analyze registries disagree.
     ArtifactRuleTable,
@@ -158,11 +159,11 @@ pub const RULES: &[RuleDescriptor] = &[
         summary: "obs metric catalog and tests/golden/metrics_keys.txt disagree",
     },
     RuleDescriptor {
-        id: RuleId::ArtifactBenchBaseline,
+        id: RuleId::ArtifactBenchmarkMetrics,
         code: "SA602",
-        slug: "artifact-bench-baseline",
+        slug: "artifact-benchmark-metrics",
         severity: Severity::Error,
-        summary: "BENCH_baseline.json and the gated bench suites disagree",
+        summary: "docs cite a name BENCHMARK.json lacks, or the retired micro-bench gate",
     },
     RuleDescriptor {
         id: RuleId::ArtifactRuleTable,

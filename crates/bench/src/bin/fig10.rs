@@ -22,14 +22,16 @@ use std::time::Instant;
 use serde::Serialize;
 
 use gcnt_bench::{write_json, Args};
-use gcnt_core::{recursive, Gcn, GcnConfig, GraphData};
+use gcnt_core::{recursive, Gcn, GcnConfig, GraphData, MatrixBackend};
 use gcnt_netlist::{generate, GeneratorConfig};
 use gcnt_nn::seeded_rng;
+use gcnt_tensor::Budget;
 
 #[derive(Serialize)]
 struct Point {
     nodes: usize,
     edges: usize,
+    backend: &'static str,
     matrix_seconds: f64,
     recursion_seconds: f64,
     recursion_sampled: bool,
@@ -43,8 +45,8 @@ fn main() {
 
     println!("Figure 10: inference runtime, recursion vs sparse matrix form\n");
     println!(
-        "{:>9} {:>9} {:>12} {:>14} {:>9}",
-        "#nodes", "#edges", "matrix (s)", "recursion (s)", "speedup"
+        "{:>9} {:>9} {:>12} {:>12} {:>14} {:>9}",
+        "#nodes", "#edges", "backend", "matrix (s)", "recursion (s)", "speedup"
     );
 
     let gcn = Gcn::new(&GcnConfig::default(), &mut seeded_rng(1));
@@ -55,12 +57,20 @@ fn main() {
         let data = GraphData::from_netlist(&net, None).expect("generated designs are acyclic");
         let n = data.node_count();
 
+        // The call `infer_b1_120k` times: the backend `auto` picks for
+        // this size, built inside the timed region.
         let t0 = Instant::now();
-        let logits = gcn
-            .predict(&data.tensors, &data.features)
+        let mut backend = MatrixBackend::auto(&data.tensors);
+        let probs = gcn
+            .predict_proba_budgeted_with(
+                &data.tensors,
+                &data.features,
+                &Budget::unlimited(),
+                &mut backend,
+            )
             .expect("shapes agree");
         let matrix_seconds = t0.elapsed().as_secs_f64();
-        assert_eq!(logits.rows(), n);
+        assert_eq!(probs.len(), n);
 
         // Recursion side: full below the cutoff, sampled+extrapolated above.
         let cutoff = 30_000;
@@ -82,9 +92,10 @@ fn main() {
         };
         let speedup = recursion_seconds / matrix_seconds;
         println!(
-            "{:>9} {:>9} {:>12.3} {:>13.3}{} {:>8.1}x",
+            "{:>9} {:>9} {:>12} {:>12.3} {:>13.3}{} {:>8.1}x",
             n,
             data.tensors.edge_count(),
+            backend.label(),
             matrix_seconds,
             recursion_seconds,
             if sampled { "*" } else { " " },
@@ -93,6 +104,7 @@ fn main() {
         points.push(Point {
             nodes: n,
             edges: data.tensors.edge_count(),
+            backend: backend.label(),
             matrix_seconds,
             recursion_seconds,
             recursion_sampled: sampled,

@@ -13,15 +13,15 @@
 
 use serde::Serialize;
 
+use gcnt_bench::mlbase::features::{cone_features, ConeFeatureConfig};
+use gcnt_bench::mlbase::{
+    accuracy, Classifier, LinearSvm, LinearSvmConfig, LogisticRegression, LogisticRegressionConfig,
+    MlpClassifier, MlpClassifierConfig, RandomForest, RandomForestConfig,
+};
 use gcnt_bench::{prepare_designs, refit_normalizer, write_json, Args};
 use gcnt_core::train::{evaluate, train, TrainConfig};
 use gcnt_core::{balanced_indices, train_test_rotation, Gcn, GcnConfig, GraphData};
 use gcnt_dft::labeler::LabelConfig;
-use gcnt_mlbase::features::{cone_features, ConeFeatureConfig};
-use gcnt_mlbase::{
-    accuracy, Classifier, LinearSvm, LinearSvmConfig, LogisticRegression, LogisticRegressionConfig,
-    MlpClassifier, MlpClassifierConfig, RandomForest, RandomForestConfig,
-};
 use gcnt_nn::seeded_rng;
 use gcnt_tensor::{ops, Matrix};
 

@@ -1,10 +1,13 @@
 //! Shared plumbing for the experiment binaries that regenerate every
-//! table and figure of the paper's evaluation (§5).
+//! table and figure of the paper's evaluation (§5), plus [`mlbase`], the
+//! classical baselines only Table 2 runs.
 //!
 //! Each binary accepts `--nodes N` (design scale), `--epochs N`,
 //! `--seed N` and `--out PATH` where applicable; defaults are sized so the
 //! whole suite completes in minutes on a single core. The paper's
 //! 1.4M-node scale is reachable by passing `--nodes 1400000`.
+
+pub mod mlbase;
 
 use std::collections::HashMap;
 
@@ -64,20 +67,28 @@ impl Args {
         Args { values, flags }
     }
 
-    /// Integer option with default.
+    /// Integer option with default; a present value that does not parse
+    /// is a usage error (message on stderr, exit status 2).
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.parsed(key, default).unwrap_or_else(|e| usage_exit(&e))
     }
 
-    /// Float option with default.
+    /// Float option with default; malformed values exit like
+    /// [`Args::get_usize`].
     pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.parsed(key, default).unwrap_or_else(|e| usage_exit(&e))
+    }
+
+    /// `default` when `--key` is absent, its parsed value when present,
+    /// and an error naming the option and the text when it does not parse
+    /// — a run at the wrong scale must not look like a run at the default.
+    fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.values.get(key) {
+            None => Ok(default),
+            Some(text) => text
+                .parse()
+                .map_err(|_| format!("--{key}: cannot parse `{text}` as a number")),
+        }
     }
 
     /// String option with default.
@@ -92,6 +103,11 @@ impl Args {
     pub fn get_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+}
+
+fn usage_exit(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// One prepared benchmark design: netlist + labels + model-ready data.
@@ -177,6 +193,17 @@ mod tests {
         let args = Args::from_tokens(Vec::<String>::new());
         assert_eq!(args.get_usize("nodes", 77), 77);
         assert_eq!(args.get_str("out", "x"), "x");
+    }
+
+    #[test]
+    fn args_malformed_number_is_an_error_not_the_default() {
+        let args = Args::from_tokens(["--nodes", "2k", "--lr", "o.5", "--epochs", "30"]);
+        let err = args.parsed("nodes", 10_000usize).unwrap_err();
+        assert!(err.contains("--nodes") && err.contains("2k"), "{err}");
+        let err = args.parsed("lr", 0.1f64).unwrap_err();
+        assert!(err.contains("--lr") && err.contains("o.5"), "{err}");
+        assert_eq!(args.parsed("epochs", 5usize), Ok(30));
+        assert_eq!(args.parsed("seed", 7usize), Ok(7));
     }
 
     #[test]

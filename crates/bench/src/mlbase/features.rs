@@ -45,7 +45,7 @@ impl ConeFeatureConfig {
 /// # Examples
 ///
 /// ```
-/// use gcnt_mlbase::features::{cone_features, ConeFeatureConfig};
+/// use gcnt_bench::mlbase::features::{cone_features, ConeFeatureConfig};
 /// use gcnt_netlist::{generate, GeneratorConfig};
 /// use gcnt_core::features::raw_features_of;
 ///

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use gcnt_nn::{seeded_rng, Rng};
 use gcnt_tensor::Matrix;
 
-use crate::Classifier;
+use super::Classifier;
 
 /// Random-forest hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -75,7 +75,7 @@ impl TreeNode {
 /// # Examples
 ///
 /// ```
-/// use gcnt_mlbase::{Classifier, RandomForest, RandomForestConfig};
+/// use gcnt_bench::mlbase::{Classifier, RandomForest, RandomForestConfig};
 /// use gcnt_tensor::Matrix;
 ///
 /// let x = Matrix::from_rows(&[&[0.0], &[0.1], &[0.9], &[1.0]]).unwrap();
@@ -96,7 +96,6 @@ impl RandomForest {
     /// is empty.
     pub fn fit(x: &Matrix, labels: &[usize], cfg: &RandomForestConfig) -> Self {
         assert_eq!(labels.len(), x.rows(), "one label per row");
-        gcnt_obs::global().incr(gcnt_obs::counters::MLBASE_FITS);
         assert!(labels.iter().all(|&l| l <= 1), "binary labels expected");
         assert!(x.rows() > 0, "cannot fit on an empty dataset");
         let n = x.rows();
@@ -242,7 +241,7 @@ mod tests {
     fn learns_xor() {
         let (x, y) = xor_data();
         let model = RandomForest::fit(&x, &y, &RandomForestConfig::default());
-        let acc = crate::accuracy(&y, &model.predict(&x));
+        let acc = crate::mlbase::accuracy(&y, &model.predict(&x));
         assert!(acc > 0.95, "accuracy {acc}");
     }
 

@@ -2,7 +2,7 @@ use serde::{Deserialize, Serialize};
 
 use gcnt_tensor::Matrix;
 
-use crate::Classifier;
+use super::Classifier;
 
 /// Logistic-regression hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -30,7 +30,7 @@ impl Default for LogisticRegressionConfig {
 /// # Examples
 ///
 /// ```
-/// use gcnt_mlbase::{Classifier, LogisticRegression, LogisticRegressionConfig};
+/// use gcnt_bench::mlbase::{Classifier, LogisticRegression, LogisticRegressionConfig};
 /// use gcnt_tensor::Matrix;
 ///
 /// let x = Matrix::from_rows(&[&[-1.0], &[-0.5], &[0.5], &[1.0]]).unwrap();
@@ -51,7 +51,6 @@ impl LogisticRegression {
     /// Panics if `labels.len() != x.rows()` or any label exceeds 1.
     pub fn fit(x: &Matrix, labels: &[usize], cfg: &LogisticRegressionConfig) -> Self {
         assert_eq!(labels.len(), x.rows(), "one label per row");
-        gcnt_obs::global().incr(gcnt_obs::counters::MLBASE_FITS);
         assert!(labels.iter().all(|&l| l <= 1), "binary labels expected");
         let n = x.rows();
         let d = x.cols();

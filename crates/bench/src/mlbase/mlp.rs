@@ -4,7 +4,7 @@ use gcnt_nn::loss::softmax_cross_entropy;
 use gcnt_nn::{seeded_rng, Mlp};
 use gcnt_tensor::{ops, Matrix};
 
-use crate::Classifier;
+use super::Classifier;
 
 /// MLP-baseline hyper-parameters. The paper configures this baseline
 /// identically to the GCN's classifier head ("the configuration of the
@@ -39,7 +39,7 @@ impl Default for MlpClassifierConfig {
 /// # Examples
 ///
 /// ```
-/// use gcnt_mlbase::{Classifier, MlpClassifier, MlpClassifierConfig};
+/// use gcnt_bench::mlbase::{Classifier, MlpClassifier, MlpClassifierConfig};
 /// use gcnt_tensor::Matrix;
 ///
 /// let x = Matrix::from_rows(&[&[-1.0, 0.0], &[1.0, 0.0]]).unwrap();
@@ -60,7 +60,6 @@ impl MlpClassifier {
     /// Panics if `labels.len() != x.rows()` or any label exceeds 1.
     pub fn fit(x: &Matrix, labels: &[usize], cfg: &MlpClassifierConfig) -> Self {
         assert_eq!(labels.len(), x.rows(), "one label per row");
-        gcnt_obs::global().incr(gcnt_obs::counters::MLBASE_FITS);
         assert!(labels.iter().all(|&l| l <= 1), "binary labels expected");
         let mut dims = vec![x.cols()];
         dims.extend_from_slice(&cfg.hidden_dims);
@@ -125,7 +124,7 @@ mod tests {
             seed: 1,
         };
         let model = MlpClassifier::fit(&x, &y, &cfg);
-        let acc = crate::accuracy(&y, &model.predict(&x));
+        let acc = crate::mlbase::accuracy(&y, &model.predict(&x));
         assert!(acc > 0.9, "accuracy {acc}");
     }
 

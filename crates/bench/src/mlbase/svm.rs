@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 use gcnt_nn::seeded_rng;
 use gcnt_tensor::Matrix;
 
-use crate::Classifier;
+use super::Classifier;
 
 /// Linear-SVM hyper-parameters (Pegasos-style stochastic subgradient
 /// descent on the hinge loss).
@@ -33,7 +33,7 @@ impl Default for LinearSvmConfig {
 /// # Examples
 ///
 /// ```
-/// use gcnt_mlbase::{Classifier, LinearSvm, LinearSvmConfig};
+/// use gcnt_bench::mlbase::{Classifier, LinearSvm, LinearSvmConfig};
 /// use gcnt_tensor::Matrix;
 ///
 /// let x = Matrix::from_rows(&[&[-1.0], &[-2.0], &[1.0], &[2.0]]).unwrap();
@@ -54,7 +54,6 @@ impl LinearSvm {
     /// Panics if `labels.len() != x.rows()` or any label exceeds 1.
     pub fn fit(x: &Matrix, labels: &[usize], cfg: &LinearSvmConfig) -> Self {
         assert_eq!(labels.len(), x.rows(), "one label per row");
-        gcnt_obs::global().incr(gcnt_obs::counters::MLBASE_FITS);
         assert!(labels.iter().all(|&l| l <= 1), "binary labels expected");
         let n = x.rows();
         let d = x.cols();

@@ -258,7 +258,7 @@ declare_counters! {
     RUNTIME_ROLLBACKS => "gcnt_runtime_rollbacks_total",
         "Divergence-guard rollbacks to the last good state";
 
-    // --- nn / netlist / mlbase substrate ---
+    // --- nn / netlist substrate ---
     /// Optimizer parameter-update steps.
     NN_OPTIMIZER_STEPS => "gcnt_nn_optimizer_steps_total",
         "Optimizer parameter-update steps";
@@ -268,9 +268,6 @@ declare_counters! {
     /// Full SCOAP recomputations.
     NETLIST_SCOAP_COMPUTES => "gcnt_netlist_scoap_computes_total",
         "Full SCOAP testability computations";
-    /// Classical-baseline model fits (LR / RF / SVM / MLP).
-    MLBASE_FITS => "gcnt_mlbase_fits_total",
-        "Classical baseline model fits";
 
     // --- net: the TCP/loopback wire protocol and shard router ---
     /// Connections accepted by the net server (plus loopback pairs).

@@ -147,18 +147,32 @@ fn split_args(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
     (positional, options)
 }
 
-fn opt_usize(options: &HashMap<String, String>, key: &str, default: usize) -> usize {
-    options
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// `default` when `--key` is absent; a value that is present but does not
+/// parse is a usage error naming the option and the text, never a silent
+/// run at the default.
+fn opt_parsed<T: std::str::FromStr>(
+    options: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    match options.get(key) {
+        None => Ok(default),
+        Some(text) => text
+            .parse()
+            .map_err(|_| format!("--{key}: cannot parse `{text}` as a number")),
+    }
 }
 
-fn opt_f64(options: &HashMap<String, String>, key: &str, default: f64) -> f64 {
-    options
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+fn opt_usize(
+    options: &HashMap<String, String>,
+    key: &str,
+    default: usize,
+) -> Result<usize, String> {
+    opt_parsed(options, key, default)
+}
+
+fn opt_f64(options: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
+    opt_parsed(options, key, default)
 }
 
 fn load_design(path: &str) -> Result<Netlist, Box<dyn Error>> {
@@ -169,8 +183,8 @@ fn load_design(path: &str) -> Result<Netlist, Box<dyn Error>> {
 }
 
 fn cmd_generate(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let nodes = opt_usize(options, "nodes", 10_000);
-    let seed = opt_usize(options, "seed", 1) as u64;
+    let nodes = opt_usize(options, "nodes", 10_000)?;
+    let seed = opt_usize(options, "seed", 1)? as u64;
     let out = options.get("out").ok_or("--out is required")?;
     let net = generate(&GeneratorConfig::sized("generated", seed, nodes));
     fs::write(out, format::write(&net))?;
@@ -204,9 +218,9 @@ fn cmd_label(
     let path = positional.first().ok_or("expected a design file")?;
     let net = load_design(path)?;
     let cfg = LabelConfig {
-        patterns: opt_usize(options, "patterns", 8192),
-        threshold: opt_f64(options, "threshold", 0.0005),
-        seed: opt_usize(options, "seed", 0xDF7) as u64,
+        patterns: opt_usize(options, "patterns", 8192)?,
+        threshold: opt_f64(options, "threshold", 0.0005)?,
+        seed: opt_usize(options, "seed", 0xDF7)? as u64,
     };
     let result = label_difficult_to_observe(&net, &cfg)?;
     println!(
@@ -231,8 +245,8 @@ fn cmd_train(
     }
     let model_path = options.get("model").ok_or("--model is required")?;
     let label_cfg = LabelConfig {
-        patterns: opt_usize(options, "patterns", 8192),
-        threshold: opt_f64(options, "threshold", 0.0005),
+        patterns: opt_usize(options, "patterns", 8192)?,
+        threshold: opt_f64(options, "threshold", 0.0005)?,
         seed: 0xDF7,
     };
     // Load, label, and prepare every design with a shared normaliser.
@@ -258,8 +272,8 @@ fn cmd_train(
         .collect::<Result<_, _>>()?;
 
     let ms_cfg = MultiStageConfig {
-        stages: opt_usize(options, "stages", 3),
-        epochs_per_stage: opt_usize(options, "epochs", 100),
+        stages: opt_usize(options, "stages", 3)?,
+        epochs_per_stage: opt_usize(options, "epochs", 100)?,
         ..MultiStageConfig::default()
     };
     let refs: Vec<&GraphData> = data.iter().collect();
@@ -267,9 +281,9 @@ fn cmd_train(
         // Resilient path: checksummed checkpoints, divergence guards, and
         // bit-for-bit deterministic resume after an interruption.
         Some(dir) => {
-            let store = CheckpointStore::open(dir, opt_usize(options, "keep", 3))?;
+            let store = CheckpointStore::open(dir, opt_usize(options, "keep", 3)?)?;
             let mut trainer = MultiStageTrainer::new(ms_cfg);
-            trainer.guard.checkpoint_every = opt_usize(options, "checkpoint-every", 25);
+            trainer.guard.checkpoint_every = opt_usize(options, "checkpoint-every", 25)?;
             trainer.store = Some(&store);
             trainer.resume = options.contains_key("resume");
             let outcome = trainer.run(&refs)?;
@@ -363,7 +377,7 @@ fn cmd_infer(
     let path = positional.first().ok_or("expected a design file")?;
     let net = load_design(path)?;
     let bundle = load_model(options)?;
-    let threshold = opt_f64(options, "threshold", 0.5) as f32;
+    let threshold = opt_f64(options, "threshold", 0.5)? as f32;
     let data = GraphData::from_netlist(&net, Some(&bundle.normalizer))?;
     let probs = bundle.model.predict_proba(&data.tensors, &data.features)?;
     let mut positives: Vec<(usize, f32)> = probs
@@ -396,9 +410,9 @@ fn cmd_flow(
     let mut net = load_design(path)?;
     let bundle = load_model(options)?;
     let cfg = FlowConfig {
-        max_iterations: opt_usize(options, "iterations", 12),
-        ops_per_iteration: opt_usize(options, "ops-per-iteration", 16),
-        skip_budget: opt_usize(options, "skip-budget", 0),
+        max_iterations: opt_usize(options, "iterations", 12)?,
+        ops_per_iteration: opt_usize(options, "ops-per-iteration", 16)?,
+        skip_budget: opt_usize(options, "skip-budget", 0)?,
         ..FlowConfig::default()
     };
     let outcome = run_gcn_opi(&mut net, &bundle.normalizer, &bundle.model, &cfg)?;
@@ -531,7 +545,7 @@ fn cmd_serve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     // (For SIGTERM-triggered graceful drain, use `gcnt netserve`, which
     // installs a handler and drains the shard router before exiting.)
     let metrics_path = metrics_out(options);
-    let metrics_every = opt_usize(options, "metrics-every", 0) as u64;
+    let metrics_every = opt_usize(options, "metrics-every", 0)? as u64;
     let plan = match options.get("faults") {
         Some(path) => load_fault_plan(path)?,
         None => FaultPlan::none(),
@@ -542,7 +556,7 @@ fn cmd_serve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         .unwrap_or_else(|| ".".to_string());
     fs::create_dir_all(&journal_dir)?;
     let journal_path = std::path::Path::new(&journal_dir).join("selftest.wal");
-    let requests = opt_usize(options, "requests", 4) as u64;
+    let requests = opt_usize(options, "requests", 4)? as u64;
     let deadline = options
         .get("deadline")
         .map(|v| v.parse::<u64>())
@@ -573,7 +587,7 @@ fn cmd_serve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     if let Some(store_dir) = options.get("store-dir") {
         use gcn_testability::serve::{JobStore, StorePolicy};
         let policy = StorePolicy {
-            compact_after_records: opt_usize(options, "compact-after", 16) as u64,
+            compact_after_records: opt_usize(options, "compact-after", 16)? as u64,
             ..StorePolicy::default()
         };
         core = core.with_store(JobStore::open(store_dir.as_ref(), policy)?);
@@ -805,7 +819,7 @@ fn cmd_netserve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>>
         Some(path) => load_fault_plan(path)?,
         None => FaultPlan::none(),
     };
-    let shards = opt_usize(options, "shards", 2).max(1);
+    let shards = opt_usize(options, "shards", 2)?.max(1);
     let addr = options
         .get("addr")
         .map(String::as_str)
@@ -873,10 +887,10 @@ fn cmd_loadgen(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> 
         Some(path) => load_fault_plan(path)?,
         None => FaultPlan::none(),
     };
-    let sessions = opt_usize(options, "sessions", 100).max(1);
-    let workers = opt_usize(options, "workers", 8).clamp(1, 64);
-    let flow_jobs = opt_usize(options, "flow-jobs", 2).min(sessions);
-    let shards = opt_usize(options, "shards", 4).max(1);
+    let sessions = opt_usize(options, "sessions", 100)?.max(1);
+    let workers = opt_usize(options, "workers", 8)?.clamp(1, 64);
+    let flow_jobs = opt_usize(options, "flow-jobs", 2)?.min(sessions);
+    let shards = opt_usize(options, "shards", 4)?.max(1);
 
     // An in-process server is spun up unless --addr points elsewhere.
     let (addr, server) = match options.get("addr") {
@@ -1108,7 +1122,7 @@ fn cmd_atpg(
     let path = positional.first().ok_or("expected a design file")?;
     let net = load_design(path)?;
     let cfg = AtpgConfig {
-        max_patterns: opt_usize(options, "patterns", 16_384),
+        max_patterns: opt_usize(options, "patterns", 16_384)?,
         ..Default::default()
     };
     let result = run_random_atpg(&net, &cfg)?;
@@ -1120,4 +1134,38 @@ fn cmd_atpg(
         result.patterns_kept, result.patterns_applied
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run_tokens(tokens: &[&str]) -> Result<(), Box<dyn Error>> {
+        let args: Vec<String> = tokens.iter().map(|t| t.to_string()).collect();
+        run(&args)
+    }
+
+    #[test]
+    fn malformed_numeric_option_is_a_usage_error_and_writes_nothing() {
+        let out = std::env::temp_dir().join(format!("gcnt-cli-test-{}.bench", std::process::id()));
+        let out_str = out.to_str().expect("temp path is utf-8");
+        for (option, text) in [("--nodes", "2k"), ("--seed", "-1")] {
+            let err = run_tokens(&["generate", option, text, "--out", out_str])
+                .expect_err("malformed value must not fall back to the default")
+                .to_string();
+            assert!(err.contains(option) && err.contains(text), "{err}");
+            assert!(!out.exists(), "{option} {text} still wrote a design");
+        }
+        let (_, options) = split_args(&["--threshold".to_string(), "abc".to_string()]);
+        let err = opt_f64(&options, "threshold", 0.5).unwrap_err();
+        assert!(err.contains("--threshold") && err.contains("abc"), "{err}");
+    }
+
+    #[test]
+    fn absent_and_well_formed_options_still_parse() {
+        let (_, options) = split_args(&["--nodes".to_string(), "120".to_string()]);
+        assert_eq!(opt_usize(&options, "nodes", 10_000), Ok(120));
+        assert_eq!(opt_usize(&options, "seed", 1), Ok(1));
+        assert_eq!(opt_f64(&options, "threshold", 0.5), Ok(0.5));
+    }
 }

@@ -18,7 +18,6 @@
 //! | [`tensor`] | dense + COO/CSR sparse kernels |
 //! | [`nn`] | linear/MLP layers, weighted losses, optimisers |
 //! | [`gcn`] | the GCN model, multi-stage cascade, sparse + recursive inference, one-worker-per-graph training |
-//! | [`mlbase`] | LR / RF / SVM / MLP baselines with cone features |
 //! | [`dft`] | logic simulation, CPT, ATPG, labeling, both OP-insertion flows |
 //! | [`lint`] | cross-crate static analysis of *runtime data*: netlist, tensor and model invariants with stable rule ids |
 //! | [`analyze`] | static analysis of the *source tree and artifacts*: panic/unsafe/atomics/cast policies with a ratchet, cross-artifact consistency |
@@ -56,7 +55,6 @@ pub use gcnt_analyze as analyze;
 pub use gcnt_core as gcn;
 pub use gcnt_dft as dft;
 pub use gcnt_lint as lint;
-pub use gcnt_mlbase as mlbase;
 pub use gcnt_net as net;
 pub use gcnt_netlist as netlist;
 pub use gcnt_nn as nn;

@@ -2,8 +2,8 @@
 //! OP-insertion flow with metrics enabled must produce nonzero SpMM-row,
 //! cache-reuse, and insertion counters whose values are consistent with the
 //! flow's own `FlowOutcome::inference` accounting. The reference design is
-//! the seeded 9-level/400-node netlist of `benches/flow.rs` and
-//! EXPERIMENTS.md (the benchmark's `flow_b1_20k` is the same flow at 20k
+//! the seeded 9-level/400-node netlist of EXPERIMENTS.md's reuse-factor
+//! paragraph (the benchmark's `flow_b1_20k` is the same flow at 20k
 //! nodes). Training metrics are checked the same way: every training path
 //! must record its epochs.
 
