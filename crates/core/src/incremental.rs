@@ -14,6 +14,12 @@
 //!   SpMM + encode ([`GraphTensors::aggregate_rows`]), and scattered back
 //!   into the cached layer.
 //!
+//! The same row-sliced layer runs the halo *backwards* for the filtered
+//! cascade (`Gcn::embed_rows_budgeted`): the final embedding of a few
+//! surviving rows needs the layer below on their one-hop halo, and so on
+//! down to the features — `halo_step` is its own inverse because
+//! `succ ≡ predᵀ`.
+//!
 //! Because every kernel involved is row-independent with an unchanged
 //! per-row accumulation order, the patched cache is **bit-for-bit equal** to
 //! a full recompute — not merely close. That exactness is load-bearing: the
@@ -29,10 +35,13 @@
 //! and adopt the new generation, then pass the insertion's dirty set to the
 //! next [`CascadeSession::refresh`].
 
+use std::borrow::Cow;
+
+use gcnt_nn::Linear;
 use gcnt_tensor::{ops, Budget, Matrix, Result, TensorError};
 
 use crate::backend::MatrixBackend;
-use crate::multistage::combine_stage_probs;
+use crate::multistage::cascade_rows;
 use crate::{Gcn, GraphTensors, MultiStageGcn};
 
 /// Per-layer embeddings `E_1..E_D` of one [`Gcn`] on one graph state.
@@ -307,8 +316,7 @@ impl Gcn {
                 return Err(e);
             }
             let prev = if d == 0 { x } else { &cache.layers[d - 1] };
-            let g = t.aggregate_rows(prev, &rows, self.w_pr(), self.w_su())?;
-            let e = ops::relu(&enc.forward(&g)?);
+            let e = self.layer_rows(t, prev, &rows, enc)?;
             let old = cache.layers[d].gather_rows(&rows);
             cache.layers[d].scatter_rows(&rows, &e)?;
             rows_computed += rows.len();
@@ -319,16 +327,86 @@ impl Gcn {
             rows_computed,
         })
     }
+
+    /// One embedding layer on a row subset: the listed rows of
+    /// `relu(enc(aggregate(prev)))`, one output row per entry of `rows`.
+    /// `prev` is the previous layer over all nodes, of which only the
+    /// rows' one-hop halo is read; each output row is bit-for-bit the
+    /// full layer's (see the module docs).
+    fn layer_rows(
+        &self,
+        t: &GraphTensors,
+        prev: &Matrix,
+        rows: &[usize],
+        enc: &Linear,
+    ) -> Result<Matrix> {
+        let g = t.aggregate_rows(prev, rows, self.w_pr(), self.w_su())?;
+        let mut z = enc.forward(&g)?;
+        ops::relu_in_place(&mut z);
+        Ok(z)
+    }
+
+    /// The final embedding `E_D` of just `rows` (one output row per
+    /// entry), bit-identical to those rows of [`Gcn::embed`] — the
+    /// dirty-halo patch run backwards. `E_D` on `rows` reads `E_{D-1}` on
+    /// their one-hop halo, which reads `E_{D-2}` on the halo of that, and
+    /// [`GraphTensors::halo_step`] is its own inverse because
+    /// `succ ≡ predᵀ`; so the needed sets grow from `rows` down to the
+    /// features and each layer computes only its own, scattered into a
+    /// zeroed all-nodes buffer for the next layer to aggregate from. The
+    /// budget is charged one unit per row a layer computes.
+    ///
+    /// # Errors
+    ///
+    /// Shape errors if `x` does not match the graph, and budget errors
+    /// from the per-layer checkpoints.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is `>= t.node_count()` (as `halo_step` does).
+    pub(crate) fn embed_rows_budgeted(
+        &self,
+        t: &GraphTensors,
+        x: &Matrix,
+        rows: &[usize],
+        budget: &Budget,
+    ) -> Result<Matrix> {
+        // needed[d] lists the rows of `E_{d+1}` the answer depends on.
+        let mut needed = vec![rows.to_vec()];
+        for _ in 1..self.depth() {
+            let wider = t.halo_step(needed.last().map_or(rows, Vec::as_slice));
+            needed.push(wider);
+        }
+        needed.reverse();
+        let mut prev: Option<Matrix> = None;
+        let mut layers = self.encoders().iter().zip(&needed).peekable();
+        while let Some((enc, need)) = layers.next() {
+            budget.charge(need.len() as u64)?;
+            let e = self.layer_rows(t, prev.as_ref().unwrap_or(x), need, enc)?;
+            if layers.peek().is_none() {
+                return Ok(e);
+            }
+            // The old buffer goes before the new one comes.
+            drop(prev.take());
+            let mut all = Matrix::zeros(t.node_count(), e.cols());
+            all.scatter_rows(need, &e)?;
+            prev = Some(all);
+        }
+        // A depth-0 model embeds a node as its features.
+        Ok(x.gather_rows(rows))
+    }
 }
 
-/// Undo record plus work accounting returned by [`CascadeSession::refresh`].
+/// Undo record plus work accounting returned by [`CascadeSession::refresh`]:
+/// per stage the embedding rows it overwrote, and the combined
+/// probabilities of the halo rows — everything a later call reads, since a
+/// session keeps no per-stage probabilities. The accounting counts
+/// embedding rows; the heads a refresh skips on filtered rows are not in it.
 #[derive(Debug, Clone)]
 pub struct SessionDelta {
     stage_deltas: Vec<EmbeddingDelta>,
     /// Rows whose final embedding — and hence probability — was recomputed.
     rows: Vec<usize>,
-    /// Previous per-stage probabilities of those rows.
-    old_stage_probs: Vec<Vec<f32>>,
     /// Previous combined probabilities of those rows.
     old_probs: Vec<f32>,
     rows_computed: u64,
@@ -354,13 +432,18 @@ impl SessionDelta {
 }
 
 /// A live incremental-inference session over a (possibly single-stage)
-/// cascade: per-stage [`EmbeddingCache`]s plus the per-stage and combined
-/// probabilities, kept current under dirty-row refreshes.
+/// cascade: per-stage [`EmbeddingCache`]s plus the combined probabilities,
+/// kept current under dirty-row refreshes.
 ///
 /// The cascade stages carry *distinct* trained weights, so their embeddings
 /// cannot be shared — what is shared is the halo: the dirty set is
-/// graph-structural, so every stage recomputes the same rows and the head +
-/// filter combination runs once over that row set instead of once per node.
+/// graph-structural, so every stage recomputes the same rows. Embeddings
+/// are kept complete for every stage (a later refresh may need any row's
+/// neighbours, and the caches are what a warm restart persists); the
+/// classifier heads filter as the cascade does — stage `s+1`'s head runs
+/// only on the rows stage `s` passed on, over all rows at open and over the
+/// halo at refresh. Per-stage probabilities are not kept: a row's combined
+/// probability is re-derived from stage 0 whenever its embedding changes.
 ///
 /// Probabilities served by [`CascadeSession::probs`] are bit-identical to
 /// [`MultiStageGcn::predict_proba`] (or [`Gcn::predict_proba`] for a
@@ -370,8 +453,6 @@ pub struct CascadeSession<'m> {
     stages: &'m [Gcn],
     filter_threshold: f32,
     caches: Vec<EmbeddingCache>,
-    /// `stage_probs[s][v]` = stage `s`'s positive probability for node `v`.
-    stage_probs: Vec<Vec<f32>>,
     /// Combined cascade probability per node.
     probs: Vec<f32>,
 }
@@ -517,24 +598,7 @@ impl<'m> CascadeSession<'m> {
                 }
             }
         }
-        let mut stage_probs = Vec::with_capacity(stages.len());
-        for (gcn, cache) in stages.iter().zip(&caches) {
-            stage_probs.push(ops::softmax_col(
-                &gcn.head().predict(cache.final_embedding())?,
-                1,
-            ));
-        }
-        let mut session = CascadeSession {
-            stages,
-            filter_threshold: model.filter_threshold(),
-            caches,
-            stage_probs,
-            probs: vec![0.0; n],
-        };
-        for r in 0..n {
-            session.probs[r] = session.combine_row(r);
-        }
-        Ok(session)
+        Self::classified(stages, model.filter_threshold(), caches, n)
     }
 
     /// Consumes the session, handing back its per-stage embedding caches
@@ -551,36 +615,50 @@ impl<'m> CascadeSession<'m> {
         budget: &Budget,
         backend: &mut MatrixBackend,
     ) -> Result<Self> {
-        let n = t.node_count();
         let mut caches = Vec::with_capacity(stages.len());
-        let mut stage_probs = Vec::with_capacity(stages.len());
         for gcn in stages {
-            let cache = gcn.embed_cached_budgeted_with(t, x, budget, backend)?;
-            stage_probs.push(ops::softmax_col(
-                &gcn.head().predict(cache.final_embedding())?,
-                1,
-            ));
-            caches.push(cache);
+            caches.push(gcn.embed_cached_budgeted_with(t, x, budget, backend)?);
         }
+        Self::classified(stages, filter_threshold, caches, t.node_count())
+    }
+
+    /// A session over complete `caches` of an `n`-node graph, every row
+    /// classified.
+    fn classified(
+        stages: &'m [Gcn],
+        filter_threshold: f32,
+        caches: Vec<EmbeddingCache>,
+        n: usize,
+    ) -> Result<Self> {
         let mut session = CascadeSession {
             stages,
             filter_threshold,
             caches,
-            stage_probs,
-            probs: vec![0.0; n],
+            probs: Vec::new(),
         };
-        for r in 0..n {
-            session.probs[r] = session.combine_row(r);
-        }
+        let all: Vec<usize> = (0..n).collect();
+        session.probs = session.classify(&all)?;
         Ok(session)
     }
 
-    /// The cascade rule ([`combine_stage_probs`]) for row `r`.
-    fn combine_row(&self, r: usize) -> f32 {
-        combine_stage_probs(
-            self.stage_probs.iter().map(|sp| sp[r]),
-            self.filter_threshold,
-        )
+    /// The cascade rule ([`cascade_rows`]) over `rows` — sorted and
+    /// distinct — read from the cached final embeddings: each stage's
+    /// head sees only the rows still alive.
+    fn classify(&self, rows: &[usize]) -> Result<Vec<f32>> {
+        cascade_rows(self.stages, self.filter_threshold, rows, |s, _, alive| {
+            let cache = self.caches.get(s).ok_or(TensorError::LengthMismatch {
+                expected: self.stages.len(),
+                actual: self.caches.len(),
+            })?;
+            let e = cache.final_embedding();
+            // Distinct rows that number as many as there are nodes are
+            // every node in order: no copy needed.
+            Ok(if alive.len() == e.rows() {
+                Cow::Borrowed(e)
+            } else {
+                Cow::Owned(e.gather_rows(alive))
+            })
+        })
     }
 
     /// Re-derives embeddings and probabilities after the feature rows
@@ -633,26 +711,18 @@ impl<'m> CascadeSession<'m> {
         }
         // The halo is graph-structural, hence identical across stages.
         let rows: Vec<usize> = stage_deltas[0].final_rows().to_vec();
-        let mut old_stage_probs = Vec::with_capacity(self.stages.len());
-        for (s, gcn) in self.stages.iter().enumerate() {
-            let gathered = self.caches[s].final_embedding().gather_rows(&rows);
-            let probs = ops::softmax_col(&gcn.head().predict(&gathered)?, 1);
-            let old: Vec<f32> = rows.iter().map(|&r| self.stage_probs[s][r]).collect();
-            for (&r, &p) in rows.iter().zip(&probs) {
-                self.stage_probs[s][r] = p;
+        let new_probs = self.classify(&rows)?;
+        let mut old_probs = Vec::with_capacity(rows.len());
+        for (&r, p) in rows.iter().zip(new_probs) {
+            if let Some(slot) = self.probs.get_mut(r) {
+                old_probs.push(std::mem::replace(slot, p));
             }
-            old_stage_probs.push(old);
-        }
-        let old_probs: Vec<f32> = rows.iter().map(|&r| self.probs[r]).collect();
-        for &r in &rows {
-            self.probs[r] = self.combine_row(r);
         }
         let rows_computed = stage_deltas
             .iter()
             .map(|d| d.rows_computed() as u64)
             .sum::<u64>();
-        let rows_full =
-            self.stages.iter().map(|g| g.depth() as u64).sum::<u64>() * t.node_count() as u64;
+        let rows_full = self.full_rows(t.node_count());
         let obs = gcnt_obs::global();
         if obs.is_enabled() {
             obs.incr(gcnt_obs::counters::CORE_SESSION_REFRESHES);
@@ -665,7 +735,6 @@ impl<'m> CascadeSession<'m> {
         Ok(SessionDelta {
             stage_deltas,
             rows,
-            old_stage_probs,
             old_probs,
             rows_computed,
             rows_full,
@@ -680,20 +749,16 @@ impl<'m> CascadeSession<'m> {
         let SessionDelta {
             stage_deltas,
             rows,
-            old_stage_probs,
             old_probs,
             ..
         } = delta;
         for (cache, d) in self.caches.iter_mut().zip(stage_deltas) {
             cache.revert(d);
         }
-        for (sp, old) in self.stage_probs.iter_mut().zip(old_stage_probs) {
-            for (&r, v) in rows.iter().zip(old) {
-                sp[r] = v;
-            }
-        }
         for (&r, v) in rows.iter().zip(old_probs) {
-            self.probs[r] = v;
+            if let Some(slot) = self.probs.get_mut(r) {
+                *slot = v;
+            }
         }
     }
 
@@ -706,9 +771,6 @@ impl<'m> CascadeSession<'m> {
         let n = t.node_count();
         for cache in &mut self.caches {
             cache.extend_to(n, t.generation());
-        }
-        for sp in &mut self.stage_probs {
-            sp.resize(n, 0.0);
         }
         self.probs.resize(n, 0.0);
     }

@@ -8,9 +8,11 @@
 //! After a few stages the surviving set is roughly balanced and the last
 //! stage makes the final call.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
-use gcnt_tensor::{Matrix, Result};
+use gcnt_tensor::{ops, Matrix, Result, TensorError};
 
 use crate::train::{train, TrainConfig};
 use crate::{Gcn, GcnConfig, GraphData, GraphTensors};
@@ -307,12 +309,20 @@ impl MultiStageGcn {
     }
 
     /// [`MultiStageGcn::predict_proba`] under an explicit work
-    /// [`gcnt_tensor::Budget`] and [`crate::MatrixBackend`]: every
-    /// stage's layers charge the budget before computing, so an exhausted
-    /// or cancelled budget stops the cascade at a layer boundary, and
-    /// every stage shares the one backend (the adjacency, and hence any
-    /// partitioning, is stage-independent). Bit-identical probabilities
-    /// across backends.
+    /// [`gcnt_tensor::Budget`] and [`crate::MatrixBackend`], filtering as
+    /// the cascade trains: stage 0 is one full pass on `backend`, and
+    /// every later stage embeds only the rows its predecessors passed on
+    /// — the final layer on the survivors, layer `D-1` on their one-hop
+    /// halo, and so on back to the features (`Gcn::embed_rows_budgeted`)
+    /// — then classifies those rows alone. A stage nobody reaches does not
+    /// run. Every kernel involved is row-local with an unchanged per-row
+    /// accumulation order, so the probabilities are bit-identical to
+    /// running every stage over every node, and across backends.
+    ///
+    /// Each layer charges the budget one unit per row it is about to
+    /// compute — `n` per layer of stage 0, the halo's size per layer of a
+    /// later stage — so an exhausted or cancelled budget stops the cascade
+    /// at a layer boundary with no partial result.
     ///
     /// # Errors
     ///
@@ -328,38 +338,108 @@ impl MultiStageGcn {
         backend: &mut crate::MatrixBackend,
     ) -> Result<Vec<f32>> {
         gcnt_obs::global().incr(gcnt_obs::counters::CORE_CASCADE_INFERENCES);
-        let stage_probs = self
-            .stages
-            .iter()
-            .map(|gcn| gcn.predict_proba_budgeted_with(t, x, budget, backend))
-            .collect::<Result<Vec<_>>>()?;
-        Ok((0..t.node_count())
-            .map(|i| combine_stage_probs(stage_probs.iter().map(|sp| sp[i]), self.filter_threshold))
-            .collect())
+        let rows: Vec<usize> = (0..t.node_count()).collect();
+        cascade_rows(
+            &self.stages,
+            self.filter_threshold,
+            &rows,
+            |s, gcn, alive| {
+                if s == 0 {
+                    gcn.embed_budgeted_with(t, x, budget, backend)
+                } else {
+                    gcn.embed_rows_budgeted(t, x, alive, budget)
+                }
+                .map(Cow::Owned)
+            },
+        )
     }
 }
 
-/// The cascade rule for one node, over its per-stage positive
-/// probabilities in stage order: the first non-final stage that scores
-/// the node below `filter_threshold` filters it, and it reports that
-/// probability capped at 0.49 (a filtered node is never a positive);
-/// a node that survives every filter reports the last stage's
-/// probability. Row-local, so a session can re-run it for just the
-/// refreshed rows.
-pub(crate) fn combine_stage_probs(
-    stage_probs: impl ExactSizeIterator<Item = f32>,
+/// The cascade rule over a row set — the one place inference applies the
+/// filter threshold. Stage by stage, `final_embedding(s, stage, alive)`
+/// supplies stage `s`'s final embedding of the rows still `alive` (one
+/// matrix row per entry, in order) and the stage's head classifies them:
+/// a non-final stage that scores a row below `filter_threshold` settles
+/// it at that probability capped at 0.49 (a filtered node is never a
+/// positive) and passes the rest on; the last stage settles whoever is
+/// left at its own probability. Stops as soon as nobody is alive. Returns
+/// one probability per entry of `rows`, in order.
+///
+/// A row survives on `!(p < filter_threshold)`, so a NaN probability is
+/// passed on rather than settled.
+pub(crate) fn cascade_rows<'e>(
+    stages: &[Gcn],
     filter_threshold: f32,
-) -> f32 {
-    let stages = stage_probs.len();
-    for (s, p) in stage_probs.enumerate() {
-        if s + 1 == stages {
-            return p;
+    rows: &[usize],
+    mut final_embedding: impl FnMut(usize, &Gcn, &[usize]) -> Result<Cow<'e, Matrix>>,
+) -> Result<Vec<f32>> {
+    let Some((first, later)) = stages.split_first() else {
+        return Ok(vec![0.0; rows.len()]);
+    };
+    let mut classify = |s: usize, gcn: &Gcn, alive: &[usize]| -> Result<Vec<f32>> {
+        // The embedding and the logits die inside this statement, before
+        // the next stage allocates its own.
+        let probs = ops::softmax_col(
+            &gcn.head()
+                .predict(final_embedding(s, gcn, alive)?.as_ref())?,
+            1,
+        );
+        if probs.len() != alive.len() {
+            return Err(TensorError::LengthMismatch {
+                expected: alive.len(),
+                actual: probs.len(),
+            });
         }
-        if p < filter_threshold {
-            return p.min(0.49);
+        Ok(probs)
+    };
+    // `Some(p)` settles a row at `p`; `None` passes it on.
+    let settle = |p: f32, last: bool| {
+        if last {
+            Some(p)
+        } else if p < filter_threshold {
+            Some(p.min(0.49))
+        } else {
+            None
+        }
+    };
+    // Stage 0's probabilities become the answer, settled in place, and
+    // later stages overwrite the rows passed on — so nothing row-sized is
+    // held while stage 0, the only stage that embeds every row, runs.
+    let mut probs = classify(0, first, rows)?;
+    // The rows passed on, and where in `rows` (and `probs`) each sits.
+    let (mut slots, mut alive) = (Vec::new(), Vec::new());
+    for (slot, (p, &row)) in probs.iter_mut().zip(rows).enumerate() {
+        match settle(*p, later.is_empty()) {
+            Some(settled) => *p = settled,
+            None => {
+                slots.push(slot);
+                alive.push(row);
+            }
         }
     }
-    0.0
+    for (s, gcn) in later.iter().enumerate() {
+        if alive.is_empty() {
+            break;
+        }
+        let stage = classify(s + 1, gcn, &alive)?;
+        let last = s + 1 == later.len();
+        let mut passed_on = (Vec::new(), Vec::new());
+        for ((&slot, &row), &p) in slots.iter().zip(&alive).zip(&stage) {
+            match settle(p, last) {
+                Some(settled) => {
+                    if let Some(out) = probs.get_mut(slot) {
+                        *out = settled;
+                    }
+                }
+                None => {
+                    passed_on.0.push(slot);
+                    passed_on.1.push(row);
+                }
+            }
+        }
+        (slots, alive) = passed_on;
+    }
+    Ok(probs)
 }
 
 #[cfg(test)]

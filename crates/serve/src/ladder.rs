@@ -3,8 +3,8 @@
 //!
 //! | rung | what runs | when it is skipped |
 //! |------|-----------|--------------------|
-//! | [`Rung::Incremental`] | cascade session (dirty-cone reuse) | stale/poisoned cache, budget stop |
-//! | [`Rung::FullSparse`]  | full sparse cascade inference | budget stop |
+//! | [`Rung::Incremental`] | cascade session (dirty-cone reuse): every stage embeds every row | stale/poisoned cache, deadline below `Σ depth × n` |
+//! | [`Rung::FullSparse`]  | filtered cascade inference: later stages embed only the survivors' halo | budget stop |
 //! | [`Rung::FirstStage`]  | first cascade stage only, **unbudgeted** | never |
 //!
 //! The ladder exists to make deadline pressure *lossy in quality, not in
@@ -14,11 +14,18 @@
 //! so its scores are a sound (if less refined) ranking, and it is the
 //! cheapest full pass the model owns.
 //!
-//! All rungs share one [`Budget`], so work burnt on an abandoned rung
-//! counts against the deadline — and because row costs are deterministic,
-//! the selected rung is a monotone function of the deadline: a tighter
-//! budget can never select a *higher* (earlier) rung than a looser one on
-//! the same request. Cancellation does not degrade: a request nobody is
+//! All rungs share one [`Budget`], and row costs are deterministic. The
+//! top rung's cost is known before it runs — `Σ_stages depth × n`, every
+//! stage over every row — so the ladder asks [`Budget::can_afford`] and,
+//! when the deadline is below that, records the rung as dropped *without
+//! charging*: the budget reaches the full-sparse rung intact, and since
+//! that rung charges only the rows it computes (`depth × n` for stage 0
+//! plus the survivors' halos), it answers at full quality for every
+//! deadline between the two costs. Only a rung abandoned mid-run (a stale
+//! cache, a full-sparse pass that overruns) leaves burnt work behind. The
+//! selected rung is a monotone function of the deadline: a tighter budget
+//! can never select a *higher* (earlier) rung than a looser one on the
+//! same request. Cancellation does not degrade: a request nobody is
 //! waiting for is aborted, not answered worse.
 
 use std::fmt;
@@ -130,11 +137,25 @@ pub fn classify_with_ladder_backed(
 ) -> Result<(LadderResult, Option<Vec<EmbeddingCache>>), ServeError> {
     let mut dropped = Vec::new();
 
-    // Rung 0: incremental session.
+    // Rung 0: incremental session. Opening one embeds every row at every
+    // layer of every stage; a deadline below that is decided by
+    // arithmetic, leaving the budget whole for the cheaper rung below.
+    let session_rows =
+        model.stages().iter().map(|g| g.depth() as u64).sum::<u64>() * t.node_count() as u64;
     if poison_incremental {
         dropped.push(RungDrop {
             rung: Rung::Incremental,
             cause: TensorError::StaleCache { cache: 0, graph: 1 }.to_string() + " (injected)",
+        });
+    } else if let (false, Some(left)) = (budget.can_afford(session_rows), budget.remaining()) {
+        // The usual budget-stop cause, minus the burn. Rows, not units:
+        // an injected cost multiplier makes a row dearer than one unit.
+        dropped.push(RungDrop {
+            rung: Rung::Incremental,
+            cause: format!(
+                "work budget exceeded: the session's {session_rows} embedding rows do not fit \
+                 the {left} units left (not charged)"
+            ),
         });
     } else {
         match CascadeSession::for_cascade_budgeted_with(model, t, x, budget, backend) {
@@ -284,6 +305,66 @@ mod tests {
             .predict_proba(&data.tensors, &data.features)
             .unwrap();
         assert_eq!(out.probs, stage0);
+    }
+
+    #[test]
+    fn a_deadline_between_the_two_costs_answers_full_sparse() {
+        let (data, model) = fixture();
+        // The fixture's untrained stage 0 passes everybody at 0.5; put
+        // the threshold at its 90th percentile so the cascade filters.
+        let mut stage0 = model.stages()[0]
+            .predict_proba(&data.tensors, &data.features)
+            .unwrap();
+        stage0.sort_by(f32::total_cmp);
+        let model =
+            MultiStageGcn::from_stages(model.stages().to_vec(), stage0[stage0.len() * 9 / 10]);
+        let session_rows: u64 = model
+            .stages()
+            .iter()
+            .map(|g| g.depth() as u64 * data.node_count() as u64)
+            .sum();
+        // What the filtered pass charges: stage 0 over every row, later
+        // stages over the survivors' halos.
+        let probe = Budget::unlimited();
+        let full = model
+            .predict_proba_budgeted_with(
+                &data.tensors,
+                &data.features,
+                &probe,
+                &mut MatrixBackend::serial(),
+            )
+            .unwrap();
+        let filtered_rows = probe.spent();
+        assert!(
+            filtered_rows < session_rows,
+            "the fixture filters: {filtered_rows} of {session_rows} rows"
+        );
+        let run = |cap: u64| {
+            let budget = Budget::with_cap(cap);
+            let out = classify_with_ladder(&model, &data.tensors, &data.features, &budget, false)
+                .unwrap();
+            let dropped: Vec<Rung> = out.dropped.iter().map(|d| d.rung).collect();
+            (out, dropped, budget.spent())
+        };
+
+        // Every deadline from the filtered cost up to one short of the
+        // session's: the session is declined by arithmetic, the budget
+        // arrives whole, and the answer is full quality.
+        for cap in [filtered_rows, session_rows - 1] {
+            let (out, dropped, spent) = run(cap);
+            assert_eq!(out.rung, Rung::FullSparse, "cap {cap}");
+            assert_eq!(out.probs, full, "cap {cap}");
+            assert_eq!(dropped, [Rung::Incremental], "cap {cap}");
+            assert!(out.dropped[0].cause.contains("work budget exceeded"));
+            assert_eq!(spent, filtered_rows, "the declined rung charged nothing");
+        }
+        // The boundaries on either side.
+        let (out, dropped, _) = run(session_rows);
+        assert_eq!(out.rung, Rung::Incremental);
+        assert_eq!((out.probs, dropped), (full, Vec::new()));
+        let (out, dropped, _) = run(filtered_rows - 1);
+        assert_eq!(out.rung, Rung::FirstStage);
+        assert_eq!(dropped, [Rung::Incremental, Rung::FullSparse]);
     }
 
     #[test]

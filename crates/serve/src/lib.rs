@@ -78,4 +78,4 @@ pub use queue::BoundedQueue;
 pub use server::{
     FlowJobResult, FlowResponse, InferResponse, ServeConfig, ServeCore, ServeHandle, Ticket,
 };
-pub use store::{design_fingerprint, JobStore, StorePolicy};
+pub use store::{design_fingerprint, model_fingerprint, JobStore, StorePolicy};

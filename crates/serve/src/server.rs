@@ -25,7 +25,7 @@ use crate::error::ServeError;
 use crate::journal::{FlowJournal, JournalHeader};
 use crate::ladder::{classify_with_ladder_backed, LadderResult, Rung, RungDrop};
 use crate::queue::BoundedQueue;
-use crate::store::{design_fingerprint, JobStore};
+use crate::store::{model_fingerprint, segment_design, JobStore};
 
 /// Service configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,6 +96,9 @@ pub struct FlowResponse {
 /// robustness machinery around them.
 pub struct ServeCore {
     model: MultiStageGcn,
+    /// [`model_fingerprint`] of `model`, computed by the first
+    /// store-backed request after a (re)load.
+    model_fingerprint: Option<String>,
     normalizer: FeatureNormalizer,
     config: ServeConfig,
     plan: FaultPlan,
@@ -109,6 +112,7 @@ impl ServeCore {
     pub fn new(normalizer: FeatureNormalizer, model: MultiStageGcn, config: ServeConfig) -> Self {
         ServeCore {
             model,
+            model_fingerprint: None,
             normalizer,
             breaker: CircuitBreaker::new(config.breaker),
             config,
@@ -208,7 +212,21 @@ impl ServeCore {
         let (normalizer, model) = self.breaker.call(&retry, loader)?;
         self.normalizer = normalizer;
         self.model = model;
+        self.model_fingerprint = None;
         Ok(())
+    }
+
+    /// The warm-restart segment key for `net` under the served model —
+    /// [`crate::design_fingerprint`], with the model half computed once
+    /// per loaded model instead of once per request.
+    fn segment_design(&mut self, net: &Netlist) -> Result<String, ServeError> {
+        let model_fp = match &self.model_fingerprint {
+            Some(fp) => fp,
+            None => self
+                .model_fingerprint
+                .insert(model_fingerprint(&self.model)?),
+        };
+        Ok(segment_design(net, model_fp))
     }
 
     /// The work budget for one request: the caller's deadline (or the
@@ -258,7 +276,7 @@ impl ServeCore {
         // them. An injected cache poison skips the warm path too — it
         // must degrade exactly like a stale in-memory cache.
         let fingerprint = match &self.store {
-            Some(_) => Some(design_fingerprint(net, &self.model)?),
+            Some(_) => Some(self.segment_design(net)?),
             None => None,
         };
         if !poisoned {
@@ -909,6 +927,26 @@ mod tests {
                 Ok((n, m))
             })
             .is_ok());
+    }
+
+    #[test]
+    fn segment_key_is_the_one_shot_fingerprint_and_follows_a_reload() {
+        use crate::store::design_fingerprint;
+        let (mut core, net) = core();
+        let before = design_fingerprint(&net, core.model()).unwrap();
+        // The first call computes the model half, the second reuses it.
+        assert_eq!(core.segment_design(&net).unwrap(), before);
+        assert_eq!(core.segment_design(&net).unwrap(), before);
+
+        // Different weights, same design: the cached half must not
+        // outlive the model it was computed from.
+        let (normalizer, served, _) = model();
+        let other = MultiStageGcn::from_stages(served.stages()[..1].to_vec(), 0.5);
+        core.reload_model(|| Ok((normalizer.clone(), other.clone())))
+            .unwrap();
+        let after = design_fingerprint(&net, core.model()).unwrap();
+        assert_ne!(after, before);
+        assert_eq!(core.segment_design(&net).unwrap(), after);
     }
 
     #[test]

@@ -199,19 +199,37 @@ fn embed_key(
 }
 
 /// Fingerprints a `(design, model)` pair for warm-restart segment keys:
-/// embeddings are only reusable when both match bit-for-bit.
+/// embeddings are only reusable when both match bit-for-bit. The key is
+/// `"{design}-{model}"`: the checksum of the design's `.bench` text and
+/// [`model_fingerprint`].
 ///
 /// # Errors
 ///
 /// [`ServeError::Store`] if the model cannot be serialized for hashing.
 pub fn design_fingerprint(net: &Netlist, model: &MultiStageGcn) -> Result<String, ServeError> {
+    Ok(segment_design(net, &model_fingerprint(model)?))
+}
+
+/// The model half of [`design_fingerprint`]: the checksum of the model's
+/// JSON form. Serialising every weight is the expensive half and depends
+/// on nothing in a request, so a serving core computes it once per loaded
+/// model.
+///
+/// # Errors
+///
+/// [`ServeError::Store`] if the model cannot be serialized for hashing.
+pub fn model_fingerprint(model: &MultiStageGcn) -> Result<String, ServeError> {
     let model_json = serde_json::to_string(model)
         .map_err(|e| ServeError::Store(format!("model fingerprint serialization: {e}")))?;
-    Ok(format!(
-        "{}-{}",
-        checksum_hex(format::write(net).as_bytes()),
-        checksum_hex(model_json.as_bytes())
-    ))
+    Ok(checksum_hex(model_json.as_bytes()))
+}
+
+/// [`design_fingerprint`] from an already computed [`model_fingerprint`].
+pub(crate) fn segment_design(net: &Netlist, model_fingerprint: &str) -> String {
+    format!(
+        "{}-{model_fingerprint}",
+        checksum_hex(format::write(net).as_bytes())
+    )
 }
 
 /// Encodes a matrix as `rows: u32 LE, cols: u32 LE, data: f32 LE…` —

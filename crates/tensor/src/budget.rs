@@ -3,10 +3,13 @@
 //! A [`Budget`] is threaded by reference through the hot paths of the
 //! workspace (embedding layers, incremental refreshes, the OP-insertion
 //! flow). Each path *charges* the budget for the work it is about to do,
-//! in **embedding-row units** (one unit = one node × one GCN layer), and
-//! the charge fails once the cap is spent — turning an unbounded
-//! computation into one that stops at a well-defined checkpoint with a
-//! typed error instead of blowing a wall-clock deadline from the inside.
+//! in **embedding-row units** (one unit = one embedding row computed at
+//! one GCN layer: a full pass charges the node count per layer, a
+//! dirty-halo patch or a filtered cascade stage only the rows it
+//! recomputes), and the charge fails once the cap is spent — turning an
+//! unbounded computation into one that stops at a well-defined checkpoint
+//! with a typed error instead of blowing a wall-clock deadline from the
+//! inside.
 //!
 //! Two properties make the unit deliberate:
 //!
@@ -100,6 +103,17 @@ impl Budget {
     /// Whether the budget was cancelled.
     pub fn is_cancelled(&self) -> bool {
         self.cancelled.load(Ordering::Relaxed)
+    }
+
+    /// Whether `units` of work (scaled by the cost multiplier) still fit
+    /// under the cap — always true for an unlimited budget. Spends nothing
+    /// and does not look at cancellation, which still surfaces on the next
+    /// [`Budget::charge`]. A caller that knows a step's whole cost up
+    /// front asks this instead of charging its way into the overrun, so
+    /// the budget stays intact for a cheaper alternative.
+    pub fn can_afford(&self, units: u64) -> bool {
+        self.remaining()
+            .is_none_or(|left| units.saturating_mul(self.cost_multiplier) <= left)
     }
 
     /// Charges `units` of work (scaled by the cost multiplier) against
@@ -202,6 +216,24 @@ mod tests {
             b.charge(5),
             Err(TensorError::BudgetExceeded { spent: 13, cap: 10 })
         ));
+    }
+
+    #[test]
+    fn can_afford_compares_without_spending() {
+        assert!(Budget::unlimited().can_afford(u64::MAX));
+        let b = Budget::with_cap(100).with_cost_multiplier(10);
+        b.charge(4).unwrap();
+        // 60 units left: six rows fit at 10x, seven do not.
+        assert!(b.can_afford(6));
+        assert!(!b.can_afford(7));
+        assert!(!b.can_afford(u64::MAX), "the scaled cost saturates");
+        assert_eq!(b.spent(), 40, "asking costs nothing");
+        b.charge(6).unwrap();
+        assert!(b.can_afford(0) && !b.can_afford(1));
+        // Cancellation is not can_afford's business; charge reports it.
+        b.cancel_handle().cancel();
+        assert!(b.can_afford(0));
+        assert!(matches!(b.charge(0), Err(TensorError::Cancelled)));
     }
 
     #[test]

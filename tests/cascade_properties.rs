@@ -1,0 +1,441 @@
+//! The filtered cascade against an oracle that shares no code with it.
+//!
+//! `MultiStageGcn::predict_proba*` and `CascadeSession` run later stages
+//! only on the rows earlier stages passed on (a backward halo of
+//! embeddings in the stateless pass, survivor-only heads in a session),
+//! all through one row-set stepper. The reference here is written from the
+//! definition instead: every stage's `Gcn::predict_proba` over *every*
+//! row, then the per-node rule — the first non-final stage below the
+//! threshold answers `min(p, 0.49)`, else the last stage's `p`. Every path
+//! must match it bit for bit, on random DAGs, on degenerate designs, under
+//! a session maintained across insertions that push rows over the
+//! threshold both ways, and with the budget charged exactly the rows the
+//! filter computes.
+
+use proptest::prelude::*;
+
+use gcn_testability::gcn::features::squash;
+use gcn_testability::gcn::{
+    CascadeSession, Gcn, GcnConfig, GraphData, GraphTensors, MatrixBackend, MultiStageGcn,
+};
+use gcn_testability::netlist::{generate, CellKind, GeneratorConfig, Netlist, Scoap};
+use gcn_testability::nn::seeded_rng;
+use gcn_testability::obs::catalog::counters;
+use gcn_testability::tensor::{Budget, Matrix, TensorError};
+
+/// Strategy: a small random DAG netlist (same construction as
+/// `tests/properties.rs`).
+fn arb_netlist() -> impl Strategy<Value = Netlist> {
+    (2usize..12, 5usize..60, any::<u64>()).prop_map(|(inputs, gates, seed)| {
+        let cfg = GeneratorConfig {
+            inputs,
+            gates,
+            seed,
+            shadow_regions: 0,
+            ..GeneratorConfig::default()
+        };
+        generate(&cfg)
+    })
+}
+
+/// Untrained stages of the given depths, narrow enough to be quick.
+fn stages(depths: &[usize], seed: u64) -> Vec<Gcn> {
+    depths
+        .iter()
+        .enumerate()
+        .map(|(s, &depth)| {
+            let cfg = GcnConfig {
+                embed_dims: [6, 5, 4][..depth].to_vec(),
+                fc_dims: vec![4],
+                ..GcnConfig::default()
+            };
+            Gcn::new(&cfg, &mut seeded_rng(seed.wrapping_add(s as u64)))
+        })
+        .collect()
+}
+
+/// The four thresholds of the issue, by index: everybody survives, the
+/// default, stage 0's median (as many boundary cases as a design can
+/// have), nobody survives stage 0.
+fn threshold(which: usize, stage0: &Gcn, t: &GraphTensors, x: &Matrix) -> f32 {
+    match which {
+        0 => 0.0,
+        1 => 0.25,
+        2 => {
+            let mut p = stage0.predict_proba(t, x).unwrap();
+            p.sort_by(f32::total_cmp);
+            p[p.len() / 2]
+        }
+        _ => 1.5,
+    }
+}
+
+/// Every stage over every row.
+fn per_stage(model: &MultiStageGcn, t: &GraphTensors, x: &Matrix) -> Vec<Vec<f32>> {
+    model
+        .stages()
+        .iter()
+        .map(|gcn| gcn.predict_proba(t, x).unwrap())
+        .collect()
+}
+
+/// The cascade rule, node by node, over [`per_stage`].
+fn oracle(model: &MultiStageGcn, t: &GraphTensors, x: &Matrix) -> Vec<u32> {
+    let probs = per_stage(model, t, x);
+    (0..t.node_count())
+        .map(|v| {
+            let mut answer = f32::NAN;
+            for (s, stage) in probs.iter().enumerate() {
+                answer = stage[v];
+                if s + 1 < probs.len() && filtered(answer, model.filter_threshold()) {
+                    answer = answer.min(0.49);
+                    break;
+                }
+            }
+            answer.to_bits()
+        })
+        .collect()
+}
+
+/// Whether a non-final stage settles a row scored `p` (a NaN is passed on).
+fn filtered(p: f32, threshold: f32) -> bool {
+    p < threshold
+}
+
+fn bits(probs: &[f32]) -> Vec<u32> {
+    probs.iter().map(|p| p.to_bits()).collect()
+}
+
+/// Every inference path against the oracle. The partitioned backend
+/// ignores a direction ablation by design, so it is skipped for one.
+fn all_paths_match(
+    model: &MultiStageGcn,
+    t: &GraphTensors,
+    x: &Matrix,
+    partitioned: bool,
+) -> Result<(), String> {
+    let want = oracle(model, t, x);
+    let check = |path: &str, got: &[f32]| {
+        if bits(got) == want {
+            Ok(())
+        } else {
+            Err(format!(
+                "{path} differs from the oracle at threshold {}",
+                model.filter_threshold()
+            ))
+        }
+    };
+    let err = |e: TensorError| e.to_string();
+    check("predict_proba", &model.predict_proba(t, x).map_err(err)?)?;
+    let mut backends = vec![("serial", MatrixBackend::serial())];
+    if partitioned {
+        backends.push((
+            "partitioned",
+            MatrixBackend::partitioned(t, 3).map_err(err)?,
+        ));
+    }
+    for (label, mut backend) in backends {
+        let got = model
+            .predict_proba_budgeted_with(t, x, &Budget::unlimited(), &mut backend)
+            .map_err(err)?;
+        check(label, &got)?;
+    }
+    let session = model.open_session(t, x).map_err(err)?;
+    check("open_session", session.probs())?;
+    let warm = CascadeSession::from_caches(model, t, x, session.into_caches()).map_err(err)?;
+    check("from_caches", warm.probs())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Filtered ≡ unfiltered, bit for bit, through every path: 1–4
+    /// stages of depth 1–3, all four thresholds on each design.
+    #[test]
+    fn filtered_cascade_is_bitwise_the_unfiltered_oracle(
+        net in arb_netlist(),
+        depths in proptest::collection::vec(1usize..4, 1..5),
+        seed in any::<u64>(),
+    ) {
+        let data = GraphData::from_netlist(&net, None).unwrap();
+        let (t, x) = (&data.tensors, &data.features);
+        let stages = stages(&depths, seed);
+        for which in 0..4 {
+            let thr = threshold(which, &stages[0], t, x);
+            let model = MultiStageGcn::from_stages(stages.clone(), thr);
+            prop_assert_eq!(all_paths_match(&model, t, x, true), Ok(()));
+        }
+    }
+
+    /// The same with one aggregation direction switched off: the backward
+    /// halo still walks both directions (a superset), the kernels skip one.
+    #[test]
+    fn direction_ablated_cascade_matches_the_oracle(
+        net in arb_netlist(),
+        seed in any::<u64>(),
+        use_pred in any::<bool>(),
+    ) {
+        let data = GraphData::from_netlist(&net, None).unwrap();
+        let t = GraphTensors::with_directions(&net, use_pred, !use_pred);
+        let stages = stages(&[2, 3, 1], seed);
+        let thr = threshold(2, &stages[0], &t, &data.features);
+        let model = MultiStageGcn::from_stages(stages, thr);
+        prop_assert_eq!(all_paths_match(&model, &t, &data.features, false), Ok(()));
+    }
+}
+
+/// All four thresholds on one hand-built design.
+fn assert_design_matches(net: &Netlist) {
+    let data = GraphData::from_netlist(net, None).unwrap();
+    let (t, x) = (&data.tensors, &data.features);
+    let stages = stages(&[2, 3, 1], 77);
+    for which in 0..4 {
+        let model = MultiStageGcn::from_stages(stages.clone(), threshold(which, &stages[0], t, x));
+        all_paths_match(&model, t, x, true).unwrap_or_else(|e| panic!("{}: {e}", net.name()));
+    }
+}
+
+#[test]
+fn a_single_node_design() {
+    let mut net = Netlist::new("one-input");
+    net.add_cell(CellKind::Input);
+    assert_design_matches(&net);
+}
+
+/// Disjoint input → output wires: no survivor's halo meets another's.
+#[test]
+fn survivors_with_no_edges_between_them() {
+    let mut net = Netlist::new("wires");
+    for _ in 0..64 {
+        let a = net.add_cell(CellKind::Input);
+        let y = net.add_cell(CellKind::Output);
+        net.connect(a, y).unwrap();
+    }
+    assert_design_matches(&net);
+}
+
+#[test]
+fn a_ten_thousand_deep_chain() {
+    let mut net = Netlist::new("chain");
+    let mut prev = net.add_cell(CellKind::Input);
+    for _ in 0..10_000 {
+        let buf = net.add_cell(CellKind::Buf);
+        net.connect(prev, buf).unwrap();
+        prev = buf;
+    }
+    let out = net.add_cell(CellKind::Output);
+    net.connect(prev, out).unwrap();
+    assert_design_matches(&net);
+}
+
+#[test]
+fn a_ten_thousand_fanout_hub() {
+    let mut net = Netlist::new("hub");
+    let hub = net.add_cell(CellKind::Input);
+    for _ in 0..10_000 {
+        let out = net.add_cell(CellKind::Output);
+        net.connect(hub, out).unwrap();
+    }
+    assert_design_matches(&net);
+}
+
+/// A 300-node design and a three-stage cascade whose threshold is stage
+/// 0's median, so insertions keep pushing rows over it.
+fn crossing_fixture() -> (Netlist, GraphData, MultiStageGcn) {
+    let net = generate(&GeneratorConfig::sized("crossing", 29, 300));
+    let data = GraphData::from_netlist(&net, None).unwrap();
+    let stages = stages(&[2, 2, 1], 411);
+    let thr = threshold(2, &stages[0], &data.tensors, &data.features);
+    (net, data, MultiStageGcn::from_stages(stages, thr))
+}
+
+/// A session maintained over insertions, the way the flow maintains it
+/// (`tests/api_surface.rs`): exact after every step, with rows crossing
+/// the threshold in both directions, previews reverted bit for bit, and
+/// the work accounting the parent commit reported.
+#[test]
+fn session_stays_exact_while_rows_cross_the_threshold() {
+    let (mut net, data, model) = crossing_fixture();
+    let thr = model.filter_threshold();
+    let (mut t, mut x) = (data.tensors.clone(), data.features.clone());
+    let mut scoap = Scoap::compute(&net).unwrap();
+    let mut session = model.open_session(&t, &x).unwrap();
+    assert_eq!(bits(session.probs()), oracle(&model, &t, &x));
+
+    let obs = gcn_testability::obs::global();
+    obs.enable();
+    let counted = [
+        counters::CORE_INCR_ROWS_COMPUTED,
+        counters::CORE_INCR_ROWS_REUSED,
+    ];
+    let before = counted.map(|id| obs.counter(id));
+
+    let (mut rose, mut fell) = (0usize, 0usize);
+    let mut accounting = Vec::new();
+    for step in 0..10 {
+        // Preview: perturb a few rows, refresh, look, put everything back.
+        let kept = bits(session.probs());
+        let peek: Vec<usize> = (0..3)
+            .map(|k| (step * 37 + k * 11) % t.node_count())
+            .collect();
+        let saved: Vec<f32> = peek.iter().map(|&r| x.get(r, 3)).collect();
+        for &r in &peek {
+            x.set(r, 3, x.get(r, 3) - 0.75);
+        }
+        let preview = session.refresh(&t, &x, &peek).unwrap();
+        assert_eq!(
+            bits(session.probs()),
+            oracle(&model, &t, &x),
+            "preview {step}"
+        );
+        for (&r, &v) in peek.iter().zip(&saved) {
+            x.set(r, 3, v);
+        }
+        session.revert(preview);
+        assert_eq!(bits(session.probs()), kept, "revert {step}");
+
+        // Commit: a different dirty set, straight after the revert.
+        let stage0_before = model.stages()[0].predict_proba(&t, &x).unwrap();
+        let target = net
+            .nodes()
+            .filter(|&v| scoap.co(v) > 0 && net.fanin_cone(v, 8).len() >= 3)
+            .max_by_key(|&v| (scoap.co(v), v.index()))
+            .expect("an unobserved internal node is left");
+        let op = net.insert_observation_point(target).unwrap();
+        t.insert_observation_point(target, op).unwrap();
+        let mut dirty = vec![target.index(), op.index()];
+        for v in scoap.observe(&net, target, op) {
+            let cell = data.normalizer.normalize_cell(3, squash(scoap.co(v)));
+            x.set(v.index(), 3, cell);
+            dirty.push(v.index());
+        }
+        x.push_row(&data.normalizer.observation_point_row())
+            .unwrap();
+        session.sync_nodes(&t);
+        let delta = session.refresh(&t, &x, &dirty).unwrap();
+        assert_eq!(
+            bits(session.probs()),
+            bits(&model.predict_proba(&t, &x).unwrap()),
+            "step {step}"
+        );
+        assert_eq!(bits(session.probs()), oracle(&model, &t, &x), "step {step}");
+        accounting.push((delta.rows_computed(), delta.rows_full_equivalent()));
+
+        let stage0_after = model.stages()[0].predict_proba(&t, &x).unwrap();
+        for (b, a) in stage0_before.iter().zip(&stage0_after) {
+            rose += usize::from(filtered(*b, thr) && !filtered(*a, thr));
+            fell += usize::from(!filtered(*b, thr) && filtered(*a, thr));
+        }
+    }
+    assert!(
+        rose > 0 && fell > 0,
+        "the scenario must move rows over the threshold both ways \
+         ({rose} filtered -> surviving, {fell} surviving -> filtered)"
+    );
+
+    // The filter runs fewer heads, not fewer embedding rows: what a
+    // refresh computes and what it reports is what the parent reported.
+    assert_eq!(accounting, PARENT_ACCOUNTING);
+    let [computed, reused] = {
+        let after = counted.map(|id| obs.counter(id));
+        [after[0] - before[0], after[1] - before[1]]
+    };
+    assert_eq!((computed, reused), PARENT_COUNTERS);
+}
+
+/// `(rows_computed, rows_full_equivalent)` of the ten committed refreshes
+/// above, and the `gcnt_core_incr_rows_{computed,reused}_total` deltas
+/// over all twenty refreshes, recorded at the parent commit (452b8e2).
+const PARENT_ACCOUNTING: [(u64, u64); 10] = [
+    (46, 1640),
+    (30, 1645),
+    (55, 1650),
+    (30, 1655),
+    (98, 1660),
+    (75, 1665),
+    (30, 1670),
+    (39, 1675),
+    (39, 1680),
+    (39, 1685),
+];
+const PARENT_COUNTERS: (u64, u64) = (1558, 31642);
+
+/// What the filtered stateless pass must charge: stage 0 over every row,
+/// each later stage's layer `d` over the `(D - d)`-hop halo of the rows
+/// that reached the stage — recomputed from the unfiltered per-stage
+/// probabilities and `halo_step`.
+fn expected_charge(model: &MultiStageGcn, t: &GraphTensors, x: &Matrix) -> u64 {
+    let probs = per_stage(model, t, x);
+    let mut alive: Vec<usize> = (0..t.node_count()).collect();
+    let mut total = 0u64;
+    for (s, gcn) in model.stages().iter().enumerate() {
+        if alive.is_empty() {
+            break;
+        }
+        if s == 0 {
+            total += (gcn.depth() * t.node_count()) as u64;
+        } else {
+            let mut needed = alive.clone();
+            for _ in 0..gcn.depth() {
+                total += needed.len() as u64;
+                needed = t.halo_step(&needed);
+            }
+        }
+        alive.retain(|&v| !filtered(probs[s][v], model.filter_threshold()));
+    }
+    total
+}
+
+#[test]
+fn the_budget_is_charged_the_rows_the_filter_computes() {
+    let (_, data, model) = crossing_fixture();
+    let (t, x) = (&data.tensors, &data.features);
+    let n = t.node_count() as u64;
+    let run = |model: &MultiStageGcn, budget: &Budget| {
+        model.predict_proba_budgeted_with(t, x, budget, &mut MatrixBackend::serial())
+    };
+
+    let expected = expected_charge(&model, t, x);
+    let everything = model.stages().iter().map(|g| g.depth() as u64).sum::<u64>() * n;
+    let stage0 = model.stages()[0].depth() as u64 * n;
+    assert!(
+        stage0 < expected && expected < everything,
+        "{stage0} < {expected} < {everything}: the fixture filters some rows, not all"
+    );
+    let unlimited = Budget::unlimited();
+    let full = run(&model, &unlimited).unwrap();
+    assert_eq!(unlimited.spent(), expected);
+
+    // Exactly enough is enough; one unit less stops a later stage, and
+    // the caller gets the error, not the rows settled so far.
+    let exact = Budget::with_cap(expected);
+    assert_eq!(bits(&run(&model, &exact).unwrap()), bits(&full));
+    assert_eq!(exact.spent(), expected);
+    assert!(matches!(
+        run(&model, &Budget::with_cap(expected - 1)),
+        Err(TensorError::BudgetExceeded { cap, .. }) if cap == expected - 1
+    ));
+    assert!(matches!(
+        run(&model, &Budget::with_cap(stage0 + 1)),
+        Err(TensorError::BudgetExceeded { .. })
+    ));
+
+    // Nobody survives stage 0: later stages do not run, or charge.
+    let nobody = MultiStageGcn::from_stages(model.stages().to_vec(), 1.5);
+    assert_eq!(expected_charge(&nobody, t, x), stage0);
+    let budget = Budget::with_cap(stage0);
+    run(&nobody, &budget).unwrap();
+    assert_eq!(budget.spent(), stage0);
+    assert!(matches!(
+        run(&nobody, &Budget::with_cap(stage0 - 1)),
+        Err(TensorError::BudgetExceeded { .. })
+    ));
+
+    // Everybody survives: the halos are the whole graph unless a node is
+    // isolated, so the charge is bounded by — here equal to — a full pass.
+    let everybody = MultiStageGcn::from_stages(model.stages().to_vec(), 0.0);
+    let budget = Budget::unlimited();
+    run(&everybody, &budget).unwrap();
+    assert_eq!(budget.spent(), expected_charge(&everybody, t, x));
+    assert_eq!(budget.spent(), everything);
+}
