@@ -3,7 +3,7 @@ use std::borrow::Cow;
 use serde::{Deserialize, Serialize};
 
 use gcnt_netlist::{Netlist, NodeId};
-use gcnt_tensor::{CooMatrix, CsrMatrix, Matrix, Result};
+use gcnt_tensor::{CooMatrix, CsrMatrix, Matrix, Result, TensorError};
 
 /// Sparse-tensor view of a netlist graph, ready for matrix-form GCN
 /// inference and training.
@@ -224,9 +224,79 @@ impl GraphTensors {
         w_pr: f32,
         w_su: f32,
     ) -> Result<Matrix> {
-        let pe = active(&self.pred, self.use_pred).spmm_rows(e, rows)?;
-        let se = active(&self.succ, self.use_succ).spmm_rows(e, rows)?;
-        e.gather_rows(rows).add_scaled2(w_pr, &pe, w_su, &se)
+        let mut g = Matrix::zeros(rows.len(), e.cols());
+        let mut se = vec![0.0; rows.len() * e.cols()];
+        self.aggregate_rows_into(e, rows, w_pr, w_su, g.as_mut_slice(), &mut se)?;
+        Ok(g)
+    }
+
+    /// [`GraphTensors::aggregate_rows`] into caller-provided row blocks:
+    /// `g` (one row of `e.cols()` values per entry of `rows`, overwritten)
+    /// receives the aggregate and `scratch`, of the same length, holds
+    /// `S·E` on the way. Nothing is allocated, and only the listed rows of
+    /// `e` and their one-hop neighbours are read — the rest of `e` may
+    /// hold anything.
+    ///
+    /// # Errors
+    ///
+    /// As [`GraphTensors::aggregate_rows`], plus a length error unless `g`
+    /// and `scratch` hold `rows.len() * e.cols()` values.
+    pub fn aggregate_rows_into(
+        &self,
+        e: &Matrix,
+        rows: &[usize],
+        w_pr: f32,
+        w_su: f32,
+        g: &mut [f32],
+        scratch: &mut [f32],
+    ) -> Result<()> {
+        // Checked here as well as by the products: a disabled direction
+        // runs none.
+        if e.rows() != self.n {
+            return Err(TensorError::ShapeMismatch {
+                op: "aggregate_rows",
+                lhs: (self.n, self.n),
+                rhs: e.shape(),
+            });
+        }
+        if let Some(&bad) = rows.iter().find(|&&r| r >= self.n) {
+            return Err(TensorError::IndexOutOfBounds {
+                index: (bad, 0),
+                shape: (self.n, self.n),
+            });
+        }
+        for len in [g.len(), scratch.len()] {
+            if len != rows.len() * e.cols() {
+                return Err(TensorError::LengthMismatch {
+                    expected: rows.len() * e.cols(),
+                    actual: len,
+                });
+            }
+        }
+        // A disabled direction contributes the all-zero product.
+        let product = |m: &CsrMatrix, enabled: bool, out: &mut [f32]| {
+            if enabled {
+                m.spmm_rows_into(e, rows, out)
+            } else {
+                out.fill(0.0);
+                Ok(())
+            }
+        };
+        product(&self.pred, self.use_pred, g)?;
+        product(&self.succ, self.use_succ, scratch)?;
+        let cols = e.cols().max(1);
+        for ((g_row, se_row), &r) in g
+            .chunks_exact_mut(cols)
+            .zip(scratch.chunks_exact(cols))
+            .zip(rows)
+        {
+            // `g_row` holds `P·E`; same element order as `add_scaled2`.
+            for ((pv, &sv), &ev) in g_row.iter_mut().zip(se_row).zip(e.row(r)) {
+                let t = ev + w_pr * *pv;
+                *pv = t + w_su * sv;
+            }
+        }
+        Ok(())
     }
 
     /// Expands a dirty-node set by one aggregation hop: the result contains
@@ -286,20 +356,20 @@ impl GraphTensors {
     ///
     /// # Errors
     ///
-    /// Returns [`gcnt_tensor::TensorError::LengthMismatch`] if `op` is not
+    /// Returns [`TensorError::LengthMismatch`] if `op` is not
     /// the next node index after the current node count (i.e. the tensors
     /// are out of sync with the netlist), and
-    /// [`gcnt_tensor::TensorError::IndexOutOfBounds`] if `target` is not an
+    /// [`TensorError::IndexOutOfBounds`] if `target` is not an
     /// existing node; the tensors are left untouched.
     pub fn insert_observation_point(&mut self, target: NodeId, op: NodeId) -> Result<()> {
         if op.index() != self.n {
-            return Err(gcnt_tensor::TensorError::LengthMismatch {
+            return Err(TensorError::LengthMismatch {
                 expected: self.n,
                 actual: op.index(),
             });
         }
         if target.index() >= self.n {
-            return Err(gcnt_tensor::TensorError::IndexOutOfBounds {
+            return Err(TensorError::IndexOutOfBounds {
                 index: (op.index(), target.index()),
                 shape: (self.n, self.n),
             });
@@ -395,7 +465,7 @@ mod tests {
         let err = t.insert_observation_point(g, NodeId::from_index(10));
         assert!(matches!(
             err,
-            Err(gcnt_tensor::TensorError::LengthMismatch {
+            Err(TensorError::LengthMismatch {
                 expected: 3,
                 actual: 10
             })
@@ -405,7 +475,7 @@ mod tests {
         for target in [7, 3] {
             let err = t.insert_observation_point(NodeId::from_index(target), NodeId::from_index(3));
             assert!(
-                matches!(err, Err(gcnt_tensor::TensorError::IndexOutOfBounds { .. })),
+                matches!(err, Err(TensorError::IndexOutOfBounds { .. })),
                 "target {target}: {err:?}"
             );
         }

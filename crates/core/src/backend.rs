@@ -1,11 +1,10 @@
 //! Matrix-backend selection: serial CSR vs. partitioned CSR.
 //!
-//! The embed loop's hot operation is the aggregate
-//! `G = E + w_pr·(P·E) + w_su·(S·E)`. [`MatrixBackend`] abstracts *how*
-//! the two sparse products run:
+//! A backend computes the whole-matrix aggregate
+//! `G = E + w_pr·(P·E) + w_su·(S·E)` ([`MatrixBackend::aggregate`]):
 //!
-//! * [`MatrixBackend::Serial`] — the original [`GraphTensors::aggregate`]
-//!   path over [`gcnt_tensor::CsrMatrix::spmm`];
+//! * [`MatrixBackend::Serial`] — [`GraphTensors::aggregate_g`] over
+//!   [`gcnt_tensor::CsrMatrix::spmm_row_into`];
 //! * [`MatrixBackend::Partitioned`] — a [`PartitionedGraph`] holding both
 //!   adjacencies sharded under one fanout-balanced
 //!   [`gcnt_tensor::PartitionPlan`], running one worker per partition
@@ -13,15 +12,19 @@
 //!
 //! Both produce **bit-identical** aggregates: the partitioned SpMM
 //! preserves the serial kernel's per-row accumulation order, and the
-//! `clone + axpy` combination is shared verbatim. This is what lets the
-//! dirty-halo incremental engine ([`crate::incremental`]) compose with
-//! partition halos — a session opened over a partitioned backend patches
-//! the same bits a serial session would, so `refresh`/`revert` and the
-//! generation discipline carry over unchanged.
+//! element combination is shared.
 //!
-//! The partitioned representation lives *outside* [`GraphTensors`]
-//! (which is serialized and cloned freely); staleness against the graph
-//! is policed with the same generation counter the embedding caches use.
+//! **No forward pass aggregates through a backend any more.** Every pass
+//! runs the row-tiled layer step of [`crate::pass`], which reads the
+//! graph's own CSRs a tile at a time and runs tiles in parallel — one
+//! address space needs contiguous row ranges, not partitions with remapped
+//! columns and halo gathers. The `&mut MatrixBackend` parameter of the
+//! explicit `*_budgeted_with` forms is kept because `benchmark/` names
+//! it, and a pass asks one thing of it: a partitioning built for an older
+//! graph state is still refused ([`gcnt_tensor::TensorError::StaleCache`]),
+//! as the embedding caches refuse. The type, `PartitionedCsr` under it and
+//! the parameter go together in the next change that may edit `benchmark/`
+//! (ROADMAP item 2).
 
 use gcnt_tensor::{Matrix, PartitionPlan, PartitionScratch, PartitionedCsr, Result, TensorError};
 
@@ -174,6 +177,16 @@ impl MatrixBackend {
             }
         } else {
             MatrixBackend::Serial
+        }
+    }
+
+    /// Refuses a partitioning built for another graph state — all a
+    /// forward pass still asks of its backend ([`crate::pass`] aggregates
+    /// through the graph's own CSRs).
+    pub(crate) fn check_fresh(&self, t: &GraphTensors) -> Result<()> {
+        match self {
+            MatrixBackend::Serial => Ok(()),
+            MatrixBackend::Partitioned(pg) => pg.check_fresh(t),
         }
     }
 

@@ -10,15 +10,14 @@
 //! * the dirty frontier grows one hop per aggregate round — predecessors
 //!   *and* successors, since [`GraphTensors::aggregate`] sums over both
 //!   ([`GraphTensors::halo_step`]);
-//! * the affected rows are gathered, pushed through a row-sliced
-//!   SpMM + encode ([`GraphTensors::aggregate_rows`]), and scattered back
-//!   into the cached layer.
+//! * the affected rows are recomputed in place in the cached layer by
+//!   the row-tiled layer step every pass runs ([`crate::pass`]), their old
+//!   values kept for the undo.
 //!
-//! The same row-sliced layer runs the halo *backwards* for the filtered
-//! cascade (`Gcn::embed_rows_budgeted`): the final embedding of a few
-//! surviving rows needs the layer below on their one-hop halo, and so on
-//! down to the features — `halo_step` is its own inverse because
-//! `succ ≡ predᵀ`.
+//! The same step runs the halo *backwards* for the filtered cascade: the
+//! final embedding of a few surviving rows needs the layer below on their
+//! one-hop halo, and so on down to the features — `halo_step` is its own
+//! inverse because `succ ≡ predᵀ`.
 //!
 //! Because every kernel involved is row-independent with an unchanged
 //! per-row accumulation order, the patched cache is **bit-for-bit equal** to
@@ -35,13 +34,11 @@
 //! and adopt the new generation, then pass the insertion's dirty set to the
 //! next [`CascadeSession::refresh`].
 
-use std::borrow::Cow;
-
-use gcnt_nn::Linear;
-use gcnt_tensor::{ops, Budget, Matrix, Result, TensorError};
+use gcnt_tensor::{Budget, Matrix, Result, TensorError};
 
 use crate::backend::MatrixBackend;
 use crate::multistage::cascade_rows;
+use crate::pass;
 use crate::{Gcn, GraphTensors, MultiStageGcn};
 
 /// Per-layer embeddings `E_1..E_D` of one [`Gcn`] on one graph state.
@@ -177,10 +174,10 @@ impl Gcn {
     /// [`Gcn::embed_cached`] under an explicit work [`Budget`] and
     /// [`MatrixBackend`]: each layer charges one unit per node before
     /// computing, so an exhausted or cancelled budget stops the pass at a
-    /// layer boundary. The seeded cache is bit-identical across backends,
-    /// so the dirty-halo incremental patching that follows (always serial
-    /// — its frontier is a sparse row subset that does not benefit from
-    /// partitioning) composes with a partition-built cache.
+    /// layer boundary. Each layer's tiles write straight into the matrix
+    /// the cache keeps. The seeded cache is bit-identical across backends
+    /// (only a backend's staleness check is used), so the dirty-halo
+    /// patching that follows composes with any of them.
     ///
     /// # Errors
     ///
@@ -201,22 +198,9 @@ impl Gcn {
                 actual: 0,
             });
         }
-        // The `ops::relu` copy and the clone look redundant beside
-        // `Gcn::embed_budgeted_with`'s in-place loop, but this allocation
-        // order is load-bearing: caching the in-place output instead
-        // doubled the page faults of a 20k-node flow (22k -> 55k per run,
-        // +0.1 s per session open) — glibc then hands every transient of
-        // the pass back to the OS between stages.
-        let mut layers = Vec::with_capacity(self.depth());
-        let mut e = x.clone();
-        for enc in self.encoders() {
-            budget.charge(e.rows() as u64)?;
-            let g = backend.aggregate(t, &e, self.w_pr(), self.w_su())?;
-            e = ops::relu(&enc.forward(&g)?);
-            layers.push(e.clone());
-        }
+        backend.check_fresh(t)?;
         Ok(EmbeddingCache {
-            layers,
+            layers: pass::embed_layers(pass::PER_CORE, self, t, x, budget)?,
             generation: t.generation(),
         })
     }
@@ -235,8 +219,8 @@ impl Gcn {
     ///
     /// Returns [`TensorError::StaleCache`] if the cache generation does not
     /// match the graph, a length error if the cache shape disagrees with the
-    /// model or graph, or an index error for out-of-range dirty rows. The
-    /// cache is only mutated after all validation passes.
+    /// model or graph, or an index error for out-of-range dirty rows. On
+    /// any error the cache is left exactly as it was.
     pub fn embed_incremental(
         &self,
         t: &GraphTensors,
@@ -250,8 +234,9 @@ impl Gcn {
     /// [`Gcn::embed_incremental`] under a cooperative work [`Budget`]:
     /// every layer charges one unit per halo row before recomputing it, so
     /// an exhausted or cancelled budget stops the patch at a layer
-    /// boundary. On a budget error the already-patched layers are rolled
-    /// back, leaving the cache exactly as before the call.
+    /// boundary. On a budget error — or a layer step refused for its
+    /// shapes — the already-patched layers are rolled back, leaving the
+    /// cache exactly as before the call.
     ///
     /// # Errors
     ///
@@ -306,94 +291,32 @@ impl Gcn {
         let mut rows_computed = 0usize;
         for (d, enc) in self.encoders().iter().enumerate() {
             rows = t.halo_step(&rows);
-            if let Err(e) = budget.charge(rows.len() as u64) {
-                // Roll the already-patched layers back so a budget stop
-                // leaves the cache exactly as before the call.
+            let (below, from) = cache.layers.split_at_mut(d);
+            let Some(layer) = from.first_mut() else { break };
+            let prev = below.last().unwrap_or(x);
+            let old = layer.gather_rows(&rows);
+            // The layer is patched where it is cached, so its undo is
+            // recorded whether or not the step succeeds.
+            let step = budget
+                .charge(rows.len() as u64)
+                .and_then(|()| pass::embed_layer(pass::PER_CORE, self, enc, t, prev, &rows, layer));
+            layer_undo.push((rows.clone(), old));
+            if let Err(e) = step {
+                // Roll this layer and the already-patched ones back so a
+                // budget stop or a failed step leaves the cache exactly as
+                // before the call.
                 cache.revert(EmbeddingDelta {
                     layer_undo,
                     rows_computed,
                 });
                 return Err(e);
             }
-            let prev = if d == 0 { x } else { &cache.layers[d - 1] };
-            let e = self.layer_rows(t, prev, &rows, enc)?;
-            let old = cache.layers[d].gather_rows(&rows);
-            cache.layers[d].scatter_rows(&rows, &e)?;
             rows_computed += rows.len();
-            layer_undo.push((rows.clone(), old));
         }
         Ok(EmbeddingDelta {
             layer_undo,
             rows_computed,
         })
-    }
-
-    /// One embedding layer on a row subset: the listed rows of
-    /// `relu(enc(aggregate(prev)))`, one output row per entry of `rows`.
-    /// `prev` is the previous layer over all nodes, of which only the
-    /// rows' one-hop halo is read; each output row is bit-for-bit the
-    /// full layer's (see the module docs).
-    fn layer_rows(
-        &self,
-        t: &GraphTensors,
-        prev: &Matrix,
-        rows: &[usize],
-        enc: &Linear,
-    ) -> Result<Matrix> {
-        let g = t.aggregate_rows(prev, rows, self.w_pr(), self.w_su())?;
-        let mut z = enc.forward(&g)?;
-        ops::relu_in_place(&mut z);
-        Ok(z)
-    }
-
-    /// The final embedding `E_D` of just `rows` (one output row per
-    /// entry), bit-identical to those rows of [`Gcn::embed`] — the
-    /// dirty-halo patch run backwards. `E_D` on `rows` reads `E_{D-1}` on
-    /// their one-hop halo, which reads `E_{D-2}` on the halo of that, and
-    /// [`GraphTensors::halo_step`] is its own inverse because
-    /// `succ ≡ predᵀ`; so the needed sets grow from `rows` down to the
-    /// features and each layer computes only its own, scattered into a
-    /// zeroed all-nodes buffer for the next layer to aggregate from. The
-    /// budget is charged one unit per row a layer computes.
-    ///
-    /// # Errors
-    ///
-    /// Shape errors if `x` does not match the graph, and budget errors
-    /// from the per-layer checkpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a row is `>= t.node_count()` (as `halo_step` does).
-    pub(crate) fn embed_rows_budgeted(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        rows: &[usize],
-        budget: &Budget,
-    ) -> Result<Matrix> {
-        // needed[d] lists the rows of `E_{d+1}` the answer depends on.
-        let mut needed = vec![rows.to_vec()];
-        for _ in 1..self.depth() {
-            let wider = t.halo_step(needed.last().map_or(rows, Vec::as_slice));
-            needed.push(wider);
-        }
-        needed.reverse();
-        let mut prev: Option<Matrix> = None;
-        let mut layers = self.encoders().iter().zip(&needed).peekable();
-        while let Some((enc, need)) = layers.next() {
-            budget.charge(need.len() as u64)?;
-            let e = self.layer_rows(t, prev.as_ref().unwrap_or(x), need, enc)?;
-            if layers.peek().is_none() {
-                return Ok(e);
-            }
-            // The old buffer goes before the new one comes.
-            drop(prev.take());
-            let mut all = Matrix::zeros(t.node_count(), e.cols());
-            all.scatter_rows(need, &e)?;
-            prev = Some(all);
-        }
-        // A depth-0 model embeds a node as its features.
-        Ok(x.gather_rows(rows))
     }
 }
 
@@ -641,23 +564,19 @@ impl<'m> CascadeSession<'m> {
         Ok(session)
     }
 
-    /// The cascade rule ([`cascade_rows`]) over `rows` — sorted and
-    /// distinct — read from the cached final embeddings: each stage's
-    /// head sees only the rows still alive.
+    /// The cascade rule ([`cascade_rows`]) over `rows`, read in place from
+    /// the cached final embeddings: each stage's head sees only the rows
+    /// still alive, a tile at a time.
     fn classify(&self, rows: &[usize]) -> Result<Vec<f32>> {
-        cascade_rows(self.stages, self.filter_threshold, rows, |s, _, alive| {
+        cascade_rows(self.stages, self.filter_threshold, rows, |s, gcn, alive| {
             let cache = self.caches.get(s).ok_or(TensorError::LengthMismatch {
                 expected: self.stages.len(),
                 actual: self.caches.len(),
             })?;
+            let mut probs = vec![0.0f32; alive.len()];
             let e = cache.final_embedding();
-            // Distinct rows that number as many as there are nodes are
-            // every node in order: no copy needed.
-            Ok(if alive.len() == e.rows() {
-                Cow::Borrowed(e)
-            } else {
-                Cow::Owned(e.gather_rows(alive))
-            })
+            pass::head_rows(pass::PER_CORE, gcn.head(), e, alive, &mut probs)?;
+            Ok(probs)
         })
     }
 
@@ -871,6 +790,24 @@ mod tests {
             cache.revert(delta);
             assert_eq!(cache.layers(), pristine.layers());
         }
+    }
+
+    #[test]
+    fn a_refused_step_rolls_the_patched_layers_back() {
+        let (data, _) = design(5, 300);
+        let gcn = small_gcn(3, 23);
+        let mut x = data.features.clone();
+        let good = gcn.embed_cached(&data.tensors, &x).unwrap();
+        // A last layer of a width the model does not make: its step is
+        // refused after the two layers below were patched in place.
+        let mut layers = good.layers().to_vec();
+        layers[2] = Matrix::zeros(x.rows(), 9);
+        let mut cache = EmbeddingCache::from_layers(layers, good.generation()).unwrap();
+        let pristine = cache.clone();
+        x.set(7, 3, x.get(7, 3) + 1.25);
+        let err = gcn.embed_incremental(&data.tensors, &x, &mut cache, &[7]);
+        assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })));
+        assert_eq!(cache.layers(), pristine.layers());
     }
 
     #[test]

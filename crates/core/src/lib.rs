@@ -12,9 +12,11 @@
 //! 3. Inference is formulated as sparse matrix products over the COO/CSR
 //!    adjacency ([`GraphTensors`]), which is what makes the model scale to
 //!    millions of cells (§3.4.1, Fig. 10). The recursion-based baseline it
-//!    is compared against lives in [`recursive`]. At the 10^5–10^6-node
-//!    scale, [`MatrixBackend`] swaps the serial CSR kernels for
-//!    partition-parallel sharded ones — bit-identically.
+//!    is compared against lives in [`recursive`]. Every inference pass
+//!    runs one row-tiled layer step ([`pass`]): aggregate → encode → ReLU
+//!    (→ head → softmax) per tile of [`pass::TILE_ROWS`] rows over reusable
+//!    buffers, tiles in parallel, so a pass materialises no `n`-row
+//!    transient and a 10^6-node design is a seconds-long job.
 //! 4. [`MultiStageGcn`] implements the imbalance-handling cascade of §3.3.
 //! 5. [`incremental`] caches per-layer embeddings and, when only a few
 //!    nodes change (an OP-insertion preview or commit), recomputes just the
@@ -44,6 +46,7 @@ pub mod incremental;
 pub mod metrics;
 mod model;
 mod multistage;
+pub mod pass;
 pub mod recursive;
 pub mod train;
 

@@ -4,6 +4,7 @@ use gcnt_nn::{Linear, LinearGrads, Mlp, MlpCache, MlpGrads, Rng};
 use gcnt_tensor::{ops, Budget, Matrix, Result};
 
 use crate::backend::MatrixBackend;
+use crate::pass::{self, PassWorkspace};
 use crate::GraphTensors;
 
 /// Hyper-parameters of the GCN (§5 of the paper).
@@ -217,9 +218,10 @@ impl Gcn {
     /// work [`Budget`] and a [`MatrixBackend`]. Each layer charges one
     /// unit per node *before* computing, so an exhausted or cancelled
     /// budget stops the pass at a layer boundary instead of running to
-    /// completion. The serial backend reproduces [`Gcn::embed`] exactly,
-    /// and the partitioned backend produces bit-identical embeddings via
-    /// partition-parallel SpMM (see [`crate::backend`]).
+    /// completion. Every layer runs as the row-tiled step of
+    /// [`crate::pass`], which aggregates through the graph's own CSRs
+    /// whatever the backend — of a backend only the staleness check
+    /// remains — so the embeddings are the same bits for every backend.
     ///
     /// # Errors
     ///
@@ -235,18 +237,8 @@ impl Gcn {
         budget: &Budget,
         backend: &mut MatrixBackend,
     ) -> Result<Matrix> {
-        // No input clone and in-place ReLU: element-wise identical to
-        // the cached forward pass, without its per-layer allocations.
-        let mut e: Option<Matrix> = None;
-        for enc in &self.encoders {
-            let cur = e.as_ref().unwrap_or(x);
-            budget.charge(cur.rows() as u64)?;
-            let g = backend.aggregate(t, cur, self.w_pr(), self.w_su())?;
-            let mut z = enc.forward(&g)?;
-            ops::relu_in_place(&mut z);
-            e = Some(z);
-        }
-        Ok(e.unwrap_or_else(|| x.clone()))
+        backend.check_fresh(t)?;
+        pass::embed_final(pass::PER_CORE, self, t, x, budget)
     }
 
     /// Probability of the positive class (class 1) for every node.
@@ -259,7 +251,9 @@ impl Gcn {
     }
 
     /// [`Gcn::predict_proba`] under an explicit [`Budget`] and
-    /// [`MatrixBackend`]; bit-identical across backends.
+    /// [`MatrixBackend`]; bit-identical across backends. The last layer is
+    /// fused with the head, so the final embedding and the head's
+    /// activations never exist at `n` rows ([`crate::pass`]).
     ///
     /// # Errors
     ///
@@ -272,11 +266,10 @@ impl Gcn {
         budget: &Budget,
         backend: &mut MatrixBackend,
     ) -> Result<Vec<f32>> {
-        let logits = self
-            .head
-            .predict(&self.embed_budgeted_with(t, x, budget, backend)?)?;
-        // Same max/exp/sum order as `softmax_rows`, minus the full matrix.
-        Ok(ops::softmax_col(&logits, 1))
+        backend.check_fresh(t)?;
+        let rows: Vec<usize> = (0..t.node_count()).collect();
+        let mut ws = PassWorkspace::new();
+        pass::predict_rows(pass::PER_CORE, self, t, x, &rows, budget, &mut ws)
     }
 
     /// Backward pass through the head, the encoders and the aggregations,

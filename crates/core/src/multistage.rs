@@ -8,12 +8,11 @@
 //! After a few stages the surviving set is roughly balanced and the last
 //! stage makes the final call.
 
-use std::borrow::Cow;
-
 use serde::{Deserialize, Serialize};
 
-use gcnt_tensor::{ops, Matrix, Result, TensorError};
+use gcnt_tensor::{Matrix, Result, TensorError};
 
+use crate::pass::{self, PassWorkspace};
 use crate::train::{train, TrainConfig};
 use crate::{Gcn, GcnConfig, GraphData, GraphTensors};
 
@@ -310,14 +309,16 @@ impl MultiStageGcn {
 
     /// [`MultiStageGcn::predict_proba`] under an explicit work
     /// [`gcnt_tensor::Budget`] and [`crate::MatrixBackend`], filtering as
-    /// the cascade trains: stage 0 is one full pass on `backend`, and
-    /// every later stage embeds only the rows its predecessors passed on
-    /// — the final layer on the survivors, layer `D-1` on their one-hop
-    /// halo, and so on back to the features (`Gcn::embed_rows_budgeted`)
-    /// — then classifies those rows alone. A stage nobody reaches does not
-    /// run. Every kernel involved is row-local with an unchanged per-row
-    /// accumulation order, so the probabilities are bit-identical to
-    /// running every stage over every node, and across backends.
+    /// the cascade trains: stage 0 embeds every row, and every later stage
+    /// embeds only the rows its predecessors passed on — the final layer
+    /// on the survivors, layer `D-1` on their one-hop halo, and so on back
+    /// to the features — then classifies those rows alone. A stage nobody
+    /// reaches does not run. Each stage is the row-tiled pass of
+    /// `pass::predict_rows` over one shared workspace; every kernel in
+    /// it is row-local with an unchanged per-row accumulation order, so
+    /// the probabilities are bit-identical to running every stage over
+    /// every node, and across backends (of which only the staleness check
+    /// is used).
     ///
     /// Each layer charges the budget one unit per row it is about to
     /// compute — `n` per layer of stage 0, the halo's size per layer of a
@@ -338,52 +339,40 @@ impl MultiStageGcn {
         backend: &mut crate::MatrixBackend,
     ) -> Result<Vec<f32>> {
         gcnt_obs::global().incr(gcnt_obs::counters::CORE_CASCADE_INFERENCES);
+        backend.check_fresh(t)?;
         let rows: Vec<usize> = (0..t.node_count()).collect();
+        let mut ws = PassWorkspace::new();
         cascade_rows(
             &self.stages,
             self.filter_threshold,
             &rows,
-            |s, gcn, alive| {
-                if s == 0 {
-                    gcn.embed_budgeted_with(t, x, budget, backend)
-                } else {
-                    gcn.embed_rows_budgeted(t, x, alive, budget)
-                }
-                .map(Cow::Owned)
-            },
+            |_, gcn, alive| pass::predict_rows(pass::PER_CORE, gcn, t, x, alive, budget, &mut ws),
         )
     }
 }
 
 /// The cascade rule over a row set — the one place inference applies the
-/// filter threshold. Stage by stage, `final_embedding(s, stage, alive)`
-/// supplies stage `s`'s final embedding of the rows still `alive` (one
-/// matrix row per entry, in order) and the stage's head classifies them:
-/// a non-final stage that scores a row below `filter_threshold` settles
-/// it at that probability capped at 0.49 (a filtered node is never a
-/// positive) and passes the rest on; the last stage settles whoever is
-/// left at its own probability. Stops as soon as nobody is alive. Returns
-/// one probability per entry of `rows`, in order.
+/// filter threshold. Stage by stage, `stage_probs(s, stage, alive)`
+/// supplies stage `s`'s positive-class probability of the rows still
+/// `alive` (one per entry, in order): a non-final stage that scores a row
+/// below `filter_threshold` settles it at that probability capped at 0.49
+/// (a filtered node is never a positive) and passes the rest on; the last
+/// stage settles whoever is left at its own probability. Stops as soon as
+/// nobody is alive. Returns one probability per entry of `rows`, in order.
 ///
 /// A row survives on `!(p < filter_threshold)`, so a NaN probability is
 /// passed on rather than settled.
-pub(crate) fn cascade_rows<'e>(
+pub(crate) fn cascade_rows(
     stages: &[Gcn],
     filter_threshold: f32,
     rows: &[usize],
-    mut final_embedding: impl FnMut(usize, &Gcn, &[usize]) -> Result<Cow<'e, Matrix>>,
+    mut stage_probs: impl FnMut(usize, &Gcn, &[usize]) -> Result<Vec<f32>>,
 ) -> Result<Vec<f32>> {
     let Some((first, later)) = stages.split_first() else {
         return Ok(vec![0.0; rows.len()]);
     };
     let mut classify = |s: usize, gcn: &Gcn, alive: &[usize]| -> Result<Vec<f32>> {
-        // The embedding and the logits die inside this statement, before
-        // the next stage allocates its own.
-        let probs = ops::softmax_col(
-            &gcn.head()
-                .predict(final_embedding(s, gcn, alive)?.as_ref())?,
-            1,
-        );
+        let probs = stage_probs(s, gcn, alive)?;
         if probs.len() != alive.len() {
             return Err(TensorError::LengthMismatch {
                 expected: alive.len(),
@@ -403,8 +392,7 @@ pub(crate) fn cascade_rows<'e>(
         }
     };
     // Stage 0's probabilities become the answer, settled in place, and
-    // later stages overwrite the rows passed on — so nothing row-sized is
-    // held while stage 0, the only stage that embeds every row, runs.
+    // later stages overwrite the rows passed on.
     let mut probs = classify(0, first, rows)?;
     // The rows passed on, and where in `rows` (and `probs`) each sits.
     let (mut slots, mut alive) = (Vec::new(), Vec::new());

@@ -73,6 +73,23 @@ impl Linear {
         x.matmul_bias(&self.weight, &self.bias)
     }
 
+    /// [`Linear::forward`] for a row block in caller-owned storage: row
+    /// `i` of `out` (rows of `fan_out` values, overwritten) becomes
+    /// `x_rows[i] W + b`, bit for bit the row [`Linear::forward`] computes.
+    /// Serial and allocation-free — what a pass runs per tile.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error unless every input row has `fan_in` values,
+    /// and a length error unless `out` holds one row per input row.
+    pub fn forward_into<'a, I>(&self, x_rows: I, out: &mut [f32]) -> Result<()>
+    where
+        I: IntoIterator<Item = &'a [f32]>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        Matrix::matmul_bias_into(x_rows, &self.weight, &self.bias, out)
+    }
+
     /// Computes parameter gradients and the input gradient given the layer
     /// input `x` and the output gradient `dy`.
     ///

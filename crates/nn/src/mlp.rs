@@ -126,6 +126,44 @@ impl Mlp {
         Ok(cur.expect("mlp has layers"))
     }
 
+    /// [`Mlp::predict`] for a row block, ping-ponging between two
+    /// caller-owned buffers that are grown as needed and otherwise reused:
+    /// the returned slice — rows of `fan_out` logits, one per input row,
+    /// borrowed from one of the buffers — is bit for bit what
+    /// [`Mlp::predict`] computes for those rows. Serial and, once the
+    /// buffers have grown, allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error unless every input row has `fan_in` values.
+    pub fn predict_into<'a, 'b, I>(
+        &self,
+        x_rows: I,
+        bufs: &'b mut [Vec<f32>; 2],
+    ) -> Result<&'b [f32]>
+    where
+        I: IntoIterator<Item = &'a [f32]>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let x_rows = x_rows.into_iter();
+        let rows = x_rows.len();
+        let [cur, next] = bufs;
+        let mut layers = self.layers.iter();
+        // A constructed MLP always has at least one layer.
+        let first = layers.next().expect("mlp has layers");
+        let mut width = first.fan_out();
+        first.forward_into(x_rows, ops::scratch(cur, rows * width))?;
+        for layer in layers {
+            let x = ops::scratch(cur, rows * width);
+            ops::relu_slice(x);
+            let fan_in = width.max(1);
+            width = layer.fan_out();
+            layer.forward_into(x.chunks_exact(fan_in), ops::scratch(next, rows * width))?;
+            std::mem::swap(cur, next);
+        }
+        Ok(ops::scratch(cur, rows * width))
+    }
+
     /// Backward pass: given the cache from [`Mlp::forward`] and the logits
     /// gradient, returns all layer gradients plus the gradient w.r.t. the
     /// MLP input.
@@ -341,5 +379,26 @@ mod tests {
         let json = serde_json::to_string(&mlp).unwrap();
         let back: Mlp = serde_json::from_str(&json).unwrap();
         assert_eq!(mlp, back);
+    }
+
+    #[test]
+    fn predict_into_is_bitwise_predict_and_reuses_its_buffers() {
+        let mlp = Mlp::new(&[6, 9, 4, 2], &mut seeded_rng(12));
+        let x = Matrix::from_fn(11, 6, |r, c| ((r * 6 + c) as f32 * 0.31).sin());
+        let full = mlp.predict(&x).unwrap();
+        let mut bufs = [Vec::new(), Vec::new()];
+        let logits = mlp
+            .predict_into(x.as_slice().chunks_exact(6), &mut bufs)
+            .unwrap();
+        assert_eq!(logits, full.as_slice());
+        // A smaller block over the grown, now stale, buffers.
+        let picked = [10usize, 2, 2, 5];
+        let logits = mlp
+            .predict_into(picked.iter().map(|&r| x.row(r)), &mut bufs)
+            .unwrap();
+        assert_eq!(logits, full.gather_rows(&picked).as_slice());
+        assert!(mlp
+            .predict_into(x.as_slice().chunks_exact(5), &mut bufs)
+            .is_err());
     }
 }

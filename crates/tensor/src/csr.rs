@@ -378,6 +378,22 @@ impl CsrMatrix {
     /// `self.cols() == rhs.rows()`, and [`TensorError::IndexOutOfBounds`] if
     /// any requested row is out of range.
     pub fn spmm_rows(&self, rhs: &Matrix, rows: &[usize]) -> Result<Matrix> {
+        let mut out = Matrix::zeros(rows.len(), rhs.cols());
+        self.spmm_rows_into(rhs, rows, out.as_mut_slice())?;
+        Ok(out)
+    }
+
+    /// [`CsrMatrix::spmm_rows`] into a caller-provided row block: `out`
+    /// holds `rows.len()` rows of `rhs.cols()` values and is overwritten
+    /// (zeroed, then accumulated), so a pass can reuse one tile buffer
+    /// instead of allocating a product per call. Same kernel and per-row
+    /// accumulation order as [`CsrMatrix::spmm`]; serial.
+    ///
+    /// # Errors
+    ///
+    /// As [`CsrMatrix::spmm_rows`], plus [`TensorError::LengthMismatch`]
+    /// unless `out.len() == rows.len() * rhs.cols()`.
+    pub fn spmm_rows_into(&self, rhs: &Matrix, rows: &[usize], out: &mut [f32]) -> Result<()> {
         debug_assert!(self.structure_ok(), "spmm_rows on a malformed CSR matrix");
         if self.cols != rhs.rows() {
             return Err(TensorError::ShapeMismatch {
@@ -393,6 +409,12 @@ impl CsrMatrix {
             });
         }
         let n = rhs.cols();
+        if out.len() != rows.len() * n {
+            return Err(TensorError::LengthMismatch {
+                expected: rows.len() * n,
+                actual: out.len(),
+            });
+        }
         let obs = gcnt_obs::global();
         if obs.is_enabled() {
             obs.incr(gcnt_obs::counters::TENSOR_SPMM_CALLS);
@@ -406,19 +428,18 @@ impl CsrMatrix {
                 .sum();
             obs.add(gcnt_obs::counters::TENSOR_SPMM_NNZ, nnz as u64);
         }
-        let mut out = Matrix::zeros(rows.len(), n);
         if n == 0 {
-            return Ok(out);
+            return Ok(());
         }
-        let data = out.as_mut_slice();
-        for (out_row, &r) in data.chunks_mut(n).zip(rows) {
+        out.fill(0.0);
+        for (out_row, &r) in out.chunks_mut(n).zip(rows) {
             let start = self.indptr.get(r).copied().unwrap_or(0);
             let end = self.indptr.get(r + 1).copied().unwrap_or(start);
             let idx = self.indices.get(start..end).unwrap_or(&[]);
             let vals = self.values.get(start..end).unwrap_or(&[]);
             kernel::spmm_row(out_row, idx, vals, |c| rhs.row(c));
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Grows a square adjacency by one node: appends row and column

@@ -8,6 +8,16 @@ use crate::{Result, TensorError};
 /// rayon dispatch overhead dominates for tiny matrices.
 const PAR_GEMM_THRESHOLD: usize = 16 * 1024;
 
+/// One output row of `lhs · rhs + bias`, accumulated onto a zeroed
+/// `out_row`: the complete `k`-order sum, then the bias.
+#[inline]
+fn bias_row(out_row: &mut [f32], lhs_row: &[f32], rhs: &Matrix, bias: &[f32]) {
+    kernel::gemm_row_blocked(out_row, lhs_row, &rhs.data, rhs.cols);
+    for (o, &b) in out_row.iter_mut().zip(bias) {
+        *o += b;
+    }
+}
+
 /// A row-major dense `f32` matrix.
 ///
 /// This is the workhorse type for node-feature matrices (`N x 4`), embedding
@@ -259,10 +269,7 @@ impl Matrix {
         let k = self.cols;
         let gemm_row = |(r, out_row): (usize, &mut [f32])| {
             let lhs_row = self.data.get(r * k..(r + 1) * k).unwrap_or(&[]);
-            kernel::gemm_row_blocked(out_row, lhs_row, &rhs.data, n);
-            for (o, &b) in out_row.iter_mut().zip(bias) {
-                *o += b;
-            }
+            bias_row(out_row, lhs_row, rhs, bias);
         };
         if self.rows * n >= PAR_GEMM_THRESHOLD {
             out.data
@@ -275,6 +282,58 @@ impl Matrix {
             }
         }
         Ok(out)
+    }
+
+    /// Serial row-block form of [`Matrix::matmul_bias`] over caller-owned
+    /// storage: row `i` of `out` (rows of `rhs.cols()` values, overwritten)
+    /// becomes `lhs_rows[i] * rhs + bias`, through the same row kernel and
+    /// hence bit for bit the row [`Matrix::matmul_bias`] computes. The
+    /// left-hand rows come from an iterator so a tile can read them in
+    /// place — consecutive rows of a buffer (`chunks_exact`) or listed
+    /// rows of a matrix (`rows.iter().map(|&r| m.row(r))`) — and nothing
+    /// is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless
+    /// `bias.len() == rhs.cols()` and every left-hand row has `rhs.rows()`
+    /// values, and [`TensorError::LengthMismatch`] unless `out` holds
+    /// exactly one row per left-hand row.
+    pub fn matmul_bias_into<'a, I>(
+        lhs_rows: I,
+        rhs: &Matrix,
+        bias: &[f32],
+        out: &mut [f32],
+    ) -> Result<()>
+    where
+        I: IntoIterator<Item = &'a [f32]>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let n = rhs.cols;
+        let mismatch = |lhs: (usize, usize), rhs: (usize, usize)| TensorError::ShapeMismatch {
+            op: "matmul_bias_into",
+            lhs,
+            rhs,
+        };
+        if bias.len() != n {
+            return Err(mismatch((out.len(), n), (bias.len(), 1)));
+        }
+        let lhs_rows = lhs_rows.into_iter();
+        if out.len() != lhs_rows.len() * n {
+            return Err(TensorError::LengthMismatch {
+                expected: lhs_rows.len() * n,
+                actual: out.len(),
+            });
+        }
+        // A zero-width product has no rows to cut `out` into.
+        for (out_row, lhs_row) in out.chunks_exact_mut(n.max(1)).zip(lhs_rows) {
+            if lhs_row.len() != rhs.rows {
+                return Err(mismatch((1, lhs_row.len()), rhs.shape()));
+            }
+            out_row.fill(0.0);
+            bias_row(out_row, lhs_row, rhs, bias);
+        }
+        Ok(())
     }
 
     /// Matrix product `self^T * rhs` without materialising the transpose.
@@ -480,13 +539,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 
@@ -830,5 +882,40 @@ mod tests {
         let json = serde_json::to_string(&a).unwrap();
         let back: Matrix = serde_json::from_str(&json).unwrap();
         assert_eq!(a, back);
+    }
+
+    #[test]
+    fn matmul_bias_into_is_bitwise_matmul_bias_rows() {
+        let lhs = Matrix::from_fn(7, 5, |r, c| ((r * 5 + c) as f32 * 0.37).sin());
+        let rhs = Matrix::from_fn(5, 3, |r, c| ((r + 2 * c) as f32 * 0.21).cos());
+        let bias = [0.5, -0.25, 2.0];
+        let full = lhs.matmul_bias(&rhs, &bias).unwrap();
+        // Consecutive rows of a buffer, over stale output.
+        let mut out = vec![f32::NAN; 7 * 3];
+        Matrix::matmul_bias_into(lhs.as_slice().chunks_exact(5), &rhs, &bias, &mut out).unwrap();
+        assert_eq!(out, full.as_slice());
+        // Listed rows, read in place.
+        let picked = [6usize, 0, 3];
+        let mut out = vec![0.0; 3 * 3];
+        Matrix::matmul_bias_into(picked.iter().map(|&r| lhs.row(r)), &rhs, &bias, &mut out)
+            .unwrap();
+        assert_eq!(out, full.gather_rows(&picked).as_slice());
+
+        let rows = || lhs.as_slice().chunks_exact(5);
+        assert!(matches!(
+            Matrix::matmul_bias_into(rows(), &rhs, &bias, &mut [0.0; 20]),
+            Err(TensorError::LengthMismatch {
+                expected: 21,
+                actual: 20
+            })
+        ));
+        assert!(matches!(
+            Matrix::matmul_bias_into(rows(), &rhs, &bias[..2], &mut [0.0; 21]),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            Matrix::matmul_bias_into(lhs.as_slice().chunks_exact(7), &rhs, &bias, &mut [0.0; 15]),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
     }
 }

@@ -52,3 +52,8 @@ pub use dense::Matrix;
 pub use error::{Result, TensorError};
 pub use kernel::Kernel;
 pub use partition::{PartitionPlan, PartitionScratch, PartitionedCsr};
+/// The row-parallel primitive the products here run on, re-exported so a
+/// crate above can run its row tiles on the same one: a direct edge to it
+/// would rewrite `benchmark/Cargo.lock`, and goes with the next
+/// `[benchmark]` edit.
+pub use rayon;

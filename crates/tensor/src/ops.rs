@@ -22,7 +22,25 @@ pub fn relu(m: &Matrix) -> Matrix {
 /// allocating a fresh matrix; the inference loops use this on owned
 /// intermediates.
 pub fn relu_in_place(m: &mut Matrix) {
-    m.map_inplace(|v| if v > 0.0 { v } else { 0.0 });
+    relu_slice(m.as_mut_slice());
+}
+
+/// [`relu_in_place`] on a bare row block, for buffers that are not a
+/// [`Matrix`] (a pass's tile scratch).
+pub fn relu_slice(values: &mut [f32]) {
+    for v in values {
+        *v = if *v > 0.0 { *v } else { 0.0 };
+    }
+}
+
+/// The first `len` values of a reusable scratch buffer, grown
+/// (zero-filled) if it is shorter; what they hold is whatever the last
+/// user left.
+pub fn scratch(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    buf.get_mut(..len).unwrap_or_default()
 }
 
 /// Gradient mask of ReLU: `1` where the *pre-activation* input was positive.
@@ -67,29 +85,37 @@ pub fn softmax_rows(m: &Matrix) -> Matrix {
 ///
 /// Panics if `col >= m.cols()`.
 pub fn softmax_col(m: &Matrix, col: usize) -> Vec<f32> {
-    assert!(col < m.cols(), "softmax_col: column {col} out of range");
+    let mut out = vec![0.0f32; m.rows()];
+    softmax_col_into(m.as_slice(), m.cols(), col, &mut out);
+    out
+}
+
+/// [`softmax_col`] over a bare row block: `logits` holds rows of `cols`
+/// values and `out[r]` receives column `col` of row `r`'s softmax. Same
+/// arithmetic in the same order, nothing allocated.
+///
+/// # Panics
+///
+/// Panics if `col >= cols` or `logits` does not hold `out.len()` rows.
+pub fn softmax_col_into(logits: &[f32], cols: usize, col: usize, out: &mut [f32]) {
+    assert!(col < cols, "softmax_col: column {col} out of range");
+    assert_eq!(logits.len(), out.len() * cols, "softmax_col: row count");
     debug_assert!(
-        m.as_slice().iter().all(|v| !v.is_nan()),
+        logits.iter().all(|v| !v.is_nan()),
         "softmax_col on NaN logits"
     );
-    let mut scratch = vec![0.0f32; m.cols()];
-    (0..m.rows())
-        .map(|r| {
-            let row = m.row(r);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for (s, &v) in scratch.iter_mut().zip(row) {
-                *s = (v - max).exp();
-                sum += *s;
+    for (row, p) in logits.chunks_exact(cols).zip(out) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let (mut sum, mut e) = (0.0, 0.0);
+        for (c, &v) in row.iter().enumerate() {
+            let exp = (v - max).exp();
+            sum += exp;
+            if c == col {
+                e = exp;
             }
-            let e = scratch.get(col).copied().unwrap_or(0.0);
-            if sum > 0.0 {
-                e / sum
-            } else {
-                e
-            }
-        })
-        .collect()
+        }
+        *p = if sum > 0.0 { e / sum } else { e };
+    }
 }
 
 /// Index of the maximum element in each row.
@@ -229,5 +255,28 @@ mod tests {
         let test = Matrix::from_rows(&[&[4.0]]).unwrap();
         let s = apply_standardization(&test, &means, &stds);
         assert_eq!(s.get(0, 0), 3.0); // (4 - 1) / 1
+    }
+
+    #[test]
+    fn softmax_col_is_bitwise_a_column_of_softmax_rows() {
+        let mut m = Matrix::from_fn(9, 3, |r, c| ((r * 3 + c) as f32 * 0.73).sin() * 6.0);
+        // The degenerate row, where the sum guard leaves `exp` undivided.
+        m.row_mut(4).fill(f32::NEG_INFINITY);
+        let full = softmax_rows(&m);
+        for col in 0..3 {
+            let got = softmax_col(&m, col);
+            for (r, p) in got.iter().enumerate() {
+                assert_eq!(p.to_bits(), full.get(r, col).to_bits(), "row {r} col {col}");
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_grows_and_then_reuses() {
+        let mut buf = Vec::new();
+        scratch(&mut buf, 4).fill(7.0);
+        assert_eq!(scratch(&mut buf, 2), &[7.0, 7.0]);
+        assert_eq!(scratch(&mut buf, 6), &[7.0, 7.0, 7.0, 7.0, 0.0, 0.0]);
+        assert_eq!(buf.len(), 6);
     }
 }

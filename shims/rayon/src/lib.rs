@@ -1,18 +1,51 @@
 //! Offline stand-in for the subset of `rayon` this workspace uses:
-//! `slice.par_chunks_mut(n).enumerate().for_each(...)`.
+//! `slice.par_chunks_mut(n)[.enumerate()].for_each(..)` /
+//! `.for_each_init(init, ..)`.
 //!
-//! Work is genuinely parallel — chunks are distributed round-robin over
-//! `std::thread::scope` workers sized to the machine — so the spmm/GEMM
-//! kernels built on top keep their multi-core speedups without the
-//! external dependency.
+//! Work is genuinely parallel: the chunks are cut into one *contiguous*
+//! run per worker (`std::thread::scope` workers sized to the machine), so
+//! adjacent chunks — adjacent output rows, which share cache lines at
+//! narrow widths — are written by the same core, nothing is staged per
+//! chunk, and a worker builds its `for_each_init` state once. The worker
+//! count is the machine's and is not settable; a caller that wants fewer
+//! runs passes larger chunks.
 
-/// Number of worker threads to use for a job of `jobs` independent items.
-fn worker_count(jobs: usize) -> usize {
+/// One worker per core.
+fn machine_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-        .min(jobs)
-        .max(1)
+}
+
+/// Runs `f` on every `(index, chunk)` of `slice` cut into `chunk_size`
+/// pieces, on at most `workers` threads: worker `w` takes chunks
+/// `w * per ..`, one contiguous run, and builds one `init` state for it.
+fn run_chunks<T, S, I, F>(slice: &mut [T], chunk_size: usize, workers: usize, init: &I, f: &F)
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, (usize, &mut [T])) + Sync,
+{
+    let jobs = slice.len().div_ceil(chunk_size);
+    let per = jobs.div_ceil(workers.clamp(1, jobs.max(1))).max(1);
+    let work = move |w: usize, run: &mut [T]| {
+        let mut state = init();
+        for (i, chunk) in run.chunks_mut(chunk_size).enumerate() {
+            f(&mut state, (w * per + i, chunk));
+        }
+    };
+    let mut runs = slice.chunks_mut(per * chunk_size).enumerate();
+    let first = runs.next();
+    // A scope that spawned nothing costs nothing; one that did joins its
+    // workers and re-raises a panic from any of them.
+    std::thread::scope(|scope| {
+        for (w, run) in runs {
+            scope.spawn(move || work(w, run));
+        }
+        if let Some((w, run)) = first {
+            work(w, run);
+        }
+    });
 }
 
 /// Parallel chunk iterator over a mutable slice, created by
@@ -40,6 +73,17 @@ impl<'a, T: Send> ParChunksMut<'a, T> {
     {
         self.enumerate().for_each(|(_, chunk)| f(chunk));
     }
+
+    /// Runs `f` on every chunk in parallel, handing it a state each worker
+    /// builds once with `init` — scratch buffers that outlive one chunk.
+    pub fn for_each_init<S, I, F>(self, init: I, f: F)
+    where
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, &mut [T]) + Sync,
+    {
+        self.enumerate()
+            .for_each_init(init, |state, (_, chunk)| f(state, chunk));
+    }
 }
 
 impl<'a, T: Send> EnumerateParChunksMut<'a, T> {
@@ -48,41 +92,17 @@ impl<'a, T: Send> EnumerateParChunksMut<'a, T> {
     where
         F: Fn((usize, &mut [T])) + Sync,
     {
-        let jobs = self.inner.slice.len().div_ceil(self.inner.chunk_size);
-        let workers = worker_count(jobs);
-        if workers <= 1 {
-            // Serial machines skip the chunk staging entirely — no
-            // intermediate Vec, just the plain chunk iterator.
-            for item in self
-                .inner
-                .slice
-                .chunks_mut(self.inner.chunk_size)
-                .enumerate()
-            {
-                f(item);
-            }
-            return;
-        }
-        let chunks: Vec<(usize, &mut [T])> = self
-            .inner
-            .slice
-            .chunks_mut(self.inner.chunk_size)
-            .enumerate()
-            .collect();
-        let mut groups: Vec<Vec<(usize, &mut [T])>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, item) in chunks.into_iter().enumerate() {
-            groups[i % workers].push(item);
-        }
-        let f = &f;
-        std::thread::scope(|scope| {
-            for group in groups {
-                scope.spawn(move || {
-                    for item in group {
-                        f(item);
-                    }
-                });
-            }
-        });
+        self.for_each_init(|| (), |(), item| f(item));
+    }
+
+    /// [`ParChunksMut::for_each_init`] with the chunk index attached.
+    pub fn for_each_init<S, I, F>(self, init: I, f: F)
+    where
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, (usize, &mut [T])) + Sync,
+    {
+        let ParChunksMut { slice, chunk_size } = self.inner;
+        run_chunks(slice, chunk_size, machine_workers(), &init, &f);
     }
 }
 
@@ -115,21 +135,44 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use super::run_chunks;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Marks chunk `i` of `jobs` 3-wide chunks with `i + 1`, on `workers`
+    /// workers, and returns how many `for_each_init` states were built.
+    fn mark(jobs: usize, workers: usize) -> (Vec<u32>, usize) {
+        let mut data = vec![0u32; jobs * 3];
+        let states = AtomicUsize::new(0);
+        run_chunks(
+            &mut data,
+            3,
+            workers,
+            &|| states.fetch_add(1, Ordering::Relaxed),
+            &|_: &mut usize, (i, chunk): (usize, &mut [u32])| {
+                for v in chunk.iter_mut() {
+                    // A second visit would not read 0 + i + 1.
+                    *v += i as u32 + 1;
+                }
+            },
+        );
+        (data, states.into_inner())
+    }
 
     #[test]
-    fn all_chunks_visited_with_correct_indices() {
-        let n = 257;
-        let mut data = vec![0u32; n * 3];
-        data.as_mut_slice()
-            .par_chunks_mut(3)
-            .enumerate()
-            .for_each(|(i, chunk)| {
-                for v in chunk.iter_mut() {
-                    *v = i as u32 + 1;
-                }
-            });
-        for (i, row) in data.chunks(3).enumerate() {
-            assert!(row.iter().all(|&v| v == i as u32 + 1), "row {i}");
+    fn every_index_is_visited_exactly_once() {
+        // Fewer jobs than workers, a ragged split, an even one, none.
+        for (jobs, workers) in [(3, 8), (257, 4), (10, 3), (8, 4), (1, 2), (0, 4), (5, 1)] {
+            let (data, states) = mark(jobs, workers);
+            for (i, row) in data.chunks(3).enumerate() {
+                assert!(
+                    row.iter().all(|&v| v == i as u32 + 1),
+                    "chunk {i} of {jobs} on {workers} workers: {row:?}"
+                );
+            }
+            assert!(
+                states <= workers.min(jobs).max(1),
+                "{states} states for {jobs} jobs on {workers} workers"
+            );
         }
     }
 
@@ -144,5 +187,30 @@ mod tests {
                 chunk.fill(1);
             });
         assert!(data.iter().all(|&v| v == 1));
+    }
+
+    #[test]
+    fn a_state_is_built_once_per_worker() {
+        let mut data = vec![0u8; 640];
+        let states = AtomicUsize::new(0);
+        data.as_mut_slice().par_chunks_mut(1).for_each_init(
+            || states.fetch_add(1, Ordering::Relaxed),
+            |_, chunk| chunk.fill(1),
+        );
+        assert!(data.iter().all(|&v| v == 1));
+        assert!((1..=super::machine_workers()).contains(&states.into_inner()));
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_worker_propagates() {
+        let mut data = vec![0u8; 64];
+        run_chunks(
+            &mut data,
+            1,
+            4,
+            &|| (),
+            &|(): &mut (), (i, _): (usize, &mut [u8])| assert!(i != 40, "worker 2 of 4 fails"),
+        );
     }
 }
