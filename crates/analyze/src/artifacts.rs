@@ -340,7 +340,7 @@ mod tests {
                     .to_string(),
             ),
             docs: vec![
-                ("README.md".to_string(), readme_with(&["NL001", "JN002"])),
+                ("README.md".to_string(), readme_with(&["NL001", "EC001"])),
                 (
                     "EXPERIMENTS.md".to_string(),
                     "`flow_b1_20k` spends `core.session_refresh_us` per refresh (span \
@@ -352,7 +352,7 @@ mod tests {
                 "crates/x/src/lib.rs".to_string(),
                 "//! Timed by the benchmark.\n".to_string(),
             )],
-            lint_registry: Some("code: \"NL001\",\ncode: \"JN002\",\n".to_string()),
+            lint_registry: Some("code: \"NL001\",\ncode: \"EC001\",\n".to_string()),
             changes: Some("- PR 1 (x): a\n- PR 2 (y): b\n".to_string()),
         }
     }
@@ -431,14 +431,14 @@ mod tests {
     #[test]
     fn undocumented_rule_is_caught() {
         let mut a = base();
-        a.docs[0].1 = readme_with(&["NL001"]); // JN002 row dropped
+        a.docs[0].1 = readme_with(&["NL001"]); // EC001 row dropped
         let findings = check_artifacts(&a);
         assert!(findings
             .iter()
-            .any(|f| f.rule == RuleId::ArtifactRuleTable && f.message.contains("JN002")));
+            .any(|f| f.rule == RuleId::ArtifactRuleTable && f.message.contains("EC001")));
         // And the reverse: a documented ghost rule.
         let mut a = base();
-        a.docs[0].1 = readme_with(&["NL001", "JN002", "ZZ999"]);
+        a.docs[0].1 = readme_with(&["NL001", "EC001", "ZZ999"]);
         assert!(check_artifacts(&a)
             .iter()
             .any(|f| f.message.contains("ZZ999")));

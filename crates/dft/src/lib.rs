@@ -14,9 +14,6 @@
 //!   observability estimation (plus a faster SCOAP-threshold variant).
 //! * [`baseline`] — testability-analysis-driven observation point
 //!   insertion, standing in for the commercial tool of Table 3.
-//! * [`cp`] — the control-point side of test point insertion (§2.2 notes
-//!   the paper's approach "can be applied to both CPs insertion and OPs
-//!   insertion"): signal-probability analysis and iterative CP insertion.
 //! * [`flow`] — the paper's iterative GCN-guided OP insertion (§4), with
 //!   impact evaluation (Fig. 6) and incremental graph updates.
 //!
@@ -34,9 +31,7 @@
 
 pub mod atpg;
 pub mod baseline;
-pub mod cp;
 pub mod cpt;
-pub mod equiv;
 pub mod error;
 pub mod fault;
 pub mod flow;

@@ -24,20 +24,14 @@
 //! | `TS003` | `nan-or-inf-value` | error | finite sparse-matrix values |
 //! | `MD001` | `weight-nan` | error | finite model parameters |
 //! | `MD002` | `layer-shape-mismatch` | error | adjacent model layers chain |
-//! | `CK001` | `checkpoint-checksum-mismatch` | error | checkpoint payload integrity |
-//! | `CK002` | `checkpoint-version-unsupported` | error | checkpoint format version known |
-//! | `CK003` | `checkpoint-missing-state` | error | resume state sections present |
 //! | `EC001` | `embedding-cache-consistency` | error | incremental caches match their graph |
-//! | `JN001` | `journal-record-checksum-mismatch` | error | journal record payload integrity |
-//! | `JN002` | `journal-sequence-gap` | error | journal records consecutively numbered |
-//! | `JN003` | `journal-growth-cap` | warning | journal within its record/byte caps |
-//! | `PG001` | `page-checksum-mismatch` | error | store page integrity (magic/length/checksum) |
-//! | `PG002` | `store-version-unsupported` | error | store metadata format version known |
-//! | `PG003` | `segment-page-missing` | error | segment page refs within committed count |
-//! | `NT001` | `frame-envelope-broken` | error | wire frame envelope integrity (magic/length-cap/checksum) |
-//! | `NT002` | `frame-version-unsupported` | error | wire frame protocol version known |
 //!
 //! The catalogue is available programmatically via [`registry::RULES`].
+//!
+//! The checksummed envelopes (checkpoint files, journal lines, store
+//! pages, wire frames) are not linted here: each decoder checks its own
+//! bytes and returns its own typed error, so a refusal never round-trips
+//! through a report.
 //!
 //! # Entry points
 //!
@@ -49,17 +43,6 @@
 //!   matrices, standalone or against their netlist.
 //! - [`lint_linear`] / [`lint_mlp`] / [`lint_gcn`] / [`lint_multistage`]
 //!   — model parameters, e.g. after loading a checkpoint.
-//! - [`lint_checkpoint_meta`] / [`lint_optimizer_shape`] — checkpoint
-//!   file metadata (checksum, version, required state sections).
-//! - [`lint_journal_records`] / [`lint_journal_growth`] — a recovered
-//!   write-ahead journal record stream, validated before a killed flow
-//!   job is replayed, and the journal's size against configured caps.
-//! - [`lint_frame`] — one wire-frame envelope (magic, length cap,
-//!   payload checksum, protocol version), refused by the net layer
-//!   before any payload byte is trusted.
-//! - [`lint_store_pages`] / [`lint_store_segments`] /
-//!   [`lint_store_version`] — paged-store integrity summaries, driven by
-//!   `gcnt store scrub`.
 //! - [`lint_embedding_cache`] / [`lint_embedding_caches`] — incremental
 //!   inference caches against their graph, checked by the flow after
 //!   every insertion batch.
@@ -89,26 +72,14 @@
 pub mod registry;
 pub mod report;
 
-mod checkpoint_rules;
 mod embedding_rules;
-mod journal_rules;
 mod model_rules;
-mod net_rules;
 mod netlist_rules;
-mod page_rules;
 mod tensor_rules;
 
-pub use checkpoint_rules::{lint_checkpoint_meta, lint_optimizer_shape, CheckpointMeta};
 pub use embedding_rules::{lint_embedding_cache, lint_embedding_caches};
-pub use journal_rules::{
-    lint_journal_growth, lint_journal_records, JournalCaps, JournalRecordMeta,
-};
 pub use model_rules::{lint_gcn, lint_linear, lint_mlp, lint_multistage};
-pub use net_rules::{lint_frame, FrameCaps, FrameMeta};
 pub use netlist_rules::{lint_levels, lint_netlist, lint_netlist_deep, lint_scoap};
-pub use page_rules::{
-    lint_store_pages, lint_store_segments, lint_store_version, PageMeta, SegmentMeta,
-};
 pub use report::{Finding, LintReport, RuleId, Severity};
 pub use tensor_rules::{lint_csr, lint_graph_tensors};
 

@@ -9,8 +9,8 @@ pub struct RuleDescriptor {
     /// The rule's identifier.
     pub id: RuleId,
     /// Stable code, e.g. `"NL001"`. `NL` rules check netlist structure,
-    /// `TS` rules check tensors, `MD` rules check model state, `CK` rules
-    /// check checkpoint files, `EC` rules check embedding caches.
+    /// `TS` rules check tensors, `MD` rules check model state, `EC` rules
+    /// check embedding caches.
     pub code: &'static str,
     /// Stable kebab-case slug, e.g. `"combinational-cycle"`.
     pub slug: &'static str,
@@ -100,88 +100,11 @@ pub const RULES: &[RuleDescriptor] = &[
         summary: "adjacent model layers have incompatible shapes",
     },
     RuleDescriptor {
-        id: RuleId::ChecksumMismatch,
-        code: "CK001",
-        slug: "checkpoint-checksum-mismatch",
-        severity: Severity::Error,
-        summary: "checkpoint payload checksum differs from the stored one",
-    },
-    RuleDescriptor {
-        id: RuleId::UnsupportedVersion,
-        code: "CK002",
-        slug: "checkpoint-version-unsupported",
-        severity: Severity::Error,
-        summary: "checkpoint declares an unsupported format version",
-    },
-    RuleDescriptor {
-        id: RuleId::MissingState,
-        code: "CK003",
-        slug: "checkpoint-missing-state",
-        severity: Severity::Error,
-        summary: "checkpoint lacks state required to resume (e.g. optimizer)",
-    },
-    RuleDescriptor {
         id: RuleId::EmbeddingCacheConsistency,
         code: "EC001",
         slug: "embedding-cache-consistency",
         severity: Severity::Error,
         summary: "embedding cache disagrees with its graph (rows or generation)",
-    },
-    RuleDescriptor {
-        id: RuleId::JournalChecksumMismatch,
-        code: "JN001",
-        slug: "journal-record-checksum-mismatch",
-        severity: Severity::Error,
-        summary: "journal record payload checksum differs from the stored one",
-    },
-    RuleDescriptor {
-        id: RuleId::JournalSequenceGap,
-        code: "JN002",
-        slug: "journal-sequence-gap",
-        severity: Severity::Error,
-        summary: "journal records are not consecutively numbered from zero",
-    },
-    RuleDescriptor {
-        id: RuleId::JournalGrowthCap,
-        code: "JN003",
-        slug: "journal-growth-cap",
-        severity: Severity::Warning,
-        summary: "journal exceeds its configured record or byte cap (compact it)",
-    },
-    RuleDescriptor {
-        id: RuleId::PageChecksumMismatch,
-        code: "PG001",
-        slug: "page-checksum-mismatch",
-        severity: Severity::Error,
-        summary: "store page fails its integrity check (magic/length/checksum)",
-    },
-    RuleDescriptor {
-        id: RuleId::StoreVersionUnsupported,
-        code: "PG002",
-        slug: "store-version-unsupported",
-        severity: Severity::Error,
-        summary: "store metadata declares an unsupported format version",
-    },
-    RuleDescriptor {
-        id: RuleId::SegmentPageMissing,
-        code: "PG003",
-        slug: "segment-page-missing",
-        severity: Severity::Error,
-        summary: "segment references a page past the committed page count",
-    },
-    RuleDescriptor {
-        id: RuleId::FrameEnvelopeBroken,
-        code: "NT001",
-        slug: "frame-envelope-broken",
-        severity: Severity::Error,
-        summary: "wire frame envelope malformed (magic/length-cap/checksum)",
-    },
-    RuleDescriptor {
-        id: RuleId::FrameVersionUnsupported,
-        code: "NT002",
-        slug: "frame-version-unsupported",
-        severity: Severity::Error,
-        summary: "wire frame declares an unsupported protocol version",
     },
 ];
 
@@ -213,11 +136,7 @@ mod tests {
         assert!(RULES.iter().any(|r| r.code.starts_with("NL")));
         assert!(RULES.iter().any(|r| r.code.starts_with("TS")));
         assert!(RULES.iter().any(|r| r.code.starts_with("MD")));
-        assert!(RULES.iter().any(|r| r.code.starts_with("CK")));
         assert!(RULES.iter().any(|r| r.code.starts_with("EC")));
-        assert!(RULES.iter().any(|r| r.code.starts_with("JN")));
-        assert!(RULES.iter().any(|r| r.code.starts_with("PG")));
-        assert!(RULES.iter().any(|r| r.code.starts_with("NT")));
-        assert_eq!(RULES.len(), 23);
+        assert_eq!(RULES.len(), 12);
     }
 }

@@ -66,45 +66,10 @@ pub enum RuleId {
     /// `MD002 layer-shape-mismatch`: adjacent model layers have
     /// incompatible shapes.
     LayerShapeMismatch,
-    /// `CK001 checkpoint-checksum-mismatch`: a checkpoint's stored
-    /// checksum disagrees with the checksum of its payload.
-    ChecksumMismatch,
-    /// `CK002 checkpoint-version-unsupported`: a checkpoint declares a
-    /// format version this build does not understand.
-    UnsupportedVersion,
-    /// `CK003 checkpoint-missing-state`: a checkpoint lacks state the
-    /// resume path needs (e.g. optimizer velocity for a momentum run).
-    MissingState,
     /// `EC001 embedding-cache-consistency`: an incremental-inference
     /// embedding cache disagrees with its graph (layer row counts differ
     /// from the node count, or the generations do not match).
     EmbeddingCacheConsistency,
-    /// `JN001 journal-record-checksum-mismatch`: a write-ahead journal
-    /// record's stored checksum disagrees with its payload.
-    JournalChecksumMismatch,
-    /// `JN002 journal-sequence-gap`: write-ahead journal records are not
-    /// consecutively numbered from zero (a record was lost or reordered).
-    JournalSequenceGap,
-    /// `JN003 journal-growth-cap`: a write-ahead journal has outgrown its
-    /// configured record-count or byte-size cap and should be compacted.
-    JournalGrowthCap,
-    /// `PG001 page-checksum-mismatch`: a committed store page fails its
-    /// integrity check (bad magic, length out of range, or checksum
-    /// mismatch).
-    PageChecksumMismatch,
-    /// `PG002 store-version-unsupported`: store metadata declares a
-    /// format version this build does not read.
-    StoreVersionUnsupported,
-    /// `PG003 segment-page-missing`: a committed segment references a
-    /// page index past the store's committed page count.
-    SegmentPageMissing,
-    /// `NT001 frame-envelope-broken`: a wire frame's envelope is
-    /// malformed — bad magic, a declared payload length over the cap, or
-    /// a payload whose checksum disagrees with the stored one.
-    FrameEnvelopeBroken,
-    /// `NT002 frame-version-unsupported`: a wire frame declares a
-    /// protocol version this build does not speak.
-    FrameVersionUnsupported,
 }
 
 impl RuleId {

@@ -213,7 +213,7 @@ impl NetClient {
         let frame_index = self.frames_sent;
         self.frames_sent += 1;
         if self.plan.take_net_corrupt_checksum(frame_index) {
-            // Flip one checksum bit: the envelope is refused (`NT001`)
+            // Flip one checksum bit: the envelope is refused (`bad-frame`)
             // while magic/version/length stay plausible.
             if let Some(b) = bytes.get_mut(9) {
                 *b ^= 0x01;

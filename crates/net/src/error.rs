@@ -14,9 +14,9 @@ pub enum NetError {
     /// The byte stream violated the wire protocol — bad magic, a length
     /// over the cap, a checksum mismatch, or an unknown frame kind. The
     /// connection cannot be resynchronised and is closed after a typed
-    /// `BadFrame` error frame (`NT001`).
+    /// `BadFrame` error frame.
     Protocol(String),
-    /// The peer speaks an unsupported protocol version (`NT002`).
+    /// The peer speaks an unsupported protocol version.
     VersionMismatch {
         /// The version this build speaks.
         ours: u32,

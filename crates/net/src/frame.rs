@@ -15,10 +15,10 @@
 //!
 //! The checksum reuses the same FNV-1a envelope the flow journal and the
 //! page store stamp on their records — one hashing idiom, three failure
-//! domains (disk tear, page rot, wire corruption). Every header is
-//! validated through [`gcnt_lint::lint_frame`] (`NT001`/`NT002`)
-//! *before* any payload byte is trusted: the length cap is enforced
-//! before allocation, the checksum before decoding.
+//! domains (disk tear, page rot, wire corruption). [`read_frame`] checks
+//! magic, length cap, version and kind *before* any payload byte is
+//! trusted — the length cap before allocation — and the checksum before
+//! the frame is handed on.
 //!
 //! Decoding is total: a truncated, bit-flipped, or over-long byte
 //! stream maps to a typed [`ReadOutcome`], never a panic, and a decoded
@@ -27,7 +27,6 @@
 use std::io::{self, Read};
 use std::time::{Duration, Instant};
 
-use gcnt_lint::{lint_frame, FrameCaps, FrameMeta, RuleId};
 use gcnt_runtime::fnv1a64;
 
 use crate::error::NetError;
@@ -42,7 +41,7 @@ pub const MAGIC: [u8; 3] = *b"GNT";
 pub const HEADER_BYTES: usize = 17;
 
 /// Hard cap on one frame's payload; a declared length above this is
-/// refused (`NT001`) before any allocation.
+/// refused as a broken envelope before any allocation.
 pub const MAX_PAYLOAD_BYTES: u64 = 16 * 1024 * 1024;
 
 /// What one frame carries.
@@ -156,16 +155,17 @@ pub enum ReadOutcome {
     /// The peer closed the stream mid-frame; the torn tail is discarded
     /// undecoded.
     Torn,
-    /// The envelope failed verification (`NT001`/`NT002`) or declared an
-    /// unknown frame kind. The stream cannot be resynchronised.
+    /// The envelope failed verification (magic, length cap, version,
+    /// checksum) or declared an unknown frame kind. The stream cannot be
+    /// resynchronised.
     Corrupt {
-        /// True when the only failure is an unsupported protocol version
-        /// (`NT002`) — mapped to a `VersionMismatch` error frame instead
-        /// of `BadFrame`.
+        /// True when the envelope is intact but declares an unsupported
+        /// protocol version — mapped to a `VersionMismatch` error frame
+        /// instead of `BadFrame`.
         version_mismatch: bool,
         /// The version the peer declared.
         declared_version: u8,
-        /// Human-readable refusal detail (the lint findings).
+        /// Human-readable refusal detail.
         detail: String,
     },
 }
@@ -200,32 +200,40 @@ fn parse_header(bytes: &[u8; HEADER_BYTES]) -> Header {
     }
 }
 
-fn caps() -> FrameCaps {
-    FrameCaps {
-        supported_version: u32::from(PROTOCOL_VERSION),
-        max_payload_bytes: MAX_PAYLOAD_BYTES,
-    }
-}
-
-fn refusal(header: &Header, computed_checksum: String, context: &str) -> Option<ReadOutcome> {
-    let meta = FrameMeta {
-        magic_ok: header.magic_ok,
-        version: u32::from(header.version),
-        declared_len: header.declared_len,
-        stored_checksum: format!("{:016x}", header.stored_checksum),
-        computed_checksum,
+/// Checks a header before its payload is read: magic and length cap
+/// first (a broken envelope, and a hostile length must not drive an
+/// allocation), then the protocol version, then the kind byte.
+fn check_header(header: &Header, context: &str) -> Result<FrameKind, ReadOutcome> {
+    let (version_mismatch, detail) = if !header.magic_ok {
+        (
+            false,
+            "frame does not start with the protocol magic".to_string(),
+        )
+    } else if header.declared_len > MAX_PAYLOAD_BYTES {
+        let len = header.declared_len;
+        (
+            false,
+            format!("frame declares a {len}-byte payload, over the {MAX_PAYLOAD_BYTES}-byte cap"),
+        )
+    } else if header.version != PROTOCOL_VERSION {
+        let v = header.version;
+        (
+            true,
+            format!("frame declares protocol version {v}, this build speaks {PROTOCOL_VERSION}"),
+        )
+    } else if let Some(kind) = FrameKind::from_u8(header.kind_byte) {
+        return Ok(kind);
+    } else {
+        (
+            false,
+            format!("unknown frame kind byte {}", header.kind_byte),
+        )
     };
-    let report = lint_frame(context, &meta, &caps());
-    let envelope_broken = report.fired(RuleId::FrameEnvelopeBroken);
-    let version_bad = report.fired(RuleId::FrameVersionUnsupported);
-    if envelope_broken || version_bad {
-        return Some(ReadOutcome::Corrupt {
-            version_mismatch: version_bad && !envelope_broken,
-            declared_version: header.version,
-            detail: report.to_string(),
-        });
-    }
-    None
+    Err(ReadOutcome::Corrupt {
+        version_mismatch,
+        declared_version: header.version,
+        detail: format!("{context}: {detail}"),
+    })
 }
 
 /// How one `fill` call ended.
@@ -271,8 +279,8 @@ fn fill(
 /// Reads and verifies one frame. `frame_budget` bounds the wall-clock
 /// time the *whole frame* may take once its first byte arrived — the
 /// defence against slow-loris peers that trickle bytes fast enough to
-/// defeat per-read timeouts. `context` labels lint findings (e.g. the
-/// peer address).
+/// defeat per-read timeouts. `context` labels a refusal's detail (e.g.
+/// the peer address).
 ///
 /// # Errors
 ///
@@ -310,17 +318,9 @@ pub fn read_frame(
     }
     let header = parse_header(&header_bytes);
 
-    // Refuse on magic/version/length *before* trusting the declared
-    // length enough to allocate for it.
-    if let Some(out) = refusal(&header, String::new(), context) {
-        return Ok(out);
-    }
-    let Some(kind) = FrameKind::from_u8(header.kind_byte) else {
-        return Ok(ReadOutcome::Corrupt {
-            version_mismatch: false,
-            declared_version: header.version,
-            detail: format!("{context}: unknown frame kind byte {}", header.kind_byte),
-        });
+    let kind = match check_header(&header, context) {
+        Ok(kind) => kind,
+        Err(refused) => return Ok(refused),
     };
 
     // CAST: declared_len was range-checked against MAX_PAYLOAD_BYTES
@@ -332,9 +332,16 @@ pub fn read_frame(
         FillEnd::Eof => return Ok(ReadOutcome::Torn),
         FillEnd::TimedOut => return Ok(ReadOutcome::Stalled),
     }
-    let computed = format!("{:016x}", fnv1a64(&payload));
-    if let Some(out) = refusal(&header, computed, context) {
-        return Ok(out);
+    let computed = fnv1a64(&payload);
+    if computed != header.stored_checksum {
+        return Ok(ReadOutcome::Corrupt {
+            version_mismatch: false,
+            declared_version: header.version,
+            detail: format!(
+                "{context}: frame stores checksum {:016x} but its payload hashes to {computed:016x}",
+                header.stored_checksum
+            ),
+        });
     }
     Ok(ReadOutcome::Frame(Frame { kind, payload }))
 }
@@ -439,6 +446,20 @@ mod tests {
             }
             other => panic!("expected version refusal, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_wrong_version_on_a_broken_envelope_is_a_bad_frame() {
+        let mut bytes = frame().encode_with_version(9);
+        bytes[0] ^= 0xff;
+        assert!(matches!(
+            decode(&bytes),
+            Ok(ReadOutcome::Corrupt {
+                version_mismatch: false,
+                declared_version: 9,
+                ..
+            })
+        ));
     }
 
     #[test]

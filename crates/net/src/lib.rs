@@ -7,8 +7,8 @@
 //!   frames with a negotiated version and an FNV-1a checksum — the same
 //!   integrity envelope the journal and page store use, applied to a
 //!   third failure domain (the network). A torn or corrupted frame
-//!   never decodes; it is refused through the lint rules `NT001`/
-//!   `NT002` with a typed error frame, never a dropped socket.
+//!   never decodes; [`frame::read_frame`] refuses it with a typed error
+//!   frame, never a dropped socket.
 //! - **Shard router** ([`router`]): N independent [`gcnt_serve::ServeCore`]
 //!   workers, each with its own admission queue, circuit breaker, and
 //!   journal directory. Designs route by FNV-1a of their text form, so
@@ -29,11 +29,11 @@
 //!
 //! | bytes | field | notes |
 //! |---|---|---|
-//! | 0..3 | magic `GNT` | refused via `NT001` on mismatch |
-//! | 3 | version | `NT002` on mismatch, typed `version-mismatch` reply |
+//! | 0..3 | magic `GNT` | `bad-frame` on mismatch |
+//! | 3 | version | typed `version-mismatch` reply on mismatch |
 //! | 4 | kind | hello, infer/flow request/reply, error, drain |
 //! | 5..9 | payload length u32 | capped at 16 MiB before allocation |
-//! | 9..17 | FNV-1a 64 of payload | `NT001` on mismatch |
+//! | 9..17 | FNV-1a 64 of payload | `bad-frame` on mismatch |
 //!
 //! Network faults (behind the `fault-inject` feature, driven by
 //! [`gcnt_runtime::FaultPlan`]): connect-refused(count),

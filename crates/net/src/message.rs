@@ -107,9 +107,10 @@ pub enum ErrorCode {
     Overloaded,
     /// The request's deadline cannot be met.
     Deadline,
-    /// The frame failed envelope verification (`NT001`).
+    /// The frame failed envelope verification (magic, length cap,
+    /// checksum or kind).
     BadFrame,
-    /// The peer's protocol version is unsupported (`NT002`).
+    /// The peer's protocol version is unsupported.
     VersionMismatch,
     /// The server is draining and admits no new work.
     Draining,

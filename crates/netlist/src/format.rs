@@ -313,25 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn control_point_design_round_trips() {
-        let mut net = Netlist::new("cp");
-        let a = net.add_cell(CellKind::Input);
-        let b = net.add_cell(CellKind::Input);
-        let g = net.add_cell(CellKind::And);
-        let o = net.add_cell(CellKind::Output);
-        net.connect(a, g).unwrap();
-        net.connect(b, g).unwrap();
-        net.connect(g, o).unwrap();
-        net.insert_control_point(g, 0, CellKind::Or).unwrap();
-        net.insert_observation_point(g).unwrap();
-        let back = read(&write(&net)).unwrap();
-        back.validate().unwrap();
-        assert_eq!(back.node_count(), net.node_count());
-        assert_eq!(back.edge_count(), net.edge_count());
-        assert_eq!(back.primary_outputs().len(), 2);
-    }
-
-    #[test]
     fn writer_emits_header() {
         let net = Netlist::new("hdr");
         let text = write(&net);

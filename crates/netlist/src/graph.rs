@@ -345,57 +345,6 @@ impl Netlist {
         Ok(op)
     }
 
-    /// Inserts a control point on the wire driving `target`'s input number
-    /// `pin`: the original driver is routed through a new 2-input gate of
-    /// `kind` (usually `And` for control-0 or `Or` for control-1) whose
-    /// second input is a fresh primary input. Returns
-    /// `(gate, control_input)`.
-    ///
-    /// The paper's method is "generic and can be applied to both CPs
-    /// insertion and OPs insertion" (§2.2); this primitive supports the CP
-    /// variant.
-    ///
-    /// # Errors
-    ///
-    /// * [`NetlistError::UnknownNode`] if `target` is stale or `pin` is out
-    ///   of range.
-    /// * [`NetlistError::BadArity`] if `kind` is not a 2-input-capable gate.
-    pub fn insert_control_point(
-        &mut self,
-        target: NodeId,
-        pin: usize,
-        kind: CellKind,
-    ) -> Result<(NodeId, NodeId)> {
-        self.check_node(target)?;
-        if pin >= self.fanin(target).len() {
-            return Err(NetlistError::UnknownNode(target));
-        }
-        if kind.arity().0 > 2 || kind.arity().1 < 2 {
-            return Err(NetlistError::BadArity {
-                node: target,
-                kind,
-                fanins: 2,
-            });
-        }
-        let driver = self.fanin[target.index()][pin];
-        let gate = self.add_cell(kind);
-        let ctrl = self.add_cell(CellKind::Input);
-        // Rewire driver -> target into driver -> gate -> target.
-        self.fanin[target.index()][pin] = gate;
-        let pos = self.fanout[driver.index()]
-            .iter()
-            .position(|&s| s == target)
-            .expect("fanout list is consistent with fanin list");
-        self.fanout[driver.index()][pos] = gate;
-        self.fanin[gate.index()].push(driver);
-        self.fanout[gate.index()].push(target);
-        // The rewired driver -> target edge became two edges
-        // (driver -> gate -> target): one more wire in total.
-        self.edge_count += 1;
-        self.connect(ctrl, gate)?;
-        Ok((gate, ctrl))
-    }
-
     /// Computes aggregate statistics. `max_level` requires a valid
     /// topological order.
     ///
@@ -580,19 +529,6 @@ mod tests {
     fn observation_point_on_output_rejected() {
         let (mut net, _, _, _, o) = and_net();
         assert!(net.insert_observation_point(o).is_err());
-    }
-
-    #[test]
-    fn control_point_insertion_rewires() {
-        let (mut net, a, _, g, _) = and_net();
-        let (gate, ctrl) = net.insert_control_point(g, 0, CellKind::Or).unwrap();
-        assert_eq!(net.kind(gate), CellKind::Or);
-        assert_eq!(net.kind(ctrl), CellKind::Input);
-        assert_eq!(net.fanin(g)[0], gate);
-        assert_eq!(net.fanin(gate), &[a, ctrl]);
-        assert!(net.fanout(a).contains(&gate));
-        assert!(!net.fanout(a).contains(&g));
-        net.validate().unwrap();
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   difficult-to-observe minority class.
 //! * [`mod@format`] — a plain-text ISCAS-89-style reader/writer so designs can
 //!   be persisted and inspected.
-//! * Test-point insertion primitives ([`Netlist::insert_observation_point`],
-//!   [`Netlist::insert_control_point`]).
+//! * The observation-point insertion primitive
+//!   ([`Netlist::insert_observation_point`]).
 //!
 //! # Examples
 //!

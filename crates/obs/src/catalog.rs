@@ -279,10 +279,10 @@ declare_counters! {
     /// Frames read and verified from any connection.
     NET_FRAMES_RECV => "gcnt_net_frames_recv_total",
         "Wire frames read and checksum-verified from connections";
-    /// Frames refused for a broken envelope (`NT001`): bad magic,
-    /// length over the cap, or a payload checksum mismatch.
+    /// Frames refused for a broken envelope: bad magic, length over the
+    /// cap, or a payload checksum mismatch.
     NET_FRAME_CHECKSUM_FAILURES => "gcnt_net_frame_checksum_failures_total",
-        "Wire frames refused for a broken envelope (NT001)";
+        "Wire frames refused for a broken envelope";
     /// Connections evicted because a frame stalled past the read
     /// deadline with bytes still outstanding.
     NET_SLOW_LORIS_EVICTIONS => "gcnt_net_slow_loris_evictions_total",

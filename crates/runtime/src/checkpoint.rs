@@ -3,17 +3,16 @@
 //!
 //! # File format
 //!
-//! A checkpoint is a JSON object with three fields:
+//! A checkpoint is a [`gcnt_store::envelope`] around the [`TrainState`]
+//! JSON:
 //!
 //! ```json
 //! { "version": 1, "checksum": "<fnv1a64 hex>", "payload": "<TrainState JSON>" }
 //! ```
 //!
-//! The payload is stored as a *string* so the checksum is defined over an
-//! exact byte sequence rather than over a re-serialisation of a parsed
-//! tree. On load the checksum is recomputed over the payload string and
-//! compared before the payload is parsed at all; a flipped bit anywhere in
-//! the state fires `CK001` instead of producing a silently-wrong model.
+//! The checksum is recomputed over the payload string and compared before
+//! the payload is parsed at all; a flipped bit anywhere in the state is a
+//! [`CheckpointError::ChecksumMismatch`] instead of a silently-wrong model.
 //!
 //! # Durability
 //!
@@ -26,10 +25,10 @@
 //! # Recovery
 //!
 //! [`CheckpointStore::load_latest`] walks checkpoints newest-to-oldest and
-//! returns the first one that passes every integrity check (`CK001`
-//! checksum, `CK002` version, `CK003` required state, `MD001`/`MD002`
-//! restored-model lint), collecting the findings of any rejected files so
-//! the caller can report *why* older state was used.
+//! returns the first one that passes every integrity check (envelope
+//! version and checksum, the optimizer contract, and the `MD001`/`MD002`
+//! lint of the restored model), collecting the typed error of every
+//! rejected file so the caller can report *why* older state was used.
 
 use std::fmt;
 use std::fs;
@@ -38,8 +37,9 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use gcnt_core::{CascadeTraining, EpochStats, Gcn, StageReport};
-use gcnt_lint::{lint_checkpoint_meta, lint_gcn, lint_optimizer_shape, CheckpointMeta, LintReport};
+use gcnt_lint::{lint_gcn, LintReport, RuleId};
 use gcnt_nn::ModelOptimizer;
+use gcnt_store::envelope::{self, EnvelopeError};
 use rand_chacha::ChaCha8Rng;
 
 /// The checkpoint format version this build reads and writes.
@@ -126,16 +126,7 @@ impl TrainState {
     }
 }
 
-/// The on-disk envelope: see the module docs for the format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CheckpointFile {
-    version: u32,
-    checksum: String,
-    payload: String,
-}
-
-/// Typed checkpoint failures. `Invalid` carries the lint findings
-/// (`CK`/`MD` rules) that rejected the file.
+/// Typed checkpoint failures: every reason a file is refused.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// A filesystem operation failed.
@@ -153,8 +144,41 @@ pub enum CheckpointError {
         /// What failed to parse.
         detail: String,
     },
-    /// The file parsed but failed integrity validation; the report holds
-    /// the `CK`/`MD` findings.
+    /// The file declares a format version this build does not read.
+    Unsupported {
+        /// Path of the rejected file.
+        path: PathBuf,
+        /// The declared version.
+        version: u32,
+    },
+    /// The payload does not hash to the checksum the file stores.
+    ChecksumMismatch {
+        /// Path of the rejected file.
+        path: PathBuf,
+        /// Checksum the file stores.
+        stored: String,
+        /// Checksum recomputed over the payload.
+        computed: String,
+    },
+    /// The file lacks state a resume needs: optimizer velocity for a
+    /// momentum run, or the RNG a cascade resume draws from.
+    MissingState {
+        /// Path of the rejected file.
+        path: PathBuf,
+        /// The absent section, e.g. `"optimizer"` or `"rng"`.
+        section: &'static str,
+    },
+    /// The optimizer state was saved against a differently shaped model.
+    OptimizerShape {
+        /// Path of the rejected file.
+        path: PathBuf,
+        /// Per-parameter lengths of the model.
+        model: Vec<usize>,
+        /// Per-parameter lengths of the optimizer state.
+        optimizer: Vec<usize>,
+    },
+    /// The restored model or optimizer state fails the model lint; the
+    /// report holds the `MD` findings.
     Invalid {
         /// Path of the rejected file.
         path: PathBuf,
@@ -172,14 +196,41 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Malformed { path, detail } => {
                 write!(f, "malformed checkpoint {}: {detail}", path.display())
             }
-            CheckpointError::Invalid { path, report } => {
-                write!(
-                    f,
-                    "invalid checkpoint {}: {}",
-                    path.display(),
-                    report.to_string().trim_end()
-                )
-            }
+            CheckpointError::Unsupported { path, version } => write!(
+                f,
+                "checkpoint {} is version {version}, this build reads version {CHECKPOINT_VERSION}",
+                path.display()
+            ),
+            CheckpointError::ChecksumMismatch {
+                path,
+                stored,
+                computed,
+            } => write!(
+                f,
+                "checkpoint {} stores checksum {stored} but its payload hashes to {computed}",
+                path.display()
+            ),
+            CheckpointError::MissingState { path, section } => write!(
+                f,
+                "checkpoint {} lacks the `{section}` state a resume needs",
+                path.display()
+            ),
+            CheckpointError::OptimizerShape {
+                path,
+                model,
+                optimizer,
+            } => write!(
+                f,
+                "checkpoint {}: optimizer state shape {optimizer:?} does not match model \
+                 parameter shape {model:?}",
+                path.display()
+            ),
+            CheckpointError::Invalid { path, report } => write!(
+                f,
+                "invalid checkpoint {}: {}",
+                path.display(),
+                report.to_string().trim_end()
+            ),
         }
     }
 }
@@ -199,25 +250,6 @@ impl std::error::Error for CheckpointError {
 /// Re-exported from `gcnt-store`, which owns the checksum primitive the
 /// whole workspace shares.
 pub use gcnt_store::{checksum_hex, fnv1a64};
-
-/// Writes `bytes` to `path` atomically: temp file in the same directory,
-/// fsync, then rename over the final name. Readers never observe a torn
-/// file, and a crash mid-write leaves the previous contents intact.
-/// Delegates to `gcnt-store`'s implementation, mapping its error into
-/// [`CheckpointError`] to keep this crate's public API unchanged.
-///
-/// # Errors
-///
-/// Returns the underlying io error, tagged with the path it hit.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    gcnt_store::atomic_write(path, bytes).map_err(|e| match e {
-        gcnt_store::StoreError::Io { path, source } => CheckpointError::Io { path, source },
-        other => CheckpointError::Malformed {
-            path: path.to_path_buf(),
-            detail: other.to_string(),
-        },
-    })
-}
 
 /// A directory of checkpoints, pruned to the newest `keep` files.
 ///
@@ -277,6 +309,13 @@ impl CheckpointStore {
         Ok(out)
     }
 
+    /// The file a state is saved to: its cursor, so lexicographic order is
+    /// (stage, epoch) order.
+    pub(crate) fn path_of(&self, state: &TrainState) -> PathBuf {
+        self.dir
+            .join(format!("ckpt-{:04}-{:06}.json", state.stage, state.epoch))
+    }
+
     /// Saves a checkpoint atomically and prunes older ones beyond `keep`.
     /// Returns the path written.
     ///
@@ -286,23 +325,19 @@ impl CheckpointStore {
     /// `Malformed` (which indicates non-finite state reached the save
     /// path — the divergence guard exists to prevent exactly that).
     pub fn save(&self, state: &TrainState) -> Result<PathBuf, CheckpointError> {
-        let path = self
-            .dir
-            .join(format!("ckpt-{:04}-{:06}.json", state.stage, state.epoch));
-        let payload = serde_json::to_string(state).map_err(|e| CheckpointError::Malformed {
-            path: path.clone(),
-            detail: format!("state serialization failed: {e}"),
+        let path = self.path_of(state);
+        let bytes =
+            envelope::seal(CHECKPOINT_VERSION, state).map_err(|e| CheckpointError::Malformed {
+                path: path.clone(),
+                detail: e.to_string(),
+            })?;
+        gcnt_store::atomic_write(&path, bytes.as_bytes()).map_err(|e| match e {
+            gcnt_store::StoreError::Io { path, source } => CheckpointError::Io { path, source },
+            other => CheckpointError::Malformed {
+                path: path.clone(),
+                detail: other.to_string(),
+            },
         })?;
-        let file = CheckpointFile {
-            version: CHECKPOINT_VERSION,
-            checksum: checksum_hex(payload.as_bytes()),
-            payload,
-        };
-        let bytes = serde_json::to_string(&file).map_err(|e| CheckpointError::Malformed {
-            path: path.clone(),
-            detail: format!("envelope serialization failed: {e}"),
-        })?;
-        atomic_write(&path, bytes.as_bytes())?;
         gcnt_obs::global().incr(gcnt_obs::counters::RUNTIME_CHECKPOINTS_WRITTEN);
         // Prune, never removing the file just written.
         let files = self.list()?;
@@ -318,15 +353,17 @@ impl CheckpointStore {
     /// Loads and fully validates one checkpoint file.
     ///
     /// `require_optimizer` marks optimizer state as mandatory (a momentum
-    /// run cannot resume bit-for-bit without its velocity), firing `CK003`
-    /// when absent.
+    /// run cannot resume bit-for-bit without its velocity).
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] if the file cannot be read,
-    /// [`CheckpointError::Malformed`] if it cannot be parsed, and
-    /// [`CheckpointError::Invalid`] with the lint findings if any
-    /// integrity check fails.
+    /// [`CheckpointError::Malformed`] if it cannot be parsed,
+    /// [`CheckpointError::Unsupported`] / [`CheckpointError::ChecksumMismatch`]
+    /// if the envelope fails, [`CheckpointError::MissingState`] /
+    /// [`CheckpointError::OptimizerShape`] if the optimizer contract fails,
+    /// and [`CheckpointError::Invalid`] with the `MD` findings if the
+    /// restored model or optimizer state is not finite and well-shaped.
     pub fn load(
         &self,
         path: &Path,
@@ -336,66 +373,55 @@ impl CheckpointStore {
             path: path.to_path_buf(),
             source,
         })?;
-        let file: CheckpointFile =
-            serde_json::from_str(&text).map_err(|e| CheckpointError::Malformed {
-                path: path.to_path_buf(),
-                detail: format!("envelope parse failed: {e}"),
-            })?;
-        let mut report = lint_checkpoint_meta(&CheckpointMeta {
-            path: path.display().to_string(),
-            version: file.version,
-            supported_version: CHECKPOINT_VERSION,
-            stored_checksum: file.checksum.clone(),
-            computed_checksum: checksum_hex(file.payload.as_bytes()),
-            missing_state: Vec::new(),
-        });
-        if report.has_errors() {
-            return Err(CheckpointError::Invalid {
-                path: path.to_path_buf(),
-                report: Box::new(report),
-            });
-        }
-        let state: TrainState =
-            serde_json::from_str(&file.payload).map_err(|e| CheckpointError::Malformed {
-                path: path.to_path_buf(),
-                detail: format!("payload parse failed: {e}"),
-            })?;
-        // The payload parsed — now lint the restored model state (MD rules)
-        // and the optimizer contract (CK003).
-        report.merge(lint_gcn(&state.model, "checkpoint.model"));
+        let path = path.to_path_buf();
+        let state: TrainState = envelope::open(&text, CHECKPOINT_VERSION).map_err(|e| match e {
+            EnvelopeError::Malformed(detail) => CheckpointError::Malformed {
+                path: path.clone(),
+                detail,
+            },
+            EnvelopeError::Version(version) => CheckpointError::Unsupported {
+                path: path.clone(),
+                version,
+            },
+            EnvelopeError::Checksum { stored, computed } => CheckpointError::ChecksumMismatch {
+                path: path.clone(),
+                stored,
+                computed,
+            },
+        })?;
+        let mut report = lint_gcn(&state.model, "checkpoint.model");
         for stage in &state.completed {
             report.merge(lint_gcn(stage, "checkpoint.completed"));
         }
         match &state.optimizer {
             Some(opt) => {
-                report.merge(lint_optimizer_shape(
-                    &path.display().to_string(),
-                    &state.model.param_lens(),
-                    &opt.param_lens(),
-                ));
+                let (model, optimizer) = (state.model.param_lens(), opt.param_lens());
+                if model != optimizer {
+                    return Err(CheckpointError::OptimizerShape {
+                        path,
+                        model,
+                        optimizer,
+                    });
+                }
                 if !opt.is_finite() {
                     report.report(
-                        gcnt_lint::RuleId::WeightNan,
-                        path.display().to_string(),
+                        RuleId::WeightNan,
+                        "checkpoint.optimizer",
                         "optimizer state holds a NaN or infinite value",
                     );
                 }
             }
             None if require_optimizer => {
-                report.merge(lint_checkpoint_meta(&CheckpointMeta {
-                    path: path.display().to_string(),
-                    version: file.version,
-                    supported_version: CHECKPOINT_VERSION,
-                    stored_checksum: file.checksum.clone(),
-                    computed_checksum: file.checksum.clone(),
-                    missing_state: vec!["optimizer".to_string()],
-                }));
+                return Err(CheckpointError::MissingState {
+                    path,
+                    section: "optimizer",
+                })
             }
             None => {}
         }
         if report.has_errors() {
             return Err(CheckpointError::Invalid {
-                path: path.to_path_buf(),
+                path,
                 report: Box::new(report),
             });
         }
@@ -404,34 +430,28 @@ impl CheckpointStore {
     }
 
     /// Loads the newest checkpoint that passes validation, falling back
-    /// to older ones when the newest is corrupt.
+    /// to older ones when the newest is unusable.
     ///
     /// Returns the restored state (or `None` when no usable checkpoint
-    /// exists) plus the accumulated findings of every rejected file —
-    /// unparseable files are reported as `CK001` (their integrity cannot
-    /// be established).
+    /// exists) plus the typed error of every file skipped on the way, newest
+    /// first.
     ///
     /// # Errors
     ///
     /// Returns an io error only if the directory itself cannot be listed;
-    /// individual bad files are findings, not errors.
+    /// individual bad files are skipped, not errors.
     pub fn load_latest(
         &self,
         require_optimizer: bool,
-    ) -> Result<(Option<TrainState>, LintReport), CheckpointError> {
-        let mut findings = LintReport::new();
+    ) -> Result<(Option<TrainState>, Vec<CheckpointError>), CheckpointError> {
+        let mut skipped = Vec::new();
         for path in self.list()?.iter().rev() {
             match self.load(path, require_optimizer) {
-                Ok(state) => return Ok((Some(state), findings)),
-                Err(CheckpointError::Invalid { report, .. }) => findings.merge(*report),
-                Err(e) => findings.report(
-                    gcnt_lint::RuleId::ChecksumMismatch,
-                    path.display().to_string(),
-                    format!("unreadable checkpoint skipped: {e}"),
-                ),
+                Ok(state) => return Ok((Some(state), skipped)),
+                Err(e) => skipped.push(e),
             }
         }
-        Ok((None, findings))
+        Ok((None, skipped))
     }
 }
 
@@ -512,9 +532,56 @@ mod tests {
         let store = CheckpointStore::open(&dir, 5).unwrap();
         store.save(&tiny_state(0, 5)).unwrap();
         store.save(&tiny_state(1, 0)).unwrap();
-        let (state, findings) = store.load_latest(false).unwrap();
+        let (state, skipped) = store.load_latest(false).unwrap();
         assert_eq!(state.unwrap().stage, 1);
-        assert!(findings.is_clean());
+        assert!(skipped.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_truncated_newest_file_is_skipped_as_malformed() {
+        let dir = temp_dir("truncated-newest");
+        let store = CheckpointStore::open(&dir, 5).unwrap();
+        store.save(&tiny_state(0, 5)).unwrap();
+        let newest = store.save(&tiny_state(0, 6)).unwrap();
+        let bytes = fs::read(&newest).unwrap();
+        fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
+        let (state, skipped) = store.load_latest(false).unwrap();
+        assert_eq!(state.unwrap().epoch, 5, "falls back to the older file");
+        assert!(
+            matches!(&skipped[..], [CheckpointError::Malformed { path, .. }] if *path == newest),
+            "{skipped:?}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_optimizer_saved_against_another_model_shape_is_refused() {
+        let dir = temp_dir("optimizer-shape");
+        let store = CheckpointStore::open(&dir, 5).unwrap();
+        let mut other = Gcn::new(
+            &GcnConfig {
+                embed_dims: vec![5],
+                fc_dims: vec![3],
+                ..GcnConfig::default()
+            },
+            &mut gcnt_nn::seeded_rng(9),
+        );
+        let momentum = gcnt_core::TrainConfig {
+            epochs: 1,
+            lr: 0.05,
+            momentum: 0.9,
+            pos_weight: 1.0,
+        };
+        let mut state = tiny_state(0, 1);
+        state.optimizer = gcnt_core::train::optimizer_for(&mut other, &momentum);
+        let path = store.save(&state).unwrap();
+        match store.load(&path, true) {
+            Err(CheckpointError::OptimizerShape {
+                model, optimizer, ..
+            }) => assert_ne!(model, optimizer),
+            other => panic!("expected an optimizer-shape refusal, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -522,9 +589,9 @@ mod tests {
     fn empty_store_returns_none() {
         let dir = temp_dir("empty");
         let store = CheckpointStore::open(&dir, 5).unwrap();
-        let (state, findings) = store.load_latest(false).unwrap();
+        let (state, skipped) = store.load_latest(false).unwrap();
         assert!(state.is_none());
-        assert!(findings.is_clean());
+        assert!(skipped.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 

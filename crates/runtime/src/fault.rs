@@ -28,7 +28,7 @@
 //! * **slow-loris(bytes/s)** — the client trickles one request frame so
 //!   the server's read deadline must evict it;
 //! * **corrupt-frame-checksum** — one client frame goes out with a broken
-//!   checksum the receiver must refuse (`NT001`);
+//!   checksum the receiver must refuse (`bad-frame`);
 //! * **connect-refused(count)** — the client's first N connect attempts
 //!   fail, exercising retry-with-backoff.
 
@@ -274,7 +274,7 @@ impl FaultPlan {
 
     /// Corrupts the checksum of the client's Nth written frame (0-based,
     /// counted per client across reconnects), so the receiver must refuse
-    /// the frame (`NT001`) instead of decoding a torn payload. One-shot.
+    /// the frame (`bad-frame`) instead of decoding a torn payload. One-shot.
     #[cfg(feature = "fault-inject")]
     pub fn with_net_corrupt_frame_checksum(mut self, frame_index: u64) -> Self {
         self.net_corrupt_frame_checksum = Some(frame_index);

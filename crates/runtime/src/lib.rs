@@ -18,8 +18,9 @@
 //!   gradient norms; a violation rolls the model back to the last good
 //!   state, backs off the learning rate, and retries within a bounded
 //!   budget, surfacing [`TrainError`] when the budget is exhausted.
-//!   Checkpoints are validated on load with the linter's `CK` and `MD`
-//!   rule families, falling back to older checkpoints on corruption.
+//!   Checkpoints are validated on load — envelope version and checksum,
+//!   optimizer contract, and the linter's `MD` rules on the restored
+//!   model — falling back to older checkpoints on corruption.
 //! - **Fault injection** ([`FaultPlan`], `fault-inject` feature):
 //!   deterministic, named injection points — kill a worker thread,
 //!   poison a gradient with NaN, corrupt a checkpoint file — so the
@@ -57,8 +58,7 @@ mod guard;
 mod multistage;
 
 pub use checkpoint::{
-    atomic_write, checksum_hex, fnv1a64, CheckpointError, CheckpointStore, TrainState,
-    CHECKPOINT_VERSION,
+    checksum_hex, fnv1a64, CheckpointError, CheckpointStore, TrainState, CHECKPOINT_VERSION,
 };
 pub use fault::FaultPlan;
 #[cfg(feature = "fault-inject")]

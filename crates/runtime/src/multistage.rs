@@ -9,14 +9,13 @@
 //! identical to an uninterrupted one.
 
 use gcnt_core::{CascadeTraining, GraphData, MultiStageConfig, MultiStageGcn, StageReport};
-use gcnt_lint::LintReport;
 
-use crate::checkpoint::{CheckpointStore, TrainState};
+use crate::checkpoint::{CheckpointError, CheckpointStore, TrainState};
 use crate::fault::FaultPlan;
 use crate::guard::{GuardConfig, RollbackEvent, TrainError, TrainSession};
 
 /// Result of a resilient cascade run.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MultiStageOutcome {
     /// The trained cascade.
     pub model: MultiStageGcn,
@@ -28,8 +27,9 @@ pub struct MultiStageOutcome {
     pub rollbacks: Vec<RollbackEvent>,
     /// Died-and-recovered workers across all stages, as `(epoch, worker)`.
     pub recovered_workers: Vec<(usize, usize)>,
-    /// Findings from checkpoints that were rejected during resume.
-    pub load_findings: LintReport,
+    /// Checkpoints skipped during resume, newest first, each with the
+    /// reason it was not used.
+    pub skipped: Vec<CheckpointError>,
 }
 
 /// Drives multi-stage training with checkpoint/resume and divergence
@@ -76,14 +76,14 @@ impl<'a> MultiStageTrainer<'a> {
         let mut cascade = CascadeTraining::new(cfg, graphs);
         let mut mid_stage: Option<TrainState> = None;
         let mut resumed_from = None;
-        let mut load_findings = LintReport::new();
+        let mut skipped = Vec::new();
 
         if self.resume {
             if let Some(store) = self.store {
                 // The cascade trains with plain SGD (no optimizer state),
                 // but the RNG is mandatory for deterministic resumption.
-                let (state, findings) = store.load_latest(false)?;
-                load_findings = findings;
+                let (state, rejected) = store.load_latest(false)?;
+                skipped = rejected;
                 if let Some(mut state) = state {
                     if let Some(rng) = state.rng.take() {
                         resumed_from = Some((state.stage, state.epoch));
@@ -97,12 +97,12 @@ impl<'a> MultiStageTrainer<'a> {
                             mid_stage = Some(state);
                         }
                     } else {
-                        load_findings.report(
-                            gcnt_lint::RuleId::MissingState,
-                            format!("stage {} checkpoint", state.stage),
-                            "no RNG state; cascade resume would not be \
-                             deterministic, starting fresh",
-                        );
+                        // Without its RNG a cascade resume would not be
+                        // deterministic: start fresh and say why.
+                        skipped.push(CheckpointError::MissingState {
+                            path: store.path_of(&state),
+                            section: "rng",
+                        });
                     }
                 }
             }
@@ -154,7 +154,7 @@ impl<'a> MultiStageTrainer<'a> {
             resumed_from,
             rollbacks,
             recovered_workers,
-            load_findings,
+            skipped,
         })
     }
 }

@@ -156,21 +156,21 @@ fn corrupt_checkpoints_fall_back_to_previous() {
         store.load(&newest, false),
         Err(CheckpointError::Malformed { .. })
     ));
-    let (state, findings) = store.load_latest(false).unwrap();
+    let (state, skipped) = store.load_latest(false).unwrap();
     let fallback = state.expect("older checkpoint must be usable");
-    assert!(!findings.is_clean(), "the skipped file must be reported");
-    assert!(findings.fired(gcnt_lint::RuleId::ChecksumMismatch));
+    assert!(
+        matches!(&skipped[..], [CheckpointError::Malformed { .. }]),
+        "the skipped file must be reported as malformed: {skipped:?}"
+    );
 
-    // Bit flip inside the payload: CK001 checksum mismatch.
+    // Bit flip inside the payload: checksum mismatch.
     fs::write(&newest, &original).unwrap();
     let mut flipped = original.clone();
     let offset = flipped.len() / 2;
     flipped[offset] ^= 0x01;
     fs::write(&newest, &flipped).unwrap();
     match store.load(&newest, false) {
-        Err(CheckpointError::Invalid { report, .. }) => {
-            assert!(report.fired(gcnt_lint::RuleId::ChecksumMismatch));
-        }
+        Err(CheckpointError::ChecksumMismatch { .. }) => {}
         Err(CheckpointError::Malformed { .. }) => {
             // A flip inside JSON string syntax can break parsing instead;
             // either way the file is rejected with a typed error.
@@ -184,7 +184,7 @@ fn corrupt_checkpoints_fall_back_to_previous() {
         "fallback must pick the same previous checkpoint"
     );
 
-    // Wrong version: CK002.
+    // Wrong version.
     let text = String::from_utf8(original.clone()).unwrap();
     let versioned = text.replacen(
         &format!("\"version\":{CHECKPOINT_VERSION}"),
@@ -194,21 +194,20 @@ fn corrupt_checkpoints_fall_back_to_previous() {
     assert_ne!(text, versioned, "replacement must hit the version field");
     fs::write(&newest, versioned).unwrap();
     match store.load(&newest, false) {
-        Err(CheckpointError::Invalid { report, .. }) => {
-            assert!(report.fired(gcnt_lint::RuleId::UnsupportedVersion));
-        }
-        other => panic!("expected CK002 rejection, got {other:?}"),
+        Err(CheckpointError::Unsupported { version: 99, .. }) => {}
+        other => panic!("expected version rejection, got {other:?}"),
     }
 
-    // Missing optimizer state when required: CK003.
+    // Missing optimizer state when required.
     fs::write(&newest, &original).unwrap();
     let plain_state = store.load(&newest, false).unwrap();
     assert!(plain_state.optimizer.is_none());
     match store.load(&newest, true) {
-        Err(CheckpointError::Invalid { report, .. }) => {
-            assert!(report.fired(gcnt_lint::RuleId::MissingState));
-        }
-        other => panic!("expected CK003 rejection, got {other:?}"),
+        Err(CheckpointError::MissingState {
+            section: "optimizer",
+            ..
+        }) => {}
+        other => panic!("expected missing-optimizer rejection, got {other:?}"),
     }
     let _ = fs::remove_dir_all(&dir);
 }

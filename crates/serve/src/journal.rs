@@ -27,9 +27,9 @@
 //! of the fatal moment, and is discarded (the file is atomically rewritten
 //! without it, via the same temp + fsync + rename discipline as
 //! `runtime::checkpoint`). Any damage *before* the tail is real corruption
-//! and refuses recovery: the recovered record stream is validated with
-//! [`gcnt_lint::lint_journal_records`] (`JN001` checksum integrity,
-//! `JN002` sequence continuity) before a single batch is replayed.
+//! and refuses recovery with [`ServeError::Journal`]: before a single
+//! batch is replayed, every recovered record must hash to its stored
+//! checksum and the records must be numbered `0, 1, 2, ...` with no gap.
 //!
 //! # Compaction (opt-in, store-backed)
 //!
@@ -66,12 +66,9 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use gcnt_dft::flow::{BatchRecord, FlowConfig};
-use gcnt_lint::{
-    lint_journal_growth, lint_journal_records, JournalCaps, JournalRecordMeta, LintReport,
-};
 use gcnt_netlist::{format, Netlist};
-use gcnt_runtime::{atomic_write, FaultPlan};
-use gcnt_store::{checksum_hex, PageStore, SegmentKey};
+use gcnt_runtime::FaultPlan;
+use gcnt_store::{atomic_write, checksum_hex, PageStore, SegmentKey};
 
 use crate::error::ServeError;
 
@@ -158,7 +155,7 @@ pub struct FlowJournal {
     path: PathBuf,
     next_seq: u64,
     /// On-disk size of the journal file, kept current across appends and
-    /// compactions (feeds the `gcnt_serve_journal_bytes` gauge and JN003).
+    /// compactions (feeds the `gcnt_serve_journal_bytes` gauge).
     bytes: u64,
     /// Present iff the journal was opened with a store; plain journals
     /// never compact and never buffer tail lines.
@@ -197,44 +194,12 @@ impl FlowJournal {
     /// # Errors
     ///
     /// [`ServeError::Journal`] if the file cannot be read or written, the
-    /// header names a different job or an unsupported version, or the
-    /// record stream fails `JN001`/`JN002` validation.
+    /// header names a different job or an unsupported version, a record
+    /// before the tail fails its checksum or breaks the sequence, or the
+    /// journal was compacted into a store (open it with
+    /// [`FlowJournal::open_with_store`]).
     pub fn open(path: &Path, header: &JournalHeader) -> Result<Recovered, ServeError> {
-        let io = |e: std::io::Error| ServeError::Journal(format!("{}: {e}", path.display()));
-        let (records, dropped_torn_tail) = if path.exists() {
-            let text = fs::read_to_string(path).map_err(io)?;
-            let (records, torn) = Self::recover(path, header, &text)?;
-            if torn {
-                // Rewrite without the torn line so the file is clean JSON
-                // lines again before anything is appended after it.
-                let mut clean = header_line(header)?;
-                for (seq, rec) in records.iter().enumerate() {
-                    clean.push_str(&record_line(seq as u64, rec)?);
-                }
-                atomic_write(path, clean.as_bytes())
-                    .map_err(|e| ServeError::Journal(e.to_string()))?;
-            }
-            (records, torn)
-        } else {
-            let first = header_line(header)?;
-            atomic_write(path, first.as_bytes()).map_err(|e| ServeError::Journal(e.to_string()))?;
-            (Vec::new(), false)
-        };
-        let file = fs::OpenOptions::new().append(true).open(path).map_err(io)?;
-        let bytes = fs::metadata(path).map_err(io)?.len();
-        let journal = FlowJournal {
-            file,
-            path: path.to_path_buf(),
-            next_seq: records.len() as u64,
-            bytes,
-            compaction: None,
-        };
-        journal.publish_gauges();
-        Ok(Recovered {
-            journal,
-            records,
-            dropped_torn_tail,
-        })
+        Self::recover(path, header, None)
     }
 
     /// Opens (or creates) the journal with a backing page store, enabling
@@ -252,108 +217,83 @@ impl FlowJournal {
         header: &JournalHeader,
         store: &mut PageStore,
     ) -> Result<Recovered, ServeError> {
+        Self::recover(path, header, Some(store))
+    }
+
+    /// The one recovery path: parses and verifies a journal (and, given
+    /// its store, the compacted prefix), tolerating a torn tail, which is
+    /// healed on disk before anything is appended after it.
+    fn recover(
+        path: &Path,
+        header: &JournalHeader,
+        store: Option<&mut PageStore>,
+    ) -> Result<Recovered, ServeError> {
         let io = |e: std::io::Error| ServeError::Journal(format!("{}: {e}", path.display()));
         let bad = |what: String| ServeError::Journal(format!("{}: {what}", path.display()));
-        if !path.exists() {
-            let first = header_line(header)?;
-            atomic_write(path, first.as_bytes()).map_err(|e| ServeError::Journal(e.to_string()))?;
-            let file = fs::OpenOptions::new().append(true).open(path).map_err(io)?;
-            let journal = FlowJournal {
-                file,
-                path: path.to_path_buf(),
-                next_seq: 0,
-                bytes: first.len() as u64,
-                compaction: Some(CompactionState {
-                    header: header.clone(),
-                    compacted_through: 0,
-                    tail_lines: Vec::new(),
-                }),
-            };
-            journal.publish_gauges();
-            return Ok(Recovered {
-                journal,
-                records: Vec::new(),
-                dropped_torn_tail: false,
-            });
-        }
-
-        let text = fs::read_to_string(path).map_err(io)?;
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let first = lines
-            .next()
-            .ok_or_else(|| bad("empty journal file (missing header)".to_string()))?;
-        verify_header(path, header, first)?;
-        let rest: Vec<&str> = lines.collect();
-        let (marker, tail_raw) = match rest.first() {
-            Some(line) => match serde_json::from_str::<CompactionMarker>(line) {
-                Ok(m) => (Some(m), &rest[1..]),
-                Err(_) => (None, &rest[..]),
-            },
-            None => (None, &rest[..]),
-        };
-
-        // Prefix: the marker's first `compacted_through` segment lines.
-        // The segment may hold *more* (a compaction killed between its
-        // store commit and the file rewrite); the extra lines are the
-        // same records the tail still carries and are simply ignored.
+        let with_store = store.is_some();
+        let fresh = !path.exists();
+        let mut marker = None;
         let mut parsed: Vec<RecordLine> = Vec::new();
-        let compacted_through = marker.as_ref().map_or(0, |m| m.compacted_through);
-        if let Some(m) = &marker {
-            let key = journal_segment_key(header);
-            let seg = |what: String| {
-                ServeError::Store(format!("journal segment {}: {what}", key.display()))
-            };
-            let bytes = store
-                .get_segment(&key)
-                .map_err(|e| seg(e.to_string()))?
-                .ok_or_else(|| seg("compacted record prefix is missing from the store".into()))?;
-            let seg_text =
-                String::from_utf8(bytes).map_err(|e| seg(format!("segment is not UTF-8: {e}")))?;
-            let mut prefix = String::new();
-            let mut taken = 0u64;
-            for line in seg_text.lines().take(m.compacted_through as usize) {
-                prefix.push_str(line);
-                prefix.push('\n');
-                taken += 1;
-            }
-            if taken < m.compacted_through {
-                return Err(seg(format!(
-                    "segment holds {taken} record(s), marker promises {}",
-                    m.compacted_through
-                )));
-            }
-            if checksum_hex(prefix.as_bytes()) != m.segment_checksum {
-                return Err(seg(
-                    "compacted prefix does not match the marker checksum".into()
-                ));
-            }
-            for (i, line) in prefix.lines().enumerate() {
-                let rec: RecordLine = serde_json::from_str(line)
-                    .map_err(|e| seg(format!("unreadable compacted record {i}: {e}")))?;
-                parsed.push(rec);
-            }
-        }
-
-        // Tail: live records in the file, torn-tail tolerant like `open`.
         let mut torn = false;
-        for (i, line) in tail_raw.iter().enumerate() {
-            match serde_json::from_str::<RecordLine>(line) {
-                Ok(rec) => parsed.push(rec),
-                Err(e) => {
-                    if serde_json::from_str::<CompactionMarker>(line).is_ok() {
+        if !fresh {
+            let text = fs::read_to_string(path).map_err(io)?;
+            let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+            let first = lines
+                .next()
+                .ok_or_else(|| bad("empty journal file (missing header)".to_string()))?;
+            verify_header(path, header, first)?;
+            let mut tail: Vec<&str> = lines.collect();
+            if let Some(m) = tail
+                .first()
+                .and_then(|line| serde_json::from_str::<CompactionMarker>(line).ok())
+            {
+                // The record prefix lives in a page store; without it,
+                // refuse rather than silently drop committed records.
+                let store = store.ok_or_else(|| {
+                    bad("journal was compacted into a page store; open it with its store".into())
+                })?;
+                // The segment may hold *more* than the marker's prefix (a
+                // compaction killed between its store commit and the file
+                // rewrite); those extra lines are the same records the
+                // tail still carries and are ignored.
+                let prefix = compacted_prefix(store, header, m.compacted_through)?;
+                let seg = |what: String| {
+                    ServeError::Store(format!(
+                        "journal segment {}: {what}",
+                        journal_segment_key(header).display()
+                    ))
+                };
+                if checksum_hex(prefix.as_bytes()) != m.segment_checksum {
+                    return Err(seg(
+                        "compacted prefix does not match the marker checksum".into()
+                    ));
+                }
+                for (i, line) in prefix.lines().enumerate() {
+                    let rec: RecordLine = serde_json::from_str(line)
+                        .map_err(|e| seg(format!("unreadable compacted record {i}: {e}")))?;
+                    parsed.push(rec);
+                }
+                tail.remove(0);
+                marker = Some(m);
+            }
+            for (i, line) in tail.iter().enumerate() {
+                match serde_json::from_str::<RecordLine>(line) {
+                    Ok(rec) => parsed.push(rec),
+                    Err(_) if serde_json::from_str::<CompactionMarker>(line).is_ok() => {
                         return Err(bad(
                             "compaction marker after record lines (corrupted journal)".into(),
                         ));
                     }
-                    if i + 1 == tail_raw.len() {
-                        let _ = e;
-                        torn = true;
-                    } else {
-                        return Err(bad(format!("unreadable record at line {}: {e}", i + 2)));
-                    }
+                    // Only the final line may be torn; earlier damage is
+                    // real.
+                    Err(_) if i + 1 == tail.len() => torn = true,
+                    Err(e) => return Err(bad(format!("unreadable record at line {}: {e}", i + 2))),
                 }
             }
         }
+        let compacted_through = marker.as_ref().map_or(0, |m| m.compacted_through);
+        // A complete-looking final line whose checksum fails is the same
+        // fatal moment: the write was cut inside the payload.
         if !torn && parsed.len() as u64 > compacted_through {
             if let Some(last) = parsed.last() {
                 if payload_checksum(&last.payload)? != last.checksum {
@@ -365,10 +305,12 @@ impl FlowJournal {
         validate_records(path, &parsed)?;
 
         let mut tail_lines = Vec::new();
-        for r in parsed.iter().skip(compacted_through as usize) {
-            tail_lines.push(record_line(r.seq, &r.payload)?);
+        if torn || with_store {
+            for r in parsed.iter().skip(compacted_through as usize) {
+                tail_lines.push(record_line(r.seq, &r.payload)?);
+            }
         }
-        if torn {
+        if torn || fresh {
             let mut clean = header_line(header)?;
             if let Some(m) = &marker {
                 clean.push_str(&marker_line(m)?);
@@ -385,7 +327,7 @@ impl FlowJournal {
             path: path.to_path_buf(),
             next_seq: parsed.len() as u64,
             bytes,
-            compaction: Some(CompactionState {
+            compaction: with_store.then(|| CompactionState {
                 header: header.clone(),
                 compacted_through,
                 tail_lines,
@@ -397,60 +339,6 @@ impl FlowJournal {
             records: parsed.into_iter().map(|r| r.payload).collect(),
             dropped_torn_tail: torn,
         })
-    }
-
-    /// Parses and verifies a journal's text, tolerating a torn tail.
-    fn recover(
-        path: &Path,
-        header: &JournalHeader,
-        text: &str,
-    ) -> Result<(Vec<BatchRecord>, bool), ServeError> {
-        let bad = |what: String| ServeError::Journal(format!("{}: {what}", path.display()));
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let first = lines
-            .next()
-            .ok_or_else(|| bad("empty journal file (missing header)".to_string()))?;
-        verify_header(path, header, first)?;
-
-        let lines: Vec<&str> = lines.collect();
-        let mut parsed: Vec<RecordLine> = Vec::with_capacity(lines.len());
-        let mut torn = false;
-        for (i, line) in lines.iter().enumerate() {
-            match serde_json::from_str::<RecordLine>(line) {
-                Ok(rec) => parsed.push(rec),
-                Err(e) => {
-                    // A compaction marker is NOT a torn tail: the record
-                    // prefix lives in a page store this opener was not
-                    // given, and treating it as damage would silently
-                    // drop committed records.
-                    if serde_json::from_str::<CompactionMarker>(line).is_ok() {
-                        return Err(bad("journal was compacted into a page store; \
-                             open it with its store"
-                            .to_string()));
-                    }
-                    // Only the final line may be torn; earlier damage is
-                    // real.
-                    if i + 1 == lines.len() {
-                        let _ = e;
-                        torn = true;
-                    } else {
-                        return Err(bad(format!("unreadable record at line {}: {e}", i + 2)));
-                    }
-                }
-            }
-        }
-        // A complete-looking final line whose checksum fails is the same
-        // fatal moment: the write was cut inside the payload.
-        if !torn {
-            if let Some(last) = parsed.last() {
-                if payload_checksum(&last.payload)? != last.checksum {
-                    parsed.pop();
-                    torn = true;
-                }
-            }
-        }
-        validate_records(path, &parsed)?;
-        Ok((parsed.into_iter().map(|r| r.payload).collect(), torn))
     }
 
     /// Appends one committed batch and fsyncs it to disk; returns the
@@ -515,27 +403,11 @@ impl FlowJournal {
             |what: String| ServeError::Store(format!("journal segment {}: {what}", key.display()));
         // Prefix already in the store (first `compacted_through` lines;
         // anything past that is leftovers of an interrupted compaction).
-        let mut segment = String::new();
-        if state.compacted_through > 0 {
-            let bytes = store
-                .get_segment(&key)
-                .map_err(|e| seg(e.to_string()))?
-                .ok_or_else(|| seg("compacted record prefix is missing from the store".into()))?;
-            let text =
-                String::from_utf8(bytes).map_err(|e| seg(format!("segment is not UTF-8: {e}")))?;
-            let mut taken = 0u64;
-            for line in text.lines().take(state.compacted_through as usize) {
-                segment.push_str(line);
-                segment.push('\n');
-                taken += 1;
-            }
-            if taken < state.compacted_through {
-                return Err(seg(format!(
-                    "segment holds {taken} record(s), journal expects {}",
-                    state.compacted_through
-                )));
-            }
-        }
+        let mut segment = if state.compacted_through > 0 {
+            compacted_prefix(store, &state.header, state.compacted_through)?
+        } else {
+            String::new()
+        };
         for line in &state.tail_lines {
             segment.push_str(line);
         }
@@ -598,16 +470,6 @@ impl FlowJournal {
         self.bytes
     }
 
-    /// Checks the journal's live size against growth caps (`JN003`).
-    pub fn growth_report(&self, caps: &JournalCaps) -> LintReport {
-        lint_journal_growth(
-            &self.path.display().to_string(),
-            self.live_records(),
-            self.bytes,
-            caps,
-        )
-    }
-
     /// The journal's path.
     pub fn path(&self) -> &Path {
         &self.path
@@ -621,6 +483,36 @@ impl FlowJournal {
         );
         obs.gauge_set(gcnt_obs::gauges::SERVE_JOURNAL_BYTES, self.bytes as f64);
     }
+}
+
+/// The first `through` record lines of a journal's compacted store
+/// segment, each newline-terminated.
+fn compacted_prefix(
+    store: &mut PageStore,
+    header: &JournalHeader,
+    through: u64,
+) -> Result<String, ServeError> {
+    let key = journal_segment_key(header);
+    let seg =
+        |what: String| ServeError::Store(format!("journal segment {}: {what}", key.display()));
+    let bytes = store
+        .get_segment(&key)
+        .map_err(|e| seg(e.to_string()))?
+        .ok_or_else(|| seg("compacted record prefix is missing from the store".into()))?;
+    let text = String::from_utf8(bytes).map_err(|e| seg(format!("segment is not UTF-8: {e}")))?;
+    let mut prefix = String::new();
+    let mut taken = 0u64;
+    for line in text.lines().take(through as usize) {
+        prefix.push_str(line);
+        prefix.push('\n');
+        taken += 1;
+    }
+    if taken < through {
+        return Err(seg(format!(
+            "segment holds {taken} record(s), the journal expects {through}"
+        )));
+    }
+    Ok(prefix)
 }
 
 /// Checks a journal's first line against the expected job identity.
@@ -643,23 +535,25 @@ fn verify_header(path: &Path, header: &JournalHeader, first: &str) -> Result<(),
     Ok(())
 }
 
-/// Validates a recovered record stream (`JN001` checksums, `JN002`
-/// sequence continuity) before a single batch is replayed.
+/// Validates a recovered record stream before a single batch is
+/// replayed: every payload hashes to its stored checksum, and the records
+/// are numbered `0, 1, 2, ...` with no gap or reordering.
 fn validate_records(path: &Path, parsed: &[RecordLine]) -> Result<(), ServeError> {
-    let mut metas: Vec<JournalRecordMeta> = Vec::with_capacity(parsed.len());
-    for r in parsed {
-        metas.push(JournalRecordMeta {
-            seq: r.seq,
-            stored_checksum: r.checksum.clone(),
-            computed_checksum: payload_checksum(&r.payload)?,
-        });
-    }
-    let report = lint_journal_records(&path.display().to_string(), &metas);
-    if report.has_errors() {
-        return Err(ServeError::Journal(format!(
-            "{}: journal failed validation:\n{report}",
-            path.display()
-        )));
+    let bad = |what: String| ServeError::Journal(format!("{}: {what}", path.display()));
+    for (expected, r) in (0u64..).zip(parsed) {
+        let computed = payload_checksum(&r.payload)?;
+        if computed != r.checksum {
+            return Err(bad(format!(
+                "checksum mismatch: record {} stores {} but its payload hashes to {computed}",
+                r.seq, r.checksum
+            )));
+        }
+        if r.seq != expected {
+            return Err(bad(format!(
+                "sequence gap: record at position {expected} declares sequence {}",
+                r.seq
+            )));
+        }
     }
     Ok(())
 }
@@ -787,7 +681,8 @@ mod tests {
         fs::write(&path, tampered).unwrap();
 
         let err = FlowJournal::open(&path, &header).unwrap_err();
-        assert!(err.to_string().contains("JN001"), "{err}");
+        assert!(matches!(err, ServeError::Journal(_)), "{err}");
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
     }
 
     #[test]
@@ -810,7 +705,8 @@ mod tests {
         fs::write(&path, kept.join("\n") + "\n").unwrap();
 
         let err = FlowJournal::open(&path, &header).unwrap_err();
-        assert!(err.to_string().contains("JN002"), "{err}");
+        assert!(matches!(err, ServeError::Journal(_)), "{err}");
+        assert!(err.to_string().contains("sequence gap"), "{err}");
     }
 
     fn store_for(path: &Path) -> PageStore {
@@ -839,11 +735,7 @@ mod tests {
         // The file never outgrows ~one compaction window of records.
         let cap = 16 * 1024;
         assert!(max_bytes < cap, "journal grew to {max_bytes} bytes");
-        let caps = JournalCaps {
-            max_records: Some(16),
-            max_bytes: Some(cap),
-        };
-        assert!(rec.journal.growth_report(&caps).is_clean(), "under caps");
+        assert!(rec.journal.live_records() <= 16, "under the record cap");
         assert_eq!(rec.journal.next_seq(), 120);
         assert!(rec.journal.compacted_through() >= 112);
         drop(rec);

@@ -27,10 +27,11 @@
 //! * **Write-ahead journaled flow jobs** ([`journal`]): one checksummed,
 //!   fsynced record per committed insertion batch; a killed process
 //!   resumes to a bit-identical [`gcnt_dft::flow::FlowOutcome`], with
-//!   torn tails healed and real corruption refused (`JN001`/`JN002`).
+//!   torn tails healed and real corruption (a record failing its
+//!   checksum, a sequence gap) refused as [`ServeError::Journal`].
 //! * **Store-backed durability** ([`store`], opt-in via
 //!   [`ServeCore::with_store`]): journals compact into a checksummed
-//!   [`gcnt_store::PageStore`] (bounding on-disk growth, `JN003`), and
+//!   [`gcnt_store::PageStore`] (bounding on-disk growth), and
 //!   incremental answers persist their per-layer embeddings so a warm
 //!   restart reloads pages instead of recomputing — bit-identical either
 //!   way, with corrupt pages quarantined and recomputed.

@@ -1070,7 +1070,6 @@ mod tests {
         // file stays at header + marker size for the whole job.
         let policy = StorePolicy {
             compact_after_records: 1,
-            max_journal_bytes: 4096,
         };
         let (normalizer, model_, _) = model();
         let store = JobStore::open(&dir.join("store"), policy).unwrap();
@@ -1084,7 +1083,7 @@ mod tests {
         assert_eq!(done.journal_records, reference.journal_records);
         let wal_bytes = std::fs::metadata(dir.join("job.wal")).unwrap().len();
         assert!(
-            wal_bytes <= policy.max_journal_bytes,
+            wal_bytes <= 4096,
             "compaction bounds the journal ({wal_bytes} bytes)"
         );
 

@@ -34,17 +34,12 @@ use crate::error::ServeError;
 pub struct StorePolicy {
     /// Compact once this many records sit in the journal's live tail.
     pub compact_after_records: u64,
-    /// Growth cap on the on-disk journal file; exceeding it raises the
-    /// `JN003` lint warning (and, with compaction enabled, should not
-    /// happen at all).
-    pub max_journal_bytes: u64,
 }
 
 impl Default for StorePolicy {
     fn default() -> Self {
         StorePolicy {
             compact_after_records: 16,
-            max_journal_bytes: 64 * 1024,
         }
     }
 }

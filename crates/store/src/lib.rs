@@ -9,16 +9,17 @@
 //! `serve::journal`:
 //!
 //! * **Checksummed envelopes.** Every page carries an FNV-1a 64
-//!   checksum of its payload; store metadata rides in the same
-//!   `{version, checksum, payload}` JSON envelope checkpoints use.
+//!   checksum of its payload; store metadata rides in the
+//!   `{version, checksum, payload}` JSON [`envelope`] checkpoints use.
 //! * **Atomic commits.** Metadata is replaced via temp + fsync +
 //!   rename only; data pages are appended *past* the committed count
 //!   and fsynced before the metadata commit references them.
 //! * **The failure contract.** Every open/read path either *recovers*
 //!   (torn append tail truncated away, quarantine-and-recompute for a
 //!   corrupt page) or fails loudly with a typed [`StoreError`] —
-//!   never silent corruption. `gcnt store scrub` reports damage as
-//!   `PG###` lint findings without stopping at the first hit.
+//!   never silent corruption. `gcnt store scrub` reports every damaged
+//!   page and dangling page reference as a [`StoreError`] without
+//!   stopping at the first hit.
 //!
 //! The unit of storage is the *segment*: an arbitrary byte payload
 //! keyed by [`SegmentKey`] (design fingerprint, kind, generation, node
@@ -26,6 +27,7 @@
 //! reassembled — with per-page and whole-segment verification — by
 //! [`PageStore::get_segment`].
 
+pub mod envelope;
 mod error;
 mod pager;
 

@@ -15,8 +15,8 @@
 //!   bytes 16..    payload, zero-padded to PAGE_SIZE
 //!   ```
 //!
-//! * `store.json` — the metadata: the same checksummed
-//!   `{version, checksum, payload}` envelope as `runtime::checkpoint`,
+//! * `store.json` — the metadata: the checksummed
+//!   [`envelope`](crate::envelope) `runtime::checkpoint` also uses,
 //!   whose payload is a [`StoreMeta`]: the committed page count and the
 //!   segment directory. Metadata is only ever replaced via temp +
 //!   fsync + rename, so a crash leaves either the old committed view or
@@ -37,8 +37,7 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use gcnt_lint::{lint_store_pages, lint_store_segments, LintReport, PageMeta, SegmentMeta};
-
+use crate::envelope::{self, EnvelopeError};
 use crate::error::StoreError;
 use crate::{atomic_write, checksum_hex, fnv1a64};
 
@@ -112,15 +111,6 @@ struct StoreMeta {
     /// Committed pages in the data file; bytes beyond this are orphans.
     page_count: u64,
     segments: Vec<SegmentEntry>,
-}
-
-/// The checksummed on-disk envelope around [`StoreMeta`] — the same
-/// discipline as `runtime::checkpoint`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct MetaFile {
-    version: u32,
-    checksum: String,
-    payload: String,
 }
 
 /// A bounded LRU page cache: verified payloads only.
@@ -359,50 +349,33 @@ impl PageStore {
             path: path.to_path_buf(),
             source,
         })?;
-        let envelope: MetaFile =
-            serde_json::from_str(&text).map_err(|e| StoreError::Malformed {
+        envelope::open(&text, STORE_VERSION).map_err(|e| match e {
+            EnvelopeError::Version(version) => StoreError::Unsupported {
                 path: path.to_path_buf(),
-                detail: format!("envelope parse failed: {e}"),
-            })?;
-        if envelope.version != STORE_VERSION {
-            return Err(StoreError::Unsupported {
+                version,
+            },
+            EnvelopeError::Checksum { .. } => {
+                gcnt_obs::global().incr(gcnt_obs::counters::STORE_CHECKSUM_FAILURES);
+                StoreError::Malformed {
+                    path: path.to_path_buf(),
+                    detail: format!("metadata {e}"),
+                }
+            }
+            EnvelopeError::Malformed(detail) => StoreError::Malformed {
                 path: path.to_path_buf(),
-                version: envelope.version,
-            });
-        }
-        let computed = checksum_hex(envelope.payload.as_bytes());
-        if computed != envelope.checksum {
-            gcnt_obs::global().incr(gcnt_obs::counters::STORE_CHECKSUM_FAILURES);
-            return Err(StoreError::Malformed {
-                path: path.to_path_buf(),
-                detail: format!(
-                    "metadata checksum mismatch (stored {}, computed {computed})",
-                    envelope.checksum
-                ),
-            });
-        }
-        serde_json::from_str(&envelope.payload).map_err(|e| StoreError::Malformed {
-            path: path.to_path_buf(),
-            detail: format!("metadata payload parse failed: {e}"),
+                detail,
+            },
         })
     }
 
     /// Commits the current metadata atomically (temp + fsync + rename).
     fn commit_meta(&self) -> Result<(), StoreError> {
         let path = self.meta_path();
-        let payload = serde_json::to_string(&self.meta).map_err(|e| StoreError::Malformed {
-            path: path.clone(),
-            detail: format!("metadata serialization failed: {e}"),
-        })?;
-        let envelope = MetaFile {
-            version: STORE_VERSION,
-            checksum: checksum_hex(payload.as_bytes()),
-            payload,
-        };
-        let bytes = serde_json::to_string(&envelope).map_err(|e| StoreError::Malformed {
-            path: path.clone(),
-            detail: format!("envelope serialization failed: {e}"),
-        })?;
+        let bytes =
+            envelope::seal(STORE_VERSION, &self.meta).map_err(|e| StoreError::Malformed {
+                path: path.clone(),
+                detail: e.to_string(),
+            })?;
         atomic_write(&path, bytes.as_bytes())
     }
 
@@ -625,51 +598,39 @@ impl PageStore {
         Ok(true)
     }
 
-    /// Verifies every committed page and every segment's page
-    /// references, reporting `PG001`/`PG003` findings instead of
-    /// stopping at the first corruption. Reads the disk truth (the
-    /// cache is bypassed and then invalidated).
+    /// Decodes every committed page and checks every segment's page
+    /// references, returning every failure found instead of stopping at
+    /// the first. Reads the disk truth (the cache is bypassed and then
+    /// invalidated).
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] only; corruption is findings, not errors.
-    pub fn scrub(&mut self) -> Result<LintReport, StoreError> {
+    /// [`StoreError::Io`] only; corruption is the returned list
+    /// ([`StoreError::PageCorrupt`] per damaged page,
+    /// [`StoreError::SegmentCorrupt`] per dangling page reference).
+    pub fn scrub(&mut self) -> Result<Vec<StoreError>, StoreError> {
         let data_path = self.data_path();
-        let display = data_path.display().to_string();
-        let mut pages = Vec::with_capacity(self.meta.page_count as usize);
+        let mut found = Vec::new();
         for idx in 0..self.meta.page_count {
             let buf = self.read_page_raw(idx)?;
-            let meta = match Self::decode_page(&data_path, idx, &buf) {
-                Ok(payload) => PageMeta {
-                    index: idx,
-                    stored_checksum: checksum_hex(&payload),
-                    computed_checksum: checksum_hex(&payload),
-                },
-                Err(e) => PageMeta {
-                    index: idx,
-                    stored_checksum: "committed".to_string(),
-                    computed_checksum: e.to_string(),
-                },
-            };
-            pages.push(meta);
+            if let Err(e) = Self::decode_page(&data_path, idx, &buf) {
+                found.push(e);
+            }
         }
-        let mut report = lint_store_pages(&display, &pages);
-        let segments: Vec<SegmentMeta> = self
-            .meta
-            .segments
-            .iter()
-            .map(|s| SegmentMeta {
-                name: s.key.display(),
-                pages: s.pages.clone(),
-            })
-            .collect();
-        report.merge(lint_store_segments(
-            &display,
-            &segments,
-            self.meta.page_count,
-        ));
+        for seg in &self.meta.segments {
+            for &idx in seg.pages.iter().filter(|&&i| i >= self.meta.page_count) {
+                found.push(StoreError::SegmentCorrupt {
+                    path: data_path.clone(),
+                    segment: seg.key.display(),
+                    detail: format!(
+                        "references page {idx} but only {} pages are committed",
+                        self.meta.page_count
+                    ),
+                });
+            }
+        }
         self.cache.clear();
-        Ok(report)
+        Ok(found)
     }
 
     /// Rewrites the data file with only live pages (dropping orphans
@@ -849,7 +810,7 @@ mod tests {
         drop(store);
         let mut store = PageStore::open(&dir).unwrap();
         assert_eq!(store.get_segment(&key("a")).unwrap().unwrap(), fresh);
-        assert!(store.scrub().unwrap().is_clean());
+        assert!(store.scrub().unwrap().is_empty());
     }
 
     #[test]
@@ -871,15 +832,28 @@ mod tests {
             matches!(err, StoreError::PageCorrupt { page: 0, .. }),
             "{err}"
         );
-        let report = store.scrub().unwrap();
+        let found = store.scrub().unwrap();
         assert!(
-            report.fired(gcnt_lint::RuleId::PageChecksumMismatch),
-            "{report}"
+            matches!(found[..], [StoreError::PageCorrupt { page: 0, .. }]),
+            "{found:?}"
         );
         // Quarantine-and-recompute: drop the bad segment, rewrite it.
         assert!(store.quarantine(&key("a")).unwrap());
         store.put_segment(&key("a"), &blob(200, 7)).unwrap();
         assert_eq!(store.get_segment(&key("a")).unwrap().unwrap(), blob(200, 7));
+    }
+
+    #[test]
+    fn scrub_reports_a_page_reference_past_the_committed_count() {
+        let dir = temp_store("dangling");
+        let mut store = PageStore::open(&dir).unwrap();
+        store.put_segment(&key("a"), &blob(40, 3)).unwrap();
+        store.meta.segments[0].pages.push(7);
+        let found = store.scrub().unwrap();
+        assert!(
+            matches!(&found[..], [StoreError::SegmentCorrupt { detail, .. }] if detail.contains("page 7")),
+            "{found:?}"
+        );
     }
 
     #[test]
@@ -915,7 +889,7 @@ mod tests {
         let mut store = PageStore::open(&dir).unwrap();
         assert_eq!(store.get_segment(&key("a")).unwrap().unwrap(), blob(100, 1));
         assert_eq!(store.stat().unwrap().data_bytes, PAGE_SIZE as u64);
-        assert!(store.scrub().unwrap().is_clean());
+        assert!(store.scrub().unwrap().is_empty());
     }
 
     #[test]
@@ -982,6 +956,6 @@ mod tests {
         // orphan bytes and the surviving segment verifies.
         let mut store = PageStore::open(&dir).unwrap();
         assert_eq!(store.get_segment(&key("ok")).unwrap().unwrap(), blob(10, 1));
-        assert!(store.scrub().unwrap().is_clean());
+        assert!(store.scrub().unwrap().is_empty());
     }
 }

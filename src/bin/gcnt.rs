@@ -29,7 +29,8 @@ use gcn_testability::gcn::features::FeatureNormalizer;
 use gcn_testability::gcn::{GraphData, MultiStageConfig, MultiStageGcn};
 use gcn_testability::netlist::{format, generate, profile, GeneratorConfig, Netlist};
 use gcn_testability::report;
-use gcn_testability::runtime::{atomic_write, CheckpointStore, MultiStageTrainer};
+use gcn_testability::runtime::{CheckpointStore, MultiStageTrainer};
+use gcn_testability::store::atomic_write;
 
 /// Handles `--metrics-out PATH`: enables the global metrics registry for
 /// the rest of the process and returns where to write snapshots. Must run
@@ -78,7 +79,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
         "serve" => cmd_serve(&options),
         "netserve" => cmd_netserve(&options),
         "loadgen" => cmd_loadgen(&options),
-        "store" => cmd_store(&positional, &options),
+        "store" => cmd_store(&positional),
         "checkpoints" => cmd_checkpoints(&positional),
         "help" | "--help" | "-h" => {
             print_usage();
@@ -115,7 +116,7 @@ fn print_usage() {
          \x20 gcnt loadgen [--addr HOST:PORT] [--sessions N] [--workers N] [--shards N]\n\
          \x20\x20\x20\x20 [--flow-jobs N] [--journal-dir DIR] [--faults plan.json]\n\
          \x20\x20\x20\x20 [--metrics-out m.json]\n\
-         \x20 gcnt store stat|scrub|compact DIR [--format text|json]\n\
+         \x20 gcnt store stat|scrub|compact DIR\n\
          \x20 gcnt checkpoints DIR\n\
          \n\
          --metrics-out writes a metrics snapshot (JSON, or Prometheus text\n\
@@ -287,8 +288,8 @@ fn cmd_train(
             trainer.store = Some(&store);
             trainer.resume = options.contains_key("resume");
             let outcome = trainer.run(&refs)?;
-            if !outcome.load_findings.is_clean() {
-                eprint!("{}", outcome.load_findings);
+            for e in &outcome.skipped {
+                eprintln!("skipped checkpoint: {e}");
             }
             if let Some((stage, epoch)) = outcome.resumed_from {
                 println!("resumed from stage {stage}, epoch {epoch}");
@@ -588,7 +589,6 @@ fn cmd_serve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         use gcn_testability::serve::{JobStore, StorePolicy};
         let policy = StorePolicy {
             compact_after_records: opt_usize(options, "compact-after", 16)? as u64,
-            ..StorePolicy::default()
         };
         core = core.with_store(JobStore::open(store_dir.as_ref(), policy)?);
     }
@@ -1049,13 +1049,10 @@ fn cmd_loadgen(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> 
 
 /// `gcnt store`: operator tooling over a [`gcn_testability::store`]
 /// directory. `stat` summarises pages/segments, `scrub` re-reads and
-/// re-checksums every committed page (nonzero exit on any `PG###` error
-/// finding, same contract as `gcnt lint`), and `compact` rewrites live
-/// segments into a fresh data file, dropping dead pages.
-fn cmd_store(
-    positional: &[String],
-    options: &HashMap<String, String>,
-) -> Result<(), Box<dyn Error>> {
+/// re-checksums every committed page and page reference (one line per
+/// error, nonzero exit on any), and `compact` rewrites live segments into
+/// a fresh data file, dropping dead pages.
+fn cmd_store(positional: &[String]) -> Result<(), Box<dyn Error>> {
     use gcn_testability::store::PageStore;
 
     let action = positional
@@ -1083,20 +1080,12 @@ fn cmd_store(
             Ok(())
         }
         "scrub" => {
-            let report = store.scrub()?;
-            match options.get("format").map(String::as_str) {
-                None | Some("text") => print!("{report}"),
-                Some("json") => println!("{}", report.to_json()),
-                Some(other) => {
-                    return Err(format!("unknown format '{other}' (use text or json)").into())
-                }
+            let errors = store.scrub()?;
+            for e in &errors {
+                println!("{e}");
             }
-            if report.has_errors() {
-                return Err(format!(
-                    "scrub found {} error(s)",
-                    report.count(gcn_testability::lint::Severity::Error)
-                )
-                .into());
+            if !errors.is_empty() {
+                return Err(format!("scrub found {} error(s)", errors.len()).into());
             }
             println!("scrub clean: every committed page verifies");
             Ok(())

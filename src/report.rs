@@ -108,7 +108,7 @@ pub fn write_metrics_snapshot(path: &Path) -> Result<(), Box<dyn Error>> {
         Some("prom") | Some("txt") => ("prometheus", snap.to_prometheus()),
         _ => ("json", snap.to_json()),
     };
-    gcnt_runtime::atomic_write(path, body.as_bytes())
+    gcnt_store::atomic_write(path, body.as_bytes())
         .map_err(|e| format!("cannot write metrics snapshot '{}': {e}", path.display()))?;
     metrics("SNAPSHOT")
         .field("path", path.display())

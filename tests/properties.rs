@@ -6,7 +6,9 @@ use proptest::prelude::*;
 use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig};
 use gcn_testability::gcn::{recursive, Gcn, GcnConfig, GraphData, GraphTensors};
 use gcn_testability::lint::{lint_csr, lint_graph_tensors, lint_netlist, lint_scoap, RuleId};
-use gcn_testability::netlist::{generate, CellKind, GeneratorConfig, Netlist, Scoap, SCOAP_INF};
+use gcn_testability::netlist::{
+    format, generate, CellKind, GeneratorConfig, Netlist, Scoap, SCOAP_INF,
+};
 use gcn_testability::nn::seeded_rng;
 use gcn_testability::tensor::{CooMatrix, CsrMatrix, Matrix};
 
@@ -51,6 +53,36 @@ proptest! {
             for &u in net.fanin(v) {
                 prop_assert!(pos[u.index()] < pos[v.index()]);
             }
+        }
+    }
+
+    /// The `.bench` reader is total: a written design with bits flipped,
+    /// `=`/`(` characters deleted and its tail cut off parses to a
+    /// netlist or a `NetlistError`, and validating what parses never
+    /// panics either.
+    #[test]
+    fn mutated_bench_text_parses_or_fails_typed(
+        net in arb_netlist(),
+        flips in proptest::collection::vec(any::<u64>(), 0..4),
+        deletions in proptest::collection::vec(any::<u32>(), 0..4),
+        cut_frac in 0u64..1001,
+    ) {
+        let mut bytes = format::write(&net).into_bytes();
+        for bit in flips {
+            let pos = (bit / 8) as usize % bytes.len();
+            bytes[pos] ^= 1 << (bit % 8);
+        }
+        for pick in deletions {
+            let syntax: Vec<usize> = (0..bytes.len())
+                .filter(|&i| bytes[i] == b'=' || bytes[i] == b'(')
+                .collect();
+            if !syntax.is_empty() {
+                bytes.remove(syntax[pick as usize % syntax.len()]);
+            }
+        }
+        bytes.truncate((bytes.len() as u64 * cut_frac / 1000) as usize);
+        if let Ok(parsed) = format::read(&String::from_utf8_lossy(&bytes)) {
+            let _ = parsed.validate();
         }
     }
 

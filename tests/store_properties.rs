@@ -10,7 +10,7 @@
 //! These properties generalize the fixed-offset drills in the CI store
 //! fault matrix: proptest picks the corruption site, so flips land in
 //! page payloads, page headers, zero padding, metadata JSON, journal
-//! headers, record lines, and newlines alike.
+//! headers, record lines, newlines and training checkpoints alike.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -19,7 +19,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 
 use gcn_testability::dft::flow::{BatchRecord, FlowConfig, InferenceStats};
+use gcn_testability::gcn::{train::optimizer_for, Gcn, GcnConfig, TrainConfig};
 use gcn_testability::netlist::{generate, GeneratorConfig};
+use gcn_testability::nn::seeded_rng;
+use gcn_testability::runtime::{CheckpointStore, TrainState};
 use gcn_testability::serve::{FlowJournal, JournalHeader};
 use gcn_testability::store::{PageStore, SegmentKey, StoreError, PAGE_SIZE};
 
@@ -117,6 +120,53 @@ fn seed_journal(path: &Path, n: usize) -> (JournalHeader, Vec<BatchRecord>) {
         records.push(rec);
     }
     (header, records)
+}
+
+/// Saves two checkpoints of a small momentum run (epochs 1 and 2) and
+/// returns the store with both saved states, oldest first.
+fn seed_checkpoints(dir: &Path) -> (CheckpointStore, Vec<TrainState>) {
+    let store = CheckpointStore::open(dir, 5).unwrap();
+    let cfg = GcnConfig {
+        embed_dims: vec![3],
+        fc_dims: vec![3],
+        ..GcnConfig::default()
+    };
+    let mut model = Gcn::new(&cfg, &mut seeded_rng(5));
+    let momentum = TrainConfig {
+        epochs: 2,
+        lr: 0.05,
+        momentum: 0.9,
+        pos_weight: 1.0,
+    };
+    let optimizer = optimizer_for(&mut model, &momentum);
+    let states: Vec<TrainState> = (1..=2)
+        .map(|epoch| TrainState::single(epoch, &model, &optimizer, 0.05, 0, &[]))
+        .collect();
+    for state in &states {
+        store.save(state).unwrap();
+    }
+    (store, states)
+}
+
+/// Asserts that a damaged newest checkpoint loads as exactly what was
+/// saved or fails typed, and that the loader then lands on one of the
+/// saved states — never on a state nobody saved.
+fn check_checkpoints(store: &CheckpointStore, saved: &[TrainState]) -> Result<(), TestCaseError> {
+    let newest = store.list().unwrap().pop().unwrap();
+    if let Ok(state) = store.load(&newest, true) {
+        prop_assert_eq!(
+            &state,
+            &saved[1],
+            "the damaged file loaded a different state"
+        );
+    }
+    let (state, _) = store.load_latest(true).unwrap();
+    let state = state.expect("the older checkpoint is intact");
+    prop_assert!(
+        saved.contains(&state),
+        "load_latest returned a state nobody saved"
+    );
+    Ok(())
 }
 
 /// Asserts the recover-or-typed-error contract over every committed
@@ -220,6 +270,27 @@ proptest! {
         let segs = seed_store(&dir);
         flip_bit(&dir.join("store.json"), bit);
         check_segments(&dir, &segs)?;
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A single flipped bit or an arbitrary cut point in the newest
+    /// checkpoint either leaves it loading as exactly the saved state or
+    /// is a typed `CheckpointError`, and the loader falls back to the
+    /// older file — never a wrong `TrainState`.
+    #[test]
+    fn checkpoint_bit_flip_or_cut_recovers_or_fails_typed(
+        bit in any::<u64>(),
+        cut_frac in 0u64..1001,
+    ) {
+        let dir = temp_dir("ckptflip");
+        let (store, saved) = seed_checkpoints(&dir);
+        let newest = store.list().unwrap().pop().unwrap();
+        let original = fs::read(&newest).unwrap();
+        flip_bit(&newest, bit);
+        check_checkpoints(&store, &saved)?;
+        let cut = original.len() as u64 * cut_frac / 1000;
+        fs::write(&newest, &original[..cut as usize]).unwrap();
+        check_checkpoints(&store, &saved)?;
         let _ = fs::remove_dir_all(&dir);
     }
 
