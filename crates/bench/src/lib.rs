@@ -91,14 +91,6 @@ impl Args {
         }
     }
 
-    /// String option with default.
-    pub fn get_str(&self, key: &str, default: &str) -> String {
-        self.values
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
-    }
-
     /// Boolean flag presence.
     pub fn get_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
@@ -192,7 +184,6 @@ mod tests {
     fn args_defaults() {
         let args = Args::from_tokens(Vec::<String>::new());
         assert_eq!(args.get_usize("nodes", 77), 77);
-        assert_eq!(args.get_str("out", "x"), "x");
     }
 
     #[test]

@@ -53,45 +53,34 @@ pub fn squash(x: u32) -> f32 {
     (1.0 + x as f64).log2() as f32
 }
 
-/// Number of attributes in the COP-extended variant:
-/// `[LL, C0, C1, O, log-p1, log-obs]`.
-pub const EXTENDED_DIM: usize = 6;
-
-/// Builds the COP-extended feature matrix: the paper's four attributes
-/// plus log-scaled COP signal probability and COP observability
-/// (probability-based testability, see [`gcnt_netlist::Cop`]). An
-/// extension beyond the paper — pass `input_dim: EXTENDED_DIM` in
-/// [`crate::GcnConfig`] to train on it.
-///
-/// # Errors
-///
-/// Returns a netlist error if the design has a combinational cycle.
-pub fn extended_features_of(net: &Netlist) -> NetResult<Matrix> {
-    let base = raw_features_of(net)?;
-    let cop = gcnt_netlist::Cop::compute(net)?;
-    let n = base.rows();
-    let mut m = Matrix::zeros(n, EXTENDED_DIM);
-    let cop_cols = cop.p1_all().iter().zip(cop.observability_all());
-    for (i, (&p1, &obs)) in cop_cols.enumerate() {
-        // log2 of probabilities, floored to keep values finite.
-        let tail = [
-            (p1.max(1e-12)).log2() as f32,
-            (obs.max(1e-12)).log2() as f32,
-        ];
-        let cells = base.row(i).iter().copied().chain(tail);
-        for (dst, src) in m.row_mut(i).iter_mut().zip(cells) {
-            *dst = src;
-        }
-    }
-    Ok(m)
-}
-
 /// Per-column standardisation statistics, fitted on training data and
 /// applied to any design.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FeatureNormalizer {
     means: Vec<f32>,
     stds: Vec<f32>,
+}
+
+/// Decoding checks the shape: one mean and one standard deviation per
+/// attribute of `[LL, C0, C1, O]`, so a damaged model bundle is refused
+/// instead of panicking in [`FeatureNormalizer::apply`].
+impl Deserialize for FeatureNormalizer {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            means: Vec<f32>,
+            stds: Vec<f32>,
+        }
+        let Raw { means, stds } = Raw::from_value(v)?;
+        if means.len() != RAW_DIM || stds.len() != RAW_DIM {
+            return Err(serde::Error::custom(format!(
+                "normaliser holds {} means and {} stds, not {RAW_DIM} of each",
+                means.len(),
+                stds.len()
+            )));
+        }
+        Ok(FeatureNormalizer { means, stds })
+    }
 }
 
 impl FeatureNormalizer {
@@ -248,36 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn extended_features_add_cop_columns() {
-        let net = generate(&GeneratorConfig::sized("ext", 4, 600));
-        let base = raw_features_of(&net).unwrap();
-        let ext = extended_features_of(&net).unwrap();
-        assert_eq!(ext.cols(), EXTENDED_DIM);
-        assert_eq!(ext.rows(), base.rows());
-        for r in (0..ext.rows()).step_by(37) {
-            assert_eq!(&ext.row(r)[..RAW_DIM], base.row(r));
-            assert!(ext.row(r)[4] <= 0.0 + 1e-6); // log2 of a probability
-            assert!(ext.row(r)[4].is_finite());
-            assert!(ext.row(r)[5].is_finite());
-        }
-        // A GCN trains on the extended dimension without further changes.
-        let norm = FeatureNormalizer::fit(&[&ext]);
-        let x = norm.apply(&ext);
-        let t = crate::GraphTensors::from_netlist(&net);
-        let gcn = crate::Gcn::new(
-            &crate::GcnConfig {
-                input_dim: EXTENDED_DIM,
-                embed_dims: vec![8],
-                fc_dims: vec![8],
-                ..crate::GcnConfig::default()
-            },
-            &mut gcnt_nn::seeded_rng(0),
-        );
-        let logits = gcn.predict(&t, &x).unwrap();
-        assert_eq!(logits.rows(), net.node_count());
-    }
-
-    #[test]
     fn normalize_cell_matches_apply_bitwise() {
         let net = generate(&GeneratorConfig::sized("cell", 6, 700));
         let raw = raw_features_of(&net).unwrap();
@@ -304,6 +263,27 @@ mod tests {
             Err(TensorError::ShapeMismatch { .. })
         ));
         assert!(FeatureNormalizer::try_fit(&[&a]).is_ok());
+    }
+
+    #[test]
+    fn deserialize_refuses_a_shape_mismatch() {
+        let net = generate(&GeneratorConfig::sized("serde", 8, 300));
+        let norm = FeatureNormalizer::fit(&[&raw_features_of(&net).unwrap()]);
+        let json = serde_json::to_string(&norm).unwrap();
+        assert_eq!(
+            serde_json::from_str::<FeatureNormalizer>(&json).unwrap(),
+            norm
+        );
+        let mut short = norm.clone();
+        short.means.pop();
+        let mut both_short = short.clone();
+        both_short.stds.pop();
+        let wide = FeatureNormalizer::fit(&[&Matrix::zeros(2, RAW_DIM + 1)]);
+        for bad in [short, both_short, wide] {
+            let json = serde_json::to_string(&bad).unwrap();
+            let err = serde_json::from_str::<FeatureNormalizer>(&json).unwrap_err();
+            assert!(err.to_string().contains("not 4 of each"), "{json}: {err}");
+        }
     }
 
     #[test]

@@ -144,24 +144,6 @@ pub fn label_by_scoap(net: &Netlist, scoap: &Scoap, fraction: f64) -> Vec<u8> {
         .collect()
 }
 
-/// Labels nodes whose *COP* (analytic, probability-based) observability
-/// falls below a threshold — a one-pass O(E) approximation of
-/// [`label_difficult_to_observe`] that needs no simulation. Exact on
-/// fanout-free logic; approximate through reconvergence.
-pub fn label_by_cop(net: &Netlist, threshold: f64) -> Result<Vec<u8>> {
-    let cop = gcnt_netlist::Cop::compute(net)?;
-    Ok(net
-        .nodes()
-        .map(|v| {
-            if matches!(net.kind(v), CellKind::Output | CellKind::Dff) {
-                0
-            } else {
-                u8::from(cop.observability(v) < threshold)
-            }
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,29 +230,6 @@ mod tests {
         let labels = label_by_scoap(&net, &scoap, 0.02);
         let rate = labels.iter().filter(|&&l| l == 1).count() as f64 / net.node_count() as f64;
         assert!(rate > 0.001 && rate < 0.1, "rate {rate}");
-    }
-
-    #[test]
-    fn cop_labeler_agrees_with_simulation_on_most_nodes() {
-        let net = generate(&GeneratorConfig::sized("cop", 37, 2_000));
-        let sim_based = label_difficult_to_observe(&net, &LabelConfig::default()).unwrap();
-        let cop_based = label_by_cop(&net, 0.0005).unwrap();
-        let agree = sim_based
-            .labels
-            .iter()
-            .zip(&cop_based)
-            .filter(|(a, b)| a == b)
-            .count();
-        let rate = agree as f64 / net.node_count() as f64;
-        assert!(rate > 0.95, "agreement {rate}");
-        // And it must find at least some of the same hard nodes.
-        let both = sim_based
-            .labels
-            .iter()
-            .zip(&cop_based)
-            .filter(|&(&a, &b)| a == 1 && b == 1)
-            .count();
-        assert!(both > 0, "no overlap between labelers");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!   never decodes; [`frame::read_frame`] refuses it with a typed error
 //!   frame, never a dropped socket.
 //! - **Shard router** ([`router`]): N independent [`gcnt_serve::ServeCore`]
-//!   workers, each with its own admission queue, circuit breaker, and
-//!   journal directory. Designs route by FNV-1a of their text form, so
-//!   a design's journals and warm pages never migrate across shards.
+//!   workers, each with its own admission queue and journal directory.
+//!   Designs route by FNV-1a of their text form, so a design's journals
+//!   and warm pages never migrate across shards.
 //! - **Server** ([`server`]): per-connection read/write deadlines with
 //!   slow-loris eviction, typed `overloaded`/`deadline` refusals, and a
 //!   SIGTERM-triggered graceful drain ([`signal`]) that finishes or

@@ -114,8 +114,6 @@ pub enum ErrorCode {
     VersionMismatch,
     /// The server is draining and admits no new work.
     Draining,
-    /// The shard's reload circuit breaker is open.
-    BreakerOpen,
     /// The request body itself is malformed (unparseable design, bad
     /// JSON).
     BadRequest,
@@ -132,7 +130,6 @@ impl ErrorCode {
             ErrorCode::BadFrame => "bad-frame",
             ErrorCode::VersionMismatch => "version-mismatch",
             ErrorCode::Draining => "draining",
-            ErrorCode::BreakerOpen => "breaker-open",
             ErrorCode::BadRequest => "bad-request",
             ErrorCode::Internal => "internal",
         }

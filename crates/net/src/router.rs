@@ -2,8 +2,8 @@
 //! front door.
 //!
 //! Each shard owns its whole serving stack — bounded admission queue,
-//! circuit breaker, write-ahead journals, page store — because the cores
-//! own them; the router adds nothing shared except the routing function.
+//! write-ahead journals, page store — because the cores own them; the
+//! router adds nothing shared except the routing function.
 //! A design's requests always land on the same shard (FNV-1a of the
 //! design text, mod shard count), so per-design journals and warm
 //! embedding pages never migrate and never interleave across shards.
@@ -138,7 +138,7 @@ impl ShardRouter {
     ///
     /// # Errors
     ///
-    /// The shard's [`ServeError`] (admission, breaker, serving).
+    /// The shard's [`ServeError`] (admission, loading, serving).
     pub fn infer(
         &self,
         net: Netlist,

@@ -9,8 +9,8 @@
 //!   stream cannot be resynchronised after damage;
 //! * a frame that trickles in slower than the frame budget → slow-loris
 //!   eviction (counted, connection closed);
-//! * a full shard queue or open breaker → `Overloaded`/`BreakerOpen`
-//!   error frames marked retryable;
+//! * a full shard queue → an `Overloaded` error frame marked retryable;
+//! * a design the shard refuses to load → a `BadRequest` error frame;
 //! * a blown deadline → a `Deadline` error frame;
 //! * SIGTERM (or a `Drain` frame) → stop accepting, finish in-flight
 //!   work, drain every shard queue, hand the cores back.
@@ -115,7 +115,6 @@ impl Ctx {
 fn map_serve_error(e: &ServeError) -> ErrorReply {
     let (code, retryable) = match e {
         ServeError::Overloaded { .. } => (ErrorCode::Overloaded, true),
-        ServeError::BreakerOpen { .. } => (ErrorCode::BreakerOpen, true),
         ServeError::Flow(fe) if fe.is_budget_stop() => (ErrorCode::Deadline, false),
         ServeError::Load(_) => (ErrorCode::BadRequest, false),
         _ => (ErrorCode::Internal, false),

@@ -68,19 +68,6 @@ impl CellKind {
         }
     }
 
-    /// Whether the cell inverts its (reduced) input function.
-    pub fn is_inverting(self) -> bool {
-        matches!(
-            self,
-            CellKind::Not | CellKind::Nand | CellKind::Nor | CellKind::Xnor
-        )
-    }
-
-    /// Whether the cell is a sequential element.
-    pub fn is_sequential(self) -> bool {
-        self == CellKind::Dff
-    }
-
     /// Whether the cell is a combinational source in scan mode (primary
     /// input or scan flip-flop output).
     pub fn is_pseudo_input(self) -> bool {
@@ -91,19 +78,6 @@ impl CellKind {
     /// (primary output or scan flip-flop input).
     pub fn is_pseudo_output(self) -> bool {
         matches!(self, CellKind::Output | CellKind::Dff)
-    }
-
-    /// The controlling input value of the gate, if it has one.
-    ///
-    /// A controlling value at any input determines the output regardless of
-    /// the other inputs (`0` for AND/NAND, `1` for OR/NOR). XOR-family gates
-    /// and single-input cells have none.
-    pub fn controlling_value(self) -> Option<bool> {
-        match self {
-            CellKind::And | CellKind::Nand => Some(false),
-            CellKind::Or | CellKind::Nor => Some(true),
-            _ => None,
-        }
     }
 
     /// Short lowercase mnemonic used by the text format.
@@ -148,14 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn controlling_values() {
-        assert_eq!(CellKind::And.controlling_value(), Some(false));
-        assert_eq!(CellKind::Nor.controlling_value(), Some(true));
-        assert_eq!(CellKind::Xor.controlling_value(), None);
-        assert_eq!(CellKind::Buf.controlling_value(), None);
-    }
-
-    #[test]
     fn mnemonic_round_trip() {
         for kind in CellKind::ALL {
             assert_eq!(CellKind::from_mnemonic(kind.mnemonic()), Some(kind));
@@ -172,14 +138,6 @@ mod tests {
         assert!(!CellKind::Input.is_pseudo_output());
         assert!(CellKind::Output.is_pseudo_output());
         assert!(!CellKind::And.is_pseudo_input());
-    }
-
-    #[test]
-    fn inverting_gates() {
-        assert!(CellKind::Nand.is_inverting());
-        assert!(CellKind::Xnor.is_inverting());
-        assert!(!CellKind::And.is_inverting());
-        assert!(!CellKind::Buf.is_inverting());
     }
 
     #[test]

@@ -39,7 +39,6 @@
 //! ```
 
 mod cell;
-mod cop;
 mod error;
 pub mod format;
 mod generator;
@@ -49,7 +48,6 @@ mod profile;
 mod scoap;
 
 pub use cell::CellKind;
-pub use cop::Cop;
 pub use error::{NetlistError, Result};
 pub use generator::{generate, DesignPreset, GeneratorConfig};
 pub use graph::{Netlist, NetlistStats, NodeId};

@@ -202,7 +202,7 @@ declare_counters! {
     DFT_FLOW_INFERENCES => "gcnt_dft_flow_inferences_total",
         "Inference calls made by the flow";
 
-    // --- serve: admission, ladder, breaker, journal ---
+    // --- serve: admission, ladder, journal, store ---
     /// Requests admitted by a serving core.
     SERVE_REQUESTS => "gcnt_serve_requests_total",
         "Inference requests admitted";
@@ -221,18 +221,6 @@ declare_counters! {
     /// Rungs abandoned on the way down (deadline pressure, cache faults).
     SERVE_RUNG_DROPS => "gcnt_serve_rung_drops_total",
         "Ladder rungs abandoned under deadline pressure or cache faults";
-    /// Circuit-breaker transitions into the open state.
-    SERVE_BREAKER_OPENED => "gcnt_serve_breaker_opened_total",
-        "Circuit-breaker transitions to open (failing fast)";
-    /// Circuit-breaker transitions into the half-open probe state.
-    SERVE_BREAKER_HALF_OPEN => "gcnt_serve_breaker_half_open_total",
-        "Circuit-breaker transitions to half-open (probe admitted)";
-    /// Circuit-breaker recoveries (non-closed state back to closed).
-    SERVE_BREAKER_CLOSED => "gcnt_serve_breaker_closed_total",
-        "Circuit-breaker recoveries to closed";
-    /// Retry attempts beyond the first try of a guarded load.
-    SERVE_RETRY_ATTEMPTS => "gcnt_serve_retry_attempts_total",
-        "Retry attempts beyond the first try of a guarded load";
     /// Batch records appended (and fsynced) to a flow journal.
     SERVE_JOURNAL_APPENDS => "gcnt_serve_journal_appends_total",
         "Batch records appended and fsynced to flow journals";

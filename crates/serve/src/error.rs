@@ -15,16 +15,10 @@ pub enum ServeError {
         /// The queue's capacity at rejection time.
         capacity: usize,
     },
-    /// The circuit breaker around model/design (re)loading is open:
-    /// recent loads failed repeatedly, so further attempts are rejected
-    /// without touching the failing resource until the cooldown elapses.
-    BreakerOpen {
-        /// Rejections remaining before the breaker half-opens and admits
-        /// a probe load.
-        probes_until_half_open: u32,
-    },
-    /// A model or design load failed even after the retry policy was
-    /// exhausted; the message is the last attempt's error.
+    /// The request could not be loaded: its design fails validation (bad
+    /// arity, combinational cycle) or cannot be featurised, or the served
+    /// model has no stages. Refused on the first attempt — nothing
+    /// retries it — and the core keeps serving.
     Load(String),
     /// The write-ahead journal could not be read, verified, or appended
     /// to.
@@ -53,15 +47,12 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Overloaded { capacity } => {
-                write!(f, "service overloaded: request queue at capacity {capacity}")
+                write!(
+                    f,
+                    "service overloaded: request queue at capacity {capacity}"
+                )
             }
-            ServeError::BreakerOpen {
-                probes_until_half_open,
-            } => write!(
-                f,
-                "circuit breaker open: {probes_until_half_open} rejection(s) until a probe is admitted"
-            ),
-            ServeError::Load(e) => write!(f, "load failed after retries: {e}"),
+            ServeError::Load(e) => write!(f, "load failed: {e}"),
             ServeError::Journal(e) => write!(f, "journal error: {e}"),
             ServeError::Store(e) => write!(f, "store error: {e}"),
             ServeError::Flow(e) => write!(f, "flow job failed: {e}"),
@@ -105,11 +96,6 @@ mod tests {
         assert!(ServeError::Overloaded { capacity: 4 }
             .to_string()
             .contains("capacity 4"));
-        assert!(ServeError::BreakerOpen {
-            probes_until_half_open: 2
-        }
-        .to_string()
-        .contains("2 rejection(s)"));
         let e = ServeError::Tensor(TensorError::Cancelled);
         assert!(std::error::Error::source(&e).is_some());
     }

@@ -17,8 +17,7 @@
 //!   deterministic work budget in embedding-row units
 //!   ([`gcnt_tensor::Budget`]), checked cooperatively between GCN layers
 //!   and flow iterations; [`gcnt_tensor::Cancel`] aborts from another
-//!   thread. Retries with exponential backoff and a count-based circuit
-//!   breaker ([`breaker`]) guard model/design (re)loading.
+//!   thread.
 //! * **A degradation ladder** ([`ladder`]): incremental session → full
 //!   sparse inference → first-cascade-stage-only scoring, stepped down on
 //!   budget stops and stale/poisoned caches; the response names the rung
@@ -63,7 +62,6 @@
 //! # Ok::<(), gcnt_serve::ServeError>(())
 //! ```
 
-pub mod breaker;
 pub mod error;
 pub mod journal;
 pub mod ladder;
@@ -71,7 +69,6 @@ pub mod queue;
 pub mod server;
 pub mod store;
 
-pub use breaker::{BreakerConfig, CircuitBreaker, RetryPolicy};
 pub use error::ServeError;
 pub use journal::{FlowJournal, JournalHeader, Recovered, JOURNAL_SEGMENT_KIND, JOURNAL_VERSION};
 pub use ladder::{classify_with_ladder_backed, LadderResult, Rung, RungDrop};

@@ -4,8 +4,8 @@
 //!
 //! The split keeps every robustness mechanism testable without threads:
 //! the core owns deadlines (as [`Budget`] caps), the degradation ladder,
-//! the write-ahead journal of flow jobs, and the retry/breaker guard
-//! around model reloading; the handle owns only admission and dispatch.
+//! the write-ahead journal of flow jobs and the optional page store; the
+//! handle owns only admission and dispatch.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -20,12 +20,15 @@ use gcnt_netlist::Netlist;
 use gcnt_runtime::FaultPlan;
 use gcnt_tensor::Budget;
 
-use crate::breaker::{BreakerConfig, CircuitBreaker, RetryPolicy};
 use crate::error::ServeError;
 use crate::journal::{FlowJournal, JournalHeader};
 use crate::ladder::{classify_with_ladder_backed, LadderResult, Rung, RungDrop};
 use crate::queue::BoundedQueue;
 use crate::store::{model_fingerprint, segment_design, JobStore};
+
+/// Probability at or above which a node counts as a positive in
+/// [`InferResponse::positives`].
+const POSITIVE_THRESHOLD: f32 = 0.5;
 
 /// Service configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,27 +36,11 @@ pub struct ServeConfig {
     /// Pending requests the bounded queue holds before admission control
     /// rejects with [`ServeError::Overloaded`].
     pub queue_capacity: usize,
-    /// Deadline applied to requests that do not bring their own, in
-    /// embedding-row units; `None` = unlimited.
-    pub default_deadline: Option<u64>,
-    /// Probability at or above which a node counts as a positive in
-    /// [`InferResponse::positives`].
-    pub prob_threshold: f32,
-    /// Retry policy for model/design (re)loading.
-    pub retry: RetryPolicy,
-    /// Circuit-breaker thresholds for model/design (re)loading.
-    pub breaker: BreakerConfig,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            queue_capacity: 8,
-            default_deadline: None,
-            prob_threshold: 0.5,
-            retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
-        }
+        ServeConfig { queue_capacity: 8 }
     }
 }
 
@@ -62,7 +49,7 @@ impl Default for ServeConfig {
 pub struct InferResponse {
     /// Positive-class probability per node.
     pub probs: Vec<f32>,
-    /// Nodes at or above [`ServeConfig::prob_threshold`].
+    /// Nodes whose probability is at least 0.5.
     pub positives: usize,
     /// The degradation-ladder rung that produced the answer.
     pub rung: Rung,
@@ -97,12 +84,11 @@ pub struct FlowResponse {
 pub struct ServeCore {
     model: MultiStageGcn,
     /// [`model_fingerprint`] of `model`, computed by the first
-    /// store-backed request after a (re)load.
+    /// store-backed request.
     model_fingerprint: Option<String>,
     normalizer: FeatureNormalizer,
     config: ServeConfig,
     plan: FaultPlan,
-    breaker: CircuitBreaker,
     admitted: u64,
     store: Option<JobStore>,
 }
@@ -114,26 +100,11 @@ impl ServeCore {
             model,
             model_fingerprint: None,
             normalizer,
-            breaker: CircuitBreaker::new(config.breaker),
             config,
             plan: FaultPlan::none(),
             admitted: 0,
             store: None,
         }
-    }
-
-    /// A core whose initial model load runs under the retry policy (a
-    /// fresh breaker cannot be open yet).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Load`] if the loader still fails after retries.
-    pub fn load(
-        config: ServeConfig,
-        loader: impl FnMut() -> Result<(FeatureNormalizer, MultiStageGcn), String>,
-    ) -> Result<Self, ServeError> {
-        let (normalizer, model) = config.retry.run(loader)?;
-        Ok(ServeCore::new(normalizer, model, config))
     }
 
     /// Attaches a fault plan (deterministic injection; a no-op plan
@@ -174,11 +145,6 @@ impl ServeCore {
         self.store.as_mut()
     }
 
-    /// The serving configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
     /// The model currently served.
     pub fn model(&self) -> &MultiStageGcn {
         &self.model
@@ -194,31 +160,9 @@ impl ServeCore {
         self.plan.queue_saturated()
     }
 
-    /// Swaps in a new model/normaliser pair through the retry policy and
-    /// the circuit breaker: repeated failing reloads trip the breaker, and
-    /// further attempts fail fast with [`ServeError::BreakerOpen`] until
-    /// the cooldown admits a probe. The served model is untouched on
-    /// failure.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BreakerOpen`] while failing fast, otherwise
-    /// [`ServeError::Load`] after exhausted retries.
-    pub fn reload_model(
-        &mut self,
-        loader: impl FnMut() -> Result<(FeatureNormalizer, MultiStageGcn), String>,
-    ) -> Result<(), ServeError> {
-        let retry = self.config.retry;
-        let (normalizer, model) = self.breaker.call(&retry, loader)?;
-        self.normalizer = normalizer;
-        self.model = model;
-        self.model_fingerprint = None;
-        Ok(())
-    }
-
     /// The warm-restart segment key for `net` under the served model —
     /// [`crate::design_fingerprint`], with the model half computed once
-    /// per loaded model instead of once per request.
+    /// per core instead of once per request.
     fn segment_design(&mut self, net: &Netlist) -> Result<String, ServeError> {
         let model_fp = match &self.model_fingerprint {
             Some(fp) => fp,
@@ -229,11 +173,11 @@ impl ServeCore {
         Ok(segment_design(net, model_fp))
     }
 
-    /// The work budget for one request: the caller's deadline (or the
-    /// configured default), with any injected latency multiplier applied
-    /// so a "10× slower machine" fault consumes deadlines 10× faster.
+    /// The work budget for one request: the caller's deadline, with any
+    /// injected latency multiplier applied so a "10× slower machine"
+    /// fault consumes deadlines 10× faster.
     fn budget_for(&self, deadline: Option<u64>) -> Budget {
-        let budget = match deadline.or(self.config.default_deadline) {
+        let budget = match deadline {
             Some(cap) => Budget::with_cap(cap),
             None => Budget::unlimited(),
         };
@@ -304,8 +248,8 @@ impl ServeCore {
                             obs.add(gcnt_obs::counters::SERVE_STORE_ROWS_LOADED, rows);
                             obs.incr(gcnt_obs::counters::SERVE_RUNG_INCREMENTAL);
                             let probs = session.probs().to_vec();
-                            let threshold = self.config.prob_threshold;
-                            let positives = probs.iter().filter(|&&p| p >= threshold).count();
+                            let positives =
+                                probs.iter().filter(|&&p| p >= POSITIVE_THRESHOLD).count();
                             return Ok(InferResponse {
                                 probs,
                                 positives,
@@ -376,8 +320,7 @@ impl ServeCore {
                 obs.add(gcnt_obs::counters::SERVE_STORE_ROWS_SAVED, saved);
             }
         }
-        let threshold = self.config.prob_threshold;
-        let positives = probs.iter().filter(|&&p| p >= threshold).count();
+        let positives = probs.iter().filter(|&&p| p >= POSITIVE_THRESHOLD).count();
         Ok(InferResponse {
             probs,
             positives,
@@ -824,14 +767,7 @@ mod tests {
     #[test]
     fn full_queue_rejects_with_overloaded() {
         let (normalizer, model_, net) = model();
-        let core = ServeCore::new(
-            normalizer,
-            model_,
-            ServeConfig {
-                queue_capacity: 2,
-                ..ServeConfig::default()
-            },
-        );
+        let core = ServeCore::new(normalizer, model_, ServeConfig { queue_capacity: 2 });
         let handle = ServeHandle::start(core).expect("start worker");
         // Park the worker so the queue genuinely fills.
         let hold_tx = park_worker(&handle);
@@ -855,11 +791,14 @@ mod tests {
             let bad = gcnt_netlist::format::read(text).expect("parses: arity is not syntax");
             let err = handle.infer(bad.clone(), None).unwrap_err();
             assert!(matches!(err, ServeError::Load(_)), "infer {i}: {err}");
+            // Nothing retries a load, so the message must not claim it.
+            assert!(!err.to_string().contains("retr"), "infer {i}: {err}");
             let wal = dir.join(format!("bad{i}.wal"));
             let err = handle
                 .flow(bad, FlowConfig::default(), wal.clone(), None)
                 .unwrap_err();
             assert!(matches!(err, ServeError::Load(_)), "flow {i}: {err}");
+            assert!(!err.to_string().contains("retr"), "flow {i}: {err}");
             assert!(!wal.exists(), "a refused design gets no journal");
             // The same worker answers the next request.
             let ok = handle.infer(net.clone(), None).unwrap();
@@ -898,55 +837,13 @@ mod tests {
     }
 
     #[test]
-    fn reload_failures_trip_the_breaker_and_a_probe_heals_it() {
-        let (mut core, _) = core();
-        let fail =
-            || -> Result<(FeatureNormalizer, MultiStageGcn), String> { Err("enoent".to_string()) };
-        // Breaker threshold is 3 guarded calls (each with its own retries).
-        for _ in 0..3 {
-            assert!(matches!(core.reload_model(fail), Err(ServeError::Load(_))));
-        }
-        let mut fast_failures = 0;
-        while let Err(ServeError::BreakerOpen { .. }) = core.reload_model(fail) {
-            fast_failures += 1;
-            assert!(fast_failures < 100, "breaker never half-opened");
-        }
-        // The loop above consumed the cooldown and then ran (and failed)
-        // the probe; one more success closes it for good.
-        while matches!(
-            core.reload_model(&mut || {
-                let (n, m, _) = model();
-                Ok((n, m))
-            }),
-            Err(ServeError::BreakerOpen { .. })
-        ) {}
-        assert_eq!(fast_failures, core.config().breaker.cooldown_calls);
-        assert!(core
-            .reload_model(&mut || {
-                let (n, m, _) = model();
-                Ok((n, m))
-            })
-            .is_ok());
-    }
-
-    #[test]
-    fn segment_key_is_the_one_shot_fingerprint_and_follows_a_reload() {
+    fn segment_key_is_the_one_shot_fingerprint() {
         use crate::store::design_fingerprint;
         let (mut core, net) = core();
-        let before = design_fingerprint(&net, core.model()).unwrap();
+        let expected = design_fingerprint(&net, core.model()).unwrap();
         // The first call computes the model half, the second reuses it.
-        assert_eq!(core.segment_design(&net).unwrap(), before);
-        assert_eq!(core.segment_design(&net).unwrap(), before);
-
-        // Different weights, same design: the cached half must not
-        // outlive the model it was computed from.
-        let (normalizer, served, _) = model();
-        let other = MultiStageGcn::from_stages(served.stages()[..1].to_vec(), 0.5);
-        core.reload_model(|| Ok((normalizer.clone(), other.clone())))
-            .unwrap();
-        let after = design_fingerprint(&net, core.model()).unwrap();
-        assert_ne!(after, before);
-        assert_eq!(core.segment_design(&net).unwrap(), after);
+        assert_eq!(core.segment_design(&net).unwrap(), expected);
+        assert_eq!(core.segment_design(&net).unwrap(), expected);
     }
 
     #[test]
@@ -1130,19 +1027,17 @@ mod tests {
                 .iter()
                 .map(|g| g.depth() as u64 * net.node_count() as u64)
                 .sum();
-            let config = ServeConfig {
-                default_deadline: Some(3 * full_rows),
-                ..ServeConfig::default()
-            };
+            let deadline = Some(3 * full_rows);
+            let config = ServeConfig::default();
             let healthy = ServeCore::new(normalizer.clone(), model_.clone(), config);
             let slow = ServeCore::new(normalizer, model_, config)
                 .with_faults(FaultPlan::none().with_latency_multiplier(10));
             let h1 = ServeHandle::start(healthy).expect("start worker");
             let h2 = ServeHandle::start(slow).expect("start worker");
             for i in 0..4 {
-                let fast = h1.infer(net.clone(), None).unwrap();
+                let fast = h1.infer(net.clone(), deadline).unwrap();
                 assert_eq!(fast.rung, Rung::Incremental, "request {i}");
-                let slow = h2.infer(net.clone(), None).unwrap();
+                let slow = h2.infer(net.clone(), deadline).unwrap();
                 assert!(
                     slow.rung > Rung::Incremental,
                     "request {i} must degrade under injected latency"

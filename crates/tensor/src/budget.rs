@@ -90,11 +90,6 @@ impl Budget {
         self.cap.map(|c| c.saturating_sub(self.spent()))
     }
 
-    /// Whether the cap is already spent (an unlimited budget never is).
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == Some(0)
-    }
-
     /// A handle that cancels this budget from another thread.
     pub fn cancel_handle(&self) -> Cancel {
         Cancel(Arc::clone(&self.cancelled))
@@ -180,7 +175,6 @@ mod tests {
         for _ in 0..100 {
             b.charge(u64::MAX / 200).unwrap();
         }
-        assert!(!b.is_exhausted());
         assert_eq!(b.remaining(), None);
     }
 
@@ -189,7 +183,6 @@ mod tests {
         let b = Budget::with_cap(10);
         b.charge(6).unwrap();
         b.charge(4).unwrap();
-        assert!(b.is_exhausted());
         assert_eq!(b.remaining(), Some(0));
         let err = b.charge(1).unwrap_err();
         assert!(matches!(err, TensorError::BudgetExceeded { cap: 10, .. }));

@@ -34,11 +34,33 @@ fn bias_row(out_row: &mut [f32], lhs_row: &[f32], rhs: &Matrix, bias: &[f32]) {
 /// let c = a.matmul(&b).unwrap();
 /// assert_eq!(c, a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+/// Decoding checks the shape: `data` must hold exactly `rows × cols`
+/// values, so a damaged model file is refused instead of decoding into
+/// weights that silently compute something else.
+impl Deserialize for Matrix {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            rows: usize,
+            cols: usize,
+            data: Vec<f32>,
+        }
+        let Raw { rows, cols, data } = Raw::from_value(v)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(serde::Error::custom(format!(
+                "matrix data holds {} values, not {rows} x {cols}",
+                data.len()
+            )));
+        }
+        Ok(Matrix { rows, cols, data })
+    }
 }
 
 impl Matrix {
@@ -184,11 +206,6 @@ impl Matrix {
     /// Mutable access to the underlying row-major data.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns its row-major data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Matrix product `self * rhs`, parallelised over rows for large
@@ -571,16 +588,6 @@ impl Matrix {
         self.data.iter().map(|&v| v as f64).sum::<f64>() as f32
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        (self
-            .data
-            .iter()
-            .map(|&v| (v as f64) * (v as f64))
-            .sum::<f64>())
-        .sqrt() as f32
-    }
-
     /// Extracts the listed rows into a new matrix (gather).
     ///
     /// # Panics
@@ -882,6 +889,21 @@ mod tests {
         let json = serde_json::to_string(&a).unwrap();
         let back: Matrix = serde_json::from_str(&json).unwrap();
         assert_eq!(a, back);
+    }
+
+    #[test]
+    fn deserialize_refuses_a_shape_mismatch() {
+        for json in [
+            r#"{"rows":2,"cols":2,"data":[1.0,2.0,3.0]}"#,
+            r#"{"rows":2,"cols":2,"data":[]}"#,
+            r#"{"rows":1,"cols":2,"data":[1.0,2.0,3.0]}"#,
+            r#"{"rows":18446744073709551615,"cols":2,"data":[1.0,2.0]}"#,
+        ] {
+            let err = serde_json::from_str::<Matrix>(json).unwrap_err();
+            assert!(err.to_string().contains("values, not"), "{json}: {err}");
+        }
+        let empty: Matrix = serde_json::from_str(r#"{"rows":0,"cols":3,"data":[]}"#).unwrap();
+        assert_eq!(empty.shape(), (0, 3));
     }
 
     #[test]

@@ -535,7 +535,6 @@ fn load_fault_plan(_path: &str) -> Result<gcn_testability::runtime::FaultPlan, B
 /// ladder. The machine-readable `SELFTEST_*` lines are what the kill/
 /// resume integration test and the CI fault matrix assert on.
 fn cmd_serve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    use gcn_testability::gcn::{features::raw_features_of, Gcn, GcnConfig};
     use gcn_testability::runtime::{fnv1a64, FaultPlan};
     use gcn_testability::serve::{ServeConfig, ServeCore, ServeError, ServeHandle};
 
@@ -564,21 +563,9 @@ fn cmd_serve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         .transpose()
         .map_err(|e| format!("--deadline: {e}"))?;
 
-    // A deterministic fixture: same design, same seeded model, every run —
-    // so the flow outcome checksum below is reproducible across restarts.
-    let net = generate(&GeneratorConfig::sized("selftest", 7, 400));
-    let gcn_cfg = GcnConfig {
-        embed_dims: vec![8, 8],
-        fc_dims: vec![8],
-        ..GcnConfig::default()
-    };
-    let stages = vec![
-        Gcn::new(&gcn_cfg, &mut gcn_testability::nn::seeded_rng(41)),
-        Gcn::new(&gcn_cfg, &mut gcn_testability::nn::seeded_rng(42)),
-    ];
-    let model = MultiStageGcn::from_stages(stages, 0.5);
-    let raw = raw_features_of(&net)?;
-    let normalizer = FeatureNormalizer::fit(&[&raw]);
+    // Same design, same seeded model, every run — so the flow outcome
+    // checksum below is reproducible across restarts.
+    let (net, normalizer, model) = serving_fixture("selftest")?;
 
     let saturated = plan.queue_saturated();
     let mut core = ServeCore::new(normalizer, model, ServeConfig::default()).with_faults(plan);
@@ -700,35 +687,40 @@ fn cmd_serve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// The deterministic network-serving fixture: the same synthetic design
-/// and the same seeded (untrained) cascade on every shard of every
-/// process — so `netserve`, `loadgen`, and the `SELFTEST_NET` drill all
-/// agree on outcome checksums across separate runs and machines.
-fn net_fixture_cores(
-    shards: usize,
-) -> Result<(Netlist, Vec<gcn_testability::serve::ServeCore>), Box<dyn Error>> {
+/// The deterministic serving fixture: a seeded 400-node design called
+/// `name`, a seeded (untrained) 2-stage `[8, 8]`/`[8]` cascade and the
+/// normaliser fitted on that design — the same on every run, shard and
+/// machine, so `SELFTEST_*` and `LOADGEN_FLOW` checksums reproduce.
+fn serving_fixture(
+    name: &str,
+) -> Result<(Netlist, FeatureNormalizer, MultiStageGcn), Box<dyn Error>> {
     use gcn_testability::gcn::{features::raw_features_of, Gcn, GcnConfig};
-    use gcn_testability::serve::{ServeConfig, ServeCore};
 
-    let net = generate(&GeneratorConfig::sized("netfixture", 7, 400));
+    let net = generate(&GeneratorConfig::sized(name, 7, 400));
     let gcn_cfg = GcnConfig {
         embed_dims: vec![8, 8],
         fc_dims: vec![8],
         ..GcnConfig::default()
     };
-    let raw = raw_features_of(&net)?;
+    let stages = vec![
+        Gcn::new(&gcn_cfg, &mut gcn_testability::nn::seeded_rng(41)),
+        Gcn::new(&gcn_cfg, &mut gcn_testability::nn::seeded_rng(42)),
+    ];
+    let normalizer = FeatureNormalizer::fit(&[&raw_features_of(&net)?]);
+    Ok((net, normalizer, MultiStageGcn::from_stages(stages, 0.5)))
+}
+
+/// One core per shard around the `"netfixture"` serving fixture, so
+/// `netserve`, `loadgen` and the `SELFTEST_NET` drill agree on outcome
+/// checksums across separate runs and machines.
+fn net_fixture_cores(
+    shards: usize,
+) -> Result<(Netlist, Vec<gcn_testability::serve::ServeCore>), Box<dyn Error>> {
+    use gcn_testability::serve::{ServeConfig, ServeCore};
+
+    let (net, normalizer, model) = serving_fixture("netfixture")?;
     let cores = (0..shards)
-        .map(|_| {
-            let stages = vec![
-                Gcn::new(&gcn_cfg, &mut gcn_testability::nn::seeded_rng(41)),
-                Gcn::new(&gcn_cfg, &mut gcn_testability::nn::seeded_rng(42)),
-            ];
-            ServeCore::new(
-                FeatureNormalizer::fit(&[&raw]),
-                MultiStageGcn::from_stages(stages, 0.5),
-                ServeConfig::default(),
-            )
-        })
+        .map(|_| ServeCore::new(normalizer.clone(), model.clone(), ServeConfig::default()))
         .collect();
     Ok((net, cores))
 }

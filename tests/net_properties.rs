@@ -180,7 +180,7 @@ fn journal_paths_never_cross_shard_dirs() {
 }
 
 /// A sharded router answers exactly like a single core: the per-shard
-/// breaker/admission/ladder stack changes capacity, never results.
+/// admission/ladder stack changes capacity, never results.
 #[test]
 fn sharded_answers_equal_single_core() {
     use gcn_testability::gcn::{features::FeatureNormalizer, Gcn, GcnConfig, MultiStageGcn};

@@ -570,3 +570,67 @@ proptest! {
         prop_assert_eq!(cut_text, ref_text, "healed journal must match the reference");
     }
 }
+
+/// One random single-byte mutation of `bytes`: a bit flip, a deleted byte
+/// or a cut tail.
+fn mutate_one_byte(bytes: &[u8], rng: &mut gcn_testability::nn::Rng) -> Vec<u8> {
+    use rand::Rng as _;
+    let mut out = bytes.to_vec();
+    let pos = rng.gen_range(0..out.len());
+    match rng.gen_range(0..3u32) {
+        0 => out[pos] ^= 1 << rng.gen_range(0..8u32),
+        1 => {
+            out.remove(pos);
+        }
+        _ => out.truncate(pos),
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The model-bundle decoders are total and refuse what they cannot
+    /// use: the JSON of a small 2-stage cascade and of a fitted normaliser,
+    /// each with one byte flipped, deleted or cut off, either fails to
+    /// decode, or decodes into matrices whose data fills their shape and
+    /// then scores / normalises a 120-node design without panicking.
+    #[test]
+    fn mutated_model_json_decodes_or_fails_typed(seed in any::<u64>()) {
+        use gcn_testability::gcn::features::FeatureNormalizer;
+        use gcn_testability::gcn::MultiStageGcn;
+
+        // Captured, so a failing case prints the seed that reproduces it.
+        eprintln!("mutated_model_json_decodes_or_fails_typed: seed {seed:#018x}");
+        let net = generate(&GeneratorConfig::sized("fuzz", 3, 120));
+        let data = GraphData::from_netlist(&net, None).unwrap();
+        let cfg = GcnConfig {
+            embed_dims: vec![3],
+            fc_dims: vec![3],
+            ..GcnConfig::default()
+        };
+        let model = MultiStageGcn::from_stages(
+            vec![Gcn::new(&cfg, &mut seeded_rng(1)), Gcn::new(&cfg, &mut seeded_rng(2))],
+            0.5,
+        );
+        let model_json = serde_json::to_string(&model).unwrap();
+        let norm_json = serde_json::to_string(&data.normalizer).unwrap();
+        let mut rng = seeded_rng(seed);
+
+        let mutant = mutate_one_byte(model_json.as_bytes(), &mut rng);
+        if let Ok(decoded) = serde_json::from_str::<MultiStageGcn>(&String::from_utf8_lossy(&mutant)) {
+            for stage in decoded.stages() {
+                for layer in stage.encoders().iter().chain(stage.head().layers()) {
+                    let w = layer.weight();
+                    prop_assert_eq!(w.as_slice().len(), w.rows() * w.cols(), "seed {:#x}", seed);
+                }
+            }
+            let _ = decoded.predict_proba(&data.tensors, &data.features);
+        }
+
+        let mutant = mutate_one_byte(norm_json.as_bytes(), &mut rng);
+        if let Ok(decoded) = serde_json::from_str::<FeatureNormalizer>(&String::from_utf8_lossy(&mutant)) {
+            let _ = decoded.apply(&data.raw_features);
+        }
+    }
+}
