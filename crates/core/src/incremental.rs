@@ -700,11 +700,6 @@ impl<'m> CascadeSession<'m> {
         &self.probs
     }
 
-    /// The per-stage embedding caches (for consistency linting).
-    pub fn caches(&self) -> &[EmbeddingCache] {
-        &self.caches
-    }
-
     /// Number of nodes the session currently tracks.
     pub fn node_count(&self) -> usize {
         self.probs.len()

@@ -80,13 +80,59 @@ impl GcnConfig {
 /// assert_eq!(probs.len(), net.node_count());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Gcn {
     /// `[w_pr, w_su]`, stored as a slice so optimisers can treat it like
     /// any other flat parameter.
     agg_weights: [f32; 2],
     encoders: Vec<Linear>,
     head: Mlp,
+}
+
+/// Decoding checks the model: finite aggregation weights, and encoders
+/// that chain into each other and into the head (each layer and the head
+/// check themselves), so a damaged model file is refused instead of
+/// decoding into a model that fails or misleads at inference.
+impl Deserialize for Gcn {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            agg_weights: [f32; 2],
+            encoders: Vec<Linear>,
+            head: Mlp,
+        }
+        let Raw {
+            agg_weights,
+            encoders,
+            head,
+        } = Raw::from_value(v)?;
+        let [w_pr, w_su] = agg_weights;
+        if !(w_pr.is_finite() && w_su.is_finite()) {
+            return Err(serde::Error::custom(format!(
+                "aggregation weights w_pr/w_su = {w_pr}/{w_su} are not finite"
+            )));
+        }
+        // What each encoder feeds: the next encoder, the last one the head.
+        let fed = encoders.iter().skip(1).map(Linear::fan_in);
+        for (i, (enc, fan_in)) in encoders.iter().zip(fed.chain([head.fan_in()])).enumerate() {
+            if enc.fan_out() != fan_in {
+                let next = if i + 1 == encoders.len() {
+                    "the classifier head".to_string()
+                } else {
+                    format!("encoder {}", i + 1)
+                };
+                return Err(serde::Error::custom(format!(
+                    "encoder {i} emits {} features, {next} expects {fan_in}",
+                    enc.fan_out()
+                )));
+            }
+        }
+        Ok(Gcn {
+            agg_weights,
+            encoders,
+            head,
+        })
+    }
 }
 
 /// Activations cached by [`Gcn::forward`] for the backward pass.
@@ -616,6 +662,48 @@ mod tests {
         let json = serde_json::to_string(&gcn).unwrap();
         let back: Gcn = serde_json::from_str(&json).unwrap();
         assert_eq!(gcn, back);
+    }
+
+    #[test]
+    fn decode_refuses_broken_junctions_and_non_finite_aggregation() {
+        let gcn = Gcn::new(&tiny_cfg(), &mut seeded_rng(10));
+        let json = serde_json::to_string(&gcn).unwrap();
+        let inf = json.replacen("\"agg_weights\":[0.4", "\"agg_weights\":[1e39", 1);
+        assert_ne!(inf, json);
+        let err = serde_json::from_str::<Gcn>(&inf).unwrap_err();
+        assert!(err.to_string().contains("w_pr/w_su = inf/"), "{err}");
+
+        // A depth-1 model (4-feature embeddings) given a depth-2 model's
+        // head (expects 5), the way a bad checkpoint merge would.
+        let shallow = Gcn::new(
+            &GcnConfig {
+                embed_dims: vec![4],
+                ..tiny_cfg()
+            },
+            &mut seeded_rng(11),
+        );
+        let spliced = Gcn {
+            head: gcn.head.clone(),
+            ..shallow.clone()
+        };
+        let err =
+            serde_json::from_str::<Gcn>(&serde_json::to_string(&spliced).unwrap()).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("encoder 0 emits 4 features, the classifier head expects 5"),
+            "{err}"
+        );
+        let unchained = Gcn {
+            encoders: vec![shallow.encoders[0].clone(), gcn.encoders[0].clone()],
+            ..gcn
+        };
+        let err =
+            serde_json::from_str::<Gcn>(&serde_json::to_string(&unchained).unwrap()).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("encoder 0 emits 4 features, encoder 1 expects 3"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -214,10 +214,40 @@ impl CascadeTraining {
 /// let preds = model.predict(&graphs[0].tensors, &graphs[0].features)?;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MultiStageGcn {
     stages: Vec<Gcn>,
     filter_threshold: f32,
+}
+
+/// Decoding checks what [`MultiStageGcn::from_stages`] asserts and what
+/// the filter needs: at least one stage (each stage checks itself), and a
+/// filter threshold that is a probability, so a damaged model bundle is
+/// refused instead of silently predicting nothing.
+impl Deserialize for MultiStageGcn {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            stages: Vec<Gcn>,
+            filter_threshold: f32,
+        }
+        let Raw {
+            stages,
+            filter_threshold,
+        } = Raw::from_value(v)?;
+        if stages.is_empty() {
+            return Err(serde::Error::custom("a cascade needs at least one stage"));
+        }
+        if !(0.0..=1.0).contains(&filter_threshold) {
+            return Err(serde::Error::custom(format!(
+                "cascade filter threshold {filter_threshold} is not a probability in [0, 1]"
+            )));
+        }
+        Ok(MultiStageGcn {
+            stages,
+            filter_threshold,
+        })
+    }
 }
 
 impl MultiStageGcn {
@@ -595,5 +625,28 @@ mod tests {
         let json = serde_json::to_string(&model).unwrap();
         let back: MultiStageGcn = serde_json::from_str(&json).unwrap();
         assert_eq!(model, back);
+    }
+
+    #[test]
+    fn decode_refuses_an_empty_cascade_and_a_threshold_outside_0_1() {
+        let stage = Gcn::new(&small_cfg(1).gcn, &mut gcnt_nn::seeded_rng(3));
+        let json = serde_json::to_string(&MultiStageGcn::from_stages(vec![stage], 0.25)).unwrap();
+        assert!(serde_json::from_str::<MultiStageGcn>(&json).is_ok());
+
+        let empty = r#"{"stages":[],"filter_threshold":0.25}"#;
+        let err = serde_json::from_str::<MultiStageGcn>(empty).unwrap_err();
+        assert!(err.to_string().contains("at least one stage"), "{err}");
+        for bad in ["5.0", "-0.5", "1e39", "null"] {
+            let text = json.replace(
+                "\"filter_threshold\":0.25",
+                &format!("\"filter_threshold\":{bad}"),
+            );
+            assert_ne!(text, json);
+            let err = serde_json::from_str::<MultiStageGcn>(&text).unwrap_err();
+            assert!(
+                err.to_string().contains("not a probability in [0, 1]"),
+                "{bad}: {err}"
+            );
+        }
     }
 }

@@ -36,6 +36,15 @@
 //! [`FlowOutcome::inference`] reports the rows actually computed against
 //! the full-recompute equivalent.
 //!
+//! # Consistency
+//!
+//! A commit is checked where it happens, not by re-linting the design:
+//! the tensor append refuses an observation point that is not the
+//! tensors' next row, and a session refuses a graph generation it was not
+//! synced to. The whole-design comparison is a test oracle: after every
+//! committed insertion the tensors and SCOAP equal from-scratch rebuilds,
+//! and after every batch the session serves a fresh pass's probabilities.
+//!
 //! Deviation from the paper, for exactness bookkeeping: during *impact
 //! preview* (step 2) the candidate's would-be OP cell is not added to the
 //! graph structure — only the attribute changes are applied. The committed
@@ -48,10 +57,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use gcnt_core::features::{raw_features, squash, FeatureNormalizer};
-use gcnt_core::{CascadeSession, EmbeddingCache, Gcn, GraphTensors, MatrixBackend, MultiStageGcn};
-use gcnt_lint::{
-    lint_embedding_caches, lint_graph_tensors, lint_netlist, lint_scoap, LintReport, RuleId,
-};
+use gcnt_core::{CascadeSession, Gcn, GraphTensors, MatrixBackend, MultiStageGcn};
 use gcnt_netlist::{logic_levels, CellKind, Netlist, NetlistError, NodeId, Scoap};
 use gcnt_tensor::{Budget, Matrix, TensorError};
 
@@ -63,9 +69,6 @@ pub enum FlowError {
     /// A tensor kernel reported an error (model/graph shape mismatch, or a
     /// work-budget stop from a cooperative checkpoint).
     Tensor(TensorError),
-    /// The re-lint after an incremental graph update found `Error`-severity
-    /// violations; the report lists them with their rule ids.
-    Lint(Box<LintReport>),
     /// The batch observer of a resumable run ([`run_gcn_opi_resumable`])
     /// refused a committed batch — typically a write-ahead journal that
     /// could not persist the record. The design keeps the batch; the flow
@@ -78,7 +81,6 @@ impl fmt::Display for FlowError {
         match self {
             FlowError::Netlist(e) => write!(f, "netlist error: {e}"),
             FlowError::Tensor(e) => write!(f, "tensor error: {e}"),
-            FlowError::Lint(report) => write!(f, "lint errors after graph update:\n{report}"),
             FlowError::Journal(detail) => write!(f, "journal error: {detail}"),
         }
     }
@@ -89,7 +91,7 @@ impl std::error::Error for FlowError {
         match self {
             FlowError::Netlist(e) => Some(e),
             FlowError::Tensor(e) => Some(e),
-            FlowError::Lint(_) | FlowError::Journal(_) => None,
+            FlowError::Journal(_) => None,
         }
     }
 }
@@ -120,38 +122,6 @@ impl From<TensorError> for FlowError {
     fn from(e: TensorError) -> Self {
         FlowError::Tensor(e)
     }
-}
-
-#[doc(hidden)]
-impl From<LintReport> for FlowError {
-    fn from(report: LintReport) -> Self {
-        FlowError::Lint(Box::new(report))
-    }
-}
-
-/// Re-lints the incrementally maintained state (netlist structure, graph
-/// tensors, SCOAP vectors, and — when an incremental session is live —
-/// its embedding caches, rule `EC001`) after a batch of insertions.
-///
-/// Derived artifacts drifting out of sync with the graph is exactly the
-/// failure mode incremental updates risk, and it would otherwise surface
-/// as a wrong prediction or an assert deep inside a kernel.
-fn relint_incremental(
-    net: &Netlist,
-    tensors: &GraphTensors,
-    scoap: &Scoap,
-    caches: Option<&[EmbeddingCache]>,
-) -> Result<(), FlowError> {
-    let mut report = lint_netlist(net);
-    report.merge(lint_graph_tensors(net, tensors));
-    report.merge(lint_scoap(net, scoap));
-    if let Some(caches) = caches {
-        report.merge(lint_embedding_caches(tensors, caches));
-    }
-    if report.has_errors() {
-        return Err(report.into());
-    }
-    Ok(())
 }
 
 /// An opaque full-graph probability pass, as [`Inference::full_pass`] takes it.
@@ -241,10 +211,9 @@ enum Engine<'a> {
 
 /// One run's inference: the session (or opaque full pass) a
 /// [`FlowClassifier`] opened, the work [`Budget`] every pass checks, and
-/// the accounting of what those passes computed. It answers the three
-/// questions the flow loop has — the current probabilities, the positives
-/// a previewed insertion would leave in a cone, and (for the re-lint) the
-/// caches it serves from.
+/// the accounting of what those passes computed. It answers the two
+/// questions the flow loop has — the current probabilities, and the
+/// positives a previewed insertion would leave in a cone.
 pub struct Inference<'a> {
     engine: Engine<'a>,
     stats: InferenceStats,
@@ -346,14 +315,6 @@ impl<'a> Inference<'a> {
     fn adopt(&mut self, tensors: &GraphTensors) {
         if let Engine::Session(s) = &mut self.engine {
             s.sync_nodes(tensors);
-        }
-    }
-
-    /// The session's embedding caches, for the post-batch re-lint.
-    fn caches(&self) -> Option<&[EmbeddingCache]> {
-        match &self.engine {
-            Engine::Session(s) => Some(s.caches()),
-            Engine::FullPass(_) => None,
         }
     }
 }
@@ -615,25 +576,12 @@ struct FlowState {
 }
 
 /// Commits one observation point at `target`: structural netlist update,
-/// incremental tensor append, SCOAP refresh over the changed cone, and
-/// the new node's normalised attribute row. Leaves `state`
-/// untouched on the lint error path only by accident of ordering —
-/// callers that need rollback must snapshot before calling.
+/// incremental tensor append (which refuses an `op` that is not the
+/// tensors' next row), SCOAP refresh over the changed cone, and the new
+/// node's normalised attribute row. A failure can leave `state` partly
+/// updated — callers that need rollback must snapshot before calling.
 fn commit_insertion(state: &mut FlowState, target: NodeId) -> Result<(), FlowError> {
     let op = state.net.insert_observation_point(target)?;
-    if op.index() != state.tensors.node_count() {
-        let mut report = LintReport::new();
-        report.report(
-            RuleId::AdjacencyNetlistMismatch,
-            "flow",
-            format!(
-                "new node {} is not the tensors' next row ({} nodes modeled)",
-                op.index(),
-                state.tensors.node_count()
-            ),
-        );
-        return Err(report.into());
-    }
     state.tensors.insert_observation_point(target, op)?;
     let changed = state.scoap.observe(&state.net, target, op);
     for v in changed {
@@ -723,8 +671,6 @@ where
                 loop_done = true;
             } else if rec.inserted.is_empty() {
                 loop_done = true; // the run broke on a no-progress iteration
-            } else {
-                relint_incremental(&state.net, &state.tensors, &state.scoap, None)?;
             }
             // The uninterrupted run drained these dirty rows at the next
             // iteration's refresh — already paid for inside the journaled
@@ -851,11 +797,6 @@ where
                 positives: remaining,
                 inserted: inserted_now,
             });
-            if inserted_now > 0 {
-                relint_incremental(&state.net, &state.tensors, &state.scoap, inference.caches())?;
-            }
-            // Journal the batch only once it is lint-clean: a record is a
-            // promise that the committed state is consistent.
             observer(&BatchRecord {
                 iteration,
                 positives: remaining,
@@ -995,10 +936,7 @@ mod tests {
         assert!(outcome.converged, "flow did not converge: {outcome:?}");
         assert!(!outcome.inserted.is_empty());
         assert_eq!(outcome.remaining_positives, 0);
-        // The flow re-lints after every update, so a clean exit implies a
-        // structurally sound design; double-check through the public pass.
-        let report = gcnt_lint::lint_netlist_deep(&net);
-        assert!(!report.has_errors(), "{report}");
+        net.validate().unwrap();
         // Every inserted node is now directly observable.
         let scoap = Scoap::compute(&net).unwrap();
         for &v in &outcome.inserted {
@@ -1096,10 +1034,6 @@ mod tests {
             actual: 2,
         });
         assert!(e.to_string().contains("tensor error"));
-        let mut report = LintReport::new();
-        report.report(RuleId::AdjacencyNetlistMismatch, "flow", "out of sync");
-        let e = FlowError::from(report);
-        assert!(e.to_string().contains("TS001"), "{e}");
     }
 
     #[test]
@@ -1145,8 +1079,7 @@ mod tests {
         assert_eq!(outcome.skipped.len(), 2, "{:?}", outcome.skipped);
         assert!(outcome.converged, "flow must still converge: {outcome:?}");
         // The rolled-back design stays structurally sound.
-        let report = gcnt_lint::lint_netlist_deep(&net);
-        assert!(!report.has_errors(), "{report}");
+        net.validate().unwrap();
         assert_eq!(net.node_count(), before + outcome.inserted.len());
     }
 
@@ -1175,7 +1108,7 @@ mod tests {
         // One skip was rolled back, the second failure aborted: the
         // caller's design is unchanged and consistent.
         assert_eq!(net.node_count(), before);
-        assert!(!gcnt_lint::lint_netlist_deep(&net).has_errors());
+        net.validate().unwrap();
     }
 
     #[test]
@@ -1197,21 +1130,6 @@ mod tests {
         let b = run_gcn_opi(&mut net_b, &norm, oracle(2.0), &budgeted_cfg).unwrap();
         assert_eq!(a, b, "budget must not perturb a failure-free run");
         assert_eq!(net_a, net_b);
-    }
-
-    #[test]
-    fn relint_catches_out_of_sync_tensors() {
-        let net = shadowed_design(96);
-        let smaller = shadowed_design(97);
-        let tensors = GraphTensors::from_netlist(&smaller);
-        let scoap = Scoap::compute(&net).unwrap();
-        let err = relint_incremental(&net, &tensors, &scoap, None).unwrap_err();
-        match err {
-            FlowError::Lint(report) => {
-                assert!(report.fired(RuleId::AdjacencyNetlistMismatch), "{report}")
-            }
-            other => panic!("expected a lint error, got {other}"),
-        }
     }
 
     /// Regression pin for the impact score: the apex must be counted
@@ -1409,6 +1327,148 @@ mod tests {
         }
     }
 
+    /// Runs the flow through `run_flow`'s commit seam under the
+    /// whole-design oracle. After every committed insertion — replayed
+    /// ones included — the incrementally maintained tensors and SCOAP must
+    /// equal from-scratch rebuilds of the netlist. After every batch, an
+    /// inference the same classifier opened on the starting design,
+    /// adopted to the batch's graph and refreshed over exactly the rows
+    /// the commits dirtied, must serve the bits `fresh` computes over the
+    /// batch's tensors and features. Returns the outcome, the journaled
+    /// records, and how many insertions and batches were checked.
+    fn run_with_oracle<F: FlowClassifier + Copy>(
+        net: &mut Netlist,
+        norm: &FeatureNormalizer,
+        classify: F,
+        fresh: FullPass<'_>,
+        cfg: &FlowConfig,
+        resume: &[BatchRecord],
+    ) -> (FlowOutcome, Vec<BatchRecord>, [usize; 2]) {
+        use std::cell::{Cell, RefCell};
+
+        let budget = Budget::unlimited();
+        let tensors = GraphTensors::from_netlist(net);
+        let features = norm.apply(&gcnt_core::features::raw_features_of(net).unwrap());
+        let mut session = classify.open(&tensors, &features, &budget).unwrap();
+        // The state after the latest commit, and every row dirtied since
+        // `session` last refreshed.
+        let latest: RefCell<(Option<FlowState>, Vec<usize>)> = RefCell::default();
+        let (commits, mut batches, mut records) = (Cell::new(0), 0, Vec::new());
+        let commit = |state: &mut FlowState, target: NodeId| {
+            let before = state.pending_dirty.len();
+            commit_insertion(state, target)?;
+            assert_eq!(state.tensors, GraphTensors::from_netlist(&state.net));
+            assert_eq!(state.scoap, Scoap::compute(&state.net).unwrap());
+            let mut latest = latest.borrow_mut();
+            latest.1.extend_from_slice(&state.pending_dirty[before..]);
+            latest.0 = Some(state.clone());
+            commits.set(commits.get() + 1);
+            Ok(())
+        };
+        let outcome = run_flow(
+            net,
+            norm,
+            classify,
+            cfg,
+            &budget,
+            resume,
+            commit,
+            &mut |rec| {
+                records.push(rec.clone());
+                let mut latest = latest.borrow_mut();
+                if let Some(mut state) = latest.0.take() {
+                    state.pending_dirty = std::mem::take(&mut latest.1);
+                    session.adopt(&state.tensors);
+                    let probs = session.probs(&mut state).unwrap();
+                    assert_eq!(probs, fresh(&state.tensors, &state.features).unwrap());
+                    batches += 1;
+                }
+                Ok(())
+            },
+        )
+        .unwrap();
+        (outcome, records, [commits.get(), batches])
+    }
+
+    fn oracle_cfg() -> FlowConfig {
+        FlowConfig {
+            max_iterations: 4,
+            ops_per_iteration: 4,
+            candidate_limit: 8,
+            ..Default::default()
+        }
+    }
+
+    /// A shadowed design and a small cascade trained on its observability
+    /// tail, so the flow's targets sit where hard cones exit and an
+    /// insertion refreshes SCOAP well beyond the target's own fanins.
+    fn trained_cascade(seed: u64) -> (Netlist, FeatureNormalizer, MultiStageGcn) {
+        use gcnt_core::{GcnConfig, GraphData, MultiStageConfig};
+
+        let net = shadowed_design(seed);
+        let scoap = Scoap::compute(&net).unwrap();
+        let mut cos: Vec<u32> = net.nodes().map(|v| scoap.co(v)).collect();
+        cos.sort_unstable();
+        let tail = cos[cos.len() * 9 / 10].max(1);
+        let labels = net.nodes().map(|v| u8::from(scoap.co(v) >= tail)).collect();
+        let data = GraphData::from_netlist(&net, None)
+            .unwrap()
+            .with_labels(labels);
+        let cfg = MultiStageConfig {
+            stages: 2,
+            gcn: GcnConfig {
+                embed_dims: vec![8, 8],
+                fc_dims: vec![8],
+                ..GcnConfig::default()
+            },
+            epochs_per_stage: 30,
+            lr: 0.1,
+            ..MultiStageConfig::default()
+        };
+        let (model, _) = MultiStageGcn::train(&cfg, &[&data]).unwrap();
+        (net, data.normalizer, model)
+    }
+
+    #[test]
+    fn every_insertion_of_a_gcn_run_matches_a_rebuild() {
+        let (net, norm, model) = trained_cascade(108);
+        let gcn = &model.stages()[0];
+        let fresh = |t: &GraphTensors, x: &Matrix| gcn.predict_proba(t, x);
+        let mut checked_net = net.clone();
+        let (outcome, records, checked) =
+            run_with_oracle(&mut checked_net, &norm, gcn, &fresh, &oracle_cfg(), &[]);
+        assert!(outcome.inserted.len() > 4, "{outcome:?}");
+        let batches = records.iter().filter(|r| !r.inserted.is_empty()).count();
+        assert_eq!(checked, [outcome.inserted.len(), batches]);
+        // The oracle's commit seam changes nothing about the run.
+        let mut plain_net = net.clone();
+        let plain = run_gcn_opi(&mut plain_net, &norm, gcn, &oracle_cfg()).unwrap();
+        assert_eq!(outcome, plain);
+        assert_eq!(checked_net, plain_net);
+    }
+
+    #[test]
+    fn every_insertion_of_a_cascade_run_and_its_resume_matches_a_rebuild() {
+        let (net, norm, model) = trained_cascade(109);
+        let fresh = |t: &GraphTensors, x: &Matrix| model.predict_proba(t, x);
+        let cfg = oracle_cfg();
+        let (outcome, records, checked) =
+            run_with_oracle(&mut net.clone(), &norm, &model, &fresh, &cfg, &[]);
+        assert!(outcome.inserted.len() > 4, "{outcome:?}");
+        assert!(records.len() >= 2, "{records:?}");
+        assert_eq!(checked[0], outcome.inserted.len());
+
+        // Resumed after the first batch: the replayed insertions go through
+        // the same seam, and the first new batch is checked on a session
+        // opened before the replay.
+        let (resumed, tail, checked) =
+            run_with_oracle(&mut net.clone(), &norm, &model, &fresh, &cfg, &records[..1]);
+        assert_eq!(resumed, outcome);
+        assert_eq!(tail, records[1..].to_vec());
+        assert_eq!(checked[0], outcome.inserted.len());
+        assert!(checked[1] >= 1, "no batch after the replay was checked");
+    }
+
     /// The continuation after a replay journals exactly the records the
     /// uninterrupted run journals past the cut point — so a twice-resumed
     /// journal is identical to a once-written one (replay idempotence at
@@ -1481,7 +1541,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.is_budget_stop(), "{err}");
-        assert!(!gcnt_lint::lint_netlist_deep(&net).has_errors());
+        net.validate().unwrap();
     }
 
     /// An observer refusal stops the flow but keeps the committed batch:
@@ -1520,7 +1580,7 @@ mod tests {
         assert_eq!(seen, 1, "flow must stop at the refused batch");
         // The refused batch's insertions stay committed.
         assert!(net.node_count() > before);
-        assert!(!gcnt_lint::lint_netlist_deep(&net).has_errors());
+        net.validate().unwrap();
     }
 
     /// Closures have no session: every preview and every iteration is a

@@ -1,7 +1,6 @@
-//! Structural netlist rules (`NL...`): graph shape, logic levels, SCOAP
-//! ranges.
+//! Structural netlist rules (`NL...`).
 
-use gcnt_netlist::{logic_levels, CellKind, Netlist, NetlistError, NodeId, Scoap, SCOAP_INF};
+use gcnt_netlist::{CellKind, Netlist, NetlistError, NodeId};
 
 use crate::report::{LintReport, RuleId};
 
@@ -134,128 +133,6 @@ pub fn lint_netlist(net: &Netlist) -> LintReport {
     report
 }
 
-/// Checks a stored logic-level assignment against the netlist: fires
-/// `NL005` when `levels[v] != 1 + max(levels[fanin(v)])` for a
-/// non-pseudo-input node, or when a pseudo input's level is not 0.
-///
-/// The workspace feeds logic levels into the GCN feature matrix (`[LL,
-/// C0, C1, O]`, paper §3.1); this rule catches level columns that went
-/// stale after a graph edit or were corrupted on disk. Skipped (reporting
-/// nothing) if the netlist is cyclic — `NL001` already covers that.
-pub fn lint_levels(net: &Netlist, levels: &[u32]) -> LintReport {
-    let mut report = LintReport::new();
-    if levels.len() != net.node_count() {
-        report.report(
-            RuleId::LevelMonotonicity,
-            "levels",
-            format!(
-                "level vector has {} entries for {} nodes",
-                levels.len(),
-                net.node_count()
-            ),
-        );
-        return report;
-    }
-    if net.topo_order().is_err() {
-        return report;
-    }
-    let mut capped = Capped::new(&mut report, RuleId::LevelMonotonicity, "levels");
-    for v in net.nodes() {
-        let got = levels[v.index()];
-        if net.kind(v).is_pseudo_input() {
-            if got != 0 {
-                capped.report(format!(
-                    "{} is a pseudo input but has level {got}, expected 0",
-                    describe(net, v)
-                ));
-            }
-            continue;
-        }
-        let expected = net
-            .fanin(v)
-            .iter()
-            .map(|&u| levels[u.index()])
-            .max()
-            .unwrap_or(0)
-            .saturating_add(1);
-        if got != expected {
-            capped.report(format!(
-                "{} has level {got}, expected {expected} (1 + max of fanin levels)",
-                describe(net, v)
-            ));
-        }
-    }
-    drop(capped);
-    report
-}
-
-/// Checks SCOAP measures against their legal ranges: fires `NL006` when
-/// `cc0`/`cc1` leave `[1, SCOAP_INF]`, `co` exceeds `SCOAP_INF`, or a
-/// pseudo input's controllabilities are not exactly 1.
-pub fn lint_scoap(net: &Netlist, scoap: &Scoap) -> LintReport {
-    let mut report = LintReport::new();
-    if scoap.cc0_all().len() != net.node_count()
-        || scoap.cc1_all().len() != net.node_count()
-        || scoap.co_all().len() != net.node_count()
-    {
-        report.report(
-            RuleId::ScoapRange,
-            "scoap",
-            format!(
-                "SCOAP vectors sized {}/{}/{} for {} nodes",
-                scoap.cc0_all().len(),
-                scoap.cc1_all().len(),
-                scoap.co_all().len(),
-                net.node_count()
-            ),
-        );
-        return report;
-    }
-    let mut capped = Capped::new(&mut report, RuleId::ScoapRange, "scoap");
-    for v in net.nodes() {
-        let (cc0, cc1, co) = (scoap.cc0(v), scoap.cc1(v), scoap.co(v));
-        for (name, c) in [("cc0", cc0), ("cc1", cc1)] {
-            if !(1..=SCOAP_INF).contains(&c) {
-                capped.report(format!(
-                    "{} has {name} = {c}, outside [1, {SCOAP_INF}]",
-                    describe(net, v)
-                ));
-            }
-        }
-        if co > SCOAP_INF {
-            capped.report(format!(
-                "{} has co = {co}, above {SCOAP_INF}",
-                describe(net, v)
-            ));
-        }
-        if net.kind(v).is_pseudo_input() && (cc0 != 1 || cc1 != 1) {
-            capped.report(format!(
-                "{} is a pseudo input but has cc0/cc1 = {cc0}/{cc1}, expected 1/1",
-                describe(net, v)
-            ));
-        }
-    }
-    drop(capped);
-    report
-}
-
-/// Convenience wrapper: computes logic levels and SCOAP from the netlist
-/// and lints them alongside the structure. Derived artifacts are only
-/// linted when the structure itself is sound.
-pub fn lint_netlist_deep(net: &Netlist) -> LintReport {
-    let mut report = lint_netlist(net);
-    if report.has_errors() {
-        return report;
-    }
-    if let Ok(levels) = logic_levels(net) {
-        report.merge(lint_levels(net, &levels));
-    }
-    if let Ok(scoap) = Scoap::compute(net) {
-        report.merge(lint_scoap(net, &scoap));
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,7 +144,7 @@ mod tests {
 
     #[test]
     fn clean_generated_netlist_has_no_findings() {
-        let report = lint_netlist_deep(&clean_net());
+        let report = lint_netlist(&clean_net());
         assert!(report.is_clean(), "{report}");
     }
 
@@ -319,40 +196,6 @@ mod tests {
         net.connect(g2, o).unwrap();
         let report = lint_netlist(&net);
         assert!(report.fired(RuleId::CombinationalCycle));
-    }
-
-    #[test]
-    fn stale_levels_fire_nl005() {
-        let net = clean_net();
-        let mut levels = logic_levels(&net).unwrap();
-        assert!(lint_levels(&net, &levels).is_clean());
-        // Corrupt the level of some internal node.
-        let gate = net
-            .nodes()
-            .find(|&v| !net.kind(v).is_pseudo_input())
-            .unwrap();
-        levels[gate.index()] += 7;
-        let report = lint_levels(&net, &levels);
-        assert!(report.fired(RuleId::LevelMonotonicity));
-        // Wrong length is also NL005.
-        let report = lint_levels(&net, &levels[1..]);
-        assert!(report.fired(RuleId::LevelMonotonicity));
-    }
-
-    #[test]
-    fn corrupt_scoap_fires_nl006() {
-        let net = clean_net();
-        let good = Scoap::compute(&net).unwrap();
-        assert!(lint_scoap(&net, &good).is_clean());
-        let mut cc0 = good.cc0_all().to_vec();
-        let gate = net
-            .nodes()
-            .find(|&v| !net.kind(v).is_pseudo_input())
-            .unwrap();
-        cc0[gate.index()] = 0; // controllability below the legal minimum
-        let bad = Scoap::from_raw_parts(cc0, good.cc1_all().to_vec(), good.co_all().to_vec());
-        let report = lint_scoap(&net, &bad);
-        assert!(report.fired(RuleId::ScoapRange));
     }
 
     #[test]

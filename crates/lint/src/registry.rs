@@ -9,8 +9,7 @@ pub struct RuleDescriptor {
     /// The rule's identifier.
     pub id: RuleId,
     /// Stable code, e.g. `"NL001"`. `NL` rules check netlist structure,
-    /// `TS` rules check tensors, `MD` rules check model state, `EC` rules
-    /// check embedding caches.
+    /// `TS` rules check graph tensors.
     pub code: &'static str,
     /// Stable kebab-case slug, e.g. `"combinational-cycle"`.
     pub slug: &'static str,
@@ -51,20 +50,6 @@ pub const RULES: &[RuleDescriptor] = &[
         summary: "node that requires inputs has no drivers",
     },
     RuleDescriptor {
-        id: RuleId::LevelMonotonicity,
-        code: "NL005",
-        slug: "level-monotonicity",
-        severity: Severity::Error,
-        summary: "stored logic level differs from 1 + max(fanin levels)",
-    },
-    RuleDescriptor {
-        id: RuleId::ScoapRange,
-        code: "NL006",
-        slug: "scoap-range",
-        severity: Severity::Error,
-        summary: "SCOAP measure outside its legal range",
-    },
-    RuleDescriptor {
         id: RuleId::AdjacencyNetlistMismatch,
         code: "TS001",
         slug: "adjacency-netlist-mismatch",
@@ -84,27 +69,6 @@ pub const RULES: &[RuleDescriptor] = &[
         slug: "nan-or-inf-value",
         severity: Severity::Error,
         summary: "sparse matrix holds a NaN or infinite value",
-    },
-    RuleDescriptor {
-        id: RuleId::WeightNan,
-        code: "MD001",
-        slug: "weight-nan",
-        severity: Severity::Error,
-        summary: "model parameter is NaN or infinite",
-    },
-    RuleDescriptor {
-        id: RuleId::LayerShapeMismatch,
-        code: "MD002",
-        slug: "layer-shape-mismatch",
-        severity: Severity::Error,
-        summary: "adjacent model layers have incompatible shapes",
-    },
-    RuleDescriptor {
-        id: RuleId::EmbeddingCacheConsistency,
-        code: "EC001",
-        slug: "embedding-cache-consistency",
-        severity: Severity::Error,
-        summary: "embedding cache disagrees with its graph (rows or generation)",
     },
 ];
 
@@ -135,8 +99,6 @@ mod tests {
     fn registry_covers_all_prefixes() {
         assert!(RULES.iter().any(|r| r.code.starts_with("NL")));
         assert!(RULES.iter().any(|r| r.code.starts_with("TS")));
-        assert!(RULES.iter().any(|r| r.code.starts_with("MD")));
-        assert!(RULES.iter().any(|r| r.code.starts_with("EC")));
-        assert_eq!(RULES.len(), 12);
+        assert_eq!(RULES.len(), 7);
     }
 }

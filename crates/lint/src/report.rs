@@ -48,11 +48,6 @@ pub enum RuleId {
     DanglingNet,
     /// `NL004 floating-input`: a node that requires inputs has none.
     FloatingInput,
-    /// `NL005 level-monotonicity`: a stored logic-level assignment is
-    /// inconsistent with the graph (level != 1 + max fanin level).
-    LevelMonotonicity,
-    /// `NL006 scoap-range`: a SCOAP measure is outside its legal range.
-    ScoapRange,
     /// `TS001 adjacency-netlist-mismatch`: graph tensors disagree with the
     /// netlist they were built from.
     AdjacencyNetlistMismatch,
@@ -61,15 +56,6 @@ pub enum RuleId {
     CsrSortedIndices,
     /// `TS003 nan-or-inf-value`: a sparse-matrix value is NaN or infinite.
     NanOrInfValue,
-    /// `MD001 weight-nan`: a model parameter is NaN or infinite.
-    WeightNan,
-    /// `MD002 layer-shape-mismatch`: adjacent model layers have
-    /// incompatible shapes.
-    LayerShapeMismatch,
-    /// `EC001 embedding-cache-consistency`: an incremental-inference
-    /// embedding cache disagrees with its graph (layer row counts differ
-    /// from the node count, or the generations do not match).
-    EmbeddingCacheConsistency,
 }
 
 impl RuleId {
@@ -128,8 +114,8 @@ pub struct Finding {
     pub rule: RuleId,
     /// Severity, copied from the rule's registry entry.
     pub severity: Severity,
-    /// Which artifact was being checked, e.g. `"netlist"`, `"tensors.pred"`,
-    /// `"gcn.encoders[1]"`.
+    /// Which artifact was being checked, e.g. `"netlist"` or
+    /// `"tensors.pred"`.
     pub context: String,
     /// Human-readable description of the violation.
     pub message: String,
@@ -306,28 +292,28 @@ mod tests {
         assert!(report.has_errors());
         assert_eq!(report.count(Severity::Warning), 1);
         assert!(report.fired(RuleId::DanglingNet));
-        assert!(!report.fired(RuleId::WeightNan));
+        assert!(!report.fired(RuleId::NanOrInfValue));
         assert_eq!(report.of_rule(RuleId::CombinationalCycle).count(), 1);
     }
 
     #[test]
     fn report_round_trips_through_json() {
         let mut report = LintReport::new();
-        report.report(RuleId::ScoapRange, "scoap", "cc0 out of range at node 2");
+        report.report(RuleId::CsrSortedIndices, "tensors.pred", "row 2 unsorted");
         let json = report.to_json();
         let back: LintReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.findings().len(), 1);
-        assert_eq!(back.findings()[0].rule, RuleId::ScoapRange);
+        assert_eq!(back.findings()[0].rule, RuleId::CsrSortedIndices);
         assert_eq!(back.findings()[0].severity, Severity::Error);
-        assert!(json.contains("NL006"));
+        assert!(json.contains("TS002"));
     }
 
     #[test]
     fn display_renders_summary_line() {
         let mut report = LintReport::new();
-        report.report(RuleId::WeightNan, "gcn", "w_pr is NaN");
+        report.report(RuleId::NanOrInfValue, "tensors.pred", "value is NaN");
         let text = report.to_string();
-        assert!(text.contains("MD001"));
+        assert!(text.contains("TS003"));
         assert!(text.contains("1 error(s)"));
         assert!(LintReport::new().to_string().contains("no findings"));
     }

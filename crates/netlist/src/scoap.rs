@@ -122,22 +122,6 @@ impl Scoap {
         &self.co
     }
 
-    /// Reassembles a `Scoap` from raw measure vectors, e.g. ones loaded
-    /// from a checkpoint. No validation is performed — run the lint pass
-    /// (`gcnt-lint`'s `NL006 scoap-range`) to vet untrusted values before
-    /// feeding them to the pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three vectors differ in length.
-    pub fn from_raw_parts(cc0: Vec<u32>, cc1: Vec<u32>, co: Vec<u32>) -> Self {
-        assert!(
-            cc0.len() == cc1.len() && cc1.len() == co.len(),
-            "SCOAP vectors must have equal lengths"
-        );
-        Scoap { cc0, cc1, co }
-    }
-
     /// Incrementally updates observability after an observation point has
     /// been inserted at `target` (whose new `Output` cell is `op`).
     ///

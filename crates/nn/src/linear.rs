@@ -18,10 +18,37 @@ use crate::{xavier_uniform, Rng};
 /// let y = layer.forward(&x).unwrap();
 /// assert_eq!(y.shape(), (5, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Linear {
     weight: Matrix,
     bias: Vec<f32>,
+}
+
+/// Decoding checks the layer: one bias per output and every parameter
+/// finite, so a damaged model file is refused instead of decoding into a
+/// layer that computes something else.
+impl Deserialize for Linear {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            weight: Matrix,
+            bias: Vec<f32>,
+        }
+        let Raw { weight, bias } = Raw::from_value(v)?;
+        if bias.len() != weight.cols() {
+            return Err(serde::Error::custom(format!(
+                "layer bias holds {} values for fan-out {}",
+                bias.len(),
+                weight.cols()
+            )));
+        }
+        if !weight.as_slice().iter().chain(&bias).all(|p| p.is_finite()) {
+            return Err(serde::Error::custom(
+                "layer holds a NaN or infinite parameter",
+            ));
+        }
+        Ok(Linear { weight, bias })
+    }
 }
 
 /// Gradients of a [`Linear`] layer, produced by [`Linear::backward`].
@@ -278,5 +305,22 @@ mod tests {
         let json = serde_json::to_string(&layer).unwrap();
         let back: Linear = serde_json::from_str(&json).unwrap();
         assert_eq!(layer, back);
+    }
+
+    #[test]
+    fn decode_refuses_a_short_bias_and_non_finite_parameters() {
+        let short = r#"{"weight":{"rows":1,"cols":2,"data":[0.5,0.5]},"bias":[0.0]}"#;
+        let err = serde_json::from_str::<Linear>(short).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("bias holds 1 values for fan-out 2"),
+            "{err}"
+        );
+        // 1e39 overflows f32 to infinity.
+        let huge = r#"{"weight":{"rows":1,"cols":1,"data":[1e39]},"bias":[0.0]}"#;
+        let err = serde_json::from_str::<Linear>(huge).unwrap_err();
+        assert!(err.to_string().contains("NaN or infinite"), "{err}");
+        let nan = r#"{"weight":{"rows":1,"cols":1,"data":[1.0]},"bias":[null]}"#;
+        assert!(serde_json::from_str::<Linear>(nan).is_err());
     }
 }

@@ -23,9 +23,35 @@ use crate::{Linear, LinearGrads, Rng};
 /// let e = Matrix::zeros(10, 128);
 /// assert_eq!(head.predict(&e).unwrap().shape(), (10, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Mlp {
     layers: Vec<Linear>,
+}
+
+/// Decoding checks the chain: at least one layer, each feeding the next
+/// exactly the features it expects (every layer checks itself).
+impl Deserialize for Mlp {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            layers: Vec<Linear>,
+        }
+        let Raw { layers } = Raw::from_value(v)?;
+        if layers.is_empty() {
+            return Err(serde::Error::custom("an MLP needs at least one layer"));
+        }
+        for (i, (layer, next)) in layers.iter().zip(layers.iter().skip(1)).enumerate() {
+            if layer.fan_out() != next.fan_in() {
+                return Err(serde::Error::custom(format!(
+                    "MLP layer {i} emits {} features, layer {} expects {}",
+                    layer.fan_out(),
+                    i + 1,
+                    next.fan_in()
+                )));
+            }
+        }
+        Ok(Mlp { layers })
+    }
 }
 
 /// Forward-pass activations cached for [`Mlp::backward`].
@@ -379,6 +405,27 @@ mod tests {
         let json = serde_json::to_string(&mlp).unwrap();
         let back: Mlp = serde_json::from_str(&json).unwrap();
         assert_eq!(mlp, back);
+    }
+
+    #[test]
+    fn decode_refuses_an_empty_or_broken_chain() {
+        let err = serde_json::from_str::<Mlp>(r#"{"layers":[]}"#).unwrap_err();
+        assert!(err.to_string().contains("at least one layer"), "{err}");
+        let mut rng = seeded_rng(9);
+        let layer = |fan_in, fan_out, rng: &mut crate::Rng| {
+            serde_json::to_string(&Linear::new(fan_in, fan_out, rng)).unwrap()
+        };
+        let broken = format!(
+            r#"{{"layers":[{},{}]}}"#,
+            layer(4, 2, &mut rng),
+            layer(3, 2, &mut rng)
+        );
+        let err = serde_json::from_str::<Mlp>(&broken).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("layer 0 emits 2 features, layer 1 expects 3"),
+            "{err}"
+        );
     }
 
     #[test]

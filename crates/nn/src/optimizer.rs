@@ -31,10 +31,30 @@ pub enum OptimizerConfig {
 /// opt.step(&mut param, &[1.0, 1.0]);
 /// assert_eq!(param, [0.5, -1.5]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ParamOptimizer {
     cfg: OptimizerConfig,
     velocity: Vec<f32>,
+}
+
+/// Decoding checks the state: a NaN or infinite velocity would poison
+/// every later step even if the weights are clean, so a damaged
+/// checkpoint is refused instead.
+impl Deserialize for ParamOptimizer {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            cfg: OptimizerConfig,
+            velocity: Vec<f32>,
+        }
+        let Raw { cfg, velocity } = Raw::from_value(v)?;
+        if !velocity.iter().all(|v| v.is_finite()) {
+            return Err(serde::Error::custom(
+                "optimizer velocity holds a NaN or infinite value",
+            ));
+        }
+        Ok(ParamOptimizer { cfg, velocity })
+    }
 }
 
 impl ParamOptimizer {
@@ -61,13 +81,6 @@ impl ParamOptimizer {
     /// Whether the covered parameter slice is empty.
     pub fn is_empty(&self) -> bool {
         self.velocity.is_empty()
-    }
-
-    /// Whether every velocity value is finite — a deserialised
-    /// checkpoint can carry NaN momentum that would poison every
-    /// subsequent step even if the weights themselves are clean.
-    pub fn is_finite(&self) -> bool {
-        self.velocity.iter().all(|v| v.is_finite())
     }
 
     /// Applies one update step.
@@ -115,12 +128,6 @@ impl ModelOptimizer {
     /// validates against the model it is restoring.
     pub fn param_lens(&self) -> Vec<usize> {
         self.params.iter().map(ParamOptimizer::len).collect()
-    }
-
-    /// Whether every per-parameter state is finite (see
-    /// [`ParamOptimizer::is_finite`]).
-    pub fn is_finite(&self) -> bool {
-        self.params.iter().all(ParamOptimizer::is_finite)
     }
 
     /// Overrides the learning rate of every per-parameter optimiser (see
@@ -210,17 +217,21 @@ mod tests {
     }
 
     #[test]
-    fn state_export_reports_shape_and_finiteness() {
+    fn state_reports_its_shape_and_poisoned_state_does_not_decode() {
         let mut opt = ModelOptimizer::new(MOMENTUM_SGD, [2, 3]);
         assert_eq!(opt.param_lens(), vec![2, 3]);
-        assert!(opt.is_finite());
+        let json = serde_json::to_string(&opt).unwrap();
+        assert_eq!(serde_json::from_str::<ModelOptimizer>(&json).unwrap(), opt);
         let mut a = [1.0f32, 2.0];
         let mut b = [0.0f32, 0.0, 0.0];
         opt.step(
             vec![&mut a, &mut b],
             vec![&[f32::NAN, 0.0], &[0.0, 0.0, 0.0]],
         );
-        assert!(!opt.is_finite(), "NaN gradient must poison momentum state");
+        // A NaN gradient poisons the momentum, which no longer decodes.
+        let json = serde_json::to_string(&opt).unwrap();
+        let err = serde_json::from_str::<ModelOptimizer>(&json).unwrap_err();
+        assert!(err.to_string().contains("NaN or infinite"), "{err}");
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //!
 //! [`CheckpointStore::load_latest`] walks checkpoints newest-to-oldest and
 //! returns the first one that passes every integrity check (envelope
-//! version and checksum, the optimizer contract, and the `MD001`/`MD002`
-//! lint of the restored model), collecting the typed error of every
-//! rejected file so the caller can report *why* older state was used.
+//! version and checksum, a payload that decodes — models and optimizer
+//! state refuse bad shapes and non-finite values at decode — and the
+//! optimizer contract), collecting the typed error of every rejected file
+//! so the caller can report *why* older state was used.
 
 use std::fmt;
 use std::fs;
@@ -37,7 +38,6 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use gcnt_core::{CascadeTraining, EpochStats, Gcn, StageReport};
-use gcnt_lint::{lint_gcn, LintReport, RuleId};
 use gcnt_nn::ModelOptimizer;
 use gcnt_store::envelope::{self, EnvelopeError};
 use rand_chacha::ChaCha8Rng;
@@ -137,7 +137,8 @@ pub enum CheckpointError {
         source: std::io::Error,
     },
     /// The file is not parseable as a checkpoint (truncated write, foreign
-    /// file, or garbage payload).
+    /// file, or garbage payload), or its model or optimizer state does not
+    /// decode (mis-shaped or non-finite).
     Malformed {
         /// Path of the unparseable file.
         path: PathBuf,
@@ -176,14 +177,6 @@ pub enum CheckpointError {
         model: Vec<usize>,
         /// Per-parameter lengths of the optimizer state.
         optimizer: Vec<usize>,
-    },
-    /// The restored model or optimizer state fails the model lint; the
-    /// report holds the `MD` findings.
-    Invalid {
-        /// Path of the rejected file.
-        path: PathBuf,
-        /// The findings that rejected it.
-        report: Box<LintReport>,
     },
 }
 
@@ -224,12 +217,6 @@ impl fmt::Display for CheckpointError {
                 "checkpoint {}: optimizer state shape {optimizer:?} does not match model \
                  parameter shape {model:?}",
                 path.display()
-            ),
-            CheckpointError::Invalid { path, report } => write!(
-                f,
-                "invalid checkpoint {}: {}",
-                path.display(),
-                report.to_string().trim_end()
             ),
         }
     }
@@ -358,12 +345,11 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// [`CheckpointError::Io`] if the file cannot be read,
-    /// [`CheckpointError::Malformed`] if it cannot be parsed,
+    /// [`CheckpointError::Malformed`] if it cannot be parsed or its model
+    /// or optimizer state does not decode,
     /// [`CheckpointError::Unsupported`] / [`CheckpointError::ChecksumMismatch`]
-    /// if the envelope fails, [`CheckpointError::MissingState`] /
-    /// [`CheckpointError::OptimizerShape`] if the optimizer contract fails,
-    /// and [`CheckpointError::Invalid`] with the `MD` findings if the
-    /// restored model or optimizer state is not finite and well-shaped.
+    /// if the envelope fails, and [`CheckpointError::MissingState`] /
+    /// [`CheckpointError::OptimizerShape`] if the optimizer contract fails.
     pub fn load(
         &self,
         path: &Path,
@@ -389,10 +375,6 @@ impl CheckpointStore {
                 computed,
             },
         })?;
-        let mut report = lint_gcn(&state.model, "checkpoint.model");
-        for stage in &state.completed {
-            report.merge(lint_gcn(stage, "checkpoint.completed"));
-        }
         match &state.optimizer {
             Some(opt) => {
                 let (model, optimizer) = (state.model.param_lens(), opt.param_lens());
@@ -403,13 +385,6 @@ impl CheckpointStore {
                         optimizer,
                     });
                 }
-                if !opt.is_finite() {
-                    report.report(
-                        RuleId::WeightNan,
-                        "checkpoint.optimizer",
-                        "optimizer state holds a NaN or infinite value",
-                    );
-                }
             }
             None if require_optimizer => {
                 return Err(CheckpointError::MissingState {
@@ -418,12 +393,6 @@ impl CheckpointStore {
                 })
             }
             None => {}
-        }
-        if report.has_errors() {
-            return Err(CheckpointError::Invalid {
-                path,
-                report: Box::new(report),
-            });
         }
         gcnt_obs::global().incr(gcnt_obs::counters::RUNTIME_CHECKPOINTS_LOADED);
         Ok(state)
@@ -552,6 +521,37 @@ mod tests {
             matches!(&skipped[..], [CheckpointError::Malformed { path, .. }] if *path == newest),
             "{skipped:?}"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_damaged_model_under_a_valid_checksum_is_skipped_as_malformed() {
+        let dir = temp_dir("damaged-model");
+        let store = CheckpointStore::open(&dir, 5).unwrap();
+        store.save(&tiny_state(0, 5)).unwrap();
+        let newest = store.save(&tiny_state(0, 6)).unwrap();
+        // Pop one bias value and re-seal: the envelope holds, so only the
+        // model's own decode can object.
+        let payload = serde_json::to_string(&tiny_state(0, 6)).unwrap();
+        let damaged = payload.replacen(r#""bias":[0.0,"#, r#""bias":["#, 1);
+        assert_ne!(damaged, payload);
+        let damaged: serde_json::Value = damaged.parse().unwrap();
+        fs::write(
+            &newest,
+            envelope::seal(CHECKPOINT_VERSION, &damaged).unwrap(),
+        )
+        .unwrap();
+        let (state, skipped) = store.load_latest(false).unwrap();
+        assert_eq!(state.unwrap().epoch, 5, "falls back to the older file");
+        match &skipped[..] {
+            [CheckpointError::Malformed { path, detail }] if *path == newest => {
+                assert!(
+                    detail.contains("bias holds 2 values for fan-out 3"),
+                    "{detail}"
+                )
+            }
+            other => panic!("expected one malformed skip, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -19,8 +19,9 @@
 //!   state, backs off the learning rate, and retries within a bounded
 //!   budget, surfacing [`TrainError`] when the budget is exhausted.
 //!   Checkpoints are validated on load — envelope version and checksum,
-//!   optimizer contract, and the linter's `MD` rules on the restored
-//!   model — falling back to older checkpoints on corruption.
+//!   a model and optimizer state that decode (mis-shaped or non-finite
+//!   parameters refuse at decode), and the optimizer contract — falling
+//!   back to older checkpoints on corruption.
 //! - **Fault injection** ([`FaultPlan`], `fault-inject` feature):
 //!   deterministic, named injection points — kill a worker thread,
 //!   poison a gradient with NaN, corrupt a checkpoint file — so the

@@ -454,7 +454,10 @@ mod fault_injected {
         assert_eq!(outcome.history.len(), 10);
         assert!(outcome.history.iter().all(|s| s.loss.is_finite()));
         // The transient fault must not leave NaN anywhere in the model.
-        assert!(gcnt_lint::lint_gcn(&faulted_model, "post-fault").is_clean());
+        assert!(faulted_model
+            .params_mut()
+            .iter()
+            .all(|p| p.iter().all(|v| v.is_finite())));
     }
 
     #[test]

@@ -166,36 +166,6 @@ impl CsrMatrix {
         &self.values
     }
 
-    /// Builds a CSR matrix directly from its raw arrays, validating every
-    /// structural invariant (see [`CsrMatrix::structure_ok`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the arrays violate the
-    /// CSR invariants.
-    pub fn from_raw_parts(
-        rows: usize,
-        cols: usize,
-        indptr: Vec<usize>,
-        indices: Vec<u32>,
-        values: Vec<f32>,
-    ) -> Result<Self> {
-        let m = CsrMatrix {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-        };
-        if !m.structure_ok() {
-            return Err(TensorError::LengthMismatch {
-                expected: m.rows + 1,
-                actual: m.indptr.len(),
-            });
-        }
-        Ok(m)
-    }
-
     /// Builds a CSR matrix from raw arrays without validation.
     ///
     /// Intended for tests and tooling that deliberately construct broken

@@ -278,39 +278,39 @@ fn cmd_train(
         ..MultiStageConfig::default()
     };
     let refs: Vec<&GraphData> = data.iter().collect();
-    let (model, reports) = match options.get("checkpoint-dir") {
-        // Resilient path: checksummed checkpoints, divergence guards, and
-        // bit-for-bit deterministic resume after an interruption.
-        Some(dir) => {
-            let store = CheckpointStore::open(dir, opt_usize(options, "keep", 3)?)?;
-            let mut trainer = MultiStageTrainer::new(ms_cfg);
-            trainer.guard.checkpoint_every = opt_usize(options, "checkpoint-every", 25)?;
-            trainer.store = Some(&store);
-            trainer.resume = options.contains_key("resume");
-            let outcome = trainer.run(&refs)?;
-            for e in &outcome.skipped {
-                eprintln!("skipped checkpoint: {e}");
-            }
-            if let Some((stage, epoch)) = outcome.resumed_from {
-                println!("resumed from stage {stage}, epoch {epoch}");
-            }
-            for r in &outcome.rollbacks {
-                println!(
-                    "rollback at epoch {}: {} (lr now {:.6})",
-                    r.epoch, r.cause, r.lr_after
-                );
-            }
-            (outcome.model, outcome.reports)
-        }
-        None => MultiStageGcn::train(&ms_cfg, &refs)?,
+    // One trainer for every run: divergence guards always; with --checkpoint-dir also
+    // checksummed checkpoints and bit-for-bit deterministic resume.
+    let store = match options.get("checkpoint-dir") {
+        Some(dir) => Some(CheckpointStore::open(dir, opt_usize(options, "keep", 3)?)?),
+        None => None,
     };
-    for r in &reports {
+    let mut trainer = MultiStageTrainer::new(ms_cfg);
+    trainer.guard.checkpoint_every = opt_usize(options, "checkpoint-every", 25)?;
+    trainer.store = store.as_ref();
+    trainer.resume = options.contains_key("resume");
+    let outcome = trainer.run(&refs)?;
+    for e in &outcome.skipped {
+        eprintln!("skipped checkpoint: {e}");
+    }
+    if let Some((stage, epoch)) = outcome.resumed_from {
+        println!("resumed from stage {stage}, epoch {epoch}");
+    }
+    for r in &outcome.rollbacks {
+        println!(
+            "rollback at epoch {}: {} (lr now {:.6})",
+            r.epoch, r.cause, r.lr_after
+        );
+    }
+    for r in &outcome.reports {
         println!(
             "stage {}: {} active ({} pos), pos_weight {:.1}, filtered {}",
             r.stage, r.active, r.positives, r.pos_weight, r.filtered
         );
     }
-    let bundle = ModelBundle { normalizer, model };
+    let bundle = ModelBundle {
+        normalizer,
+        model: outcome.model,
+    };
     atomic_write(
         model_path.as_ref(),
         serde_json::to_string(&bundle)?.as_bytes(),
@@ -323,14 +323,9 @@ fn load_model(options: &HashMap<String, String>) -> Result<ModelBundle, Box<dyn 
     let model_path = options.get("model").ok_or("--model is required")?;
     let text = fs::read_to_string(model_path)
         .map_err(|e| format!("cannot read model '{model_path}': {e}"))?;
-    let bundle: ModelBundle = serde_json::from_str(&text)
-        .map_err(|e| format!("model '{model_path}' is not a valid model bundle: {e}"))?;
-    // Reject corrupted weights before they poison downstream predictions.
-    let report = gcn_testability::lint::lint_multistage(&bundle.model, "model");
-    if report.has_errors() {
-        return Err(format!("model '{model_path}' failed validation:\n{report}").into());
-    }
-    Ok(bundle)
+    // The cascade and the normaliser check their own shapes and values.
+    Ok(serde_json::from_str(&text)
+        .map_err(|e| format!("model '{model_path}' is not a valid model bundle: {e}"))?)
 }
 
 fn cmd_checkpoints(positional: &[String]) -> Result<(), Box<dyn Error>> {
@@ -465,13 +460,9 @@ fn cmd_lint(
     // Deliberately not load_design(): a netlist that fails validation is
     // exactly what the linter is for, so parse without validating.
     let net = format::read(&fs::read_to_string(path)?)?;
-    let mut report = gcn_testability::lint::lint_design(&net);
+    let report = gcn_testability::lint::lint_design(&net);
     if options.contains_key("model") {
-        let bundle = load_model(options)?;
-        report.merge(gcn_testability::lint::lint_multistage(
-            &bundle.model,
-            "model",
-        ));
+        load_model(options)?;
     }
     match options.get("format").map(String::as_str) {
         None | Some("text") => print!("{report}"),

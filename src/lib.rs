@@ -19,7 +19,7 @@
 //! | [`nn`] | linear/MLP layers, weighted losses, optimisers |
 //! | [`gcn`] | the GCN model, multi-stage cascade, sparse + recursive inference, one-worker-per-graph training |
 //! | [`dft`] | logic simulation, CPT, ATPG, labeling, both OP-insertion flows |
-//! | [`lint`] | cross-crate static analysis of *runtime data*: netlist, tensor and model invariants with stable rule ids |
+//! | [`lint`] | static analysis of *design data*: netlist and graph-tensor invariants with stable rule ids |
 //! | [`analyze`] | static analysis of the *source tree and artifacts*: panic/unsafe/atomics/cast policies with a ratchet, cross-artifact consistency |
 //! | [`runtime`] | resilience: checksummed checkpoint/resume, divergence guards, fault injection |
 //! | [`store`] | crash-safe paged design/embedding store: checksummed fixed-size pages, bounded cache, scrub/compact, quarantine |

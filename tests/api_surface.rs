@@ -15,6 +15,7 @@ use gcn_testability::gcn::{
     GraphTensors, MatrixBackend, MultiStageConfig, MultiStageGcn, PartitionedGraph, StageReport,
     TrainConfig,
 };
+use gcn_testability::lint::{lint_design, lint_graph_tensors, LintReport};
 use gcn_testability::netlist::{generate, GeneratorConfig, Netlist, Scoap};
 use gcn_testability::nn::{seeded_rng, ModelOptimizer};
 use gcn_testability::serve::{
@@ -294,6 +295,17 @@ fn training_entry_points() {
     let aliased = train_parallel(&mut by_alias, &refs, &masks, &cfg).unwrap();
     assert_eq!(by_name, by_alias);
     assert_eq!(history, aliased);
+}
+
+#[test]
+fn lint_entry_points() {
+    // The names `benchmark/src/workloads/flow.rs` lints with.
+    let _: fn(&Netlist) -> LintReport = lint_design;
+    let _: fn(&Netlist, &GraphTensors) -> LintReport = lint_graph_tensors;
+    let _: fn(&LintReport) -> bool = LintReport::is_clean;
+    let net = design();
+    assert!(lint_design(&net).is_clean());
+    assert!(lint_graph_tensors(&net, &GraphTensors::from_netlist(&net)).is_clean());
 }
 
 #[test]

@@ -5,9 +5,9 @@ use proptest::prelude::*;
 
 use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig};
 use gcn_testability::gcn::{recursive, Gcn, GcnConfig, GraphData, GraphTensors};
-use gcn_testability::lint::{lint_csr, lint_graph_tensors, lint_netlist, lint_scoap, RuleId};
+use gcn_testability::lint::{lint_csr, lint_graph_tensors, lint_netlist, RuleId};
 use gcn_testability::netlist::{
-    format, generate, CellKind, GeneratorConfig, Netlist, Scoap, SCOAP_INF,
+    format, generate, logic_levels, CellKind, GeneratorConfig, Netlist, Scoap, SCOAP_INF,
 };
 use gcn_testability::nn::seeded_rng;
 use gcn_testability::tensor::{CooMatrix, CsrMatrix, Matrix};
@@ -265,27 +265,49 @@ proptest! {
         );
     }
 
-    /// Mutation: pushing any single SCOAP measure out of its legal range
-    /// must trip `NL006 scoap-range`.
+    /// Where levels and SCOAP are made, on designs grown by random
+    /// observation points: `logic_levels` is 0 on a pseudo input and
+    /// 1 + the highest fanin level elsewhere, every SCOAP measure is in
+    /// range (`cc0`/`cc1` in `[1, SCOAP_INF]` and 1/1 on a pseudo input,
+    /// `co` at most `SCOAP_INF`), and the incrementally observed SCOAP is
+    /// the from-scratch one after every insertion.
     #[test]
-    fn lint_catches_corrupt_scoap(net in arb_netlist(), pick in any::<u32>(), which in 0usize..3) {
-        let good = Scoap::compute(&net).unwrap();
-        prop_assert!(lint_scoap(&net, &good).is_clean());
-        let node = pick as usize % net.node_count();
-        let mut cc0 = good.cc0_all().to_vec();
-        let mut cc1 = good.cc1_all().to_vec();
-        let mut co = good.co_all().to_vec();
-        match which {
-            0 => cc0[node] = 0,                        // below the [1, INF] floor
-            1 => cc1[node] = SCOAP_INF + 1,            // above the ceiling
-            _ => co[node] = u32::MAX,                  // way above the ceiling
+    fn levels_and_scoap_hold_their_invariants_under_insertion(
+        net in arb_netlist(),
+        picks in proptest::collection::vec(any::<u32>(), 0..8),
+    ) {
+        let mut net = net;
+        let mut scoap = Scoap::compute(&net).unwrap();
+        for pick in picks {
+            let internal: Vec<_> = net
+                .nodes()
+                .filter(|&v| net.kind(v) != CellKind::Output)
+                .collect();
+            let target = internal[pick as usize % internal.len()];
+            let op = net.insert_observation_point(target).unwrap();
+            scoap.observe(&net, target, op);
+            prop_assert_eq!(&scoap, &Scoap::compute(&net).unwrap());
         }
-        let bad = Scoap::from_raw_parts(cc0, cc1, co);
-        let report = lint_scoap(&net, &bad);
-        prop_assert!(
-            report.fired(RuleId::ScoapRange),
-            "corrupting measure {which} of node {node} went unnoticed:\n{report}"
-        );
+        let levels = logic_levels(&net).unwrap();
+        prop_assert_eq!(levels.len(), net.node_count());
+        for v in net.nodes() {
+            let pseudo_input = net.kind(v).is_pseudo_input();
+            let expected = if pseudo_input {
+                0
+            } else {
+                1 + net.fanin(v).iter().map(|&u| levels[u.index()]).max().unwrap_or(0)
+            };
+            prop_assert_eq!(levels[v.index()], expected, "level of node {}", v.index());
+            let (cc0, cc1, co) = (scoap.cc0(v), scoap.cc1(v), scoap.co(v));
+            prop_assert!(
+                (1..=SCOAP_INF).contains(&cc0) && (1..=SCOAP_INF).contains(&cc1) && co <= SCOAP_INF,
+                "node {}: cc0/cc1/co = {cc0}/{cc1}/{co}",
+                v.index()
+            );
+            if pseudo_input {
+                prop_assert_eq!((cc0, cc1), (1, 1));
+            }
+        }
     }
 
     /// Mutation: reversing the column order of any CSR row with two or
@@ -593,8 +615,10 @@ proptest! {
     /// The model-bundle decoders are total and refuse what they cannot
     /// use: the JSON of a small 2-stage cascade and of a fitted normaliser,
     /// each with one byte flipped, deleted or cut off, either fails to
-    /// decode, or decodes into matrices whose data fills their shape and
-    /// then scores / normalises a 120-node design without panicking.
+    /// decode, or decodes into a cascade of at least one stage, a
+    /// probability as its filter threshold, layers whose matrices fill
+    /// their shape and chain into each other, and finite parameters —
+    /// which then scores / normalises a 120-node design without panicking.
     #[test]
     fn mutated_model_json_decodes_or_fails_typed(seed in any::<u64>()) {
         use gcn_testability::gcn::features::FeatureNormalizer;
@@ -619,10 +643,19 @@ proptest! {
 
         let mutant = mutate_one_byte(model_json.as_bytes(), &mut rng);
         if let Ok(decoded) = serde_json::from_str::<MultiStageGcn>(&String::from_utf8_lossy(&mutant)) {
+            prop_assert!(!decoded.stages().is_empty(), "seed {:#x}", seed);
+            prop_assert!((0.0..=1.0).contains(&decoded.filter_threshold()), "seed {:#x}", seed);
             for stage in decoded.stages() {
-                for layer in stage.encoders().iter().chain(stage.head().layers()) {
-                    let w = layer.weight();
+                prop_assert!(stage.w_pr().is_finite() && stage.w_su().is_finite(), "seed {:#x}", seed);
+                let layers: Vec<_> = stage.encoders().iter().chain(stage.head().layers()).collect();
+                for layer in &layers {
+                    let (w, b) = (layer.weight(), layer.bias());
                     prop_assert_eq!(w.as_slice().len(), w.rows() * w.cols(), "seed {:#x}", seed);
+                    prop_assert_eq!(b.len(), layer.fan_out(), "seed {:#x}", seed);
+                    prop_assert!(w.as_slice().iter().chain(b).all(|p| p.is_finite()), "seed {:#x}", seed);
+                }
+                for pair in layers.windows(2) {
+                    prop_assert_eq!(pair[0].fan_out(), pair[1].fan_in(), "seed {:#x}", seed);
                 }
             }
             let _ = decoded.predict_proba(&data.tensors, &data.features);
