@@ -472,7 +472,7 @@ mod tests {
 
     #[test]
     fn rule_code_shape() {
-        assert!(is_rule_code("SA101"));
+        assert!(is_rule_code("SA301"));
         assert!(is_rule_code("NL001"));
         assert!(!is_rule_code("gcnt_x"));
         assert!(!is_rule_code("SA1"));

@@ -1,14 +1,8 @@
-//! Source-hygiene rules: `unsafe` comments (`SA201`), atomics orderings
-//! (`SA301`/`SA302`), truncating casts (`SA401`), and fault-injection
-//! feature gating (`SA501`).
+//! Source-hygiene rules rustc cannot check: atomics orderings
+//! (`SA301`/`SA302`) and fault-injection feature gating (`SA501`).
 //!
-//! Unlike the panic policy these are not ratcheted — they hold
-//! repo-wide (tests included, where noted) and a justification comment
-//! on or just above the site is the only exemption:
-//!
-//! * `// SAFETY:` for `unsafe`,
-//! * `// ORDERING:` for a non-default atomic ordering,
-//! * `// CAST:` for a truncating `as` cast in index math.
+//! The atomics rules hold repo-wide, and an `// ORDERING:` comment on or
+//! just above the site is the only exemption.
 
 use crate::registry::RuleId;
 use crate::report::Finding;
@@ -21,33 +15,12 @@ const JUSTIFY_WINDOW: usize = 3;
 pub fn check_hygiene(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in files {
-        check_unsafe(file, &mut findings);
         check_atomics(file, &mut findings);
-        if file.path.starts_with("crates/tensor/src/") {
-            check_casts(file, &mut findings);
-        }
         if file.path == "crates/runtime/src/fault.rs" {
             check_fault_gating(file, &mut findings);
         }
     }
     findings
-}
-
-/// `SA201`: every `unsafe` keyword (blocks, fns, impls — tests
-/// included; unsoundness does not care where it lives) needs a
-/// `// SAFETY:` comment on the line or within the window above it.
-fn check_unsafe(file: &SourceFile, findings: &mut Vec<Finding>) {
-    for i in 0..file.lines.len() {
-        let code = &file.lines[i].code;
-        if has_word(code, "unsafe") && !file.justified(i, JUSTIFY_WINDOW, "SAFETY:") {
-            findings.push(Finding::new(
-                RuleId::UnsafeMissingSafetyComment,
-                &file.path,
-                i + 1,
-                "`unsafe` without an adjacent `// SAFETY:` comment",
-            ));
-        }
-    }
 }
 
 /// `SA301` repo-wide: `SeqCst` is the sledgehammer ordering and nothing
@@ -80,36 +53,6 @@ fn check_atomics(file: &SourceFile, findings: &mut Vec<Finding>) {
                 &file.path,
                 i + 1,
                 "non-Relaxed ordering in an obs record path without `// ORDERING:`",
-            ));
-        }
-    }
-}
-
-/// `SA401`: bare truncating `as` casts in tensor index math. The CSR/COO
-/// structures store `u32` column indices; a silent `as u32` on an
-/// unchecked `usize` wraps at 4Gi entries. Use `try_from` on fallible
-/// paths, or justify the bound with `// CAST:`.
-fn check_casts(file: &SourceFile, findings: &mut Vec<Finding>) {
-    const NARROW: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
-    for i in 0..file.lines.len() {
-        if !file.is_code_line(i) {
-            continue;
-        }
-        let code = &file.lines[i].code;
-        let truncating = code.split(" as ").skip(1).any(|after| {
-            let ty: String = after
-                .trim_start()
-                .chars()
-                .take_while(|c| c.is_alphanumeric())
-                .collect();
-            NARROW.contains(&ty.as_str())
-        });
-        if truncating && !file.justified(i, JUSTIFY_WINDOW, "CAST:") {
-            findings.push(Finding::new(
-                RuleId::CastTruncatingIndex,
-                &file.path,
-                i + 1,
-                "bare truncating `as` cast without `// CAST:` (prefer `try_from`)",
             ));
         }
     }
@@ -163,42 +106,12 @@ fn check_fault_gating(file: &SourceFile, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Whether `word` appears in `code` with non-identifier chars (or line
-/// edges) on both sides.
-fn has_word(code: &str, word: &str) -> bool {
-    for (pos, _) in code.match_indices(word) {
-        let before = code[..pos].chars().next_back();
-        let after = code[pos + word.len()..].chars().next();
-        let is_ident = |c: Option<char>| matches!(c, Some(x) if x.is_alphanumeric() || x == '_');
-        if !is_ident(before) && !is_ident(after) {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn run(path: &str, src: &str) -> Vec<Finding> {
         check_hygiene(&[SourceFile::parse(path, src)])
-    }
-
-    #[test]
-    fn unsafe_needs_safety_comment() {
-        let bad = run("crates/x/src/a.rs", "fn f() { unsafe { g() } }\n");
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].rule, RuleId::UnsafeMissingSafetyComment);
-        let good = run(
-            "crates/x/src/a.rs",
-            "// SAFETY: g has no preconditions\nfn f() { unsafe { g() } }\n",
-        );
-        assert!(good.is_empty());
-        // Fires in test files too.
-        assert_eq!(run("crates/x/tests/t.rs", "unsafe { g() }\n").len(), 1);
-        // `unsafe` as part of a longer identifier does not fire.
-        assert!(run("crates/x/src/a.rs", "fn not_unsafe_fn() {}\n").is_empty());
     }
 
     #[test]
@@ -226,26 +139,6 @@ mod tests {
         let seq = run("crates/obs/src/a.rs", "x.store(1, Ordering::SeqCst);\n");
         assert_eq!(seq.len(), 1);
         assert_eq!(seq[0].rule, RuleId::AtomicsSeqCstUnjustified);
-    }
-
-    #[test]
-    fn truncating_casts_in_tensor() {
-        let bad = run("crates/tensor/src/a.rs", "let c32 = c as u32;\n");
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].rule, RuleId::CastTruncatingIndex);
-        let good = run(
-            "crates/tensor/src/a.rs",
-            "// CAST: c < ncols <= u32::MAX, checked above\nlet c32 = c as u32;\n",
-        );
-        assert!(good.is_empty());
-        // Widening casts and f32 are not truncating index math.
-        assert!(run(
-            "crates/tensor/src/a.rs",
-            "let w = x as u64; let f = n as f32;\n"
-        )
-        .is_empty());
-        // Other crates are out of scope for SA401.
-        assert!(run("crates/serve/src/a.rs", "let c32 = c as u32;\n").is_empty());
     }
 
     #[test]

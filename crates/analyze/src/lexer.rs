@@ -11,7 +11,7 @@
 //!   reads as an expression shape);
 //! * `comment` — the concatenated text of `//`, `///`, `//!` and
 //!   `/* ... */` comments touching the line (where justification markers
-//!   like `SAFETY:` live);
+//!   like `ORDERING:` live);
 //! * `strings` — the contents of string literals that *close* on the
 //!   line (used by the artifact rules to read names out of macros).
 //!

@@ -1,46 +1,18 @@
-//! Findings, severities, and the analysis report.
+//! Findings and the analysis report.
 //!
-//! Mirrors the `gcnt-lint` report shape — stable rule codes, severity
-//! ordering, `is_clean`/`has_errors`, capped per-rule findings — but is
-//! dependency-free, so the JSON encoder is hand-rolled here rather than
-//! borrowed from the serde shim.
+//! Mirrors the `gcnt-lint` report shape — stable rule codes, `is_clean`,
+//! capped per-rule findings — but is dependency-free, so the JSON encoder
+//! is hand-rolled here rather than borrowed from the serde shim. Every
+//! finding is an error: a report that is not clean fails the gate.
 
 use std::fmt;
 
 use crate::registry::{rule, RuleId, RULES};
 
 /// How many findings a single rule may report before the rest are
-/// folded into a suppressed counter. Keeps a pathological tree (or the
-/// sabotage fixture) from drowning the report.
+/// folded into a suppressed counter. Keeps a pathological tree from
+/// drowning the report.
 pub const MAX_FINDINGS_PER_RULE: usize = 20;
-
-/// Severity of a finding. Ordered so `Info < Warning < Error`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Informational only; never affects the exit code.
-    Info,
-    /// Worth fixing; does not fail the gate.
-    Warning,
-    /// Fails the gate (exit code 1).
-    Error,
-}
-
-impl Severity {
-    /// Stable lowercase name used in reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Info => "info",
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// One reported violation.
 #[derive(Debug, Clone)]
@@ -64,11 +36,6 @@ impl Finding {
             line,
             message: message.into(),
         }
-    }
-
-    /// Severity inherited from the rule's registry entry.
-    pub fn severity(&self) -> Severity {
-        rule(self.rule).severity
     }
 }
 
@@ -118,27 +85,9 @@ impl AnalyzeReport {
         report
     }
 
-    /// True when nothing fired at all.
+    /// True when nothing fired at all — the gate passes.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty() && self.suppressed.is_empty()
-    }
-
-    /// True when any finding is `Severity::Error` — the gate fails.
-    pub fn has_errors(&self) -> bool {
-        self.findings
-            .iter()
-            .any(|f| f.severity() == Severity::Error)
-    }
-
-    /// Whether a given rule produced at least one finding.
-    pub fn fired(&self, id: RuleId) -> bool {
-        self.findings.iter().any(|f| f.rule == id)
-    }
-
-    /// Number of findings (pre-cap sites are not recoverable; this is
-    /// the reported count) for a rule.
-    pub fn count(&self, id: RuleId) -> usize {
-        self.findings.iter().filter(|f| f.rule == id).count()
     }
 
     /// Renders the report as a stable JSON document.
@@ -148,7 +97,7 @@ impl AnalyzeReport {
             "  \"files_scanned\": {},\n  \"clean\": {},\n  \"errors\": {},\n",
             self.files_scanned,
             self.is_clean(),
-            self.has_errors()
+            !self.is_clean()
         ));
         out.push_str("  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
@@ -157,11 +106,10 @@ impl AnalyzeReport {
             }
             let desc = rule(f.rule);
             out.push_str(&format!(
-                "\n    {{\"rule\": \"{}\", \"slug\": \"{}\", \"severity\": \"{}\", \
+                "\n    {{\"rule\": \"{}\", \"slug\": \"{}\", \"severity\": \"error\", \
                  \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
                 desc.code,
                 desc.slug,
-                f.severity(),
                 json_escape(&f.path),
                 f.line,
                 json_escape(&f.message)
@@ -199,39 +147,24 @@ impl fmt::Display for AnalyzeReport {
             if finding.line == 0 {
                 writeln!(
                     f,
-                    "{}: {} [{} {}] {}",
-                    finding.severity(),
-                    finding.path,
-                    desc.code,
-                    desc.slug,
-                    finding.message
+                    "error: {} [{} {}] {}",
+                    finding.path, desc.code, desc.slug, finding.message
                 )?;
             } else {
                 writeln!(
                     f,
-                    "{}: {}:{} [{} {}] {}",
-                    finding.severity(),
-                    finding.path,
-                    finding.line,
-                    desc.code,
-                    desc.slug,
-                    finding.message
+                    "error: {}:{} [{} {}] {}",
+                    finding.path, finding.line, desc.code, desc.slug, finding.message
                 )?;
             }
         }
         for (code, n) in &self.suppressed {
             writeln!(f, "note: {n} further {code} findings suppressed")?;
         }
-        let errors = self
-            .findings
-            .iter()
-            .filter(|x| x.severity() == Severity::Error)
-            .count();
+        let n = self.findings.len();
         writeln!(
             f,
-            "analyze: {} finding(s), {} error(s), {} files scanned",
-            self.findings.len(),
-            errors,
+            "analyze: {n} finding(s), {n} error(s), {} files scanned",
             self.files_scanned
         )
     }
@@ -259,66 +192,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn severity_orders() {
-        assert!(Severity::Info < Severity::Warning);
-        assert!(Severity::Warning < Severity::Error);
-    }
-
-    #[test]
     fn report_sorts_and_counts() {
         let findings = vec![
-            Finding::new(RuleId::PanicExpect, "b.rs", 2, "x"),
-            Finding::new(RuleId::PanicUnwrap, "z.rs", 9, "x"),
-            Finding::new(RuleId::PanicUnwrap, "a.rs", 1, "x"),
+            Finding::new(RuleId::AtomicsObsNotRelaxed, "b.rs", 2, "x"),
+            Finding::new(RuleId::AtomicsSeqCstUnjustified, "z.rs", 9, "x"),
+            Finding::new(RuleId::AtomicsSeqCstUnjustified, "a.rs", 1, "x"),
         ];
         let report = AnalyzeReport::from_findings(findings, 3);
         assert_eq!(report.findings[0].path, "a.rs");
         assert_eq!(report.findings[1].path, "z.rs");
         assert_eq!(report.findings[2].path, "b.rs");
-        assert!(report.has_errors());
         assert!(!report.is_clean());
-        assert_eq!(report.count(RuleId::PanicUnwrap), 2);
-        assert!(report.fired(RuleId::PanicExpect));
-        assert!(!report.fired(RuleId::PanicMacro));
+        assert_eq!(report.findings[2].rule, RuleId::AtomicsObsNotRelaxed);
     }
 
     #[test]
     fn per_rule_cap_suppresses() {
         let findings: Vec<Finding> = (0..MAX_FINDINGS_PER_RULE + 5)
-            .map(|i| Finding::new(RuleId::PanicUnwrap, "a.rs", i + 1, "x"))
+            .map(|i| Finding::new(RuleId::AtomicsSeqCstUnjustified, "a.rs", i + 1, "x"))
             .collect();
         let report = AnalyzeReport::from_findings(findings, 1);
-        assert_eq!(report.count(RuleId::PanicUnwrap), MAX_FINDINGS_PER_RULE);
-        assert_eq!(report.suppressed, vec![("SA101", 5)]);
+        assert_eq!(report.findings.len(), MAX_FINDINGS_PER_RULE);
+        assert_eq!(report.suppressed, vec![("SA301", 5)]);
         assert!(!report.is_clean());
     }
 
     #[test]
     fn json_is_well_formed_enough() {
         let findings = vec![Finding::new(
-            RuleId::UnsafeMissingSafetyComment,
+            RuleId::AtomicsSeqCstUnjustified,
             "crates/x/src/a.rs",
             7,
-            "unsafe with \"quotes\"",
+            "SeqCst with \"quotes\"",
         )];
         let report = AnalyzeReport::from_findings(findings, 1);
         let json = report.to_json();
-        assert!(json.contains("\"rule\": \"SA201\""));
+        assert!(json.contains("\"rule\": \"SA301\""));
         assert!(json.contains("\\\"quotes\\\""));
         assert!(json.contains("\"errors\": true"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn warning_only_report_has_no_errors() {
-        let findings = vec![Finding::new(
-            RuleId::RatchetStale,
-            "ANALYZE_ratchet.txt",
-            0,
-            "x",
-        )];
-        let report = AnalyzeReport::from_findings(findings, 0);
-        assert!(!report.has_errors());
-        assert!(!report.is_clean());
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! * `test_lines` — lines that belong to test context: anything in a
 //!   `tests/`, `benches/` or `examples/` directory, plus `#[cfg(test)]`
-//!   and `#[test]` item spans. The panic policy only governs non-test
-//!   code.
+//!   and `#[test]` item spans. The obs-ordering and fault-gating rules
+//!   skip test code.
 //! * `gated_lines` — item spans under a
 //!   `#[cfg(feature = "fault-inject")]` (or its `not(...)` complement):
 //!   the feature-gate rule requires fault-injection state to live here.
@@ -63,14 +63,8 @@ impl SourceFile {
         file
     }
 
-    /// Whether the line at `i` (0-based) is non-test code.
-    pub fn is_code_line(&self, i: usize) -> bool {
-        !self.test_lines[i]
-    }
-
     /// Whether any comment on lines `i-back ..= i` contains `marker` —
-    /// the justification-comment check (`SAFETY:`, `ORDERING:`,
-    /// `CAST:`).
+    /// the justification-comment check (`ORDERING:`).
     pub fn justified(&self, i: usize, back: usize, marker: &str) -> bool {
         let lo = i.saturating_sub(back);
         (lo..=i).any(|j| self.lines[j].comment.contains(marker))
@@ -206,9 +200,9 @@ mod tests {
 
     #[test]
     fn justification_window_looks_back() {
-        let src = "// SAFETY: fine here\n\n\nunsafe { x() }\n";
+        let src = "// ORDERING: fine here\n\n\nx.load(Ordering::SeqCst);\n";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        assert!(f.justified(3, 3, "SAFETY:"));
-        assert!(!f.justified(3, 2, "SAFETY:"));
+        assert!(f.justified(3, 3, "ORDERING:"));
+        assert!(!f.justified(3, 2, "ORDERING:"));
     }
 }

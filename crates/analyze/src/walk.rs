@@ -1,7 +1,7 @@
 //! Deterministic repo walker.
 //!
 //! Collects the `.rs` files under a root in sorted, repo-relative order
-//! (so reports and ratchet counts are stable across machines), skipping
+//! (so reports are stable across machines), skipping
 //! build output, VCS metadata, and experiment results.
 
 use std::fs;

@@ -1,114 +1,48 @@
-//! Planted-violation fixtures: one source snippet per rule family,
-//! asserting the exact `SA###` id, severity, and exit semantics each
-//! violation produces.
+//! Planted-violation fixtures: one source snippet per source-rule family,
+//! asserting the exact `SA###` id each violation produces.
 
-use gcnt_analyze::registry::RuleId;
-use gcnt_analyze::report::Severity;
+use gcnt_analyze::hygiene::check_hygiene;
+use gcnt_analyze::registry::{rule, RuleId};
 use gcnt_analyze::source::SourceFile;
-use gcnt_analyze::{analyze_sources, hygiene, policy, report::AnalyzeReport};
 
-fn run(path: &str, src: &str) -> AnalyzeReport {
-    let files = vec![SourceFile::parse(path, src)];
-    analyze_sources(&files, "", "").expect("empty gate parses")
-}
-
-fn codes(report: &AnalyzeReport) -> Vec<&'static str> {
-    report
-        .findings
+fn codes(path: &str, src: &str) -> Vec<&'static str> {
+    check_hygiene(&[SourceFile::parse(path, src)])
         .iter()
-        .map(|f| gcnt_analyze::registry::rule(f.rule).code)
+        .map(|f| rule(f.rule).code)
         .collect()
 }
 
 #[test]
-fn panic_family_fires_all_four_ids() {
-    let src = "fn f(v: &[f32], i: usize) {\n\
-               a.unwrap();\n\
-               b.expect(\"why\");\n\
-               unreachable!();\n\
-               let x = v[i];\n\
-               }\n";
-    let report = run("crates/tensor/src/planted.rs", src);
-    // With an empty ratchet every family is over budget: each rule
-    // reports the planted site AND the budget breach at the ratchet file.
-    let codes = codes(&report);
-    assert_eq!(
-        codes,
-        vec!["SA101", "SA101", "SA102", "SA102", "SA103", "SA103", "SA104", "SA104"]
-    );
-    assert!(report.has_errors());
-    assert!(report
-        .findings
-        .iter()
-        .all(|f| f.severity() == Severity::Error));
-    // Line numbers point at the planted sites, in rule order.
-    let site_lines: Vec<usize> = report
-        .findings
-        .iter()
-        .filter(|f| f.path.ends_with("planted.rs"))
-        .map(|f| f.line)
-        .collect();
-    assert_eq!(site_lines, vec![2, 3, 4, 5]);
-}
-
-#[test]
-fn panic_family_ignores_cold_paths_and_tests() {
-    let src = "fn f() { x.unwrap(); }\n";
-    assert!(run("crates/netlist/src/planted.rs", src).is_clean());
-    assert!(run("crates/tensor/tests/planted.rs", src).is_clean());
-    assert!(run("crates/tensor/benches/planted.rs", src).is_clean());
-    let test_mod = "#[cfg(test)]\nmod tests {\n fn t() { x.unwrap(); }\n}\n";
-    assert!(run("crates/tensor/src/planted.rs", test_mod).is_clean());
-}
-
-#[test]
-fn unsafe_family_needs_safety_comment() {
-    let report = run("crates/obs/src/planted.rs", "fn f() { unsafe { g() } }\n");
-    assert_eq!(codes(&report), vec!["SA201"]);
-    assert_eq!(report.findings[0].severity(), Severity::Error);
-    let justified = run(
-        "crates/obs/src/planted.rs",
-        "// SAFETY: g has no preconditions\nfn f() { unsafe { g() } }\n",
-    );
-    assert!(justified.is_clean());
-}
-
-#[test]
 fn atomics_family_seqcst_and_obs_orderings() {
-    let seqcst = run(
+    let seqcst = codes(
         "crates/runtime/src/planted.rs",
         "x.store(1, Ordering::SeqCst);\n",
     );
-    assert_eq!(codes(&seqcst), vec!["SA301"]);
-    let obs_release = run(
+    assert_eq!(seqcst, vec!["SA301"]);
+    let obs_release = codes(
         "crates/obs/src/planted.rs",
         "x.store(1, Ordering::Release);\n",
     );
-    assert_eq!(codes(&obs_release), vec!["SA302"]);
-    let justified = run(
+    assert_eq!(obs_release, vec!["SA302"]);
+    let justified = codes(
         "crates/obs/src/planted.rs",
         "// ORDERING: publishes the enable flip\nx.store(1, Ordering::Release);\n",
     );
-    assert!(justified.is_clean());
-}
-
-#[test]
-fn cast_family_only_in_tensor_index_math() {
-    let bad = run("crates/tensor/src/planted.rs", "let c = i as u32;\n");
-    assert_eq!(codes(&bad), vec!["SA401"]);
-    // The same cast outside crates/tensor/src is not SA401's business.
-    assert!(run("crates/nn/src/planted.rs", "let c = i as u32;\n").is_clean());
-    let justified = run(
-        "crates/tensor/src/planted.rs",
-        "// CAST: i < cols <= u32::MAX\nlet c = i as u32;\n",
-    );
-    assert!(justified.is_clean());
+    assert!(justified.is_empty());
+    // An ordering named inside a string or a comment is not a use.
+    assert!(codes(
+        "crates/runtime/src/planted.rs",
+        "log(\"Ordering::SeqCst\"); // Ordering::SeqCst\n"
+    )
+    .is_empty());
 }
 
 #[test]
 fn feature_gate_family_flags_ungated_fault_state() {
-    let src = "pub struct FaultPlan {\n    ungated: bool,\n}\n";
-    let findings = hygiene::check_hygiene(&[SourceFile::parse("crates/runtime/src/fault.rs", src)]);
+    let findings = check_hygiene(&[SourceFile::parse(
+        "crates/runtime/src/fault.rs",
+        "pub struct FaultPlan {\n    ungated: bool,\n}\n",
+    )]);
     assert_eq!(findings.len(), 1);
     assert_eq!(findings[0].rule, RuleId::FaultInjectUngated);
 
@@ -116,66 +50,5 @@ fn feature_gate_family_flags_ungated_fault_state() {
                  #[cfg(feature = \"fault-inject\")]\n\
                  gated: bool,\n\
                  }\n";
-    let clean = hygiene::check_hygiene(&[SourceFile::parse("crates/runtime/src/fault.rs", gated)]);
-    assert!(clean.is_empty(), "{clean:?}");
-}
-
-#[test]
-fn allowlisted_site_is_excluded_and_stale_entries_error() {
-    let files = vec![SourceFile::parse(
-        "crates/tensor/src/planted.rs",
-        "fn f() { x.unwrap(); }\n",
-    )];
-    let allow =
-        "SA101 crates/tensor/src/planted.rs x.unwrap() -- documented-panic API\n".to_string();
-    let report = analyze_sources(&files, &allow, "").expect("gate parses");
-    assert!(report.is_clean(), "{report}");
-
-    // The same entry with nothing to match is an SA605 error.
-    let stale = analyze_sources(&[], &allow, "").expect("gate parses");
-    assert_eq!(codes(&stale), vec!["SA605"]);
-    assert!(stale.has_errors());
-}
-
-#[test]
-fn ratchet_over_budget_lists_sites_and_under_budget_warns() {
-    let files = vec![SourceFile::parse(
-        "crates/serve/src/planted.rs",
-        "fn f() { a.unwrap(); }\nfn g() { b.unwrap(); }\n",
-    )];
-    // Budget 1, actual 2: the rule errors at the ratchet file AND both
-    // sites are listed so the offending addition is findable.
-    let over = analyze_sources(&files, "", "SA101 1\n").expect("gate parses");
-    assert_eq!(codes(&over), vec!["SA101", "SA101", "SA101"]);
-    assert!(over.has_errors());
-    assert!(over
-        .findings
-        .iter()
-        .any(|f| f.path == gcnt_analyze::RATCHET_FILE));
-
-    // Budget 5, actual 2: tolerated, but the unbanked drop warns.
-    let under = analyze_sources(&files, "", "SA101 5\n").expect("gate parses");
-    assert_eq!(codes(&under), vec!["SA606"]);
-    assert!(!under.has_errors());
-
-    // Budget 2, actual 2: silent.
-    let exact = analyze_sources(&files, "", "SA101 2\n").expect("gate parses");
-    assert!(exact.is_clean(), "{exact}");
-}
-
-#[test]
-fn policy_totals_count_even_within_budget() {
-    // Within-budget sites are not reported, but they are counted — the
-    // ratchet file's numbers come from these totals.
-    let files = vec![SourceFile::parse(
-        "crates/dft/src/planted.rs",
-        "fn f() { a.unwrap(); b.expect(\"x\"); }\n",
-    )];
-    let mut gate = gcnt_analyze::gate::Gate::parse("", "SA101 9\nSA102 9\n").expect("gate parses");
-    let mut totals = std::collections::BTreeMap::new();
-    let sites = policy::check_panic_policy(&files, &mut gate, &mut totals);
-    assert_eq!(sites.len(), 2);
-    assert_eq!(totals[&RuleId::PanicUnwrap], 1);
-    assert_eq!(totals[&RuleId::PanicExpect], 1);
-    assert!(gate.exceeded(&totals).is_empty());
+    assert!(codes("crates/runtime/src/fault.rs", gated).is_empty());
 }

@@ -1,39 +1,20 @@
-//! The analyzer must pass on the repository that ships it — and the
-//! sabotage hook must prove the gate can still fail.
+//! The analyzer must pass on the repository that ships it.
 
 use std::path::PathBuf;
 
-use gcnt_analyze::{analyze, registry::RuleId, AnalyzeConfig};
-
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root exists")
-}
+use gcnt_analyze::analyze;
 
 #[test]
 fn repo_tree_is_clean() {
-    let report = analyze(&AnalyzeConfig::new(repo_root())).expect("gate files parse");
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root exists");
+    let report = analyze(&root);
     assert!(
         report.is_clean(),
         "the committed tree must analyze clean:\n{report}"
     );
     // The walk actually covered the workspace, not an empty dir.
     assert!(report.files_scanned > 100, "{} files", report.files_scanned);
-}
-
-#[test]
-fn sabotage_injection_fails_the_gate() {
-    let mut cfg = AnalyzeConfig::new(repo_root());
-    cfg.sabotage = true;
-    let report = analyze(&cfg).expect("gate files parse");
-    assert!(report.has_errors());
-    // The planted `.unwrap()` lands on a hot path with a full ratchet,
-    // so SA101 must blow its budget and list the synthetic site.
-    assert!(report.fired(RuleId::PanicUnwrap));
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.path.contains("__sabotage")));
 }

@@ -7,6 +7,8 @@
 //! whole suite completes in minutes on a single core. The paper's
 //! 1.4M-node scale is reachable by passing `--nodes 1400000`.
 
+#![forbid(unsafe_code)]
+
 pub mod mlbase;
 
 use std::collections::HashMap;

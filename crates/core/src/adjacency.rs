@@ -312,6 +312,10 @@ impl GraphTensors {
     /// # Panics
     ///
     /// Panics if any index is `>= node_count()`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented-panic API; an out-of-range row is caller misuse, not data"
+    )]
     pub fn halo_step(&self, rows: &[usize]) -> Vec<usize> {
         let mut touched = vec![false; self.n];
         for &u in rows {

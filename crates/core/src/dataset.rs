@@ -72,6 +72,10 @@ impl GraphData {
     /// Panics if `labels.len()` differs from the node count;
     /// [`GraphData::try_with_labels`] reports the same condition as a typed
     /// error instead.
+    #[expect(
+        clippy::panic,
+        reason = "documented-panic wrapper; `try_with_labels` is the fallible variant"
+    )]
     pub fn with_labels(self, labels: Vec<u8>) -> Self {
         match self.try_with_labels(labels) {
             Ok(d) => d,
@@ -114,6 +118,14 @@ impl GraphData {
     }
 
     /// Labels gathered at the given node indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is `>= node_count()`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented-panic API; a mask index past the node count is caller misuse"
+    )]
     pub fn labels_at(&self, indices: &[usize]) -> Vec<usize> {
         indices.iter().map(|&i| self.labels[i] as usize).collect()
     }

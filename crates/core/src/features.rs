@@ -92,6 +92,10 @@ impl FeatureNormalizer {
     /// Panics if `mats` is empty or the matrices disagree on column count;
     /// [`FeatureNormalizer::try_fit`] reports the same conditions as a
     /// typed error instead.
+    #[expect(
+        clippy::panic,
+        reason = "documented-panic wrapper; `try_fit` is the fallible variant"
+    )]
     pub fn fit(mats: &[&Matrix]) -> Self {
         match Self::try_fit(mats) {
             Ok(n) => n,
@@ -151,6 +155,10 @@ impl FeatureNormalizer {
     /// # Panics
     ///
     /// Panics if `col` is out of range for the fitted dimension.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented-panic API (`normalize_cell`); an out-of-range column is caller misuse, not data"
+    )]
     pub fn normalize_cell(&self, col: usize, raw: f32) -> f32 {
         let mut v = raw;
         v -= self.means[col];

@@ -98,6 +98,10 @@ impl EmbeddingCache {
     ///
     /// Panics if the cache holds no layers; [`Gcn::embed_cached`] always
     /// produces at least one.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented-panic accessor; a built cache always holds a layer"
+    )]
     pub fn final_embedding(&self) -> &Matrix {
         self.layers.last().expect("cache holds at least one layer")
     }
@@ -106,6 +110,10 @@ impl EmbeddingCache {
     /// generation — the post-insertion resync. The zero rows are
     /// placeholders: the caller must include the new nodes in the next
     /// dirty set so they get computed for real.
+    #[expect(
+        clippy::expect_used,
+        reason = "a zero row of the layer's own width always fits"
+    )]
     pub fn extend_to(&mut self, n: usize, generation: u64) {
         for layer in &mut self.layers {
             let zero = vec![0.0; layer.cols()];
@@ -119,6 +127,10 @@ impl EmbeddingCache {
     /// Restores the rows recorded in `delta`, undoing the matching
     /// [`Gcn::embed_incremental`] call. Deltas must be reverted in reverse
     /// order of application.
+    #[expect(
+        clippy::expect_used,
+        reason = "undo rows were gathered from this layer, so they scatter back"
+    )]
     pub fn revert(&mut self, delta: EmbeddingDelta) {
         for (layer, (rows, old)) in self.layers.iter_mut().zip(delta.layer_undo) {
             layer
@@ -149,6 +161,10 @@ impl EmbeddingDelta {
     ///
     /// Panics if the delta is empty; `embed_incremental` always records at
     /// least one layer.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented-panic accessor; a recorded delta always holds a layer"
+    )]
     pub fn final_rows(&self) -> &[usize] {
         &self
             .layer_undo
@@ -382,27 +398,11 @@ pub struct CascadeSession<'m> {
 
 impl<'m> CascadeSession<'m> {
     /// Opens a session over a single GCN (a one-stage cascade; the filter
-    /// threshold is never consulted because the only stage is the last).
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` does not match the graph.
-    pub fn for_gcn(gcn: &'m Gcn, t: &GraphTensors, x: &Matrix) -> Result<Self> {
-        Self::open(
-            std::slice::from_ref(gcn),
-            0.0,
-            t,
-            x,
-            &Budget::unlimited(),
-            &mut MatrixBackend::serial(),
-        )
-    }
-
-    /// [`CascadeSession::for_gcn`] under an explicit work [`Budget`] and
-    /// [`MatrixBackend`] for the opening full pass, which charges one
-    /// unit per node per layer. The session it produces is bit-identical
-    /// to the serial one; later `refresh`/`revert` calls always use the
-    /// serial dirty-halo path.
+    /// threshold is never consulted because the only stage is the last)
+    /// under an explicit work [`Budget`] and [`MatrixBackend`] for the
+    /// opening full pass, which charges one unit per node per layer. The
+    /// session it produces is bit-identical to the serial one; later
+    /// `refresh`/`revert` calls always use the serial dirty-halo path.
     ///
     /// # Errors
     ///
@@ -629,7 +629,10 @@ impl<'m> CascadeSession<'m> {
             }
         }
         // The halo is graph-structural, hence identical across stages.
-        let rows: Vec<usize> = stage_deltas[0].final_rows().to_vec();
+        let rows: Vec<usize> = stage_deltas
+            .first()
+            .map(|d| d.final_rows().to_vec())
+            .unwrap_or_default();
         let new_probs = self.classify(&rows)?;
         let mut old_probs = Vec::with_capacity(rows.len());
         for (&r, p) in rows.iter().zip(new_probs) {
@@ -834,7 +837,14 @@ mod tests {
         assert_eq!(session.probs(), reference.as_slice());
         // Single-stage sessions match the bare GCN too.
         let gcn = small_gcn(2, 41);
-        let single = CascadeSession::for_gcn(&gcn, &data.tensors, &data.features).unwrap();
+        let single = CascadeSession::for_gcn_budgeted_with(
+            &gcn,
+            &data.tensors,
+            &data.features,
+            &Budget::unlimited(),
+            &mut MatrixBackend::serial(),
+        )
+        .unwrap();
         let reference = gcn.predict_proba(&data.tensors, &data.features).unwrap();
         assert_eq!(single.probs(), reference.as_slice());
     }
@@ -909,7 +919,14 @@ mod tests {
         let gcn = small_gcn(2, 61);
         let mut t = data.tensors.clone();
         let mut x = data.features.clone();
-        let mut session = CascadeSession::for_gcn(&gcn, &t, &x).unwrap();
+        let mut session = CascadeSession::for_gcn_budgeted_with(
+            &gcn,
+            &t,
+            &x,
+            &Budget::unlimited(),
+            &mut MatrixBackend::serial(),
+        )
+        .unwrap();
         let target = net
             .nodes()
             .find(|&v| !net.fanout(v).is_empty())

@@ -49,7 +49,7 @@ impl GcnConfig {
     pub fn with_depth(depth: usize) -> Self {
         assert!((1..=3).contains(&depth), "paper sweeps D in 1..=3");
         GcnConfig {
-            embed_dims: vec![32, 64, 128][..depth].to_vec(),
+            embed_dims: [32, 64, 128].into_iter().take(depth).collect(),
             ..GcnConfig::default()
         }
     }
@@ -331,20 +331,23 @@ impl Gcn {
         dlogits: &Matrix,
     ) -> Result<GcnGrads> {
         let (head_grads, mut de) = self.head.backward(&cache.head, dlogits)?;
-        let mut enc_grads: Vec<Option<LinearGrads>> = vec![None; self.encoders.len()];
+        let mut enc_grads = Vec::with_capacity(self.encoders.len());
         let mut dw_pr = 0.0f32;
         let mut dw_su = 0.0f32;
-        for i in (0..self.encoders.len()).rev() {
-            let dz = de.hadamard(&ops::relu_mask(&cache.z[i]))?;
-            let (grads, dg) = self.encoders[i].backward(&cache.g[i], &dz)?;
-            enc_grads[i] = Some(grads);
-            dw_pr += dg.dot(&cache.pe[i])?;
-            dw_su += dg.dot(&cache.se[i])?;
+        let aggregates = cache.g.iter().zip(cache.pe.iter().zip(&cache.se));
+        let rounds = self.encoders.iter().zip(&cache.z).zip(aggregates);
+        for ((enc, z), (g, (pe, se))) in rounds.rev() {
+            let dz = de.hadamard(&ops::relu_mask(z))?;
+            let (grads, dg) = enc.backward(g, &dz)?;
+            enc_grads.push(grads);
+            dw_pr += dg.dot(pe)?;
+            dw_su += dg.dot(se)?;
             de = t.aggregate_backward(&dg, self.w_pr(), self.w_su())?;
         }
+        enc_grads.reverse();
         Ok(GcnGrads {
             agg_weights: [dw_pr, dw_su],
-            encoders: enc_grads.into_iter().map(|g| g.expect("filled")).collect(),
+            encoders: enc_grads,
             head: head_grads,
         })
     }

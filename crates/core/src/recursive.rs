@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 
+use gcnt_nn::Linear;
 use gcnt_tensor::{Matrix, Result};
 
 use crate::{Gcn, GraphTensors};
@@ -25,8 +26,8 @@ use crate::{Gcn, GraphTensors};
 ///
 /// Returns a shape error if `x` does not match the model input dimension.
 pub fn embed_node(gcn: &Gcn, t: &GraphTensors, x: &Matrix, node: usize) -> Result<Vec<f32>> {
-    let mut memo: HashMap<(u32, u8), Vec<f32>> = HashMap::new();
-    representation(gcn, t, x, node as u32, gcn.depth() as u8, &mut memo)
+    let mut memo: HashMap<(u32, usize), Vec<f32>> = HashMap::new();
+    representation(gcn, t, x, node as u32, gcn.encoders(), &mut memo)
 }
 
 /// Classifies the listed nodes with recursion-based inference; returns
@@ -43,16 +44,6 @@ pub fn predict_nodes(gcn: &Gcn, t: &GraphTensors, x: &Matrix, nodes: &[usize]) -
         embeddings.row_mut(i).copy_from_slice(&e);
     }
     gcn.head().predict(&embeddings)
-}
-
-/// Classifies every node recursively (the full Fig. 10 baseline).
-///
-/// # Errors
-///
-/// Returns a shape error if `x` does not match the model input dimension.
-pub fn predict_all(gcn: &Gcn, t: &GraphTensors, x: &Matrix) -> Result<Matrix> {
-    let nodes: Vec<usize> = (0..t.node_count()).collect();
-    predict_nodes(gcn, t, x, &nodes)
 }
 
 /// Classifies the listed nodes with *unmemoised* recursion: the literal
@@ -74,33 +65,34 @@ pub fn predict_nodes_unmemoized(
     let k = gcn.encoders().last().map_or(x.cols(), |enc| enc.fan_out());
     let mut embeddings = Matrix::zeros(nodes.len(), k);
     for (i, &node) in nodes.iter().enumerate() {
-        let e = representation_tree(gcn, t, x, node as u32, gcn.depth() as u8)?;
+        let e = representation_tree(gcn, t, x, node as u32, gcn.encoders())?;
         embeddings.row_mut(i).copy_from_slice(&e);
     }
     gcn.head().predict(&embeddings)
 }
 
+/// The depth-`layers.len()` embedding of `node`, whose last layer is
+/// `layers`' last encoder; no layers is the input row itself.
 fn representation_tree(
     gcn: &Gcn,
     t: &GraphTensors,
     x: &Matrix,
     node: u32,
-    depth: u8,
+    layers: &[Linear],
 ) -> Result<Vec<f32>> {
-    if depth == 0 {
+    let Some((enc, inner)) = layers.split_last() else {
         return Ok(x.row(node as usize).to_vec());
-    }
-    let mut g = representation_tree(gcn, t, x, node, depth - 1)?;
+    };
+    let mut g = representation_tree(gcn, t, x, node, inner)?;
     for (w, m) in [(gcn.w_pr(), t.pred()), (gcn.w_su(), t.succ())] {
         for (u, coeff) in m.row(node as usize) {
             // CAST: a CSR column index is stored as u32.
-            let r = representation_tree(gcn, t, x, u as u32, depth - 1)?;
+            let r = representation_tree(gcn, t, x, u as u32, inner)?;
             for (gi, ri) in g.iter_mut().zip(&r) {
                 *gi += w * coeff * ri;
             }
         }
     }
-    let enc = &gcn.encoders()[depth as usize - 1];
     let g_mat = Matrix::from_vec(1, g.len(), g)?;
     let z = enc.forward(&g_mat)?;
     Ok(z.row(0).iter().map(|&v| v.max(0.0)).collect())
@@ -111,28 +103,28 @@ fn representation(
     t: &GraphTensors,
     x: &Matrix,
     node: u32,
-    depth: u8,
-    memo: &mut HashMap<(u32, u8), Vec<f32>>,
+    layers: &[Linear],
+    memo: &mut HashMap<(u32, usize), Vec<f32>>,
 ) -> Result<Vec<f32>> {
-    if depth == 0 {
+    let Some((enc, inner)) = layers.split_last() else {
         return Ok(x.row(node as usize).to_vec());
-    }
+    };
+    let depth = layers.len();
     if let Some(cached) = memo.get(&(node, depth)) {
         return Ok(cached.clone());
     }
     // Aggregation: g = e_v + w_pr * sum(pred) + w_su * sum(succ).
-    let mut g = representation(gcn, t, x, node, depth - 1, memo)?;
+    let mut g = representation(gcn, t, x, node, inner, memo)?;
     for (w, m) in [(gcn.w_pr(), t.pred()), (gcn.w_su(), t.succ())] {
         for (u, coeff) in m.row(node as usize) {
             // CAST: a CSR column index is stored as u32.
-            let r = representation(gcn, t, x, u as u32, depth - 1, memo)?;
+            let r = representation(gcn, t, x, u as u32, inner, memo)?;
             for (gi, ri) in g.iter_mut().zip(&r) {
                 *gi += w * coeff * ri;
             }
         }
     }
     // Encoding: e = ReLU(g W_d + b).
-    let enc = &gcn.encoders()[depth as usize - 1];
     let g_mat = Matrix::from_vec(1, g.len(), g)?;
     let z = enc.forward(&g_mat)?;
     let e: Vec<f32> = z.row(0).iter().map(|&v| v.max(0.0)).collect();
@@ -217,12 +209,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn predict_all_covers_every_node() {
-        let (gcn, data) = setup(1);
-        let logits = predict_all(&gcn, &data.tensors, &data.features).unwrap();
-        assert_eq!(logits.rows(), data.node_count());
     }
 }

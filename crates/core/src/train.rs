@@ -124,6 +124,10 @@ pub struct EpochGrads {
 /// # Panics
 ///
 /// Panics if `graphs` and `masks` lengths differ, or a graph is unlabeled.
+#[expect(
+    clippy::expect_used,
+    reason = "scope result is infallible here: every worker handle is joined inside the scope, so panics are captured per-handle"
+)]
 pub fn epoch_grads(
     gcn: &Gcn,
     graphs: &[&GraphData],

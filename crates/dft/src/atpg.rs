@@ -100,6 +100,10 @@ pub fn run_random_atpg(net: &Netlist, cfg: &AtpgConfig) -> Result<AtpgResult> {
 /// # Errors
 ///
 /// Returns a netlist error if the design has a combinational cycle.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "node-indexed simulation words: every `NodeId` of the simulated netlist is below its node count"
+)]
 pub fn run_random_atpg_on(net: &Netlist, faults: &[Fault], cfg: &AtpgConfig) -> Result<AtpgResult> {
     let sim = PatternSim::new(net)?;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(cfg.seed);
@@ -181,6 +185,10 @@ pub fn run_random_atpg_on(net: &Netlist, faults: &[Fault], cfg: &AtpgConfig) -> 
 /// already detected by a later-surviving pattern. Late patterns were kept
 /// for the stubborn faults, so they tend to cover the easy faults of early
 /// patterns too — the classic static-compaction win.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "node-indexed simulation words: every `NodeId` of the simulated netlist is below its node count"
+)]
 fn reverse_order_compaction(
     sim: &PatternSim<'_>,
     faults: &[Fault],

@@ -71,7 +71,7 @@ pub fn testability_opi(net: &mut Netlist, cfg: &BaselineConfig) -> Result<Baseli
         let result = label_difficult_to_observe(net, &label_cfg)?;
         let positives: Vec<NodeId> = net
             .nodes()
-            .filter(|v| result.labels[v.index()] == 1)
+            .filter(|v| result.labels.get(v.index()) == Some(&1))
             .collect();
         if positives.is_empty() {
             converged = true;

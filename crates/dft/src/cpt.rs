@@ -27,6 +27,10 @@ use crate::sim::PatternSim;
 /// Panics if `values.len()` differs from the node count — provable at call
 /// sites whose `values` came from the same simulator's `simulate`. Call
 /// sites without that invariant should use [`try_sensitivity`].
+#[expect(
+    clippy::expect_used,
+    reason = "documented-panic wrapper; `try_sensitivity` is the fallible variant"
+)]
 pub fn sensitivity(sim: &PatternSim<'_>, values: &[u64]) -> Vec<u64> {
     try_sensitivity(sim, values).expect("values came from the same simulator")
 }
@@ -38,6 +42,10 @@ pub fn sensitivity(sim: &PatternSim<'_>, values: &[u64]) -> Vec<u64> {
 ///
 /// Returns [`DftError::WordCount`] if `values.len()` differs from the node
 /// count.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "node-indexed simulation words: every `NodeId` of the simulated netlist is below its node count"
+)]
 pub fn try_sensitivity(sim: &PatternSim<'_>, values: &[u64]) -> Result<Vec<u64>, DftError> {
     let net = sim.netlist();
     if values.len() != net.node_count() {
@@ -80,6 +88,11 @@ pub fn try_sensitivity(sim: &PatternSim<'_>, values: &[u64]) -> Result<Vec<u64>,
     Ok(sens)
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "node-indexed simulation words: every `NodeId` of the simulated netlist is below its node count"
+)]
+#[expect(clippy::unreachable, reason = "the caller skips pseudo inputs")]
 fn propagate_to_fanins(
     net: &Netlist,
     u: NodeId,
@@ -136,27 +149,14 @@ fn propagate_to_fanins(
 /// small-circuit validation): returns the word of patterns under which the
 /// given stuck-at fault is detected at any observable point.
 ///
-/// # Panics
-///
-/// Panics if `good.len()` differs from the node count; see
-/// [`try_exact_detection`] for the fallible variant.
-pub fn exact_detection(
-    sim: &PatternSim<'_>,
-    good: &[u64],
-    fault_node: NodeId,
-    stuck_at: bool,
-) -> u64 {
-    try_exact_detection(sim, good, fault_node, stuck_at)
-        .expect("good values came from the same simulator")
-}
-
-/// Fallible variant of [`exact_detection`]: a wrong buffer length becomes
-/// a typed error instead of a panic.
-///
 /// # Errors
 ///
 /// Returns [`DftError::WordCount`] if `good.len()` differs from the node
 /// count.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "node-indexed simulation words: every `NodeId` of the simulated netlist is below its node count"
+)]
 pub fn try_exact_detection(
     sim: &PatternSim<'_>,
     good: &[u64],
@@ -196,6 +196,10 @@ pub fn try_exact_detection(
     Ok(detected)
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "node-indexed simulation words: every `NodeId` of the simulated netlist is below its node count"
+)]
 fn eval(net: &Netlist, id: NodeId, values: &[u64]) -> u64 {
     let fanin = net.fanin(id);
     match net.kind(id) {
@@ -362,7 +366,7 @@ mod tests {
                 continue;
             }
             for stuck in [false, true] {
-                let exact = exact_detection(&sim, &good, id, stuck);
+                let exact = try_exact_detection(&sim, &good, id, stuck).unwrap();
                 // CPT grading: excited & sensitive.
                 let excited = if stuck {
                     !good[id.index()]
@@ -413,7 +417,7 @@ mod tests {
             if net.kind(id) == CellKind::Output {
                 continue;
             }
-            let exact = exact_detection(&sim, &good, id, false);
+            let exact = try_exact_detection(&sim, &good, id, false).unwrap();
             let cpt = good[id.index()] & sens[id.index()];
             agree += (!(exact ^ cpt)).count_ones() as u64;
             total += 64;

@@ -338,7 +338,7 @@ fn run_full_pass(
 /// Nodes of `cone` predicted positive.
 fn positives_in(cone: &[NodeId], probs: &[f32], threshold: f32) -> i64 {
     cone.iter()
-        .filter(|&&v| probs[v.index()] >= threshold)
+        .filter(|&&v| probs.get(v.index()).is_some_and(|&p| p >= threshold))
         .count() as i64
 }
 
@@ -563,8 +563,11 @@ struct FlowState {
     net: Netlist,
     tensors: GraphTensors,
     scoap: Scoap,
-    /// Normalised features, patched cell by cell — bit-identical to
-    /// re-normalising the design's raw attributes at all times.
+    /// Normalised features, patched cell by cell. A row is bit-identical
+    /// to re-normalising the design's raw attributes, except that an
+    /// inserted observation point's row is
+    /// [`FeatureNormalizer::observation_point_row`]: the paper's fixed
+    /// `[0, 1, 1, 0]`, not its derived level and controllability.
     features: Matrix,
     stale: Vec<bool>,
     /// Feature/structure rows dirtied by commits since the session's last
@@ -590,7 +593,9 @@ fn commit_insertion(state: &mut FlowState, target: NodeId) -> Result<(), FlowErr
         state
             .features
             .set(i, 3, state.normalizer.normalize_cell(3, sq));
-        state.stale[i] = true;
+        if let Some(stale) = state.stale.get_mut(i) {
+            *stale = true;
+        }
         state.pending_dirty.push(i);
     }
     state
@@ -718,7 +723,7 @@ where
                 .nodes()
                 .filter(|&v| !matches!(state.net.kind(v), CellKind::Output | CellKind::Dff))
                 .filter(|&v| state.scoap.co(v) > 0)
-                .map(|v| (v, probs[v.index()]))
+                .filter_map(|v| Some((v, *probs.get(v.index())?)))
                 .filter(|&(_, p)| p >= cfg.prob_threshold)
                 .collect();
             remaining = positives.len();
@@ -766,7 +771,7 @@ where
                 if inserted_now >= cfg.ops_per_iteration {
                     break;
                 }
-                if state.scoap.co(target) == 0 || state.stale[target.index()] {
+                if state.scoap.co(target) == 0 || state.stale.get(target.index()) == Some(&true) {
                     continue;
                 }
                 // Snapshot only while skip budget remains: the default
@@ -800,8 +805,11 @@ where
             observer(&BatchRecord {
                 iteration,
                 positives: remaining,
-                inserted: inserted[inserted.len() - inserted_now..].to_vec(),
-                skipped: skipped[skipped_before..].to_vec(),
+                inserted: inserted
+                    .get(inserted.len() - inserted_now..)
+                    .unwrap_or_default()
+                    .to_vec(),
+                skipped: skipped.get(skipped_before..).unwrap_or_default().to_vec(),
                 converged: false,
                 stats_after: inference.stats,
             })?;
@@ -818,7 +826,11 @@ where
                 .nodes()
                 .filter(|&v| !matches!(state.net.kind(v), CellKind::Output | CellKind::Dff))
                 .filter(|&v| state.scoap.co(v) > 0)
-                .filter(|&v| probs[v.index()] >= cfg.prob_threshold)
+                .filter(|&v| {
+                    probs
+                        .get(v.index())
+                        .is_some_and(|&p| p >= cfg.prob_threshold)
+                })
                 .count();
             converged = remaining == 0;
         }
@@ -1330,7 +1342,9 @@ mod tests {
     /// Runs the flow through `run_flow`'s commit seam under the
     /// whole-design oracle. After every committed insertion — replayed
     /// ones included — the incrementally maintained tensors and SCOAP must
-    /// equal from-scratch rebuilds of the netlist. After every batch, an
+    /// equal from-scratch rebuilds of the netlist, and every feature row
+    /// must equal the re-normalised design's, or the fixed OP row for an
+    /// inserted observation point. After every batch, an
     /// inference the same classifier opened on the starting design,
     /// adopted to the batch's graph and refreshed over exactly the rows
     /// the commits dirtied, must serve the bits `fresh` computes over the
@@ -1347,6 +1361,8 @@ mod tests {
         use std::cell::{Cell, RefCell};
 
         let budget = Budget::unlimited();
+        let original_nodes = net.node_count();
+        let op_row = norm.observation_point_row();
         let tensors = GraphTensors::from_netlist(net);
         let features = norm.apply(&gcnt_core::features::raw_features_of(net).unwrap());
         let mut session = classify.open(&tensors, &features, &budget).unwrap();
@@ -1359,6 +1375,17 @@ mod tests {
             commit_insertion(state, target)?;
             assert_eq!(state.tensors, GraphTensors::from_netlist(&state.net));
             assert_eq!(state.scoap, Scoap::compute(&state.net).unwrap());
+            let levels = logic_levels(&state.net).unwrap();
+            let renormalised = norm.apply(&raw_features(&levels, &state.scoap));
+            assert_eq!(state.features.rows(), state.net.node_count());
+            for i in 0..state.net.node_count() {
+                let expected = if i < original_nodes {
+                    renormalised.row(i)
+                } else {
+                    op_row.as_slice()
+                };
+                assert_eq!(state.features.row(i), expected, "feature row {i}");
+            }
             let mut latest = latest.borrow_mut();
             latest.1.extend_from_slice(&state.pending_dirty[before..]);
             latest.0 = Some(state.clone());

@@ -99,12 +99,13 @@ pub fn label_difficult_to_observe(net: &Netlist, cfg: &LabelConfig) -> Result<La
     let observability: Vec<f64> = observed.iter().map(|&o| o as f64 / total).collect();
     let labels: Vec<u8> = net
         .nodes()
-        .map(|v| {
+        .zip(&observability)
+        .map(|(v, &o)| {
             let kind = net.kind(v);
             if kind == CellKind::Output || kind == CellKind::Dff {
                 return 0;
             }
-            u8::from(observability[v.index()] < cfg.threshold)
+            u8::from(o < cfg.threshold)
         })
         .collect();
     Ok(LabelResult {
@@ -132,7 +133,7 @@ pub fn label_by_scoap(net: &Netlist, scoap: &Scoap, fraction: f64) -> Vec<u8> {
     }
     cos.sort_unstable();
     let rank = ((cos.len() as f64) * (1.0 - fraction)) as usize;
-    let threshold = cos[rank.min(cos.len() - 1)].max(1);
+    let threshold = cos.get(rank).or(cos.last()).map_or(1, |&c| c.max(1));
     net.nodes()
         .map(|v| {
             if matches!(net.kind(v), CellKind::Output | CellKind::Dff) {

@@ -29,6 +29,17 @@
 //! # Ok::<(), gcnt_netlist::NetlistError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod atpg;
 pub mod baseline;
 pub mod cpt;

@@ -117,6 +117,10 @@ impl<'a> PatternSim<'a> {
         Ok(())
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node-indexed simulation words: every `NodeId` of the simulated netlist is below its node count"
+    )]
     fn fill(&self, stimuli: &impl Fn(NodeId) -> u64, values: &mut [u64]) {
         for &id in &self.order {
             let kind = self.net.kind(id);
@@ -129,6 +133,10 @@ impl<'a> PatternSim<'a> {
     }
 
     /// Simulates a batch with uniformly random stimuli from `rng`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node-indexed simulation words: every `NodeId` of the simulated netlist is below its node count"
+    )]
     pub fn simulate_random(&self, rng: &mut impl RngCore) -> Vec<u64> {
         // Draw per-node words deterministically in node order.
         let mut words = vec![0u64; self.net.node_count()];
@@ -143,6 +151,11 @@ impl<'a> PatternSim<'a> {
 
 /// Evaluates one gate over pattern words. `fanin` is non-empty for every
 /// kind this is called with: [`PatternSim::new`] rejects fanin-less gates.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "node-indexed simulation words: every `NodeId` of the simulated netlist is below its node count"
+)]
+#[expect(clippy::unreachable, reason = "the caller handles pseudo inputs")]
 fn eval_gate(kind: CellKind, fanin: &[NodeId], values: &[u64]) -> u64 {
     let f = |i: usize| values[fanin[i].index()];
     match kind {

@@ -55,6 +55,8 @@
 //! # Ok::<(), gcnt_netlist::NetlistError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod registry;
 pub mod report;
 

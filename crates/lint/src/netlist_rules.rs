@@ -205,7 +205,11 @@ mod tests {
             net.add_cell(CellKind::Not);
         }
         let report = lint_netlist(&net);
-        let floating = report.of_rule(RuleId::FloatingInput).count();
+        let floating = report
+            .findings()
+            .iter()
+            .filter(|f| f.rule == RuleId::FloatingInput)
+            .count();
         assert_eq!(floating, MAX_FINDINGS_PER_RULE + 1); // findings + summary
     }
 }

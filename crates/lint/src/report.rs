@@ -232,11 +232,6 @@ impl LintReport {
         self.findings.iter().any(|f| f.rule == rule)
     }
 
-    /// Findings of one rule.
-    pub fn of_rule(&self, rule: RuleId) -> impl Iterator<Item = &Finding> + '_ {
-        self.findings.iter().filter(move |f| f.rule == rule)
-    }
-
     /// Serializes the report to pretty-printed JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serialization is infallible")
@@ -293,7 +288,6 @@ mod tests {
         assert_eq!(report.count(Severity::Warning), 1);
         assert!(report.fired(RuleId::DanglingNet));
         assert!(!report.fired(RuleId::NanOrInfValue));
-        assert_eq!(report.of_rule(RuleId::CombinationalCycle).count(), 1);
     }
 
     #[test]

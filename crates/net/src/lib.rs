@@ -41,6 +41,17 @@
 //! corrupt-frame-checksum — each deterministic and one-shot, so a
 //! retry observes a healed network.
 
+#![deny(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod client;
 pub mod error;
 pub mod frame;

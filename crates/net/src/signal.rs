@@ -28,6 +28,10 @@ extern "C" fn on_term(_sig: i32) {
 
 /// Installs the SIGTERM handler (idempotent). On non-unix targets this
 /// is a no-op and drains are triggered via [`request_term`] only.
+#[cfg_attr(
+    unix,
+    expect(unsafe_code, reason = "signal(2) is the only way to install a handler")
+)]
 pub fn install_term_handler() {
     #[cfg(unix)]
     // SAFETY: `signal` replaces the process's SIGTERM disposition with
@@ -72,6 +76,7 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
+    #[expect(unsafe_code, reason = "raise(3) is the only way to deliver the signal")]
     fn handler_installs_and_fires() {
         reset_term();
         install_term_handler();

@@ -38,6 +38,8 @@
 //! # Ok::<(), gcnt_netlist::NetlistError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cell;
 mod error;
 pub mod format;

@@ -28,6 +28,8 @@
 //! assert_eq!(logits.shape(), (3, 2));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod init;
 mod linear;
 pub mod loss;

@@ -36,6 +36,8 @@
 //! # assert!(prom.contains("# TYPE"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod registry;
 pub mod snapshot;

@@ -71,19 +71,6 @@ impl MetricsRegistry {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Resets every metric to zero (the enabled flag is untouched).
-    pub fn reset(&self) {
-        for c in &self.counters {
-            c.store(0, Ordering::Relaxed);
-        }
-        for g in &self.gauges {
-            g.store(0, Ordering::Relaxed);
-        }
-        for h in &self.hist {
-            h.store(0, Ordering::Relaxed);
-        }
-    }
-
     // --- counters ---
 
     /// Adds `delta` to a counter.
@@ -239,17 +226,5 @@ mod tests {
         assert_eq!(buckets[1], 1); // 2_000 <= 4_000
         assert_eq!(buckets[NS_BUCKETS.len()], 1); // overflow -> +Inf
         assert_eq!(buckets.iter().sum::<u64>(), 3);
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_enabled() {
-        let r = MetricsRegistry::new();
-        r.enable();
-        r.incr(counters::SERVE_REQUESTS);
-        r.reset();
-        assert_eq!(r.counter(counters::SERVE_REQUESTS), 0);
-        assert!(r.is_enabled());
-        r.incr(counters::SERVE_REQUESTS);
-        assert_eq!(r.counter(counters::SERVE_REQUESTS), 1);
     }
 }

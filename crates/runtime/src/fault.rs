@@ -102,7 +102,19 @@ impl FaultPlan {
         let _ = (epoch, grads);
     }
 
-    /// Hook: whether the given worker should die at the given epoch.
+    /// Hook: the injected died-worker fault. Panics the calling worker
+    /// thread if the plan kills it at this epoch.
+    #[expect(
+        clippy::panic,
+        reason = "the injected died-worker fault itself, handed to `epoch_grads` as its per-worker hook; the kernel's recovery path catches the unwound thread"
+    )]
+    pub(crate) fn kill_if_planned(&self, epoch: usize, worker: usize) {
+        if self.should_kill(epoch, worker) {
+            panic!("injected fault: worker {worker} killed at epoch {epoch}");
+        }
+    }
+
+    /// Whether the given worker should die at the given epoch.
     pub(crate) fn should_kill(&self, epoch: usize, worker: usize) -> bool {
         #[cfg(feature = "fault-inject")]
         {
@@ -440,9 +452,14 @@ impl FaultPlan {
 ///
 /// Panics on filesystem errors (test helper).
 #[cfg(feature = "fault-inject")]
+#[expect(
+    clippy::expect_used,
+    reason = "documented-panic fault-injection helpers (`truncate_file`/`flip_byte`), feature-gated to fault-inject builds"
+)]
 pub fn truncate_file(path: &std::path::Path) {
-    let bytes = std::fs::read(path).expect("read file to truncate");
-    std::fs::write(path, &bytes[..bytes.len() / 2]).expect("write truncated file");
+    let mut bytes = std::fs::read(path).expect("read file to truncate");
+    bytes.truncate(bytes.len() / 2);
+    std::fs::write(path, bytes).expect("write truncated file");
 }
 
 /// Flips one bit at the given byte offset — a bit-rot simulation for
@@ -452,6 +469,14 @@ pub fn truncate_file(path: &std::path::Path) {
 ///
 /// Panics on filesystem errors or an out-of-range offset (test helper).
 #[cfg(feature = "fault-inject")]
+#[expect(
+    clippy::expect_used,
+    reason = "documented-panic fault-injection helpers (`truncate_file`/`flip_byte`), feature-gated to fault-inject builds"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "documented-panic fault-injection helpers; an out-of-range offset is a test bug, not runtime input"
+)]
 pub fn flip_byte(path: &std::path::Path, offset: usize) {
     let mut bytes = std::fs::read(path).expect("read file to corrupt");
     bytes[offset] ^= 0x01;

@@ -288,9 +288,7 @@ impl<'a> TrainSession<'a> {
         while epoch < self.cfg.epochs {
             let fault = &self.fault;
             let mut computed = epoch_grads(gcn, graphs, masks, &class_weights, &|worker| {
-                if fault.should_kill(epoch, worker) {
-                    panic!("injected fault: worker {worker} killed at epoch {epoch}");
-                }
+                fault.kill_if_planned(epoch, worker);
             })?;
             recovered_workers.extend(computed.recovered.iter().map(|&w| (epoch, w)));
             self.fault.corrupt_grads(epoch, &mut computed.grads);

@@ -62,6 +62,17 @@
 //! # Ok::<(), gcnt_serve::ServeError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod error;
 pub mod journal;
 pub mod ladder;

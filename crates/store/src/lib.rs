@@ -27,6 +27,17 @@
 //! reassembled — with per-page and whole-segment verification — by
 //! [`PageStore::get_segment`].
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod envelope;
 mod error;
 mod pager;

@@ -312,12 +312,6 @@ impl PageStore {
         })
     }
 
-    /// Replaces the bounded page cache's capacity (in pages).
-    pub fn with_cache_pages(mut self, pages: usize) -> Self {
-        self.cache = PageCache::new(pages);
-        self
-    }
-
     /// Attaches simulated faults (inert without `fault-inject`).
     pub fn with_faults(mut self, faults: StoreFaults) -> Self {
         self.faults = faults;
@@ -922,7 +916,8 @@ mod tests {
     #[test]
     fn bounded_cache_evicts_but_stays_correct() {
         let dir = temp_store("cache");
-        let mut store = PageStore::open(&dir).unwrap().with_cache_pages(2);
+        let mut store = PageStore::open(&dir).unwrap();
+        store.cache = PageCache::new(2);
         let payloads: Vec<Vec<u8>> = (0..5).map(|i| blob(PAGE_DATA, i as u8)).collect();
         for (i, p) in payloads.iter().enumerate() {
             store.put_segment(&key(&format!("s{i}")), p).unwrap();

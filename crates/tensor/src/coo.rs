@@ -82,6 +82,10 @@ impl CooMatrix {
     ///
     /// Panics if `(r, c)` is out of bounds. Use [`CooMatrix::try_push`] for a
     /// fallible variant.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented-panic convenience API; `try_push` is the fallible variant"
+    )]
     pub fn push(&mut self, r: usize, c: usize, v: f32) {
         self.try_push(r, c, v).expect("COO index out of bounds");
     }
@@ -169,6 +173,10 @@ impl CooMatrix {
 
 impl FromIterator<(usize, usize, f32)> for CooMatrix {
     /// Collects triplets into a COO matrix sized to fit the largest indices.
+    #[expect(
+        clippy::expect_used,
+        reason = "`FromIterator` cannot return `Result`; indices are in bounds by construction"
+    )]
     fn from_iter<T: IntoIterator<Item = (usize, usize, f32)>>(iter: T) -> Self {
         let triplets: Vec<_> = iter.into_iter().collect();
         let rows = triplets.iter().map(|&(r, _, _)| r + 1).max().unwrap_or(0);

@@ -53,6 +53,10 @@ impl CsrMatrix {
     }
 
     /// Builds a CSR matrix from a COO matrix, summing duplicates.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a column round-trips from the COO's u32 column storage"
+    )]
     pub fn from_coo(coo: &CooMatrix) -> Self {
         let rows = coo.rows();
         let cols = coo.cols();
@@ -75,7 +79,6 @@ impl CsrMatrix {
         let mut cursor = indptr_raw.clone();
         for (r, c, v) in coo.iter() {
             let pos = cursor.get(r).copied().unwrap_or(0);
-            // CAST: c round-trips from the COO's u32 column storage.
             if let Some(slot) = indices.get_mut(pos) {
                 *slot = c as u32;
             }
@@ -284,10 +287,9 @@ impl CsrMatrix {
             }
         }
         if let Some(t0) = started {
-            // CAST: saturating at u64::MAX ns is fine for a latency sample.
             obs.observe(
                 gcnt_obs::histograms::TENSOR_SPMM_NS,
-                t0.elapsed().as_nanos() as u64,
+                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
             );
         }
         Ok(out)
@@ -469,6 +471,10 @@ impl CsrMatrix {
     }
 
     /// Returns the transpose as a new CSR matrix.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "rows beyond u32 cannot hold entries: every stored row index came from the COO's u32 storage"
+    )]
     pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0usize; self.cols + 1];
         for &c in &self.indices {
@@ -488,8 +494,6 @@ impl CsrMatrix {
         for r in 0..self.rows {
             for (c, v) in self.row(r) {
                 let pos = cursor.get(c).copied().unwrap_or(0);
-                // CAST: rows beyond u32 cannot hold entries — every stored
-                // row index came from the COO's u32 storage.
                 if let Some(slot) = indices.get_mut(pos) {
                     *slot = r as u32;
                 }

@@ -85,8 +85,9 @@ impl Matrix {
     /// Creates the `n x n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
+        // The diagonal is every (n + 1)-th element.
+        for d in m.data.iter_mut().step_by(n + 1) {
+            *d = 1.0;
         }
         m
     }
@@ -163,6 +164,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the index is out of bounds.
+    #[expect(clippy::indexing_slicing, reason = "documented-panic accessor")]
     pub fn get(&self, r: usize, c: usize) -> f32 {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
         self.data[r * self.cols + c]
@@ -173,6 +175,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the index is out of bounds.
+    #[expect(clippy::indexing_slicing, reason = "documented-panic accessor")]
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
         self.data[r * self.cols + c] = v;
@@ -183,6 +186,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
+    #[expect(clippy::indexing_slicing, reason = "documented-panic accessor")]
     pub fn row(&self, r: usize) -> &[f32] {
         assert!(r < self.rows, "row index out of bounds");
         &self.data[r * self.cols..(r + 1) * self.cols]
@@ -193,6 +197,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
+    #[expect(clippy::indexing_slicing, reason = "documented-panic accessor")]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         assert!(r < self.rows, "row index out of bounds");
         &mut self.data[r * self.cols..(r + 1) * self.cols]
@@ -567,6 +572,10 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "accumulates in f64, rounds once to f32"
+    )]
     pub fn dot(&self, rhs: &Matrix) -> Result<f32> {
         if self.shape() != rhs.shape() {
             return Err(TensorError::ShapeMismatch {
@@ -584,6 +593,10 @@ impl Matrix {
     }
 
     /// Sum of all elements.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "accumulates in f64, rounds once to f32"
+    )]
     pub fn sum(&self) -> f32 {
         self.data.iter().map(|&v| v as f64).sum::<f64>() as f32
     }

@@ -36,6 +36,18 @@
 //! assert_eq!(g.get(1, 0), 3.5);
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation
+)]
+
 mod budget;
 mod coo;
 mod csr;

@@ -133,6 +133,10 @@ pub fn argmax_rows(m: &Matrix) -> Vec<usize> {
 }
 
 /// Mean of each column.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "accumulates in f64, rounds once to f32"
+)]
 pub fn column_means(m: &Matrix) -> Vec<f32> {
     let mut means = vec![0f64; m.cols()];
     for r in 0..m.rows() {
@@ -145,6 +149,10 @@ pub fn column_means(m: &Matrix) -> Vec<f32> {
 }
 
 /// Standard deviation of each column (population, not sample).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "accumulates in f64, rounds once to f32"
+)]
 pub fn column_stds(m: &Matrix, means: &[f32]) -> Vec<f32> {
     let mut vars = vec![0f64; m.cols()];
     for r in 0..m.rows() {

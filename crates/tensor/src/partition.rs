@@ -186,6 +186,10 @@ impl PartitionedCsr {
     /// Returns [`TensorError::ShapeMismatch`] for a non-square matrix
     /// and [`TensorError::LengthMismatch`] if the plan does not cover
     /// the matrix rows exactly.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "every narrowed value is a column below `cols` or an offset at most `top`, checked to fit u32"
+    )]
     pub fn from_csr_with_plan(csr: &CsrMatrix, plan: &PartitionPlan) -> Result<Self> {
         let rows = csr.rows();
         let cols = csr.cols();
@@ -225,7 +229,6 @@ impl PartitionedCsr {
             for r in lo..hi {
                 for (c, _) in csr.row(r) {
                     if c < lo || c >= hi {
-                        // CAST: c < cols, and CSR column storage is u32.
                         halo.push(c as u32);
                     }
                 }
@@ -247,19 +250,15 @@ impl PartitionedCsr {
             for r in lo..hi {
                 for (c, v) in csr.row(r) {
                     let enc = if c >= lo && c < hi {
-                        // CAST: in-block global column; c < cols ≤ u32::MAX
-                        // checked above via `top`.
-                        c as u32
+                        c as u32 // in-block global column
                     } else {
-                        // CAST: c is in the sorted halo by construction.
+                        // c is in the sorted halo by construction.
                         let pos = halo.partition_point(|&h| (h as usize) < c);
-                        // CAST: cols + pos ≤ `top`, checked above.
                         (cols + pos) as u32
                     };
                     indices.push(enc);
                     values.push(v);
                 }
-                // CAST: per-block nnz ≤ `top`, checked above.
                 indptr.push((values.len() - block_nnz_base) as u32);
             }
             nnz_starts.push(values.len());
@@ -413,10 +412,9 @@ impl PartitionedCsr {
             }
         }
         if let Some(t0) = started {
-            // CAST: saturating at u64::MAX ns is fine for a latency sample.
             obs.observe(
                 gcnt_obs::histograms::TENSOR_SPMM_NS,
-                t0.elapsed().as_nanos() as u64,
+                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
             );
         }
         Ok(out)

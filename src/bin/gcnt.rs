@@ -18,6 +18,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fs;
+use std::path::Path;
 use std::process::ExitCode;
 
 use serde::{Deserialize, Serialize};
@@ -107,7 +108,7 @@ fn print_usage() {
          \x20\x20\x20\x20 [--metrics-out m.json]\n\
          \x20 gcnt atpg design.bench [--patterns N]\n\
          \x20 gcnt lint design.bench [--model model.json] [--format text|json]\n\
-         \x20 gcnt analyze [--root DIR] [--format text|json] [--ratchet-update]\n\
+         \x20 gcnt analyze [--root DIR] [--format text|json]\n\
          \x20 gcnt serve --self-test [--journal-dir DIR] [--requests N] [--deadline ROWS]\n\
          \x20\x20\x20\x20 [--store-dir DIR] [--compact-after N]\n\
          \x20\x20\x20\x20 [--faults plan.json] [--metrics-out m.json] [--metrics-every N]\n\
@@ -328,10 +329,19 @@ fn load_model(options: &HashMap<String, String>) -> Result<ModelBundle, Box<dyn 
         .map_err(|e| format!("model '{model_path}' is not a valid model bundle: {e}"))?)
 }
 
+/// The directory an inspecting command reads. It must exist already: the
+/// stores behind these commands create a missing one on open, which would
+/// turn a mistyped path into a freshly made, trivially clean store.
+fn existing_dir<'a>(dir: Option<&'a String>, what: &str) -> Result<&'a str, Box<dyn Error>> {
+    let dir = dir.ok_or(format!("expected a {what} directory"))?;
+    if !Path::new(dir).is_dir() {
+        return Err(format!("no {what} directory at '{dir}'").into());
+    }
+    Ok(dir)
+}
+
 fn cmd_checkpoints(positional: &[String]) -> Result<(), Box<dyn Error>> {
-    let dir = positional
-        .first()
-        .ok_or("expected a checkpoint directory")?;
+    let dir = existing_dir(positional.first(), "checkpoint")?;
     let store = CheckpointStore::open(dir, usize::MAX)?;
     let files = store.list()?;
     if files.is_empty() {
@@ -481,23 +491,17 @@ fn cmd_lint(
 
 /// `gcnt analyze`: the source & artifact static-analysis pass. Scans the
 /// repo tree (default: the current directory) with the `SA###` rules of
-/// `gcnt-analyze` and exits nonzero on any error finding — the same
-/// contract CI enforces. `GCNT_ANALYZE_SABOTAGE=1` plants a synthetic
-/// violation so the gate can prove it actually fails.
+/// `gcnt-analyze` and exits nonzero on any finding — the same contract CI
+/// enforces.
 fn cmd_analyze(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    use gcn_testability::analyze::{analyze, AnalyzeConfig};
-
     let root = options.get("root").map(String::as_str).unwrap_or(".");
-    let mut cfg = AnalyzeConfig::new(root);
-    cfg.sabotage = std::env::var("GCNT_ANALYZE_SABOTAGE").map(|v| v == "1") == Ok(true);
-    cfg.update_ratchet = options.contains_key("ratchet-update");
-    let report = analyze(&cfg)?;
+    let report = gcn_testability::analyze::analyze(Path::new(root));
     match options.get("format").map(String::as_str) {
         None | Some("text") => print!("{report}"),
         Some("json") => print!("{}", report.to_json()),
         Some(other) => return Err(format!("unknown format '{other}' (use text or json)").into()),
     }
-    if report.has_errors() {
+    if !report.is_clean() {
         return Err("analyze found error findings (see report above)".into());
     }
     Ok(())
@@ -1041,7 +1045,7 @@ fn cmd_store(positional: &[String]) -> Result<(), Box<dyn Error>> {
     let action = positional
         .first()
         .ok_or("expected an action: stat, scrub, or compact")?;
-    let dir = positional.get(1).ok_or("expected a store directory")?;
+    let dir = existing_dir(positional.get(1), "store")?;
     let mut store = PageStore::open(dir)?;
     match action.as_str() {
         "stat" => {
@@ -1131,6 +1135,24 @@ mod tests {
         let (_, options) = split_args(&["--threshold".to_string(), "abc".to_string()]);
         let err = opt_f64(&options, "threshold", 0.5).unwrap_err();
         assert!(err.contains("--threshold") && err.contains("abc"), "{err}");
+    }
+
+    #[test]
+    fn inspecting_a_missing_directory_fails_and_creates_nothing() {
+        let dir = std::env::temp_dir().join(format!("gcnt-cli-missing-{}", std::process::id()));
+        let dir_str = dir.to_str().expect("temp path is utf-8");
+        for action in ["stat", "scrub", "compact"] {
+            let err = run_tokens(&["store", action, dir_str])
+                .expect_err("a missing store directory is an error")
+                .to_string();
+            assert!(err.contains(dir_str), "store {action}: {err}");
+            assert!(!dir.exists(), "store {action} created {dir_str}");
+        }
+        let err = run_tokens(&["checkpoints", dir_str])
+            .expect_err("a missing checkpoint directory is an error")
+            .to_string();
+        assert!(err.contains(dir_str), "checkpoints: {err}");
+        assert!(!dir.exists(), "checkpoints created {dir_str}");
     }
 
     #[test]
