@@ -419,23 +419,7 @@ impl<'m> CascadeSession<'m> {
         Self::open(std::slice::from_ref(gcn), 0.0, t, x, budget, backend)
     }
 
-    /// Opens a session over a trained cascade.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` does not match the graph.
-    pub fn for_cascade(model: &'m MultiStageGcn, t: &GraphTensors, x: &Matrix) -> Result<Self> {
-        Self::open(
-            model.stages(),
-            model.filter_threshold(),
-            t,
-            x,
-            &Budget::unlimited(),
-            &mut MatrixBackend::serial(),
-        )
-    }
-
-    /// [`CascadeSession::for_cascade`] under an explicit work [`Budget`]
+    /// [`MultiStageGcn::open_session`] under an explicit work [`Budget`]
     /// and [`MatrixBackend`] for the opening full pass, which charges one
     /// unit per node per layer across every stage (every stage shares the
     /// one backend — the adjacency, and hence the partitioning, is
@@ -468,7 +452,7 @@ impl<'m> CascadeSession<'m> {
     /// heads — no SpMM, no per-layer recompute. The resulting session is
     /// indistinguishable from one opened fresh on the same graph state:
     /// probabilities are recomputed from the cached final embeddings, so
-    /// they are bit-identical to [`CascadeSession::for_cascade`]'s.
+    /// they are bit-identical to [`MultiStageGcn::open_session`]'s.
     ///
     /// # Errors
     ///
@@ -725,7 +709,14 @@ impl MultiStageGcn {
     ///
     /// Returns a shape error if `x` does not match the graph.
     pub fn open_session<'m>(&'m self, t: &GraphTensors, x: &Matrix) -> Result<CascadeSession<'m>> {
-        CascadeSession::for_cascade(self, t, x)
+        CascadeSession::open(
+            self.stages(),
+            self.filter_threshold(),
+            t,
+            x,
+            &Budget::unlimited(),
+            &mut MatrixBackend::serial(),
+        )
     }
 }
 

@@ -63,6 +63,11 @@ pub struct FaultPlan {
     net_connect_refused: Option<u64>,
 }
 
+// A production build carries no fault state: a field left outside the
+// feature gate, or a `with_*` builder writing one, breaks the default build.
+#[cfg(not(feature = "fault-inject"))]
+const _: () = assert!(std::mem::size_of::<FaultPlan>() == 0);
+
 impl FaultPlan {
     /// The empty plan: inject nothing.
     pub fn none() -> Self {

@@ -322,7 +322,7 @@ mod tests {
     #[test]
     fn caches_round_trip_through_the_store_bit_identically() {
         let (net, data, model) = fixture();
-        let session = CascadeSession::for_cascade(&model, &data.tensors, &data.features).unwrap();
+        let session = model.open_session(&data.tensors, &data.features).unwrap();
         let cold_probs = session.probs().to_vec();
         let caches = session.into_caches();
         let n = data.node_count() as u64;
@@ -355,7 +355,7 @@ mod tests {
     #[test]
     fn corrupt_segment_is_quarantined_and_reports_a_miss() {
         let (net, data, model) = fixture();
-        let session = CascadeSession::for_cascade(&model, &data.tensors, &data.features).unwrap();
+        let session = model.open_session(&data.tensors, &data.features).unwrap();
         let caches = session.into_caches();
         let n = data.node_count() as u64;
         let generation = data.tensors.generation();

@@ -76,7 +76,6 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
         "flow" => cmd_flow(&positional, &options),
         "atpg" => cmd_atpg(&positional, &options),
         "lint" => cmd_lint(&positional, &options),
-        "analyze" => cmd_analyze(&options),
         "serve" => cmd_serve(&options),
         "netserve" => cmd_netserve(&options),
         "loadgen" => cmd_loadgen(&options),
@@ -108,7 +107,6 @@ fn print_usage() {
          \x20\x20\x20\x20 [--metrics-out m.json]\n\
          \x20 gcnt atpg design.bench [--patterns N]\n\
          \x20 gcnt lint design.bench [--model model.json] [--format text|json]\n\
-         \x20 gcnt analyze [--root DIR] [--format text|json]\n\
          \x20 gcnt serve --self-test [--journal-dir DIR] [--requests N] [--deadline ROWS]\n\
          \x20\x20\x20\x20 [--store-dir DIR] [--compact-after N]\n\
          \x20\x20\x20\x20 [--faults plan.json] [--metrics-out m.json] [--metrics-every N]\n\
@@ -251,6 +249,13 @@ fn cmd_train(
         threshold: opt_f64(options, "threshold", 0.0005)?,
         seed: 0xDF7,
     };
+    let ms_cfg = MultiStageConfig {
+        stages: opt_usize(options, "stages", 3)?,
+        epochs_per_stage: opt_usize(options, "epochs", 100)?,
+        ..MultiStageConfig::default()
+    };
+    let keep = opt_usize(options, "keep", 3)?;
+    let checkpoint_every = opt_usize(options, "checkpoint-every", 25)?;
     // Load, label, and prepare every design with a shared normaliser.
     let mut nets = Vec::new();
     for path in positional {
@@ -273,20 +278,15 @@ fn cmd_train(
         .map(|(net, l)| GraphData::from_netlist(net, Some(&normalizer)).map(|d| d.with_labels(l)))
         .collect::<Result<_, _>>()?;
 
-    let ms_cfg = MultiStageConfig {
-        stages: opt_usize(options, "stages", 3)?,
-        epochs_per_stage: opt_usize(options, "epochs", 100)?,
-        ..MultiStageConfig::default()
-    };
     let refs: Vec<&GraphData> = data.iter().collect();
     // One trainer for every run: divergence guards always; with --checkpoint-dir also
     // checksummed checkpoints and bit-for-bit deterministic resume.
     let store = match options.get("checkpoint-dir") {
-        Some(dir) => Some(CheckpointStore::open(dir, opt_usize(options, "keep", 3)?)?),
+        Some(dir) => Some(CheckpointStore::open(dir, keep)?),
         None => None,
     };
     let mut trainer = MultiStageTrainer::new(ms_cfg);
-    trainer.guard.checkpoint_every = opt_usize(options, "checkpoint-every", 25)?;
+    trainer.guard.checkpoint_every = checkpoint_every;
     trainer.store = store.as_ref();
     trainer.resume = options.contains_key("resume");
     let outcome = trainer.run(&refs)?;
@@ -489,24 +489,6 @@ fn cmd_lint(
     Ok(())
 }
 
-/// `gcnt analyze`: the source & artifact static-analysis pass. Scans the
-/// repo tree (default: the current directory) with the `SA###` rules of
-/// `gcnt-analyze` and exits nonzero on any finding — the same contract CI
-/// enforces.
-fn cmd_analyze(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let root = options.get("root").map(String::as_str).unwrap_or(".");
-    let report = gcn_testability::analyze::analyze(Path::new(root));
-    match options.get("format").map(String::as_str) {
-        None | Some("text") => print!("{report}"),
-        Some("json") => print!("{}", report.to_json()),
-        Some(other) => return Err(format!("unknown format '{other}' (use text or json)").into()),
-    }
-    if !report.is_clean() {
-        return Err("analyze found error findings (see report above)".into());
-    }
-    Ok(())
-}
-
 /// Parses `--faults plan.json` into a [`FaultPlan`]. Deterministic fault
 /// injection only exists in `fault-inject` builds; a production binary
 /// refuses the flag outright instead of silently ignoring it.
@@ -539,24 +521,24 @@ fn cmd_serve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     // Snapshot cadence: every N admitted requests, plus once at shutdown.
     // (For SIGTERM-triggered graceful drain, use `gcnt netserve`, which
     // installs a handler and drains the shard router before exiting.)
-    let metrics_path = metrics_out(options);
     let metrics_every = opt_usize(options, "metrics-every", 0)? as u64;
+    let requests = opt_usize(options, "requests", 4)? as u64;
+    let deadline = options
+        .contains_key("deadline")
+        .then(|| opt_parsed::<u64>(options, "deadline", 0))
+        .transpose()?;
+    let compact_after = opt_usize(options, "compact-after", 16)? as u64;
     let plan = match options.get("faults") {
         Some(path) => load_fault_plan(path)?,
         None => FaultPlan::none(),
     };
+    let metrics_path = metrics_out(options);
     let journal_dir = options
         .get("journal-dir")
         .cloned()
         .unwrap_or_else(|| ".".to_string());
     fs::create_dir_all(&journal_dir)?;
     let journal_path = std::path::Path::new(&journal_dir).join("selftest.wal");
-    let requests = opt_usize(options, "requests", 4)? as u64;
-    let deadline = options
-        .get("deadline")
-        .map(|v| v.parse::<u64>())
-        .transpose()
-        .map_err(|e| format!("--deadline: {e}"))?;
 
     // Same design, same seeded model, every run — so the flow outcome
     // checksum below is reproducible across restarts.
@@ -570,7 +552,7 @@ fn cmd_serve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     if let Some(store_dir) = options.get("store-dir") {
         use gcn_testability::serve::{JobStore, StorePolicy};
         let policy = StorePolicy {
-            compact_after_records: opt_usize(options, "compact-after", 16)? as u64,
+            compact_after_records: compact_after,
         };
         core = core.with_store(JobStore::open(store_dir.as_ref(), policy)?);
     }
@@ -646,11 +628,6 @@ fn cmd_serve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     }
     let core = handle.shutdown()?;
 
-    // Network drill: the same serving semantics over the wire protocol
-    // and the in-process loopback transport — handshake, deterministic
-    // inference, bit-identical journaled flow resume, typed refusals.
-    run_net_selftest(&journal_dir)?;
-
     // One stable machine-readable digest of the run's own metrics: the
     // schema-snapshot CI step asserts on these fields, and a human gets
     // the reuse story without opening the snapshot file.
@@ -706,88 +683,17 @@ fn serving_fixture(
 }
 
 /// One core per shard around the `"netfixture"` serving fixture, so
-/// `netserve`, `loadgen` and the `SELFTEST_NET` drill agree on outcome
-/// checksums across separate runs and machines.
+/// `netserve` and `loadgen` agree on outcome checksums across separate
+/// runs and machines.
 fn net_fixture_cores(
     shards: usize,
-) -> Result<(Netlist, Vec<gcn_testability::serve::ServeCore>), Box<dyn Error>> {
+) -> Result<Vec<gcn_testability::serve::ServeCore>, Box<dyn Error>> {
     use gcn_testability::serve::{ServeConfig, ServeCore};
 
-    let (net, normalizer, model) = serving_fixture("netfixture")?;
-    let cores = (0..shards)
+    let (_net, normalizer, model) = serving_fixture("netfixture")?;
+    Ok((0..shards)
         .map(|_| ServeCore::new(normalizer.clone(), model.clone(), ServeConfig::default()))
-        .collect();
-    Ok((net, cores))
-}
-
-/// The `SELFTEST_NET` drill: a 2-shard server over the in-process
-/// loopback transport, exercised end to end by the real client —
-/// handshake, deterministic inference, bit-identical journaled flow
-/// resume, and a typed refusal for a malformed design.
-fn run_net_selftest(journal_dir: &str) -> Result<(), Box<dyn Error>> {
-    use gcn_testability::net::{
-        local_transport, serve as net_serve, ClientConfig, Dialer, ErrorCode, FlowRequest,
-        NetClient, NetError, NetServerConfig, ShardRouter,
-    };
-    use gcn_testability::runtime::FaultPlan;
-
-    let (design, cores) = net_fixture_cores(2)?;
-    let dir = std::path::Path::new(journal_dir).join("net-selftest");
-    let router = ShardRouter::start(cores, &dir)?;
-    let (listener, dialer) = local_transport();
-    let server = std::thread::spawn(move || {
-        net_serve(
-            listener,
-            router,
-            NetServerConfig::default(),
-            &FaultPlan::none(),
-        )
-    });
-
-    let mut client = NetClient::connect(Dialer::Local(dialer), ClientConfig::default())?;
-    let text = format::write(&design);
-    let a = client.infer(&text, 0)?;
-    let b = client.infer(&text, 0)?;
-    let deterministic = a.probs_checksum == b.probs_checksum && a.shard == b.shard;
-    let req = FlowRequest {
-        design: text,
-        job_id: "net-selftest".to_string(),
-        max_iterations: 2,
-        ops_per_iteration: 1,
-        prob_threshold_milli: 50,
-        deadline_rows: 0,
-    };
-    let f1 = client.flow(&req)?;
-    let f2 = client.flow(&req)?;
-    let bit_identical = f1.outcome_checksum == f2.outcome_checksum;
-    let typed_refusal = matches!(
-        client.infer("this is not a netlist", 0),
-        Err(NetError::Server {
-            code: ErrorCode::BadRequest,
-            ..
-        })
-    );
-    client.drain()?;
-    drop(client);
-    let (summary, _cores) = server
-        .join()
-        .map_err(|_| "net self-test server thread panicked")??;
-
-    report::selftest("NET")
-        .field("shards", 2)
-        .field("deterministic", deterministic)
-        .field("probs_checksum", &a.probs_checksum)
-        .field("flow_checksum", &f1.outcome_checksum)
-        .field("flow_resumed", f2.resumed_batches)
-        .field("bit_identical_resume", bit_identical)
-        .field("typed_refusal", typed_refusal)
-        .field("frames", summary.frames_received)
-        .field("refusals", summary.refusals)
-        .emit();
-    if !deterministic || !bit_identical || !typed_refusal {
-        return Err("net self-test failed (see SELFTEST_NET line)".into());
-    }
-    Ok(())
+        .collect())
 }
 
 /// `gcnt netserve`: the fixture server over real TCP. Emits `NET_READY`
@@ -816,7 +722,7 @@ fn cmd_netserve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>>
         .cloned()
         .unwrap_or_else(|| "netserve-journals".to_string());
 
-    let (_design, cores) = net_fixture_cores(shards)?;
+    let cores = net_fixture_cores(shards)?;
     let router = ShardRouter::start(cores, journal_dir.as_ref())?;
     let listener = Listener::bind_tcp(addr)?;
     let actual = listener
@@ -889,7 +795,7 @@ fn cmd_loadgen(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> 
                     .display()
                     .to_string()
             });
-            let (_design, cores) = net_fixture_cores(shards)?;
+            let cores = net_fixture_cores(shards)?;
             let router = ShardRouter::start(cores, journal_dir.as_ref())?;
             let listener = Listener::bind_tcp("127.0.0.1:0")?;
             let actual = listener
@@ -1123,15 +1029,43 @@ mod tests {
 
     #[test]
     fn malformed_numeric_option_is_a_usage_error_and_writes_nothing() {
-        let out = std::env::temp_dir().join(format!("gcnt-cli-test-{}.bench", std::process::id()));
-        let out_str = out.to_str().expect("temp path is utf-8");
-        for (option, text) in [("--nodes", "2k"), ("--seed", "-1")] {
-            let err = run_tokens(&["generate", option, text, "--out", out_str])
+        let dir = std::env::temp_dir().join(format!("gcnt-cli-test-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("create temp dir");
+        let path = |name: &str| dir.join(name).to_str().expect("utf-8").to_string();
+        let (design, out, wal, ck) = (path("d.bench"), path("out"), path("wal"), path("ck"));
+        run_tokens(&["generate", "--nodes", "60", "--out", &design]).expect("generate");
+        let cases: [(&[&str], &str, &str); 5] = [
+            (&["generate", "--out", &out], "--nodes", "2k"),
+            (&["generate", "--out", &out], "--seed", "-1"),
+            (
+                &["serve", "--self-test", "--journal-dir", &wal],
+                "--deadline",
+                "2k",
+            ),
+            (
+                &["serve", "--self-test", "--journal-dir", &wal],
+                "--requests",
+                "2k",
+            ),
+            (
+                &["train", &design, "--model", &out, "--checkpoint-dir", &ck],
+                "--checkpoint-every",
+                "2k",
+            ),
+        ];
+        for (args, option, text) in cases {
+            let err = run_tokens(&[args, &[option, text]].concat())
                 .expect_err("malformed value must not fall back to the default")
                 .to_string();
             assert!(err.contains(option) && err.contains(text), "{err}");
-            assert!(!out.exists(), "{option} {text} still wrote a design");
+            for written in [&out, &wal, &ck] {
+                assert!(
+                    !Path::new(written).exists(),
+                    "{option} {text} wrote {written}"
+                );
+            }
         }
+        fs::remove_dir_all(&dir).ok();
         let (_, options) = split_args(&["--threshold".to_string(), "abc".to_string()]);
         let err = opt_f64(&options, "threshold", 0.5).unwrap_err();
         assert!(err.contains("--threshold") && err.contains("abc"), "{err}");

@@ -20,7 +20,6 @@
 //! | [`gcn`] | the GCN model, multi-stage cascade, sparse + recursive inference, one-worker-per-graph training |
 //! | [`dft`] | logic simulation, CPT, ATPG, labeling, both OP-insertion flows |
 //! | [`lint`] | static analysis of *design data*: netlist and graph-tensor invariants with stable rule ids |
-//! | [`analyze`] | static analysis of the *source tree and artifacts* that rustc cannot do: atomics-ordering comments, fault-inject gating, cross-artifact consistency |
 //! | [`runtime`] | resilience: checksummed checkpoint/resume, divergence guards, fault injection |
 //! | [`store`] | crash-safe paged design/embedding store: checksummed fixed-size pages, bounded cache, scrub/compact, quarantine |
 //! | [`serve`] | long-lived service: bounded admission, deadlines, degradation ladder, write-ahead journaled flow jobs with store-backed compaction and warm restart |
@@ -53,7 +52,6 @@
 
 pub mod report;
 
-pub use gcnt_analyze as analyze;
 pub use gcnt_core as gcn;
 pub use gcnt_dft as dft;
 pub use gcnt_lint as lint;

@@ -10,9 +10,9 @@
 //! * `METRICS_<EVENT> key=value ...` — metrics-snapshot bookkeeping.
 //!   Existing events: `METRICS_SNAPSHOT` (a snapshot file was written).
 //! * `NET_<EVENT> key=value ...` — lifecycle of `gcnt netserve` and the
-//!   `SELFTEST_NET` drill. Existing events: `NET_READY` (the listener is
-//!   bound and accepting), `NET_DRAIN` (graceful drain finished, with
-//!   the lifetime summary).
+//!   in-process server of `gcnt loadgen`. Existing events: `NET_READY`
+//!   (the listener is bound and accepting), `NET_DRAIN` (graceful drain
+//!   finished, with the lifetime summary).
 //! * `LOADGEN_<EVENT> key=value ...` — results from `gcnt loadgen`.
 //!   Existing events: `LOADGEN_FLOW` (one flow job's outcome checksum),
 //!   `LOADGEN_DONE` (session/error totals and latency quantiles).
