@@ -95,8 +95,8 @@ pub struct FlowReply {
     /// The shard that ran the job.
     pub shard: u32,
     /// FNV-1a checksum over outcome JSON + post-flow design text — the
-    /// same digest `gcnt serve --self-test` prints, so "bit-identical
-    /// resume" is a string comparison.
+    /// digest `gcnt loadgen` prints on its `LOADGEN_FLOW` lines, so
+    /// "bit-identical resume" is a string comparison.
     pub outcome_checksum: String,
 }
 

@@ -126,9 +126,9 @@ fn map_serve_error(e: &ServeError) -> ErrorReply {
     }
 }
 
-/// The digest of a flow answer: outcome JSON + post-flow design text —
-/// the same idiom `gcnt serve --self-test` prints, so bit-identical
-/// resume is a string comparison on both sides of the wire.
+/// The digest of a flow answer: outcome JSON + post-flow design text,
+/// so bit-identical resume is a string comparison on both sides of the
+/// wire.
 pub fn flow_digest(outcome_json: &str, net_text: &str) -> String {
     checksum_hex(format!("{outcome_json}{net_text}").as_bytes())
 }

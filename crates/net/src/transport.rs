@@ -3,9 +3,9 @@
 //! Everything above this module speaks [`Conn`] (a `Read + Write` with
 //! timeouts) and [`Listener`] (a non-blocking accept), so the server,
 //! client, frame codec, and every fault scenario run identically over
-//! `TcpStream` and over [`local_transport`]'s byte pipes. Tests and
-//! `gcnt serve --self-test` use the loopback (no ports, no firewall, no
-//! flaky binds); `gcnt netserve`/`gcnt loadgen` use real sockets.
+//! `TcpStream` and over [`local_transport`]'s byte pipes. Tests use the
+//! loopback (no ports, no firewall, no flaky binds); `gcnt
+//! netserve`/`gcnt loadgen` use real sockets.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};

@@ -5,8 +5,8 @@
 //! so every injected failure is reproducible without a random source. The
 //! injection hooks compile to no-ops unless the `fault-inject` cargo
 //! feature is on, so production builds carry no fault paths; the CI
-//! fault-injection jobs run the test-suite and the `gcnt serve`
-//! fault-matrix with the feature enabled.
+//! fault-injection jobs run the test-suite and the `gcnt loadgen`
+//! network fault matrix with the feature enabled.
 //!
 //! Beyond the training faults, the plan carries *serving-path* faults for
 //! the long-lived inference/flow service:
@@ -372,13 +372,14 @@ impl FaultPlan {
 
     /// Parses a plan from JSON, e.g.
     /// `{"latency_multiplier": 10, "kill_after_record": 1}`. Recognised
-    /// keys: `nan_grad_epoch`, `kill_worker` (`[epoch, worker]`),
-    /// `latency_multiplier`, `queue_saturation` (bool),
-    /// `cache_poison_request`, `kill_after_record`,
-    /// `store_disk_full_after`, `kill_mid_compaction` (bool),
+    /// keys are the faults a `--faults` reader (`gcnt netserve`, `gcnt
+    /// loadgen`) can inject: `latency_multiplier`, `queue_saturation`
+    /// (bool), `cache_poison_request`, `kill_after_record`,
     /// `net_disconnect_after_frames`, `net_slow_loris_bytes_per_s`,
-    /// `net_corrupt_frame_checksum`, `net_connect_refused`. Unknown keys
-    /// are rejected so a typo cannot silently disable a planned fault.
+    /// `net_corrupt_frame_checksum`, `net_connect_refused`. Every other
+    /// key is rejected, so neither a typo nor a fault no reader has a
+    /// hook for (a trainer's, a page store's) can be silently inert; those
+    /// are planned with the `with_*` builders.
     ///
     /// Only available with the `fault-inject` feature: a production build
     /// cannot be handed a fault plan at all.
@@ -405,18 +406,6 @@ impl FaultPlan {
         let mut plan = FaultPlan::none();
         for (key, v) in &fields {
             match key.as_str() {
-                "nan_grad_epoch" => plan.nan_grad_epoch = Some(as_u64(v, key)? as usize),
-                "kill_worker" => match v {
-                    Value::Array(pair) => match pair.as_slice() {
-                        [epoch, worker] => {
-                            let epoch = as_u64(epoch, key)? as usize;
-                            let worker = as_u64(worker, key)? as usize;
-                            plan.kill_worker = Some((epoch, worker));
-                        }
-                        _ => return Err("`kill_worker` must be `[epoch, worker]`".to_string()),
-                    },
-                    _ => return Err("`kill_worker` must be `[epoch, worker]`".to_string()),
-                },
                 "latency_multiplier" => {
                     plan.latency_multiplier = Some(as_u64(v, key)?.max(1));
                 }
@@ -426,13 +415,6 @@ impl FaultPlan {
                 },
                 "cache_poison_request" => plan.cache_poison_request = Some(as_u64(v, key)?),
                 "kill_after_record" => plan.kill_after_record = Some(as_u64(v, key)?),
-                "store_disk_full_after" => {
-                    plan.store_disk_full_after = Some(as_u64(v, key)?);
-                }
-                "kill_mid_compaction" => match v {
-                    Value::Bool(b) => plan.kill_mid_compaction = *b,
-                    _ => return Err("`kill_mid_compaction` must be a boolean".to_string()),
-                },
                 "net_disconnect_after_frames" => {
                     plan.net_disconnect_after_frames = Some(as_u64(v, key)?);
                 }
@@ -603,19 +585,26 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn plan_parses_from_json() {
-        let plan = FaultPlan::from_json(
+        let mut plan = FaultPlan::from_json(
             r#"{"latency_multiplier": 10, "queue_saturation": true,
-                "cache_poison_request": 3, "kill_after_record": 1,
-                "nan_grad_epoch": 2, "kill_worker": [1, 0],
-                "store_disk_full_after": 2, "kill_mid_compaction": true}"#,
+                "cache_poison_request": 3, "kill_after_record": 1}"#,
         )
         .unwrap();
         assert_eq!(plan.latency_multiplier(), 10);
         assert!(plan.queue_saturated());
+        assert!(plan.take_cache_poison(3));
         assert!(plan.should_kill_after_record(1));
-        assert!(plan.should_kill(1, 0));
-        assert_eq!(plan.store_disk_full_after(), Some(2));
-        assert!(plan.should_kill_mid_compaction());
+        // No `--faults` reader has a trainer or a page store, so their
+        // faults are refused rather than parsed into an inert plan.
+        for json in [
+            r#"{"nan_grad_epoch": 2}"#,
+            r#"{"kill_worker": [1, 0]}"#,
+            r#"{"store_disk_full_after": 2}"#,
+            r#"{"kill_mid_compaction": true}"#,
+        ] {
+            let err = FaultPlan::from_json(json).unwrap_err();
+            assert!(err.contains("unknown fault plan field"), "{json}: {err}");
+        }
         assert_eq!(
             FaultPlan::none()
                 .with_store_disk_full_after(5)
@@ -639,7 +628,6 @@ mod tests {
         assert_eq!(FaultPlan::from_json("{}").unwrap().latency_multiplier(), 1);
         assert!(FaultPlan::from_json(r#"{"typo_field": 1}"#).is_err());
         assert!(FaultPlan::from_json(r#"{"latency_multiplier": -4}"#).is_err());
-        assert!(FaultPlan::from_json(r#"{"kill_worker": [1]}"#).is_err());
         assert!(FaultPlan::from_json("[]").is_err());
     }
 }

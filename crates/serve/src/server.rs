@@ -1083,5 +1083,21 @@ mod tests {
             );
             drop(handle);
         }
+
+        #[test]
+        fn disk_full_fails_the_first_page_write_typed_and_the_store_scrubs_clean() {
+            use crate::store::StorePolicy;
+            let (normalizer, model_, net) = model();
+            let dir = temp_dir("diskfull");
+            let store = JobStore::open(&dir.join("store"), StorePolicy::default()).unwrap();
+            let mut core = ServeCore::new(normalizer, model_, ServeConfig::default())
+                .with_faults(FaultPlan::none().with_store_disk_full_after(0))
+                .with_store(store);
+            let err = core.handle_infer(&net, None).unwrap_err();
+            assert!(matches!(err, ServeError::Store(_)), "{err}");
+            assert!(err.to_string().contains("disk full"), "{err}");
+            let found = core.store_mut().unwrap().store_mut().scrub().unwrap();
+            assert!(found.is_empty(), "the refused write left {found:?}");
+        }
     }
 }

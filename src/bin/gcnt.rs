@@ -9,7 +9,7 @@
 //! gcnt flow     design.bench --model model.json --out modified.bench
 //! gcnt atpg     design.bench
 //! gcnt lint     design.bench --format json
-//! gcnt serve    --self-test --journal-dir wal/
+//! gcnt loadgen  --sessions 8 --journal-dir wal/
 //! ```
 //!
 //! Designs are stored in the plain-text `.bench`-style format of
@@ -76,7 +76,6 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
         "flow" => cmd_flow(&positional, &options),
         "atpg" => cmd_atpg(&positional, &options),
         "lint" => cmd_lint(&positional, &options),
-        "serve" => cmd_serve(&options),
         "netserve" => cmd_netserve(&options),
         "loadgen" => cmd_loadgen(&options),
         "store" => cmd_store(&positional),
@@ -107,9 +106,6 @@ fn print_usage() {
          \x20\x20\x20\x20 [--metrics-out m.json]\n\
          \x20 gcnt atpg design.bench [--patterns N]\n\
          \x20 gcnt lint design.bench [--model model.json] [--format text|json]\n\
-         \x20 gcnt serve --self-test [--journal-dir DIR] [--requests N] [--deadline ROWS]\n\
-         \x20\x20\x20\x20 [--store-dir DIR] [--compact-after N]\n\
-         \x20\x20\x20\x20 [--faults plan.json] [--metrics-out m.json] [--metrics-every N]\n\
          \x20 gcnt netserve [--addr HOST:PORT] [--shards N] [--journal-dir DIR]\n\
          \x20\x20\x20\x20 [--faults plan.json] [--metrics-out m.json]\n\
          \x20 gcnt loadgen [--addr HOST:PORT] [--sessions N] [--workers N] [--shards N]\n\
@@ -119,9 +115,8 @@ fn print_usage() {
          \x20 gcnt checkpoints DIR\n\
          \n\
          --metrics-out writes a metrics snapshot (JSON, or Prometheus text\n\
-         for .prom/.txt paths) at shutdown and, with --metrics-every N,\n\
-         every N serve requests. Machine-readable lines use the SELFTEST_*/\n\
-         METRICS_* prefix convention (see README, Observability)."
+         for .prom/.txt paths) at shutdown. Machine-readable lines use the\n\
+         NET_*/LOADGEN_*/METRICS_* prefix convention (see README, Observability)."
     );
 }
 
@@ -504,171 +499,19 @@ fn load_fault_plan(_path: &str) -> Result<gcn_testability::runtime::FaultPlan, B
     Err("--faults requires a binary built with `--features fault-inject`".into())
 }
 
-/// `gcnt serve --self-test`: an end-to-end exercise of the serving layer
-/// against a deterministic synthetic design and a seeded (untrained)
-/// model. It runs a write-ahead-journaled flow job — resuming whatever a
-/// previous (possibly killed) run left in the journal — and then a batch
-/// of inference requests through the bounded queue and the degradation
-/// ladder. The machine-readable `SELFTEST_*` lines are what the kill/
-/// resume integration test and the CI fault matrix assert on.
-fn cmd_serve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    use gcn_testability::runtime::{fnv1a64, FaultPlan};
-    use gcn_testability::serve::{ServeConfig, ServeCore, ServeError, ServeHandle};
-
-    if !options.contains_key("self-test") {
-        return Err("gcnt serve currently supports --self-test only (see README)".into());
-    }
-    // Snapshot cadence: every N admitted requests, plus once at shutdown.
-    // (For SIGTERM-triggered graceful drain, use `gcnt netserve`, which
-    // installs a handler and drains the shard router before exiting.)
-    let metrics_every = opt_usize(options, "metrics-every", 0)? as u64;
-    let requests = opt_usize(options, "requests", 4)? as u64;
-    let deadline = options
-        .contains_key("deadline")
-        .then(|| opt_parsed::<u64>(options, "deadline", 0))
-        .transpose()?;
-    let compact_after = opt_usize(options, "compact-after", 16)? as u64;
-    let plan = match options.get("faults") {
-        Some(path) => load_fault_plan(path)?,
-        None => FaultPlan::none(),
-    };
-    let metrics_path = metrics_out(options);
-    let journal_dir = options
-        .get("journal-dir")
-        .cloned()
-        .unwrap_or_else(|| ".".to_string());
-    fs::create_dir_all(&journal_dir)?;
-    let journal_path = std::path::Path::new(&journal_dir).join("selftest.wal");
-
-    // Same design, same seeded model, every run — so the flow outcome
-    // checksum below is reproducible across restarts.
-    let (net, normalizer, model) = serving_fixture("selftest")?;
-
-    let saturated = plan.queue_saturated();
-    let mut core = ServeCore::new(normalizer, model, ServeConfig::default()).with_faults(plan);
-    // `--store-dir` opts into store-backed durability: the flow journal
-    // compacts into the page store (bounding its on-disk growth) and
-    // incremental answers persist their embeddings for warm restarts.
-    if let Some(store_dir) = options.get("store-dir") {
-        use gcn_testability::serve::{JobStore, StorePolicy};
-        let policy = StorePolicy {
-            compact_after_records: compact_after,
-        };
-        core = core.with_store(JobStore::open(store_dir.as_ref(), policy)?);
-    }
-
-    if saturated {
-        // Admission-control drill: every submission must bounce with a
-        // typed Overloaded, and nothing may queue up behind the fault.
-        let handle = ServeHandle::start(core)?;
-        for i in 0..requests {
-            match handle.submit_infer(net.clone(), deadline) {
-                Err(ServeError::Overloaded { capacity }) => {
-                    report::selftest("OVERLOADED")
-                        .field("i", i)
-                        .field("capacity", capacity)
-                        .emit();
-                }
-                Err(e) => return Err(format!("expected Overloaded, got: {e}").into()),
-                Ok(_) => return Err("saturated queue admitted a request".into()),
-            }
-        }
-        let core = handle.shutdown()?;
-        report::selftest("DONE")
-            .field("admitted", core.admitted())
-            .emit();
-        if let Some(metrics) = metrics_path {
-            report::write_metrics_snapshot(&metrics)?;
-        }
-        return Ok(());
-    }
-
-    // Journaled flow job: resumes whatever the journal already holds.
-    // A permissive threshold keeps the untrained model inserting for
-    // several iterations, so the journal accumulates enough batch records
-    // for a mid-flow kill to land between two of them.
-    let flow_cfg = FlowConfig {
-        max_iterations: 5,
-        ops_per_iteration: 2,
-        prob_threshold: 0.05,
-        ..FlowConfig::default()
-    };
-    // The flow job runs without a deadline: a budget-stopped flow is
-    // *resumable*, not degradable, and the ladder drill below is about
-    // inference. `--deadline` shapes only the per-request budgets.
-    let mut flow_net = net.clone();
-    let flow = core.run_flow_job(&mut flow_net, &flow_cfg, &journal_path, None)?;
-    let outcome_json = serde_json::to_string(&flow.outcome)?;
-    let mut digest = outcome_json.into_bytes();
-    digest.extend_from_slice(format::write(&flow_net).as_bytes());
-    report::selftest("FLOW")
-        .field("records", flow.journal_records)
-        .field("resumed", flow.resumed_batches)
-        .field("torn_tail", flow.recovered_torn_tail)
-        .field("checksum", format_args!("{:016x}", fnv1a64(&digest)))
-        .emit();
-
-    // Inference requests through the queue and the degradation ladder.
-    let handle = ServeHandle::start(core)?;
-    for i in 0..requests {
-        let resp = handle.infer(net.clone(), deadline)?;
-        report::selftest("INFER")
-            .field("i", i)
-            .field("rung", resp.rung)
-            .field("dropped", resp.dropped.len())
-            .field("positives", resp.positives)
-            .field("spent", resp.spent)
-            .field("warm_rows", resp.warm_rows)
-            .emit();
-        if metrics_every > 0 && (i + 1) % metrics_every == 0 {
-            if let Some(metrics) = &metrics_path {
-                report::write_metrics_snapshot(metrics)?;
-            }
-        }
-    }
-    let core = handle.shutdown()?;
-
-    // One stable machine-readable digest of the run's own metrics: the
-    // schema-snapshot CI step asserts on these fields, and a human gets
-    // the reuse story without opening the snapshot file.
-    let obs = gcn_testability::obs::global();
-    use gcn_testability::obs::counters as c;
-    report::selftest("METRICS")
-        .field("enabled", obs.is_enabled())
-        .field("requests", obs.counter(c::SERVE_REQUESTS))
-        .field("spmm_rows", obs.counter(c::TENSOR_SPMM_ROWS))
-        .field("flow_rows_computed", obs.counter(c::DFT_FLOW_ROWS_COMPUTED))
-        .field("flow_rows_full", obs.counter(c::DFT_FLOW_ROWS_FULL))
-        .field("ops_inserted", obs.counter(c::DFT_FLOW_OPS_INSERTED))
-        .field("journal_appends", obs.counter(c::SERVE_JOURNAL_APPENDS))
-        .field("journal_replayed", obs.counter(c::SERVE_JOURNAL_REPLAYED))
-        .field("rung_incremental", obs.counter(c::SERVE_RUNG_INCREMENTAL))
-        .field("rung_full_sparse", obs.counter(c::SERVE_RUNG_FULL_SPARSE))
-        .field("rung_first_stage", obs.counter(c::SERVE_RUNG_FIRST_STAGE))
-        .field("store_rows_saved", obs.counter(c::SERVE_STORE_ROWS_SAVED))
-        .field("store_rows_loaded", obs.counter(c::SERVE_STORE_ROWS_LOADED))
-        .emit();
-    report::selftest("DONE")
-        .field("admitted", core.admitted())
-        .emit();
-    // The shutdown snapshot — the journaled flow job, every request, and
-    // the ladder work above are all in it.
-    if let Some(metrics) = metrics_path {
-        report::write_metrics_snapshot(&metrics)?;
-    }
-    Ok(())
-}
-
-/// The deterministic serving fixture: a seeded 400-node design called
-/// `name`, a seeded (untrained) 2-stage `[8, 8]`/`[8]` cascade and the
-/// normaliser fitted on that design — the same on every run, shard and
-/// machine, so `SELFTEST_*` and `LOADGEN_FLOW` checksums reproduce.
-fn serving_fixture(
-    name: &str,
-) -> Result<(Netlist, FeatureNormalizer, MultiStageGcn), Box<dyn Error>> {
+/// One core per shard around the serving fixture: a seeded (untrained)
+/// 2-stage `[8, 8]`/`[8]` cascade and the normaliser fitted on the seeded
+/// 400-node `"netfixture"` design — the same on every run, shard and
+/// machine, so `LOADGEN_FLOW` checksums reproduce. Every core carries
+/// `plan`'s serve-side faults.
+fn net_fixture_cores(
+    shards: usize,
+    plan: &gcn_testability::runtime::FaultPlan,
+) -> Result<Vec<gcn_testability::serve::ServeCore>, Box<dyn Error>> {
     use gcn_testability::gcn::{features::raw_features_of, Gcn, GcnConfig};
+    use gcn_testability::serve::{ServeConfig, ServeCore};
 
-    let net = generate(&GeneratorConfig::sized(name, 7, 400));
+    let net = generate(&GeneratorConfig::sized("netfixture", 7, 400));
     let gcn_cfg = GcnConfig {
         embed_dims: vec![8, 8],
         fc_dims: vec![8],
@@ -679,32 +522,57 @@ fn serving_fixture(
         Gcn::new(&gcn_cfg, &mut gcn_testability::nn::seeded_rng(42)),
     ];
     let normalizer = FeatureNormalizer::fit(&[&raw_features_of(&net)?]);
-    Ok((net, normalizer, MultiStageGcn::from_stages(stages, 0.5)))
+    let model = MultiStageGcn::from_stages(stages, 0.5);
+    Ok((0..shards)
+        .map(|_| {
+            ServeCore::new(normalizer.clone(), model.clone(), ServeConfig::default())
+                .with_faults(plan.clone())
+        })
+        .collect())
 }
 
-/// One core per shard around the `"netfixture"` serving fixture, so
-/// `netserve` and `loadgen` agree on outcome checksums across separate
-/// runs and machines.
-fn net_fixture_cores(
-    shards: usize,
-) -> Result<Vec<gcn_testability::serve::ServeCore>, Box<dyn Error>> {
-    use gcn_testability::serve::{ServeConfig, ServeCore};
+/// The fixture server's serve loop: it runs until a drain is requested
+/// (SIGTERM or a client `Drain` frame), finishes or journals in-flight
+/// jobs, and emits `NET_DRAIN` with the lifetime summary.
+type ServeLoop = Box<dyn FnOnce() -> Result<(), gcn_testability::net::NetError> + Send>;
 
-    let (_net, normalizer, model) = serving_fixture("netfixture")?;
-    Ok((0..shards)
-        .map(|_| ServeCore::new(normalizer.clone(), model.clone(), ServeConfig::default()))
-        .collect())
+/// Starts the fixture server on `addr`: [`net_fixture_cores`] behind a
+/// shard router journaling under `journal_dir`. Returns the bound address
+/// and the serve loop; `gcnt netserve` runs the loop on its main thread,
+/// `gcnt loadgen` on a thread of its own.
+fn start_fixture_server(
+    addr: &str,
+    shards: usize,
+    journal_dir: &str,
+    plan: gcn_testability::runtime::FaultPlan,
+) -> Result<(String, ServeLoop), Box<dyn Error>> {
+    use gcn_testability::net::{serve as net_serve, Listener, NetServerConfig, ShardRouter};
+
+    let router = ShardRouter::start(net_fixture_cores(shards, &plan)?, journal_dir.as_ref())?;
+    let listener = Listener::bind_tcp(addr)?;
+    let actual = listener
+        .local_addr()
+        .ok_or("listener has no local address")?
+        .to_string();
+    let serve: ServeLoop = Box::new(move || {
+        let (summary, _cores) = net_serve(listener, router, NetServerConfig::default(), &plan)?;
+        report::net("DRAIN")
+            .field("connections", summary.connections)
+            .field("frames", summary.frames_received)
+            .field("jobs", summary.jobs_completed)
+            .field("refusals", summary.refusals)
+            .field("evictions", summary.slow_loris_evictions)
+            .field("pending_at_drain", summary.pending_at_drain)
+            .emit();
+        Ok(())
+    });
+    Ok((actual, serve))
 }
 
 /// `gcnt netserve`: the fixture server over real TCP. Emits `NET_READY`
 /// once the listener is bound, installs a SIGTERM handler, and serves
-/// until a drain is requested (SIGTERM or a client `Drain` frame) —
-/// then finishes or journals in-flight jobs, emits `NET_DRAIN` with the
-/// lifetime summary, and exits cleanly.
+/// until a drain is requested, then exits cleanly.
 fn cmd_netserve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    use gcn_testability::net::{
-        install_term_handler, serve as net_serve, Listener, NetServerConfig, ShardRouter,
-    };
     use gcn_testability::runtime::FaultPlan;
 
     let metrics_path = metrics_out(options);
@@ -719,31 +587,17 @@ fn cmd_netserve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>>
         .unwrap_or("127.0.0.1:0");
     let journal_dir = options
         .get("journal-dir")
-        .cloned()
-        .unwrap_or_else(|| "netserve-journals".to_string());
+        .map(String::as_str)
+        .unwrap_or("netserve-journals");
 
-    let cores = net_fixture_cores(shards)?;
-    let router = ShardRouter::start(cores, journal_dir.as_ref())?;
-    let listener = Listener::bind_tcp(addr)?;
-    let actual = listener
-        .local_addr()
-        .map_or_else(|| addr.to_string(), |a| a.to_string());
-    install_term_handler();
+    let (actual, serve) = start_fixture_server(addr, shards, journal_dir, plan)?;
+    gcn_testability::net::install_term_handler();
     report::net("READY")
         .field("addr", &actual)
         .field("shards", shards)
         .field("pid", std::process::id())
         .emit();
-
-    let (summary, _cores) = net_serve(listener, router, NetServerConfig::default(), &plan)?;
-    report::net("DRAIN")
-        .field("connections", summary.connections)
-        .field("frames", summary.frames_received)
-        .field("jobs", summary.jobs_completed)
-        .field("refusals", summary.refusals)
-        .field("evictions", summary.slow_loris_evictions)
-        .field("pending_at_drain", summary.pending_at_drain)
-        .emit();
+    serve()?;
     if let Some(metrics) = metrics_path {
         report::write_metrics_snapshot(&metrics)?;
     }
@@ -755,18 +609,16 @@ fn cmd_netserve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>>
 /// netserve`) or an in-process fixture server it spins up itself. The
 /// first `--flow-jobs` sessions run journaled flow jobs and emit one
 /// `LOADGEN_FLOW` line each (checksums are the bit-identity handle for
-/// the CI fault matrix); the rest run inference. With `--faults`,
-/// session 0 carries the client-side fault plan and the in-process
-/// server gets the server-side hooks, so every network fault scenario
-/// is reproducible from one JSON file. Ends with `LOADGEN_DONE`
-/// carrying error counts and p50/p99/p999 request latency from the
-/// `gcnt_net_request_latency_ns` histogram; any *untyped* failure
-/// (hang, wrong payload, exhausted retries) makes the exit nonzero.
+/// the kill/resume tests and the CI network fault matrix); the rest run
+/// inference. With `--faults`, session 0 carries the client-side fault
+/// plan and every core of the in-process server the serve-side hooks, so
+/// every fault scenario is reproducible from one JSON file. Ends with
+/// `LOADGEN_DONE` carrying error counts and p50/p99/p999 request latency
+/// from the `gcnt_net_request_latency_ns` histogram; any *untyped*
+/// failure (hang, wrong payload, exhausted retries) makes the exit
+/// nonzero.
 fn cmd_loadgen(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    use gcn_testability::net::{
-        serve as net_serve, ClientConfig, Dialer, FlowRequest, Listener, NetClient, NetError,
-        NetServerConfig, ShardRouter,
-    };
+    use gcn_testability::net::{ClientConfig, Dialer, FlowRequest, NetClient, NetError};
     use gcn_testability::obs::Snapshot;
     use gcn_testability::runtime::FaultPlan;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -795,18 +647,9 @@ fn cmd_loadgen(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> 
                     .display()
                     .to_string()
             });
-            let cores = net_fixture_cores(shards)?;
-            let router = ShardRouter::start(cores, journal_dir.as_ref())?;
-            let listener = Listener::bind_tcp("127.0.0.1:0")?;
-            let actual = listener
-                .local_addr()
-                .ok_or("in-process listener has no local address")?
-                .to_string();
-            let server_plan = plan.clone();
-            let handle = std::thread::spawn(move || {
-                net_serve(listener, router, NetServerConfig::default(), &server_plan)
-            });
-            (actual, Some(handle))
+            let (actual, serve) =
+                start_fixture_server("127.0.0.1:0", shards, &journal_dir, plan.clone())?;
+            (actual, Some(std::thread::spawn(serve)))
         }
     };
 
@@ -904,17 +747,9 @@ fn cmd_loadgen(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> 
         let mut closer = NetClient::connect(Dialer::Tcp(addr), ClientConfig::default())?;
         closer.drain()?;
         drop(closer);
-        let (summary, _cores) = handle
+        handle
             .join()
             .map_err(|_| "loadgen server thread panicked")??;
-        report::net("DRAIN")
-            .field("connections", summary.connections)
-            .field("frames", summary.frames_received)
-            .field("jobs", summary.jobs_completed)
-            .field("refusals", summary.refusals)
-            .field("evictions", summary.slow_loris_evictions)
-            .field("pending_at_drain", summary.pending_at_drain)
-            .emit();
     }
 
     let snap = Snapshot::capture(gcn_testability::obs::global());
@@ -942,9 +777,9 @@ fn cmd_loadgen(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> 
 
 /// `gcnt store`: operator tooling over a [`gcn_testability::store`]
 /// directory. `stat` summarises pages/segments, `scrub` re-reads and
-/// re-checksums every committed page and page reference (one line per
-/// error, nonzero exit on any), and `compact` rewrites live segments into
-/// a fresh data file, dropping dead pages.
+/// re-checksums every committed page and page reference (failing with one
+/// line per error), and `compact` rewrites live segments into a fresh
+/// data file, dropping dead pages.
 fn cmd_store(positional: &[String]) -> Result<(), Box<dyn Error>> {
     use gcn_testability::store::PageStore;
 
@@ -973,12 +808,14 @@ fn cmd_store(positional: &[String]) -> Result<(), Box<dyn Error>> {
             Ok(())
         }
         "scrub" => {
-            let errors = store.scrub()?;
-            for e in &errors {
-                println!("{e}");
-            }
+            let errors: Vec<String> = store.scrub()?.iter().map(ToString::to_string).collect();
             if !errors.is_empty() {
-                return Err(format!("scrub found {} error(s)", errors.len()).into());
+                return Err(format!(
+                    "scrub found {} error(s):\n{}",
+                    errors.len(),
+                    errors.join("\n")
+                )
+                .into());
             }
             println!("scrub clean: every committed page verifies");
             Ok(())
@@ -1037,16 +874,8 @@ mod tests {
         let cases: [(&[&str], &str, &str); 5] = [
             (&["generate", "--out", &out], "--nodes", "2k"),
             (&["generate", "--out", &out], "--seed", "-1"),
-            (
-                &["serve", "--self-test", "--journal-dir", &wal],
-                "--deadline",
-                "2k",
-            ),
-            (
-                &["serve", "--self-test", "--journal-dir", &wal],
-                "--requests",
-                "2k",
-            ),
+            (&["loadgen", "--journal-dir", &wal], "--sessions", "2k"),
+            (&["netserve", "--journal-dir", &wal], "--shards", "2k"),
             (
                 &["train", &design, "--model", &out, "--checkpoint-dir", &ck],
                 "--checkpoint-every",
@@ -1087,6 +916,40 @@ mod tests {
             .to_string();
         assert!(err.contains(dir_str), "checkpoints: {err}");
         assert!(!dir.exists(), "checkpoints created {dir_str}");
+    }
+
+    #[test]
+    fn store_scrub_passes_a_clean_store_and_refuses_a_damaged_one() {
+        use gcn_testability::runtime::FaultPlan;
+        use gcn_testability::serve::{JobStore, StorePolicy};
+
+        let dir = std::env::temp_dir().join(format!("gcnt-cli-store-{}", std::process::id()));
+        let dir_str = dir.to_str().expect("temp path is utf-8");
+        let _ = fs::remove_dir_all(&dir);
+        let core = net_fixture_cores(1, &FaultPlan::none())
+            .expect("fixture")
+            .pop()
+            .expect("one core");
+        let store = JobStore::open(&dir, StorePolicy::default()).expect("open store");
+        let mut core = core.with_store(store);
+        let net = generate(&GeneratorConfig::sized("netfixture", 7, 400));
+        core.handle_infer(&net, None).expect("infer persists pages");
+        drop(core);
+        run_tokens(&["store", "scrub", dir_str]).expect("a fresh store scrubs clean");
+
+        let data = dir.join("pages-0000.dat");
+        let clean = fs::read(&data).expect("read page data");
+        let mut flipped = clean.clone();
+        flipped[64] ^= 0x01; // inside page 0's payload
+        fs::write(&data, &flipped).expect("flip a payload byte");
+        let err = run_tokens(&["store", "scrub", dir_str])
+            .expect_err("a flipped payload byte fails the scrub")
+            .to_string();
+        assert!(err.contains("corrupt page 0"), "{err}");
+
+        fs::write(&data, &clean[..clean.len() / 2]).expect("cut the data file");
+        run_tokens(&["store", "scrub", dir_str]).expect_err("a cut data file fails the scrub");
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! | [`serve`] | long-lived service: bounded admission, deadlines, degradation ladder, write-ahead journaled flow jobs with store-backed compaction and warm restart |
 //! | [`net`] | fault-hardened TCP serving: checksummed wire protocol, shard router across serve cores, graceful drain, network fault matrix |
 //! | [`obs`] | observability: global metrics registry, counters/gauges/histograms, JSON + Prometheus snapshots |
-//! | [`report`] | machine-readable CLI line convention (`SELFTEST_*`, `METRICS_*`) |
+//! | [`report`] | machine-readable CLI line convention (`METRICS_*`, `NET_*`, `LOADGEN_*`) |
 //!
 //! ## Quickstart
 //!

@@ -1,12 +1,9 @@
 //! Machine-readable CLI reporting with a single stable prefix convention.
 //!
 //! Every line the `gcnt` binary emits for *machines* — CI greps, the
-//! kill/resume integration tests, the fault matrix — goes through this
-//! module, so the convention lives in exactly one place:
+//! kill/resume integration tests, the network fault matrix — goes through
+//! this module, so the convention lives in exactly one place:
 //!
-//! * `SELFTEST_<EVENT> key=value ...` — one event of `gcnt serve
-//!   --self-test`. Existing events: `SELFTEST_FLOW`, `SELFTEST_INFER`,
-//!   `SELFTEST_OVERLOADED`, `SELFTEST_METRICS`, `SELFTEST_DONE`.
 //! * `METRICS_<EVENT> key=value ...` — metrics-snapshot bookkeeping.
 //!   Existing events: `METRICS_SNAPSHOT` (a snapshot file was written).
 //! * `NET_<EVENT> key=value ...` — lifecycle of `gcnt netserve` and the
@@ -35,17 +32,11 @@ use std::path::Path;
 
 use gcnt_obs::Snapshot;
 
-/// Builder for one machine-readable line. Construct with [`selftest`] or
-/// [`metrics`], chain [`Line::field`], finish with [`Line::emit`].
+/// Builder for one machine-readable line. Construct with [`metrics`],
+/// [`net`] or [`loadgen`], chain [`Line::field`], finish with
+/// [`Line::emit`].
 pub struct Line {
     buf: String,
-}
-
-/// Starts a `SELFTEST_<event>` line.
-pub fn selftest(event: &str) -> Line {
-    Line {
-        buf: format!("SELFTEST_{event}"),
-    }
 }
 
 /// Starts a `METRICS_<event>` line.
@@ -123,15 +114,15 @@ mod tests {
 
     #[test]
     fn line_grammar_is_stable() {
-        let line = selftest("FLOW")
-            .field("records", 7)
+        let line = loadgen("FLOW")
+            .field("job", "load-0")
+            .field("shard", 0)
             .field("resumed", 0)
-            .field("torn_tail", false)
             .field("checksum", format_args!("{:016x}", 0xabcd_u64))
             .into_string();
         assert_eq!(
             line,
-            "SELFTEST_FLOW records=7 resumed=0 torn_tail=false checksum=000000000000abcd"
+            "LOADGEN_FLOW job=load-0 shard=0 resumed=0 checksum=000000000000abcd"
         );
         assert_eq!(
             metrics("SNAPSHOT").field("path", "m.json").into_string(),

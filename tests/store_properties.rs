@@ -7,10 +7,11 @@
 //! strict prefix of the appended records) — or fails with a typed
 //! error. It never panics and never returns wrong data.
 //!
-//! These properties generalize the fixed-offset drills in the CI store
-//! fault matrix: proptest picks the corruption site, so flips land in
-//! page payloads, page headers, zero padding, metadata JSON, journal
-//! headers, record lines, newlines and training checkpoints alike.
+//! These properties generalize the fixed-offset corruption tests in
+//! `gcnt-store` and `gcnt-serve`: proptest picks the corruption site, so
+//! flips land in page payloads, page headers, zero padding, metadata
+//! JSON, journal headers, record lines, newlines and training
+//! checkpoints alike.
 
 use std::fs;
 use std::path::{Path, PathBuf};
