@@ -94,7 +94,7 @@ pub fn cone_features(
 mod tests {
     use super::*;
     use gcnt_core::features::raw_features_of;
-    use gcnt_netlist::{generate, CellKind, GeneratorConfig};
+    use gcnt_netlist::{generate, CellKind, GeneratorConfig, NetlistBuilder};
 
     #[test]
     fn paper_dimension() {
@@ -104,12 +104,13 @@ mod tests {
 
     #[test]
     fn target_attrs_lead_the_vector() {
-        let mut net = Netlist::new("t");
+        let mut net = NetlistBuilder::new("t");
         let a = net.add_cell(CellKind::Input);
         let g = net.add_cell(CellKind::Not);
         let o = net.add_cell(CellKind::Output);
         net.connect(a, g).unwrap();
         net.connect(g, o).unwrap();
+        let net = net.build().unwrap();
         let attrs = raw_features_of(&net).unwrap();
         let cfg = ConeFeatureConfig { cone_size: 2 };
         let f = cone_features(&net, &attrs, &[g.index()], &cfg);
@@ -123,10 +124,11 @@ mod tests {
 
     #[test]
     fn short_cones_are_zero_padded() {
-        let mut net = Netlist::new("pi");
+        let mut net = NetlistBuilder::new("pi");
         let a = net.add_cell(CellKind::Input);
         let o = net.add_cell(CellKind::Output);
         net.connect(a, o).unwrap();
+        let net = net.build().unwrap();
         let attrs = raw_features_of(&net).unwrap();
         let cfg = ConeFeatureConfig { cone_size: 3 };
         let f = cone_features(&net, &attrs, &[a.index()], &cfg);

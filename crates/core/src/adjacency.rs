@@ -389,15 +389,16 @@ impl GraphTensors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcnt_netlist::{CellKind, Netlist};
+    use gcnt_netlist::{CellKind, Netlist, NetlistBuilder};
 
     fn tiny_net() -> (Netlist, NodeId, NodeId, NodeId) {
-        let mut net = Netlist::new("t");
+        let mut net = NetlistBuilder::new("t");
         let a = net.add_cell(CellKind::Input);
         let g = net.add_cell(CellKind::Not);
         let o = net.add_cell(CellKind::Output);
         net.connect(a, g).unwrap();
         net.connect(g, o).unwrap();
+        let net = net.build().unwrap();
         (net, a, g, o)
     }
 

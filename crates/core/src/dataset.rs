@@ -47,7 +47,8 @@ impl GraphData {
     ///
     /// # Errors
     ///
-    /// Returns a netlist error if the design has a combinational cycle.
+    /// None: levels and SCOAP cannot fail on a [`Netlist`], which is
+    /// valid by construction.
     pub fn from_netlist(net: &Netlist, normalizer: Option<&FeatureNormalizer>) -> NetResult<Self> {
         let raw = raw_features_of(net)?;
         let normalizer = match normalizer {

@@ -41,7 +41,8 @@ pub fn raw_features(levels: &[u32], scoap: &Scoap) -> Matrix {
 ///
 /// # Errors
 ///
-/// Returns a netlist error if the design has a combinational cycle.
+/// None: levels and SCOAP cannot fail on a [`Netlist`], which is valid
+/// by construction.
 pub fn raw_features_of(net: &Netlist) -> NetResult<Matrix> {
     let levels = logic_levels(net)?;
     let scoap = Scoap::compute(net)?;
@@ -182,7 +183,7 @@ impl FeatureNormalizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcnt_netlist::{generate, CellKind, GeneratorConfig, SCOAP_INF};
+    use gcnt_netlist::{generate, CellKind, GeneratorConfig, NetlistBuilder, SCOAP_INF};
 
     #[test]
     fn squash_is_monotone_and_finite() {
@@ -194,12 +195,13 @@ mod tests {
 
     #[test]
     fn raw_features_shape_and_values() {
-        let mut net = Netlist::new("t");
+        let mut net = NetlistBuilder::new("t");
         let a = net.add_cell(CellKind::Input);
         let g = net.add_cell(CellKind::Not);
         let o = net.add_cell(CellKind::Output);
         net.connect(a, g).unwrap();
         net.connect(g, o).unwrap();
+        let net = net.build().unwrap();
         let f = raw_features_of(&net).unwrap();
         assert_eq!(f.shape(), (3, RAW_DIM));
         // Input: LL=0 -> squash 0; CC0=CC1=1 -> squash(1)=1.

@@ -464,12 +464,12 @@ impl GcnGrads {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcnt_netlist::{CellKind, Netlist};
+    use gcnt_netlist::{CellKind, NetlistBuilder};
     use gcnt_nn::loss::weighted_softmax_cross_entropy;
     use gcnt_nn::seeded_rng;
 
     fn chain_graph(len: usize) -> GraphTensors {
-        let mut net = Netlist::new("chain");
+        let mut net = NetlistBuilder::new("chain");
         let mut prev = net.add_cell(CellKind::Input);
         for _ in 0..len - 2 {
             let g = net.add_cell(CellKind::Buf);
@@ -478,6 +478,7 @@ mod tests {
         }
         let o = net.add_cell(CellKind::Output);
         net.connect(prev, o).unwrap();
+        let net = net.build().unwrap();
         GraphTensors::from_netlist(&net)
     }
 

@@ -17,7 +17,7 @@ use gcnt_netlist::{Netlist, Result};
 
 use crate::cpt::sensitivity;
 use crate::fault::{collapsed_faults, Fault};
-use crate::sim::PatternSim;
+use crate::sim::{simulate, simulate_random};
 
 /// ATPG configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,7 +76,8 @@ impl AtpgResult {
 ///
 /// # Errors
 ///
-/// Returns a netlist error if the design has a combinational cycle.
+/// None: a [`Netlist`] is acyclic by construction. The `Result` is kept
+/// for callers written against the fallible signature.
 ///
 /// # Examples
 ///
@@ -91,21 +92,16 @@ impl AtpgResult {
 /// ```
 pub fn run_random_atpg(net: &Netlist, cfg: &AtpgConfig) -> Result<AtpgResult> {
     let faults = collapsed_faults(net);
-    run_random_atpg_on(net, &faults, cfg)
+    Ok(run_random_atpg_on(net, &faults, cfg))
 }
 
 /// Runs ATPG against a caller-supplied fault list (e.g. the shared
 /// pre-insertion fault list when comparing TPI flows).
-///
-/// # Errors
-///
-/// Returns a netlist error if the design has a combinational cycle.
 #[expect(
     clippy::indexing_slicing,
     reason = "node-indexed simulation words: every `NodeId` of the simulated netlist is below its node count"
 )]
-pub fn run_random_atpg_on(net: &Netlist, faults: &[Fault], cfg: &AtpgConfig) -> Result<AtpgResult> {
-    let sim = PatternSim::new(net)?;
+pub fn run_random_atpg_on(net: &Netlist, faults: &[Fault], cfg: &AtpgConfig) -> AtpgResult {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(cfg.seed);
     let max_batches = cfg.max_patterns.div_ceil(64).max(1);
     let mut detected = vec![false; faults.len()];
@@ -122,8 +118,8 @@ pub fn run_random_atpg_on(net: &Netlist, faults: &[Fault], cfg: &AtpgConfig) -> 
     let mut kept_stimuli: Vec<Vec<bool>> = Vec::new();
 
     for _ in 0..max_batches {
-        let values = sim.simulate_random(&mut rng);
-        let sens = sensitivity(&sim, &values);
+        let values = simulate_random(net, &mut rng);
+        let sens = sensitivity(net, &values);
         patterns_applied += 64;
         // For each undetected fault, find the first pattern in this batch
         // that detects it; greedy forward selection keeps exactly the
@@ -169,15 +165,15 @@ pub fn run_random_atpg_on(net: &Netlist, faults: &[Fault], cfg: &AtpgConfig) -> 
         }
     }
 
-    let patterns_compacted = reverse_order_compaction(&sim, faults, &pseudo_inputs, &kept_stimuli);
+    let patterns_compacted = reverse_order_compaction(net, faults, &pseudo_inputs, &kept_stimuli);
 
-    Ok(AtpgResult {
+    AtpgResult {
         patterns_kept,
         patterns_compacted,
         patterns_applied,
         detected: detected_count,
         total_faults: faults.len(),
-    })
+    }
 }
 
 /// Reverse-order pattern compaction: re-grades the kept patterns from the
@@ -190,7 +186,7 @@ pub fn run_random_atpg_on(net: &Netlist, faults: &[Fault], cfg: &AtpgConfig) -> 
     reason = "node-indexed simulation words: every `NodeId` of the simulated netlist is below its node count"
 )]
 fn reverse_order_compaction(
-    sim: &PatternSim<'_>,
+    net: &Netlist,
     faults: &[Fault],
     pseudo_inputs: &[gcnt_netlist::NodeId],
     kept_stimuli: &[Vec<bool>],
@@ -198,7 +194,7 @@ fn reverse_order_compaction(
     if kept_stimuli.is_empty() {
         return 0;
     }
-    let n = sim.netlist().node_count();
+    let n = net.node_count();
     let mut detected = vec![false; faults.len()];
     let mut survivors = 0usize;
     for chunk in kept_stimuli.rchunks(64) {
@@ -212,8 +208,8 @@ fn reverse_order_compaction(
                 }
             }
         }
-        let values = sim.simulate(|v| words[v.index()]);
-        let sens = sensitivity(sim, &values);
+        let values = simulate(net, |v| words[v.index()]);
+        let sens = sensitivity(net, &values);
         let mut kept_mask = 0u64;
         for (i, fault) in faults.iter().enumerate() {
             if detected[i] {
@@ -235,16 +231,17 @@ fn reverse_order_compaction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcnt_netlist::{generate, CellKind, GeneratorConfig};
+    use gcnt_netlist::{generate, CellKind, GeneratorConfig, NetlistBuilder};
 
     #[test]
     fn full_coverage_on_trivial_circuit() {
-        let mut net = Netlist::new("trivial");
+        let mut net = NetlistBuilder::new("trivial");
         let a = net.add_cell(CellKind::Input);
         let g = net.add_cell(CellKind::Not);
         let o = net.add_cell(CellKind::Output);
         net.connect(a, g).unwrap();
         net.connect(g, o).unwrap();
+        let net = net.build().unwrap();
         let result = run_random_atpg(&net, &AtpgConfig::default()).unwrap();
         assert_eq!(result.coverage(), 1.0);
         // SA0 and SA1 of both a and g need opposite input values: at
@@ -292,7 +289,7 @@ mod tests {
                     .unwrap();
             }
         }
-        let after = run_random_atpg_on(&improved, &faults, &atpg_cfg).unwrap();
+        let after = run_random_atpg_on(&improved, &faults, &atpg_cfg);
         assert!(
             after.coverage() >= before.coverage(),
             "coverage {} -> {}",
@@ -327,7 +324,7 @@ mod tests {
     fn early_stop_on_useless_batches() {
         // A circuit with an unobservable region never reaches 100%: the
         // useless-batch limit must end the run early.
-        let mut net = Netlist::new("stuck");
+        let mut net = NetlistBuilder::new("stuck");
         let a = net.add_cell(CellKind::Input);
         let dangling = net.add_cell(CellKind::Not);
         net.connect(a, dangling).unwrap();
@@ -335,6 +332,7 @@ mod tests {
         let buf = net.add_cell(CellKind::Buf);
         net.connect(a, buf).unwrap();
         net.connect(buf, o).unwrap();
+        let net = net.build().unwrap();
         let cfg = AtpgConfig {
             max_patterns: 1 << 20,
             useless_batch_limit: 3,
@@ -347,7 +345,7 @@ mod tests {
 
     #[test]
     fn coverage_of_empty_fault_list() {
-        let net = Netlist::new("empty");
+        let net = NetlistBuilder::new("empty").build().unwrap();
         let r = AtpgResult {
             patterns_kept: 0,
             patterns_compacted: 0,

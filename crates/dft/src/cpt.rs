@@ -16,44 +16,19 @@
 
 use gcnt_netlist::{CellKind, Netlist, NodeId};
 
-use crate::error::DftError;
-use crate::sim::PatternSim;
-
 /// Computes the 64-pattern sensitivity word of every node given the good
 /// simulation values of the same batch.
 ///
 /// # Panics
 ///
-/// Panics if `values.len()` differs from the node count — provable at call
-/// sites whose `values` came from the same simulator's `simulate`. Call
-/// sites without that invariant should use [`try_sensitivity`].
-#[expect(
-    clippy::expect_used,
-    reason = "documented-panic wrapper; `try_sensitivity` is the fallible variant"
-)]
-pub fn sensitivity(sim: &PatternSim<'_>, values: &[u64]) -> Vec<u64> {
-    try_sensitivity(sim, values).expect("values came from the same simulator")
-}
-
-/// Fallible variant of [`sensitivity`]: a wrong buffer length becomes a
-/// typed error instead of a panic.
-///
-/// # Errors
-///
-/// Returns [`DftError::WordCount`] if `values.len()` differs from the node
-/// count.
+/// Panics if `values.len()` differs from the node count, which cannot
+/// happen when `values` came from [`crate::sim::simulate`] on `net`.
 #[expect(
     clippy::indexing_slicing,
     reason = "node-indexed simulation words: every `NodeId` of the simulated netlist is below its node count"
 )]
-pub fn try_sensitivity(sim: &PatternSim<'_>, values: &[u64]) -> Result<Vec<u64>, DftError> {
-    let net = sim.netlist();
-    if values.len() != net.node_count() {
-        return Err(DftError::WordCount {
-            expected: net.node_count(),
-            actual: values.len(),
-        });
-    }
+pub fn sensitivity(net: &Netlist, values: &[u64]) -> Vec<u64> {
+    assert_eq!(values.len(), net.node_count(), "one word per node");
     let mut sens = vec![0u64; net.node_count()];
     // Observable sinks are fully sensitive. DFF D-input drivers must be
     // marked *before* the sweep: a DFF is a pseudo-source, so it sits early
@@ -74,7 +49,7 @@ pub fn try_sensitivity(sim: &PatternSim<'_>, values: &[u64]) -> Result<Vec<u64>,
     }
     // Reverse topological sweep: when a node is popped its sensitivity is
     // final; push edge-sensitivities to its fanins.
-    for &u in sim.order().iter().rev() {
+    for &u in net.topo_order().iter().rev() {
         let kind = net.kind(u);
         if kind == CellKind::Input || kind == CellKind::Dff {
             continue;
@@ -85,7 +60,7 @@ pub fn try_sensitivity(sim: &PatternSim<'_>, values: &[u64]) -> Result<Vec<u64>,
         }
         propagate_to_fanins(net, u, kind, su, values, &mut sens);
     }
-    Ok(sens)
+    sens
 }
 
 #[expect(
@@ -149,31 +124,19 @@ fn propagate_to_fanins(
 /// small-circuit validation): returns the word of patterns under which the
 /// given stuck-at fault is detected at any observable point.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns [`DftError::WordCount`] if `good.len()` differs from the node
-/// count.
+/// Panics if `good.len()` differs from the node count.
 #[expect(
     clippy::indexing_slicing,
     reason = "node-indexed simulation words: every `NodeId` of the simulated netlist is below its node count"
 )]
-pub fn try_exact_detection(
-    sim: &PatternSim<'_>,
-    good: &[u64],
-    fault_node: NodeId,
-    stuck_at: bool,
-) -> Result<u64, DftError> {
-    let net = sim.netlist();
-    if good.len() != net.node_count() {
-        return Err(DftError::WordCount {
-            expected: net.node_count(),
-            actual: good.len(),
-        });
-    }
+pub fn exact_detection(net: &Netlist, good: &[u64], fault_node: NodeId, stuck_at: bool) -> u64 {
+    assert_eq!(good.len(), net.node_count(), "one word per node");
     let mut faulty = good.to_vec();
     faulty[fault_node.index()] = if stuck_at { !0u64 } else { 0u64 };
     // Re-evaluate everything downstream of the fault in topo order.
-    for &id in sim.order() {
+    for &id in net.topo_order() {
         if id == fault_node || net.kind(id).is_pseudo_input() {
             continue;
         }
@@ -193,7 +156,7 @@ pub fn try_exact_detection(
         };
         detected |= observed;
     }
-    Ok(detected)
+    detected
 }
 
 #[expect(
@@ -218,12 +181,13 @@ fn eval(net: &Netlist, id: NodeId, values: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcnt_netlist::Netlist;
+    use crate::sim::{simulate, simulate_random};
+    use gcnt_netlist::NetlistBuilder;
     use rand::SeedableRng;
 
     #[test]
     fn and_gate_sensitivity() {
-        let mut net = Netlist::new("and2");
+        let mut net = NetlistBuilder::new("and2");
         let a = net.add_cell(CellKind::Input);
         let b = net.add_cell(CellKind::Input);
         let g = net.add_cell(CellKind::And);
@@ -231,10 +195,10 @@ mod tests {
         net.connect(a, g).unwrap();
         net.connect(b, g).unwrap();
         net.connect(g, o).unwrap();
-        let sim = PatternSim::new(&net).unwrap();
+        let net = net.build().unwrap();
         // patterns: (a,b) = (0,0),(1,0),(0,1),(1,1)
-        let values = sim.simulate(|v| if v == a { 0b1010 } else { 0b1100 });
-        let sens = sensitivity(&sim, &values);
+        let values = simulate(&net, |v| if v == a { 0b1010 } else { 0b1100 });
+        let sens = sensitivity(&net, &values);
         // a is sensitive where b = 1: patterns 2 and 3.
         assert_eq!(sens[a.index()] & 0b1111, 0b1100);
         // b is sensitive where a = 1: patterns 1 and 3.
@@ -245,7 +209,7 @@ mod tests {
 
     #[test]
     fn or_gate_sensitivity() {
-        let mut net = Netlist::new("or2");
+        let mut net = NetlistBuilder::new("or2");
         let a = net.add_cell(CellKind::Input);
         let b = net.add_cell(CellKind::Input);
         let g = net.add_cell(CellKind::Or);
@@ -253,16 +217,16 @@ mod tests {
         net.connect(a, g).unwrap();
         net.connect(b, g).unwrap();
         net.connect(g, o).unwrap();
-        let sim = PatternSim::new(&net).unwrap();
-        let values = sim.simulate(|v| if v == a { 0b1010 } else { 0b1100 });
-        let sens = sensitivity(&sim, &values);
+        let net = net.build().unwrap();
+        let values = simulate(&net, |v| if v == a { 0b1010 } else { 0b1100 });
+        let sens = sensitivity(&net, &values);
         // a is sensitive where b = 0: patterns 0 and 1.
         assert_eq!(sens[a.index()] & 0b1111, 0b0011);
     }
 
     #[test]
     fn xor_always_sensitive() {
-        let mut net = Netlist::new("xor2");
+        let mut net = NetlistBuilder::new("xor2");
         let a = net.add_cell(CellKind::Input);
         let b = net.add_cell(CellKind::Input);
         let g = net.add_cell(CellKind::Xor);
@@ -270,38 +234,38 @@ mod tests {
         net.connect(a, g).unwrap();
         net.connect(b, g).unwrap();
         net.connect(g, o).unwrap();
-        let sim = PatternSim::new(&net).unwrap();
-        let values = sim.simulate(|v| if v == a { 0b1010 } else { 0b1100 });
-        let sens = sensitivity(&sim, &values);
+        let net = net.build().unwrap();
+        let values = simulate(&net, |v| if v == a { 0b1010 } else { 0b1100 });
+        let sens = sensitivity(&net, &values);
         assert_eq!(sens[a.index()] & 0b1111, 0b1111);
         assert_eq!(sens[b.index()] & 0b1111, 0b1111);
     }
 
     #[test]
     fn dff_input_is_observable() {
-        let mut net = Netlist::new("scan");
+        let mut net = NetlistBuilder::new("scan");
         let a = net.add_cell(CellKind::Input);
         let g = net.add_cell(CellKind::Not);
         let d = net.add_cell(CellKind::Dff);
         net.connect(a, g).unwrap();
         net.connect(g, d).unwrap();
+        let net = net.build().unwrap();
         // No primary output at all; observability comes from the scan cell.
-        let sim = PatternSim::new(&net).unwrap();
-        let values = sim.simulate(|_| 0b10);
-        let sens = sensitivity(&sim, &values);
+        let values = simulate(&net, |_| 0b10);
+        let sens = sensitivity(&net, &values);
         assert_eq!(sens[g.index()], !0u64);
         assert_eq!(sens[a.index()], !0u64);
     }
 
     #[test]
     fn unobservable_node_has_zero_sensitivity() {
-        let mut net = Netlist::new("dangling");
+        let mut net = NetlistBuilder::new("dangling");
         let a = net.add_cell(CellKind::Input);
         let g = net.add_cell(CellKind::Not);
         net.connect(a, g).unwrap();
-        let sim = PatternSim::new(&net).unwrap();
-        let values = sim.simulate(|_| 0b1);
-        let sens = sensitivity(&sim, &values);
+        let net = net.build().unwrap();
+        let values = simulate(&net, |_| 0b1);
+        let sens = sensitivity(&net, &values);
         assert_eq!(sens[g.index()], 0);
     }
 
@@ -309,7 +273,7 @@ mod tests {
     fn deep_and_chain_rarely_sensitive() {
         // a buried signal behind a wide AND is sensitive only when all
         // side inputs are 1.
-        let mut net = Netlist::new("deep");
+        let mut net = NetlistBuilder::new("deep");
         let first = net.add_cell(CellKind::Input);
         let mut cur = first;
         let mut sides = Vec::new();
@@ -323,9 +287,9 @@ mod tests {
         }
         let o = net.add_cell(CellKind::Output);
         net.connect(cur, o).unwrap();
-        let sim = PatternSim::new(&net).unwrap();
+        let net = net.build().unwrap();
         // side inputs: only pattern 0 has all three at 1.
-        let values = sim.simulate(|v| {
+        let values = simulate(&net, |v| {
             if v == sides[0] {
                 0b0101
             } else if v == sides[1] {
@@ -336,7 +300,7 @@ mod tests {
                 0b1111
             }
         });
-        let sens = sensitivity(&sim, &values);
+        let sens = sensitivity(&net, &values);
         assert_eq!(sens[first.index()] & 0b1111, 0b0001);
     }
 
@@ -344,7 +308,7 @@ mod tests {
     /// circuits (where it is provably exact).
     #[test]
     fn cpt_matches_exact_on_fanout_free_circuit() {
-        let mut net = Netlist::new("fof");
+        let mut net = NetlistBuilder::new("fof");
         let ins: Vec<_> = (0..4).map(|_| net.add_cell(CellKind::Input)).collect();
         let g1 = net.add_cell(CellKind::And);
         let g2 = net.add_cell(CellKind::Or);
@@ -357,16 +321,16 @@ mod tests {
         net.connect(g1, g3).unwrap();
         net.connect(g2, g3).unwrap();
         net.connect(g3, o).unwrap();
-        let sim = PatternSim::new(&net).unwrap();
+        let net = net.build().unwrap();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        let good = sim.simulate_random(&mut rng);
-        let sens = sensitivity(&sim, &good);
+        let good = simulate_random(&net, &mut rng);
+        let sens = sensitivity(&net, &good);
         for id in net.nodes() {
             if net.kind(id) == CellKind::Output {
                 continue;
             }
             for stuck in [false, true] {
-                let exact = try_exact_detection(&sim, &good, id, stuck).unwrap();
+                let exact = exact_detection(&net, &good, id, stuck);
                 // CPT grading: excited & sensitive.
                 let excited = if stuck {
                     !good[id.index()]
@@ -379,25 +343,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wrong_value_buffer_is_a_typed_error() {
-        let mut net = Netlist::new("short");
-        let a = net.add_cell(CellKind::Input);
-        let o = net.add_cell(CellKind::Output);
-        net.connect(a, o).unwrap();
-        let sim = PatternSim::new(&net).unwrap();
-        let err = try_sensitivity(&sim, &[0u64]).unwrap_err();
-        assert_eq!(
-            err,
-            crate::error::DftError::WordCount {
-                expected: 2,
-                actual: 1
-            }
-        );
-        let err = try_exact_detection(&sim, &[0u64], a, true).unwrap_err();
-        assert!(matches!(err, crate::error::DftError::WordCount { .. }));
-    }
-
     /// On reconvergent circuits CPT is approximate but must still agree
     /// with exact simulation most of the time.
     #[test]
@@ -407,17 +352,16 @@ mod tests {
             inputs: 24,
             ..Default::default()
         });
-        let sim = PatternSim::new(&net).unwrap();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
-        let good = sim.simulate_random(&mut rng);
-        let sens = sensitivity(&sim, &good);
+        let good = simulate_random(&net, &mut rng);
+        let sens = sensitivity(&net, &good);
         let mut agree = 0u64;
         let mut total = 0u64;
         for id in net.nodes().take(120) {
             if net.kind(id) == CellKind::Output {
                 continue;
             }
-            let exact = try_exact_detection(&sim, &good, id, false).unwrap();
+            let exact = exact_detection(&net, &good, id, false);
             let cpt = good[id.index()] & sens[id.index()];
             agree += (!(exact ^ cpt)).count_ones() as u64;
             total += 64;

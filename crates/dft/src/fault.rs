@@ -53,15 +53,17 @@ pub fn collapsed_faults(net: &Netlist) -> Vec<Fault> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcnt_netlist::NetlistBuilder;
 
     #[test]
     fn two_faults_per_non_output_cell() {
-        let mut net = Netlist::new("f");
+        let mut net = NetlistBuilder::new("f");
         let a = net.add_cell(CellKind::Input);
         let g = net.add_cell(CellKind::Not);
         let o = net.add_cell(CellKind::Output);
         net.connect(a, g).unwrap();
         net.connect(g, o).unwrap();
+        let net = net.build().unwrap();
         let faults = collapsed_faults(&net);
         assert_eq!(faults.len(), 4); // a and g, SA0+SA1 each; o excluded
         assert!(faults.contains(&Fault::sa0(a)));

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use gcnt_netlist::{CellKind, Netlist, Result, Scoap};
 
 use crate::cpt::sensitivity;
-use crate::sim::PatternSim;
+use crate::sim::simulate_random;
 
 /// Configuration of the random-pattern observability labeler.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -70,7 +70,8 @@ impl LabelResult {
 ///
 /// # Errors
 ///
-/// Returns a netlist error if the design has a combinational cycle.
+/// None: a [`Netlist`] is acyclic by construction. The `Result` is kept
+/// for callers written against the fallible signature.
 ///
 /// # Examples
 ///
@@ -84,13 +85,12 @@ impl LabelResult {
 /// # Ok::<(), gcnt_netlist::NetlistError>(())
 /// ```
 pub fn label_difficult_to_observe(net: &Netlist, cfg: &LabelConfig) -> Result<LabelResult> {
-    let sim = PatternSim::new(net)?;
     let batches = cfg.patterns.div_ceil(64).max(1);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut observed = vec![0u64; net.node_count()];
     for _ in 0..batches {
-        let values = sim.simulate_random(&mut rng);
-        let sens = sensitivity(&sim, &values);
+        let values = simulate_random(net, &mut rng);
+        let sens = sensitivity(net, &values);
         for (o, s) in observed.iter_mut().zip(&sens) {
             *o += s.count_ones() as u64;
         }
@@ -148,12 +148,12 @@ pub fn label_by_scoap(net: &Netlist, scoap: &Scoap, fraction: f64) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcnt_netlist::{generate, GeneratorConfig, NodeId};
+    use gcnt_netlist::{generate, GeneratorConfig, NetlistBuilder, NodeId};
 
     #[test]
     fn shadowed_nodes_are_positive() {
         // Hand-build a shadow: chain hidden behind a wide AND gate.
-        let mut net = Netlist::new("shadow");
+        let mut net = NetlistBuilder::new("shadow");
         let src = net.add_cell(CellKind::Input);
         let mut chain = src;
         let mut hidden = Vec::new();
@@ -178,6 +178,7 @@ mod tests {
         net.connect(gate_in[0], exit).unwrap();
         let o = net.add_cell(CellKind::Output);
         net.connect(exit, o).unwrap();
+        let net = net.build().unwrap();
 
         let cfg = LabelConfig {
             patterns: 2048,

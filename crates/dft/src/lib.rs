@@ -43,11 +43,8 @@
 pub mod atpg;
 pub mod baseline;
 pub mod cpt;
-pub mod error;
 pub mod fault;
 pub mod flow;
 pub mod labeler;
 pub mod report;
 pub mod sim;
-
-pub use error::DftError;

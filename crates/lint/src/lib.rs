@@ -1,10 +1,12 @@
 //! `gcnt-lint`: static analysis of netlists and the sparse tensors built
 //! from them.
 //!
-//! `gcnt lint` parses a design *without* validating it, so this crate is
-//! where a broken netlist gets a full report — every violation with a
-//! stable rule id — instead of the first error `Netlist::validate` hits.
-//! The graph tensors built from a sound netlist are checked against it.
+//! A [`Netlist`] is valid by construction, so a broken design never
+//! becomes one: the reader refuses it with every violation it found, and
+//! [`lint_violations`] turns that list into a full report — each violation
+//! with a stable rule id — instead of the one line the error prints. A
+//! design that builds gets the one structural warning left (`NL003`) and
+//! a check of the graph tensors built from it.
 //!
 //! # Rule catalogue
 //!
@@ -29,30 +31,35 @@
 //!
 //! # Entry points
 //!
-//! - [`lint_netlist`] — graph structure.
+//! - [`lint_violations`] — `NL001`/`NL002`/`NL004` for a design that
+//!   failed to build.
+//! - [`lint_netlist`] — `NL003` for a design that built.
 //! - [`lint_csr`] / [`lint_graph_tensors`] — sparse matrices, standalone
 //!   or against their netlist.
-//! - [`lint_design`] — the structure, then freshly built tensors; this is
-//!   what `gcnt lint` runs.
+//! - [`lint_design`] — `NL003`, then freshly built tensors; with
+//!   [`lint_violations`], this is what `gcnt lint` runs.
 //!
 //! # Examples
 //!
 //! ```
-//! use gcnt_lint::{lint_design, RuleId, Severity};
-//! use gcnt_netlist::{CellKind, Netlist};
+//! use gcnt_lint::{lint_violations, RuleId, Severity};
+//! use gcnt_netlist::{CellKind, NetlistBuilder, NetlistError};
 //!
-//! let mut net = Netlist::new("demo");
+//! let mut net = NetlistBuilder::new("demo");
 //! let a = net.add_cell(CellKind::Input);
 //! let g = net.add_cell(CellKind::And); // needs >= 2 fanins, gets 1
 //! let o = net.add_cell(CellKind::Output);
 //! net.connect(a, g)?;
 //! net.connect(g, o)?;
 //!
-//! let report = lint_design(&net);
+//! let Err(NetlistError::Invalid(violations)) = net.build() else {
+//!     unreachable!("a one-input AND does not build");
+//! };
+//! let report = lint_violations(&violations);
 //! assert!(report.fired(RuleId::BadArity));
 //! assert_eq!(RuleId::BadArity.code(), "NL002");
 //! assert!(report.count(Severity::Error) >= 1);
-//! # Ok::<(), gcnt_netlist::NetlistError>(())
+//! # Ok::<(), NetlistError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,33 +70,25 @@ pub mod report;
 mod netlist_rules;
 mod tensor_rules;
 
-pub use netlist_rules::lint_netlist;
+pub use netlist_rules::{lint_netlist, lint_violations};
 pub use report::{Finding, LintReport, RuleId, Severity};
 pub use tensor_rules::{lint_csr, lint_graph_tensors};
 
 use gcnt_core::GraphTensors;
 use gcnt_netlist::Netlist;
 
-/// Runs every netlist-derivable check: structure (`NL001`–`NL004`) and —
-/// when the structure is sound — freshly built graph tensors
-/// (`TS001`–`TS003`).
-///
-/// Tensors are only linted on structurally sound netlists; structural
-/// errors would make every downstream rule fire noisily for the same root
-/// cause.
+/// Runs every check a built design can fail: `NL003`, then freshly built
+/// graph tensors (`TS001`–`TS003`).
 pub fn lint_design(net: &Netlist) -> LintReport {
     let mut report = lint_netlist(net);
-    if !report.has_errors() {
-        let tensors = GraphTensors::from_netlist(net);
-        report.merge(lint_graph_tensors(net, &tensors));
-    }
+    report.merge(lint_graph_tensors(net, &GraphTensors::from_netlist(net)));
     report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcnt_netlist::{generate, CellKind, GeneratorConfig};
+    use gcnt_netlist::{generate, GeneratorConfig};
 
     #[test]
     fn lint_design_is_clean_on_generated_netlists() {
@@ -98,16 +97,6 @@ mod tests {
             let report = lint_design(&net);
             assert!(report.is_clean(), "seed {seed}: {report}");
         }
-    }
-
-    #[test]
-    fn lint_design_skips_derived_checks_on_broken_structure() {
-        let mut net = Netlist::new("broken");
-        net.add_cell(CellKind::Not); // floating input
-        let report = lint_design(&net);
-        assert!(report.fired(RuleId::FloatingInput));
-        // No TS noise from the same root cause.
-        assert!(!report.fired(RuleId::AdjacencyNetlistMismatch));
     }
 
     #[test]

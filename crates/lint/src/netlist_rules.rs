@@ -1,6 +1,6 @@
 //! Structural netlist rules (`NL...`).
 
-use gcnt_netlist::{CellKind, Netlist, NetlistError, NodeId};
+use gcnt_netlist::{CellKind, Netlist, NodeId, Violation};
 
 use crate::report::{LintReport, RuleId};
 
@@ -48,135 +48,108 @@ impl Drop for Capped<'_> {
     }
 }
 
-fn describe(net: &Netlist, v: NodeId) -> String {
-    format!("node {} ({:?})", v.index(), net.kind(v))
+fn describe(node: NodeId, kind: CellKind) -> String {
+    format!("node {} ({kind:?})", node.index())
 }
 
-/// Deep structural check of a netlist: fires `NL001` (combinational
-/// cycle), `NL002` (bad arity), `NL003` (dangling net), and `NL004`
-/// (floating input).
-///
-/// This subsumes [`Netlist::validate`] — everything `validate` rejects is
-/// reported here with a rule id, plus the dangling-net warning that
-/// `validate` does not check.
-pub fn lint_netlist(net: &Netlist) -> LintReport {
+/// The findings for a design that failed to build, from the validator's
+/// [`NetlistError::Invalid`](gcnt_netlist::NetlistError::Invalid) list:
+/// `NL002` (bad arity) for each cell with too few or too many drivers,
+/// `NL004` (floating input) for each cell that needs drivers and has none,
+/// and `NL001` (combinational cycle) naming a node on the cycle.
+pub fn lint_violations(violations: &[Violation]) -> LintReport {
     let mut report = LintReport::new();
-
+    let bad_arity = || {
+        violations.iter().filter_map(|v| match *v {
+            Violation::BadArity { node, kind, fanins } => Some((node, kind, fanins)),
+            Violation::Cycle { .. } => None,
+        })
+    };
     {
         let mut arity = Capped::new(&mut report, RuleId::BadArity, "netlist");
-        for v in net.nodes() {
-            let kind = net.kind(v);
+        for (node, kind, n) in bad_arity().filter(|&(.., n)| n > 0) {
             let (lo, hi) = kind.arity();
-            let n = net.fanin(v).len();
-            if n == 0 && lo > 0 {
-                continue; // NL004's carve-out, reported below
-            }
-            if n < lo || n > hi {
-                arity.report(format!(
-                    "{} has {n} fanin(s), expected {}",
-                    describe(net, v),
-                    if hi == usize::MAX {
-                        format!(">= {lo}")
-                    } else if lo == hi {
-                        format!("exactly {lo}")
-                    } else {
-                        format!("{lo}..={hi}")
-                    }
-                ));
-            }
-            if kind == CellKind::Output && !net.fanout(v).is_empty() {
-                arity.report(format!(
-                    "{} is an Output marker but drives {} sink(s)",
-                    describe(net, v),
-                    net.fanout(v).len()
-                ));
-            }
+            arity.report(format!(
+                "{} has {n} fanin(s), expected {}",
+                describe(node, kind),
+                if hi == usize::MAX {
+                    format!(">= {lo}")
+                } else if lo == hi {
+                    format!("exactly {lo}")
+                } else {
+                    format!("{lo}..={hi}")
+                }
+            ));
         }
     }
-
     {
         let mut floating = Capped::new(&mut report, RuleId::FloatingInput, "netlist");
-        for v in net.nodes() {
-            if net.fanin(v).is_empty() && net.kind(v).arity().0 > 0 {
-                floating.report(format!("{} has no drivers", describe(net, v)));
-            }
+        for (node, kind, _) in bad_arity().filter(|&(.., n)| n == 0) {
+            floating.report(format!("{} has no drivers", describe(node, kind)));
         }
     }
+    for v in violations {
+        if let Violation::Cycle { node, kind } = *v {
+            report.report(
+                RuleId::CombinationalCycle,
+                "netlist",
+                format!("combinational cycle through {}", describe(node, kind)),
+            );
+        }
+    }
+    report
+}
 
+/// `NL003` (dangling net): the one structural rule a built [`Netlist`] can
+/// still fire. The other three are the validator's refusals, which
+/// [`lint_violations`] reports.
+pub fn lint_netlist(net: &Netlist) -> LintReport {
+    let mut report = LintReport::new();
     {
         let mut dangling = Capped::new(&mut report, RuleId::DanglingNet, "netlist");
         for v in net.nodes() {
             if net.fanout(v).is_empty() && !net.kind(v).is_pseudo_output() {
-                dangling.report(format!("{} drives nothing", describe(net, v)));
+                dangling.report(format!("{} drives nothing", describe(v, net.kind(v))));
             }
         }
     }
-
-    match net.topo_order() {
-        Ok(_) => {}
-        Err(NetlistError::CombinationalCycle { node }) => {
-            report.report(
-                RuleId::CombinationalCycle,
-                "netlist",
-                format!("combinational cycle through {}", describe(net, node)),
-            );
-        }
-        Err(other) => {
-            report.report(
-                RuleId::CombinationalCycle,
-                "netlist",
-                format!("topological ordering failed: {other}"),
-            );
-        }
-    }
-
     report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcnt_netlist::{generate, GeneratorConfig};
+    use gcnt_netlist::{format, generate, GeneratorConfig, NetlistError};
 
-    fn clean_net() -> Netlist {
-        generate(&GeneratorConfig::sized("clean", 6, 80))
+    fn violations(text: &str) -> Vec<Violation> {
+        match format::read(text) {
+            Err(NetlistError::Invalid(v)) => v,
+            other => panic!("expected violations, got {other:?}"),
+        }
     }
 
     #[test]
     fn clean_generated_netlist_has_no_findings() {
-        let report = lint_netlist(&clean_net());
+        let report = lint_netlist(&generate(&GeneratorConfig::sized("clean", 6, 80)));
         assert!(report.is_clean(), "{report}");
     }
 
     #[test]
     fn floating_input_fires_nl004_not_nl002() {
-        let mut net = Netlist::new("floating");
-        net.add_cell(CellKind::Not);
-        let report = lint_netlist(&net);
+        let report = lint_violations(&violations("INPUT(a)\ny = NOT()\nOUTPUT(y)"));
         assert!(report.fired(RuleId::FloatingInput));
         assert!(!report.fired(RuleId::BadArity));
     }
 
     #[test]
     fn single_fanin_and_fires_nl002() {
-        let mut net = Netlist::new("arity");
-        let a = net.add_cell(CellKind::Input);
-        let g = net.add_cell(CellKind::And);
-        let o = net.add_cell(CellKind::Output);
-        net.connect(a, g).unwrap();
-        net.connect(g, o).unwrap();
-        let report = lint_netlist(&net);
+        let report = lint_violations(&violations("INPUT(a)\ny = AND(a)\nOUTPUT(y)"));
         assert!(report.fired(RuleId::BadArity));
     }
 
     #[test]
     fn unused_gate_fires_nl003_warning_only() {
-        let mut net = Netlist::new("dangling");
-        let a = net.add_cell(CellKind::Input);
-        let b = net.add_cell(CellKind::Input);
-        let g = net.add_cell(CellKind::And);
-        net.connect(a, g).unwrap();
-        net.connect(b, g).unwrap();
+        let net = format::read("INPUT(a)\nINPUT(b)\ng = AND(a, b)").unwrap();
         let report = lint_netlist(&net);
         assert!(report.fired(RuleId::DanglingNet));
         assert!(!report.has_errors());
@@ -184,27 +157,18 @@ mod tests {
 
     #[test]
     fn back_edge_fires_nl001() {
-        let mut net = Netlist::new("cycle");
-        let a = net.add_cell(CellKind::Input);
-        let g1 = net.add_cell(CellKind::And);
-        let g2 = net.add_cell(CellKind::And);
-        let o = net.add_cell(CellKind::Output);
-        net.connect(a, g1).unwrap();
-        net.connect(g1, g2).unwrap();
-        net.connect(g2, g1).unwrap(); // back edge
-        net.connect(a, g2).unwrap();
-        net.connect(g2, o).unwrap();
-        let report = lint_netlist(&net);
+        let text = "INPUT(a)\ng1 = AND(a, g2)\ng2 = AND(g1, a)\nOUTPUT(g2)";
+        let report = lint_violations(&violations(text));
         assert!(report.fired(RuleId::CombinationalCycle));
     }
 
     #[test]
     fn findings_are_capped_per_rule() {
-        let mut net = Netlist::new("many");
-        for _ in 0..3 * MAX_FINDINGS_PER_RULE {
-            net.add_cell(CellKind::Not);
+        let mut text = String::new();
+        for i in 0..3 * MAX_FINDINGS_PER_RULE {
+            text.push_str(&format!("g{i} = NOT()\n"));
         }
-        let report = lint_netlist(&net);
+        let report = lint_violations(&violations(&text));
         let floating = report
             .findings()
             .iter()

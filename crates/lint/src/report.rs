@@ -154,16 +154,17 @@ impl fmt::Display for Finding {
 ///
 /// # Examples
 ///
-/// A netlist with a gate that has no drivers trips `NL004
-/// floating-input`:
+/// A design with a gate that has no drivers does not build, and its
+/// violations trip `NL004 floating-input`:
 ///
 /// ```
-/// use gcnt_lint::{lint_netlist, RuleId};
-/// use gcnt_netlist::{CellKind, Netlist};
+/// use gcnt_lint::{lint_violations, RuleId};
+/// use gcnt_netlist::{format, NetlistError};
 ///
-/// let mut net = Netlist::new("bad");
-/// net.add_cell(CellKind::Not); // a NOT gate with no fanin
-/// let report = lint_netlist(&net);
+/// let Err(NetlistError::Invalid(violations)) = format::read("y = NOT()") else {
+///     unreachable!("a NOT gate with no fanin does not build");
+/// };
+/// let report = lint_violations(&violations);
 /// assert!(report.fired(RuleId::FloatingInput));
 /// assert!(report.has_errors());
 /// ```

@@ -71,8 +71,18 @@ fn start_server(
     config: NetServerConfig,
     plan: FaultPlan,
 ) -> (LocalDialer, ServerHandle) {
-    let dir = temp_dir(tag);
-    let router = ShardRouter::start(cores_for(net, shards), &dir).unwrap();
+    start_server_in(&temp_dir(tag), net, shards, config, plan)
+}
+
+/// [`start_server`] with its journals under `dir`.
+fn start_server_in(
+    dir: &std::path::Path,
+    net: &Netlist,
+    shards: usize,
+    config: NetServerConfig,
+    plan: FaultPlan,
+) -> (LocalDialer, ServerHandle) {
+    let router = ShardRouter::start(cores_for(net, shards), dir).unwrap();
     let (listener, dialer) = local_transport();
     let handle = std::thread::spawn(move || serve(listener, router, config, &plan));
     (dialer, handle)
@@ -173,41 +183,60 @@ fn unparseable_design_is_a_typed_refusal() {
     assert!(summary.refusals >= 1);
 }
 
-/// `format::read` checks syntax, not arity: `y = NOT()` parses and used to
-/// panic the shard's worker inside SCOAP. It is the request's fault — a
-/// non-retryable `BadRequest` on both request kinds — and the shard must
-/// answer the next request.
+/// `format::read` refuses a design with a cell that has the wrong number
+/// of drivers or a combinational cycle, so no such design reaches a
+/// shard's worker: `y = NOT()` used to panic it inside SCOAP. It is the
+/// request's fault — a non-retryable `BadRequest` on both request kinds,
+/// with no journal written for the flow job — and the shard must answer
+/// the next request.
 #[test]
 fn malformed_design_is_a_bad_request_and_the_shard_lives() {
+    const MALFORMED: [&str; 4] = [
+        // A zero-fan-in NOT (what `Scoap` used to index into).
+        "INPUT(a)\ny = NOT()\nz = AND(a, y)\nOUTPUT(z)\n",
+        // A flip-flop without a driver.
+        "INPUT(a)\nd = DFF()\nz = AND(a, d)\nOUTPUT(z)\n",
+        // A one-input AND.
+        "INPUT(a)\ny = AND(a)\nOUTPUT(y)\n",
+        // A combinational loop.
+        "INPUT(a)\nx = AND(a, y)\ny = OR(a, x)\nOUTPUT(x)\n",
+    ];
     let net = generate(&GeneratorConfig::sized("e2e-arity", 3, 90));
-    let (dialer, handle) = start_server(&net, 1, "arity", server_config(), FaultPlan::none());
+    let dir = temp_dir("arity");
+    let (dialer, handle) = start_server_in(&dir, &net, 1, server_config(), FaultPlan::none());
     let mut client = quick_client(dialer);
 
-    let bad = "INPUT(a)\ny = NOT()\nz = AND(a, y)\nOUTPUT(z)\n";
-    let bad_flow = FlowRequest {
-        design: bad.to_string(),
-        ..flow_request(&net, "arity")
-    };
-    for err in [
-        client.infer(bad, 0).unwrap_err(),
-        client.flow(&bad_flow).unwrap_err(),
-    ] {
-        match err {
-            NetError::Server {
-                code, retryable, ..
-            } => {
-                assert_eq!(code, ErrorCode::BadRequest);
-                assert!(!retryable);
+    for (i, bad) in MALFORMED.iter().enumerate() {
+        let bad_flow = FlowRequest {
+            design: bad.to_string(),
+            ..flow_request(&net, &format!("arity-{i}"))
+        };
+        for err in [
+            client.infer(bad, 0).unwrap_err(),
+            client.flow(&bad_flow).unwrap_err(),
+        ] {
+            match err {
+                NetError::Server {
+                    code, retryable, ..
+                } => {
+                    assert_eq!(code, ErrorCode::BadRequest, "design {i}");
+                    assert!(!retryable, "design {i}");
+                }
+                other => panic!("design {i}: expected a typed server refusal, got {other}"),
             }
-            other => panic!("expected a typed server refusal, got {other}"),
         }
+        let wal = dir.join("shard-0").join(format!("job-arity-{i}.wal"));
+        assert!(!wal.exists(), "a refused design gets no journal");
+        let ok = client.infer(&format::write(&net), 0).unwrap();
+        assert_eq!(ok.probs_len as usize, net.node_count());
     }
-    let ok = client.infer(&format::write(&net), 0).unwrap();
-    assert_eq!(ok.probs_len as usize, net.node_count());
+    // An accepted flow job's journal is where the refused ones were not.
+    client.flow(&flow_request(&net, "arity-ok")).unwrap();
+    assert!(dir.join("shard-0").join("job-arity-ok.wal").exists());
 
     client.drain().unwrap();
     let (summary, cores) = handle.join().unwrap().unwrap();
-    assert!(summary.refusals >= 2);
+    assert!(summary.refusals >= 2 * MALFORMED.len() as u64);
     assert_eq!(
         cores.len(),
         1,

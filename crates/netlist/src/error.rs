@@ -1,29 +1,18 @@
 use std::fmt;
 
-use crate::{CellKind, NodeId};
+use crate::{NodeId, Violation};
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, NetlistError>;
 
-/// Errors produced while building, validating or parsing netlists.
+/// Errors produced while building or parsing netlists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetlistError {
     /// A node id referenced a node that does not exist.
     UnknownNode(NodeId),
-    /// A cell has a fanin count outside its arity bounds.
-    BadArity {
-        /// The offending node.
-        node: NodeId,
-        /// Its cell kind.
-        kind: CellKind,
-        /// Number of fanins it actually has.
-        fanins: usize,
-    },
-    /// An edge would make the combinational logic cyclic.
-    CombinationalCycle {
-        /// A node that participates in the cycle.
-        node: NodeId,
-    },
+    /// The design failed validation: every arity violation in node order,
+    /// then the combinational cycle, if any. Never empty.
+    Invalid(Vec<Violation>),
     /// An edge was added twice between the same pair of nodes.
     DuplicateEdge {
         /// Driving node.
@@ -46,12 +35,14 @@ impl fmt::Display for NetlistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetlistError::UnknownNode(n) => write!(f, "unknown node {n}"),
-            NetlistError::BadArity { node, kind, fanins } => write!(
-                f,
-                "node {node} of kind {kind} has {fanins} fanins, outside its arity bounds"
-            ),
-            NetlistError::CombinationalCycle { node } => {
-                write!(f, "combinational cycle through node {node}")
+            NetlistError::Invalid(violations) => {
+                if let Some(first) = violations.first() {
+                    write!(f, "{first}")?;
+                }
+                match violations.len() {
+                    0 | 1 => Ok(()),
+                    n => write!(f, " (and {} more)", n - 1),
+                }
             }
             NetlistError::DuplicateEdge { from, to } => {
                 write!(f, "duplicate edge {from} -> {to}")
@@ -74,15 +65,16 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = NetlistError::BadArity {
+        let e = NetlistError::Invalid(vec![Violation::BadArity {
             node: NodeId::from_index(7),
-            kind: CellKind::Not,
+            kind: crate::CellKind::Not,
             fanins: 3,
-        };
+        }]);
         let msg = e.to_string();
         assert!(msg.contains("n7"));
         assert!(msg.contains("not"));
         assert!(msg.contains('3'));
+        assert!(!msg.contains("more"));
     }
 
     #[test]

@@ -34,13 +34,13 @@ use crate::{CellKind, Netlist, NetlistError, NodeId, Result};
 /// # Examples
 ///
 /// ```
-/// use gcnt_netlist::{format, CellKind, Netlist};
+/// use gcnt_netlist::{format, CellKind, NetlistBuilder};
 ///
-/// let mut net = Netlist::new("demo");
+/// let mut net = NetlistBuilder::new("demo");
 /// let a = net.add_cell(CellKind::Input);
 /// let o = net.add_cell(CellKind::Output);
 /// net.connect(a, o)?;
-/// let text = format::write(&net);
+/// let text = format::write(&net.build()?);
 /// assert!(text.contains("INPUT(n0)"));
 /// assert!(text.contains("OUTPUT(n0)"));
 /// # Ok::<(), gcnt_netlist::NetlistError>(())
@@ -86,12 +86,16 @@ pub fn write(net: &Netlist) -> String {
     out
 }
 
-/// Parses the text format into a netlist.
+/// Parses the text format into a validated netlist.
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::Parse`] on malformed lines, unknown gate kinds,
-/// redefinitions or references to signals that are never defined.
+/// * [`NetlistError::Parse`] on malformed lines, unknown gate kinds,
+///   redefinitions, a gate that reads one signal twice, or references to
+///   signals that are never defined.
+/// * [`NetlistError::Invalid`] if the parsed design has a cell with the
+///   wrong number of drivers (`y = NOT()` is a well-formed line) or a
+///   combinational cycle.
 pub fn read(text: &str) -> Result<Netlist> {
     enum Stmt<'a> {
         Input(&'a str),
@@ -203,12 +207,16 @@ pub fn read(text: &str) -> Result<Netlist> {
                         line: *lineno,
                         message: format!("gate references undefined signal '{arg}'"),
                     })?;
-                    net.connect(src, id)?;
+                    // The only way to fail: `src` is already a fanin.
+                    net.connect(src, id).map_err(|_| NetlistError::Parse {
+                        line: *lineno,
+                        message: format!("gate '{name}' reads signal '{arg}' twice"),
+                    })?;
                 }
             }
         }
     }
-    Ok(net)
+    net.validated()
 }
 
 fn parse_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
@@ -220,7 +228,7 @@ fn parse_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generate, GeneratorConfig, Scoap};
+    use crate::{generate, GeneratorConfig, NetlistBuilder, Scoap};
 
     #[test]
     fn parse_simple_design() {
@@ -237,7 +245,6 @@ mod tests {
         assert_eq!(net.name(), "half_adder");
         assert_eq!(net.primary_inputs().len(), 2);
         assert_eq!(net.primary_outputs().len(), 2);
-        net.validate().unwrap();
     }
 
     #[test]
@@ -249,7 +256,6 @@ mod tests {
             OUTPUT(y)
         ";
         let net = read(text).unwrap();
-        net.validate().unwrap();
         assert_eq!(net.node_count(), 4);
     }
 
@@ -285,6 +291,29 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_argument_is_a_parse_error() {
+        let err = read("INPUT(a)\ny = AND(a, a)\nOUTPUT(y)").unwrap_err();
+        assert_eq!(
+            err,
+            NetlistError::Parse {
+                line: 2,
+                message: "gate 'y' reads signal 'a' twice".to_string()
+            }
+        );
+    }
+
+    #[test]
+    fn arity_and_cycle_violations_are_refused() {
+        let err = read("INPUT(a)\ny = NOT()\nz = AND(a, y)\nOUTPUT(z)").unwrap_err();
+        assert!(
+            matches!(err, NetlistError::Invalid(ref v) if v.len() == 1),
+            "{err}"
+        );
+        let err = read("INPUT(a)\nx = AND(a, y)\ny = OR(a, x)\nOUTPUT(x)").unwrap_err();
+        assert_eq!(err.to_string(), "combinational cycle through node n1");
+    }
+
+    #[test]
     fn malformed_line_rejected() {
         assert!(read("this is not a netlist").is_err());
         assert!(read("x = AND(a").is_err());
@@ -299,7 +328,6 @@ mod tests {
         });
         let text = write(&net);
         let back = read(&text).unwrap();
-        back.validate().unwrap();
         assert_eq!(back.node_count(), net.node_count());
         assert_eq!(back.edge_count(), net.edge_count());
         // SCOAP profiles must match even if node numbering shifted.
@@ -314,7 +342,7 @@ mod tests {
 
     #[test]
     fn writer_emits_header() {
-        let net = Netlist::new("hdr");
+        let net = NetlistBuilder::new("hdr").build().unwrap();
         let text = write(&net);
         assert!(text.starts_with("# design: hdr"));
     }

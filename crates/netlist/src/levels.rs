@@ -9,30 +9,32 @@ use crate::{Netlist, Result};
 ///
 /// # Errors
 ///
-/// Returns [`crate::NetlistError::CombinationalCycle`] if the netlist has a
-/// combinational cycle.
+/// None: a [`Netlist`] is acyclic by construction. The `Result` is kept
+/// for callers written against the fallible signature.
 ///
 /// # Examples
 ///
 /// ```
-/// use gcnt_netlist::{logic_levels, CellKind, Netlist};
+/// use gcnt_netlist::{logic_levels, CellKind, NetlistBuilder};
 ///
-/// let mut net = Netlist::new("chain");
-/// let a = net.add_cell(CellKind::Input);
-/// let g = net.add_cell(CellKind::Not);
-/// let o = net.add_cell(CellKind::Output);
-/// net.connect(a, g)?;
-/// net.connect(g, o)?;
-/// let levels = logic_levels(&net)?;
+/// let mut b = NetlistBuilder::new("chain");
+/// let a = b.add_cell(CellKind::Input);
+/// let g = b.add_cell(CellKind::Not);
+/// let o = b.add_cell(CellKind::Output);
+/// b.connect(a, g)?;
+/// b.connect(g, o)?;
+/// let levels = logic_levels(&b.build()?)?;
 /// assert_eq!(levels, vec![0, 1, 2]);
 /// # Ok::<(), gcnt_netlist::NetlistError>(())
 /// ```
 pub fn logic_levels(net: &Netlist) -> Result<Vec<u32>> {
-    let order = net.topo_order()?;
+    Ok(levels(net))
+}
+
+pub(crate) fn levels(net: &Netlist) -> Vec<u32> {
     let mut levels = vec![0u32; net.node_count()];
-    for id in order {
+    for &id in net.topo_order() {
         if net.kind(id).is_pseudo_input() {
-            levels[id.index()] = 0;
             continue;
         }
         let max_in = net
@@ -43,18 +45,18 @@ pub fn logic_levels(net: &Netlist) -> Result<Vec<u32>> {
             .unwrap_or(0);
         levels[id.index()] = max_in + 1;
     }
-    Ok(levels)
+    levels
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CellKind;
+    use crate::{CellKind, NetlistBuilder};
 
     #[test]
     fn diamond_takes_max() {
         // a -> b -> d, a -> c -> e -> d  => level(d) = 3
-        let mut net = Netlist::new("diamond");
+        let mut net = NetlistBuilder::new("diamond");
         let a = net.add_cell(CellKind::Input);
         let b = net.add_cell(CellKind::Buf);
         let c = net.add_cell(CellKind::Buf);
@@ -65,13 +67,13 @@ mod tests {
         net.connect(c, e).unwrap();
         net.connect(b, d).unwrap();
         net.connect(e, d).unwrap();
-        let levels = logic_levels(&net).unwrap();
+        let levels = logic_levels(&net.build().unwrap()).unwrap();
         assert_eq!(levels[d.index()], 3);
     }
 
     #[test]
     fn dff_resets_level() {
-        let mut net = Netlist::new("seq");
+        let mut net = NetlistBuilder::new("seq");
         let a = net.add_cell(CellKind::Input);
         let g = net.add_cell(CellKind::Not);
         let d = net.add_cell(CellKind::Dff);
@@ -79,7 +81,7 @@ mod tests {
         net.connect(a, g).unwrap();
         net.connect(g, d).unwrap();
         net.connect(d, h).unwrap();
-        let levels = logic_levels(&net).unwrap();
+        let levels = logic_levels(&net.build().unwrap()).unwrap();
         assert_eq!(levels[g.index()], 1);
         assert_eq!(levels[d.index()], 0);
         assert_eq!(levels[h.index()], 1);
@@ -87,7 +89,7 @@ mod tests {
 
     #[test]
     fn empty_netlist() {
-        let net = Netlist::new("empty");
+        let net = NetlistBuilder::new("empty").build().unwrap();
         assert!(logic_levels(&net).unwrap().is_empty());
     }
 }

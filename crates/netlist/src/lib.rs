@@ -6,9 +6,12 @@
 //! controllability-0 / controllability-1 / observability). This crate
 //! provides everything needed to produce such graphs from scratch:
 //!
-//! * [`Netlist`] — the cell graph itself, with validation and topological
-//!   ordering (DFFs are treated as scan cells, i.e. pseudo primary
-//!   inputs/outputs, the standard full-scan DFT assumption).
+//! * [`Netlist`] — the cell graph itself, valid by construction: a
+//!   [`NetlistBuilder`], the reader and the generator all end in one
+//!   validator that checks arities, proves the combinational logic acyclic
+//!   and keeps the topological order it found (DFFs are treated as scan
+//!   cells, i.e. pseudo primary inputs/outputs, the standard full-scan DFT
+//!   assumption).
 //! * [`Scoap`] — SCOAP testability measures with incremental observability
 //!   refresh after test-point insertion (paper §4).
 //! * [`generate`] / [`GeneratorConfig`] — a seeded synthetic design
@@ -23,18 +26,21 @@
 //! # Examples
 //!
 //! ```
-//! use gcnt_netlist::{CellKind, Netlist};
+//! use gcnt_netlist::{CellKind, NetlistBuilder, NetlistError};
 //!
-//! let mut net = Netlist::new("adder_bit");
-//! let a = net.add_cell(CellKind::Input);
-//! let b = net.add_cell(CellKind::Input);
-//! let x = net.add_cell(CellKind::Xor);
-//! let o = net.add_cell(CellKind::Output);
-//! net.connect(a, x)?;
-//! net.connect(b, x)?;
-//! net.connect(x, o)?;
-//! net.validate()?;
+//! let mut builder = NetlistBuilder::new("adder_bit");
+//! let a = builder.add_cell(CellKind::Input);
+//! let b = builder.add_cell(CellKind::Input);
+//! let x = builder.add_cell(CellKind::Xor);
+//! let o = builder.add_cell(CellKind::Output);
+//! builder.connect(a, x)?;
+//! builder.connect(b, x)?;
+//! let unfinished = builder.clone();
+//! builder.connect(x, o)?;
+//! let net = builder.build()?;
 //! assert_eq!(net.node_count(), 4);
+//! // Without the last wire the output marker floats, and nothing is built.
+//! assert!(matches!(unfinished.build(), Err(NetlistError::Invalid(_))));
 //! # Ok::<(), gcnt_netlist::NetlistError>(())
 //! ```
 
@@ -52,7 +58,7 @@ mod scoap;
 pub use cell::CellKind;
 pub use error::{NetlistError, Result};
 pub use generator::{generate, DesignPreset, GeneratorConfig};
-pub use graph::{Netlist, NetlistStats, NodeId};
+pub use graph::{Netlist, NetlistBuilder, NetlistStats, NodeId, Violation};
 pub use levels::logic_levels;
 pub use profile::{profile, NetlistProfile};
 pub use scoap::{Scoap, SCOAP_INF};

@@ -9,7 +9,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{logic_levels, CellKind, Netlist, Result};
+use crate::{CellKind, Netlist};
 
 /// Structural statistics of a netlist beyond the basic
 /// [`crate::NetlistStats`] counts.
@@ -34,22 +34,17 @@ pub struct NetlistProfile {
 
 /// Computes the structural profile of a netlist.
 ///
-/// # Errors
-///
-/// Returns a netlist error if the design has a combinational cycle.
-///
 /// # Examples
 ///
 /// ```
 /// use gcnt_netlist::{generate, profile, GeneratorConfig};
 ///
 /// let net = generate(&GeneratorConfig::sized("p", 3, 1_000));
-/// let profile = profile(&net)?;
+/// let profile = profile(&net);
 /// assert!(profile.avg_fanin > 1.0);
 /// assert!(profile.max_fanout >= profile.fanout_percentiles[2]);
-/// # Ok::<(), gcnt_netlist::NetlistError>(())
 /// ```
-pub fn profile(net: &Netlist) -> Result<NetlistProfile> {
+pub fn profile(net: &Netlist) -> NetlistProfile {
     let n = net.node_count().max(1);
     let mut kind_histogram: Vec<(CellKind, usize)> =
         CellKind::ALL.iter().map(|&k| (k, 0)).collect();
@@ -66,8 +61,7 @@ pub fn profile(net: &Netlist) -> Result<NetlistProfile> {
         fanin_total += net.fanin(id).len();
     }
     fanouts.sort_unstable();
-    let levels = logic_levels(net)?;
-    let mut sorted_levels = levels.clone();
+    let mut sorted_levels = crate::levels::levels(net);
     sorted_levels.sort_unstable();
     let pct = |sorted: &[usize], p: usize| {
         if sorted.is_empty() {
@@ -83,7 +77,7 @@ pub fn profile(net: &Netlist) -> Result<NetlistProfile> {
             sorted[(sorted.len() - 1) * p / 100]
         }
     };
-    Ok(NetlistProfile {
+    NetlistProfile {
         kind_histogram,
         avg_fanin: fanin_total as f64 / n as f64,
         avg_fanout: fanouts.iter().sum::<usize>() as f64 / n as f64,
@@ -95,7 +89,7 @@ pub fn profile(net: &Netlist) -> Result<NetlistProfile> {
             pct_u32(&sorted_levels, 90),
             pct_u32(&sorted_levels, 99),
         ],
-    })
+    }
 }
 
 impl fmt::Display for NetlistProfile {
@@ -135,7 +129,7 @@ mod tests {
     #[test]
     fn profile_counts_every_cell() {
         let net = generate(&GeneratorConfig::sized("p", 5, 1_000));
-        let p = profile(&net).unwrap();
+        let p = profile(&net);
         let total: usize = p.kind_histogram.iter().map(|&(_, c)| c).sum();
         assert_eq!(total, net.node_count());
     }
@@ -143,7 +137,7 @@ mod tests {
     #[test]
     fn averages_match_edge_count() {
         let net = generate(&GeneratorConfig::sized("p", 6, 800));
-        let p = profile(&net).unwrap();
+        let p = profile(&net);
         let edges = net.edge_count() as f64;
         let n = net.node_count() as f64;
         assert!((p.avg_fanin - edges / n).abs() < 1e-9);
@@ -153,7 +147,7 @@ mod tests {
     #[test]
     fn hub_nets_show_in_max_fanout() {
         let net = generate(&GeneratorConfig::sized("hubs", 7, 5_000));
-        let p = profile(&net).unwrap();
+        let p = profile(&net);
         // The generator plants hub nets whose fanout is far above p99.
         assert!(
             p.max_fanout > 5 * p.fanout_percentiles[2].max(1),
@@ -166,7 +160,7 @@ mod tests {
     #[test]
     fn percentiles_are_monotone() {
         let net = generate(&GeneratorConfig::sized("mono", 8, 1_500));
-        let p = profile(&net).unwrap();
+        let p = profile(&net);
         assert!(p.fanout_percentiles[0] <= p.fanout_percentiles[1]);
         assert!(p.fanout_percentiles[1] <= p.fanout_percentiles[2]);
         assert!(p.level_percentiles[0] <= p.level_percentiles[1]);
@@ -176,8 +170,8 @@ mod tests {
 
     #[test]
     fn empty_netlist_profile() {
-        let net = Netlist::new("empty");
-        let p = profile(&net).unwrap();
+        let net = crate::NetlistBuilder::new("empty").build().unwrap();
+        let p = profile(&net);
         assert_eq!(p.max_fanout, 0);
         assert_eq!(p.depth, 0);
     }
@@ -185,7 +179,7 @@ mod tests {
     #[test]
     fn display_is_readable() {
         let net = generate(&GeneratorConfig::sized("disp", 9, 400));
-        let text = profile(&net).unwrap().to_string();
+        let text = profile(&net).to_string();
         assert!(text.contains("gate mix"));
         assert!(text.contains("depth"));
     }

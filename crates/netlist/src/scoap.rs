@@ -37,9 +37,9 @@ fn sat_add(a: u32, b: u32) -> u32 {
 /// # Examples
 ///
 /// ```
-/// use gcnt_netlist::{CellKind, Netlist, Scoap};
+/// use gcnt_netlist::{CellKind, NetlistBuilder, Scoap};
 ///
-/// let mut net = Netlist::new("and2");
+/// let mut net = NetlistBuilder::new("and2");
 /// let a = net.add_cell(CellKind::Input);
 /// let b = net.add_cell(CellKind::Input);
 /// let g = net.add_cell(CellKind::And);
@@ -47,7 +47,7 @@ fn sat_add(a: u32, b: u32) -> u32 {
 /// net.connect(a, g)?;
 /// net.connect(b, g)?;
 /// net.connect(g, o)?;
-/// let scoap = Scoap::compute(&net)?;
+/// let scoap = Scoap::compute(&net.build()?)?;
 /// assert_eq!(scoap.cc1(g), 3); // both inputs must be 1: 1 + 1 + 1
 /// assert_eq!(scoap.cc0(g), 2); // one controlling 0 suffices: 1 + 1
 /// assert_eq!(scoap.co(g), 0);  // g drives a primary output directly
@@ -66,22 +66,20 @@ impl Scoap {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::NetlistError::BadArity`] if a cell's fanin count
-    /// is outside its kind's bounds (the controllability rules below read
-    /// a one-input cell's driver unconditionally), and
-    /// [`crate::NetlistError::CombinationalCycle`] if the netlist has a
-    /// combinational cycle.
+    /// None: a [`Netlist`] has valid arities (the controllability rules
+    /// below read a one-input cell's driver unconditionally) and a stored
+    /// topological order. The `Result` is kept for callers written against
+    /// the fallible signature.
     pub fn compute(net: &Netlist) -> Result<Self> {
         gcnt_obs::global().incr(gcnt_obs::counters::NETLIST_SCOAP_COMPUTES);
-        net.check_arity()?;
-        let order = net.topo_order()?;
+        let order = net.topo_order();
         let n = net.node_count();
         let mut scoap = Scoap {
             cc0: vec![SCOAP_INF; n],
             cc1: vec![SCOAP_INF; n],
             co: vec![SCOAP_INF; n],
         };
-        for &id in &order {
+        for &id in order {
             let (c0, c1) = scoap.controllability_of(net, id);
             scoap.cc0[id.index()] = c0;
             scoap.cc1[id.index()] = c1;
@@ -329,9 +327,10 @@ impl Scoap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NetlistBuilder;
 
     fn chain(kinds: &[CellKind]) -> (Netlist, Vec<NodeId>) {
-        let mut net = Netlist::new("chain");
+        let mut net = NetlistBuilder::new("chain");
         let mut ids = vec![net.add_cell(CellKind::Input)];
         for &k in kinds {
             let id = net.add_cell(k);
@@ -339,6 +338,7 @@ mod tests {
             net.connect(prev, id).unwrap();
             ids.push(id);
         }
+        let net = net.build().unwrap();
         (net, ids)
     }
 
@@ -362,7 +362,7 @@ mod tests {
 
     #[test]
     fn and_gate_scoap() {
-        let mut net = Netlist::new("and3");
+        let mut net = NetlistBuilder::new("and3");
         let ins: Vec<_> = (0..3).map(|_| net.add_cell(CellKind::Input)).collect();
         let g = net.add_cell(CellKind::And);
         let o = net.add_cell(CellKind::Output);
@@ -370,6 +370,7 @@ mod tests {
             net.connect(i, g).unwrap();
         }
         net.connect(g, o).unwrap();
+        let net = net.build().unwrap();
         let s = Scoap::compute(&net).unwrap();
         assert_eq!(s.cc1(g), 4); // 1+1+1 inputs + 1
         assert_eq!(s.cc0(g), 2); // min(1,1,1) + 1
@@ -379,7 +380,7 @@ mod tests {
 
     #[test]
     fn or_gate_scoap() {
-        let mut net = Netlist::new("or2");
+        let mut net = NetlistBuilder::new("or2");
         let a = net.add_cell(CellKind::Input);
         let b = net.add_cell(CellKind::Input);
         let g = net.add_cell(CellKind::Or);
@@ -387,6 +388,7 @@ mod tests {
         net.connect(a, g).unwrap();
         net.connect(b, g).unwrap();
         net.connect(g, o).unwrap();
+        let net = net.build().unwrap();
         let s = Scoap::compute(&net).unwrap();
         assert_eq!(s.cc0(g), 3);
         assert_eq!(s.cc1(g), 2);
@@ -395,7 +397,7 @@ mod tests {
 
     #[test]
     fn xor_parity_dp_matches_two_input_formula() {
-        let mut net = Netlist::new("xor2");
+        let mut net = NetlistBuilder::new("xor2");
         let a = net.add_cell(CellKind::Input);
         let b = net.add_cell(CellKind::Input);
         let g = net.add_cell(CellKind::Xor);
@@ -403,6 +405,7 @@ mod tests {
         net.connect(a, g).unwrap();
         net.connect(b, g).unwrap();
         net.connect(g, o).unwrap();
+        let net = net.build().unwrap();
         let s = Scoap::compute(&net).unwrap();
         // CC1 = min(cc0a+cc1b, cc1a+cc0b) + 1 = 2 + 1
         assert_eq!(s.cc1(g), 3);
@@ -413,7 +416,7 @@ mod tests {
 
     #[test]
     fn nand_nor_duality() {
-        let mut net = Netlist::new("nandnor");
+        let mut net = NetlistBuilder::new("nandnor");
         let a = net.add_cell(CellKind::Input);
         let b = net.add_cell(CellKind::Input);
         let nand = net.add_cell(CellKind::Nand);
@@ -426,6 +429,7 @@ mod tests {
         net.connect(b, nor).unwrap();
         net.connect(nand, o1).unwrap();
         net.connect(nor, o2).unwrap();
+        let net = net.build().unwrap();
         let s = Scoap::compute(&net).unwrap();
         assert_eq!(s.cc0(nand), 3); // all inputs 1
         assert_eq!(s.cc1(nand), 2); // one input 0
@@ -435,7 +439,7 @@ mod tests {
 
     #[test]
     fn dff_is_scan_accessible() {
-        let mut net = Netlist::new("scan");
+        let mut net = NetlistBuilder::new("scan");
         let a = net.add_cell(CellKind::Input);
         let d = net.add_cell(CellKind::Dff);
         let g = net.add_cell(CellKind::Not);
@@ -443,6 +447,7 @@ mod tests {
         net.connect(a, d).unwrap();
         net.connect(d, g).unwrap();
         net.connect(g, o).unwrap();
+        let net = net.build().unwrap();
         let s = Scoap::compute(&net).unwrap();
         assert_eq!(s.cc0(d), 1);
         assert_eq!(s.cc1(d), 1);
@@ -452,10 +457,11 @@ mod tests {
 
     #[test]
     fn unobservable_dangling_node() {
-        let mut net = Netlist::new("dangling");
+        let mut net = NetlistBuilder::new("dangling");
         let a = net.add_cell(CellKind::Input);
         let g = net.add_cell(CellKind::Not);
         net.connect(a, g).unwrap();
+        let net = net.build().unwrap();
         let s = Scoap::compute(&net).unwrap();
         assert_eq!(s.co(g), SCOAP_INF);
     }
@@ -464,7 +470,7 @@ mod tests {
     fn deep_and_tree_has_poor_observability() {
         // A chain of AND gates each with a fresh side input: observability
         // of the first signal grows with depth.
-        let mut net = Netlist::new("deep");
+        let mut net = NetlistBuilder::new("deep");
         let mut cur = net.add_cell(CellKind::Input);
         let first = cur;
         for _ in 0..8 {
@@ -476,13 +482,14 @@ mod tests {
         }
         let o = net.add_cell(CellKind::Output);
         net.connect(cur, o).unwrap();
+        let net = net.build().unwrap();
         let s = Scoap::compute(&net).unwrap();
         assert!(s.co(first) >= 16, "co = {}", s.co(first));
     }
 
     #[test]
     fn observe_zeroes_target_and_improves_cone() {
-        let mut net = Netlist::new("obs");
+        let mut net = NetlistBuilder::new("obs");
         let mut cur = net.add_cell(CellKind::Input);
         let first = cur;
         let mut mids = Vec::new();
@@ -496,6 +503,7 @@ mod tests {
         }
         let o = net.add_cell(CellKind::Output);
         net.connect(cur, o).unwrap();
+        let mut net = net.build().unwrap();
         let mut s = Scoap::compute(&net).unwrap();
         let co_first_before = s.co(first);
         let target = mids[2];
@@ -512,7 +520,7 @@ mod tests {
     #[test]
     fn observe_matches_full_recompute_with_reconvergence() {
         // Diamond with reconvergent fanout to stress the worklist.
-        let mut net = Netlist::new("reconv");
+        let mut net = NetlistBuilder::new("reconv");
         let a = net.add_cell(CellKind::Input);
         let b = net.add_cell(CellKind::Not);
         let c = net.add_cell(CellKind::Not);
@@ -525,6 +533,7 @@ mod tests {
         net.connect(c, d).unwrap();
         net.connect(d, e).unwrap();
         net.connect(side, e).unwrap();
+        let mut net = net.build().unwrap();
         // No primary output at all: everything unobservable.
         let mut s = Scoap::compute(&net).unwrap();
         assert_eq!(s.co(a), SCOAP_INF);
@@ -537,7 +546,7 @@ mod tests {
 
     #[test]
     fn preview_observe_matches_actual_observe() {
-        let mut net = Netlist::new("preview");
+        let mut net = NetlistBuilder::new("preview");
         let mut cur = net.add_cell(CellKind::Input);
         let mut mids = Vec::new();
         for i in 0..6 {
@@ -554,6 +563,7 @@ mod tests {
         }
         let o = net.add_cell(CellKind::Output);
         net.connect(cur, o).unwrap();
+        let mut net = net.build().unwrap();
         let s = Scoap::compute(&net).unwrap();
         let target = mids[3];
         let mut preview = s.preview_observe(&net, target);

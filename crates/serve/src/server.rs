@@ -343,8 +343,6 @@ impl ServeCore {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Load`] if the design is malformed (bad arity,
-    /// combinational cycle) — nothing is journaled for it,
     /// [`ServeError::Journal`] if the journal cannot be recovered or
     /// appended, [`ServeError::Store`] if a store-backed journal's
     /// compacted prefix cannot be read back or a compaction commit fails,
@@ -357,11 +355,6 @@ impl ServeCore {
         journal_path: &Path,
         deadline: Option<u64>,
     ) -> Result<FlowResponse, ServeError> {
-        // Requests are parsed, not validated: refuse a malformed design as
-        // the request's fault — as `handle_infer` does when it cannot
-        // featurise one — before a journal exists for it.
-        net.validate()
-            .map_err(|e| ServeError::Load(format!("design `{}`: {e}", net.name())))?;
         let header = JournalHeader::describe(net, cfg)?;
         let budget = self.budget_for(deadline);
         let ServeCore {
@@ -727,15 +720,6 @@ mod tests {
         hold_tx
     }
 
-    /// Designs `format::read` accepts and `Netlist::validate` does not:
-    /// a zero-fan-in NOT (what `Scoap` used to index into), a flip-flop
-    /// without a driver, and a one-input AND.
-    const MALFORMED: [&str; 3] = [
-        "INPUT(a)\ny = NOT()\nz = AND(a, y)\nOUTPUT(z)\n",
-        "INPUT(a)\nd = DFF()\nz = AND(a, d)\nOUTPUT(z)\n",
-        "INPUT(a)\ny = AND(a)\nOUTPUT(y)\n",
-    ];
-
     #[test]
     fn handle_round_trips_an_inference_request() {
         let (core, net) = core();
@@ -780,31 +764,6 @@ mod tests {
         assert!(t1.wait().is_ok());
         assert!(t2.wait().is_ok());
         drop(handle);
-    }
-
-    #[test]
-    fn malformed_design_is_a_typed_refusal_and_the_worker_lives() {
-        let (core, net) = core();
-        let handle = ServeHandle::start(core).expect("start worker");
-        let dir = temp_dir("malformed");
-        for (i, text) in MALFORMED.iter().enumerate() {
-            let bad = gcnt_netlist::format::read(text).expect("parses: arity is not syntax");
-            let err = handle.infer(bad.clone(), None).unwrap_err();
-            assert!(matches!(err, ServeError::Load(_)), "infer {i}: {err}");
-            // Nothing retries a load, so the message must not claim it.
-            assert!(!err.to_string().contains("retr"), "infer {i}: {err}");
-            let wal = dir.join(format!("bad{i}.wal"));
-            let err = handle
-                .flow(bad, FlowConfig::default(), wal.clone(), None)
-                .unwrap_err();
-            assert!(matches!(err, ServeError::Load(_)), "flow {i}: {err}");
-            assert!(!err.to_string().contains("retr"), "flow {i}: {err}");
-            assert!(!wal.exists(), "a refused design gets no journal");
-            // The same worker answers the next request.
-            let ok = handle.infer(net.clone(), None).unwrap();
-            assert_eq!(ok.probs.len(), net.node_count());
-        }
-        handle.shutdown().expect("worker exits cleanly");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use gcn_testability::nn::seeded_rng;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A synthetic stand-in for an industrial scan design.
     let net = generate(&GeneratorConfig::sized("quickstart", 42, 4_000));
-    let stats = net.stats()?;
+    let stats = net.stats();
     println!(
         "design: {} nodes, {} edges, {} PIs, {} POs, {} DFFs, depth {}",
         stats.nodes, stats.edges, stats.inputs, stats.outputs, stats.dffs, stats.max_level

@@ -110,8 +110,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Grade both through the same ATPG ----------------------------------
     let atpg = AtpgConfig::default();
     let row = ComparisonRow {
-        baseline: evaluate_insertion(&original, &base_design, &atpg)?,
-        gcn: evaluate_insertion(&original, &gcn_design, &atpg)?,
+        baseline: evaluate_insertion(&original, &base_design, &atpg),
+        gcn: evaluate_insertion(&original, &gcn_design, &atpg),
     };
     println!("\n                #OPs   #PAs   Coverage");
     println!(

@@ -28,7 +28,7 @@ use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig};
 use gcn_testability::dft::labeler::{label_difficult_to_observe, LabelConfig};
 use gcn_testability::gcn::features::FeatureNormalizer;
 use gcn_testability::gcn::{GraphData, MultiStageConfig, MultiStageGcn};
-use gcn_testability::netlist::{format, generate, profile, GeneratorConfig, Netlist};
+use gcn_testability::netlist::{format, generate, profile, GeneratorConfig, Netlist, NetlistError};
 use gcn_testability::report;
 use gcn_testability::runtime::{CheckpointStore, MultiStageTrainer};
 use gcn_testability::store::atomic_write;
@@ -171,10 +171,7 @@ fn opt_f64(options: &HashMap<String, String>, key: &str, default: f64) -> Result
 }
 
 fn load_design(path: &str) -> Result<Netlist, Box<dyn Error>> {
-    let text = fs::read_to_string(path)?;
-    let net = format::read(&text)?;
-    net.validate()?;
-    Ok(net)
+    Ok(format::read(&fs::read_to_string(path)?)?)
 }
 
 fn cmd_generate(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
@@ -194,7 +191,7 @@ fn cmd_generate(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>>
 fn cmd_stats(positional: &[String]) -> Result<(), Box<dyn Error>> {
     let path = positional.first().ok_or("expected a design file")?;
     let net = load_design(path)?;
-    let stats = net.stats()?;
+    let stats = net.stats();
     println!("design   : {}", net.name());
     println!("nodes    : {}", stats.nodes);
     println!("edges    : {}", stats.edges);
@@ -202,7 +199,7 @@ fn cmd_stats(positional: &[String]) -> Result<(), Box<dyn Error>> {
     println!("outputs  : {}", stats.outputs);
     println!("flipflops: {}", stats.dffs);
     println!("depth    : {}", stats.max_level);
-    println!("{}", profile(&net)?);
+    println!("{}", profile(&net));
     Ok(())
 }
 
@@ -461,11 +458,15 @@ fn cmd_lint(
     positional: &[String],
     options: &HashMap<String, String>,
 ) -> Result<(), Box<dyn Error>> {
+    use gcn_testability::lint::{lint_design, lint_violations};
     let path = positional.first().ok_or("expected a design file")?;
-    // Deliberately not load_design(): a netlist that fails validation is
-    // exactly what the linter is for, so parse without validating.
-    let net = format::read(&fs::read_to_string(path)?)?;
-    let report = gcn_testability::lint::lint_design(&net);
+    // A design that fails validation is exactly what the linter is for:
+    // report every violation the reader found, not just the first.
+    let report = match format::read(&fs::read_to_string(path)?) {
+        Ok(net) => lint_design(&net),
+        Err(NetlistError::Invalid(violations)) => lint_violations(&violations),
+        Err(e) => return Err(e.into()),
+    };
     if options.contains_key("model") {
         load_model(options)?;
     }

@@ -18,7 +18,9 @@ use gcn_testability::gcn::features::squash;
 use gcn_testability::gcn::{
     CascadeSession, Gcn, GcnConfig, GraphData, GraphTensors, MatrixBackend, MultiStageGcn,
 };
-use gcn_testability::netlist::{generate, CellKind, GeneratorConfig, Netlist, Scoap};
+use gcn_testability::netlist::{
+    generate, CellKind, GeneratorConfig, Netlist, NetlistBuilder, Scoap,
+};
 use gcn_testability::nn::seeded_rng;
 use gcn_testability::obs::catalog::counters;
 use gcn_testability::tensor::{Budget, Matrix, TensorError};
@@ -197,26 +199,28 @@ fn assert_design_matches(net: &Netlist) {
 
 #[test]
 fn a_single_node_design() {
-    let mut net = Netlist::new("one-input");
+    let mut net = NetlistBuilder::new("one-input");
     net.add_cell(CellKind::Input);
+    let net = net.build().unwrap();
     assert_design_matches(&net);
 }
 
 /// Disjoint input → output wires: no survivor's halo meets another's.
 #[test]
 fn survivors_with_no_edges_between_them() {
-    let mut net = Netlist::new("wires");
+    let mut net = NetlistBuilder::new("wires");
     for _ in 0..64 {
         let a = net.add_cell(CellKind::Input);
         let y = net.add_cell(CellKind::Output);
         net.connect(a, y).unwrap();
     }
+    let net = net.build().unwrap();
     assert_design_matches(&net);
 }
 
 #[test]
 fn a_ten_thousand_deep_chain() {
-    let mut net = Netlist::new("chain");
+    let mut net = NetlistBuilder::new("chain");
     let mut prev = net.add_cell(CellKind::Input);
     for _ in 0..10_000 {
         let buf = net.add_cell(CellKind::Buf);
@@ -225,17 +229,19 @@ fn a_ten_thousand_deep_chain() {
     }
     let out = net.add_cell(CellKind::Output);
     net.connect(prev, out).unwrap();
+    let net = net.build().unwrap();
     assert_design_matches(&net);
 }
 
 #[test]
 fn a_ten_thousand_fanout_hub() {
-    let mut net = Netlist::new("hub");
+    let mut net = NetlistBuilder::new("hub");
     let hub = net.add_cell(CellKind::Input);
     for _ in 0..10_000 {
         let out = net.add_cell(CellKind::Output);
         net.connect(hub, out).unwrap();
     }
+    let net = net.build().unwrap();
     assert_design_matches(&net);
 }
 

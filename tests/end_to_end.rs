@@ -109,15 +109,14 @@ fn trained_flow_improves_coverage() {
     )
     .unwrap();
     assert!(!outcome.inserted.is_empty(), "flow inserted nothing");
-    modified.validate().unwrap();
 
     let atpg_cfg = AtpgConfig {
         max_patterns: 4_096,
         ..Default::default()
     };
     let faults = collapsed_faults(&original);
-    let before = run_random_atpg_on(&original, &faults, &atpg_cfg).unwrap();
-    let after = run_random_atpg_on(&modified, &faults, &atpg_cfg).unwrap();
+    let before = run_random_atpg_on(&original, &faults, &atpg_cfg);
+    let after = run_random_atpg_on(&modified, &faults, &atpg_cfg);
     assert!(
         after.coverage() >= before.coverage(),
         "coverage {} -> {}",
@@ -140,7 +139,6 @@ fn flow_state_matches_rebuild() {
             .collect::<Vec<f32>>())
     };
     let outcome = run_gcn_opi(&mut net, &normalizer, oracle, &FlowConfig::default()).unwrap();
-    net.validate().unwrap();
     // Tensors rebuilt from the mutated netlist must match what incremental
     // maintenance produced: check node/edge counts via a fresh build.
     let fresh = gcn_testability::gcn::GraphTensors::from_netlist(&net);

@@ -15,7 +15,9 @@ use gcn_testability::dft::flow::{
 };
 use gcn_testability::gcn::features::FeatureNormalizer;
 use gcn_testability::gcn::{Gcn, GcnConfig, GraphData, GraphTensors, MultiStageGcn};
-use gcn_testability::netlist::{format, generate, CellKind, GeneratorConfig, Netlist};
+use gcn_testability::netlist::{
+    format, generate, CellKind, GeneratorConfig, Netlist, NetlistBuilder,
+};
 use gcn_testability::nn::seeded_rng;
 use gcn_testability::store::checksum_hex;
 use gcn_testability::tensor::{Budget, Matrix};
@@ -122,14 +124,14 @@ fn every_classifier_kind_reproduces_the_recorded_run() {
 /// empty-matrix edge inside the session.
 #[test]
 fn degenerate_designs_flow_with_a_model_classifier() {
-    let empty = Netlist::new("empty");
-    let mut one_input = Netlist::new("one-input");
+    let empty = NetlistBuilder::new("empty");
+    let mut one_input = NetlistBuilder::new("one-input");
     one_input.add_cell(CellKind::Input);
-    let mut wire = Netlist::new("input-to-output");
+    let mut wire = NetlistBuilder::new("input-to-output");
     let a = wire.add_cell(CellKind::Input);
     let o = wire.add_cell(CellKind::Output);
     wire.connect(a, o).unwrap();
-    let mut chain = Netlist::new("buffer-chain");
+    let mut chain = NetlistBuilder::new("buffer-chain");
     let mut prev = chain.add_cell(CellKind::Input);
     for _ in 0..50 {
         let buf = chain.add_cell(CellKind::Buf);
@@ -141,7 +143,7 @@ fn degenerate_designs_flow_with_a_model_classifier() {
 
     let model = cascade();
     let normalizer = GraphData::from_netlist(&design(), None).unwrap().normalizer;
-    for net in [empty, one_input, wire, chain] {
+    for net in [empty, one_input, wire, chain].map(|b| b.build().unwrap()) {
         flows_intact(&net, &normalizer, &model.stages()[0]);
         flows_intact(&net, &normalizer, &model);
     }
@@ -157,5 +159,9 @@ fn flows_intact<F: FlowClassifier>(net: &Netlist, normalizer: &FeatureNormalizer
         "design `{}`",
         net.name()
     );
-    flowed.validate().unwrap();
+    // The flowed design survives its persisted form, which re-validates.
+    assert_eq!(
+        format::read(&format::write(&flowed)).unwrap().node_count(),
+        flowed.node_count()
+    );
 }

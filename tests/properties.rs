@@ -3,11 +3,13 @@
 
 use proptest::prelude::*;
 
+use gcn_testability::dft::atpg::{run_random_atpg, AtpgConfig};
 use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig};
 use gcn_testability::gcn::{recursive, Gcn, GcnConfig, GraphData, GraphTensors};
-use gcn_testability::lint::{lint_csr, lint_graph_tensors, lint_netlist, RuleId};
+use gcn_testability::lint::{lint_csr, lint_graph_tensors, lint_netlist, lint_violations, RuleId};
 use gcn_testability::netlist::{
-    format, generate, logic_levels, CellKind, GeneratorConfig, Netlist, Scoap, SCOAP_INF,
+    format, generate, logic_levels, CellKind, GeneratorConfig, Netlist, NetlistBuilder,
+    NetlistError, NodeId, Scoap, Violation, SCOAP_INF,
 };
 use gcn_testability::nn::seeded_rng;
 use gcn_testability::tensor::{CooMatrix, CsrMatrix, Matrix};
@@ -28,38 +30,63 @@ fn arb_netlist() -> impl Strategy<Value = Netlist> {
     })
 }
 
+/// Whether `net.topo_order()` lists every node once, each non-pseudo-input
+/// node after all of its fanins.
+fn order_is_topological(net: &Netlist) -> bool {
+    let mut pos = vec![usize::MAX; net.node_count()];
+    for (i, id) in net.topo_order().iter().enumerate() {
+        if pos[id.index()] != usize::MAX {
+            return false;
+        }
+        pos[id.index()] = i;
+    }
+    net.topo_order().len() == net.node_count()
+        && net.nodes().all(|v| {
+            net.kind(v).is_pseudo_input()
+                || net
+                    .fanin(v)
+                    .iter()
+                    .all(|&u| pos[u.index()] < pos[v.index()])
+        })
+}
+
+/// A builder holding `net`'s cells and every edge `keep` accepts.
+fn rebuild(net: &Netlist, keep: impl Fn(NodeId, NodeId) -> bool) -> NetlistBuilder {
+    let mut b = NetlistBuilder::new("mutated");
+    for v in net.nodes() {
+        b.add_cell(net.kind(v));
+    }
+    for v in net.nodes() {
+        for &u in net.fanin(v).iter().filter(|&&u| keep(u, v)) {
+            b.connect(u, v).unwrap();
+        }
+    }
+    b
+}
+
+/// The violations `b.build()` refuses with.
+fn refusal(b: NetlistBuilder) -> Vec<Violation> {
+    match b.build() {
+        Err(NetlistError::Invalid(violations)) => violations,
+        Err(other) => panic!("expected violations, got {other}"),
+        Ok(net) => panic!("a mutated design of {} nodes built", net.node_count()),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every generated netlist validates and levelises.
+    /// Every generated netlist carries a topological order of all its
+    /// nodes.
     #[test]
     fn generated_netlists_validate(net in arb_netlist()) {
-        net.validate().unwrap();
-        let order = net.topo_order().unwrap();
-        prop_assert_eq!(order.len(), net.node_count());
-        // Topological property: every non-pseudo-input node appears after
-        // all of its fanins.
-        let pos: Vec<usize> = {
-            let mut p = vec![0; net.node_count()];
-            for (i, id) in order.iter().enumerate() {
-                p[id.index()] = i;
-            }
-            p
-        };
-        for v in net.nodes() {
-            if net.kind(v).is_pseudo_input() {
-                continue;
-            }
-            for &u in net.fanin(v) {
-                prop_assert!(pos[u.index()] < pos[v.index()]);
-            }
-        }
+        prop_assert!(order_is_topological(&net));
     }
 
     /// The `.bench` reader is total: a written design with bits flipped,
     /// `=`/`(` characters deleted and its tail cut off parses to a
-    /// netlist or a `NetlistError`, and validating what parses never
-    /// panics either.
+    /// netlist or a `NetlistError`, and whatever it accepts levelises,
+    /// gets SCOAP measures and runs through ATPG without an error.
     #[test]
     fn mutated_bench_text_parses_or_fails_typed(
         net in arb_netlist(),
@@ -82,7 +109,10 @@ proptest! {
         }
         bytes.truncate((bytes.len() as u64 * cut_frac / 1000) as usize);
         if let Ok(parsed) = format::read(&String::from_utf8_lossy(&bytes)) {
-            let _ = parsed.validate();
+            prop_assert!(logic_levels(&parsed).is_ok());
+            prop_assert!(Scoap::compute(&parsed).is_ok());
+            let atpg = AtpgConfig { max_patterns: 128, ..AtpgConfig::default() };
+            prop_assert!(run_random_atpg(&parsed, &atpg).is_ok());
         }
     }
 
@@ -202,7 +232,8 @@ proptest! {
     }
 
     /// Mutation: dropping an edge whose sink sits at its arity lower bound
-    /// must trip the linter (`NL002` if fanins remain, `NL004` if none do).
+    /// must stop the design from building, and the linter must report the
+    /// refusal (`NL002` if fanins remain, `NL004` if none do).
     #[test]
     fn lint_catches_dropped_edge(net in arb_netlist(), pick in any::<u32>()) {
         prop_assert!(lint_netlist(&net).is_clean());
@@ -218,19 +249,8 @@ proptest! {
         prop_assume!(!brittle.is_empty());
         let (drop_src, drop_sink) = brittle[pick as usize % brittle.len()];
         // The netlist has no edge removal; rebuild it without the edge.
-        let mut mutated = Netlist::new("mutated");
-        for v in net.nodes() {
-            mutated.add_cell(net.kind(v));
-        }
-        for v in net.nodes() {
-            for &u in net.fanin(v) {
-                if (u.index(), v.index()) == (drop_src, drop_sink) {
-                    continue;
-                }
-                mutated.connect(u, v).unwrap();
-            }
-        }
-        let report = lint_netlist(&mutated);
+        let mutated = rebuild(&net, |u, v| (u.index(), v.index()) != (drop_src, drop_sink));
+        let report = lint_violations(&refusal(mutated));
         prop_assert!(
             report.fired(RuleId::BadArity) || report.fired(RuleId::FloatingInput),
             "dropping {drop_src}->{drop_sink} went unnoticed:\n{report}"
@@ -238,7 +258,8 @@ proptest! {
     }
 
     /// Mutation: adding a back edge between two connected combinational
-    /// gates must trip `NL001 combinational-cycle`.
+    /// gates must stop the design from building, and the linter must
+    /// report `NL001 combinational-cycle`.
     #[test]
     fn lint_catches_back_edge(net in arb_netlist(), pick in any::<u32>()) {
         let gate_edges: Vec<_> = net
@@ -254,9 +275,9 @@ proptest! {
             .collect();
         prop_assume!(!gate_edges.is_empty());
         let (u, v) = gate_edges[pick as usize % gate_edges.len()];
-        let mut mutated = net.clone();
+        let mut mutated = rebuild(&net, |_, _| true);
         mutated.connect(v, u).unwrap(); // u -> v already exists: a 2-cycle
-        let report = lint_netlist(&mutated);
+        let report = lint_violations(&refusal(mutated));
         prop_assert!(
             report.fired(RuleId::CombinationalCycle),
             "back edge {} -> {} went unnoticed:\n{report}",
@@ -269,8 +290,9 @@ proptest! {
     /// observation points: `logic_levels` is 0 on a pseudo input and
     /// 1 + the highest fanin level elsewhere, every SCOAP measure is in
     /// range (`cc0`/`cc1` in `[1, SCOAP_INF]` and 1/1 on a pseudo input,
-    /// `co` at most `SCOAP_INF`), and the incrementally observed SCOAP is
-    /// the from-scratch one after every insertion.
+    /// `co` at most `SCOAP_INF`), and after every insertion the
+    /// incrementally observed SCOAP is the from-scratch one and the stored
+    /// order is still topological.
     #[test]
     fn levels_and_scoap_hold_their_invariants_under_insertion(
         net in arb_netlist(),
@@ -287,6 +309,7 @@ proptest! {
             let op = net.insert_observation_point(target).unwrap();
             scoap.observe(&net, target, op);
             prop_assert_eq!(&scoap, &Scoap::compute(&net).unwrap());
+            prop_assert!(order_is_topological(&net));
         }
         let levels = logic_levels(&net).unwrap();
         prop_assert_eq!(levels.len(), net.node_count());

@@ -19,7 +19,7 @@ use gcn_testability::gcn::pass::TILE_ROWS;
 use gcn_testability::gcn::{
     recursive, CascadeSession, Gcn, GcnConfig, GraphTensors, MatrixBackend, MultiStageGcn,
 };
-use gcn_testability::netlist::{CellKind, Netlist};
+use gcn_testability::netlist::{CellKind, Netlist, NetlistBuilder};
 use gcn_testability::nn::seeded_rng;
 use gcn_testability::tensor::{ops, Budget, Matrix, TensorError};
 
@@ -39,7 +39,7 @@ fn mix(state: &mut u64) -> u64 {
 /// earlier ones, mostly nearby, sometimes anywhere, so tiles share
 /// neighbours across their edges.
 fn dag(n: usize, seed: u64) -> Netlist {
-    let mut net = Netlist::new(format!("dag-{n}"));
+    let mut net = NetlistBuilder::new(format!("dag-{n}"));
     let mut state = seed;
     let mut cells = Vec::with_capacity(n);
     for i in 0..n {
@@ -50,25 +50,31 @@ fn dag(n: usize, seed: u64) -> Netlist {
             (_, 3 | 4) => CellKind::And,
             _ => CellKind::Or,
         };
-        let cell = net.add_cell(kind);
         let fanins = match kind {
             CellKind::Input => 0,
             CellKind::Buf => 1,
             _ => 2.min(i),
         };
-        for _ in 0..fanins {
-            let r = mix(&mut state) as usize;
-            let from = if r % 5 == 0 {
-                r / 5 % i
-            } else {
-                i - 1 - (r / 5 % i.min(24))
-            };
-            // A repeated pick is a duplicate edge; one fanin is enough.
-            let _ = net.connect(cells[from], cell);
+        let mut from: Vec<usize> = (0..fanins)
+            .map(|_| {
+                let r = mix(&mut state) as usize;
+                if r % 5 == 0 {
+                    r / 5 % i
+                } else {
+                    i - 1 - (r / 5 % i.min(24))
+                }
+            })
+            .collect();
+        from.dedup();
+        // A gate left with one distinct fanin is a buffer.
+        let kind = if from.len() == 1 { CellKind::Buf } else { kind };
+        let cell = net.add_cell(kind);
+        for f in from {
+            net.connect(cells[f], cell).unwrap();
         }
         cells.push(cell);
     }
-    net
+    net.build().unwrap()
 }
 
 /// `n` rows of four attributes in `(-1, 1)`.
@@ -219,7 +225,7 @@ fn designs_sized_around_a_tile_match_both_references() {
 
 #[test]
 fn an_empty_design_has_no_rows_to_list() {
-    let t = GraphTensors::from_netlist(&Netlist::new("empty"));
+    let t = GraphTensors::from_netlist(&NetlistBuilder::new("empty").build().unwrap());
     let x = features(0, 1);
     let model = MultiStageGcn::from_stages(stages(&[2, 1], 3), 0.25);
     assert!(model.predict_proba(&t, &x).unwrap().is_empty());
@@ -246,12 +252,13 @@ fn either_direction_can_be_switched_off() {
 
 #[test]
 fn a_ten_thousand_fanout_hub() {
-    let mut net = Netlist::new("hub");
+    let mut net = NetlistBuilder::new("hub");
     let hub = net.add_cell(CellKind::Input);
     for _ in 0..10_000 {
         let out = net.add_cell(CellKind::Output);
         net.connect(hub, out).unwrap();
     }
+    let net = net.build().unwrap();
     let (t, x) = (GraphTensors::from_netlist(&net), features(10_001, 71));
     stage_matches(&stages(&[3], 72)[0], &t, &x, "hub");
     all_thresholds_match(&stages(&[2, 3, 1], 73), &t, &x, "hub");
@@ -259,13 +266,14 @@ fn a_ten_thousand_fanout_hub() {
 
 #[test]
 fn a_ten_thousand_deep_chain() {
-    let mut net = Netlist::new("chain");
+    let mut net = NetlistBuilder::new("chain");
     let mut prev = net.add_cell(CellKind::Input);
     for _ in 0..10_000 {
         let buf = net.add_cell(CellKind::Buf);
         net.connect(prev, buf).unwrap();
         prev = buf;
     }
+    let net = net.build().unwrap();
     let (t, x) = (GraphTensors::from_netlist(&net), features(10_001, 81));
     stage_matches(&stages(&[3], 82)[0], &t, &x, "chain");
     all_thresholds_match(&stages(&[2, 3, 1], 83), &t, &x, "chain");
