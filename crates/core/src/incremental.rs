@@ -189,7 +189,7 @@ impl Gcn {
 
     /// [`Gcn::embed_cached`] under an explicit work [`Budget`] and
     /// [`MatrixBackend`]: each layer charges one unit per node before
-    /// computing, so an exhausted or cancelled budget stops the pass at a
+    /// computing, so an exhausted budget stops the pass at a
     /// layer boundary. Each layer's tiles write straight into the matrix
     /// the cache keeps. The seeded cache is bit-identical across backends
     /// (only a backend's staleness check is used), so the dirty-halo
@@ -198,7 +198,7 @@ impl Gcn {
     /// # Errors
     ///
     /// As [`Gcn::embed_cached`], plus budget errors
-    /// ([`TensorError::BudgetExceeded`] / [`TensorError::Cancelled`])
+    /// ([`TensorError::BudgetExceeded`])
     /// from the inter-layer checkpoints and [`TensorError::StaleCache`]
     /// from a partitioned backend built against an older graph generation.
     pub fn embed_cached_budgeted_with(
@@ -249,7 +249,7 @@ impl Gcn {
 
     /// [`Gcn::embed_incremental`] under a cooperative work [`Budget`]:
     /// every layer charges one unit per halo row before recomputing it, so
-    /// an exhausted or cancelled budget stops the patch at a layer
+    /// an exhausted budget stops the patch at a layer
     /// boundary. On a budget error — or a layer step refused for its
     /// shapes — the already-patched layers are rolled back, leaving the
     /// cache exactly as before the call.
@@ -257,7 +257,7 @@ impl Gcn {
     /// # Errors
     ///
     /// As [`Gcn::embed_incremental`], plus budget errors
-    /// ([`TensorError::BudgetExceeded`] / [`TensorError::Cancelled`])
+    /// ([`TensorError::BudgetExceeded`])
     /// from the per-layer checkpoints.
     pub fn embed_incremental_budgeted(
         &self,
@@ -590,7 +590,7 @@ impl<'m> CascadeSession<'m> {
     /// # Errors
     ///
     /// As [`CascadeSession::refresh`], plus budget errors
-    /// ([`TensorError::BudgetExceeded`] / [`TensorError::Cancelled`]).
+    /// ([`TensorError::BudgetExceeded`]).
     pub fn refresh_budgeted(
         &mut self,
         t: &GraphTensors,

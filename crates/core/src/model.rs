@@ -262,9 +262,8 @@ impl Gcn {
 
     /// [`Gcn::embed`] with the execution context explicit: a cooperative
     /// work [`Budget`] and a [`MatrixBackend`]. Each layer charges one
-    /// unit per node *before* computing, so an exhausted or cancelled
-    /// budget stops the pass at a layer boundary instead of running to
-    /// completion. Every layer runs as the row-tiled step of
+    /// unit per node *before* computing, so an exhausted budget stops the
+    /// pass at a layer boundary instead of running to completion. Every layer runs as the row-tiled step of
     /// [`crate::pass`], which aggregates through the graph's own CSRs
     /// whatever the backend — of a backend only the staleness check
     /// remains — so the embeddings are the same bits for every backend.
@@ -272,9 +271,8 @@ impl Gcn {
     /// # Errors
     ///
     /// Returns a shape error if `x` does not match the graph/node shape,
-    /// a budget error ([`gcnt_tensor::TensorError::BudgetExceeded`] /
-    /// [`gcnt_tensor::TensorError::Cancelled`]) from the checkpoint
-    /// between layers, or [`gcnt_tensor::TensorError::StaleCache`] from a
+    /// a budget error ([`gcnt_tensor::TensorError::BudgetExceeded`]) from
+    /// the checkpoint between layers, or [`gcnt_tensor::TensorError::StaleCache`] from a
     /// partitioned backend built against an older graph generation.
     pub fn embed_budgeted_with(
         &self,

@@ -352,7 +352,7 @@ impl MultiStageGcn {
     ///
     /// Each layer charges the budget one unit per row it is about to
     /// compute — `n` per layer of stage 0, the halo's size per layer of a
-    /// later stage — so an exhausted or cancelled budget stops the cascade
+    /// later stage — so an exhausted budget stops the cascade
     /// at a layer boundary with no partial result.
     ///
     /// # Errors

@@ -114,7 +114,7 @@ pub struct EpochGrads {
 /// A worker that dies is recovered by recomputing its graph on the
 /// calling thread, in its place in the sum, and listed in
 /// [`EpochGrads::recovered`]. `on_worker(i)` runs first on worker `i`'s
-/// thread — the seam fault-injection tests kill a worker through;
+/// thread — the seam a killed-worker test injects its fault through;
 /// everyone else passes `&|_| {}`.
 ///
 /// # Errors

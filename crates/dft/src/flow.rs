@@ -98,15 +98,10 @@ impl std::error::Error for FlowError {
 
 impl FlowError {
     /// Whether this error is a cooperative work-budget stop
-    /// ([`TensorError::BudgetExceeded`] or [`TensorError::Cancelled`])
-    /// rather than a real failure — the signal the serving layer uses to
+    /// ([`TensorError::BudgetExceeded`]) rather than a real failure — the signal the serving layer uses to
     /// step down its degradation ladder instead of failing the request.
     pub fn is_budget_stop(&self) -> bool {
-        matches!(
-            self,
-            FlowError::Tensor(TensorError::BudgetExceeded { .. })
-                | FlowError::Tensor(TensorError::Cancelled)
-        )
+        matches!(self, FlowError::Tensor(TensorError::BudgetExceeded { .. }))
     }
 }
 
@@ -145,8 +140,8 @@ pub trait FlowClassifier {
     /// # Errors
     ///
     /// Returns a tensor error if the model and graph shapes disagree, or
-    /// a budget error ([`TensorError::BudgetExceeded`] /
-    /// [`TensorError::Cancelled`]) from the opening pass.
+    /// a budget error ([`TensorError::BudgetExceeded`]) from the opening
+    /// pass.
     fn open<'a>(
         &'a self,
         t: &GraphTensors,
@@ -508,7 +503,7 @@ where
 ///
 /// Every inference — full passes, session refreshes, impact previews —
 /// checks `budget` between GCN layers. A budget stop surfaces as
-/// [`TensorError::BudgetExceeded`] (or [`TensorError::Cancelled`]) with
+/// [`TensorError::BudgetExceeded`] with
 /// `net` left in the last consistent committed state, so a caller can
 /// restart or degrade without repair work.
 ///
@@ -658,7 +653,7 @@ where
         // (convergence or a no-progress iteration).
         let mut loop_done = false;
         for (k, rec) in resume.iter().enumerate() {
-            budget.charge(0)?; // cancellation checkpoint between batches
+            budget.charge(0)?; // budget checkpoint between batches
             state.stale = vec![false; state.net.node_count()];
             for &target in &rec.inserted {
                 commit(&mut state, target)?;
@@ -711,7 +706,7 @@ where
             start_iteration
         };
         for iteration in first_iteration..cfg.max_iterations {
-            budget.charge(0)?; // cancellation checkpoint between iterations
+            budget.charge(0)?; // budget checkpoint between iterations
             let _iter_span = gcnt_obs::span(gcnt_obs::histograms::DFT_FLOW_ITERATION_NS);
             gcnt_obs::global().incr(gcnt_obs::counters::DFT_FLOW_ITERATIONS);
             let skipped_before = skipped.len();

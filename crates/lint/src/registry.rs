@@ -15,7 +15,7 @@ pub struct RuleDescriptor {
     pub slug: &'static str,
     /// Severity carried by this rule's findings.
     pub severity: Severity,
-    /// One-line summary shown by `gcnt lint --rules`.
+    /// One-line summary of what the rule checks.
     pub summary: &'static str,
 }
 

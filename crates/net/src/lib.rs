@@ -35,10 +35,10 @@
 //! | 5..9 | payload length u32 | capped at 16 MiB before allocation |
 //! | 9..17 | FNV-1a 64 of payload | `bad-frame` on mismatch |
 //!
-//! Network faults (behind the `fault-inject` feature, driven by
-//! [`gcnt_runtime::FaultPlan`]): connect-refused(count),
-//! disconnect-after-frame(N), slow-loris(bytes/s), and
-//! corrupt-frame-checksum — each deterministic and one-shot, so a
+//! Network faults, armed by the tests through [`gcnt_runtime::FaultPlan`]
+//! ([`serve`]'s plan and [`NetClient::connect_with_faults`]):
+//! connect-refused(count), disconnect-after-frame(N), slow-loris(bytes/s),
+//! and corrupt-frame-checksum — each deterministic and one-shot, so a
 //! retry observes a healed network.
 
 #![deny(unsafe_code)]

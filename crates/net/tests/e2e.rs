@@ -1,9 +1,8 @@
 //! End-to-end protocol tests: a real server (shard router + serve
 //! cores) behind the in-process loopback transport, driven by the real
-//! client. The fault-matrix scenarios run under `--features
-//! fault-inject` and assert the ISSUE's contract: every injected
-//! network fault ends in a typed error or a bit-identical resumed
-//! outcome — never a hang, panic, or wrong payload.
+//! client. The fault-matrix scenarios assert the serving contract:
+//! every injected network fault ends in a typed error or a
+//! bit-identical resumed outcome — never a hang, panic, or wrong payload.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -340,7 +339,6 @@ fn tcp_round_trips_like_loopback() {
     assert!(summary.jobs_completed >= 1);
 }
 
-#[cfg(feature = "fault-inject")]
 mod fault_matrix {
     use super::*;
 
@@ -349,8 +347,23 @@ mod fault_matrix {
         let net = generate(&GeneratorConfig::sized("e2e-refuse", 3, 90));
         let (dialer, handle) = start_server(&net, 2, "refuse", server_config(), FaultPlan::none());
 
-        // The first two dials are refused; backoff then connects.
+        // The first two dials are refused: a two-attempt budget runs out
+        // on them, while backoff with a third attempt connects.
         let plan = FaultPlan::none().with_net_connect_refused(2);
+        let two_attempts = ClientConfig {
+            connect_attempts: 2,
+            backoff: Duration::from_millis(2),
+            ..ClientConfig::default()
+        };
+        let refused = NetClient::connect_with_faults(
+            Dialer::Local(dialer.clone()),
+            two_attempts,
+            plan.clone(),
+        );
+        assert!(
+            matches!(refused, Err(NetError::RetriesExhausted { attempts: 2, .. })),
+            "both dials must be refused"
+        );
         let mut client = quick_client_with_faults(dialer, plan);
         let reply = client.infer(&format::write(&net), 0).unwrap();
         assert_eq!(reply.probs_len as usize, net.node_count());
@@ -379,7 +392,7 @@ mod fault_matrix {
         client.infer(&format::write(&net), 0).unwrap();
         client.drain().unwrap();
         let (summary, _) = handle.join().unwrap().unwrap();
-        assert!(summary.refusals >= 1);
+        assert_eq!(summary.refusals, 1, "exactly one typed refusal");
     }
 
     #[test]

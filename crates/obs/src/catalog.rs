@@ -149,9 +149,6 @@ declare_counters! {
     /// Cooperative budget charges rejected with `BudgetExceeded`.
     TENSOR_BUDGET_STOPS => "gcnt_tensor_budget_stops_total",
         "Work-budget charges rejected because the cap was spent";
-    /// Cooperative budget charges rejected with `Cancelled`.
-    TENSOR_BUDGET_CANCELS => "gcnt_tensor_budget_cancels_total",
-        "Work-budget charges rejected because the budget was cancelled";
     /// Halo rows gathered from other partitions by partitioned SpMM.
     TENSOR_HALO_ROWS => "gcnt_tensor_halo_rows_exchanged_total",
         "Halo rows exchanged between partitions by partitioned SpMM";

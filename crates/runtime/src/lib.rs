@@ -22,10 +22,11 @@
 //!   a model and optimizer state that decode (mis-shaped or non-finite
 //!   parameters refuse at decode), and the optimizer contract — falling
 //!   back to older checkpoints on corruption.
-//! - **Fault injection** ([`FaultPlan`], `fault-inject` feature):
-//!   deterministic, named injection points — kill a worker thread,
-//!   poison a gradient with NaN, corrupt a checkpoint file — so the
-//!   recovery paths are tested, not hoped for.
+//! - **Fault injection** ([`FaultPlan`]): deterministic, named
+//!   injection points — kill a worker thread, poison a gradient with
+//!   NaN, abort after a journal record — armed only by the plan's
+//!   `with_*` builders in tests, so the recovery paths are tested, not
+//!   hoped for.
 //!
 //! [`TrainSession`] is the guarded epoch loop around
 //! `gcnt_core::epoch_grads`; [`MultiStageTrainer`] drives
@@ -73,8 +74,6 @@ pub use checkpoint::{
     checksum_hex, fnv1a64, CheckpointError, CheckpointStore, TrainState, CHECKPOINT_VERSION,
 };
 pub use fault::FaultPlan;
-#[cfg(feature = "fault-inject")]
-pub use fault::{flip_byte, truncate_file};
 pub use guard::{
     DivergenceCause, GuardConfig, GuardedOutcome, RollbackEvent, TrainError, TrainSession,
 };

@@ -1,18 +1,30 @@
 //! Integration tests of the resilience layer: interrupt-then-resume
 //! determinism, corrupted-checkpoint fallback, divergence recovery, and
-//! (with `--features fault-inject`) injected worker/gradient faults.
+//! injected worker/gradient faults.
 
 use std::fs;
 use std::path::PathBuf;
 
 use gcnt_core::{GcnConfig, GraphData, MultiStageConfig, MultiStageGcn, TrainConfig};
 use gcnt_netlist::{generate, GeneratorConfig, Scoap};
-#[cfg(feature = "fault-inject")]
-use gcnt_runtime::FaultPlan;
 use gcnt_runtime::{
-    CheckpointError, CheckpointStore, GuardConfig, MultiStageTrainer, TrainError, TrainSession,
-    TrainState, CHECKPOINT_VERSION,
+    CheckpointError, CheckpointStore, FaultPlan, GuardConfig, MultiStageTrainer, TrainError,
+    TrainSession, TrainState, CHECKPOINT_VERSION,
 };
+
+/// Truncates a file to half its length — a torn-write simulation.
+fn truncate_file(path: &std::path::Path) {
+    let mut bytes = fs::read(path).expect("read file to truncate");
+    bytes.truncate(bytes.len() / 2);
+    fs::write(path, bytes).expect("write truncated file");
+}
+
+/// Flips one bit at the given byte offset — a bit-rot simulation.
+fn flip_byte(path: &std::path::Path, offset: usize) {
+    let mut bytes = fs::read(path).expect("read file to corrupt");
+    bytes[offset] ^= 0x01;
+    fs::write(path, bytes).expect("write corrupted file");
+}
 
 /// Imbalanced labeled data from the SCOAP observability tail.
 fn labeled_data(seed: u64, size: usize) -> GraphData {
@@ -414,7 +426,6 @@ fn checkpoint_state_round_trips_rng_and_cursor() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-#[cfg(feature = "fault-inject")]
 mod fault_injected {
     use super::*;
 
@@ -514,12 +525,12 @@ mod fault_injected {
         );
         let state = TrainState::single(4, &model, &None, 0.05, 0, &[]);
         let p1 = store.save(&state).unwrap();
-        gcnt_runtime::truncate_file(&p1);
+        truncate_file(&p1);
         assert!(store.load(&p1, false).is_err());
         let state2 = TrainState::single(8, &model, &None, 0.05, 0, &[]);
         let p2 = store.save(&state2).unwrap();
         let len = fs::read(&p2).unwrap().len();
-        gcnt_runtime::flip_byte(&p2, len / 2);
+        flip_byte(&p2, len / 2);
         assert!(store.load(&p2, false).is_err());
         let _ = fs::remove_dir_all(&dir);
     }

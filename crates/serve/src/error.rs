@@ -96,7 +96,10 @@ mod tests {
         assert!(ServeError::Overloaded { capacity: 4 }
             .to_string()
             .contains("capacity 4"));
-        let e = ServeError::Tensor(TensorError::Cancelled);
+        let e = ServeError::Tensor(TensorError::LengthMismatch {
+            expected: 1,
+            actual: 2,
+        });
         assert!(std::error::Error::source(&e).is_some());
     }
 }

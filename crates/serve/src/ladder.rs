@@ -99,7 +99,7 @@ pub struct LadderResult {
 
 /// Whether an error steps the ladder down (instead of failing the
 /// request): budget exhaustion and stale caches degrade, everything else
-/// — including cancellation — aborts.
+/// aborts.
 fn degrades(e: &TensorError) -> bool {
     matches!(
         e,
@@ -125,8 +125,8 @@ fn degrades(e: &TensorError) -> bool {
 ///
 /// # Errors
 ///
-/// [`ServeError::Tensor`] on a real model/graph error (shape mismatch,
-/// cancellation) — never on deadline pressure, which degrades instead.
+/// [`ServeError::Tensor`] on a real model/graph error (a shape mismatch)
+/// — never on deadline pressure, which degrades instead.
 pub fn classify_with_ladder_backed(
     model: &MultiStageGcn,
     t: &GraphTensors,
@@ -425,15 +425,5 @@ mod tests {
             assert_eq!(backed.rung, serial.rung, "cap {cap} poison {poison}");
             assert_eq!(backed.probs, serial.probs, "cap {cap} poison {poison}");
         }
-    }
-
-    #[test]
-    fn cancellation_aborts_instead_of_degrading() {
-        let (data, model) = fixture();
-        let budget = Budget::unlimited();
-        budget.cancel_handle().cancel();
-        let err = classify_with_ladder(&model, &data.tensors, &data.features, &budget, false)
-            .unwrap_err();
-        assert!(matches!(err, ServeError::Tensor(TensorError::Cancelled)));
     }
 }

@@ -13,11 +13,9 @@
 //!   request queue; a full (or fault-saturated) queue rejects immediately
 //!   with [`ServeError::Overloaded`] instead of growing an unbounded
 //!   backlog.
-//! * **Deadlines and cancellation** ([`ServeCore`]): each request gets a
-//!   deterministic work budget in embedding-row units
-//!   ([`gcnt_tensor::Budget`]), checked cooperatively between GCN layers
-//!   and flow iterations; [`gcnt_tensor::Cancel`] aborts from another
-//!   thread.
+//! * **Deadlines** ([`ServeCore`]): each request gets a deterministic
+//!   work budget in embedding-row units ([`gcnt_tensor::Budget`]),
+//!   checked cooperatively between GCN layers and flow iterations.
 //! * **A degradation ladder** ([`ladder`]): incremental session → full
 //!   sparse inference → first-cascade-stage-only scoring, stepped down on
 //!   budget stops and stale/poisoned caches; the response names the rung
@@ -35,10 +33,11 @@
 //!   restart reloads pages instead of recomputing — bit-identical either
 //!   way, with corrupt pages quarantined and recomputed.
 //!
-//! Fault injection ([`gcnt_runtime::FaultPlan`], `fault-inject` feature)
-//! drives all of it deterministically: injected latency, queue
-//! saturation, stale-cache poisoning, kill-after-journal-record,
-//! store disk-full, and kill-mid-compaction.
+//! The tests drive all of it deterministically through
+//! [`gcnt_runtime::FaultPlan`] ([`ServeCore::with_faults`]): injected
+//! latency, queue saturation, stale-cache poisoning,
+//! kill-after-journal-record, store disk-full, and kill-mid-compaction.
+//! A production core carries [`gcnt_runtime::FaultPlan::none`].
 //!
 //! # Example
 //!

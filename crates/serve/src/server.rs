@@ -107,8 +107,8 @@ impl ServeCore {
         }
     }
 
-    /// Attaches a fault plan (deterministic injection; a no-op plan
-    /// without the `fault-inject` feature).
+    /// Attaches a fault plan (deterministic injection, armed only by
+    /// tests; production cores keep [`FaultPlan::none`]).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.plan = plan;
         self.sync_store_faults();
@@ -128,10 +128,8 @@ impl ServeCore {
     /// attached page store. Called from both builders so either order of
     /// `with_faults`/`with_store` injects them.
     fn sync_store_faults(&mut self) {
-        #[cfg(feature = "fault-inject")]
-        if let (Some(n), Some(js)) = (self.plan.store_disk_full_after(), self.store.as_mut()) {
-            js.store_mut()
-                .set_faults(gcnt_store::StoreFaults::none().with_disk_full_after(n));
+        if let Some(js) = self.store.as_mut() {
+            js.store_mut().set_faults(self.plan.store_faults().clone());
         }
     }
 
@@ -972,7 +970,6 @@ mod tests {
         drop(handle);
     }
 
-    #[cfg(feature = "fault-inject")]
     mod faulted {
         use super::*;
 

@@ -164,13 +164,11 @@ impl PageCache {
     }
 }
 
-/// Simulated faults for recovery testing; inert without the
-/// `fault-inject` feature.
+/// Simulated faults for recovery testing. Only tests arm them, through
+/// the `with_*` builders; [`StoreFaults::none`] injects nothing.
 #[derive(Debug, Default, Clone)]
 pub struct StoreFaults {
-    #[cfg(feature = "fault-inject")]
     disk_full_after: Option<u64>,
-    #[cfg(feature = "fault-inject")]
     writes: u64,
 }
 
@@ -182,7 +180,6 @@ impl StoreFaults {
 
     /// Fails every page write after the first `n` with
     /// [`StoreError::DiskFull`].
-    #[cfg(feature = "fault-inject")]
     pub fn with_disk_full_after(mut self, n: u64) -> Self {
         self.disk_full_after = Some(n);
         self
@@ -190,14 +187,11 @@ impl StoreFaults {
 
     /// Whether the next page write must fail as disk-full.
     fn next_write_fails(&mut self) -> bool {
-        #[cfg(feature = "fault-inject")]
-        {
-            if let Some(cap) = self.disk_full_after {
-                if self.writes >= cap {
-                    return true;
-                }
-                self.writes += 1;
+        if let Some(cap) = self.disk_full_after {
+            if self.writes >= cap {
+                return true;
             }
+            self.writes += 1;
         }
         false
     }
@@ -312,7 +306,7 @@ impl PageStore {
         })
     }
 
-    /// Attaches simulated faults (inert without `fault-inject`).
+    /// Attaches simulated faults.
     pub fn with_faults(mut self, faults: StoreFaults) -> Self {
         self.faults = faults;
         self
@@ -933,7 +927,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_disk_full_fails_without_committing() {
         let dir = temp_store("diskfull");

@@ -1,4 +1,4 @@
-//! Cooperative work budgets and cancellation for long-running kernels.
+//! Cooperative work budgets for long-running kernels.
 //!
 //! A [`Budget`] is threaded by reference through the hot paths of the
 //! workspace (embedding layers, incremental refreshes, the OP-insertion
@@ -20,41 +20,33 @@
 //!   path, so a row cap tracks wall-clock time closely enough for
 //!   admission control; callers translate deadlines into row caps.
 //!
-//! A [`Cancel`] handle cloned from the budget flips a shared flag from
-//! another thread; the next `charge` (even a zero-cost checkpoint probe)
-//! observes it and fails with [`TensorError::Cancelled`].
-//!
 //! The `cost_multiplier` exists for fault injection: a serving layer
 //! under test can make every unit of work "cost" 10× to simulate a
 //! machine running 10× slow, without sleeping.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{Result, TensorError};
 
-/// A cooperative work budget: a cap on embedding-row units plus a shared
-/// cancellation flag. Cheap to probe; shared by reference.
+/// A cooperative work budget: a cap on embedding-row units. Cheap to
+/// probe; shared by reference.
 #[derive(Debug)]
 pub struct Budget {
     /// Maximum units chargeable; `None` = unlimited.
     cap: Option<u64>,
     /// Units charged so far (after the multiplier).
     spent: AtomicU64,
-    /// Shared cancellation flag; see [`Budget::cancel_handle`].
-    cancelled: Arc<AtomicBool>,
     /// Every charged unit costs this many budget units (fault injection:
     /// a slow machine is simulated by a multiplier > 1).
     cost_multiplier: u64,
 }
 
 impl Budget {
-    /// A budget that never runs out and is not cancelled.
+    /// A budget that never runs out.
     pub fn unlimited() -> Self {
         Budget {
             cap: None,
             spent: AtomicU64::new(0),
-            cancelled: Arc::new(AtomicBool::new(false)),
             cost_multiplier: 1,
         }
     }
@@ -90,22 +82,11 @@ impl Budget {
         self.cap.map(|c| c.saturating_sub(self.spent()))
     }
 
-    /// A handle that cancels this budget from another thread.
-    pub fn cancel_handle(&self) -> Cancel {
-        Cancel(Arc::clone(&self.cancelled))
-    }
-
-    /// Whether the budget was cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
-    }
-
     /// Whether `units` of work (scaled by the cost multiplier) still fit
-    /// under the cap — always true for an unlimited budget. Spends nothing
-    /// and does not look at cancellation, which still surfaces on the next
-    /// [`Budget::charge`]. A caller that knows a step's whole cost up
-    /// front asks this instead of charging its way into the overrun, so
-    /// the budget stays intact for a cheaper alternative.
+    /// under the cap — always true for an unlimited budget. Spends nothing.
+    /// A caller that knows a step's whole cost up front asks this instead
+    /// of charging its way into the overrun, so the budget stays intact
+    /// for a cheaper alternative.
     pub fn can_afford(&self, units: u64) -> bool {
         self.remaining()
             .is_none_or(|left| units.saturating_mul(self.cost_multiplier) <= left)
@@ -113,7 +94,7 @@ impl Budget {
 
     /// Charges `units` of work (scaled by the cost multiplier) against
     /// the budget. `charge(0)` is a pure checkpoint probe: it still
-    /// observes cancellation and an already-spent cap.
+    /// observes an already-spent cap.
     ///
     /// The charge is best-effort precise: the work is charged *before*
     /// it happens, so a path that checks its budget between layers stops
@@ -121,13 +102,8 @@ impl Budget {
     ///
     /// # Errors
     ///
-    /// [`TensorError::Cancelled`] if the budget was cancelled,
     /// [`TensorError::BudgetExceeded`] if the charge overruns the cap.
     pub fn charge(&self, units: u64) -> Result<()> {
-        if self.is_cancelled() {
-            gcnt_obs::global().incr(gcnt_obs::counters::TENSOR_BUDGET_CANCELS);
-            return Err(TensorError::Cancelled);
-        }
         let cost = units.saturating_mul(self.cost_multiplier);
         let before = self.spent.fetch_add(cost, Ordering::Relaxed);
         if let Some(cap) = self.cap {
@@ -144,24 +120,6 @@ impl Budget {
 impl Default for Budget {
     fn default() -> Self {
         Budget::unlimited()
-    }
-}
-
-/// Cancels the [`Budget`] it was cloned from; safe to trip from any
-/// thread. Cancellation is sticky.
-#[derive(Debug, Clone)]
-pub struct Cancel(Arc<AtomicBool>);
-
-impl Cancel {
-    /// Trips the cancellation flag; every subsequent
-    /// [`Budget::charge`] fails with [`TensorError::Cancelled`].
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the flag is already tripped.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -223,29 +181,6 @@ mod tests {
         assert_eq!(b.spent(), 40, "asking costs nothing");
         b.charge(6).unwrap();
         assert!(b.can_afford(0) && !b.can_afford(1));
-        // Cancellation is not can_afford's business; charge reports it.
-        b.cancel_handle().cancel();
-        assert!(b.can_afford(0));
-        assert!(matches!(b.charge(0), Err(TensorError::Cancelled)));
-    }
-
-    #[test]
-    fn cancellation_is_observed_and_sticky() {
-        let b = Budget::unlimited();
-        let handle = b.cancel_handle();
-        b.charge(1).unwrap();
-        handle.cancel();
-        assert!(handle.is_cancelled());
-        assert!(matches!(b.charge(0), Err(TensorError::Cancelled)));
-        assert!(matches!(b.charge(10), Err(TensorError::Cancelled)));
-    }
-
-    #[test]
-    fn cancel_works_across_threads() {
-        let b = Budget::unlimited();
-        let handle = b.cancel_handle();
-        std::thread::spawn(move || handle.cancel()).join().unwrap();
-        assert!(b.is_cancelled());
     }
 
     #[test]

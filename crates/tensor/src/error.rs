@@ -45,8 +45,6 @@ pub enum TensorError {
         /// The budget's cap.
         cap: u64,
     },
-    /// The computation was cancelled through a [`crate::Cancel`] handle.
-    Cancelled,
 }
 
 impl fmt::Display for TensorError {
@@ -73,7 +71,6 @@ impl fmt::Display for TensorError {
                 f,
                 "work budget exceeded: {spent} of {cap} embedding-row units"
             ),
-            TensorError::Cancelled => write!(f, "computation cancelled"),
         }
     }
 }

@@ -57,7 +57,7 @@ pub mod kernel;
 pub mod ops;
 mod partition;
 
-pub use budget::{Budget, Cancel};
+pub use budget::Budget;
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use dense::Matrix;

@@ -33,10 +33,77 @@ use gcn_testability::report;
 use gcn_testability::runtime::{CheckpointStore, MultiStageTrainer};
 use gcn_testability::store::atomic_write;
 
+/// The options one command was given, by name without the `--`.
+type Options = HashMap<String, String>;
+
+/// A subcommand's entry point: its positional arguments and its options.
+type Handler = fn(&[String], &Options) -> Result<(), Box<dyn Error>>;
+
+/// Every subcommand: its name, its arguments as the usage text shows them
+/// (a newline continues the line), and its handler. An option's value
+/// placeholder follows its name (`--nodes N`); [`FLAG`] alone takes none.
+/// A command reads exactly the options its line names: [`split_args`]
+/// refuses any other before the handler runs, and [`usage`] prints these
+/// lines.
+const COMMANDS: [(&str, &str, Handler); 12] = [
+    (
+        "generate",
+        "--nodes N [--seed S] --out design.bench",
+        cmd_generate,
+    ),
+    ("stats", "design.bench", cmd_stats),
+    (
+        "label",
+        "design.bench [--patterns N] [--threshold F] [--seed S]\n[--out labels.json]",
+        cmd_label,
+    ),
+    (
+        "train",
+        "a.bench [b.bench ...] --model model.json [--epochs N] [--stages N]\n\
+         [--patterns N] [--threshold F] [--checkpoint-dir DIR] [--resume]\n\
+         [--checkpoint-every N] [--keep N]",
+        cmd_train,
+    ),
+    (
+        "infer",
+        "design.bench --model model.json [--threshold F]",
+        cmd_infer,
+    ),
+    (
+        "flow",
+        "design.bench --model model.json [--out modified.bench]\n\
+         [--iterations N] [--ops-per-iteration N] [--skip-budget N]\n\
+         [--metrics-out m.json]",
+        cmd_flow,
+    ),
+    ("atpg", "design.bench [--patterns N]", cmd_atpg),
+    (
+        "lint",
+        "design.bench [--model model.json] [--format text|json]",
+        cmd_lint,
+    ),
+    (
+        "netserve",
+        "[--addr HOST:PORT] [--shards N] [--journal-dir DIR]\n[--metrics-out m.json]",
+        cmd_netserve,
+    ),
+    (
+        "loadgen",
+        "[--addr HOST:PORT] [--sessions N] [--workers N] [--shards N]\n\
+         [--flow-jobs N] [--journal-dir DIR] [--metrics-out m.json]",
+        cmd_loadgen,
+    ),
+    ("store", "stat|scrub|compact DIR", cmd_store),
+    ("checkpoints", "DIR", cmd_checkpoints),
+];
+
+/// The one option that takes no value.
+const FLAG: &str = "resume";
+
 /// Handles `--metrics-out PATH`: enables the global metrics registry for
 /// the rest of the process and returns where to write snapshots. Must run
 /// before the instrumented work starts or the counters undercount.
-fn metrics_out(options: &HashMap<String, String>) -> Option<std::path::PathBuf> {
+fn metrics_out(options: &Options) -> Option<std::path::PathBuf> {
     let path = options.get("metrics-out")?;
     gcn_testability::obs::global().enable();
     Some(std::path::PathBuf::from(path))
@@ -63,93 +130,74 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
     let Some(command) = args.first() else {
-        print_usage();
+        eprint!("{}", usage());
         return Err("missing subcommand".into());
     };
-    let (positional, options) = split_args(&args[1..]);
-    match command.as_str() {
-        "generate" => cmd_generate(&options),
-        "stats" => cmd_stats(&positional),
-        "label" => cmd_label(&positional, &options),
-        "train" => cmd_train(&positional, &options),
-        "infer" => cmd_infer(&positional, &options),
-        "flow" => cmd_flow(&positional, &options),
-        "atpg" => cmd_atpg(&positional, &options),
-        "lint" => cmd_lint(&positional, &options),
-        "netserve" => cmd_netserve(&options),
-        "loadgen" => cmd_loadgen(&options),
-        "store" => cmd_store(&positional),
-        "checkpoints" => cmd_checkpoints(&positional),
-        "help" | "--help" | "-h" => {
-            print_usage();
-            Ok(())
-        }
-        other => {
-            print_usage();
-            Err(format!("unknown subcommand '{other}'").into())
-        }
+    let Some(&(_, spec, handler)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+        eprint!("{}", usage());
+        return match command.as_str() {
+            "help" | "--help" | "-h" => Ok(()),
+            other => Err(format!("unknown subcommand '{other}'").into()),
+        };
+    };
+    let (positional, options) = split_args(command, spec, &args[1..])?;
+    handler(&positional, &options)
+}
+
+/// The usage text: one entry per [`COMMANDS`] line.
+fn usage() -> String {
+    let mut text =
+        String::from("gcnt — GCN-based testability analysis (DAC'19 reproduction)\n\nusage:\n");
+    for (name, spec, _) in COMMANDS {
+        text += &format!("  gcnt {name} {}\n", spec.replace('\n', "\n      "));
     }
+    text += "\n--metrics-out writes a metrics snapshot (JSON, or Prometheus text\n\
+             for .prom/.txt paths) at shutdown. Machine-readable lines use the\n\
+             NET_*/LOADGEN_*/METRICS_* prefix convention (see README, Observability).\n";
+    text
 }
 
-fn print_usage() {
-    eprintln!(
-        "gcnt — GCN-based testability analysis (DAC'19 reproduction)\n\
-         \n\
-         usage:\n\
-         \x20 gcnt generate --nodes N [--seed S] --out design.bench\n\
-         \x20 gcnt stats design.bench\n\
-         \x20 gcnt label design.bench [--patterns N] [--threshold F] [--out labels.json]\n\
-         \x20 gcnt train a.bench [b.bench ...] --model model.json [--epochs N] [--stages N]\n\
-         \x20\x20\x20\x20 [--checkpoint-dir DIR] [--resume] [--checkpoint-every N] [--keep N]\n\
-         \x20 gcnt infer design.bench --model model.json [--threshold F]\n\
-         \x20 gcnt flow design.bench --model model.json [--out modified.bench] [--skip-budget N]\n\
-         \x20\x20\x20\x20 [--metrics-out m.json]\n\
-         \x20 gcnt atpg design.bench [--patterns N]\n\
-         \x20 gcnt lint design.bench [--model model.json] [--format text|json]\n\
-         \x20 gcnt netserve [--addr HOST:PORT] [--shards N] [--journal-dir DIR]\n\
-         \x20\x20\x20\x20 [--faults plan.json] [--metrics-out m.json]\n\
-         \x20 gcnt loadgen [--addr HOST:PORT] [--sessions N] [--workers N] [--shards N]\n\
-         \x20\x20\x20\x20 [--flow-jobs N] [--journal-dir DIR] [--faults plan.json]\n\
-         \x20\x20\x20\x20 [--metrics-out m.json]\n\
-         \x20 gcnt store stat|scrub|compact DIR\n\
-         \x20 gcnt checkpoints DIR\n\
-         \n\
-         --metrics-out writes a metrics snapshot (JSON, or Prometheus text\n\
-         for .prom/.txt paths) at shutdown. Machine-readable lines use the\n\
-         NET_*/LOADGEN_*/METRICS_* prefix convention (see README, Observability)."
-    );
-}
-
-fn split_args(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
+/// Splits `args` into positionals and options. Every option but [`FLAG`]
+/// takes the next token as its value; an option `spec` does not name, or
+/// one missing its value, is a usage error.
+fn split_args(
+    command: &str,
+    spec: &str,
+    args: &[String],
+) -> Result<(Vec<String>, Options), String> {
+    let known: Vec<&str> = spec
+        .split_whitespace()
+        .filter_map(|token| token.trim_start_matches('[').strip_prefix("--"))
+        .map(|option| option.trim_end_matches(']'))
+        .collect();
     let mut positional = Vec::new();
-    let mut options = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            // A `--option` followed by another `--option` (or by nothing)
-            // is a boolean flag; only a plain token is consumed as value.
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                options.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-                continue;
-            }
-            options.insert(key.to_string(), String::new());
-        } else {
-            positional.push(args[i].clone());
+    let mut options = Options::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(key) = arg.strip_prefix("--") else {
+            positional.push(arg.clone());
+            continue;
+        };
+        if !known.contains(&key) {
+            return Err(format!("gcnt {command} has no option --{key}"));
         }
-        i += 1;
+        let value = if key == FLAG {
+            String::new()
+        } else {
+            args.next()
+                .filter(|value| !value.starts_with("--"))
+                .ok_or(format!("--{key} needs a value"))?
+                .clone()
+        };
+        options.insert(key.to_string(), value);
     }
-    (positional, options)
+    Ok((positional, options))
 }
 
 /// `default` when `--key` is absent; a value that is present but does not
 /// parse is a usage error naming the option and the text, never a silent
 /// run at the default.
-fn opt_parsed<T: std::str::FromStr>(
-    options: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
+fn opt_parsed<T: std::str::FromStr>(options: &Options, key: &str, default: T) -> Result<T, String> {
     match options.get(key) {
         None => Ok(default),
         Some(text) => text
@@ -158,15 +206,11 @@ fn opt_parsed<T: std::str::FromStr>(
     }
 }
 
-fn opt_usize(
-    options: &HashMap<String, String>,
-    key: &str,
-    default: usize,
-) -> Result<usize, String> {
+fn opt_usize(options: &Options, key: &str, default: usize) -> Result<usize, String> {
     opt_parsed(options, key, default)
 }
 
-fn opt_f64(options: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
+fn opt_f64(options: &Options, key: &str, default: f64) -> Result<f64, String> {
     opt_parsed(options, key, default)
 }
 
@@ -174,7 +218,7 @@ fn load_design(path: &str) -> Result<Netlist, Box<dyn Error>> {
     Ok(format::read(&fs::read_to_string(path)?)?)
 }
 
-fn cmd_generate(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
+fn cmd_generate(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
     let nodes = opt_usize(options, "nodes", 10_000)?;
     let seed = opt_usize(options, "seed", 1)? as u64;
     let out = options.get("out").ok_or("--out is required")?;
@@ -188,7 +232,7 @@ fn cmd_generate(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>>
     Ok(())
 }
 
-fn cmd_stats(positional: &[String]) -> Result<(), Box<dyn Error>> {
+fn cmd_stats(positional: &[String], _: &Options) -> Result<(), Box<dyn Error>> {
     let path = positional.first().ok_or("expected a design file")?;
     let net = load_design(path)?;
     let stats = net.stats();
@@ -203,10 +247,7 @@ fn cmd_stats(positional: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_label(
-    positional: &[String],
-    options: &HashMap<String, String>,
-) -> Result<(), Box<dyn Error>> {
+fn cmd_label(positional: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
     let path = positional.first().ok_or("expected a design file")?;
     let net = load_design(path)?;
     let cfg = LabelConfig {
@@ -228,10 +269,7 @@ fn cmd_label(
     Ok(())
 }
 
-fn cmd_train(
-    positional: &[String],
-    options: &HashMap<String, String>,
-) -> Result<(), Box<dyn Error>> {
+fn cmd_train(positional: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
     if positional.is_empty() {
         return Err("expected at least one training design".into());
     }
@@ -312,7 +350,7 @@ fn cmd_train(
     Ok(())
 }
 
-fn load_model(options: &HashMap<String, String>) -> Result<ModelBundle, Box<dyn Error>> {
+fn load_model(options: &Options) -> Result<ModelBundle, Box<dyn Error>> {
     let model_path = options.get("model").ok_or("--model is required")?;
     let text = fs::read_to_string(model_path)
         .map_err(|e| format!("cannot read model '{model_path}': {e}"))?;
@@ -332,7 +370,7 @@ fn existing_dir<'a>(dir: Option<&'a String>, what: &str) -> Result<&'a str, Box<
     Ok(dir)
 }
 
-fn cmd_checkpoints(positional: &[String]) -> Result<(), Box<dyn Error>> {
+fn cmd_checkpoints(positional: &[String], _: &Options) -> Result<(), Box<dyn Error>> {
     let dir = existing_dir(positional.first(), "checkpoint")?;
     let store = CheckpointStore::open(dir, usize::MAX)?;
     let files = store.list()?;
@@ -368,10 +406,7 @@ fn cmd_checkpoints(positional: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_infer(
-    positional: &[String],
-    options: &HashMap<String, String>,
-) -> Result<(), Box<dyn Error>> {
+fn cmd_infer(positional: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
     let path = positional.first().ok_or("expected a design file")?;
     let net = load_design(path)?;
     let bundle = load_model(options)?;
@@ -399,10 +434,7 @@ fn cmd_infer(
     Ok(())
 }
 
-fn cmd_flow(
-    positional: &[String],
-    options: &HashMap<String, String>,
-) -> Result<(), Box<dyn Error>> {
+fn cmd_flow(positional: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
     let metrics_path = metrics_out(options);
     let path = positional.first().ok_or("expected a design file")?;
     let mut net = load_design(path)?;
@@ -454,10 +486,7 @@ fn cmd_flow(
     Ok(())
 }
 
-fn cmd_lint(
-    positional: &[String],
-    options: &HashMap<String, String>,
-) -> Result<(), Box<dyn Error>> {
+fn cmd_lint(positional: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
     use gcn_testability::lint::{lint_design, lint_violations};
     let path = positional.first().ok_or("expected a design file")?;
     // A design that fails validation is exactly what the linter is for:
@@ -485,29 +514,12 @@ fn cmd_lint(
     Ok(())
 }
 
-/// Parses `--faults plan.json` into a [`FaultPlan`]. Deterministic fault
-/// injection only exists in `fault-inject` builds; a production binary
-/// refuses the flag outright instead of silently ignoring it.
-#[cfg(feature = "fault-inject")]
-fn load_fault_plan(path: &str) -> Result<gcn_testability::runtime::FaultPlan, Box<dyn Error>> {
-    let text = fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    gcn_testability::runtime::FaultPlan::from_json(&text)
-        .map_err(|e| format!("fault plan '{path}': {e}").into())
-}
-
-#[cfg(not(feature = "fault-inject"))]
-fn load_fault_plan(_path: &str) -> Result<gcn_testability::runtime::FaultPlan, Box<dyn Error>> {
-    Err("--faults requires a binary built with `--features fault-inject`".into())
-}
-
 /// One core per shard around the serving fixture: a seeded (untrained)
 /// 2-stage `[8, 8]`/`[8]` cascade and the normaliser fitted on the seeded
 /// 400-node `"netfixture"` design — the same on every run, shard and
-/// machine, so `LOADGEN_FLOW` checksums reproduce. Every core carries
-/// `plan`'s serve-side faults.
+/// machine, so `LOADGEN_FLOW` checksums reproduce.
 fn net_fixture_cores(
     shards: usize,
-    plan: &gcn_testability::runtime::FaultPlan,
 ) -> Result<Vec<gcn_testability::serve::ServeCore>, Box<dyn Error>> {
     use gcn_testability::gcn::{features::raw_features_of, Gcn, GcnConfig};
     use gcn_testability::serve::{ServeConfig, ServeCore};
@@ -525,10 +537,7 @@ fn net_fixture_cores(
     let normalizer = FeatureNormalizer::fit(&[&raw_features_of(&net)?]);
     let model = MultiStageGcn::from_stages(stages, 0.5);
     Ok((0..shards)
-        .map(|_| {
-            ServeCore::new(normalizer.clone(), model.clone(), ServeConfig::default())
-                .with_faults(plan.clone())
-        })
+        .map(|_| ServeCore::new(normalizer.clone(), model.clone(), ServeConfig::default()))
         .collect())
 }
 
@@ -545,18 +554,23 @@ fn start_fixture_server(
     addr: &str,
     shards: usize,
     journal_dir: &str,
-    plan: gcn_testability::runtime::FaultPlan,
 ) -> Result<(String, ServeLoop), Box<dyn Error>> {
     use gcn_testability::net::{serve as net_serve, Listener, NetServerConfig, ShardRouter};
+    use gcn_testability::runtime::FaultPlan;
 
-    let router = ShardRouter::start(net_fixture_cores(shards, &plan)?, journal_dir.as_ref())?;
+    let router = ShardRouter::start(net_fixture_cores(shards)?, journal_dir.as_ref())?;
     let listener = Listener::bind_tcp(addr)?;
     let actual = listener
         .local_addr()
         .ok_or("listener has no local address")?
         .to_string();
     let serve: ServeLoop = Box::new(move || {
-        let (summary, _cores) = net_serve(listener, router, NetServerConfig::default(), &plan)?;
+        let (summary, _cores) = net_serve(
+            listener,
+            router,
+            NetServerConfig::default(),
+            &FaultPlan::none(),
+        )?;
         report::net("DRAIN")
             .field("connections", summary.connections)
             .field("frames", summary.frames_received)
@@ -573,14 +587,8 @@ fn start_fixture_server(
 /// `gcnt netserve`: the fixture server over real TCP. Emits `NET_READY`
 /// once the listener is bound, installs a SIGTERM handler, and serves
 /// until a drain is requested, then exits cleanly.
-fn cmd_netserve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    use gcn_testability::runtime::FaultPlan;
-
+fn cmd_netserve(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
     let metrics_path = metrics_out(options);
-    let plan = match options.get("faults") {
-        Some(path) => load_fault_plan(path)?,
-        None => FaultPlan::none(),
-    };
     let shards = opt_usize(options, "shards", 2)?.max(1);
     let addr = options
         .get("addr")
@@ -591,7 +599,7 @@ fn cmd_netserve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>>
         .map(String::as_str)
         .unwrap_or("netserve-journals");
 
-    let (actual, serve) = start_fixture_server(addr, shards, journal_dir, plan)?;
+    let (actual, serve) = start_fixture_server(addr, shards, journal_dir)?;
     gcn_testability::net::install_term_handler();
     report::net("READY")
         .field("addr", &actual)
@@ -610,18 +618,14 @@ fn cmd_netserve(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>>
 /// netserve`) or an in-process fixture server it spins up itself. The
 /// first `--flow-jobs` sessions run journaled flow jobs and emit one
 /// `LOADGEN_FLOW` line each (checksums are the bit-identity handle for
-/// the kill/resume tests and the CI network fault matrix); the rest run
-/// inference. With `--faults`, session 0 carries the client-side fault
-/// plan and every core of the in-process server the serve-side hooks, so
-/// every fault scenario is reproducible from one JSON file. Ends with
+/// the kill/resume and drain tests); the rest run inference. Ends with
 /// `LOADGEN_DONE` carrying error counts and p50/p99/p999 request latency
 /// from the `gcnt_net_request_latency_ns` histogram; any *untyped*
 /// failure (hang, wrong payload, exhausted retries) makes the exit
 /// nonzero.
-fn cmd_loadgen(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
+fn cmd_loadgen(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
     use gcn_testability::net::{ClientConfig, Dialer, FlowRequest, NetClient, NetError};
     use gcn_testability::obs::Snapshot;
-    use gcn_testability::runtime::FaultPlan;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -629,10 +633,6 @@ fn cmd_loadgen(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> 
     // live before the first request regardless of --metrics-out.
     gcn_testability::obs::global().enable();
     let metrics_path = metrics_out(options);
-    let plan = match options.get("faults") {
-        Some(path) => load_fault_plan(path)?,
-        None => FaultPlan::none(),
-    };
     let sessions = opt_usize(options, "sessions", 100)?.max(1);
     let workers = opt_usize(options, "workers", 8)?.clamp(1, 64);
     let flow_jobs = opt_usize(options, "flow-jobs", 2)?.min(sessions);
@@ -648,8 +648,7 @@ fn cmd_loadgen(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> 
                     .display()
                     .to_string()
             });
-            let (actual, serve) =
-                start_fixture_server("127.0.0.1:0", shards, &journal_dir, plan.clone())?;
+            let (actual, serve) = start_fixture_server("127.0.0.1:0", shards, &journal_dir)?;
             (actual, Some(std::thread::spawn(serve)))
         }
     };
@@ -674,19 +673,11 @@ fn cmd_loadgen(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> 
         let transport = Arc::clone(&transport);
         let variants = Arc::clone(&variants);
         let addr = addr.clone();
-        let plan = plan.clone();
         pool.push(std::thread::spawn(move || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= sessions {
                 break;
             }
-            // Session 0 carries the client-side fault plan; the rest
-            // run clean so the run's tail is a pure throughput measure.
-            let session_plan = if i == 0 {
-                plan.clone()
-            } else {
-                FaultPlan::none()
-            };
             let started = std::time::Instant::now();
             let outcome = (|| -> Result<(), NetError> {
                 // A load client is deliberately saturating the server, so
@@ -696,11 +687,7 @@ fn cmd_loadgen(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> 
                     request_retries: 8,
                     ..ClientConfig::default()
                 };
-                let mut client = NetClient::connect_with_faults(
-                    Dialer::Tcp(addr.clone()),
-                    config,
-                    session_plan,
-                )?;
+                let mut client = NetClient::connect(Dialer::Tcp(addr.clone()), config)?;
                 let design = variants
                     .get(i % variants.len())
                     .ok_or_else(|| NetError::Protocol("variant pool is empty".to_string()))?;
@@ -781,7 +768,7 @@ fn cmd_loadgen(options: &HashMap<String, String>) -> Result<(), Box<dyn Error>> 
 /// re-checksums every committed page and page reference (failing with one
 /// line per error), and `compact` rewrites live segments into a fresh
 /// data file, dropping dead pages.
-fn cmd_store(positional: &[String]) -> Result<(), Box<dyn Error>> {
+fn cmd_store(positional: &[String], _: &Options) -> Result<(), Box<dyn Error>> {
     use gcn_testability::store::PageStore;
 
     let action = positional
@@ -835,10 +822,7 @@ fn cmd_store(positional: &[String]) -> Result<(), Box<dyn Error>> {
     }
 }
 
-fn cmd_atpg(
-    positional: &[String],
-    options: &HashMap<String, String>,
-) -> Result<(), Box<dyn Error>> {
+fn cmd_atpg(positional: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
     let path = positional.first().ok_or("expected a design file")?;
     let net = load_design(path)?;
     let cfg = AtpgConfig {
@@ -896,7 +880,12 @@ mod tests {
             }
         }
         fs::remove_dir_all(&dir).ok();
-        let (_, options) = split_args(&["--threshold".to_string(), "abc".to_string()]);
+        let (_, options) = split_args(
+            "infer",
+            "[--threshold F]",
+            &["--threshold".to_string(), "abc".to_string()],
+        )
+        .expect("a known option with a value");
         let err = opt_f64(&options, "threshold", 0.5).unwrap_err();
         assert!(err.contains("--threshold") && err.contains("abc"), "{err}");
     }
@@ -921,13 +910,12 @@ mod tests {
 
     #[test]
     fn store_scrub_passes_a_clean_store_and_refuses_a_damaged_one() {
-        use gcn_testability::runtime::FaultPlan;
         use gcn_testability::serve::{JobStore, StorePolicy};
 
         let dir = std::env::temp_dir().join(format!("gcnt-cli-store-{}", std::process::id()));
         let dir_str = dir.to_str().expect("temp path is utf-8");
         let _ = fs::remove_dir_all(&dir);
-        let core = net_fixture_cores(1, &FaultPlan::none())
+        let core = net_fixture_cores(1)
             .expect("fixture")
             .pop()
             .expect("one core");
@@ -955,9 +943,94 @@ mod tests {
 
     #[test]
     fn absent_and_well_formed_options_still_parse() {
-        let (_, options) = split_args(&["--nodes".to_string(), "120".to_string()]);
+        let (_, options) = split_args(
+            "generate",
+            "--nodes N [--seed S]",
+            &["--nodes".to_string(), "120".to_string()],
+        )
+        .expect("a known option with a value");
         assert_eq!(opt_usize(&options, "nodes", 10_000), Ok(120));
         assert_eq!(opt_usize(&options, "seed", 1), Ok(1));
         assert_eq!(opt_f64(&options, "threshold", 0.5), Ok(0.5));
+    }
+
+    /// A scratch directory for one CLI test, and a path maker inside it.
+    fn scratch(tag: &str) -> (std::path::PathBuf, impl Fn(&str) -> String) {
+        let dir = std::env::temp_dir().join(format!("gcnt-cli-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("create temp dir");
+        let base = dir.clone();
+        (dir, move |name: &str| {
+            base.join(name).to_str().expect("utf-8").to_string()
+        })
+    }
+
+    #[test]
+    fn resume_takes_no_value_so_every_design_after_it_trains() {
+        let (dir, path) = scratch("resume");
+        let (a, b) = (path("a.bench"), path("b.bench"));
+        run_tokens(&["generate", "--nodes", "60", "--seed", "1", "--out", &a]).expect("a");
+        run_tokens(&["generate", "--nodes", "60", "--seed", "2", "--out", &b]).expect("b");
+        let quick = ["--epochs", "1", "--stages", "1", "--patterns", "256"];
+        let (both, resumed) = (path("both.json"), path("resumed.json"));
+        run_tokens(&[&["train", &a, &b, "--model", &both][..], &quick].concat()).expect("train");
+        run_tokens(
+            &[
+                &["train", "--resume", &a, &b, "--model", &resumed][..],
+                &quick,
+            ]
+            .concat(),
+        )
+        .expect("train --resume");
+        assert_eq!(
+            fs::read(&both).expect("model"),
+            fs::read(&resumed).expect("model"),
+            "`--resume a.bench b.bench` must train on both designs"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_option_the_command_does_not_read_is_refused_before_any_work() {
+        let (dir, path) = scratch("unread");
+        let (design, model) = (path("d.bench"), path("m.json"));
+        run_tokens(&["generate", "--nodes", "60", "--out", &design]).expect("generate");
+        let err = run_tokens(&["train", &design, "--model", &model, "--epoch", "1"])
+            .expect_err("a misspelt option must not train at the defaults")
+            .to_string();
+        assert!(err.contains("--epoch"), "{err}");
+        assert!(!Path::new(&model).exists(), "the refused run wrote {model}");
+        for command in ["netserve", "loadgen"] {
+            let err = run_tokens(&[command, "--faults", "x"])
+                .expect_err("there is no fault plan option")
+                .to_string();
+            assert!(err.contains("--faults"), "{command}: {err}");
+        }
+        let err = run_tokens(&["infer", &design, "--model"])
+            .expect_err("a valued option needs its value")
+            .to_string();
+        assert!(err.contains("--model needs a value"), "{err}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn usage_names_every_option_a_command_reads() {
+        let text = usage();
+        let line = |command: &str| {
+            let start = text
+                .find(&format!("gcnt {command} "))
+                .expect("every command has a usage line");
+            let end = text[start + 1..]
+                .find("  gcnt ")
+                .map_or(text.len(), |i| start + 1 + i);
+            text[start..end].to_string()
+        };
+        for (command, option) in [
+            ("flow", "[--iterations N]"),
+            ("flow", "[--ops-per-iteration N]"),
+            ("label", "[--seed S]"),
+        ] {
+            assert!(line(command).contains(option), "{command}: {option}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Machine-readable CLI reporting with a single stable prefix convention.
 //!
 //! Every line the `gcnt` binary emits for *machines* — CI greps, the
-//! kill/resume integration tests, the network fault matrix — goes through
+//! kill/resume and SIGTERM-drain integration tests — goes through
 //! this module, so the convention lives in exactly one place:
 //!
 //! * `METRICS_<EVENT> key=value ...` — metrics-snapshot bookkeeping.

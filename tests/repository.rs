@@ -1,7 +1,7 @@
 //! What neither rustc nor clippy can see, read as text from the checked-out
 //! tree: atomic orderings say why, the docs cite only declared benchmark
-//! names, the README rule table is the lint registry, and `CHANGES.md`
-//! counts its entries. Each check is a small function over text, and each
+//! names, the README rule table is the lint registry, `CHANGES.md`
+//! counts its entries, and only tests arm a fault. Each check is a small function over text, and each
 //! test first plants a violation to prove the check still bites.
 
 use std::collections::BTreeSet;
@@ -285,4 +285,101 @@ fn changes_entries_count_up_from_one() {
 
     let count = pr_entries(&read("CHANGES.md")).unwrap_or_else(|e| panic!("CHANGES.md: {e}"));
     assert!(count > 0, "CHANGES.md has no `- PR N` lines");
+}
+
+/// The `with_*` builders `ty`'s impl block in `source` defines: the lines
+/// from `impl {ty} {` to the next line that is exactly `}`.
+fn builders_of(source: &str, ty: &str) -> Vec<String> {
+    source
+        .lines()
+        .skip_while(|line| *line != format!("impl {ty} {{"))
+        .take_while(|line| *line != "}")
+        .filter_map(|line| line.trim_start().strip_prefix("pub fn with_"))
+        .map(|rest| {
+            let name: String = rest
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect();
+            format!("with_{name}")
+        })
+        .collect()
+}
+
+/// `text` with every `#[cfg(test)]` module blanked, line for line, so
+/// line numbers survive.
+fn without_test_modules(text: &str) -> Vec<&str> {
+    let mut lines: Vec<&str> = text.lines().collect();
+    let mut i = 0;
+    while i < lines.len() {
+        let next = lines.get(i + 1).map_or("", |l| l.trim_start());
+        if lines[i].trim() == "#[cfg(test)]" && next.starts_with("mod ") {
+            let (mut depth, mut opened) = (0i64, false);
+            while i < lines.len() && !(opened && depth <= 0) {
+                depth += lines[i].matches('{').count() as i64;
+                depth -= lines[i].matches('}').count() as i64;
+                opened |= lines[i].contains('{');
+                lines[i] = "";
+                i += 1;
+            }
+        } else {
+            i += 1;
+        }
+    }
+    lines
+}
+
+/// Lines (1-based) of `text` outside its test modules that call one of
+/// `builders`.
+fn fault_arming_lines(text: &str, builders: &[String]) -> Vec<usize> {
+    without_test_modules(text)
+        .iter()
+        .enumerate()
+        .filter(|(_, line)| {
+            builders
+                .iter()
+                .any(|b| line.contains(&format!(".{b}(")) || line.contains(&format!("::{b}(")))
+        })
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
+/// Where the fault types and their builders live.
+const FAULT_PLAN: &str = "crates/runtime/src/fault.rs";
+const STORE_FAULTS: &str = "crates/store/src/pager.rs";
+
+#[test]
+fn only_tests_arm_a_fault() {
+    let builders: Vec<String> = builders_of(&read(FAULT_PLAN), "FaultPlan")
+        .into_iter()
+        .chain(builders_of(&read(STORE_FAULTS), "StoreFaults"))
+        .collect();
+    assert!(
+        builders.contains(&"with_queue_saturation".to_string())
+            && builders.contains(&"with_disk_full_after".to_string()),
+        "{builders:?}"
+    );
+    let planted = "fn serve() {\n    let plan = FaultPlan::none().with_queue_saturation();\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() {\n        \
+                   FaultPlan::none().with_queue_saturation();\n    }\n}\n";
+    assert_eq!(fault_arming_lines(planted, &builders), [2]);
+
+    let bad: Vec<String> = rust_sources()
+        .iter()
+        .filter(|(path, _)| {
+            let test_code = Path::new(path)
+                .components()
+                .any(|c| matches!(c.as_os_str().to_str(), Some("tests" | "benches")));
+            !test_code && path != FAULT_PLAN && path != STORE_FAULTS
+        })
+        .flat_map(|(path, text)| {
+            fault_arming_lines(text, &builders)
+                .into_iter()
+                .map(move |line| format!("{path}:{line}"))
+        })
+        .collect();
+    assert!(
+        bad.is_empty(),
+        "non-test code arms a fault outside the tests; production passes \
+         `FaultPlan::none()`: {bad:?}"
+    );
 }

@@ -2,17 +2,17 @@
 //! process dies mid-run must, on restart, resume from its write-ahead
 //! journal to a **bit-identical** outcome.
 //!
-//! Three kill mechanisms are exercised:
+//! Two kinds of kill are exercised:
 //!
 //! * an external `SIGKILL` delivered to `gcnt loadgen` while its
 //!   in-process server's journal is growing (the timing is racy by design
 //!   — whether the kill lands mid-flow or after completion, the rerun's
 //!   checksum must match the reference);
-//! * with `--features fault-inject`, a deterministic in-process abort of
-//!   `gcnt loadgen` immediately after a chosen record reaches disk;
-//! * with `--features fault-inject`, the two store-backed aborts — after
-//!   a record, and between a compaction's store commit and its journal
-//!   rewrite — in a copy of this test binary re-run as the victim.
+//! * on unix, three deterministic in-process aborts planned with a
+//!   `FaultPlan` — right after the first record reaches disk, and the two
+//!   store-backed ones, after a record and between a compaction's store
+//!   commit and its journal rewrite — each in a copy of this test binary
+//!   re-run as the victim.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -123,54 +123,25 @@ fn sigkill_mid_flow_resumes_to_identical_checksum() {
     );
 }
 
-/// With fault injection the kill is deterministic: the `--faults` plan
-/// reaches the in-process server's cores, which abort the instant record
-/// 0 is fsynced, so the rerun always resumes exactly one batch.
-#[cfg(feature = "fault-inject")]
-#[test]
-fn injected_kill_after_first_record_resumes_deterministically() {
-    let dir = temp_dir("inject");
-    let plan = temp_dir("inject-plan").join("faults.json");
-    std::fs::write(&plan, r#"{"kill_after_record": 0}"#).expect("write plan");
-
-    let out = loadgen(&dir)
-        .arg("--faults")
-        .arg(&plan)
-        .output()
-        .expect("run victim");
-    assert!(
-        !out.status.success(),
-        "kill_after_record run must die, got:\n{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    assert_eq!(wal_lines(&dir), 2, "header + exactly one committed record");
-
-    // Clean reference in a separate dir, then the deterministic resume.
-    let want = flow_field(&run_loadgen(&temp_dir("inject-ref")), "checksum");
-    let resumed = run_loadgen(&dir);
-    assert_eq!(flow_field(&resumed, "checksum"), want);
-    assert_eq!(flow_field(&resumed, "resumed"), "1");
-}
-
-/// The store-backed process kills. The test re-runs its own binary with
-/// [`CHILD_ROLE`] set to `"<fault> <dir>"`; in that role it runs the flow
-/// job with the fault planned, and the fault aborts it.
-#[cfg(all(unix, feature = "fault-inject"))]
-mod store_backed {
+/// The in-process aborts, made deterministic by a [`FaultPlan`]. Each test
+/// re-runs its own binary with [`CHILD_ROLE`] set to `"<fault> <dir>"`; in
+/// that role it runs a flow job with the fault planned, and the fault
+/// aborts it.
+#[cfg(unix)]
+mod injected {
     use super::temp_dir;
     use gcn_testability::dft::flow::FlowConfig;
     use gcn_testability::gcn::features::{raw_features_of, FeatureNormalizer};
     use gcn_testability::gcn::{Gcn, GcnConfig, MultiStageGcn};
     use gcn_testability::netlist::{generate, GeneratorConfig, Netlist};
     use gcn_testability::runtime::FaultPlan;
-    use gcn_testability::serve::{JobStore, ServeConfig, ServeCore, StorePolicy};
+    use gcn_testability::serve::{FlowResponse, JobStore, ServeConfig, ServeCore, StorePolicy};
     use std::os::unix::process::ExitStatusExt;
     use std::path::Path;
     use std::process::Command;
 
     /// Set only on the victim copy of this test binary.
     const CHILD_ROLE: &str = "GCNT_SERVE_KILL_CHILD";
-    const TEST: &str = "store_backed::store_backed_kills_resume_bitwise_and_scrub_clean";
     const SIGABRT: i32 = 6;
 
     /// A seeded 400-node design, a seeded (untrained) 2-stage cascade and
@@ -202,74 +173,119 @@ mod store_backed {
         )
     }
 
+    /// A storeless core carrying `plan`.
+    fn core(plan: FaultPlan) -> ServeCore {
+        let (_, normalizer, model, _) = fixture();
+        ServeCore::new(normalizer, model, ServeConfig::default()).with_faults(plan)
+    }
+
     /// A core over the store in `dir`, compacting after every record.
     fn store_core(dir: &Path, plan: FaultPlan) -> ServeCore {
-        let (_, normalizer, model, _) = fixture();
         let policy = StorePolicy {
             compact_after_records: 1,
         };
         let store = JobStore::open(&dir.join("store"), policy).unwrap();
-        ServeCore::new(normalizer, model, ServeConfig::default())
-            .with_faults(plan)
-            .with_store(store)
+        core(plan).with_store(store)
     }
 
-    fn victim(fault: &str, dir: &Path) -> ! {
-        let plan = match fault {
+    /// Runs the fixture's flow job on `core`, journaling to `dir/job.wal`.
+    fn run_job(mut core: ServeCore, dir: &Path) -> (FlowResponse, Netlist, ServeCore) {
+        let (mut net, _, _, cfg) = fixture();
+        let response = core
+            .run_flow_job(&mut net, &cfg, &dir.join("job.wal"), None)
+            .unwrap();
+        (response, net, core)
+    }
+
+    /// The storeless, uninterrupted run: its outcome as JSON and its
+    /// final netlist.
+    fn reference() -> (String, Netlist) {
+        let (response, net, _) = run_job(core(FaultPlan::none()), &temp_dir("ref"));
+        assert!(
+            response.journal_records >= 3,
+            "the fixture must commit batches past the kill points"
+        );
+        (serde_json::to_string(&response.outcome).unwrap(), net)
+    }
+
+    /// In the victim role, runs the planned fault and never returns.
+    fn victim_if_asked() {
+        let Ok(role) = std::env::var(CHILD_ROLE) else {
+            return;
+        };
+        let (fault, dir) = role.split_once(' ').expect("role is `<fault> <dir>`");
+        let dir = Path::new(dir);
+        let mut core = match fault {
+            "kill_after_first_record" => core(FaultPlan::none().with_kill_after_record(0)),
             // Record 0 is compacted into the store first, so the resume
             // reads one batch from pages and one from the journal file.
-            "kill_after_record" => FaultPlan::none().with_kill_after_record(1),
-            "kill_mid_compaction" => FaultPlan::none().with_kill_mid_compaction(),
+            "kill_after_record" => store_core(dir, FaultPlan::none().with_kill_after_record(1)),
+            "kill_mid_compaction" => store_core(dir, FaultPlan::none().with_kill_mid_compaction()),
             other => panic!("unknown victim fault `{other}`"),
         };
         let (mut net, _, _, cfg) = fixture();
-        let result = store_core(dir, plan).run_flow_job(&mut net, &cfg, &dir.join("job.wal"), None);
+        let result = core.run_flow_job(&mut net, &cfg, &dir.join("job.wal"), None);
         panic!("the planned {fault} never fired: {result:?}");
     }
 
+    /// Re-runs test `test` of this binary as the victim of `fault` over
+    /// `dir` and asserts it died by the injected abort.
+    fn kill(test: &str, fault: &str, dir: &Path) {
+        let out = Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", test, "--nocapture", "--test-threads", "1"])
+            .env(CHILD_ROLE, format!("{fault} {}", dir.display()))
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.signal(),
+            Some(SIGABRT),
+            "{fault}: the victim must die by the injected abort, got {:?}:\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+
+    /// The kill is deterministic: the core aborts the instant record 0 is
+    /// fsynced, so the journal holds its header and exactly one record,
+    /// and the rerun resumes exactly one batch.
+    #[test]
+    fn injected_kill_after_first_record_resumes_deterministically() {
+        victim_if_asked();
+        let dir = temp_dir("inject");
+        kill(
+            "injected::injected_kill_after_first_record_resumes_deterministically",
+            "kill_after_first_record",
+            &dir,
+        );
+        let journal = std::fs::read_to_string(dir.join("job.wal")).unwrap();
+        assert_eq!(
+            journal.lines().count(),
+            2,
+            "header + exactly one committed record"
+        );
+
+        let (want, ref_net) = reference();
+        let (resumed, net, _) = run_job(core(FaultPlan::none()), &dir);
+        assert_eq!(resumed.resumed_batches, 1);
+        assert_eq!(serde_json::to_string(&resumed.outcome).unwrap(), want);
+        assert_eq!(net, ref_net, "the resumed netlist differs");
+    }
+
+    /// The store-backed kills — after a record, and between a compaction's
+    /// store commit and its journal rewrite.
     #[test]
     fn store_backed_kills_resume_bitwise_and_scrub_clean() {
-        if let Ok(role) = std::env::var(CHILD_ROLE) {
-            let (fault, dir) = role.split_once(' ').expect("role is `<fault> <dir>`");
-            victim(fault, Path::new(dir));
-        }
-
-        // Storeless, uninterrupted reference.
-        let (mut ref_net, normalizer, model, cfg) = fixture();
-        let reference = ServeCore::new(normalizer, model, ServeConfig::default())
-            .run_flow_job(
-                &mut ref_net,
-                &cfg,
-                &temp_dir("store-ref").join("job.wal"),
-                None,
-            )
-            .unwrap();
-        assert!(
-            reference.journal_records >= 3,
-            "the fixture must commit batches past the kill points"
-        );
-        let want = serde_json::to_string(&reference.outcome).unwrap();
-
+        victim_if_asked();
+        let (want, ref_net) = reference();
         for fault in ["kill_after_record", "kill_mid_compaction"] {
             let dir = temp_dir(fault);
-            let out = Command::new(std::env::current_exe().unwrap())
-                .args(["--exact", TEST, "--nocapture", "--test-threads", "1"])
-                .env(CHILD_ROLE, format!("{fault} {}", dir.display()))
-                .output()
-                .unwrap();
-            assert_eq!(
-                out.status.signal(),
-                Some(SIGABRT),
-                "{fault}: the victim must die by the injected abort, got {:?}:\n{}",
-                out.status,
-                String::from_utf8_lossy(&out.stdout)
+            kill(
+                "injected::store_backed_kills_resume_bitwise_and_scrub_clean",
+                fault,
+                &dir,
             );
 
-            let (mut net, _, _, cfg) = fixture();
-            let mut core = store_core(&dir, FaultPlan::none());
-            let resumed = core
-                .run_flow_job(&mut net, &cfg, &dir.join("job.wal"), None)
-                .unwrap();
+            let (resumed, net, mut core) = run_job(store_core(&dir, FaultPlan::none()), &dir);
             assert!(resumed.resumed_batches >= 1, "{fault}: nothing was resumed");
             assert_eq!(
                 serde_json::to_string(&resumed.outcome).unwrap(),
