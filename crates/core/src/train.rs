@@ -7,7 +7,6 @@
 //! either a balanced sample (Table 2 protocol) or the active set of a
 //! multi-stage cascade (§3.3).
 
-use crossbeam::thread;
 use serde::{Deserialize, Serialize};
 
 use gcnt_nn::loss::weighted_softmax_cross_entropy;
@@ -124,10 +123,6 @@ pub struct EpochGrads {
 /// # Panics
 ///
 /// Panics if `graphs` and `masks` lengths differ, or a graph is unlabeled.
-#[expect(
-    clippy::expect_used,
-    reason = "scope result is infallible here: every worker handle is joined inside the scope, so panics are captured per-handle"
-)]
 pub fn epoch_grads(
     gcn: &Gcn,
     graphs: &[&GraphData],
@@ -139,12 +134,14 @@ pub fn epoch_grads(
     let jobs = || graphs.iter().zip(masks).enumerate();
     let compute =
         |data: &GraphData, mask: &[usize]| masked_loss_grads(gcn, data, mask, class_weights);
-    // One result per graph; `None` where the worker died.
+    // One result per graph; `None` where the worker died. Every handle is
+    // joined inside the scope, so a worker's panic comes back from its
+    // `join` and never out of the scope.
     let joined: Vec<Option<_>> = if graphs.len() > 1 {
-        thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = jobs()
                 .map(|(worker, (data, mask))| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         on_worker(worker);
                         compute(data, mask)
                     })
@@ -152,7 +149,6 @@ pub fn epoch_grads(
                 .collect();
             handles.into_iter().map(|h| h.join().ok()).collect()
         })
-        .expect("crossbeam scope")
     } else {
         jobs()
             .map(|(_, (data, mask))| Some(compute(data, mask)))

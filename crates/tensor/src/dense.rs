@@ -1,20 +1,39 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::kernel::{self, Kernel};
+use crate::kernel;
 use crate::{Result, TensorError};
 
-/// GEMM falls back to a serial loop below this many output elements; the
-/// rayon dispatch overhead dominates for tiny matrices.
+/// GEMM falls back to a serial loop below this many output elements (for
+/// `Xᵀ·dY`, whose output is small and whose work grows with `X`, this
+/// many elements of `X`); the rayon dispatch overhead dominates for tiny
+/// matrices.
 const PAR_GEMM_THRESHOLD: usize = 16 * 1024;
 
 /// One output row of `lhs · rhs + bias`, accumulated onto a zeroed
 /// `out_row`: the complete `k`-order sum, then the bias.
 #[inline]
 fn bias_row(out_row: &mut [f32], lhs_row: &[f32], rhs: &Matrix, bias: &[f32]) {
-    kernel::gemm_row_blocked(out_row, lhs_row, &rhs.data, rhs.cols);
+    kernel::gemm_row::<true>(out_row, lhs_row, &rhs.data, rhs.cols);
     for (o, &b) in out_row.iter_mut().zip(bias) {
         *o += b;
+    }
+}
+
+/// Runs `row(r, out_row)` on every row of `out`, on the row-parallel
+/// primitive once the output reaches [`PAR_GEMM_THRESHOLD`] elements.
+/// A zero-width output has no rows to visit.
+fn for_each_row(out: &mut Matrix, row: impl Fn(usize, &mut [f32]) + Sync) {
+    let n = out.cols.max(1);
+    if out.data.len() >= PAR_GEMM_THRESHOLD {
+        out.data
+            .par_chunks_mut(n)
+            .enumerate()
+            .for_each(|(r, out_row)| row(r, out_row));
+    } else {
+        for (r, out_row) in out.data.chunks_mut(n).enumerate() {
+            row(r, out_row);
+        }
     }
 }
 
@@ -221,19 +240,6 @@ impl Matrix {
     /// Returns [`TensorError::ShapeMismatch`] unless
     /// `self.cols() == rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.matmul_with_kernel(rhs, Kernel::Blocked)
-    }
-
-    /// [`Matrix::matmul`] on an explicit GEMM row kernel — the entry
-    /// point tests and benches use to compare the blocked row against
-    /// the scalar reference. Both produce bit-identical output (see
-    /// [`crate::kernel`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] unless
-    /// `self.cols() == rhs.rows()`.
-    pub fn matmul_with_kernel(&self, rhs: &Matrix, kern: Kernel) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul",
@@ -242,22 +248,11 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let n = rhs.cols;
         let k = self.cols;
-        let gemm_row = |(r, out_row): (usize, &mut [f32])| {
+        for_each_row(&mut out, |r, out_row| {
             let lhs_row = self.data.get(r * k..(r + 1) * k).unwrap_or(&[]);
-            kernel::gemm_row(kern, out_row, lhs_row, &rhs.data, n);
-        };
-        if self.rows * n >= PAR_GEMM_THRESHOLD {
-            out.data
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(r, out_row)| gemm_row((r, out_row)));
-        } else {
-            for (r, out_row) in out.data.chunks_mut(n).enumerate() {
-                gemm_row((r, out_row));
-            }
-        }
+            kernel::gemm_row::<true>(out_row, lhs_row, &rhs.data, rhs.cols);
+        });
         Ok(out)
     }
 
@@ -287,22 +282,11 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let n = rhs.cols;
         let k = self.cols;
-        let gemm_row = |(r, out_row): (usize, &mut [f32])| {
+        for_each_row(&mut out, |r, out_row| {
             let lhs_row = self.data.get(r * k..(r + 1) * k).unwrap_or(&[]);
             bias_row(out_row, lhs_row, rhs, bias);
-        };
-        if self.rows * n >= PAR_GEMM_THRESHOLD {
-            out.data
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(r, out_row)| gemm_row((r, out_row)));
-        } else {
-            for (r, out_row) in out.data.chunks_mut(n).enumerate() {
-                gemm_row((r, out_row));
-            }
-        }
+        });
         Ok(out)
     }
 
@@ -358,7 +342,15 @@ impl Matrix {
         Ok(())
     }
 
-    /// Matrix product `self^T * rhs` without materialising the transpose.
+    /// Matrix product `self^T * rhs` without materialising the transpose
+    /// — the weight gradient `dW = Xᵀ·dY` of a linear layer.
+    ///
+    /// Every output element `out[kk][j]` is the `r`-ascending sum of
+    /// `self[r][kk] * rhs[r][j]` over the rows whose `self[r][kk]` is not
+    /// an exact zero, started from `+0.0`. The output rows are cut into
+    /// one contiguous band per worker, and each band streams both
+    /// operands once (`kernel::transpose_gemm_band`); how the rows
+    /// are banded does not change any element's chain.
     ///
     /// # Errors
     ///
@@ -372,38 +364,32 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        // out[k][n] = sum_r self[r][k] * rhs[r][n]
-        let k = self.cols;
-        let n = rhs.cols;
-        let rows = self.rows;
-        let compute_out_row = |kk: usize, out_row: &mut [f32]| {
-            let lhs_rows = self.data.chunks_exact(k.max(1));
-            let rhs_rows = rhs.data.chunks_exact(n.max(1));
-            for (lhs_row, rhs_row) in lhs_rows.zip(rhs_rows) {
-                let a = lhs_row.get(kk).copied().unwrap_or(0.0);
-                if a == 0.0 {
-                    continue;
-                }
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
-            }
-        };
+        let (k, n) = (self.cols, rhs.cols);
         let mut out = Matrix::zeros(k, n);
-        if k * n >= 1024 && rows > 256 {
+        let band = |first: usize, band: &mut [f32]| {
+            kernel::transpose_gemm_band(band, first, &self.data, k, &rhs.data, n);
+        };
+        if n > 0 && self.data.len() >= PAR_GEMM_THRESHOLD {
+            let band_rows = k.div_ceil(rayon::current_num_threads());
             out.data
-                .par_chunks_mut(n)
+                .par_chunks_mut(band_rows * n)
                 .enumerate()
-                .for_each(|(kk, out_row)| compute_out_row(kk, out_row));
+                .for_each(|(b, out_band)| band(b * band_rows, out_band));
         } else {
-            for (kk, out_row) in out.data.chunks_mut(n).enumerate() {
-                compute_out_row(kk, out_row);
-            }
+            band(0, &mut out.data);
         }
         Ok(out)
     }
 
-    /// Matrix product `self * rhs^T` without materialising the transpose.
+    /// Matrix product `self * rhs^T` — the input gradient `dX = dY·Wᵀ` of
+    /// a linear layer.
+    ///
+    /// Every output element `out[r][j]` is the `kk`-ascending sum of
+    /// `self[r][kk] * rhs[j][kk]`, every term included, started from
+    /// `+0.0`: the dot product of row `r` and row `j`. The small right
+    /// operand is transposed once, so each output row accumulates
+    /// `self[r][kk] * rhsᵀ[kk]` with its `n` independent elements side by
+    /// side in vector lanes instead of one dependent add chain at a time.
     ///
     /// # Errors
     ///
@@ -418,32 +404,12 @@ impl Matrix {
             });
         }
         let k = self.cols;
-        let n = rhs.rows;
-        let mut out = Matrix::zeros(self.rows, n);
-        // Dot-product form: each output element is one serial reduction, so
-        // this stays on the scalar loop — unrolling it with partial
-        // accumulators would change the summation order and break the
-        // bit-exactness contract the blocked kernels are built on.
-        let gemm_row = |(r, out_row): (usize, &mut [f32])| {
+        let rhs_t = rhs.transpose();
+        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        for_each_row(&mut out, |r, out_row| {
             let lhs_row = self.data.get(r * k..(r + 1) * k).unwrap_or(&[]);
-            for (o, rhs_row) in out_row.iter_mut().zip(rhs.data.chunks_exact(k.max(1))) {
-                let mut acc = 0.0;
-                for (a, b) in lhs_row.iter().zip(rhs_row) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-        };
-        if self.rows * n >= PAR_GEMM_THRESHOLD {
-            out.data
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(r, out_row)| gemm_row((r, out_row)));
-        } else {
-            for (r, out_row) in out.data.chunks_mut(n).enumerate() {
-                gemm_row((r, out_row));
-            }
-        }
+            kernel::gemm_row::<false>(out_row, lhs_row, &rhs_t.data, rhs_t.cols);
+        });
         Ok(out)
     }
 
@@ -767,6 +733,25 @@ mod tests {
         let fast = a.matmul_transpose(&b).unwrap();
         let slow = a.matmul(&b.transpose()).unwrap();
         assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn zero_width_products_are_empty_matrices() {
+        // Below and past the parallel thresholds.
+        for rows in [3, 20_000] {
+            let a = Matrix::filled(rows, 2, 1.5);
+            let empty = Matrix::zeros(2, 0);
+            let none = Matrix::zeros(rows, 0);
+            assert_eq!(a.matmul(&empty).unwrap().shape(), (rows, 0));
+            assert_eq!(a.matmul_bias(&empty, &[]).unwrap().shape(), (rows, 0));
+            assert_eq!(a.transpose_matmul(&none).unwrap().shape(), (2, 0));
+            assert_eq!(none.transpose_matmul(&a).unwrap().shape(), (0, 2));
+            let dx = a.matmul_transpose(&Matrix::zeros(0, 2)).unwrap();
+            assert_eq!(dx.shape(), (rows, 0));
+        }
+        // An empty shared dimension sums no terms: `+0.0` everywhere.
+        let zero_k = Matrix::zeros(3, 0).matmul_transpose(&Matrix::zeros(2, 0));
+        assert_eq!(zero_k.unwrap(), Matrix::zeros(3, 2));
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   fanout-balanced row blocks with per-partition halos, whose
 //!   partition-parallel [`PartitionedCsr::spmm`] is bit-identical to the
 //!   serial kernel. This is what makes 10^5–10^6-node designs tractable.
-//! * [`kernel`] — the row kernels those products are built from; the
-//!   dense GEMM row runs register-blocked, bit-identical by construction
-//!   to the scalar reference ([`Kernel`]) the property tests compare it to.
+//! * [`kernel`] — the row kernels those products are built from; each
+//!   product computes every element with the chain of the
+//!   element-at-a-time loop, bit for bit, by construction.
 //!
 //! # Examples
 //!
@@ -62,7 +62,6 @@ pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use dense::Matrix;
 pub use error::{Result, TensorError};
-pub use kernel::Kernel;
 pub use partition::{PartitionPlan, PartitionScratch, PartitionedCsr};
 /// The row-parallel primitive the products here run on, re-exported so a
 /// crate above can run its row tiles on the same one: a direct edge to it

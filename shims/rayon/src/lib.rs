@@ -1,6 +1,6 @@
 //! Offline stand-in for the subset of `rayon` this workspace uses:
 //! `slice.par_chunks_mut(n)[.enumerate()].for_each(..)` /
-//! `.for_each_init(init, ..)`.
+//! `.for_each_init(init, ..)`, and `current_num_threads()`.
 //!
 //! Work is genuinely parallel: the chunks are cut into one *contiguous*
 //! run per worker (`std::thread::scope` workers sized to the machine), so
@@ -10,8 +10,10 @@
 //! count is the machine's and is not settable; a caller that wants fewer
 //! runs passes larger chunks.
 
-/// One worker per core.
-fn machine_workers() -> usize {
+/// The number of workers a parallel call runs on: one per core, as
+/// `rayon::current_num_threads` reports for the global pool. A caller
+/// that cuts its own work into one piece per worker sizes it from this.
+pub fn current_num_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -102,7 +104,7 @@ impl<'a, T: Send> EnumerateParChunksMut<'a, T> {
         F: Fn(&mut S, (usize, &mut [T])) + Sync,
     {
         let ParChunksMut { slice, chunk_size } = self.inner;
-        run_chunks(slice, chunk_size, machine_workers(), &init, &f);
+        run_chunks(slice, chunk_size, current_num_threads(), &init, &f);
     }
 }
 
@@ -198,7 +200,7 @@ mod tests {
             |_, chunk| chunk.fill(1),
         );
         assert!(data.iter().all(|&v| v == 1));
-        assert!((1..=super::machine_workers()).contains(&states.into_inner()));
+        assert!((1..=super::current_num_threads()).contains(&states.into_inner()));
     }
 
     #[test]
