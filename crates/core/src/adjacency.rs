@@ -68,6 +68,21 @@ fn active(m: &CsrMatrix, enabled: bool) -> Cow<'_, CsrMatrix> {
     }
 }
 
+/// The aggregation combine over a block of rows, in place: row `i` of `a`
+/// becomes `(src[rows[i]] + wa·a[i]) + wb·b[i]`, element by element — the
+/// order of [`Matrix::add_scaled2`] and of `clone` + two
+/// [`Matrix::axpy`]s, so every row form is bit for bit its whole-matrix
+/// twin.
+fn combine_rows(src: &Matrix, rows: &[usize], wa: f32, wb: f32, a: &mut [f32], b: &[f32]) {
+    let cols = src.cols().max(1);
+    for ((a_row, b_row), &r) in a.chunks_exact_mut(cols).zip(b.chunks_exact(cols)).zip(rows) {
+        for ((p, &s), &e) in a_row.iter_mut().zip(b_row).zip(src.row(r)) {
+            let t = e + wa * *p;
+            *p = t + wb * s;
+        }
+    }
+}
+
 impl GraphTensors {
     /// Builds the tensors from a netlist.
     pub fn from_netlist(net: &Netlist) -> Self {
@@ -250,13 +265,97 @@ impl GraphTensors {
         g: &mut [f32],
         scratch: &mut [f32],
     ) -> Result<()> {
+        let forward = [(&self.pred, self.use_pred), (&self.succ, self.use_succ)];
+        self.row_products("aggregate_rows", e, rows, forward, g, scratch)?;
+        // `g` holds `P·E`.
+        combine_rows(e, rows, w_pr, w_su, g, scratch);
+        Ok(())
+    }
+
+    /// [`GraphTensors::aggregate_rows_into`] that hands back the
+    /// intermediates beside `G`: `pe` and `se` receive the rows of `P·E`
+    /// and `S·E`, and `g` their combine — all three, row for row, the bits
+    /// [`GraphTensors::aggregate`] returns. A training step rebuilds a
+    /// tile's aggregate from the retained embedding this way, and needs
+    /// `P·E`/`S·E` for the `w_pr`/`w_su` gradients.
+    ///
+    /// # Errors
+    ///
+    /// As [`GraphTensors::aggregate_rows_into`], with all three blocks
+    /// checked.
+    #[expect(clippy::too_many_arguments, reason = "three output blocks")]
+    pub fn aggregate_rows_parts_into(
+        &self,
+        e: &Matrix,
+        rows: &[usize],
+        w_pr: f32,
+        w_su: f32,
+        pe: &mut [f32],
+        se: &mut [f32],
+        g: &mut [f32],
+    ) -> Result<()> {
+        let forward = [(&self.pred, self.use_pred), (&self.succ, self.use_succ)];
+        self.row_products("aggregate_rows", e, rows, forward, pe, se)?;
+        if g.len() != pe.len() {
+            return Err(TensorError::LengthMismatch {
+                expected: pe.len(),
+                actual: g.len(),
+            });
+        }
+        g.copy_from_slice(pe);
+        combine_rows(e, rows, w_pr, w_su, g, se);
+        Ok(())
+    }
+
+    /// The listed rows of [`GraphTensors::aggregate_backward`] into a
+    /// caller-provided block: `de` (one row of `dg.cols()` values per entry
+    /// of `rows`, overwritten) receives `dG + w_pr·Pᵀ·dG + w_su·Sᵀ·dG`, and
+    /// `scratch`, of the same length, holds `Sᵀ·dG` on the way. Same
+    /// per-row kernels and element order as the whole-matrix form, so each
+    /// row is its row bit for bit. The rows of `Pᵀ·dG` gather `dG` from
+    /// every reader of the row, which is why a training step keeps `dG`
+    /// at `n` rows.
+    ///
+    /// # Errors
+    ///
+    /// As [`GraphTensors::aggregate_rows_into`], with `dg` in place of `e`.
+    pub fn aggregate_backward_rows_into(
+        &self,
+        dg: &Matrix,
+        rows: &[usize],
+        w_pr: f32,
+        w_su: f32,
+        de: &mut [f32],
+        scratch: &mut [f32],
+    ) -> Result<()> {
+        // `succ` serves as `Pᵀ` and `pred` as `Sᵀ`, each gated by the
+        // direction it stands for.
+        let backward = [(&self.succ, self.use_pred), (&self.pred, self.use_succ)];
+        self.row_products("aggregate_backward_rows", dg, rows, backward, de, scratch)?;
+        combine_rows(dg, rows, w_pr, w_su, de, scratch);
+        Ok(())
+    }
+
+    /// The listed rows of the two products `first·src` into `a` and
+    /// `second·src` into `b` (blocks of `rows.len()` rows of `src.cols()`
+    /// values, overwritten), a disabled product as all `+0.0` — after
+    /// checking `src`, `rows` and both block lengths.
+    fn row_products(
+        &self,
+        op: &'static str,
+        src: &Matrix,
+        rows: &[usize],
+        [first, second]: [(&CsrMatrix, bool); 2],
+        a: &mut [f32],
+        b: &mut [f32],
+    ) -> Result<()> {
         // Checked here as well as by the products: a disabled direction
         // runs none.
-        if e.rows() != self.n {
+        if src.rows() != self.n {
             return Err(TensorError::ShapeMismatch {
-                op: "aggregate_rows",
+                op,
                 lhs: (self.n, self.n),
-                rhs: e.shape(),
+                rhs: src.shape(),
             });
         }
         if let Some(&bad) = rows.iter().find(|&&r| r >= self.n) {
@@ -265,35 +364,19 @@ impl GraphTensors {
                 shape: (self.n, self.n),
             });
         }
-        for len in [g.len(), scratch.len()] {
-            if len != rows.len() * e.cols() {
+        for len in [a.len(), b.len()] {
+            if len != rows.len() * src.cols() {
                 return Err(TensorError::LengthMismatch {
-                    expected: rows.len() * e.cols(),
+                    expected: rows.len() * src.cols(),
                     actual: len,
                 });
             }
         }
-        // A disabled direction contributes the all-zero product.
-        let product = |m: &CsrMatrix, enabled: bool, out: &mut [f32]| {
+        for ((m, enabled), out) in [(first, a), (second, b)] {
             if enabled {
-                m.spmm_rows_into(e, rows, out)
+                m.spmm_rows_into(src, rows, out)?;
             } else {
                 out.fill(0.0);
-                Ok(())
-            }
-        };
-        product(&self.pred, self.use_pred, g)?;
-        product(&self.succ, self.use_succ, scratch)?;
-        let cols = e.cols().max(1);
-        for ((g_row, se_row), &r) in g
-            .chunks_exact_mut(cols)
-            .zip(scratch.chunks_exact(cols))
-            .zip(rows)
-        {
-            // `g_row` holds `P·E`; same element order as `add_scaled2`.
-            for ((pv, &sv), &ev) in g_row.iter_mut().zip(se_row).zip(e.row(r)) {
-                let t = ev + w_pr * *pv;
-                *pv = t + w_su * sv;
             }
         }
         Ok(())
@@ -498,6 +581,28 @@ mod tests {
         let sliced = t.aggregate_rows(&e, &[2, 0], 0.62, 0.31).unwrap();
         assert_eq!(sliced.row(0), full.row(2));
         assert_eq!(sliced.row(1), full.row(0));
+
+        // The parts and the backward rows, with each direction on and off.
+        let rows = [2usize, 0];
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (use_pred, use_succ) in [(true, true), (true, false), (false, true), (false, false)] {
+            let t = GraphTensors::with_directions(&net, use_pred, use_succ);
+            let (g, pe, se) = t.aggregate(&e, -0.62, 0.31).unwrap();
+            let de = t.aggregate_backward(&e, -0.62, 0.31).unwrap();
+            let mut blocks = [[f32::NAN; 4]; 3];
+            let [p, s, gb] = &mut blocks;
+            t.aggregate_rows_parts_into(&e, &rows, -0.62, 0.31, p, s, gb)
+                .unwrap();
+            for (block, whole) in blocks.iter().zip([&pe, &se, &g]) {
+                let block = Matrix::from_vec(2, 2, block.to_vec()).unwrap();
+                assert_eq!(bits(&block), bits(&whole.gather_rows(&rows)));
+            }
+            let (mut d, mut scratch) = ([f32::NAN; 4], [f32::NAN; 4]);
+            t.aggregate_backward_rows_into(&e, &rows, -0.62, 0.31, &mut d, &mut scratch)
+                .unwrap();
+            let d = Matrix::from_vec(2, 2, d.to_vec()).unwrap();
+            assert_eq!(bits(&d), bits(&de.gather_rows(&rows)));
+        }
     }
 
     #[test]

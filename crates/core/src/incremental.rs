@@ -216,7 +216,7 @@ impl Gcn {
         }
         backend.check_fresh(t)?;
         Ok(EmbeddingCache {
-            layers: pass::embed_layers(pass::PER_CORE, self, t, x, budget)?,
+            layers: pass::embed_layers(pass::PER_CORE, self, self.encoders(), t, x, budget)?,
             generation: t.generation(),
         })
     }

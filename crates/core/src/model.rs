@@ -135,10 +135,14 @@ impl Deserialize for Gcn {
     }
 }
 
-/// Activations cached by [`Gcn::forward`] for the backward pass.
+/// Activations cached by [`Gcn::forward`] for [`Gcn::backward`]: `P·E`,
+/// `S·E`, `G` and `z` of every layer and every head activation, each at
+/// `n` rows.
 ///
-/// The intermediate embeddings themselves are not retained — the backward
-/// pass only needs the aggregated matrices and pre-activations.
+/// No training path builds one: the training step
+/// ([`crate::train::masked_loss_grads`]) keeps only `E_1..E_{D-1}` at `n`
+/// rows and works in row tiles. The whole-matrix pair is the reference
+/// that step is checked against, bit for bit.
 #[derive(Debug, Clone)]
 pub struct GcnCache {
     /// `P·E_{d-1}` per round.
@@ -207,7 +211,11 @@ impl Gcn {
         &self.head
     }
 
-    /// Forward pass keeping all caches needed by [`Gcn::backward`].
+    /// Forward pass over whole matrices, keeping all caches needed by
+    /// [`Gcn::backward`]. With the masked loss and [`Gcn::backward`] this is
+    /// the whole-matrix training step that
+    /// [`crate::train::masked_loss_grads`] must reproduce bit for bit
+    /// (`tests/train_properties.rs`); no training path calls it.
     ///
     /// # Errors
     ///
@@ -317,7 +325,9 @@ impl Gcn {
     }
 
     /// Backward pass through the head, the encoders and the aggregations,
-    /// including the scalar gradients for `w_pr` / `w_su`.
+    /// including the scalar gradients for `w_pr` / `w_su`, over whole
+    /// matrices: the reference half of the step [`Gcn::forward`] starts
+    /// (see there); no training path calls it.
     ///
     /// # Errors
     ///

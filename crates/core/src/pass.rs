@@ -22,7 +22,10 @@
 //!   *are* the [`crate::EmbeddingCache`], and classifies from it
 //!   (`head_rows`);
 //! * a dirty-halo refresh patches the cached layers in place
-//!   (`embed_layer` over the halo).
+//!   (`embed_layer` over the halo);
+//! * a training step ([`crate::train::masked_loss_grads`]) keeps
+//!   `E_1..E_{D-1}` (`embed_layers` over all but the last encoder) and
+//!   runs the last layer with the head in tiles of its own.
 //!
 //! Every step takes the rows to compute as a sorted list. A step only
 //! reads the rows of its input that the step before computed for it — the
@@ -145,7 +148,7 @@ fn check_rows(rows: &[usize], n: usize) -> Result<()> {
     }
 }
 
-fn check_shape(op: &'static str, m: &Matrix, rows: usize, cols: usize) -> Result<()> {
+pub(crate) fn check_shape(op: &'static str, m: &Matrix, rows: usize, cols: usize) -> Result<()> {
     if m.shape() == (rows, cols) {
         Ok(())
     } else {
@@ -369,8 +372,9 @@ impl PassWorkspace {
     }
 }
 
-/// Every embedding layer `E_1..E_D` of `gcn` over every node, retained —
-/// what a session caches. One budget unit per node per layer, charged
+/// The embedding layers of `encoders` — the first of `gcn`'s — over every
+/// node, retained: all of them are what a session caches, all but the last
+/// what a training step keeps. One budget unit per node per layer, charged
 /// before the layer runs.
 ///
 /// # Errors
@@ -380,14 +384,15 @@ impl PassWorkspace {
 pub(crate) fn embed_layers(
     runs: usize,
     gcn: &Gcn,
+    encoders: &[Linear],
     t: &GraphTensors,
     x: &Matrix,
     budget: &Budget,
 ) -> Result<Vec<Matrix>> {
     let n = t.node_count();
     let rows: Vec<usize> = (0..n).collect();
-    let mut layers: Vec<Matrix> = Vec::with_capacity(gcn.depth());
-    for enc in gcn.encoders() {
+    let mut layers: Vec<Matrix> = Vec::with_capacity(encoders.len());
+    for enc in encoders {
         budget.charge(n as u64)?;
         let mut out = Matrix::zeros(n, enc.fan_out());
         let prev = layers.last().unwrap_or(x);
@@ -576,7 +581,7 @@ mod tests {
             // A session: every layer retained, heads over survivors.
             let caches: Vec<Vec<Matrix>> = stages
                 .iter()
-                .map(|gcn| embed_layers(runs, gcn, t, x, &free).unwrap())
+                .map(|gcn| embed_layers(runs, gcn, gcn.encoders(), t, x, &free).unwrap())
                 .collect();
             let session = cascade_rows(stages, thr, &rows, |s, gcn, alive| {
                 let mut probs = vec![0.0; alive.len()];

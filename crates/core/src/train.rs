@@ -6,14 +6,43 @@
 //! neighbourhood context), but the loss is *masked* to a node subset —
 //! either a balanced sample (Table 2 protocol) or the active set of a
 //! multi-stage cascade (§3.3).
+//!
+//! One graph's step ([`masked_loss_grads`]) runs on row tiles, as
+//! inference does ([`crate::pass`]). The row-tiled layer step builds
+//! `E_1..E_{D-1}`, the only activations kept at `n` rows. Then one
+//! ascending sweep of [`TILE_ROWS`]-row tiles runs, per tile, layer `D`'s
+//! aggregate, encode and ReLU, the head, the loss rows, the head backward
+//! and layer `D`'s backward; each layer below gets one backward sweep that
+//! rebuilds its tile's `P·E`, `S·E` and `G` from the retained `E_{d-1}`.
+//! What a tile cannot compute from its own rows is the aggregate's
+//! backward, which gathers the input gradient `dG` of every neighbour, so
+//! `dG` of the layer being swept back through and of the one below are
+//! the other two `n`-row buffers.
+//!
+//! The sweeps run on the graph's own worker, and every gradient sum —
+//! each `dW` and `db` element and the `f64` dots behind `w_pr`/`w_su` —
+//! accumulates tile after tile in row order. So every element keeps the
+//! chain of the whole-matrix step ([`Gcn::forward`],
+//! [`weighted_softmax_cross_entropy`] on the masked logits,
+//! [`Gcn::backward`]), which stays as the reference
+//! `tests/train_properties.rs` holds the step to bit for bit. A ReLU's
+//! mask is read off its activation (`relu(z) > 0` exactly where `z > 0`),
+//! and the loss terms are summed in mask order after the sweep, because a
+//! mask may be shuffled or repeat a row. Past `E_1..E_{D-1}`, which the
+//! layer step builds on every core, the cores come from the graphs: one
+//! worker per graph ([`epoch_grads`]).
+//!
+//! [`weighted_softmax_cross_entropy`]: gcnt_nn::loss::weighted_softmax_cross_entropy
 
 use serde::{Deserialize, Serialize};
 
-use gcnt_nn::loss::weighted_softmax_cross_entropy;
-use gcnt_tensor::{ops, Matrix, Result};
+use gcnt_nn::loss::{loss_norm, softmax_ce_row};
+use gcnt_nn::Linear;
+use gcnt_tensor::{ops, Budget, Matrix, Result};
 
 use crate::metrics::Confusion;
-use crate::{Gcn, GcnGrads, GraphData};
+use crate::pass::{self, TILE_ROWS};
+use crate::{Gcn, GcnGrads, GraphData, GraphTensors};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -53,8 +82,16 @@ pub struct EpochStats {
 /// Computes the masked loss and full-model gradients for one graph.
 ///
 /// The forward pass covers the whole graph; the loss covers only the rows
-/// listed in `mask`. Rows outside the mask receive zero logit gradient, so
-/// they contribute context but no loss.
+/// listed in `mask` (any order, repeats allowed: a repeated row counts
+/// once per listing in the loss). Rows outside the mask receive zero logit
+/// gradient, so they contribute context but no loss.
+///
+/// The step runs in tiles of [`TILE_ROWS`] rows (module docs) and returns
+/// bit for bit what the whole-matrix step returns: [`Gcn::forward`],
+/// [`weighted_softmax_cross_entropy`] on the masked logits, their gradient
+/// scattered to `n` rows, [`Gcn::backward`].
+///
+/// [`weighted_softmax_cross_entropy`]: gcnt_nn::loss::weighted_softmax_cross_entropy
 ///
 /// Returns `(loss, gradients, masked_predictions)`.
 ///
@@ -64,25 +101,400 @@ pub struct EpochStats {
 ///
 /// # Panics
 ///
-/// Panics if `data` has no labels or a mask index is out of bounds.
+/// Panics if `data` has no labels, a mask index is out of bounds, or the
+/// head does not emit one logit per class weight.
 pub fn masked_loss_grads(
     gcn: &Gcn,
     data: &GraphData,
     mask: &[usize],
     class_weights: &[f32; 2],
 ) -> Result<(f32, GcnGrads, Vec<usize>)> {
-    let (logits, cache) = gcn.forward(&data.tensors, &data.features)?;
-    let masked_logits = logits.gather_rows(mask);
-    let labels = data.labels_at(mask);
-    let (loss, dmasked) = weighted_softmax_cross_entropy(&masked_logits, &labels, class_weights);
-    // Scatter the masked gradient back into a full-graph gradient.
-    let mut dlogits = Matrix::zeros(logits.rows(), logits.cols());
-    for (i, &node) in mask.iter().enumerate() {
-        dlogits.row_mut(node).copy_from_slice(dmasked.row(i));
+    let (t, x) = (&data.tensors, &data.features);
+    let n = t.node_count();
+    let fan_in = gcn
+        .encoders()
+        .first()
+        .map_or(gcn.head().fan_in(), Linear::fan_in);
+    pass::check_shape("masked_loss_grads features", x, n, fan_in)?;
+    let (inner, top) = match gcn.encoders().split_last() {
+        Some((top, inner)) => (inner, Some(top)),
+        None => (&[][..], None),
+    };
+    // E_1..E_{D-1}, the only activations kept at n rows.
+    let free = Budget::unlimited();
+    let embeds = pass::embed_layers(pass::PER_CORE, gcn, inner, t, x, &free)?;
+
+    assert_eq!(
+        class_weights.len(),
+        gcn.head().fan_out(),
+        "one weight per class"
+    );
+    let mut loss = LossRows::new(data, mask, class_weights);
+    let mut step = Step::new(gcn, t);
+    // The input gradient `dG` of the layer just swept back through, kept
+    // at n rows while the layer below gathers from it; layer 1's is never
+    // kept.
+    let mut dg = match top {
+        Some(top) if !inner.is_empty() => Some(Matrix::zeros(n, top.fan_in())),
+        _ => None,
+    };
+    let prev = embeds.last().unwrap_or(x);
+    step.sweep(|step| step.top_tile(top, prev, &mut loss, dg.as_mut()))?;
+    for (d, enc) in inner.iter().enumerate().rev() {
+        let dg_in = dg.take().unwrap_or_else(|| Matrix::zeros(0, 0));
+        dg = (d > 0).then(|| Matrix::zeros(n, enc.fan_in()));
+        let (below, above) = embeds.split_at(d);
+        let (prev, out) = (below.last().unwrap_or(x), above.first());
+        step.sweep(|step| step.lower_tile(d, enc, prev, out, &dg_in, dg.as_mut()))?;
     }
-    let grads = gcn.backward(&data.tensors, &cache, &dlogits)?;
-    let preds = ops::argmax_rows(&masked_logits);
-    Ok((loss, grads, preds))
+    let (loss, preds) = loss.finish(mask);
+    Ok((loss, step.finish(), preds))
+}
+
+/// The per-row half of the loss: computed row by row inside the top
+/// sweep, summed in mask order after it.
+struct LossRows<'a> {
+    labels: &'a [u8],
+    class_weights: &'a [f32; 2],
+    /// One over the masked rows' total class weight.
+    norm: f64,
+    /// Whether each node is in the mask.
+    masked: Vec<bool>,
+    /// Each masked node's loss term and prediction.
+    terms: Vec<f64>,
+    preds: Vec<usize>,
+}
+
+impl<'a> LossRows<'a> {
+    /// # Panics
+    ///
+    /// As [`masked_loss_grads`].
+    fn new(data: &'a GraphData, mask: &[usize], class_weights: &'a [f32; 2]) -> Self {
+        let n = data.node_count();
+        let norm = loss_norm(data.labels_at(mask), class_weights);
+        let mut masked = vec![false; n];
+        for &v in mask {
+            if let Some(m) = masked.get_mut(v) {
+                *m = true;
+            }
+        }
+        LossRows {
+            labels: &data.labels,
+            class_weights,
+            norm,
+            masked,
+            terms: vec![0.0; n],
+            preds: vec![0; n],
+        }
+    }
+
+    /// Turns a tile's logits (rows of `classes` values, node `first`
+    /// onwards) into its logit gradient in place: a masked row's
+    /// [`softmax_ce_row`], any other row zero.
+    fn tile(&mut self, first: usize, logits: &mut [f32], classes: usize) {
+        let rows = logits.chunks_exact_mut(classes.max(1)).zip(first..);
+        for (row, v) in rows {
+            let (Some(&label), Some(true)) = (self.labels.get(v), self.masked.get(v).copied())
+            else {
+                row.fill(0.0);
+                continue;
+            };
+            if let (Some(pred), Some(term)) = (self.preds.get_mut(v), self.terms.get_mut(v)) {
+                *pred = ops::argmax_row(row);
+                *term = softmax_ce_row(row, usize::from(label), self.class_weights, self.norm);
+            }
+        }
+    }
+
+    /// The loss, its terms summed in mask order, and the predictions in
+    /// mask order.
+    fn finish(self, mask: &[usize]) -> (f32, Vec<usize>) {
+        let mut total = 0.0f64;
+        let mut preds = Vec::with_capacity(mask.len());
+        for &v in mask {
+            total += self.terms.get(v).copied().unwrap_or_default();
+            preds.push(self.preds.get(v).copied().unwrap_or_default());
+        }
+        ((total * self.norm) as f32, preds)
+    }
+}
+
+/// Tile buffers, reused by every tile of a step.
+#[derive(Default)]
+struct TileBufs {
+    /// The tile's nodes, ascending and consecutive.
+    rows: Vec<usize>,
+    /// `P·E`, `S·E` and `G` of the layer being swept.
+    pe: Vec<f32>,
+    se: Vec<f32>,
+    g: Vec<f32>,
+    /// Each head layer's input — `acts[0]` is the tile's `E_D` — and last
+    /// the logits.
+    acts: Vec<Vec<f32>>,
+    /// The gradient on its way down, and the next one.
+    grad: [Vec<f32>; 2],
+}
+
+/// One graph's step: the model, the weights transposed once, and the
+/// gradients and `w_pr`/`w_su` dots accumulated tile after tile.
+struct Step<'a> {
+    gcn: &'a Gcn,
+    t: &'a GraphTensors,
+    enc_t: Vec<Matrix>,
+    head_t: Vec<Matrix>,
+    grads: GcnGrads,
+    /// Per encoder, the running `f64` sums of `dG·(P·E)` and `dG·(S·E)`.
+    dots: Vec<[f64; 2]>,
+    tile: TileBufs,
+}
+
+impl<'a> Step<'a> {
+    fn new(gcn: &'a Gcn, t: &'a GraphTensors) -> Self {
+        let transposed = |l: &Linear| l.weight().transpose();
+        // Where `Iterator::sum` starts an `f64` sum, so a sum continued
+        // tile after tile from here is `Matrix::dot`'s over all rows.
+        let start: f64 = std::iter::empty::<f64>().sum();
+        Step {
+            gcn,
+            t,
+            enc_t: gcn.encoders().iter().map(transposed).collect(),
+            head_t: gcn.head().layers().iter().map(transposed).collect(),
+            grads: gcn.zero_grads(),
+            dots: vec![[start; 2]; gcn.depth()],
+            tile: TileBufs::default(),
+        }
+    }
+
+    /// Runs `tile` on every tile of the graph, in ascending row order.
+    fn sweep(&mut self, mut tile: impl FnMut(&mut Self) -> Result<()>) -> Result<()> {
+        let n = self.t.node_count();
+        for r0 in (0..n).step_by(TILE_ROWS) {
+            self.tile.rows.clear();
+            self.tile.rows.extend(r0..n.min(r0 + TILE_ROWS));
+            tile(self)?;
+        }
+        Ok(())
+    }
+
+    /// The top sweep's tile: layer `D` forward from `prev` (`E_{D-1}`, or
+    /// the features at depth 0), the head, the loss rows, the head
+    /// backward and layer `D`'s backward, whose input gradient goes to the
+    /// tile's rows of `dg_out` when a layer below reads it.
+    fn top_tile(
+        &mut self,
+        top: Option<&Linear>,
+        prev: &Matrix,
+        loss: &mut LossRows<'_>,
+        dg_out: Option<&mut Matrix>,
+    ) -> Result<()> {
+        let head = self.gcn.head();
+        let TileBufs {
+            rows,
+            pe,
+            se,
+            g,
+            acts,
+            grad,
+        } = &mut self.tile;
+        let (m, first) = (rows.len(), rows.first().copied().unwrap_or(0));
+        acts.resize_with(head.depth() + 1, Vec::new);
+        let Some((e_top, head_acts)) = acts.split_first_mut() else {
+            return Ok(());
+        };
+        let e_top = match top {
+            Some(enc) => {
+                let k = enc.fan_in();
+                let (pe, se, g) = (
+                    ops::scratch(pe, m * k),
+                    ops::scratch(se, m * k),
+                    ops::scratch(g, m * k),
+                );
+                self.t.aggregate_rows_parts_into(
+                    prev,
+                    rows,
+                    self.gcn.w_pr(),
+                    self.gcn.w_su(),
+                    pe,
+                    se,
+                    g,
+                )?;
+                let e = ops::scratch(e_top, m * enc.fan_out());
+                enc.forward_into(g.chunks_exact(k.max(1)), e)?;
+                ops::relu_slice(e);
+                e
+            }
+            None => {
+                let k = prev.cols();
+                let e = ops::scratch(e_top, m * k);
+                e.copy_from_slice(rows_of(prev.as_slice(), first, m, k));
+                e
+            }
+        };
+
+        // The head forward, each layer's input kept.
+        let layers = head.layers();
+        let mut input: &[f32] = e_top;
+        for (i, (layer, out)) in layers.iter().zip(head_acts.iter_mut()).enumerate() {
+            let out = ops::scratch(out, m * layer.fan_out());
+            layer.forward_into(input.chunks_exact(layer.fan_in().max(1)), out)?;
+            if i + 1 < layers.len() {
+                ops::relu_slice(out);
+            }
+            input = out;
+        }
+
+        // The loss rows, then the head backward.
+        let [d, spare] = grad;
+        let classes = head.fan_out();
+        let dy = ops::scratch(d, m * classes);
+        dy.copy_from_slice(input);
+        loss.tile(first, dy, classes);
+        let mut dy_width = classes;
+        let backward = layers
+            .iter()
+            .zip(&self.head_t)
+            .zip(&mut self.grads.head.layers)
+            .enumerate()
+            .rev();
+        for (i, ((layer, w_t), grads)) in backward {
+            let dy = ops::scratch(d, m * dy_width);
+            if i + 1 < layers.len() {
+                // Undo the ReLU between layer i and layer i + 1: the mask
+                // is read off layer i + 1's input.
+                let act = head_acts.get(i).map_or(&[][..], Vec::as_slice);
+                relu_backward(dy, act);
+            }
+            let x = match i.checked_sub(1) {
+                None => &*e_top,
+                Some(j) => head_acts.get(j).map_or(&[][..], Vec::as_slice),
+            };
+            let x = x.get(..m * layer.fan_in()).unwrap_or_default();
+            let dx = ops::scratch(spare, m * layer.fan_in());
+            layer.backward_into(x, dy, w_t, grads, dx)?;
+            std::mem::swap(d, spare);
+            dy_width = layer.fan_in();
+        }
+
+        // Layer D's backward.
+        let (Some(enc), Some(w_t), Some(grads), Some(dots)) = (
+            top,
+            self.enc_t.last(),
+            self.grads.encoders.last_mut(),
+            self.dots.last_mut(),
+        ) else {
+            return Ok(());
+        };
+        let k = enc.fan_in();
+        let dz = ops::scratch(d, m * enc.fan_out());
+        relu_backward(dz, e_top);
+        let dg = match dg_out {
+            Some(dg_out) => rows_of_mut(dg_out.as_mut_slice(), first, m, k),
+            None => ops::scratch(spare, m * k),
+        };
+        enc.backward_into(g.get(..m * k).unwrap_or_default(), dz, w_t, grads, dg)?;
+        fold_dots(dots, dg, pe, se);
+        Ok(())
+    }
+
+    /// A lower sweep's tile for encoder `d` (0-based, below the last):
+    /// `P·E`, `S·E` and `G` rebuilt from `prev` (`E_d`, or the features),
+    /// the tile's rows of `dE_{d+1}` gathered from `dg_in`, the ReLU mask
+    /// read off `out` (`E_{d+1}`), and the layer's backward, whose input
+    /// gradient goes to the tile's rows of `dg_out` when a layer below
+    /// reads it.
+    fn lower_tile(
+        &mut self,
+        d: usize,
+        enc: &Linear,
+        prev: &Matrix,
+        out: Option<&Matrix>,
+        dg_in: &Matrix,
+        dg_out: Option<&mut Matrix>,
+    ) -> Result<()> {
+        let (w_pr, w_su) = (self.gcn.w_pr(), self.gcn.w_su());
+        let TileBufs {
+            rows,
+            pe,
+            se,
+            g,
+            grad: [de, spare_buf],
+            ..
+        } = &mut self.tile;
+        let (m, first) = (rows.len(), rows.first().copied().unwrap_or(0));
+        let (k, width) = (enc.fan_in(), enc.fan_out());
+        let (pe, se, g) = (
+            ops::scratch(pe, m * k),
+            ops::scratch(se, m * k),
+            ops::scratch(g, m * k),
+        );
+        self.t
+            .aggregate_rows_parts_into(prev, rows, w_pr, w_su, pe, se, g)?;
+        let dz = ops::scratch(de, m * width);
+        let st = ops::scratch(spare_buf, m * width);
+        self.t
+            .aggregate_backward_rows_into(dg_in, rows, w_pr, w_su, dz, st)?;
+        let e = out.map_or(&[][..], Matrix::as_slice);
+        relu_backward(dz, rows_of(e, first, m, width));
+        let (Some(w_t), Some(grads), Some(dots)) = (
+            self.enc_t.get(d),
+            self.grads.encoders.get_mut(d),
+            self.dots.get_mut(d),
+        ) else {
+            return Ok(());
+        };
+        let dg = match dg_out {
+            Some(dg_out) => rows_of_mut(dg_out.as_mut_slice(), first, m, k),
+            None => ops::scratch(spare_buf, m * k),
+        };
+        enc.backward_into(g, dz, w_t, grads, dg)?;
+        fold_dots(dots, dg, pe, se);
+        Ok(())
+    }
+
+    /// The gradients, with `w_pr`/`w_su`'s summed over the layers top down
+    /// in `f32`, as [`Gcn::backward`] sums them.
+    fn finish(mut self) -> GcnGrads {
+        let mut agg = [0.0f32; 2];
+        for dots in self.dots.iter().rev() {
+            for (a, &dot) in agg.iter_mut().zip(dots) {
+                *a += dot as f32;
+            }
+        }
+        self.grads.agg_weights = agg;
+        self.grads
+    }
+}
+
+/// Rows `first..first + m` of a row-major block `cols` wide.
+fn rows_of(data: &[f32], first: usize, m: usize, cols: usize) -> &[f32] {
+    data.get(first * cols..(first + m) * cols)
+        .unwrap_or_default()
+}
+
+fn rows_of_mut(data: &mut [f32], first: usize, m: usize, cols: usize) -> &mut [f32] {
+    data.get_mut(first * cols..(first + m) * cols)
+        .unwrap_or_default()
+}
+
+/// The ReLU's backward in place: `d * 1.0` where the activation is
+/// positive and `d * 0.0` elsewhere — the element chain of
+/// `hadamard(relu_mask(z))`, since `relu(z) > 0` exactly where `z > 0`.
+fn relu_backward(d: &mut [f32], act: &[f32]) {
+    for (d, &a) in d.iter_mut().zip(act) {
+        *d *= if a > 0.0 { 1.0 } else { 0.0 };
+    }
+}
+
+/// Continues a layer's two `f64` dot sums over a tile: `dg·pe` and
+/// `dg·se`, element by element in row-major order, as `Matrix::dot`.
+fn fold_dots(dots: &mut [f64; 2], dg: &[f32], pe: &[f32], se: &[f32]) {
+    for (acc, agg) in dots.iter_mut().zip([pe, se]) {
+        *acc = dg
+            .iter()
+            .zip(agg)
+            .map(|(&a, &b)| a as f64 * b as f64)
+            .fold(*acc, |sum, term| sum + term);
+    }
 }
 
 /// One epoch's gathered worker output, before the parameter update.
@@ -122,7 +534,9 @@ pub struct EpochGrads {
 ///
 /// # Panics
 ///
-/// Panics if `graphs` and `masks` lengths differ, or a graph is unlabeled.
+/// Panics if `graphs` is empty (a mean over no graphs would turn the
+/// model into NaN), if `graphs` and `masks` lengths differ, or if a graph
+/// is unlabeled.
 pub fn epoch_grads(
     gcn: &Gcn,
     graphs: &[&GraphData],
@@ -130,6 +544,7 @@ pub fn epoch_grads(
     class_weights: &[f32; 2],
     on_worker: &(dyn Fn(usize) + Sync),
 ) -> Result<EpochGrads> {
+    assert!(!graphs.is_empty(), "need at least one training graph");
     assert_eq!(graphs.len(), masks.len(), "one mask per graph");
     let jobs = || graphs.iter().zip(masks).enumerate();
     let compute =
@@ -203,8 +618,11 @@ pub fn commit_epoch(
 
 /// Trains on one or more graphs with SGD: each epoch is one
 /// [`epoch_grads`] (one worker per graph) and one update. `masks[i]`
-/// selects the training nodes of `graphs[i]`. Peak memory is the sum of
-/// the graphs' forward caches, as on the paper's one-graph-per-GPU setup.
+/// selects the training nodes of `graphs[i]`. A worker keeps its graph's
+/// embeddings below the last layer and two input-gradient matrices at
+/// `n` rows (about 16 MB for a 20k-node graph at the paper's widths), so
+/// peak memory grows with the graphs trained at once, not with the
+/// activations a whole-matrix pass would cache.
 ///
 /// Returns per-epoch statistics.
 ///
@@ -214,7 +632,8 @@ pub fn commit_epoch(
 ///
 /// # Panics
 ///
-/// Panics if `graphs` and `masks` lengths differ, or a graph is unlabeled.
+/// As [`epoch_grads`]: if `graphs` is empty (and `cfg.epochs > 0`), if
+/// `graphs` and `masks` lengths differ, or if a graph is unlabeled.
 pub fn train(
     gcn: &mut Gcn,
     graphs: &[&GraphData],
@@ -435,6 +854,17 @@ mod tests {
         let big_mask: Vec<usize> = (0..data.node_count()).collect();
         let (_, g_big, _) = masked_loss_grads(&gcn, &data, &big_mask, &[1.0, 1.0]).unwrap();
         assert_ne!(g_small.agg_weights, g_big.agg_weights);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one training graph")]
+    fn training_on_no_graphs_is_refused() {
+        let mut gcn = Gcn::new(&GcnConfig::default(), &mut seeded_rng(1));
+        let cfg = TrainConfig {
+            epochs: 1,
+            ..TrainConfig::default()
+        };
+        let _ = train(&mut gcn, &[], &[], &cfg);
     }
 
     #[test]

@@ -1,23 +1,18 @@
 //! Testability-analysis-driven observation point insertion — the stand-in
 //! for the commercial tool of Table 3.
 //!
-//! Two classic strategies are provided:
-//!
-//! * [`testability_opi`] — iterative random-pattern testability analysis:
-//!   every node flagged difficult-to-observe gets an observation point,
-//!   then the analysis is repeated on the modified design until no flags
-//!   remain. This mirrors how production DFT tools drive OP insertion from
-//!   their testability report, and is the baseline used for Table 3.
-//!   Because it observes *every* flagged node rather than ranking by
-//!   fan-in-cone impact, it inserts more points than the paper's GCN flow
-//!   for the same final coverage.
-//! * [`scoap_greedy_opi`] — the textbook SCOAP-greedy loop: repeatedly
-//!   observe the node with the worst SCOAP observability until all nodes
-//!   are below a threshold.
+//! [`testability_opi`] is iterative random-pattern testability analysis:
+//! every node flagged difficult-to-observe gets an observation point, then
+//! the analysis is repeated on the modified design until no flags remain.
+//! This mirrors how production DFT tools drive OP insertion from their
+//! testability report, and is the baseline used for Table 3. Because it
+//! observes *every* flagged node rather than ranking by fan-in-cone
+//! impact, it inserts more points than the paper's GCN flow for the same
+//! final coverage.
 
 use serde::{Deserialize, Serialize};
 
-use gcnt_netlist::{CellKind, Netlist, NodeId, Result, Scoap};
+use gcnt_netlist::{Netlist, NodeId, Result};
 
 use crate::labeler::{label_difficult_to_observe, LabelConfig};
 
@@ -96,40 +91,10 @@ pub fn testability_opi(net: &mut Netlist, cfg: &BaselineConfig) -> Result<Baseli
     })
 }
 
-/// SCOAP-greedy OP insertion: observes the worst-observability node until
-/// every non-sink node has `CO < co_threshold` or `max_ops` is reached.
-/// Returns the observed nodes in insertion order.
-///
-/// # Errors
-///
-/// Returns a netlist error if an insertion is refused.
-pub fn scoap_greedy_opi(
-    net: &mut Netlist,
-    co_threshold: u32,
-    max_ops: usize,
-) -> Result<Vec<NodeId>> {
-    let mut scoap = Scoap::compute(net)?;
-    let mut inserted = Vec::new();
-    while inserted.len() < max_ops {
-        let worst = net
-            .nodes()
-            .filter(|&v| !matches!(net.kind(v), CellKind::Output | CellKind::Dff))
-            .max_by_key(|&v| scoap.co(v));
-        let Some(target) = worst else { break };
-        if scoap.co(target) < co_threshold {
-            break;
-        }
-        let op = net.insert_observation_point(target)?;
-        scoap.observe(net, target, op);
-        inserted.push(target);
-    }
-    Ok(inserted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcnt_netlist::{generate, GeneratorConfig, NetlistBuilder};
+    use gcnt_netlist::{generate, GeneratorConfig};
 
     fn shadowed_design(seed: u64) -> Netlist {
         let mut cfg = GeneratorConfig::sized("base", seed, 1_200);
@@ -190,42 +155,5 @@ mod tests {
         };
         let outcome = testability_opi(&mut net, &cfg).unwrap();
         assert!(outcome.inserted.len() <= 5);
-    }
-
-    #[test]
-    fn scoap_greedy_reduces_worst_observability() {
-        let mut net = shadowed_design(53);
-        let before = Scoap::compute(&net).unwrap();
-        let worst_before = net
-            .nodes()
-            .filter(|&v| !matches!(net.kind(v), CellKind::Output | CellKind::Dff))
-            .map(|v| before.co(v))
-            .max()
-            .unwrap();
-        let threshold = worst_before / 2 + 1;
-        let inserted = scoap_greedy_opi(&mut net, threshold, 1_000).unwrap();
-        assert!(!inserted.is_empty());
-        let after = Scoap::compute(&net).unwrap();
-        let worst_after = net
-            .nodes()
-            .filter(|&v| !matches!(net.kind(v), CellKind::Output | CellKind::Dff))
-            .map(|v| after.co(v))
-            .max()
-            .unwrap();
-        assert!(worst_after < threshold, "worst co {worst_after}");
-    }
-
-    #[test]
-    fn scoap_greedy_on_observable_design_inserts_nothing() {
-        // A chain ending at a PO is already observable everywhere.
-        let mut net = NetlistBuilder::new("easy");
-        let a = net.add_cell(CellKind::Input);
-        let g = net.add_cell(CellKind::Not);
-        let o = net.add_cell(CellKind::Output);
-        net.connect(a, g).unwrap();
-        net.connect(g, o).unwrap();
-        let mut net = net.build().unwrap();
-        let inserted = scoap_greedy_opi(&mut net, 100, 10).unwrap();
-        assert!(inserted.is_empty());
     }
 }

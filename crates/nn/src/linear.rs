@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use gcnt_tensor::{Matrix, Result};
+use gcnt_tensor::{Matrix, Result, TensorError};
 
 use crate::{xavier_uniform, Rng};
 
@@ -141,6 +141,50 @@ impl Linear {
         ))
     }
 
+    /// [`Linear::backward`] for a row block, accumulating: `x` and `dy`
+    /// hold the block's input rows (`fan_in` values each) and output
+    /// gradient rows (`fan_out` each). The block's terms are added to
+    /// `grads` in row order — the weight gradient through
+    /// [`Matrix::transpose_matmul_acc`], each bias gradient row by row —
+    /// and `dx` (one `fan_in` row per block row, overwritten) receives
+    /// `dy·Wᵀ` through [`Matrix::matmul_transpose_into`], given
+    /// `weight_t`, this layer's weight transposed once by the caller.
+    /// Blocks fed in ascending row order onto [`Linear::zero_grads`] give
+    /// every gradient element, and every `dx` row, the bits
+    /// [`Linear::backward`] gives it over all the rows at once. Serial;
+    /// nothing is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error unless `weight_t` is `fan_out x fan_in`,
+    /// `grads` matches the layer, and `x`, `dy` and `dx` hold the same
+    /// number of whole rows.
+    pub fn backward_into(
+        &self,
+        x: &[f32],
+        dy: &[f32],
+        weight_t: &Matrix,
+        grads: &mut LinearGrads,
+        dx: &mut [f32],
+    ) -> Result<()> {
+        let shape = (self.fan_out(), self.fan_in());
+        if weight_t.shape() != shape || grads.bias.len() != self.fan_out() {
+            return Err(TensorError::ShapeMismatch {
+                op: "Linear::backward_into",
+                lhs: shape,
+                rhs: weight_t.shape(),
+            });
+        }
+        grads.weight.transpose_matmul_acc(x, dy)?;
+        Matrix::matmul_transpose_into(dy, weight_t, dx)?;
+        for dy_row in dy.chunks_exact(self.fan_out().max(1)) {
+            for (db, &g) in grads.bias.iter_mut().zip(dy_row) {
+                *db += g;
+            }
+        }
+        Ok(())
+    }
+
     /// Zero-valued gradients matching this layer's shape.
     pub fn zero_grads(&self) -> LinearGrads {
         LinearGrads {
@@ -213,6 +257,33 @@ mod tests {
         let x = Matrix::zeros(1, 2);
         let y = layer.forward(&x).unwrap();
         assert_eq!(y.row(0), &[1.0, -1.0]);
+    }
+
+    #[test]
+    fn backward_into_row_blocks_is_bitwise_backward() {
+        let layer = Linear::new(5, 3, &mut seeded_rng(4));
+        let x = Matrix::from_fn(9, 5, |r, c| ((r * 5 + c) as f32 * 0.41).sin().max(0.0));
+        let dy = Matrix::from_fn(9, 3, |r, c| ((r + 3 * c) as f32 * 0.29).cos());
+        let (want, want_dx) = layer.backward(&x, &dy).unwrap();
+        let w_t = layer.weight().transpose();
+        let mut grads = layer.zero_grads();
+        let mut dx = vec![f32::NAN; 9 * 5];
+        for (lo, hi) in [(0usize, 4usize), (4, 9)] {
+            layer
+                .backward_into(
+                    &x.as_slice()[lo * 5..hi * 5],
+                    &dy.as_slice()[lo * 3..hi * 3],
+                    &w_t,
+                    &mut grads,
+                    &mut dx[lo * 5..hi * 5],
+                )
+                .unwrap();
+        }
+        assert_eq!(grads, want);
+        assert_eq!(dx, want_dx.as_slice());
+        // The weight, not its transpose, is refused.
+        let err = layer.backward_into(&[], &[], layer.weight(), &mut grads, &mut []);
+        assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })));
     }
 
     #[test]

@@ -39,29 +39,62 @@ pub fn weighted_softmax_cross_entropy(
 ) -> (f32, Matrix) {
     assert_eq!(labels.len(), logits.rows(), "one label per row");
     assert_eq!(class_weights.len(), logits.cols(), "one weight per class");
-    let probs = ops::softmax_rows(logits);
-    let mut dlogits = probs.clone();
+    let norm = loss_norm(labels.iter().copied(), class_weights);
+    let mut dlogits = logits.clone();
     let mut total_loss = 0.0f64;
-    let mut total_weight = 0.0f64;
     for (r, &label) in labels.iter().enumerate() {
-        assert!(label < logits.cols(), "label out of range");
-        let w = class_weights[label];
-        total_weight += w as f64;
-        let p = probs.get(r, label).max(1e-12);
-        total_loss += -(p.ln() as f64) * w as f64;
-        let row = dlogits.row_mut(r);
-        for v in row.iter_mut() {
-            *v *= w;
-        }
-        row[label] -= w;
+        total_loss += softmax_ce_row(dlogits.row_mut(r), label, class_weights, norm);
     }
-    let norm = if total_weight > 0.0 {
+    ((total_loss * norm) as f32, dlogits)
+}
+
+/// The normaliser of [`weighted_softmax_cross_entropy`]: one over the
+/// labels' class weights summed in `f64`, in label order — `0` when that
+/// total is not positive, so an empty label set has zero loss and zero
+/// gradient.
+///
+/// # Panics
+///
+/// Panics if a label is not below `class_weights.len()`.
+pub fn loss_norm(labels: impl IntoIterator<Item = usize>, class_weights: &[f32]) -> f64 {
+    let mut total_weight = 0.0f64;
+    for label in labels {
+        assert!(label < class_weights.len(), "label out of range");
+        total_weight += class_weights[label] as f64;
+    }
+    if total_weight > 0.0 {
         1.0 / total_weight
     } else {
         0.0
-    };
-    dlogits.scale(norm as f32);
-    ((total_loss * norm) as f32, dlogits)
+    }
+}
+
+/// One row of [`weighted_softmax_cross_entropy`], the loss chain every
+/// training step runs: `row` holds the row's logits and receives its
+/// gradient, `((p·w) − w·[c = label]) · norm` per class `c`, with `p` the
+/// row's softmax ([`ops::softmax_row`]), `w` the label's class weight and
+/// `norm` from [`loss_norm`]. Returns the row's loss term,
+/// `−ln(max(p_label, 1e-12)) · w` in `f64`; the loss is the sum of the
+/// terms in label order, times `norm`.
+///
+/// # Panics
+///
+/// Panics if `label` is not a column of `row` with a class weight.
+pub fn softmax_ce_row(row: &mut [f32], label: usize, class_weights: &[f32], norm: f64) -> f64 {
+    assert!(label < row.len(), "label out of range");
+    let w = class_weights[label];
+    ops::softmax_row(row);
+    let p = row[label].max(1e-12);
+    let term = -(p.ln() as f64) * w as f64;
+    for v in row.iter_mut() {
+        *v *= w;
+    }
+    row[label] -= w;
+    let norm = norm as f32;
+    for v in row.iter_mut() {
+        *v *= norm;
+    }
+    term
 }
 
 /// Unweighted softmax cross-entropy: all classes weighted `1`.

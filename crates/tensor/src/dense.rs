@@ -413,6 +413,64 @@ impl Matrix {
         Ok(out)
     }
 
+    /// Row-block form of [`Matrix::transpose_matmul`] that accumulates:
+    /// `self += lhsᵀ·rhs`, where `lhs` holds rows of `self.rows()` values
+    /// and `rhs` as many rows of `self.cols()` values. Each element adds
+    /// the block's terms in row order, exact zeros of `lhs` skipped, onto
+    /// what it holds (`kernel::transpose_gemm_band` over the whole
+    /// output), so blocks fed in ascending row order onto a zero matrix
+    /// give every element the chain [`Matrix::transpose_matmul`] gives it
+    /// over all the rows at once. Serial; nothing is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless `lhs` and `rhs` hold
+    /// the same number of whole rows.
+    pub fn transpose_matmul_acc(&mut self, lhs: &[f32], rhs: &[f32]) -> Result<()> {
+        let (k, n) = (self.rows, self.cols);
+        let rows = lhs.len().checked_div(k).unwrap_or(rhs.len() / n.max(1));
+        if lhs.len() != rows * k || rhs.len() != rows * n {
+            return Err(TensorError::ShapeMismatch {
+                op: "transpose_matmul_acc",
+                lhs: (lhs.len() / k.max(1), k),
+                rhs: (rhs.len() / n.max(1), n),
+            });
+        }
+        kernel::transpose_gemm_band(&mut self.data, 0, lhs, k, rhs, n);
+        Ok(())
+    }
+
+    /// Row-block form of [`Matrix::matmul_transpose`] over caller-owned
+    /// storage: row `i` of `out` (rows of `rhs_t.cols()` values,
+    /// overwritten) becomes row `i` of `lhs` (rows of `rhs_t.rows()`
+    /// values) times `rhs_t`, every term included — with `rhs_t` the
+    /// [`Matrix::transpose`] of `rhs`, made once by the caller, that is bit
+    /// for bit the row `lhs · rhsᵀ` of [`Matrix::matmul_transpose`]. Serial;
+    /// nothing is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless `lhs` and `out` hold
+    /// the same number of whole rows.
+    pub fn matmul_transpose_into(lhs: &[f32], rhs_t: &Matrix, out: &mut [f32]) -> Result<()> {
+        let (k, n) = (rhs_t.rows, rhs_t.cols);
+        let rows = out.len().checked_div(n).unwrap_or(lhs.len() / k.max(1));
+        if lhs.len() != rows * k || out.len() != rows * n {
+            return Err(TensorError::ShapeMismatch {
+                op: "matmul_transpose_into",
+                lhs: (lhs.len() / k.max(1), k),
+                rhs: rhs_t.shape(),
+            });
+        }
+        out.fill(0.0);
+        if k > 0 && n > 0 {
+            for (out_row, lhs_row) in out.chunks_exact_mut(n).zip(lhs.chunks_exact(k)) {
+                kernel::gemm_row::<false>(out_row, lhs_row, &rhs_t.data, n);
+            }
+        }
+        Ok(())
+    }
+
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -902,6 +960,49 @@ mod tests {
         }
         let empty: Matrix = serde_json::from_str(r#"{"rows":0,"cols":3,"data":[]}"#).unwrap();
         assert_eq!(empty.shape(), (0, 3));
+    }
+
+    #[test]
+    fn backward_row_blocks_are_bitwise_the_whole_products() {
+        // Odd widths, exact zeros in the left operand, a ragged last block.
+        let x = Matrix::from_fn(11, 5, |r, c| {
+            let v = ((r * 5 + c) as f32 * 0.37).sin();
+            if (r + c) % 4 == 0 {
+                0.0
+            } else {
+                v
+            }
+        });
+        let dy = Matrix::from_fn(11, 3, |r, c| ((r + 2 * c) as f32 * 0.21).cos());
+        let w = Matrix::from_fn(5, 3, |r, c| ((r * 3 + c) as f32 * 0.53).sin());
+        let dw = x.transpose_matmul(&dy).unwrap();
+        let dx = dy.matmul_transpose(&w).unwrap();
+        let w_t = w.transpose();
+        let mut acc = Matrix::zeros(5, 3);
+        let mut out = vec![f32::NAN; 11 * 5];
+        for (lo, hi) in [(0usize, 4usize), (4, 8), (8, 11)] {
+            acc.transpose_matmul_acc(
+                &x.as_slice()[lo * 5..hi * 5],
+                &dy.as_slice()[lo * 3..hi * 3],
+            )
+            .unwrap();
+            Matrix::matmul_transpose_into(
+                &dy.as_slice()[lo * 3..hi * 3],
+                &w_t,
+                &mut out[lo * 5..hi * 5],
+            )
+            .unwrap();
+        }
+        assert_eq!(acc, dw);
+        assert_eq!(out, dx.as_slice());
+        assert!(matches!(
+            acc.transpose_matmul_acc(&x.as_slice()[..10], &dy.as_slice()[..3]),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            Matrix::matmul_transpose_into(&dy.as_slice()[..6], &w_t, &mut out[..5]),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -26,6 +26,11 @@
 //!   contiguous band of output rows and streams both operands once, row
 //!   by row, instead of walking all of them once per output row.
 //!
+//! Both backward products also come in row-block forms
+//! ([`crate::Matrix::transpose_matmul_acc`],
+//! [`crate::Matrix::matmul_transpose_into`]) that a training step feeds
+//! one tile of rows at a time, in row order, on the same two kernels.
+//!
 //! # Bit-identity
 //!
 //! Each product computes every output element with one fixed chain of

@@ -50,28 +50,34 @@ pub fn relu_mask(pre_activation: &Matrix) -> Matrix {
 
 /// Row-wise softmax, numerically stabilised by subtracting the row max.
 pub fn softmax_rows(m: &Matrix) -> Matrix {
+    let mut out = m.clone();
+    for r in 0..out.rows() {
+        softmax_row(out.row_mut(r));
+    }
+    out
+}
+
+/// One row of [`softmax_rows`], in place: the row max, then `exp(v - max)`
+/// summed left to right, then each value divided by that sum unless it
+/// is not positive. Every softmax over logit rows runs this chain.
+pub fn softmax_row(row: &mut [f32]) {
     // NaN logits would silently poison every probability in their row;
     // catch them at the kernel boundary in debug builds.
     debug_assert!(
-        m.as_slice().iter().all(|v| !v.is_nan()),
+        row.iter().all(|v| !v.is_nan()),
         "softmax_rows on NaN logits"
     );
-    let mut out = m.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    if sum > 0.0 {
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        if sum > 0.0 {
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
+            *v /= sum;
         }
     }
-    out
 }
 
 /// One column of [`softmax_rows`] without materialising the matrix.
@@ -120,16 +126,17 @@ pub fn softmax_col_into(logits: &[f32], cols: usize, col: usize, out: &mut [f32]
 
 /// Index of the maximum element in each row.
 pub fn argmax_rows(m: &Matrix) -> Vec<usize> {
-    (0..m.rows())
-        .map(|r| {
-            let row = m.row(r);
-            row.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        })
-        .collect()
+    (0..m.rows()).map(|r| argmax_row(m.row(r))).collect()
+}
+
+/// Index of the maximum element of one row: the last of equal maxima, an
+/// incomparable (NaN) pair counting as equal, and 0 for an empty row.
+pub fn argmax_row(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(i, _)| i)
+        .unwrap_or(0)
 }
 
 /// Mean of each column.

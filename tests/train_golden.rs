@@ -4,11 +4,10 @@
 //! weights or compares the code with itself, so a kernel rewrite that
 //! moved one rounding in the backward pass would pass them all. This test
 //! trains the paper-shape model for two momentum epochs on two generated
-//! designs — two worker threads, and large enough (> 256 rows; 16 Ki
-//! elements in every layer input from the 64-wide ones on) that the
-//! backward products take their parallel paths — and checks the
-//! FNV-1a of the model JSON against a literal recorded before the
-//! backward products were rewritten.
+//! designs — two worker threads, and large enough (> 256 rows) that each
+//! graph's step sweeps more than one row tile, the last one ragged — and
+//! checks the FNV-1a of the model JSON against a literal recorded before
+//! the backward products were rewritten and training moved onto tiles.
 
 use gcn_testability::dft::labeler::label_by_scoap;
 use gcn_testability::gcn::train::{train, TrainConfig};
