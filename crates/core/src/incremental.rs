@@ -124,6 +124,35 @@ impl EmbeddingCache {
         self.generation = generation;
     }
 
+    /// Checks that this cache holds the `depth` layers of a model on graph
+    /// `t` with features `x`, at the graph's generation.
+    fn check(&self, depth: usize, t: &GraphTensors, x: &Matrix) -> Result<()> {
+        let n = t.node_count();
+        if self.generation != t.generation() {
+            return Err(TensorError::StaleCache {
+                cache: self.generation,
+                graph: t.generation(),
+            });
+        }
+        if self.layers.len() != depth {
+            return Err(TensorError::LengthMismatch {
+                expected: depth,
+                actual: self.layers.len(),
+            });
+        }
+        if let Some(rows) = std::iter::once(x)
+            .chain(&self.layers)
+            .map(Matrix::rows)
+            .find(|&rows| rows != n)
+        {
+            return Err(TensorError::LengthMismatch {
+                expected: n,
+                actual: rows,
+            });
+        }
+        Ok(())
+    }
+
     /// Restores the rows recorded in `delta`, undoing the matching
     /// [`Gcn::embed_incremental`] call. Deltas must be reverted in reverse
     /// order of application.
@@ -152,25 +181,6 @@ impl EmbeddingDelta {
     /// Total embedding rows recomputed across all layers (`Σ_d |S_d|`).
     pub fn rows_computed(&self) -> usize {
         self.rows_computed
-    }
-
-    /// Rows whose *final* embedding changed — the halo at depth `D`, i.e.
-    /// the only rows whose classification can differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delta is empty; `embed_incremental` always records at
-    /// least one layer.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented-panic accessor; a recorded delta always holds a layer"
-    )]
-    pub fn final_rows(&self) -> &[usize] {
-        &self
-            .layer_undo
-            .last()
-            .expect("delta records at least one layer")
-            .0
     }
 }
 
@@ -228,8 +238,7 @@ impl Gcn {
     /// holds).
     ///
     /// The returned [`EmbeddingDelta`] can be handed to
-    /// [`EmbeddingCache::revert`] to undo the patch — the preview path of
-    /// the flow's impact scoring.
+    /// [`EmbeddingCache::revert`] to undo the patch.
     ///
     /// # Errors
     ///
@@ -244,69 +253,28 @@ impl Gcn {
         cache: &mut EmbeddingCache,
         dirty: &[usize],
     ) -> Result<EmbeddingDelta> {
-        self.embed_incremental_budgeted(t, x, cache, dirty, &Budget::unlimited())
+        cache.check(self.depth(), t, x)?;
+        check_nodes(dirty, t.node_count())?;
+        let halos = dirty_halos(t, dirty, self.depth());
+        self.patch_layers(t, x, cache, halos, &Budget::unlimited())
     }
 
-    /// [`Gcn::embed_incremental`] under a cooperative work [`Budget`]:
-    /// every layer charges one unit per halo row before recomputing it, so
-    /// an exhausted budget stops the patch at a layer
-    /// boundary. On a budget error — or a layer step refused for its
-    /// shapes — the already-patched layers are rolled back, leaving the
-    /// cache exactly as before the call.
-    ///
-    /// # Errors
-    ///
-    /// As [`Gcn::embed_incremental`], plus budget errors
-    /// ([`TensorError::BudgetExceeded`])
-    /// from the per-layer checkpoints.
-    pub fn embed_incremental_budgeted(
+    /// Recomputes `layer_rows[d]` (ascending) of cached layer `d` in place,
+    /// layer by layer, charging the budget each layer's row count first.
+    /// On a budget error — or a layer step refused for its shapes — the
+    /// already-patched layers are rolled back, leaving the cache exactly as
+    /// before the call.
+    fn patch_layers(
         &self,
         t: &GraphTensors,
         x: &Matrix,
         cache: &mut EmbeddingCache,
-        dirty: &[usize],
+        layer_rows: Vec<Vec<usize>>,
         budget: &Budget,
     ) -> Result<EmbeddingDelta> {
-        let n = t.node_count();
-        if cache.generation != t.generation() {
-            return Err(TensorError::StaleCache {
-                cache: cache.generation,
-                graph: t.generation(),
-            });
-        }
-        if cache.layers.len() != self.depth() {
-            return Err(TensorError::LengthMismatch {
-                expected: self.depth(),
-                actual: cache.layers.len(),
-            });
-        }
-        if x.rows() != n {
-            return Err(TensorError::LengthMismatch {
-                expected: n,
-                actual: x.rows(),
-            });
-        }
-        for layer in &cache.layers {
-            if layer.rows() != n {
-                return Err(TensorError::LengthMismatch {
-                    expected: n,
-                    actual: layer.rows(),
-                });
-            }
-        }
-        if let Some(&bad) = dirty.iter().find(|&&r| r >= n) {
-            return Err(TensorError::IndexOutOfBounds {
-                index: (bad, 0),
-                shape: (n, n),
-            });
-        }
-        let mut rows: Vec<usize> = dirty.to_vec();
-        rows.sort_unstable();
-        rows.dedup();
         let mut layer_undo = Vec::with_capacity(self.depth());
         let mut rows_computed = 0usize;
-        for (d, enc) in self.encoders().iter().enumerate() {
-            rows = t.halo_step(&rows);
+        for (d, (enc, rows)) in self.encoders().iter().zip(layer_rows).enumerate() {
             let (below, from) = cache.layers.split_at_mut(d);
             let Some(layer) = from.first_mut() else { break };
             let prev = below.last().unwrap_or(x);
@@ -316,7 +284,8 @@ impl Gcn {
             let step = budget
                 .charge(rows.len() as u64)
                 .and_then(|()| pass::embed_layer(pass::PER_CORE, self, enc, t, prev, &rows, layer));
-            layer_undo.push((rows.clone(), old));
+            rows_computed += rows.len();
+            layer_undo.push((rows, old));
             if let Err(e) = step {
                 // Roll this layer and the already-patched ones back so a
                 // budget stop or a failed step leaves the cache exactly as
@@ -327,13 +296,76 @@ impl Gcn {
                 });
                 return Err(e);
             }
-            rows_computed += rows.len();
         }
         Ok(EmbeddingDelta {
             layer_undo,
             rows_computed,
         })
     }
+
+    /// The rows of each cached layer that the final embedding of `targets`
+    /// (ascending) reads and the dirty halos `H_1..H_D` (`halos`) can
+    /// change: `N_D = targets ∩ H_D`, and below it
+    /// `N_d = halo_step(N_{d+1}) ∩ H_d`. Every other row a target reads is
+    /// outside its layer's halo, so the cache already holds its new value.
+    fn cone_rows(
+        &self,
+        t: &GraphTensors,
+        halos: &[Vec<usize>],
+        targets: &[usize],
+    ) -> Vec<Vec<usize>> {
+        let halo = |d: usize| halos.get(d).map_or(&[][..], Vec::as_slice);
+        let mut rows = within(targets, halo(self.depth().saturating_sub(1)));
+        let mut layer_rows = vec![Vec::new(); self.depth()];
+        for (d, layer) in layer_rows.iter_mut().enumerate().rev() {
+            let below = match d.checked_sub(1) {
+                Some(b) if !rows.is_empty() => within(&t.halo_step(&rows), halo(b)),
+                _ => Vec::new(),
+            };
+            *layer = std::mem::replace(&mut rows, below);
+        }
+        layer_rows
+    }
+}
+
+/// Refuses a row that is not a node of an `n`-node graph.
+fn check_nodes(rows: &[usize], n: usize) -> Result<()> {
+    match rows.iter().find(|&&r| r >= n) {
+        Some(&bad) => Err(TensorError::IndexOutOfBounds {
+            index: (bad, 0),
+            shape: (n, n),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// `rows`, sorted, each once.
+fn sorted_unique(rows: &[usize]) -> Vec<usize> {
+    let mut rows = rows.to_vec();
+    rows.sort_unstable();
+    rows.dedup();
+    rows
+}
+
+/// The dirty halos `H_1..H_depth` of the rows `dirty` (in range):
+/// `H_0 = dirty`, `H_d = halo_step(H_{d-1})` — the rows of layer `d` whose
+/// value can change when the feature rows `dirty` do.
+fn dirty_halos(t: &GraphTensors, dirty: &[usize], depth: usize) -> Vec<Vec<usize>> {
+    let dirty = sorted_unique(dirty);
+    let mut halos: Vec<Vec<usize>> = Vec::with_capacity(depth);
+    for _ in 0..depth {
+        let next = t.halo_step(halos.last().unwrap_or(&dirty));
+        halos.push(next);
+    }
+    halos
+}
+
+/// The rows of `rows` in the ascending list `halo`, in order.
+fn within(rows: &[usize], halo: &[usize]) -> Vec<usize> {
+    rows.iter()
+        .copied()
+        .filter(|r| halo.binary_search(r).is_ok())
+        .collect()
 }
 
 /// Undo record plus work accounting returned by [`CascadeSession::refresh`]:
@@ -571,8 +603,9 @@ impl<'m> CascadeSession<'m> {
     /// # Errors
     ///
     /// Propagates [`Gcn::embed_incremental`] errors (stale cache, shape or
-    /// index mismatch). Validation runs against every stage identically, so
-    /// an error from the first stage leaves the session unmutated.
+    /// index mismatch). Every stage is checked before any is patched, and
+    /// a step refused later rolls the patched stages back, so an error
+    /// leaves the session unmutated.
     pub fn refresh(
         &mut self,
         t: &GraphTensors,
@@ -598,26 +631,30 @@ impl<'m> CascadeSession<'m> {
         dirty: &[usize],
         budget: &Budget,
     ) -> Result<SessionDelta> {
+        let mut halos = self.checked_halos(t, x, dirty)?;
         let mut stage_deltas = Vec::with_capacity(self.stages.len());
         for (gcn, cache) in self.stages.iter().zip(&mut self.caches) {
-            match gcn.embed_incremental_budgeted(t, x, cache, dirty, budget) {
+            let layer_rows = halos.get(..gcn.depth()).unwrap_or(&halos).to_vec();
+            match gcn.patch_layers(t, x, cache, layer_rows, budget) {
                 Ok(delta) => stage_deltas.push(delta),
                 Err(e) => {
                     // Earlier stages already adopted the new rows; restore
                     // them so an interrupted refresh is side-effect free.
-                    for (cache, d) in self.caches.iter_mut().zip(stage_deltas) {
-                        cache.revert(d);
-                    }
+                    self.revert_stages(stage_deltas);
                     return Err(e);
                 }
             }
         }
-        // The halo is graph-structural, hence identical across stages.
-        let rows: Vec<usize> = stage_deltas
-            .first()
-            .map(|d| d.final_rows().to_vec())
-            .unwrap_or_default();
-        let new_probs = self.classify(&rows)?;
+        // Halos only grow, so the deepest one holds every stage's final
+        // rows: the rows whose probability can change.
+        let rows = halos.pop().unwrap_or_default();
+        let new_probs = match self.classify(&rows) {
+            Ok(probs) => probs,
+            Err(e) => {
+                self.revert_stages(stage_deltas);
+                return Err(e);
+            }
+        };
         let mut old_probs = Vec::with_capacity(rows.len());
         for (&r, p) in rows.iter().zip(new_probs) {
             if let Some(slot) = self.probs.get_mut(r) {
@@ -632,12 +669,8 @@ impl<'m> CascadeSession<'m> {
         let obs = gcnt_obs::global();
         if obs.is_enabled() {
             obs.incr(gcnt_obs::counters::CORE_SESSION_REFRESHES);
-            obs.add(gcnt_obs::counters::CORE_INCR_ROWS_COMPUTED, rows_computed);
-            obs.add(
-                gcnt_obs::counters::CORE_INCR_ROWS_REUSED,
-                rows_full.saturating_sub(rows_computed),
-            );
         }
+        note_rows(rows_computed, rows_full);
         Ok(SessionDelta {
             stage_deltas,
             rows,
@@ -645,6 +678,110 @@ impl<'m> CascadeSession<'m> {
             rows_computed,
             rows_full,
         })
+    }
+
+    /// The combined probabilities of `rows` (any order, repeats allowed)
+    /// once the feature rows `dirty` changed, as [`CascadeSession::refresh`]
+    /// followed by [`CascadeSession::probs`] would read them, bit for bit —
+    /// but without keeping the change: the session is left exactly as it
+    /// was, on every error path too. Also returns the embedding rows it
+    /// computed.
+    ///
+    /// It computes only what those probabilities read. With `H_d` the
+    /// `d`-hop halo of `dirty`, a row outside the deepest stage's halo
+    /// keeps its cached probability. The rest go through the cascade rule
+    /// ([`cascade_rows`]), and each stage recomputes, in place, only the
+    /// rows of its layers that its surviving rows' final embeddings read
+    /// and the halo can change: `N_D = alive ∩ H_D` and
+    /// `N_d = halo_step(N_{d+1}) ∩ H_d`. The patched rows are restored
+    /// before it returns. Each layer charges `budget` its row count first.
+    ///
+    /// # Errors
+    ///
+    /// As [`CascadeSession::refresh_budgeted`], plus an index error for a
+    /// row outside the graph.
+    pub fn probs_after(
+        &mut self,
+        t: &GraphTensors,
+        x: &Matrix,
+        dirty: &[usize],
+        rows: &[usize],
+        budget: &Budget,
+    ) -> Result<(Vec<f32>, u64)> {
+        let halos = self.checked_halos(t, x, dirty)?;
+        check_nodes(rows, t.node_count())?;
+        let deepest = halos.last().map_or(&[][..], Vec::as_slice);
+        let targets = within(&sorted_unique(rows), deepest);
+        let mut patched = Vec::with_capacity(self.stages.len());
+        let missing = TensorError::LengthMismatch {
+            expected: self.stages.len(),
+            actual: self.caches.len(),
+        };
+        let caches = &mut self.caches;
+        let fresh = cascade_rows(
+            self.stages,
+            self.filter_threshold,
+            &targets,
+            |s, gcn, alive| {
+                let cache = caches.get_mut(s).ok_or_else(|| missing.clone())?;
+                let layer_rows = gcn.cone_rows(t, &halos, alive);
+                patched.push(gcn.patch_layers(t, x, cache, layer_rows, budget)?);
+                let mut probs = vec![0.0f32; alive.len()];
+                pass::head_rows(
+                    pass::PER_CORE,
+                    gcn.head(),
+                    cache.final_embedding(),
+                    alive,
+                    &mut probs,
+                )?;
+                Ok(probs)
+            },
+        );
+        let rows_computed = patched
+            .iter()
+            .map(|d| d.rows_computed() as u64)
+            .sum::<u64>();
+        self.revert_stages(patched);
+        let fresh = fresh?;
+        let probs = rows
+            .iter()
+            .map(|r| {
+                let p = match targets.binary_search(r) {
+                    Ok(i) => fresh.get(i),
+                    Err(_) => self.probs.get(*r),
+                };
+                p.copied().ok_or(TensorError::IndexOutOfBounds {
+                    index: (*r, 0),
+                    shape: (self.probs.len(), 1),
+                })
+            })
+            .collect::<Result<Vec<f32>>>()?;
+        note_rows(rows_computed, self.full_rows(t.node_count()));
+        Ok((probs, rows_computed))
+    }
+
+    /// Checks every stage's cache against graph `t` and features `x`, and
+    /// `dirty` against the graph, and returns the dirty halos out to the
+    /// deepest stage's depth.
+    fn checked_halos(
+        &self,
+        t: &GraphTensors,
+        x: &Matrix,
+        dirty: &[usize],
+    ) -> Result<Vec<Vec<usize>>> {
+        for (gcn, cache) in self.stages.iter().zip(&self.caches) {
+            cache.check(gcn.depth(), t, x)?;
+        }
+        check_nodes(dirty, t.node_count())?;
+        let depth = self.stages.iter().map(Gcn::depth).max().unwrap_or(0);
+        Ok(dirty_halos(t, dirty, depth))
+    }
+
+    /// Undoes per-stage patches, stage `s` from `deltas[s]`.
+    fn revert_stages(&mut self, deltas: Vec<EmbeddingDelta>) {
+        for (cache, d) in self.caches.iter_mut().zip(deltas) {
+            cache.revert(d);
+        }
     }
 
     /// Undoes a [`CascadeSession::refresh`], restoring embeddings and
@@ -658,9 +795,7 @@ impl<'m> CascadeSession<'m> {
             old_probs,
             ..
         } = delta;
-        for (cache, d) in self.caches.iter_mut().zip(stage_deltas) {
-            cache.revert(d);
-        }
+        self.revert_stages(stage_deltas);
         for (&r, v) in rows.iter().zip(old_probs) {
             if let Some(slot) = self.probs.get_mut(r) {
                 *slot = v;
@@ -681,6 +816,16 @@ impl<'m> CascadeSession<'m> {
         self.probs.resize(n, 0.0);
     }
 
+    /// Makes room for `additional` more nodes in every cached layer and in
+    /// the probabilities, so that many nodes adopted by
+    /// [`CascadeSession::sync_nodes`] do not reallocate them.
+    pub fn reserve_nodes(&mut self, additional: usize) {
+        for layer in self.caches.iter_mut().flat_map(|c| c.layers.iter_mut()) {
+            layer.reserve_rows(additional);
+        }
+        self.probs.reserve_exact(additional);
+    }
+
     /// Combined cascade probability per node, kept current by
     /// [`CascadeSession::refresh`] / [`CascadeSession::sync_nodes`].
     pub fn probs(&self) -> &[f32] {
@@ -696,6 +841,19 @@ impl<'m> CascadeSession<'m> {
     /// compute for an `n`-node graph.
     pub fn full_rows(&self, n: usize) -> u64 {
         self.stages.iter().map(|g| g.depth() as u64).sum::<u64>() * n as u64
+    }
+}
+
+/// Adds a refresh's or a preview's embedding rows to the incremental
+/// counters: `rows_computed` computed, the rest of `rows_full` reused.
+fn note_rows(rows_computed: u64, rows_full: u64) {
+    let obs = gcnt_obs::global();
+    if obs.is_enabled() {
+        obs.add(gcnt_obs::counters::CORE_INCR_ROWS_COMPUTED, rows_computed);
+        obs.add(
+            gcnt_obs::counters::CORE_INCR_ROWS_REUSED,
+            rows_full.saturating_sub(rows_computed),
+        );
     }
 }
 
@@ -771,7 +929,6 @@ mod tests {
                 .embed_incremental(&data.tensors, &x, &mut cache, &dirty)
                 .unwrap();
             assert!(delta.rows_computed() > 0);
-            assert!(!delta.final_rows().is_empty());
             // Every layer equals a from-scratch recompute, bit for bit.
             let fresh = gcn.embed_cached(&data.tensors, &x).unwrap();
             assert_eq!(cache.layers(), fresh.layers());
@@ -904,6 +1061,30 @@ mod tests {
         assert_eq!(session.probs(), before.as_slice());
     }
 
+    /// Stage 1 reaches three hops, stage 0 one: the heads must re-run on
+    /// the deeper halo, or rows only stage 1 sees keep stale probabilities.
+    #[test]
+    fn a_deeper_later_stage_refreshes_every_row_it_changes() {
+        let (data, _) = design(13, 300);
+        let stages = vec![small_gcn(1, 51), small_gcn(3, 52)];
+        let model = MultiStageGcn::from_stages(stages, 0.0);
+        let mut x = data.features.clone();
+        let mut session = model.open_session(&data.tensors, &x).unwrap();
+        let dirty = [3usize, 88, 120];
+        for &r in &dirty {
+            x.set(r, 3, x.get(r, 3) - 0.75);
+        }
+        session.refresh(&data.tensors, &x, &dirty).unwrap();
+        let reference = model.predict_proba(&data.tensors, &x).unwrap();
+        let stale = session
+            .probs()
+            .iter()
+            .zip(&reference)
+            .filter(|(a, b)| a.to_bits() != b.to_bits())
+            .count();
+        assert_eq!(stale, 0, "rows with stale probabilities");
+    }
+
     #[test]
     fn sync_nodes_then_refresh_absorbs_an_insertion() {
         let (data, mut net) = design(17, 200);
@@ -925,7 +1106,19 @@ mod tests {
         let op = net.insert_observation_point(target).unwrap();
         t.insert_observation_point(target, op).unwrap();
         x.push_row(&[0.0, 1.0, 1.0, 0.0]).unwrap();
+        session.reserve_nodes(1);
+        let kept: Vec<*const f32> = session
+            .caches
+            .iter()
+            .map(|c| c.final_embedding().as_slice().as_ptr())
+            .collect();
         session.sync_nodes(&t);
+        let moved: Vec<*const f32> = session
+            .caches
+            .iter()
+            .map(|c| c.final_embedding().as_slice().as_ptr())
+            .collect();
+        assert_eq!(kept, moved, "a reserved session grows in place");
         assert_eq!(session.node_count(), t.node_count());
         session
             .refresh(&t, &x, &[target.index(), op.index()])

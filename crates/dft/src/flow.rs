@@ -279,8 +279,8 @@ impl<'a> Inference<'a> {
     }
 
     /// Positives inside `cone` under already-patched preview `features`:
-    /// a session refresh over the `dirty` halo, counted and reverted, or a
-    /// full pass.
+    /// a session preview of the cone's probabilities, which computes only
+    /// the rows they read and keeps nothing, or a full pass.
     fn positives_after(
         &mut self,
         tensors: &GraphTensors,
@@ -291,17 +291,25 @@ impl<'a> Inference<'a> {
     ) -> Result<i64, FlowError> {
         match &mut self.engine {
             Engine::Session(s) => {
-                let delta = s.refresh_budgeted(tensors, features, dirty, self.budget)?;
+                let rows: Vec<usize> = cone.iter().map(|v| v.index()).collect();
+                let (probs, rows_computed) =
+                    s.probs_after(tensors, features, dirty, &rows, self.budget)?;
                 self.stats
-                    .note(delta.rows_computed(), delta.rows_full_equivalent());
-                let positives = positives_in(cone, s.probs(), threshold);
-                s.revert(delta);
-                Ok(positives)
+                    .note(rows_computed, s.full_rows(tensors.node_count()));
+                Ok(probs.iter().filter(|&&p| p >= threshold).count() as i64)
             }
             Engine::FullPass(pass) => {
                 let probs = run_full_pass(*pass, &mut self.stats, self.budget, tensors, features)?;
                 Ok(positives_in(cone, &probs, threshold))
             }
+        }
+    }
+
+    /// Makes room in a session for `additional` more nodes, so adopting
+    /// the graphs the run grows never reallocates its caches.
+    fn reserve_nodes(&mut self, additional: usize) {
+        if let Engine::Session(s) = &mut self.engine {
+            s.reserve_nodes(additional);
         }
     }
 
@@ -694,6 +702,13 @@ where
         // resume, where the original run's opening pass is already inside
         // the restored stats.
         let mut inference = classify.open(&state.tensors, &state.features, budget)?;
+        // Every insertion observes a distinct node of the design, so the
+        // run adds at most one node per node it has.
+        inference.reserve_nodes(
+            cfg.max_iterations
+                .saturating_mul(cfg.ops_per_iteration)
+                .min(state.net.node_count()),
+        );
         if resume.is_empty() {
             inference.note_opening_pass();
         } else {

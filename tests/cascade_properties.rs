@@ -10,7 +10,9 @@
 //! must match it bit for bit, on random DAGs, on degenerate designs, under
 //! a session maintained across insertions that push rows over the
 //! threshold both ways, and with the budget charged exactly the rows the
-//! filter computes.
+//! filter computes. A session's preview (`CascadeSession::probs_after`) is
+//! held to a refresh of the same dirty rows, its work to a count written
+//! from the halo definition.
 
 use proptest::prelude::*;
 
@@ -183,6 +185,147 @@ proptest! {
         let thr = threshold(2, &stages[0], &t, &data.features);
         let model = MultiStageGcn::from_stages(stages, thr);
         prop_assert_eq!(all_paths_match(&model, &t, &data.features, false), Ok(()));
+    }
+}
+
+/// Every cached layer's bits and the probabilities' bits: the whole state
+/// a session carries between calls.
+fn session_bits(session: &CascadeSession<'_>) -> (Vec<Vec<u32>>, Vec<u32>) {
+    let layers = session
+        .clone()
+        .into_caches()
+        .iter()
+        .flat_map(|c| {
+            c.layers()
+                .iter()
+                .map(|m| bits(m.as_slice()))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    (layers, bits(session.probs()))
+}
+
+/// Membership of the dirty halos `H_0..H_depth` (`H_0 = dirty`,
+/// `H_d = halo_step(H_{d-1})`), one flag per node and hop.
+fn halo_flags(t: &GraphTensors, dirty: &[usize], depth: usize) -> Vec<Vec<bool>> {
+    let n = t.node_count();
+    let mut flags = vec![vec![false; n]; depth + 1];
+    for &r in dirty {
+        flags[0][r] = true;
+    }
+    for d in 1..=depth {
+        let below: Vec<usize> = (0..n).filter(|&v| flags[d - 1][v]).collect();
+        for v in t.halo_step(&below) {
+            flags[d][v] = true;
+        }
+    }
+    flags
+}
+
+/// The embedding rows a preview of `rows` must compute, counted from the
+/// definition: a row is a stage's target if it is in the deepest halo and
+/// no earlier stage filtered it (per-stage probabilities over every row);
+/// each target inside its stage's `D`-hop halo is walked back one
+/// `halo_step` at a time, keeping only rows of the layer's halo, and the
+/// walks' union is counted per layer.
+fn preview_rows(
+    model: &MultiStageGcn,
+    t: &GraphTensors,
+    x: &Matrix,
+    dirty: &[usize],
+    rows: &[usize],
+) -> u64 {
+    let deepest = model.stages().iter().map(Gcn::depth).max().unwrap_or(0);
+    let halo = halo_flags(t, dirty, deepest);
+    let probs = per_stage(model, t, x);
+    let mut alive: Vec<usize> = rows.iter().copied().filter(|&r| halo[deepest][r]).collect();
+    alive.sort_unstable();
+    alive.dedup();
+    let mut total = 0u64;
+    for (s, gcn) in model.stages().iter().enumerate() {
+        let depth = gcn.depth();
+        let mut union = vec![std::collections::BTreeSet::new(); depth + 1];
+        for &target in alive.iter().filter(|&&r| halo[depth][r]) {
+            let mut walk = vec![target];
+            for d in (1..=depth).rev() {
+                union[d].extend(walk.iter().copied());
+                walk = t.halo_step(&walk);
+                walk.retain(|&v| halo[d - 1][v]);
+            }
+        }
+        total += union.iter().map(|u| u.len() as u64).sum::<u64>();
+        if s + 1 < model.stages().len() {
+            alive.retain(|&v| !filtered(probs[s][v], model.filter_threshold()));
+        }
+    }
+    total
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A preview reads what a refresh would, bit for bit, computes only
+    /// the rows its answer reads, and leaves the session as it found it —
+    /// also when the budget stops it part-way: random designs, 1–3 stages
+    /// of mixed depth, thresholds 0 / 0.25 / 1, random dirty sets, and row
+    /// sets that are empty, every row, outside the halo, or repeated and
+    /// unsorted.
+    #[test]
+    fn a_preview_reads_what_a_refresh_would_and_keeps_nothing(
+        net in arb_netlist(),
+        depths in proptest::collection::vec(1usize..4, 1..4),
+        seed in any::<u64>(),
+        which in 0usize..3,
+        dirty in proptest::collection::vec(any::<usize>(), 1..6),
+        picks in proptest::collection::vec(any::<usize>(), 1..12),
+        stop in 0.0f64..1.0,
+    ) {
+        let data = GraphData::from_netlist(&net, None).unwrap();
+        let (t, n) = (&data.tensors, data.tensors.node_count());
+        let thr = [0.0, 0.25, 1.0][which];
+        let model = MultiStageGcn::from_stages(stages(&depths, seed), thr);
+        let mut session = model.open_session(t, &data.features).unwrap();
+        let kept = session_bits(&session);
+
+        let dirty: Vec<usize> = dirty.iter().map(|&r| r % n).collect();
+        let mut x = data.features.clone();
+        for &r in &dirty {
+            x.set(r, 3, x.get(r, 3) - 0.75);
+        }
+        let deepest = depths.iter().copied().max().unwrap_or(0);
+        let halo = halo_flags(t, &dirty, deepest);
+        let mut picked: Vec<usize> = picks.iter().map(|&r| r % n).collect();
+        picked.extend(picked.clone().iter().rev());
+        let row_sets = [
+            ("empty", Vec::new()),
+            ("every row", (0..n).collect()),
+            ("outside the halo", (0..n).filter(|&v| !halo[deepest][v]).collect()),
+            ("repeated, unsorted", picked),
+        ];
+
+        let mut refreshed = session.clone();
+        let delta = refreshed.refresh(t, &x, &dirty).unwrap();
+        prop_assert_eq!(bits(refreshed.probs()), oracle(&model, t, &x));
+        for (label, rows) in &row_sets {
+            let (got, computed) = session
+                .probs_after(t, &x, &dirty, rows, &Budget::unlimited())
+                .unwrap();
+            let want: Vec<f32> = rows.iter().map(|&r| refreshed.probs()[r]).collect();
+            prop_assert_eq!(bits(&got), bits(&want), "{}: probabilities", label);
+            prop_assert!(session_bits(&session) == kept, "{}: session changed", label);
+            prop_assert!(computed <= delta.rows_computed(), "{}: {} > {}", label, computed, delta.rows_computed());
+            prop_assert_eq!(computed, preview_rows(&model, t, &x, &dirty, rows), "{}: rows computed", label);
+
+            let cap = (computed as f64 * stop) as u64;
+            if cap < computed {
+                let stopped = session.probs_after(t, &x, &dirty, rows, &Budget::with_cap(cap));
+                prop_assert!(
+                    matches!(stopped, Err(TensorError::BudgetExceeded { .. })),
+                    "{}: a budget of {} for {} rows", label, cap, computed
+                );
+                prop_assert!(session_bits(&session) == kept, "{}: session changed by a stop", label);
+            }
+        }
     }
 }
 

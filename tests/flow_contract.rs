@@ -1,14 +1,23 @@
 //! The flow's output contract, pinned from outside the crate.
 //!
 //! `run_gcn_opi`'s internals are free to change; what a caller, a journal
-//! and the benchmark's goldens see is not. The literals below were
-//! recorded from the build *before* `FlowClassifier` shrank to `open`
-//! (ISSUE 18's parent commit): the [`FlowOutcome`] — inference accounting included —
-//! every journaled [`BatchRecord`] and the final netlist, for each of the
-//! three classifier kinds on one fixed design. A refactor that reorders an
-//! inference, drops a refresh or double-counts the session's opening pass
-//! changes `inferences` / `rows_computed` / `rows_full` here first, at
-//! 400 nodes, instead of in `flow_b1_20k`'s output checks at 20k.
+//! and the benchmark's goldens see is not. The literals below hold the
+//! [`FlowOutcome`] — inference accounting included — every journaled
+//! [`BatchRecord`] and the final netlist, for each of the three classifier
+//! kinds on one fixed design. A refactor that reorders an inference, drops
+//! a refresh or double-counts the session's opening pass changes
+//! `inferences` / `rows_computed` / `rows_full` here first, at 400 nodes,
+//! instead of in `flow_b1_20k`'s output checks at 20k.
+//!
+//! Everything but the two session runs' `rows_computed` was recorded
+//! before `FlowClassifier` shrank to `open`. Those fields moved once, on
+//! purpose, when an impact preview began computing only the rows its cone
+//! count reads (`CascadeSession::probs_after`) instead of refreshing and
+//! reverting the whole halo. Their values come from an independent count
+//! run inside the older refresh-and-revert flow: per preview, each cone row
+//! still alive to a stage and inside its `D`-hop dirty halo is walked back
+//! one `halo_step` at a time through the rows of each lower halo, and the
+//! walks' union is counted per layer. The other bytes did not move.
 
 use gcn_testability::dft::flow::{
     run_gcn_opi, run_gcn_opi_resumable, BatchRecord, FlowClassifier, FlowConfig, FlowOutcome,
@@ -22,10 +31,10 @@ use gcn_testability::nn::seeded_rng;
 use gcn_testability::store::checksum_hex;
 use gcn_testability::tensor::{Budget, Matrix};
 
-const GCN_RUN: &str = r#"[{"inserted":[186,14,11,8,247,143,28,33,173],"converged":false,"remaining_positives":176,"history":[{"iteration":0,"positives":185,"inserted":3},{"iteration":1,"positives":182,"inserted":3},{"iteration":2,"positives":179,"inserted":3}],"skipped":[],"inference":{"rows_computed":2713,"rows_full":16504,"inferences":19}},[{"iteration":0,"positives":185,"inserted":[186,14,11],"skipped":[],"converged":false,"stats_after":{"rows_computed":1386,"rows_full":5172,"inferences":6}},{"iteration":1,"positives":182,"inserted":[8,247,143],"skipped":[],"converged":false,"stats_after":{"rows_computed":2132,"rows_full":10380,"inferences":12}},{"iteration":2,"positives":179,"inserted":[28,33,173],"skipped":[],"converged":false,"stats_after":{"rows_computed":2605,"rows_full":15624,"inferences":18}}]]"#;
+const GCN_RUN: &str = r#"[{"inserted":[186,14,11,8,247,143,28,33,173],"converged":false,"remaining_positives":176,"history":[{"iteration":0,"positives":185,"inserted":3},{"iteration":1,"positives":182,"inserted":3},{"iteration":2,"positives":179,"inserted":3}],"skipped":[],"inference":{"rows_computed":2072,"rows_full":16504,"inferences":19}},[{"iteration":0,"positives":185,"inserted":[186,14,11],"skipped":[],"converged":false,"stats_after":{"rows_computed":1115,"rows_full":5172,"inferences":6}},{"iteration":1,"positives":182,"inserted":[8,247,143],"skipped":[],"converged":false,"stats_after":{"rows_computed":1613,"rows_full":10380,"inferences":12}},{"iteration":2,"positives":179,"inserted":[28,33,173],"skipped":[],"converged":false,"stats_after":{"rows_computed":1964,"rows_full":15624,"inferences":18}}]]"#;
 const GCN_NET: &str = "f061f776e7e4891a";
 
-const CASCADE_RUN: &str = r#"[{"inserted":[188,148,170,179,63,101,46,100,113],"converged":false,"remaining_positives":30,"history":[{"iteration":0,"positives":36,"inserted":3},{"iteration":1,"positives":35,"inserted":3},{"iteration":2,"positives":31,"inserted":3}],"skipped":[],"inference":{"rows_computed":3244,"rows_full":33008,"inferences":19}},[{"iteration":0,"positives":36,"inserted":[188,148,170],"skipped":[],"converged":false,"stats_after":{"rows_computed":2070,"rows_full":10344,"inferences":6}},{"iteration":1,"positives":35,"inserted":[179,63,101],"skipped":[],"converged":false,"stats_after":{"rows_computed":2580,"rows_full":20760,"inferences":12}},{"iteration":2,"positives":31,"inserted":[46,100,113],"skipped":[],"converged":false,"stats_after":{"rows_computed":3034,"rows_full":31248,"inferences":18}}]]"#;
+const CASCADE_RUN: &str = r#"[{"inserted":[188,148,170,179,63,101,46,100,113],"converged":false,"remaining_positives":30,"history":[{"iteration":0,"positives":36,"inserted":3},{"iteration":1,"positives":35,"inserted":3},{"iteration":2,"positives":31,"inserted":3}],"skipped":[],"inference":{"rows_computed":2626,"rows_full":33008,"inferences":19}},[{"iteration":0,"positives":36,"inserted":[188,148,170],"skipped":[],"converged":false,"stats_after":{"rows_computed":1854,"rows_full":10344,"inferences":6}},{"iteration":1,"positives":35,"inserted":[179,63,101],"skipped":[],"converged":false,"stats_after":{"rows_computed":2172,"rows_full":20760,"inferences":12}},{"iteration":2,"positives":31,"inserted":[46,100,113],"skipped":[],"converged":false,"stats_after":{"rows_computed":2416,"rows_full":31248,"inferences":18}}]]"#;
 const CASCADE_NET: &str = "fb5a3badc5c15726";
 
 /// A closure gets the full path: the same insertions as the session run
