@@ -392,6 +392,10 @@ impl GraphTensors {
     /// which is what lets the incremental engine recompute a growing halo
     /// per layer and stay exact.
     ///
+    /// The rows are marked in a bitset and emitted a 64-row word at a
+    /// time, so a call costs the rows' adjacency plus `n / 64` words, not a
+    /// pass over `n` flags.
+    ///
     /// # Panics
     ///
     /// Panics if any index is `>= node_count()`.
@@ -400,22 +404,33 @@ impl GraphTensors {
         reason = "documented-panic API; an out-of-range row is caller misuse, not data"
     )]
     pub fn halo_step(&self, rows: &[usize]) -> Vec<usize> {
-        let mut touched = vec![false; self.n];
+        let mut words = vec![0u64; self.n.div_ceil(64)];
+        let mut mark = |v: usize| words[v / 64] |= 1 << (v % 64);
         for &u in rows {
-            touched[u] = true;
+            assert!(u < self.n, "row {u} of a {}-node graph", self.n);
+            mark(u);
             // Readers of u: the nodes v with u in PR(v) are row u of
             // P^T = S, and those with u in SU(v) are row u of S^T = P.
-            for (v, _) in self.succ.row(u).chain(self.pred.row(u)) {
-                if let Some(t) = touched.get_mut(v) {
-                    *t = true;
-                }
+            for v in self.neighbours(u) {
+                mark(v);
             }
         }
-        touched
-            .iter()
-            .enumerate()
-            .filter_map(|(v, &t)| t.then_some(v))
-            .collect()
+        let len = words.iter().map(|w| w.count_ones() as usize).sum();
+        let mut out = Vec::with_capacity(len);
+        for (w, &word) in words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+
+    /// Row `u`'s one-hop halo without itself: the nodes that read `u`
+    /// through either matrix — also the nodes `u` reads, as `succ ≡ predᵀ`.
+    pub(crate) fn neighbours(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
+        self.succ.row(u).chain(self.pred.row(u)).map(|(v, _)| v)
     }
 
     /// Backward of [`GraphTensors::aggregate`] w.r.t. `E`:
@@ -617,6 +632,49 @@ mod tests {
         // a is read by g only.
         assert_eq!(t.halo_step(&[a.index()]), vec![a.index(), g.index()]);
         assert!(t.halo_step(&[]).is_empty());
+    }
+
+    /// The bitset walk against the definition it replaced: one flag per
+    /// node, set for each listed row and each of its readers, emitted in
+    /// index order.
+    #[test]
+    fn halo_step_is_the_flag_vector_definition() {
+        use rand::Rng;
+        let net = gcnt_netlist::generate(&gcnt_netlist::GeneratorConfig::sized("halo", 5, 300));
+        let t = GraphTensors::from_netlist(&net);
+        let n = t.node_count();
+        assert!(n > 3 * 64, "{n} nodes: several words");
+        let flags = |rows: &[usize]| {
+            let mut touched = vec![false; n];
+            for &u in rows {
+                touched[u] = true;
+                for (v, _) in t.succ().row(u).chain(t.pred().row(u)) {
+                    touched[v] = true;
+                }
+            }
+            (0..n).filter(|&v| touched[v]).collect::<Vec<_>>()
+        };
+        let mut rng = gcnt_nn::seeded_rng(9);
+        let mut sets: Vec<Vec<usize>> = vec![Vec::new(), (0..n).collect(), vec![n - 1, 0]];
+        for len in [1, 7, 64, 250] {
+            sets.push((0..len).map(|_| rng.gen_range(0..n)).collect());
+        }
+        // Repeated and unsorted.
+        sets.push([3, 3, n - 1, 64, 63, 3, 64].to_vec());
+        for rows in &sets {
+            let got = t.halo_step(rows);
+            assert_eq!(got, flags(rows), "{rows:?}");
+            assert!(rows.iter().all(|r| got.binary_search(r).is_ok()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "-node graph")]
+    fn halo_step_refuses_a_row_outside_the_graph() {
+        let net = gcnt_netlist::generate(&gcnt_netlist::GeneratorConfig::sized("halo", 5, 300));
+        let t = GraphTensors::from_netlist(&net);
+        let n = t.node_count();
+        t.halo_step(&[0, n]);
     }
 
     #[test]

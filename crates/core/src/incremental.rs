@@ -17,22 +17,26 @@
 //! The same step runs the halo *backwards* for the filtered cascade: the
 //! final embedding of a few surviving rows needs the layer below on their
 //! one-hop halo, and so on down to the features — `halo_step` is its own
-//! inverse because `succ ≡ predᵀ`.
+//! inverse because `succ ≡ predᵀ`. A [`CascadeSession`] caches a later
+//! stage only there: each cached layer knows which of its rows are
+//! *valid* (exact for the current graph and features), a refresh patches
+//! only valid rows, and a stage's valid rows grow, layer by layer from the
+//! bottom, over whatever its head is about to read.
 //!
 //! Because every kernel involved is row-independent with an unchanged
-//! per-row accumulation order, the patched cache is **bit-for-bit equal** to
-//! a full recompute — not merely close. That exactness is load-bearing: the
-//! flow compares probabilities against a threshold, and a `1e-7` drift could
-//! flip a candidate across it.
+//! per-row accumulation order, a patched or grown row is **bit-for-bit
+//! equal** to a full recompute — not merely close. That exactness is
+//! load-bearing: the flow compares probabilities against a threshold, and
+//! a `1e-7` drift could flip a candidate across it.
 //!
 //! Staleness is policed with a generation counter:
 //! [`GraphTensors::insert_observation_point`] bumps
 //! [`GraphTensors::generation`], and a cache built against an older
 //! generation refuses to serve
 //! ([`gcnt_tensor::TensorError::StaleCache`]). After a committed insertion,
-//! call [`CascadeSession::sync_nodes`] to grow the cache (new rows zeroed)
-//! and adopt the new generation, then pass the insertion's dirty set to the
-//! next [`CascadeSession::refresh`].
+//! call [`CascadeSession::sync_nodes`] to grow the cache and adopt the new
+//! generation, then pass the insertion's dirty set to the next
+//! [`CascadeSession::refresh`].
 
 use gcnt_tensor::{Budget, Matrix, Result, TensorError};
 
@@ -46,9 +50,19 @@ use crate::{Gcn, GraphTensors, MultiStageGcn};
 /// The input features `E_0 = X` are *not* owned here — callers keep a
 /// single authoritative copy and pass it to every call, so a flow state and
 /// its session never hold diverging feature matrices.
+///
+/// Every row of a cache handed out is valid: [`Gcn::embed_cached`],
+/// [`EmbeddingCache::from_layers`] and [`CascadeSession::into_caches`] all
+/// make complete ones. Only a later stage inside a session holds some rows
+/// unfilled, and a valid row there never reads one: its own row and its
+/// neighbours' are valid in the layer below. (Between an insertion's
+/// [`CascadeSession::sync_nodes`] and the refresh it calls for, the new
+/// node's neighbours are the exception; that refresh recomputes them.)
 #[derive(Debug, Clone)]
 pub struct EmbeddingCache {
     layers: Vec<Matrix>,
+    /// Per layer, whether each row holds its exact value.
+    valid: Vec<Vec<bool>>,
     generation: u64,
 }
 
@@ -79,7 +93,48 @@ impl EmbeddingCache {
                 });
             }
         }
-        Ok(EmbeddingCache { layers, generation })
+        Ok(Self::complete(layers, generation))
+    }
+
+    /// A cache whose every row is valid.
+    fn complete(layers: Vec<Matrix>, generation: u64) -> Self {
+        let valid = layers.iter().map(|l| vec![true; l.rows()]).collect();
+        EmbeddingCache {
+            layers,
+            valid,
+            generation,
+        }
+    }
+
+    /// The layers of `gcn` over an `n`-node graph with no row valid yet,
+    /// each allocated once, zeroed, with room for `room` more rows.
+    ///
+    /// # Errors
+    ///
+    /// A length error for a depth-0 model (nothing to cache).
+    fn unfilled(gcn: &Gcn, n: usize, room: usize, generation: u64) -> Result<Self> {
+        if gcn.encoders().is_empty() {
+            return Err(TensorError::LengthMismatch {
+                expected: 1,
+                actual: 0,
+            });
+        }
+        let mut layers = Vec::with_capacity(gcn.depth());
+        let mut valid = Vec::with_capacity(gcn.depth());
+        for enc in gcn.encoders() {
+            let cols = enc.fan_out();
+            let mut data = vec![0.0f32; (n + room) * cols];
+            data.truncate(n * cols);
+            layers.push(Matrix::from_vec(n, cols, data)?);
+            let mut flags = Vec::with_capacity(n + room);
+            flags.resize(n, false);
+            valid.push(flags);
+        }
+        Ok(EmbeddingCache {
+            layers,
+            valid,
+            generation,
+        })
     }
 
     /// Generation of the graph state this cache was built against.
@@ -107,19 +162,20 @@ impl EmbeddingCache {
     }
 
     /// Grows every layer to `n` rows (new rows zeroed) and adopts the given
-    /// generation — the post-insertion resync. The zero rows are
-    /// placeholders: the caller must include the new nodes in the next
-    /// dirty set so they get computed for real.
+    /// generation — the post-insertion resync. The new rows are not valid:
+    /// the caller must include the new nodes in the next dirty set so they
+    /// get computed for real.
     #[expect(
         clippy::expect_used,
         reason = "a zero row of the layer's own width always fits"
     )]
     pub fn extend_to(&mut self, n: usize, generation: u64) {
-        for layer in &mut self.layers {
+        for (layer, valid) in self.layers.iter_mut().zip(&mut self.valid) {
             let zero = vec![0.0; layer.cols()];
             while layer.rows() < n {
                 layer.push_row(&zero).expect("zero row matches layer width");
             }
+            valid.resize(layer.rows(), false);
         }
         self.generation = generation;
     }
@@ -153,9 +209,172 @@ impl EmbeddingCache {
         Ok(())
     }
 
+    /// Whether row `r` of layer `d` holds its exact value.
+    fn is_valid(&self, d: usize, r: usize) -> bool {
+        self.valid
+            .get(d)
+            .and_then(|v| v.get(r))
+            .copied()
+            .unwrap_or(false)
+    }
+
+    /// Marks `rows` of layer `d` valid or not.
+    fn mark(&mut self, d: usize, rows: &[usize], valid: bool) {
+        if let Some(flags) = self.valid.get_mut(d) {
+            for &r in rows {
+                if let Some(flag) = flags.get_mut(r) {
+                    *flag = valid;
+                }
+            }
+        }
+    }
+
+    /// What a refresh changes in this cache, per layer: the rows to
+    /// compute and the rows to forget. A session holds in layer `d` of `D`
+    /// exactly the `(D−1−d)`-hop halo of the rows that reach the stage,
+    /// and after the refresh those are: inside the deepest dirty halo
+    /// (`deepest`) the rows of `alive`, outside it the rows the top layer
+    /// holds, whose probabilities cannot change. A row can enter or leave
+    /// layer `d` only within `D−1−d` hops of a *changed* row — one of
+    /// `deepest` whose reach flipped, or a node adopted since the last
+    /// refresh (`adopted`) — so only those are looked at: in the top layer
+    /// a changed row is held if it reaches the stage, and in the layer
+    /// below a row near a change is held if it or a neighbour is held
+    /// above. Computed are the rows held that are in `halos[d]` or not yet
+    /// valid; forgotten, the valid rows no longer held.
+    fn refreshed_rows(
+        &self,
+        t: &GraphTensors,
+        halos: &[Vec<usize>],
+        deepest: &[usize],
+        alive: &[usize],
+        adopted: &[usize],
+    ) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+        let top = self.layers.len().saturating_sub(1);
+        let reaches = |r: usize| match deepest.binary_search(&r) {
+            Ok(_) => alive.binary_search(&r).is_ok(),
+            Err(_) => self.is_valid(top, r),
+        };
+        let mut near: Vec<usize> = deepest
+            .iter()
+            .copied()
+            .filter(|&r| self.is_valid(top, r) != reaches(r))
+            .chain(adopted.iter().copied())
+            .collect();
+        near.sort_unstable();
+        near.dedup();
+        let mut compute = vec![Vec::new(); self.layers.len()];
+        let mut forget = vec![Vec::new(); self.layers.len()];
+        // The rows near a change in the layer above, and whether each is
+        // held there.
+        let mut above: Option<(Vec<usize>, Vec<bool>)> = None;
+        let layers = compute.iter_mut().zip(&mut forget).enumerate().rev();
+        for (d, (compute, forget)) in layers {
+            let held: Vec<bool> = match &above {
+                None => near.iter().map(|&r| reaches(r)).collect(),
+                Some((rows, held)) => {
+                    near = if rows.is_empty() {
+                        Vec::new()
+                    } else {
+                        t.halo_step(rows)
+                    };
+                    let held_above = |u: usize| match rows.binary_search(&u) {
+                        Ok(i) => held.get(i).copied().unwrap_or(false),
+                        Err(_) => self.is_valid(d + 1, u),
+                    };
+                    let reads = |r: usize| std::iter::once(r).chain(t.neighbours(r));
+                    near.iter().map(|&r| reads(r).any(held_above)).collect()
+                }
+            };
+            let holds = |r: usize| match near.binary_search(&r) {
+                Ok(i) => held.get(i).copied().unwrap_or(false),
+                Err(_) => self.is_valid(d, r),
+            };
+            let halo = halos.get(d).map_or(&[][..], Vec::as_slice);
+            compute.extend(halo.iter().copied().filter(|&r| holds(r)));
+            for (&r, &h) in near.iter().zip(&held) {
+                match (h, self.is_valid(d, r)) {
+                    (true, false) => compute.push(r),
+                    (false, true) => forget.push(r),
+                    _ => {}
+                }
+            }
+            compute.sort_unstable();
+            compute.dedup();
+            above = Some((std::mem::take(&mut near), held));
+        }
+        (compute, forget)
+    }
+
+    /// Holds only what a head reading the rows `reach` (ascending) needs:
+    /// in layer `d` of `D`, their `(D−1−d)`-hop halo.
+    fn hold_only(&mut self, t: &GraphTensors, reach: &[usize]) {
+        let top = self.valid.len().saturating_sub(1);
+        let mut rows = reach.to_vec();
+        for (d, flags) in self.valid.iter_mut().enumerate().rev() {
+            if d < top {
+                rows = t.halo_step(&rows);
+            }
+            flags.fill(false);
+            for &r in &rows {
+                if let Some(flag) = flags.get_mut(r) {
+                    *flag = true;
+                }
+            }
+        }
+    }
+
+    /// Per layer, every row that is not valid: what completing it takes.
+    fn invalid(&self) -> Vec<Vec<usize>> {
+        self.valid
+            .iter()
+            .map(|flags| {
+                let rows = flags.iter().enumerate();
+                rows.filter_map(|(r, &v)| (!v).then_some(r)).collect()
+            })
+            .collect()
+    }
+
+    /// The rows of each layer to compute so that the final embedding of
+    /// `targets` (ascending) is exact once the rows in `stale[d]` changed.
+    /// A row is *stale* in layer `d` if it is in `stale[d]` or not valid:
+    /// `N_D` is the stale rows of `targets`, and below it `N_d` is the
+    /// stale rows of `halo_step(N_{d+1})`. Every other row a target reads
+    /// is valid and outside the changed rows, so the cache already holds
+    /// its value. With nothing in `stale` this is what growing the valid
+    /// rows over `targets` takes; with a preview's dirty halos, what the
+    /// preview must compute.
+    fn cone_rows(
+        &self,
+        t: &GraphTensors,
+        stale: &[Vec<usize>],
+        targets: &[usize],
+    ) -> Vec<Vec<usize>> {
+        let stale_of = |d: usize, rows: &[usize]| -> Vec<usize> {
+            let halo = stale.get(d).map_or(&[][..], Vec::as_slice);
+            rows.iter()
+                .copied()
+                .filter(|&r| !self.is_valid(d, r) || halo.binary_search(&r).is_ok())
+                .collect()
+        };
+        let depth = self.layers.len();
+        let mut rows = stale_of(depth.saturating_sub(1), targets);
+        let mut layer_rows = vec![Vec::new(); depth];
+        for (d, layer) in layer_rows.iter_mut().enumerate().rev() {
+            let below = match d.checked_sub(1) {
+                Some(b) if !rows.is_empty() => stale_of(b, &t.halo_step(&rows)),
+                _ => Vec::new(),
+            };
+            *layer = std::mem::replace(&mut rows, below);
+        }
+        layer_rows
+    }
+
     /// Restores the rows recorded in `delta`, undoing the matching
-    /// [`Gcn::embed_incremental`] call. Deltas must be reverted in reverse
-    /// order of application.
+    /// [`Gcn::embed_incremental`] call: the rows it overwrote get their
+    /// old values, the rows it grew are invalid again, and the rows it
+    /// forgot get their old values back and are valid again. Deltas must
+    /// be reverted in reverse order of application.
     #[expect(
         clippy::expect_used,
         reason = "undo rows were gathered from this layer, so they scatter back"
@@ -166,14 +385,33 @@ impl EmbeddingCache {
                 .scatter_rows(&rows, &old)
                 .expect("undo rows were gathered from this layer");
         }
+        for (d, rows) in delta.grown.iter().enumerate() {
+            self.mark(d, rows, false);
+        }
+        for (layer, (rows, old)) in self.layers.iter_mut().zip(&delta.forgot) {
+            layer
+                .scatter_rows(rows, old)
+                .expect("forgotten rows were gathered from this layer");
+        }
+        for (d, (rows, _)) in delta.forgot.iter().enumerate() {
+            self.mark(d, rows, true);
+        }
     }
 }
 
 /// Undo record plus work accounting returned by [`Gcn::embed_incremental`].
 #[derive(Debug, Clone)]
 pub struct EmbeddingDelta {
-    /// Per layer: the recomputed row indices and their previous values.
+    /// Per layer: the recomputed rows that were valid, and their previous
+    /// values.
     layer_undo: Vec<(Vec<usize>, Matrix)>,
+    /// Per layer: the rows made valid that were not. Their values belong
+    /// to the changed state, so the undo makes them invalid again.
+    grown: Vec<Vec<usize>>,
+    /// Per layer: the valid rows a refresh stopped holding and their
+    /// values, which the undo puts back and holds again — a later call may
+    /// grow over an invalid row and leave its own value there.
+    forgot: Vec<(Vec<usize>, Matrix)>,
     rows_computed: usize,
 }
 
@@ -225,10 +463,8 @@ impl Gcn {
             });
         }
         backend.check_fresh(t)?;
-        Ok(EmbeddingCache {
-            layers: pass::embed_layers(pass::PER_CORE, self, self.encoders(), t, x, budget)?,
-            generation: t.generation(),
-        })
+        let layers = pass::embed_layers(pass::PER_CORE, self, self.encoders(), t, x, budget)?;
+        Ok(EmbeddingCache::complete(layers, t.generation()))
     }
 
     /// Patches `cache` in place after the feature rows `dirty` changed,
@@ -256,75 +492,86 @@ impl Gcn {
         cache.check(self.depth(), t, x)?;
         check_nodes(dirty, t.node_count())?;
         let halos = dirty_halos(t, dirty, self.depth());
-        self.patch_layers(t, x, cache, halos, &Budget::unlimited())
+        self.patch_layers(t, x, cache, &halos, &Budget::unlimited())
     }
 
-    /// Recomputes `layer_rows[d]` (ascending) of cached layer `d` in place,
-    /// layer by layer, charging the budget each layer's row count first.
-    /// On a budget error — or a layer step refused for its shapes — the
-    /// already-patched layers are rolled back, leaving the cache exactly as
+    /// Computes `layer_rows[d]` (ascending) of cached layer `d` in place,
+    /// layer by layer from the bottom, charging the budget each layer's
+    /// row count first, and marks them valid; a layer with no rows is
+    /// skipped, charge included. Each row must read only valid rows of the
+    /// layer below. The old values of rows that were valid go into the
+    /// undo, and so do the rows that were not (*grown*), to be made invalid
+    /// again. On a budget error — or a layer step refused for its shapes —
+    /// the already-patched layers are rolled back, leaving the cache as
     /// before the call.
     fn patch_layers(
         &self,
         t: &GraphTensors,
         x: &Matrix,
         cache: &mut EmbeddingCache,
-        layer_rows: Vec<Vec<usize>>,
+        layer_rows: &[Vec<usize>],
         budget: &Budget,
     ) -> Result<EmbeddingDelta> {
-        let mut layer_undo = Vec::with_capacity(self.depth());
-        let mut rows_computed = 0usize;
+        let mut delta = EmbeddingDelta {
+            layer_undo: Vec::with_capacity(self.depth()),
+            grown: Vec::with_capacity(self.depth()),
+            forgot: Vec::new(),
+            rows_computed: 0,
+        };
         for (d, (enc, rows)) in self.encoders().iter().zip(layer_rows).enumerate() {
+            let (was, grown): (Vec<usize>, Vec<usize>) =
+                rows.iter().partition(|&&r| cache.is_valid(d, r));
             let (below, from) = cache.layers.split_at_mut(d);
             let Some(layer) = from.first_mut() else { break };
             let prev = below.last().unwrap_or(x);
-            let old = layer.gather_rows(&rows);
+            let old = layer.gather_rows(&was);
             // The layer is patched where it is cached, so its undo is
             // recorded whether or not the step succeeds.
-            let step = budget
-                .charge(rows.len() as u64)
-                .and_then(|()| pass::embed_layer(pass::PER_CORE, self, enc, t, prev, &rows, layer));
-            rows_computed += rows.len();
-            layer_undo.push((rows, old));
+            let step = if rows.is_empty() {
+                Ok(())
+            } else {
+                budget.charge(rows.len() as u64).and_then(|()| {
+                    pass::embed_layer(pass::PER_CORE, self, enc, t, prev, rows, layer)
+                })
+            };
+            delta.layer_undo.push((was, old));
             if let Err(e) = step {
                 // Roll this layer and the already-patched ones back so a
-                // budget stop or a failed step leaves the cache exactly as
-                // before the call.
-                cache.revert(EmbeddingDelta {
-                    layer_undo,
-                    rows_computed,
-                });
+                // budget stop or a failed step leaves the cache as before
+                // the call.
+                cache.revert(delta);
                 return Err(e);
             }
+            delta.rows_computed += rows.len();
+            delta.grown.push(grown);
+            cache.mark(d, rows, true);
         }
-        Ok(EmbeddingDelta {
-            layer_undo,
-            rows_computed,
-        })
+        Ok(delta)
     }
 
-    /// The rows of each cached layer that the final embedding of `targets`
-    /// (ascending) reads and the dirty halos `H_1..H_D` (`halos`) can
-    /// change: `N_D = targets ∩ H_D`, and below it
-    /// `N_d = halo_step(N_{d+1}) ∩ H_d`. Every other row a target reads is
-    /// outside its layer's halo, so the cache already holds its new value.
-    fn cone_rows(
+    /// Brings `cache`, this stage's, to a refresh: computes the rows
+    /// [`EmbeddingCache::refreshed_rows`] lists and forgets the others.
+    /// The delta undoes both.
+    #[expect(clippy::too_many_arguments, reason = "one refresh's inputs")]
+    fn refresh_cache(
         &self,
         t: &GraphTensors,
+        x: &Matrix,
+        cache: &mut EmbeddingCache,
         halos: &[Vec<usize>],
-        targets: &[usize],
-    ) -> Vec<Vec<usize>> {
-        let halo = |d: usize| halos.get(d).map_or(&[][..], Vec::as_slice);
-        let mut rows = within(targets, halo(self.depth().saturating_sub(1)));
-        let mut layer_rows = vec![Vec::new(); self.depth()];
-        for (d, layer) in layer_rows.iter_mut().enumerate().rev() {
-            let below = match d.checked_sub(1) {
-                Some(b) if !rows.is_empty() => within(&t.halo_step(&rows), halo(b)),
-                _ => Vec::new(),
-            };
-            *layer = std::mem::replace(&mut rows, below);
+        deepest: &[usize],
+        adopted: &[usize],
+        alive: &[usize],
+        budget: &Budget,
+    ) -> Result<EmbeddingDelta> {
+        let (compute, forget) = cache.refreshed_rows(t, halos, deepest, alive, adopted);
+        let mut delta = self.patch_layers(t, x, cache, &compute, budget)?;
+        for (d, rows) in forget.into_iter().enumerate() {
+            cache.mark(d, &rows, false);
+            let old = cache.layers.get(d).map(|layer| layer.gather_rows(&rows));
+            delta.forgot.extend(old.map(|old| (rows, old)));
         }
-        layer_rows
+        Ok(delta)
     }
 }
 
@@ -369,10 +616,11 @@ fn within(rows: &[usize], halo: &[usize]) -> Vec<usize> {
 }
 
 /// Undo record plus work accounting returned by [`CascadeSession::refresh`]:
-/// per stage the embedding rows it overwrote, and the combined
-/// probabilities of the halo rows — everything a later call reads, since a
-/// session keeps no per-stage probabilities. The accounting counts
-/// embedding rows; the heads a refresh skips on filtered rows are not in it.
+/// per stage the embedding rows it overwrote, grew and forgot, and the
+/// combined probabilities of the halo rows —
+/// everything a later call reads, since a session keeps no per-stage
+/// probabilities. The accounting counts embedding rows, grown ones
+/// included; the heads a refresh skips on filtered rows are not in it.
 #[derive(Debug, Clone)]
 pub struct SessionDelta {
     stage_deltas: Vec<EmbeddingDelta>,
@@ -408,13 +656,18 @@ impl SessionDelta {
 ///
 /// The cascade stages carry *distinct* trained weights, so their embeddings
 /// cannot be shared — what is shared is the halo: the dirty set is
-/// graph-structural, so every stage recomputes the same rows. Embeddings
-/// are kept complete for every stage (a later refresh may need any row's
-/// neighbours, and the caches are what a warm restart persists); the
-/// classifier heads filter as the cascade does — stage `s+1`'s head runs
-/// only on the rows stage `s` passed on, over all rows at open and over the
-/// halo at refresh. Per-stage probabilities are not kept: a row's combined
-/// probability is re-derived from stage 0 whenever its embedding changes.
+/// graph-structural, so every stage patches rows of the same halos. The
+/// session filters as the stateless pass does: stage 0 holds every row,
+/// and a later stage of depth `D` only where its head looks — in layer `d`
+/// (1-based) the `(D−d)`-hop backward halo of the rows that reach it.
+/// What it holds depends on the graph and features alone: a refresh
+/// recomputes the held rows in the dirty halo, grows a stage over the rows
+/// that newly reach it and forgets the rows that no longer do, a revert
+/// undoes all of that, and a preview keeps nothing. Stage `s+1`'s head
+/// runs only on the rows stage `s` passed on, over all rows at open and
+/// over the halo at refresh. Per-stage probabilities are not kept: a row's
+/// combined probability is re-derived from stage 0 whenever its embedding
+/// changes.
 ///
 /// Probabilities served by [`CascadeSession::probs`] are bit-identical to
 /// [`MultiStageGcn::predict_proba`] (or [`Gcn::predict_proba`] for a
@@ -435,6 +688,9 @@ impl<'m> CascadeSession<'m> {
     /// opening full pass, which charges one unit per node per layer. The
     /// session it produces is bit-identical to the serial one; later
     /// `refresh`/`revert` calls always use the serial dirty-halo path.
+    /// Every cached layer is allocated once, with room for `room` more
+    /// nodes, so that many nodes adopted by
+    /// [`CascadeSession::sync_nodes`] never reallocate it.
     ///
     /// # Errors
     ///
@@ -445,17 +701,22 @@ impl<'m> CascadeSession<'m> {
         gcn: &'m Gcn,
         t: &GraphTensors,
         x: &Matrix,
+        room: usize,
         budget: &Budget,
         backend: &mut MatrixBackend,
     ) -> Result<Self> {
-        Self::open(std::slice::from_ref(gcn), 0.0, t, x, budget, backend)
+        Self::open(std::slice::from_ref(gcn), 0.0, t, x, room, budget, backend)
     }
 
     /// [`MultiStageGcn::open_session`] under an explicit work [`Budget`]
-    /// and [`MatrixBackend`] for the opening full pass, which charges one
-    /// unit per node per layer across every stage (every stage shares the
-    /// one backend — the adjacency, and hence the partitioning, is
-    /// stage-independent). Bit-identical to the serial open.
+    /// and [`MatrixBackend`] for the opening pass, with room for `room`
+    /// more nodes as [`CascadeSession::for_gcn_budgeted_with`]. The pass
+    /// charges what the filtered stateless pass
+    /// ([`MultiStageGcn::predict_proba_budgeted_with`]) does: one unit per
+    /// node per layer of stage 0, and per row of a later stage's halo.
+    /// Every stage shares the one backend — the adjacency, and hence the
+    /// partitioning, is stage-independent. Bit-identical to the serial
+    /// open.
     ///
     /// # Errors
     ///
@@ -466,6 +727,7 @@ impl<'m> CascadeSession<'m> {
         model: &'m MultiStageGcn,
         t: &GraphTensors,
         x: &Matrix,
+        room: usize,
         budget: &Budget,
         backend: &mut MatrixBackend,
     ) -> Result<Self> {
@@ -474,6 +736,7 @@ impl<'m> CascadeSession<'m> {
             model.filter_threshold(),
             t,
             x,
+            room,
             budget,
             backend,
         )
@@ -497,7 +760,7 @@ impl<'m> CascadeSession<'m> {
         model: &'m MultiStageGcn,
         t: &GraphTensors,
         x: &Matrix,
-        caches: Vec<EmbeddingCache>,
+        mut caches: Vec<EmbeddingCache>,
     ) -> Result<Self> {
         let stages = model.stages();
         let n = t.node_count();
@@ -537,13 +800,50 @@ impl<'m> CascadeSession<'m> {
                 }
             }
         }
-        Self::classified(stages, model.filter_threshold(), caches, n)
+        // Complete caches: the heads grow nothing. Each stage then holds
+        // only what an open would, the rows its head reads and their halo.
+        let all: Vec<usize> = (0..n).collect();
+        let mut reached = vec![Vec::new(); stages.len()];
+        let probs = cascade_rows(stages, model.filter_threshold(), &all, |s, gcn, alive| {
+            if let Some(seen) = reached.get_mut(s) {
+                *seen = alive.to_vec();
+            }
+            let e = caches.get(s).map(EmbeddingCache::final_embedding);
+            let e = e.ok_or(TensorError::LengthMismatch {
+                expected: stages.len(),
+                actual: s,
+            })?;
+            let mut probs = vec![0.0f32; alive.len()];
+            pass::head_rows(pass::PER_CORE, gcn.head(), e, alive, &mut probs)?;
+            Ok(probs)
+        })?;
+        for (cache, reach) in caches.iter_mut().zip(&reached) {
+            cache.hold_only(t, reach);
+        }
+        Ok(CascadeSession {
+            stages,
+            filter_threshold: model.filter_threshold(),
+            caches,
+            probs,
+        })
     }
 
     /// Consumes the session, handing back its per-stage embedding caches
-    /// so a caller can persist them (the warm-restart save path).
-    pub fn into_caches(self) -> Vec<EmbeddingCache> {
-        self.caches
+    /// so a caller can persist them (the warm-restart save path). Every
+    /// row a later stage never needed is computed first, so each cache is
+    /// complete — what a full open would have cached.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::StaleCache`] or a length error if the graph or the
+    /// features are not the ones the session serves.
+    pub fn into_caches(mut self, t: &GraphTensors, x: &Matrix) -> Result<Vec<EmbeddingCache>> {
+        for (gcn, cache) in self.stages.iter().zip(&mut self.caches) {
+            cache.check(gcn.depth(), t, x)?;
+            let rest = cache.invalid();
+            gcn.patch_layers(t, x, cache, &rest, &Budget::unlimited())?;
+        }
+        Ok(self.caches)
     }
 
     fn open(
@@ -551,54 +851,75 @@ impl<'m> CascadeSession<'m> {
         filter_threshold: f32,
         t: &GraphTensors,
         x: &Matrix,
+        room: usize,
         budget: &Budget,
         backend: &mut MatrixBackend,
     ) -> Result<Self> {
-        let mut caches = Vec::with_capacity(stages.len());
-        for gcn in stages {
-            caches.push(gcn.embed_cached_budgeted_with(t, x, budget, backend)?);
-        }
-        Self::classified(stages, filter_threshold, caches, t.node_count())
-    }
-
-    /// A session over complete `caches` of an `n`-node graph, every row
-    /// classified.
-    fn classified(
-        stages: &'m [Gcn],
-        filter_threshold: f32,
-        caches: Vec<EmbeddingCache>,
-        n: usize,
-    ) -> Result<Self> {
+        backend.check_fresh(t)?;
+        let n = t.node_count();
+        pass::check_shape("CascadeSession::open", x, n, x.cols())?;
+        let caches = stages
+            .iter()
+            .map(|gcn| EmbeddingCache::unfilled(gcn, n, room, t.generation()))
+            .collect::<Result<_>>()?;
         let mut session = CascadeSession {
             stages,
             filter_threshold,
             caches,
-            probs: Vec::new(),
+            probs: Vec::with_capacity(n + room),
         };
+        // Every row goes through the heads, and each stage grows its rows
+        // over those it sees: stage 0 all of them, a later stage its halo.
         let all: Vec<usize> = (0..n).collect();
-        session.probs = session.classify(&all)?;
+        let (probs, _) = session.run_heads(t, x, &all, &[], budget)?;
+        session.probs.extend(probs);
         Ok(session)
     }
 
-    /// The cascade rule ([`cascade_rows`]) over `rows`, read in place from
-    /// the cached final embeddings: each stage's head sees only the rows
-    /// still alive, a tile at a time.
-    fn classify(&self, rows: &[usize]) -> Result<Vec<f32>> {
-        cascade_rows(self.stages, self.filter_threshold, rows, |s, gcn, alive| {
-            let cache = self.caches.get(s).ok_or(TensorError::LengthMismatch {
-                expected: self.stages.len(),
-                actual: self.caches.len(),
-            })?;
+    /// The cascade rule ([`cascade_rows`]) over `rows` (ascending): each
+    /// stage's head sees only the rows still alive, a tile at a time,
+    /// reading their final embeddings in place once the rows
+    /// [`EmbeddingCache::cone_rows`] lists for `stale` are computed. Each
+    /// layer charges `budget` its row count first. Returns the
+    /// probabilities and the per-stage deltas; on an error, the deltas are
+    /// already reverted.
+    fn run_heads(
+        &mut self,
+        t: &GraphTensors,
+        x: &Matrix,
+        rows: &[usize],
+        stale: &[Vec<usize>],
+        budget: &Budget,
+    ) -> Result<(Vec<f32>, Vec<EmbeddingDelta>)> {
+        let missing = TensorError::LengthMismatch {
+            expected: self.stages.len(),
+            actual: self.caches.len(),
+        };
+        let caches = &mut self.caches;
+        let mut deltas = Vec::with_capacity(self.stages.len());
+        let probs = cascade_rows(self.stages, self.filter_threshold, rows, |s, gcn, alive| {
+            let cache = caches.get_mut(s).ok_or_else(|| missing.clone())?;
+            let layer_rows = cache.cone_rows(t, stale, alive);
+            deltas.push(gcn.patch_layers(t, x, cache, &layer_rows, budget)?);
             let mut probs = vec![0.0f32; alive.len()];
             let e = cache.final_embedding();
             pass::head_rows(pass::PER_CORE, gcn.head(), e, alive, &mut probs)?;
             Ok(probs)
-        })
+        });
+        match probs {
+            Ok(probs) => Ok((probs, deltas)),
+            Err(e) => {
+                self.revert_stages(deltas);
+                Err(e)
+            }
+        }
     }
 
     /// Re-derives embeddings and probabilities after the feature rows
-    /// `dirty` changed, recomputing only each stage's D-hop halo. Returns a
-    /// delta that [`CascadeSession::revert`] can undo — the preview path.
+    /// `dirty` changed: each stage recomputes only the rows it keeps in
+    /// its D-hop halo, grows over the rows that newly reach it and forgets
+    /// the rows that no longer do. Returns a delta that
+    /// [`CascadeSession::revert`] can undo.
     ///
     /// # Errors
     ///
@@ -616,8 +937,8 @@ impl<'m> CascadeSession<'m> {
     }
 
     /// [`CascadeSession::refresh`] under a cooperative work [`Budget`]:
-    /// every stage's halo recompute charges the budget per layer. A budget
-    /// stop mid-refresh rolls back the stages already patched, leaving the
+    /// every stage's recompute charges the budget per layer. A budget stop
+    /// mid-refresh rolls back the stages already refreshed, leaving the
     /// session exactly as before the call.
     ///
     /// # Errors
@@ -631,26 +952,16 @@ impl<'m> CascadeSession<'m> {
         dirty: &[usize],
         budget: &Budget,
     ) -> Result<SessionDelta> {
-        let mut halos = self.checked_halos(t, x, dirty)?;
-        let mut stage_deltas = Vec::with_capacity(self.stages.len());
-        for (gcn, cache) in self.stages.iter().zip(&mut self.caches) {
-            let layer_rows = halos.get(..gcn.depth()).unwrap_or(&halos).to_vec();
-            match gcn.patch_layers(t, x, cache, layer_rows, budget) {
-                Ok(delta) => stage_deltas.push(delta),
-                Err(e) => {
-                    // Earlier stages already adopted the new rows; restore
-                    // them so an interrupted refresh is side-effect free.
-                    self.revert_stages(stage_deltas);
-                    return Err(e);
-                }
-            }
-        }
+        let halos = self.checked_halos(t, x, dirty)?;
         // Halos only grow, so the deepest one holds every stage's final
         // rows: the rows whose probability can change.
-        let rows = halos.pop().unwrap_or_default();
-        let new_probs = match self.classify(&rows) {
+        let rows = halos.last().cloned().unwrap_or_default();
+        let mut stage_deltas = Vec::with_capacity(self.stages.len());
+        let new_probs = match self.refresh_stages(t, x, &halos, &rows, budget, &mut stage_deltas) {
             Ok(probs) => probs,
             Err(e) => {
+                // Earlier stages already adopted the new rows; restore
+                // them so an interrupted refresh is side-effect free.
                 self.revert_stages(stage_deltas);
                 return Err(e);
             }
@@ -661,10 +972,7 @@ impl<'m> CascadeSession<'m> {
                 old_probs.push(std::mem::replace(slot, p));
             }
         }
-        let rows_computed = stage_deltas
-            .iter()
-            .map(|d| d.rows_computed() as u64)
-            .sum::<u64>();
+        let rows_computed = rows_computed(&stage_deltas);
         let rows_full = self.full_rows(t.node_count());
         let obs = gcnt_obs::global();
         if obs.is_enabled() {
@@ -680,21 +988,73 @@ impl<'m> CascadeSession<'m> {
         })
     }
 
+    /// The refresh, stage by stage through the cascade rule over `rows`,
+    /// the deepest of the dirty halos `halos`: each stage is first brought
+    /// to the rows its head now reads ([`EmbeddingCache::refreshed_rows`]),
+    /// then classifies the rows of `rows` still alive. A stage no row of
+    /// `rows` reaches is refreshed with none alive. The rows stage 0 —
+    /// which holds every row — does not hold yet are the nodes adopted
+    /// since the last refresh. Pushes one delta per stage onto `deltas`
+    /// and returns the probabilities of `rows`.
+    fn refresh_stages(
+        &mut self,
+        t: &GraphTensors,
+        x: &Matrix,
+        halos: &[Vec<usize>],
+        rows: &[usize],
+        budget: &Budget,
+        deltas: &mut Vec<EmbeddingDelta>,
+    ) -> Result<Vec<f32>> {
+        let missing = TensorError::LengthMismatch {
+            expected: self.stages.len(),
+            actual: self.caches.len(),
+        };
+        let adopted: Vec<usize> = match self.caches.first() {
+            Some(stage0) => rows
+                .iter()
+                .copied()
+                .filter(|&r| !stage0.is_valid(0, r))
+                .collect(),
+            None => Vec::new(),
+        };
+        let caches = &mut self.caches;
+        let mut reached = 0;
+        let probs = cascade_rows(self.stages, self.filter_threshold, rows, |s, gcn, alive| {
+            let cache = caches.get_mut(s).ok_or_else(|| missing.clone())?;
+            let delta = gcn.refresh_cache(t, x, cache, halos, rows, &adopted, alive, budget)?;
+            deltas.push(delta);
+            reached = s + 1;
+            let mut probs = vec![0.0f32; alive.len()];
+            let e = cache.final_embedding();
+            pass::head_rows(pass::PER_CORE, gcn.head(), e, alive, &mut probs)?;
+            Ok(probs)
+        })?;
+        let unreached = self.stages.iter().zip(&mut self.caches).skip(reached);
+        for (gcn, cache) in unreached {
+            let delta = gcn.refresh_cache(t, x, cache, halos, rows, &adopted, &[], budget)?;
+            deltas.push(delta);
+        }
+        Ok(probs)
+    }
+
     /// The combined probabilities of `rows` (any order, repeats allowed)
     /// once the feature rows `dirty` changed, as [`CascadeSession::refresh`]
     /// followed by [`CascadeSession::probs`] would read them, bit for bit —
-    /// but without keeping the change: the session is left exactly as it
-    /// was, on every error path too. Also returns the embedding rows it
+    /// but without keeping the change: every valid row is left as it was,
+    /// on every error path too. Also returns the embedding rows it
     /// computed.
     ///
     /// It computes only what those probabilities read. With `H_d` the
     /// `d`-hop halo of `dirty`, a row outside the deepest stage's halo
     /// keeps its cached probability. The rest go through the cascade rule
-    /// ([`cascade_rows`]), and each stage recomputes, in place, only the
+    /// ([`cascade_rows`]), and each stage computes, in place, only the
     /// rows of its layers that its surviving rows' final embeddings read
-    /// and the halo can change: `N_D = alive ∩ H_D` and
-    /// `N_d = halo_step(N_{d+1}) ∩ H_d`. The patched rows are restored
-    /// before it returns. Each layer charges `budget` its row count first.
+    /// and that the halo can change or the stage does not hold yet:
+    /// `N_D = alive ∩ S_D` and `N_d = halo_step(N_{d+1}) ∩ S_d`, with
+    /// `S_d` the rows of layer `d` in `H_d` or not valid. The patched rows
+    /// are restored before it returns; a grown row outside `H_d` holds the
+    /// same value either way and stays valid. Each layer charges `budget`
+    /// its row count first.
     ///
     /// # Errors
     ///
@@ -712,37 +1072,9 @@ impl<'m> CascadeSession<'m> {
         check_nodes(rows, t.node_count())?;
         let deepest = halos.last().map_or(&[][..], Vec::as_slice);
         let targets = within(&sorted_unique(rows), deepest);
-        let mut patched = Vec::with_capacity(self.stages.len());
-        let missing = TensorError::LengthMismatch {
-            expected: self.stages.len(),
-            actual: self.caches.len(),
-        };
-        let caches = &mut self.caches;
-        let fresh = cascade_rows(
-            self.stages,
-            self.filter_threshold,
-            &targets,
-            |s, gcn, alive| {
-                let cache = caches.get_mut(s).ok_or_else(|| missing.clone())?;
-                let layer_rows = gcn.cone_rows(t, &halos, alive);
-                patched.push(gcn.patch_layers(t, x, cache, layer_rows, budget)?);
-                let mut probs = vec![0.0f32; alive.len()];
-                pass::head_rows(
-                    pass::PER_CORE,
-                    gcn.head(),
-                    cache.final_embedding(),
-                    alive,
-                    &mut probs,
-                )?;
-                Ok(probs)
-            },
-        );
-        let rows_computed = patched
-            .iter()
-            .map(|d| d.rows_computed() as u64)
-            .sum::<u64>();
+        let (fresh, patched) = self.run_heads(t, x, &targets, &halos, budget)?;
+        let rows_computed = rows_computed(&patched);
         self.revert_stages(patched);
-        let fresh = fresh?;
         let probs = rows
             .iter()
             .map(|r| {
@@ -785,8 +1117,9 @@ impl<'m> CascadeSession<'m> {
     }
 
     /// Undoes a [`CascadeSession::refresh`], restoring embeddings and
-    /// probabilities bit-for-bit. Deltas must be reverted in reverse order
-    /// of application.
+    /// probabilities bit-for-bit and forgetting the rows it grew inside
+    /// the dirty halo, which hold the refreshed state's values. Deltas
+    /// must be reverted in reverse order of application.
     pub fn revert(&mut self, delta: SessionDelta) {
         gcnt_obs::global().incr(gcnt_obs::counters::CORE_SESSION_REVERTS);
         let SessionDelta {
@@ -805,25 +1138,17 @@ impl<'m> CascadeSession<'m> {
 
     /// Adopts a grown graph after a committed observation-point insertion:
     /// extends every cache and probability vector to the new node count
-    /// (new entries zeroed) and the new generation. The caller must include
-    /// the inserted node and every SCOAP-changed node in the next
-    /// [`CascadeSession::refresh`] dirty set to make the placeholders real.
+    /// (new entries zeroed, new rows not valid) and the new generation. The
+    /// caller must include the inserted node and every SCOAP-changed node
+    /// in the next [`CascadeSession::refresh`] dirty set to make the
+    /// placeholders real: that refresh recomputes every kept row near the
+    /// insertion and grows the new rows its heads read.
     pub fn sync_nodes(&mut self, t: &GraphTensors) {
         let n = t.node_count();
         for cache in &mut self.caches {
             cache.extend_to(n, t.generation());
         }
         self.probs.resize(n, 0.0);
-    }
-
-    /// Makes room for `additional` more nodes in every cached layer and in
-    /// the probabilities, so that many nodes adopted by
-    /// [`CascadeSession::sync_nodes`] do not reallocate them.
-    pub fn reserve_nodes(&mut self, additional: usize) {
-        for layer in self.caches.iter_mut().flat_map(|c| c.layers.iter_mut()) {
-            layer.reserve_rows(additional);
-        }
-        self.probs.reserve_exact(additional);
     }
 
     /// Combined cascade probability per node, kept current by
@@ -842,6 +1167,18 @@ impl<'m> CascadeSession<'m> {
     pub fn full_rows(&self, n: usize) -> u64 {
         self.stages.iter().map(|g| g.depth() as u64).sum::<u64>() * n as u64
     }
+
+    /// Embedding rows the session holds valid, summed over stages and
+    /// layers: right after an open, the rows the opening pass computed.
+    pub fn cached_rows(&self) -> u64 {
+        let flags = self.caches.iter().flat_map(|c| &c.valid);
+        flags.map(|v| v.iter().filter(|&&f| f).count() as u64).sum()
+    }
+}
+
+/// Embedding rows computed by `deltas`, summed.
+fn rows_computed(deltas: &[EmbeddingDelta]) -> u64 {
+    deltas.iter().map(|d| d.rows_computed() as u64).sum()
 }
 
 /// Adds a refresh's or a preview's embedding rows to the incremental
@@ -872,6 +1209,7 @@ impl MultiStageGcn {
             self.filter_threshold(),
             t,
             x,
+            0,
             &Budget::unlimited(),
             &mut MatrixBackend::serial(),
         )
@@ -898,6 +1236,150 @@ mod tests {
             ..GcnConfig::default()
         };
         Gcn::new(&cfg, &mut seeded_rng(seed))
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn all(t: &GraphTensors) -> Vec<usize> {
+        (0..t.node_count()).collect()
+    }
+
+    /// The invariant every session call keeps: a valid row holds the full
+    /// pass's value, bit for bit, and reads only valid rows.
+    fn assert_valid_rows_exact(session: &CascadeSession<'_>, t: &GraphTensors, x: &Matrix) {
+        for (s, (gcn, cache)) in session.stages.iter().zip(&session.caches).enumerate() {
+            let full = gcn.embed_cached(t, x).unwrap();
+            for (d, (layer, want)) in cache.layers().iter().zip(full.layers()).enumerate() {
+                for r in (0..t.node_count()).filter(|&r| cache.is_valid(d, r)) {
+                    assert_eq!(
+                        bits(layer.row(r)),
+                        bits(want.row(r)),
+                        "stage {s} layer {d} row {r}"
+                    );
+                    for v in t.halo_step(&[r]).into_iter().filter(|_| d > 0) {
+                        assert!(
+                            cache.is_valid(d - 1, v),
+                            "stage {s} layer {d} row {r} reads {v}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Which rows each stage holds: `[stage][layer][row]`.
+    fn held(session: &CascadeSession<'_>) -> Vec<Vec<Vec<bool>>> {
+        session.caches.iter().map(|c| c.valid.clone()).collect()
+    }
+
+    /// What a session opened on graph `t` and features `x` holds.
+    fn held_at_open(model: &MultiStageGcn, t: &GraphTensors, x: &Matrix) -> Vec<Vec<Vec<bool>>> {
+        held(&model.open_session(t, x).unwrap())
+    }
+
+    /// Stage 0 is cached whole; a later stage only on the backward halo
+    /// of the rows that reach it. Every call after keeps the valid rows
+    /// exact, and what the session holds is what an open on the same
+    /// state would hold: refreshes, their reverts, previews and
+    /// insertions.
+    #[test]
+    fn later_stages_cache_only_what_their_heads_read() {
+        let (data, mut net) = design(19, 300);
+        let (mut t, mut x) = (data.tensors.clone(), data.features.clone());
+        let stages = vec![small_gcn(2, 81), small_gcn(3, 82), small_gcn(2, 83)];
+        let mut p0 = stages[0].predict_proba(&t, &x).unwrap();
+        p0.sort_by(f32::total_cmp);
+        let model = MultiStageGcn::from_stages(stages, p0[p0.len() / 2]);
+        let mut session = model.open_session(&t, &x).unwrap();
+        assert_valid_rows_exact(&session, &t, &x);
+        let n = t.node_count();
+        let p0 = model.stages()[0].predict_proba(&t, &x).unwrap();
+        let reach1: Vec<usize> = (0..n)
+            .filter(|&v| p0[v] >= model.filter_threshold())
+            .collect();
+        let stage1 = &session.caches[1];
+        let valid = |d: usize| {
+            (0..n)
+                .filter(|&r| stage1.is_valid(d, r))
+                .collect::<Vec<_>>()
+        };
+        assert!(!reach1.is_empty() && reach1.len() < n);
+        assert_eq!(valid(2), reach1);
+        assert_eq!(valid(1), t.halo_step(&reach1));
+        assert_eq!(valid(0), t.halo_step(&t.halo_step(&reach1)));
+        assert!(session.cached_rows() < session.full_rows(n));
+        let caches = session.clone().into_caches(&t, &x).unwrap();
+        let warm = CascadeSession::from_caches(&model, &t, &x, caches).unwrap();
+        assert!(
+            held(&warm) == held(&session),
+            "reopened from complete caches"
+        );
+
+        let mut scoap = gcnt_netlist::Scoap::compute(&net).unwrap();
+        for step in 0..6 {
+            let dirty: Vec<usize> = (0..3).map(|k| (step * 53 + k * 29) % n).collect();
+            let saved: Vec<f32> = dirty.iter().map(|&r| x.get(r, 3)).collect();
+            for &r in &dirty {
+                x.set(r, 3, x.get(r, 3) + 1.5);
+            }
+            let before = (session.probs().to_vec(), held(&session));
+            let (peek, _) = session
+                .probs_after(&t, &x, &dirty, &all(&t), &Budget::unlimited())
+                .unwrap();
+            assert!(
+                held(&session) == before.1,
+                "step {step}: a preview keeps nothing"
+            );
+            let delta = session.refresh(&t, &x, &dirty).unwrap();
+            assert_eq!(bits(&peek), bits(session.probs()), "step {step}: preview");
+            assert_eq!(
+                session.probs(),
+                model.predict_proba(&t, &x).unwrap().as_slice()
+            );
+            assert_valid_rows_exact(&session, &t, &x);
+            assert!(
+                held(&session) == held_at_open(&model, &t, &x),
+                "step {step}: refresh"
+            );
+            for (&r, &v) in dirty.iter().zip(&saved) {
+                x.set(r, 3, v);
+            }
+            session.revert(delta);
+            assert_eq!(
+                bits(session.probs()),
+                bits(&before.0),
+                "step {step}: revert"
+            );
+            assert!(held(&session) == before.1, "step {step}: revert");
+            assert_valid_rows_exact(&session, &t, &x);
+
+            let target = net
+                .nodes()
+                .filter(|&v| scoap.co(v) > 0 && !net.fanout(v).is_empty())
+                .nth(step * 7)
+                .unwrap();
+            let op = net.insert_observation_point(target).unwrap();
+            t.insert_observation_point(target, op).unwrap();
+            let mut dirty = vec![target.index(), op.index()];
+            for v in scoap.observe(&net, target, op) {
+                x.set(v.index(), 3, 0.5);
+                dirty.push(v.index());
+            }
+            x.push_row(&[0.0, 1.0, 1.0, 0.0]).unwrap();
+            session.sync_nodes(&t);
+            session.refresh(&t, &x, &dirty).unwrap();
+            assert_eq!(
+                session.probs(),
+                model.predict_proba(&t, &x).unwrap().as_slice()
+            );
+            assert_valid_rows_exact(&session, &t, &x);
+            assert!(
+                held(&session) == held_at_open(&model, &t, &x),
+                "step {step}: insertion"
+            );
+        }
     }
 
     #[test]
@@ -989,6 +1471,7 @@ mod tests {
             &gcn,
             &data.tensors,
             &data.features,
+            0,
             &Budget::unlimited(),
             &mut MatrixBackend::serial(),
         )
@@ -1007,7 +1490,8 @@ mod tests {
         // Persist-and-restore: rebuild each cache from its raw layers, as
         // a warm restart loading embedding pages would.
         let caches: Vec<EmbeddingCache> = reference
-            .into_caches()
+            .into_caches(&data.tensors, &data.features)
+            .unwrap()
             .into_iter()
             .map(|c| {
                 let generation = c.generation();
@@ -1026,7 +1510,8 @@ mod tests {
         let stale: Vec<EmbeddingCache> = model
             .open_session(&data.tensors, &data.features)
             .unwrap()
-            .into_caches()
+            .into_caches(&data.tensors, &data.features)
+            .unwrap()
             .into_iter()
             .map(|c| EmbeddingCache::from_layers(c.layers().to_vec(), 7).unwrap())
             .collect();
@@ -1095,6 +1580,7 @@ mod tests {
             &gcn,
             &t,
             &x,
+            1,
             &Budget::unlimited(),
             &mut MatrixBackend::serial(),
         )
@@ -1106,7 +1592,6 @@ mod tests {
         let op = net.insert_observation_point(target).unwrap();
         t.insert_observation_point(target, op).unwrap();
         x.push_row(&[0.0, 1.0, 1.0, 0.0]).unwrap();
-        session.reserve_nodes(1);
         let kept: Vec<*const f32> = session
             .caches
             .iter()
@@ -1118,7 +1603,7 @@ mod tests {
             .iter()
             .map(|c| c.final_embedding().as_slice().as_ptr())
             .collect();
-        assert_eq!(kept, moved, "a reserved session grows in place");
+        assert_eq!(kept, moved, "a session opened with room grows in place");
         assert_eq!(session.node_count(), t.node_count());
         session
             .refresh(&t, &x, &[target.index(), op.index()])

@@ -135,7 +135,8 @@ pub type FullPass<'a> = &'a dyn Fn(&GraphTensors, &Matrix) -> Result<Vec<f32>, T
 pub trait FlowClassifier {
     /// Opens the run's inference over graph `t` with features `x`. Every
     /// pass the returned object runs — the opening one included — checks
-    /// `budget`.
+    /// `budget`. `room` is how many nodes the run may add: a session
+    /// allocates its caches once with room for them.
     ///
     /// # Errors
     ///
@@ -146,6 +147,7 @@ pub trait FlowClassifier {
         &'a self,
         t: &GraphTensors,
         x: &Matrix,
+        room: usize,
         budget: &'a Budget,
     ) -> Result<Inference<'a>, TensorError>;
 }
@@ -161,6 +163,7 @@ where
         &'a self,
         _t: &GraphTensors,
         _x: &Matrix,
+        _room: usize,
         budget: &'a Budget,
     ) -> Result<Inference<'a>, TensorError> {
         Ok(Inference::full_pass(self, budget))
@@ -172,11 +175,13 @@ impl FlowClassifier for &Gcn {
         &'a self,
         t: &GraphTensors,
         x: &Matrix,
+        room: usize,
         budget: &'a Budget,
     ) -> Result<Inference<'a>, TensorError> {
         // Only the opening pass can read the backend: drop it with it.
         let mut backend = MatrixBackend::auto(t);
-        let session = CascadeSession::for_gcn_budgeted_with(self, t, x, budget, &mut backend)?;
+        let session =
+            CascadeSession::for_gcn_budgeted_with(self, t, x, room, budget, &mut backend)?;
         Ok(Inference::session(session, budget))
     }
 }
@@ -186,10 +191,12 @@ impl FlowClassifier for &MultiStageGcn {
         &'a self,
         t: &GraphTensors,
         x: &Matrix,
+        room: usize,
         budget: &'a Budget,
     ) -> Result<Inference<'a>, TensorError> {
         let mut backend = MatrixBackend::auto(t);
-        let session = CascadeSession::for_cascade_budgeted_with(self, t, x, budget, &mut backend)?;
+        let session =
+            CascadeSession::for_cascade_budgeted_with(self, t, x, room, budget, &mut backend)?;
         Ok(Inference::session(session, budget))
     }
 }
@@ -235,12 +242,12 @@ impl<'a> Inference<'a> {
         Self::new(Engine::FullPass(pass), budget)
     }
 
-    /// Accounts the full pass that opened a session. (A full-pass
-    /// inference has run nothing yet.)
+    /// Accounts the pass that opened a session: the rows it cached
+    /// against a full pass's. (A full-pass inference has run nothing yet.)
     fn note_opening_pass(&mut self) {
         if let Engine::Session(s) = &self.engine {
-            let rows = s.full_rows(s.node_count());
-            self.stats.note(rows, rows);
+            self.stats
+                .note(s.cached_rows(), s.full_rows(s.node_count()));
         }
     }
 
@@ -302,14 +309,6 @@ impl<'a> Inference<'a> {
                 let probs = run_full_pass(*pass, &mut self.stats, self.budget, tensors, features)?;
                 Ok(positives_in(cone, &probs, threshold))
             }
-        }
-    }
-
-    /// Makes room in a session for `additional` more nodes, so adopting
-    /// the graphs the run grows never reallocates its caches.
-    fn reserve_nodes(&mut self, additional: usize) {
-        if let Engine::Session(s) = &mut self.engine {
-            s.reserve_nodes(additional);
         }
     }
 
@@ -660,11 +659,32 @@ where
         // Whether the journal shows the iteration loop already exited
         // (convergence or a no-progress iteration).
         let mut loop_done = false;
+        // Every insertion observes a distinct node of the design, so the
+        // run adds at most one node per node it has.
+        let room = cfg
+            .max_iterations
+            .saturating_mul(cfg.ops_per_iteration)
+            .min(state.net.node_count());
+        // One inference for the whole run. A resumed run opens it where the
+        // journaled run's last refresh left its session — before the last
+        // batch, whose insertions it then adopts one by one — so the
+        // continuation's session holds, and its refreshes compute, what the
+        // uninterrupted run's did. (A converged journal has nothing left to
+        // run or count; it skips even the opening, so the budget is not
+        // charged for unused work.)
+        let mut opened = None;
+        let converged_before = resume.iter().any(|rec| rec.converged);
         for (k, rec) in resume.iter().enumerate() {
+            if k + 1 == resume.len() && !converged_before {
+                opened = Some(classify.open(&state.tensors, &state.features, room, budget)?);
+            }
             budget.charge(0)?; // budget checkpoint between batches
             state.stale = vec![false; state.net.node_count()];
             for &target in &rec.inserted {
                 commit(&mut state, target)?;
+                if let Some(inference) = &mut opened {
+                    inference.adopt(&state.tensors);
+                }
                 inserted.push(target);
             }
             skipped.extend(rec.skipped.iter().copied());
@@ -692,23 +712,16 @@ where
         }
 
         if loop_done && converged {
-            // Nothing left to run or count; skip even the session opening
-            // so the budget is not charged for unused work.
             return Ok(());
         }
 
-        // One inference for the whole run, opened over the post-replay
-        // graph state. A session's opening pass is counted — except on
-        // resume, where the original run's opening pass is already inside
-        // the restored stats.
-        let mut inference = classify.open(&state.tensors, &state.features, budget)?;
-        // Every insertion observes a distinct node of the design, so the
-        // run adds at most one node per node it has.
-        inference.reserve_nodes(
-            cfg.max_iterations
-                .saturating_mul(cfg.ops_per_iteration)
-                .min(state.net.node_count()),
-        );
+        // A session's opening pass is counted — except on resume, where
+        // the original run's opening pass is already inside the restored
+        // stats.
+        let mut inference = match opened {
+            Some(inference) => inference,
+            None => classify.open(&state.tensors, &state.features, room, budget)?,
+        };
         if resume.is_empty() {
             inference.note_opening_pass();
         } else {
@@ -1179,7 +1192,7 @@ mod tests {
             normalizer: norm.clone(),
         };
         let budget = Budget::unlimited();
-        let mut inference = classify.open(&tensors, &pristine, &budget).unwrap();
+        let mut inference = classify.open(&tensors, &pristine, 0, &budget).unwrap();
 
         let mut checked = 0;
         for target in net.nodes() {
@@ -1274,11 +1287,12 @@ mod tests {
             &'a self,
             t: &GraphTensors,
             x: &Matrix,
+            room: usize,
             budget: &'a Budget,
         ) -> Result<Inference<'a>, TensorError> {
             let mut backend = MatrixBackend::partitioned(t, 3)?;
             let session =
-                CascadeSession::for_gcn_budgeted_with(self.0, t, x, budget, &mut backend)?;
+                CascadeSession::for_gcn_budgeted_with(self.0, t, x, room, budget, &mut backend)?;
             Ok(Inference::session(session, budget))
         }
     }
@@ -1374,7 +1388,7 @@ mod tests {
         let op_row = norm.observation_point_row();
         let tensors = GraphTensors::from_netlist(net);
         let features = norm.apply(&gcnt_core::features::raw_features_of(net).unwrap());
-        let mut session = classify.open(&tensors, &features, &budget).unwrap();
+        let mut session = classify.open(&tensors, &features, 0, &budget).unwrap();
         // The state after the latest commit, and every row dirtied since
         // `session` last refreshed.
         let latest: RefCell<(Option<FlowState>, Vec<usize>)> = RefCell::default();

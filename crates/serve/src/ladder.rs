@@ -137,8 +137,9 @@ pub fn classify_with_ladder_backed(
 ) -> Result<(LadderResult, Option<Vec<EmbeddingCache>>), ServeError> {
     let mut dropped = Vec::new();
 
-    // Rung 0: incremental session. Opening one embeds every row at every
-    // layer of every stage; a deadline below that is decided by
+    // Rung 0: incremental session. It embeds every row at every layer of
+    // every stage — the opening pass a later stage's halo, completing the
+    // caches it hands back the rest; a deadline below that is decided by
     // arithmetic, leaving the budget whole for the cheaper rung below.
     let session_rows =
         model.stages().iter().map(|g| g.depth() as u64).sum::<u64>() * t.node_count() as u64;
@@ -158,7 +159,7 @@ pub fn classify_with_ladder_backed(
             ),
         });
     } else {
-        match CascadeSession::for_cascade_budgeted_with(model, t, x, budget, backend) {
+        match CascadeSession::for_cascade_budgeted_with(model, t, x, 0, budget, backend) {
             Ok(session) => {
                 let probs = session.probs().to_vec();
                 return Ok((
@@ -167,7 +168,7 @@ pub fn classify_with_ladder_backed(
                         rung: Rung::Incremental,
                         dropped,
                     },
-                    Some(session.into_caches()),
+                    Some(session.into_caches(t, x)?),
                 ));
             }
             Err(e) if degrades(&e) => dropped.push(RungDrop {

@@ -324,7 +324,7 @@ mod tests {
         let (net, data, model) = fixture();
         let session = model.open_session(&data.tensors, &data.features).unwrap();
         let cold_probs = session.probs().to_vec();
-        let caches = session.into_caches();
+        let caches = session.into_caches(&data.tensors, &data.features).unwrap();
         let n = data.node_count() as u64;
         let generation = data.tensors.generation();
 
@@ -356,7 +356,7 @@ mod tests {
     fn corrupt_segment_is_quarantined_and_reports_a_miss() {
         let (net, data, model) = fixture();
         let session = model.open_session(&data.tensors, &data.features).unwrap();
-        let caches = session.into_caches();
+        let caches = session.into_caches(&data.tensors, &data.features).unwrap();
         let n = data.node_count() as u64;
         let generation = data.tensors.generation();
         let fp = design_fingerprint(&net, &model).unwrap();

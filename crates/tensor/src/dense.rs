@@ -687,13 +687,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Makes room for `additional` more rows, exactly, so that many
-    /// [`Matrix::push_row`] calls do not reallocate.
-    pub fn reserve_rows(&mut self, additional: usize) {
-        self.data
-            .reserve_exact(additional.saturating_mul(self.cols));
-    }
-
     /// Stacks `self` on top of `other`.
     ///
     /// # Errors

@@ -13,10 +13,17 @@
 /// The number of workers a parallel call runs on: one per core, as
 /// `rayon::current_num_threads` reports for the global pool. A caller
 /// that cuts its own work into one piece per worker sizes it from this.
+///
+/// Asked of the OS once per process, as rayon sizes its pool once:
+/// `available_parallelism` reads the affinity mask and cgroup files, tens
+/// of microseconds a call, and every parallel call asks.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Runs `f` on every `(index, chunk)` of `slice` cut into `chunk_size`
@@ -201,6 +208,13 @@ mod tests {
         );
         assert!(data.iter().all(|&v| v == 1));
         assert!((1..=super::current_num_threads()).contains(&states.into_inner()));
+    }
+
+    #[test]
+    fn the_worker_count_is_the_machines() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(super::current_num_threads(), cores);
+        assert_eq!(super::current_num_threads(), cores, "asked twice");
     }
 
     #[test]

@@ -11,14 +11,17 @@
 //! a session maintained across insertions that push rows over the
 //! threshold both ways, and with the budget charged exactly the rows the
 //! filter computes. A session's preview (`CascadeSession::probs_after`) is
-//! held to a refresh of the same dirty rows, its work to a count written
-//! from the halo definition.
+//! held to a refresh of the same dirty rows. The rows a session computes —
+//! opening, refreshing, previewing, growing a later stage — are held to
+//! [`Held`], a model of which rows each stage caches written from the halo
+//! definition.
 
 use proptest::prelude::*;
 
 use gcn_testability::gcn::features::squash;
 use gcn_testability::gcn::{
     CascadeSession, Gcn, GcnConfig, GraphData, GraphTensors, MatrixBackend, MultiStageGcn,
+    SessionDelta,
 };
 use gcn_testability::netlist::{
     generate, CellKind, GeneratorConfig, Netlist, NetlistBuilder, Scoap,
@@ -26,6 +29,15 @@ use gcn_testability::netlist::{
 use gcn_testability::nn::seeded_rng;
 use gcn_testability::obs::catalog::counters;
 use gcn_testability::tensor::{Budget, Matrix, TensorError};
+
+/// Held by every test that refreshes or previews a session, which adds to
+/// the process-wide row counters, while
+/// `session_stays_exact_while_rows_cross_the_threshold` reads them.
+static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn counters_lock() -> std::sync::MutexGuard<'static, ()> {
+    COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Strategy: a small random DAG netlist (same construction as
 /// `tests/properties.rs`).
@@ -146,7 +158,8 @@ fn all_paths_match(
     }
     let session = model.open_session(t, x).map_err(err)?;
     check("open_session", session.probs())?;
-    let warm = CascadeSession::from_caches(model, t, x, session.into_caches()).map_err(err)?;
+    let caches = session.into_caches(t, x).map_err(err)?;
+    let warm = CascadeSession::from_caches(model, t, x, caches).map_err(err)?;
     check("from_caches", warm.probs())
 }
 
@@ -188,12 +201,18 @@ proptest! {
     }
 }
 
-/// Every cached layer's bits and the probabilities' bits: the whole state
-/// a session carries between calls.
-fn session_bits(session: &CascadeSession<'_>) -> (Vec<Vec<u32>>, Vec<u32>) {
+/// Every cached layer's bits, completed, the probabilities' bits and the
+/// rows held: the whole state a session serves between calls on graph `t`
+/// and features `x`.
+fn session_bits(
+    session: &CascadeSession<'_>,
+    t: &GraphTensors,
+    x: &Matrix,
+) -> (Vec<Vec<u32>>, Vec<u32>, u64) {
     let layers = session
         .clone()
-        .into_caches()
+        .into_caches(t, x)
+        .unwrap()
         .iter()
         .flat_map(|c| {
             c.layers()
@@ -202,7 +221,7 @@ fn session_bits(session: &CascadeSession<'_>) -> (Vec<Vec<u32>>, Vec<u32>) {
                 .collect::<Vec<_>>()
         })
         .collect();
-    (layers, bits(session.probs()))
+    (layers, bits(session.probs()), session.cached_rows())
 }
 
 /// Membership of the dirty halos `H_0..H_depth` (`H_0 = dirty`,
@@ -222,43 +241,119 @@ fn halo_flags(t: &GraphTensors, dirty: &[usize], depth: usize) -> Vec<Vec<bool>>
     flags
 }
 
-/// The embedding rows a preview of `rows` must compute, counted from the
-/// definition: a row is a stage's target if it is in the deepest halo and
-/// no earlier stage filtered it (per-stage probabilities over every row);
-/// each target inside its stage's `D`-hop halo is walked back one
-/// `halo_step` at a time, keeping only rows of the layer's halo, and the
-/// walks' union is counted per layer.
-fn preview_rows(
-    model: &MultiStageGcn,
-    t: &GraphTensors,
-    x: &Matrix,
-    dirty: &[usize],
-    rows: &[usize],
-) -> u64 {
-    let deepest = model.stages().iter().map(Gcn::depth).max().unwrap_or(0);
-    let halo = halo_flags(t, dirty, deepest);
-    let probs = per_stage(model, t, x);
-    let mut alive: Vec<usize> = rows.iter().copied().filter(|&r| halo[deepest][r]).collect();
-    alive.sort_unstable();
-    alive.dedup();
-    let mut total = 0u64;
-    for (s, gcn) in model.stages().iter().enumerate() {
-        let depth = gcn.depth();
-        let mut union = vec![std::collections::BTreeSet::new(); depth + 1];
-        for &target in alive.iter().filter(|&&r| halo[depth][r]) {
-            let mut walk = vec![target];
-            for d in (1..=depth).rev() {
-                union[d].extend(walk.iter().copied());
-                walk = t.halo_step(&walk);
-                walk.retain(|&v| halo[d - 1][v]);
+/// Which rows each stage of a session holds, written from the definition
+/// with per-stage probabilities over every row and `halo_step` alone:
+/// `rows[s][d][v]` says whether stage `s` caches row `v` of layer `d`
+/// (`E_{d+1}`), which changes when the features in `H_{d+1}` do. What a
+/// session holds depends only on the graph and the features, never on the
+/// calls that led there. Each method applies one session call and returns
+/// the embedding rows the call must compute.
+#[derive(Clone, PartialEq, Debug)]
+struct Held {
+    rows: Vec<Vec<Vec<bool>>>,
+}
+
+impl Held {
+    /// What a session holds on graph `t` with features `x`: stage 0 every
+    /// row; a later stage of depth `D`, in layer `d`, the
+    /// `(D - 1 - d)`-hop halo of the rows that reach it. An open computes
+    /// all of it.
+    fn opened(model: &MultiStageGcn, t: &GraphTensors, x: &Matrix) -> (Self, u64) {
+        let n = t.node_count();
+        let probs = per_stage(model, t, x);
+        let mut reach: Vec<usize> = (0..n).collect();
+        let mut rows = Vec::new();
+        for (s, gcn) in model.stages().iter().enumerate() {
+            let mut layers = vec![vec![false; n]; gcn.depth()];
+            let mut need = reach.clone();
+            for d in (0..gcn.depth()).rev() {
+                for &v in &need {
+                    layers[d][v] = true;
+                }
+                need = t.halo_step(&need);
             }
+            rows.push(layers);
+            reach.retain(|&v| !filtered(probs[s][v], model.filter_threshold()));
         }
-        total += union.iter().map(|u| u.len() as u64).sum::<u64>();
-        if s + 1 < model.stages().len() {
+        let held = Held { rows };
+        let count = held.count();
+        (held, count)
+    }
+
+    /// Rows held, summed over stages and layers.
+    fn count(&self) -> u64 {
+        self.rows.iter().flatten().flatten().filter(|&&f| f).count() as u64
+    }
+
+    /// A preview of `rows` with the feature rows `dirty` changed to `x`:
+    /// a stage's target is a row of the deepest halo no earlier stage
+    /// filtered; each target is walked back one `halo_step` at a time,
+    /// keeping only the rows in the layer's halo or not held, and the walks
+    /// are united per layer. Nothing is kept.
+    fn preview(
+        &self,
+        model: &MultiStageGcn,
+        t: &GraphTensors,
+        x: &Matrix,
+        dirty: &[usize],
+        rows: &[usize],
+    ) -> u64 {
+        let deepest = model.stages().iter().map(Gcn::depth).max().unwrap_or(0);
+        let halo = halo_flags(t, dirty, deepest);
+        let probs = per_stage(model, t, x);
+        let mut alive: Vec<usize> = rows.iter().copied().filter(|&r| halo[deepest][r]).collect();
+        alive.sort_unstable();
+        alive.dedup();
+        let mut total = 0u64;
+        for (s, held) in self.rows.iter().enumerate() {
+            let stale = |d: usize, v: usize| halo[d + 1][v] || !held[d][v];
+            let depth = held.len();
+            let mut union = vec![std::collections::BTreeSet::new(); depth];
+            for &target in alive.iter().filter(|&&v| stale(depth - 1, v)) {
+                let mut walk = vec![target];
+                for d in (0..depth).rev() {
+                    union[d].extend(walk.iter().copied());
+                    walk = t.halo_step(&walk);
+                    walk.retain(|&v| d > 0 && stale(d - 1, v));
+                }
+            }
+            total += union.iter().map(|u| u.len() as u64).sum::<u64>();
             alive.retain(|&v| !filtered(probs[s][v], model.filter_threshold()));
         }
+        total
     }
-    total
+
+    /// A refresh with the feature rows `dirty` changed to `x`: afterwards
+    /// the session holds what an open on the new state would, having
+    /// recomputed the rows it held before and still holds inside their
+    /// layer's halo, and computed the rows it did not hold. Returns that
+    /// count and what was held before, which a revert restores.
+    fn refresh(
+        &mut self,
+        model: &MultiStageGcn,
+        t: &GraphTensors,
+        x: &Matrix,
+        dirty: &[usize],
+    ) -> (u64, Held) {
+        let deepest = model.stages().iter().map(Gcn::depth).max().unwrap_or(0);
+        let halo = halo_flags(t, dirty, deepest);
+        let (after, _) = Held::opened(model, t, x);
+        let mut total = 0u64;
+        for (layers, kept) in self.rows.iter().zip(&after.rows) {
+            for (d, (held, kept)) in layers.iter().zip(kept).enumerate() {
+                let computed = (0..held.len()).filter(|&v| kept[v] && (!held[v] || halo[d + 1][v]));
+                total += computed.count() as u64;
+            }
+        }
+        (total, std::mem::replace(self, after))
+    }
+
+    /// An insertion adopted: the new rows are not held.
+    fn sync(&mut self, t: &GraphTensors) {
+        for held in self.rows.iter_mut().flatten() {
+            held.resize(t.node_count(), false);
+        }
+    }
 }
 
 proptest! {
@@ -280,12 +375,15 @@ proptest! {
         picks in proptest::collection::vec(any::<usize>(), 1..12),
         stop in 0.0f64..1.0,
     ) {
+        let _counters = counters_lock();
         let data = GraphData::from_netlist(&net, None).unwrap();
         let (t, n) = (&data.tensors, data.tensors.node_count());
         let thr = [0.0, 0.25, 1.0][which];
         let model = MultiStageGcn::from_stages(stages(&depths, seed), thr);
-        let mut session = model.open_session(t, &data.features).unwrap();
-        let kept = session_bits(&session);
+        let base = &data.features;
+        let mut session = model.open_session(t, base).unwrap();
+        let (held, _) = Held::opened(&model, t, base);
+        let kept = session_bits(&session, t, base);
 
         let dirty: Vec<usize> = dirty.iter().map(|&r| r % n).collect();
         let mut x = data.features.clone();
@@ -312,9 +410,9 @@ proptest! {
                 .unwrap();
             let want: Vec<f32> = rows.iter().map(|&r| refreshed.probs()[r]).collect();
             prop_assert_eq!(bits(&got), bits(&want), "{}: probabilities", label);
-            prop_assert!(session_bits(&session) == kept, "{}: session changed", label);
+            prop_assert!(session_bits(&session, t, base) == kept, "{}: session changed", label);
             prop_assert!(computed <= delta.rows_computed(), "{}: {} > {}", label, computed, delta.rows_computed());
-            prop_assert_eq!(computed, preview_rows(&model, t, &x, &dirty, rows), "{}: rows computed", label);
+            prop_assert_eq!(computed, held.preview(&model, t, &x, &dirty, rows), "{}: rows computed", label);
 
             let cap = (computed as f64 * stop) as u64;
             if cap < computed {
@@ -323,7 +421,7 @@ proptest! {
                     matches!(stopped, Err(TensorError::BudgetExceeded { .. })),
                     "{}: a budget of {} for {} rows", label, cap, computed
                 );
-                prop_assert!(session_bits(&session) == kept, "{}: session changed by a stop", label);
+                prop_assert!(session_bits(&session, t, base) == kept, "{}: session changed by a stop", label);
             }
         }
     }
@@ -401,15 +499,18 @@ fn crossing_fixture() -> (Netlist, GraphData, MultiStageGcn) {
 /// A session maintained over insertions, the way the flow maintains it
 /// (`tests/api_surface.rs`): exact after every step, with rows crossing
 /// the threshold in both directions, previews reverted bit for bit, and
-/// the work accounting the parent commit reported.
+/// the work accounting `Held` counts.
 #[test]
 fn session_stays_exact_while_rows_cross_the_threshold() {
+    let _counters = counters_lock();
     let (mut net, data, model) = crossing_fixture();
     let thr = model.filter_threshold();
     let (mut t, mut x) = (data.tensors.clone(), data.features.clone());
     let mut scoap = Scoap::compute(&net).unwrap();
     let mut session = model.open_session(&t, &x).unwrap();
     assert_eq!(bits(session.probs()), oracle(&model, &t, &x));
+    let (mut held, opened) = Held::opened(&model, &t, &x);
+    assert_eq!(session.cached_rows(), opened);
 
     let obs = gcn_testability::obs::global();
     obs.enable();
@@ -421,6 +522,11 @@ fn session_stays_exact_while_rows_cross_the_threshold() {
 
     let (mut rose, mut fell) = (0usize, 0usize);
     let mut accounting = Vec::new();
+    let (mut held_computed, mut held_reused) = (0u64, 0u64);
+    let mut note = |rows: u64, full: u64| {
+        held_computed += rows;
+        held_reused += full - rows;
+    };
     for step in 0..10 {
         // Preview: perturb a few rows, refresh, look, put everything back.
         let kept = bits(session.probs());
@@ -437,10 +543,18 @@ fn session_stays_exact_while_rows_cross_the_threshold() {
             oracle(&model, &t, &x),
             "preview {step}"
         );
+        let (rows, before) = held.refresh(&model, &t, &x, &peek);
+        assert_eq!(
+            preview.rows_computed(),
+            rows,
+            "preview {step}: rows computed"
+        );
+        note(rows, preview.rows_full_equivalent());
         for (&r, &v) in peek.iter().zip(&saved) {
             x.set(r, 3, v);
         }
         session.revert(preview);
+        held = before;
         assert_eq!(bits(session.probs()), kept, "revert {step}");
 
         // Commit: a different dirty set, straight after the revert.
@@ -461,6 +575,7 @@ fn session_stays_exact_while_rows_cross_the_threshold() {
         x.push_row(&data.normalizer.observation_point_row())
             .unwrap();
         session.sync_nodes(&t);
+        held.sync(&t);
         let delta = session.refresh(&t, &x, &dirty).unwrap();
         assert_eq!(
             bits(session.probs()),
@@ -468,6 +583,9 @@ fn session_stays_exact_while_rows_cross_the_threshold() {
             "step {step}"
         );
         assert_eq!(bits(session.probs()), oracle(&model, &t, &x), "step {step}");
+        let (rows, _) = held.refresh(&model, &t, &x, &dirty);
+        assert_eq!(delta.rows_computed(), rows, "step {step}: rows computed");
+        note(rows, delta.rows_full_equivalent());
         accounting.push((delta.rows_computed(), delta.rows_full_equivalent()));
 
         let stage0_after = model.stages()[0].predict_proba(&t, &x).unwrap();
@@ -482,32 +600,34 @@ fn session_stays_exact_while_rows_cross_the_threshold() {
          ({rose} filtered -> surviving, {fell} surviving -> filtered)"
     );
 
-    // The filter runs fewer heads, not fewer embedding rows: what a
-    // refresh computes and what it reports is what the parent reported.
-    assert_eq!(accounting, PARENT_ACCOUNTING);
+    // What a refresh computes and reports is `Held`'s count, and the
+    // counters add up every refresh's.
     let [computed, reused] = {
         let after = counted.map(|id| obs.counter(id));
         [after[0] - before[0], after[1] - before[1]]
     };
+    assert_eq!((computed, reused), (held_computed, held_reused));
+    assert_eq!(accounting, PARENT_ACCOUNTING);
     assert_eq!((computed, reused), PARENT_COUNTERS);
 }
 
 /// `(rows_computed, rows_full_equivalent)` of the ten committed refreshes
 /// above, and the `gcnt_core_incr_rows_{computed,reused}_total` deltas
-/// over all twenty refreshes, recorded at the parent commit (452b8e2).
+/// over all twenty refreshes, recorded when sessions began caching later
+/// stages only where their heads read; each equals `Held`'s count.
 const PARENT_ACCOUNTING: [(u64, u64); 10] = [
-    (46, 1640),
-    (30, 1645),
-    (55, 1650),
-    (30, 1655),
-    (98, 1660),
-    (75, 1665),
-    (30, 1670),
-    (39, 1675),
-    (39, 1680),
-    (39, 1685),
+    (41, 1640),
+    (26, 1645),
+    (50, 1650),
+    (20, 1655),
+    (76, 1660),
+    (52, 1665),
+    (15, 1670),
+    (25, 1675),
+    (26, 1680),
+    (27, 1685),
 ];
-const PARENT_COUNTERS: (u64, u64) = (1558, 31642);
+const PARENT_COUNTERS: (u64, u64) = (1174, 32026);
 
 /// What the filtered stateless pass must charge: stage 0 over every row,
 /// each later stage's layer `d` over the `(D - d)`-hop halo of the rows
@@ -587,4 +707,189 @@ fn the_budget_is_charged_the_rows_the_filter_computes() {
     run(&everybody, &budget).unwrap();
     assert_eq!(budget.spent(), expected_charge(&everybody, t, x));
     assert_eq!(budget.spent(), everything);
+}
+
+/// Moves the observability feature of each row of `rows` by ±1.5, the
+/// sign from the matching pick's parity, so rows cross the threshold both
+/// ways. Returns the old values, in order.
+fn perturb(x: &mut Matrix, rows: &[usize], picks: &[usize]) -> Vec<f32> {
+    let mut saved = Vec::with_capacity(rows.len());
+    for (&r, &p) in rows.iter().zip(picks) {
+        saved.push(x.get(r, 3));
+        x.set(r, 3, x.get(r, 3) + if p % 2 == 0 { 1.5 } else { -1.5 });
+    }
+    saved
+}
+
+/// Undoes [`perturb`], the last row first.
+fn restore(x: &mut Matrix, rows: &[usize], saved: &[f32]) {
+    for (&r, &v) in rows.iter().zip(saved).rev() {
+        x.set(r, 3, v);
+    }
+}
+
+/// Inserts an observation point at the `pick`-th node the flow could
+/// observe, the way the flow commits one: netlist, tensors, SCOAP-changed
+/// feature rows and the new node's row. Returns the dirty rows, or `None`
+/// if no node is left to observe.
+fn commit(
+    net: &mut Netlist,
+    t: &mut GraphTensors,
+    x: &mut Matrix,
+    scoap: &mut Scoap,
+    data: &GraphData,
+    pick: usize,
+) -> Option<Vec<usize>> {
+    let observable =
+        |v: &_| scoap.co(*v) > 0 && !matches!(net.kind(*v), CellKind::Output | CellKind::Dff);
+    let count = net.nodes().filter(observable).count();
+    let target = net.nodes().filter(observable).nth(pick % count.max(1))?;
+    let op = net.insert_observation_point(target).unwrap();
+    t.insert_observation_point(target, op).unwrap();
+    let mut dirty = vec![target.index(), op.index()];
+    for v in scoap.observe(net, target, op) {
+        let cell = data.normalizer.normalize_cell(3, squash(scoap.co(v)));
+        x.set(v.index(), 3, cell);
+        dirty.push(v.index());
+    }
+    x.push_row(&data.normalizer.observation_point_row())
+        .unwrap();
+    Some(dirty)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(600))]
+
+    /// A 2–3-stage session driven through random refreshes, reverts of
+    /// them, previews and committed insertions serves the oracle's bits
+    /// after every step and computes exactly the rows [`Held`] counts.
+    /// Stage 0's median as the threshold and changes of either sign move
+    /// rows across it both ways.
+    #[test]
+    fn a_session_driven_at_random_stays_the_oracle(
+        net in arb_netlist(),
+        depths in proptest::collection::vec(1usize..4, 2..4),
+        seed in any::<u64>(),
+        steps in proptest::collection::vec(
+            (0usize..4, proptest::collection::vec(any::<usize>(), 1..5)),
+            1..12,
+        ),
+    ) {
+        let _counters = counters_lock();
+        let mut net = net;
+        let data = GraphData::from_netlist(&net, None).unwrap();
+        let (mut t, mut x) = (data.tensors.clone(), data.features.clone());
+        let mut scoap = Scoap::compute(&net).unwrap();
+        let stages = stages(&depths, seed);
+        let thr = threshold(2, &stages[0], &t, &x);
+        let model = MultiStageGcn::from_stages(stages, thr);
+        let mut session = model.open_session(&t, &x).unwrap();
+        let (mut held, opened) = Held::opened(&model, &t, &x);
+        prop_assert_eq!(session.cached_rows(), opened);
+        // Refreshes a revert may still undo, the newest last.
+        let mut undo: Vec<(SessionDelta, Vec<usize>, Vec<f32>, Held)> = Vec::new();
+        for (step, (kind, picks)) in steps.iter().enumerate() {
+            let n = t.node_count();
+            let dirty: Vec<usize> = picks.iter().map(|&p| p % n).collect();
+            match kind {
+                0 => {
+                    let saved = perturb(&mut x, &dirty, picks);
+                    let delta = session.refresh(&t, &x, &dirty).unwrap();
+                    let (rows, before) = held.refresh(&model, &t, &x, &dirty);
+                    prop_assert_eq!(delta.rows_computed(), rows, "step {}: refresh", step);
+                    undo.push((delta, dirty, saved, before));
+                }
+                1 => {
+                    if let Some((delta, dirty, saved, before)) = undo.pop() {
+                        restore(&mut x, &dirty, &saved);
+                        session.revert(delta);
+                        held = before;
+                    }
+                }
+                2 => {
+                    let saved = perturb(&mut x, &dirty, picks);
+                    let every: Vec<usize> = (0..n).collect();
+                    let (got, computed) = session
+                        .probs_after(&t, &x, &dirty, &every, &Budget::unlimited())
+                        .unwrap();
+                    prop_assert_eq!(bits(&got), oracle(&model, &t, &x), "step {}: preview", step);
+                    let want = held.preview(&model, &t, &x, &dirty, &every);
+                    prop_assert_eq!(computed, want, "step {}: preview rows", step);
+                    restore(&mut x, &dirty, &saved);
+                }
+                _ => {
+                    // A commit keeps every refresh before it.
+                    undo.clear();
+                    let Some(dirty) = commit(&mut net, &mut t, &mut x, &mut scoap, &data, picks[0])
+                    else {
+                        continue;
+                    };
+                    session.sync_nodes(&t);
+                    held.sync(&t);
+                    let delta = session.refresh(&t, &x, &dirty).unwrap();
+                    let (rows, _) = held.refresh(&model, &t, &x, &dirty);
+                    prop_assert_eq!(delta.rows_computed(), rows, "step {}: commit", step);
+                }
+            }
+            prop_assert_eq!(bits(session.probs()), oracle(&model, &t, &x), "step {}", step);
+            prop_assert_eq!(session.cached_rows(), held.count(), "step {}: rows held", step);
+        }
+    }
+}
+
+/// The revert trap. A refresh that moves row `r` over the threshold grows
+/// stage 1 over `r` inside its dirty halo, so `r`'s cached row holds the
+/// refreshed value. Its revert must forget `r`: under a second, different
+/// change `r` reaches stage 1 again from outside that change's stage-1
+/// halo, and a kept row would be read stale.
+#[test]
+fn a_row_grown_inside_the_halo_is_forgotten_by_the_revert() {
+    let net = generate(&GeneratorConfig::sized("trap", 31, 300));
+    let data = GraphData::from_netlist(&net, None).unwrap();
+    let (t, base) = (&data.tensors, &data.features);
+    let n = t.node_count();
+    // Stage 0 sees three hops, stage 1 one: a change two hops from `r`
+    // moves `r`'s stage-0 score without touching its stage-1 row.
+    let stages = stages(&[3, 1], 5);
+    let thr = threshold(2, &stages[0], t, base);
+    let model = MultiStageGcn::from_stages(stages, thr);
+    let p0 = |x: &Matrix| model.stages()[0].predict_proba(t, x).unwrap();
+    let before = p0(base);
+    let rises = |x: &Matrix, r: usize| before[r] < thr && p0(x)[r] >= thr;
+    let changed = |v: usize, pick: usize| {
+        let mut x = base.clone();
+        perturb(&mut x, &[v], &[pick]);
+        x
+    };
+    let found = (0..n).flat_map(|a| [(a, 0), (a, 1)]).find_map(|(a, sa)| {
+        let first = changed(a, sa);
+        let lifted = t.halo_step(&[a]).into_iter().filter(|&r| rises(&first, r));
+        lifted.into_iter().find_map(|r| {
+            let near = t.halo_step(&[r]);
+            let far = t.halo_step(&t.halo_step(&near));
+            far.into_iter()
+                .filter(|b| near.binary_search(b).is_err())
+                .flat_map(|b| [(b, 0), (b, 1)])
+                .find(|&(b, sb)| rises(&changed(b, sb), r))
+                .map(|(b, sb)| (a, sa, r, b, sb))
+        })
+    });
+    let (a, sa, r, b, sb) = found.expect("a design with a row both changes lift");
+
+    let mut x = base.clone();
+    let mut session = model.open_session(t, &x).unwrap();
+    let saved = perturb(&mut x, &[a], &[sa]);
+    let delta = session.refresh(t, &x, &[a]).unwrap();
+    assert_eq!(bits(session.probs()), oracle(&model, t, &x), "first change");
+    restore(&mut x, &[a], &saved);
+    session.revert(delta);
+    assert_eq!(bits(session.probs()), oracle(&model, t, &x), "revert");
+    perturb(&mut x, &[b], &[sb]);
+    session.refresh(t, &x, &[b]).unwrap();
+    assert!(!filtered(p0(&x)[r], thr), "row {r} reaches stage 1 again");
+    assert_eq!(
+        bits(session.probs()),
+        oracle(&model, t, &x),
+        "second change: row {r}, grown under {a}, read under {b}"
+    );
 }

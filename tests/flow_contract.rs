@@ -18,6 +18,13 @@
 //! still alive to a stage and inside its `D`-hop dirty halo is walked back
 //! one `halo_step` at a time through the rows of each lower halo, and the
 //! walks' union is counted per layer. The other bytes did not move.
+//!
+//! The cascade run's `rows_computed` moved once more when sessions began
+//! caching a later stage only where its head reads (2626 → 2624 over the
+//! run). Those values were checked by replaying every session call of the
+//! run — open, refresh, preview, insertion — against `Held` in
+//! `tests/cascade_properties.rs`, a count written from the halo definition
+//! that matched each call. The single-stage runs did not move.
 
 use gcn_testability::dft::flow::{
     run_gcn_opi, run_gcn_opi_resumable, BatchRecord, FlowClassifier, FlowConfig, FlowOutcome,
@@ -34,7 +41,7 @@ use gcn_testability::tensor::{Budget, Matrix};
 const GCN_RUN: &str = r#"[{"inserted":[186,14,11,8,247,143,28,33,173],"converged":false,"remaining_positives":176,"history":[{"iteration":0,"positives":185,"inserted":3},{"iteration":1,"positives":182,"inserted":3},{"iteration":2,"positives":179,"inserted":3}],"skipped":[],"inference":{"rows_computed":2072,"rows_full":16504,"inferences":19}},[{"iteration":0,"positives":185,"inserted":[186,14,11],"skipped":[],"converged":false,"stats_after":{"rows_computed":1115,"rows_full":5172,"inferences":6}},{"iteration":1,"positives":182,"inserted":[8,247,143],"skipped":[],"converged":false,"stats_after":{"rows_computed":1613,"rows_full":10380,"inferences":12}},{"iteration":2,"positives":179,"inserted":[28,33,173],"skipped":[],"converged":false,"stats_after":{"rows_computed":1964,"rows_full":15624,"inferences":18}}]]"#;
 const GCN_NET: &str = "f061f776e7e4891a";
 
-const CASCADE_RUN: &str = r#"[{"inserted":[188,148,170,179,63,101,46,100,113],"converged":false,"remaining_positives":30,"history":[{"iteration":0,"positives":36,"inserted":3},{"iteration":1,"positives":35,"inserted":3},{"iteration":2,"positives":31,"inserted":3}],"skipped":[],"inference":{"rows_computed":2626,"rows_full":33008,"inferences":19}},[{"iteration":0,"positives":36,"inserted":[188,148,170],"skipped":[],"converged":false,"stats_after":{"rows_computed":1854,"rows_full":10344,"inferences":6}},{"iteration":1,"positives":35,"inserted":[179,63,101],"skipped":[],"converged":false,"stats_after":{"rows_computed":2172,"rows_full":20760,"inferences":12}},{"iteration":2,"positives":31,"inserted":[46,100,113],"skipped":[],"converged":false,"stats_after":{"rows_computed":2416,"rows_full":31248,"inferences":18}}]]"#;
+const CASCADE_RUN: &str = r#"[{"inserted":[188,148,170,179,63,101,46,100,113],"converged":false,"remaining_positives":30,"history":[{"iteration":0,"positives":36,"inserted":3},{"iteration":1,"positives":35,"inserted":3},{"iteration":2,"positives":31,"inserted":3}],"skipped":[],"inference":{"rows_computed":2624,"rows_full":33008,"inferences":19}},[{"iteration":0,"positives":36,"inserted":[188,148,170],"skipped":[],"converged":false,"stats_after":{"rows_computed":1853,"rows_full":10344,"inferences":6}},{"iteration":1,"positives":35,"inserted":[179,63,101],"skipped":[],"converged":false,"stats_after":{"rows_computed":2171,"rows_full":20760,"inferences":12}},{"iteration":2,"positives":31,"inserted":[46,100,113],"skipped":[],"converged":false,"stats_after":{"rows_computed":2415,"rows_full":31248,"inferences":18}}]]"#;
 const CASCADE_NET: &str = "fb5a3badc5c15726";
 
 /// A closure gets the full path: the same insertions as the session run

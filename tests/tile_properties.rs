@@ -189,7 +189,8 @@ fn cascade_matches(model: &MultiStageGcn, t: &GraphTensors, x: &Matrix, what: &s
     }
     let session = model.open_session(t, x).unwrap();
     assert_eq!(bits(session.probs()), want, "{what}, session open");
-    let warm = CascadeSession::from_caches(model, t, x, session.into_caches()).unwrap();
+    let caches = session.into_caches(t, x).unwrap();
+    let warm = CascadeSession::from_caches(model, t, x, caches).unwrap();
     assert_eq!(bits(warm.probs()), want, "{what}, session from caches");
 }
 
@@ -345,28 +346,30 @@ fn the_budget_stops_the_pass_at_every_layer_boundary() {
     assert_eq!(bits(&run(&exact).unwrap()), bits(&full));
     assert_eq!(exact.spent(), total);
 
-    // A session open embeds every stage on every row.
-    let layers: u64 = stages.iter().map(|g| g.depth() as u64).sum();
+    // A session open charges what the filtered pass does, layer by
+    // layer: stage 0 on every row, a later stage on its halo.
     let open = |budget: &Budget| {
         CascadeSession::for_cascade_budgeted_with(
             &model,
             &t,
             &x,
+            0,
             budget,
             &mut MatrixBackend::serial(),
         )
     };
-    for done in 0..layers {
-        let budget = Budget::with_cap((done + 1) * n as u64 - 1);
+    let mut through = 0u64;
+    for (layer, &charge) in charges.iter().enumerate() {
+        through += charge;
         assert!(
-            matches!(open(&budget), Err(TensorError::BudgetExceeded { spent, .. })
-                if spent == (done + 1) * n as u64),
-            "session open, layer {done}"
+            matches!(open(&Budget::with_cap(through - 1)), Err(TensorError::BudgetExceeded { spent, .. })
+                if spent == through),
+            "session open, layer {layer}"
         );
     }
-    let exact = Budget::with_cap(layers * n as u64);
+    let exact = Budget::with_cap(total);
     assert_eq!(bits(open(&exact).unwrap().probs()), bits(&full));
-    assert_eq!(exact.spent(), layers * n as u64);
+    assert_eq!(exact.spent(), total);
 }
 
 #[test]
