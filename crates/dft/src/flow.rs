@@ -27,8 +27,8 @@
 //! Step 2 re-runs inference once per candidate, which read literally makes
 //! the inner loop `O(candidates × N)` embedding rows per iteration. A
 //! model ([`Gcn`] or [`MultiStageGcn`]) instead opens a [`CascadeSession`]
-//! with one full pass — the only pass that runs on a matrix backend
-//! ([`MatrixBackend::auto`], built and dropped inside `open`) — and each
+//! with one full pass — the only pass that takes a matrix backend
+//! ([`MatrixBackend::serial`], built and dropped inside `open`) — and each
 //! preview recomputes only the D-hop halo of the previewed cone,
 //! `O(candidates × |cone halo|)`, with bit-identical probabilities (see
 //! `gcnt_core::incremental`). A bare closure gets the literal procedure,
@@ -127,7 +127,7 @@ pub type FullPass<'a> = &'a dyn Fn(&GraphTensors, &Matrix) -> Result<Vec<f32>, T
 /// question to that object.
 ///
 /// Implemented for references to [`Gcn`] and [`MultiStageGcn`], which run
-/// one full pass on [`MatrixBackend::auto`] to open a [`CascadeSession`]
+/// one full pass on [`MatrixBackend::serial`] to open a [`CascadeSession`]
 /// and serve everything after it from halo refreshes, and
 /// blanket-implemented for any
 /// `Fn(&GraphTensors, &Matrix) -> Result<Vec<f32>, TensorError>` closure,
@@ -178,8 +178,9 @@ impl FlowClassifier for &Gcn {
         room: usize,
         budget: &'a Budget,
     ) -> Result<Inference<'a>, TensorError> {
-        // Only the opening pass can read the backend: drop it with it.
-        let mut backend = MatrixBackend::auto(t);
+        // Only the opening pass takes a backend, and asks it no more than
+        // whether it is fresh: the serial one costs nothing to build.
+        let mut backend = MatrixBackend::serial();
         let session =
             CascadeSession::for_gcn_budgeted_with(self, t, x, room, budget, &mut backend)?;
         Ok(Inference::session(session, budget))
@@ -194,7 +195,7 @@ impl FlowClassifier for &MultiStageGcn {
         room: usize,
         budget: &'a Budget,
     ) -> Result<Inference<'a>, TensorError> {
-        let mut backend = MatrixBackend::auto(t);
+        let mut backend = MatrixBackend::serial();
         let session =
             CascadeSession::for_cascade_budgeted_with(self, t, x, room, budget, &mut backend)?;
         Ok(Inference::session(session, budget))
@@ -1653,8 +1654,8 @@ mod tests {
 
         /// The OP-insertion flow is outcome-identical across matrix
         /// backends: same insertions, same history, same final netlist.
-        /// These designs sit far below `MatrixBackend::auto`'s threshold,
-        /// so the sharded opening pass is forced by [`Sharded`].
+        /// The model impls open on the serial backend, so the sharded
+        /// opening pass is forced by [`Sharded`].
         #[test]
         fn flow_outcome_is_backend_invariant(
             inputs in 2usize..12,

@@ -3,7 +3,7 @@
 //!
 //! | rung | what runs | when it is skipped |
 //! |------|-----------|--------------------|
-//! | [`Rung::Incremental`] | cascade session (dirty-cone reuse): every stage embeds every row | stale/poisoned cache, deadline below `Σ depth × n` |
+//! | [`Rung::Incremental`] | cascade session (dirty-cone reuse): stage 0 embeds every row, later stages only the survivors' halo; a caller that persists completes the rest, uncharged | stale/poisoned cache, deadline below `Σ depth × n` |
 //! | [`Rung::FullSparse`]  | filtered cascade inference: later stages embed only the survivors' halo | budget stop |
 //! | [`Rung::FirstStage`]  | first cascade stage only, **unbudgeted** | never |
 //!
@@ -15,13 +15,14 @@
 //! cheapest full pass the model owns.
 //!
 //! All rungs share one [`Budget`], and row costs are deterministic. The
-//! top rung's cost is known before it runs — `Σ_stages depth × n`, every
-//! stage over every row — so the ladder asks [`Budget::can_afford`] and,
-//! when the deadline is below that, records the rung as dropped *without
-//! charging*: the budget reaches the full-sparse rung intact, and since
-//! that rung charges only the rows it computes (`depth × n` for stage 0
-//! plus the survivors' halos), it answers at full quality for every
-//! deadline between the two costs. Only a rung abandoned mid-run (a stale
+//! top rung's charge is bounded before it runs — `Σ_stages depth × n`,
+//! every stage over every row, is at least what the filtered open charges
+//! — so the ladder asks [`Budget::can_afford`] and, when the deadline is
+//! below that bound, records the rung as dropped *without charging*: the
+//! budget reaches the full-sparse rung intact, and since that rung charges
+//! only the rows it computes (`depth × n` for stage 0 plus the survivors'
+//! halos), it answers at full quality for every deadline between its cost
+//! and the bound. Only a rung abandoned mid-run (a stale
 //! cache, a full-sparse pass that overruns) leaves burnt work behind. The
 //! selected rung is a monotone function of the deadline: a tighter budget
 //! can never select a *higher* (earlier) rung than a looser one on the
@@ -107,40 +108,29 @@ fn degrades(e: &TensorError) -> bool {
     )
 }
 
-/// Runs the ladder for one request on an explicit [`MatrixBackend`]: the
-/// two full-quality rungs run their SpMM aggregations through `backend`
-/// (bit-identical to serial by construction), so a large design can
-/// answer on the partition-parallel kernels. The unbudgeted floor rung
-/// stays serial — it is the availability guarantee and must not depend on
-/// a shard plan that could be stale.
-///
-/// `poison_incremental` is the injected stale-cache fault: the
-/// incremental rung is abandoned exactly as if its cache generation had
-/// drifted.
-///
-/// Besides the result, hands back the incremental rung's per-stage
-/// embedding caches when that rung answered — the warm-restart save path
-/// persists them to a page store. Lower rungs never build caches, so they
-/// return `None`.
-///
-/// # Errors
-///
-/// [`ServeError::Tensor`] on a real model/graph error (a shape mismatch)
-/// — never on deadline pressure, which degrades instead.
-pub fn classify_with_ladder_backed(
-    model: &MultiStageGcn,
+/// Runs the ladder for one request on an explicit [`MatrixBackend`] and
+/// hands back, beside the result, the incremental rung's open
+/// [`CascadeSession`] when that rung answered. The session holds what the
+/// filtered open computed — every row of stage 0, only the survivors'
+/// halo of each later stage — so a caller that persists caches completes
+/// it with [`CascadeSession::into_caches`], and any other caller drops it
+/// without paying for rows nobody reads. Lower rungs build no session.
+pub(crate) fn ladder<'m>(
+    model: &'m MultiStageGcn,
     t: &GraphTensors,
     x: &Matrix,
     budget: &Budget,
     poison_incremental: bool,
     backend: &mut MatrixBackend,
-) -> Result<(LadderResult, Option<Vec<EmbeddingCache>>), ServeError> {
+) -> Result<(LadderResult, Option<CascadeSession<'m>>), ServeError> {
     let mut dropped = Vec::new();
 
-    // Rung 0: incremental session. It embeds every row at every layer of
-    // every stage — the opening pass a later stage's halo, completing the
-    // caches it hands back the rest; a deadline below that is decided by
+    // Rung 0: incremental session. Its filtered open charges stage 0 over
+    // every row and each later stage over the survivors' halo, never more
+    // than `Σ depth × n`; a deadline below that bound is decided by
     // arithmetic, leaving the budget whole for the cheaper rung below.
+    // The session comes back as the filtered open left it: completing it
+    // is the persisting caller's cost, run on its own unlimited budget.
     let session_rows =
         model.stages().iter().map(|g| g.depth() as u64).sum::<u64>() * t.node_count() as u64;
     if poison_incremental {
@@ -168,7 +158,7 @@ pub fn classify_with_ladder_backed(
                         rung: Rung::Incremental,
                         dropped,
                     },
-                    Some(session.into_caches(t, x)?),
+                    Some(session),
                 ));
             }
             Err(e) if degrades(&e) => dropped.push(RungDrop {
@@ -212,6 +202,41 @@ pub fn classify_with_ladder_backed(
         },
         None,
     ))
+}
+
+/// Runs the ladder for one request on an explicit [`MatrixBackend`]: the
+/// two full-quality rungs run their SpMM aggregations through `backend`
+/// (bit-identical to serial by construction). The unbudgeted floor rung
+/// stays serial — it is the availability guarantee and must not depend on
+/// a shard plan that could be stale.
+///
+/// `poison_incremental` is the injected stale-cache fault: the
+/// incremental rung is abandoned exactly as if its cache generation had
+/// drifted.
+///
+/// Besides the result, hands back the incremental rung's per-stage
+/// embedding caches when that rung answered, complete: this function
+/// fills every row the filtered open skipped (on an unlimited budget,
+/// never charged to `budget`), which is what a page store persists for a
+/// warm restart. Lower rungs never build caches, so they return `None`.
+/// [`crate::ServeCore::handle_infer`] runs the same ladder but completes
+/// the caches only when it has a store to save them to.
+///
+/// # Errors
+///
+/// [`ServeError::Tensor`] on a real model/graph error (a shape mismatch)
+/// — never on deadline pressure, which degrades instead.
+pub fn classify_with_ladder_backed(
+    model: &MultiStageGcn,
+    t: &GraphTensors,
+    x: &Matrix,
+    budget: &Budget,
+    poison_incremental: bool,
+    backend: &mut MatrixBackend,
+) -> Result<(LadderResult, Option<Vec<EmbeddingCache>>), ServeError> {
+    let (result, session) = ladder(model, t, x, budget, poison_incremental, backend)?;
+    let caches = session.map(|s| s.into_caches(t, x)).transpose()?;
+    Ok((result, caches))
 }
 
 #[cfg(test)]

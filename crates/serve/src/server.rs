@@ -22,7 +22,7 @@ use gcnt_tensor::Budget;
 
 use crate::error::ServeError;
 use crate::journal::{FlowJournal, JournalHeader};
-use crate::ladder::{classify_with_ladder_backed, LadderResult, Rung, RungDrop};
+use crate::ladder::{ladder, LadderResult, Rung, RungDrop};
 use crate::queue::BoundedQueue;
 use crate::store::{model_fingerprint, segment_design, JobStore};
 
@@ -266,10 +266,10 @@ impl ServeCore {
             }
         }
 
-        // Per-design backend choice: large graphs answer on the
-        // partition-parallel kernels (bit-identical probabilities), small
-        // ones skip the sharding overhead.
-        let mut backend = MatrixBackend::auto(&data.tensors);
+        // A pass only asks its backend whether it is fresh, and one built
+        // here always is: the serial backend costs nothing to build.
+        let mut backend = MatrixBackend::serial();
+        let ServeCore { model, store, .. } = self;
         let ladder_span = obs.is_enabled().then(std::time::Instant::now);
         let (
             LadderResult {
@@ -277,9 +277,9 @@ impl ServeCore {
                 rung,
                 dropped,
             },
-            caches,
-        ) = classify_with_ladder_backed(
-            &self.model,
+            session,
+        ) = ladder(
+            model,
             &data.tensors,
             &data.features,
             &budget,
@@ -310,10 +310,12 @@ impl ServeCore {
                 budget.spent(),
             );
         }
-        // A cold incremental answer just computed every embedding row —
-        // persist them so the next restart of this core answers warm.
-        if let (Some(fp), Some(caches)) = (&fingerprint, caches) {
-            if let Some(js) = self.store.as_mut() {
+        // A cold incremental answer left later stages filtered: complete
+        // every embedding row and persist them so the next restart of this
+        // core answers warm. Without a store the session is dropped as is.
+        if let (Some(fp), Some(session)) = (&fingerprint, session) {
+            if let Some(js) = store.as_mut() {
+                let caches = session.into_caches(&data.tensors, &data.features)?;
                 let saved = js.save_caches(fp, &caches)?;
                 obs.add(gcnt_obs::counters::SERVE_STORE_ROWS_SAVED, saved);
             }
@@ -870,6 +872,112 @@ mod tests {
         assert!(warm.warm_rows > 0, "rows were reloaded from the store");
         assert_eq!(warm.rung, Rung::Incremental);
         assert_eq!(warm.probs, cold.probs, "warm restart is bit-identical");
+    }
+
+    /// [`model`]'s two stages plus a third, with the filter threshold at
+    /// stage 0's 90th percentile so later stages see only a halo.
+    fn filtering_model() -> (FeatureNormalizer, MultiStageGcn, Netlist) {
+        let (normalizer, two, net) = model();
+        let cfg = GcnConfig {
+            embed_dims: vec![6, 6],
+            fc_dims: vec![6],
+            ..GcnConfig::default()
+        };
+        let mut stages = two.stages().to_vec();
+        stages.push(Gcn::new(&cfg, &mut seeded_rng(33)));
+        let data = GraphData::from_netlist(&net, Some(&normalizer)).unwrap();
+        let mut stage0 = stages[0]
+            .predict_proba(&data.tensors, &data.features)
+            .unwrap();
+        stage0.sort_by(f32::total_cmp);
+        let threshold = stage0[stage0.len() * 9 / 10];
+        (
+            normalizer,
+            MultiStageGcn::from_stages(stages, threshold),
+            net,
+        )
+    }
+
+    #[test]
+    fn a_storeless_core_and_a_store_backed_one_answer_alike() {
+        use crate::store::StorePolicy;
+        let (normalizer, model_, net) = filtering_model();
+        let data = GraphData::from_netlist(&net, Some(&normalizer)).unwrap();
+        let session_rows: u64 = model_
+            .stages()
+            .iter()
+            .map(|g| g.depth() as u64 * net.node_count() as u64)
+            .sum();
+        let probe = Budget::unlimited();
+        model_
+            .predict_proba_budgeted_with(
+                &data.tensors,
+                &data.features,
+                &probe,
+                &mut MatrixBackend::serial(),
+            )
+            .unwrap();
+        let filtered_rows = probe.spent();
+        assert!(
+            filtered_rows < session_rows,
+            "the cascade filters: {filtered_rows} of {session_rows} rows"
+        );
+        let bits = |probs: &[f32]| probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        let dropped = |r: &InferResponse| {
+            r.dropped
+                .iter()
+                .map(|d| d.rung.as_str())
+                .collect::<Vec<_>>()
+        };
+        let dir = temp_dir("alike");
+        let mut rungs = Vec::new();
+        let deadlines = [
+            None,
+            Some(filtered_rows),
+            Some(session_rows - 1),
+            Some(session_rows),
+            Some(3),
+        ];
+        for (i, deadline) in deadlines.into_iter().enumerate() {
+            let storeless =
+                ServeCore::new(normalizer.clone(), model_.clone(), ServeConfig::default())
+                    .handle_infer(&net, deadline)
+                    .unwrap();
+            let store =
+                JobStore::open(&dir.join(format!("store-{i}")), StorePolicy::default()).unwrap();
+            let mut backed =
+                ServeCore::new(normalizer.clone(), model_.clone(), ServeConfig::default())
+                    .with_store(store);
+            let cold = backed.handle_infer(&net, deadline).unwrap();
+            assert_eq!(bits(&cold.probs), bits(&storeless.probs), "{deadline:?}");
+            assert_eq!(cold.positives, storeless.positives, "{deadline:?}");
+            assert_eq!(cold.rung, storeless.rung, "{deadline:?}");
+            assert_eq!(dropped(&cold), dropped(&storeless), "{deadline:?}");
+            assert_eq!(cold.spent, storeless.spent, "{deadline:?}");
+            assert_eq!(
+                (cold.warm_rows, storeless.warm_rows),
+                (0, 0),
+                "{deadline:?}"
+            );
+            rungs.push(cold.rung);
+            if cold.rung == Rung::Incremental {
+                // The pages the cold answer saved are complete: every row
+                // of every stage comes back, and answers bit for bit.
+                let warm = backed.handle_infer(&net, deadline).unwrap();
+                assert_eq!(warm.warm_rows, session_rows, "{deadline:?}");
+                assert_eq!(bits(&warm.probs), bits(&cold.probs), "{deadline:?}");
+            }
+        }
+        assert_eq!(
+            rungs,
+            [
+                Rung::Incremental,
+                Rung::FullSparse,
+                Rung::FullSparse,
+                Rung::Incremental,
+                Rung::FirstStage
+            ]
+        );
     }
 
     #[test]

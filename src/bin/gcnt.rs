@@ -622,21 +622,47 @@ fn cmd_netserve(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
 /// `LOADGEN_DONE` carrying error counts and p50/p99/p999 request latency
 /// from the `gcnt_net_request_latency_ns` histogram; any *untyped*
 /// failure (hang, wrong payload, exhausted retries) makes the exit
-/// nonzero.
+/// nonzero. A payload is wrong when its `probs_checksum` differs from the
+/// one a fixture core computes for the same design variant by a direct
+/// `handle_infer`; the exit then names the variant.
 fn cmd_loadgen(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
     use gcn_testability::net::{ClientConfig, Dialer, FlowRequest, NetClient, NetError};
     use gcn_testability::obs::Snapshot;
+    use gcn_testability::runtime::checksum_hex;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Arc;
+
+    let sessions = opt_usize(options, "sessions", 100)?.max(1);
+    let workers = opt_usize(options, "workers", 8)?.clamp(1, 64);
+    let flow_jobs = opt_usize(options, "flow-jobs", 2)?.min(sessions);
+    let shards = opt_usize(options, "shards", 4)?.max(1);
+
+    // A small pool of deterministic design variants spreads sessions
+    // across shards (routing hashes the design text).
+    let variants: Arc<Vec<String>> = Arc::new(
+        (0..8u64)
+            .map(|k| format::write(&generate(&GeneratorConfig::sized("netfixture", 7 + k, 400))))
+            .collect(),
+    );
+    // The answer each variant must get, hashed as the server hashes a
+    // reply's probabilities: from one fixture core, asked directly before
+    // the registry goes live, so the snapshot counts only the load.
+    let mut reference = net_fixture_cores(1)?.pop().ok_or("no fixture core")?;
+    let expected: Arc<Vec<String>> = Arc::new(
+        variants
+            .iter()
+            .map(|text| -> Result<String, Box<dyn Error>> {
+                let probs = reference.handle_infer(&format::read(text)?, None)?.probs;
+                let bytes: Vec<u8> = probs.iter().flat_map(|p| p.to_le_bytes()).collect();
+                Ok(checksum_hex(&bytes))
+            })
+            .collect::<Result<_, _>>()?,
+    );
 
     // Quantiles come from the global histogram, so the registry must be
     // live before the first request regardless of --metrics-out.
     gcn_testability::obs::global().enable();
     let metrics_path = metrics_out(options);
-    let sessions = opt_usize(options, "sessions", 100)?.max(1);
-    let workers = opt_usize(options, "workers", 8)?.clamp(1, 64);
-    let flow_jobs = opt_usize(options, "flow-jobs", 2)?.min(sessions);
-    let shards = opt_usize(options, "shards", 4)?.max(1);
 
     // An in-process server is spun up unless --addr points elsewhere.
     let (addr, server) = match options.get("addr") {
@@ -653,25 +679,21 @@ fn cmd_loadgen(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
         }
     };
 
-    // A small pool of deterministic design variants spreads sessions
-    // across shards (routing hashes the design text).
-    let variants: Arc<Vec<String>> = Arc::new(
-        (0..8u64)
-            .map(|k| format::write(&generate(&GeneratorConfig::sized("netfixture", 7 + k, 400))))
-            .collect(),
-    );
-
     let next = Arc::new(AtomicUsize::new(0));
     let ok = Arc::new(AtomicU64::new(0));
     let typed = Arc::new(AtomicU64::new(0));
     let transport = Arc::new(AtomicU64::new(0));
+    // Bit k set: some reply for variant k carried the wrong checksum.
+    let wrong_variants = Arc::new(AtomicU64::new(0));
     let mut pool = Vec::new();
     for _ in 0..workers {
         let next = Arc::clone(&next);
         let ok = Arc::clone(&ok);
         let typed = Arc::clone(&typed);
         let transport = Arc::clone(&transport);
+        let wrong_variants = Arc::clone(&wrong_variants);
         let variants = Arc::clone(&variants);
+        let expected = Arc::clone(&expected);
         let addr = addr.clone();
         pool.push(std::thread::spawn(move || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -688,8 +710,9 @@ fn cmd_loadgen(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
                     ..ClientConfig::default()
                 };
                 let mut client = NetClient::connect(Dialer::Tcp(addr.clone()), config)?;
+                let variant = i % variants.len();
                 let design = variants
-                    .get(i % variants.len())
+                    .get(variant)
                     .ok_or_else(|| NetError::Protocol("variant pool is empty".to_string()))?;
                 if i < flow_jobs {
                     let reply = client.flow(&FlowRequest {
@@ -708,8 +731,12 @@ fn cmd_loadgen(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
                         .emit();
                 } else {
                     let reply = client.infer(design, 0)?;
-                    if reply.probs_len == 0 {
-                        return Err(NetError::Protocol("empty inference reply".to_string()));
+                    if expected.get(variant) != Some(&reply.probs_checksum) {
+                        wrong_variants.fetch_or(1 << variant, Ordering::Relaxed);
+                        return Err(NetError::Protocol(format!(
+                            "variant {variant}: probs checksum {}",
+                            reply.probs_checksum
+                        )));
                     }
                 }
                 Ok(())
@@ -756,6 +783,19 @@ fn cmd_loadgen(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
         .emit();
     if let Some(metrics) = metrics_path {
         report::write_metrics_snapshot(&metrics)?;
+    }
+    let wrong = wrong_variants.load(Ordering::Relaxed);
+    if wrong != 0 {
+        let named: Vec<String> = (0..variants.len())
+            .filter(|k| (wrong >> k) & 1 == 1)
+            .map(|k| k.to_string())
+            .collect();
+        return Err(format!(
+            "wrong inference answers for design variant(s) {}: checksum differs from a direct \
+             fixture core's",
+            named.join(", ")
+        )
+        .into());
     }
     if transport_errors > 0 {
         return Err(format!("{transport_errors} session(s) failed without a typed refusal").into());
