@@ -1,6 +1,5 @@
 use rand::seq::SliceRandom;
 use rand::Rng as _;
-use serde::{Deserialize, Serialize};
 
 use gcnt_nn::{seeded_rng, Rng};
 use gcnt_tensor::Matrix;
@@ -8,7 +7,7 @@ use gcnt_tensor::Matrix;
 use super::Classifier;
 
 /// Random-forest hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomForestConfig {
     /// Number of bagged trees.
     pub trees: usize,
@@ -35,7 +34,7 @@ impl Default for RandomForestConfig {
 }
 
 /// A CART node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum TreeNode {
     Leaf {
         /// Probability of class 1 among the training samples in the leaf.
@@ -82,7 +81,7 @@ impl TreeNode {
 /// let model = RandomForest::fit(&x, &[0, 0, 1, 1], &RandomForestConfig::default());
 /// assert_eq!(model.predict(&x), vec![0, 0, 1, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomForest {
     trees: Vec<TreeNode>,
 }
@@ -133,10 +132,6 @@ impl Classifier for RandomForest {
             .iter()
             .map(|&p| usize::from(p >= 0.5))
             .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "RF"
     }
 }
 

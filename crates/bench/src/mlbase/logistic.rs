@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 use gcnt_tensor::Matrix;
 
 use super::Classifier;
 
 /// Logistic-regression hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogisticRegressionConfig {
     /// Full-batch gradient-descent epochs.
     pub epochs: usize,
@@ -37,7 +35,7 @@ impl Default for LogisticRegressionConfig {
 /// let model = LogisticRegression::fit(&x, &[0, 0, 1, 1], &LogisticRegressionConfig::default());
 /// assert_eq!(model.predict(&x), vec![0, 0, 1, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticRegression {
     weights: Vec<f32>,
     bias: f32,
@@ -101,10 +99,6 @@ impl Classifier for LogisticRegression {
             .iter()
             .map(|&p| usize::from(p >= 0.5))
             .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "LR"
     }
 }
 

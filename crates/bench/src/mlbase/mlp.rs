@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use gcnt_nn::loss::softmax_cross_entropy;
 use gcnt_nn::{seeded_rng, Mlp};
 use gcnt_tensor::{ops, Matrix};
@@ -10,7 +8,7 @@ use super::Classifier;
 /// identically to the GCN's classifier head ("the configuration of the
 /// network is the same as the classifier module in GCN", §5):
 /// hidden dims 64, 64, 128 with 2 outputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MlpClassifierConfig {
     /// Hidden layer dimensions (paper: `[64, 64, 128]`).
     pub hidden_dims: Vec<usize>,
@@ -47,7 +45,7 @@ impl Default for MlpClassifierConfig {
 /// let model = MlpClassifier::fit(&x, &[0, 1], &cfg);
 /// assert_eq!(model.predict(&x), vec![0, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MlpClassifier {
     net: Mlp,
 }
@@ -76,23 +74,12 @@ impl MlpClassifier {
         }
         MlpClassifier { net }
     }
-
-    /// Positive-class probability per row.
-    pub fn predict_proba(&self, x: &Matrix) -> Vec<f32> {
-        let logits = self.net.predict(x).expect("feature dim fixed at fit time");
-        let probs = ops::softmax_rows(&logits);
-        (0..probs.rows()).map(|r| probs.get(r, 1)).collect()
-    }
 }
 
 impl Classifier for MlpClassifier {
     fn predict(&self, x: &Matrix) -> Vec<usize> {
         let logits = self.net.predict(x).expect("feature dim fixed at fit time");
         ops::argmax_rows(&logits)
-    }
-
-    fn name(&self) -> &'static str {
-        "MLP"
     }
 }
 
@@ -126,22 +113,6 @@ mod tests {
         let model = MlpClassifier::fit(&x, &y, &cfg);
         let acc = crate::mlbase::accuracy(&y, &model.predict(&x));
         assert!(acc > 0.9, "accuracy {acc}");
-    }
-
-    #[test]
-    fn proba_matches_prediction() {
-        let (x, y) = rings();
-        let cfg = MlpClassifierConfig {
-            hidden_dims: vec![8],
-            epochs: 100,
-            ..Default::default()
-        };
-        let model = MlpClassifier::fit(&x, &y, &cfg);
-        let preds = model.predict(&x);
-        let probs = model.predict_proba(&x);
-        for (p, &y_hat) in probs.iter().zip(&preds) {
-            assert_eq!(y_hat == 1, *p >= 0.5, "p = {p}, pred = {y_hat}");
-        }
     }
 
     #[test]

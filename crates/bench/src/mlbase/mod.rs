@@ -28,9 +28,6 @@ use gcnt_tensor::Matrix;
 pub trait Classifier {
     /// Predicts a label (0 or 1) per row of `x`.
     fn predict(&self, x: &Matrix) -> Vec<usize>;
-
-    /// Short human-readable model name (e.g. `"LR"`).
-    fn name(&self) -> &'static str;
 }
 
 /// Fraction of rows predicted correctly.

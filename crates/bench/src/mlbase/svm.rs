@@ -1,5 +1,4 @@
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 use gcnt_nn::seeded_rng;
 use gcnt_tensor::Matrix;
@@ -8,7 +7,7 @@ use super::Classifier;
 
 /// Linear-SVM hyper-parameters (Pegasos-style stochastic subgradient
 /// descent on the hinge loss).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearSvmConfig {
     /// Passes over the training set.
     pub epochs: usize,
@@ -40,7 +39,7 @@ impl Default for LinearSvmConfig {
 /// let model = LinearSvm::fit(&x, &[0, 0, 1, 1], &LinearSvmConfig::default());
 /// assert_eq!(model.predict(&x), vec![0, 0, 1, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearSvm {
     weights: Vec<f32>,
     bias: f32,
@@ -109,10 +108,6 @@ impl Classifier for LinearSvm {
             .iter()
             .map(|&v| usize::from(v >= 0.0))
             .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "SVM"
     }
 }
 

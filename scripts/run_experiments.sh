@@ -6,19 +6,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p results
 
-run() {
-    local name="$1"; shift
-    echo "=== $name: $* ==="
-    cargo run --release -p gcnt-bench --bin "$name" -- "$@" | tee "results/$name.log"
-}
+cargo build --release --bin gcnt
+export PATH="$PWD/target/release:$PATH"
 
-cargo build --release -p gcnt-bench --bins
-
-run table1 --nodes 20000
-run fig8   --nodes 3000 --epochs 300 --eval-every 25
-run fig9   --nodes 3000 --epochs 100
-run table3 --nodes 3000 --epochs 100
-run fig10  --max-nodes 1000000
-run table2 --nodes 6000 --epochs 300
+gcnt table1   --nodes 20000                          | tee results/table1.log
+gcnt fig8     --nodes 3000 --epochs 300 --eval-every 25 | tee results/fig8.log
+gcnt fig9     --nodes 3000 --epochs 100              | tee results/fig9.log
+gcnt table3   --nodes 3000 --epochs 100              | tee results/table3.log
+gcnt fig10    --max-nodes 1000000                    | tee results/fig10.log
+gcnt table2   --nodes 6000 --epochs 300              | tee results/table2.log
+gcnt ablation --nodes 6000 --epochs 300              | tee results/ablation.log
 
 echo "all experiments complete"

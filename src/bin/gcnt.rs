@@ -10,10 +10,14 @@
 //! gcnt atpg     design.bench
 //! gcnt lint     design.bench --format json
 //! gcnt loadgen  --sessions 8 --journal-dir wal/
+//! gcnt table1   --nodes 20000
 //! ```
 //!
 //! Designs are stored in the plain-text `.bench`-style format of
 //! [`gcn_testability::netlist::format`]; models and labels are JSON.
+//! `table1|table2|table3|fig8|fig9|fig10|ablation` regenerate the paper's
+//! evaluation through [`gcnt_bench::experiments`] and write
+//! `results/<name>.json`.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -32,6 +36,7 @@ use gcn_testability::netlist::{format, generate, profile, GeneratorConfig, Netli
 use gcn_testability::report;
 use gcn_testability::runtime::{CheckpointStore, MultiStageTrainer};
 use gcn_testability::store::atomic_write;
+use gcnt_bench::experiments;
 
 /// The options one command was given, by name without the `--`.
 type Options = HashMap<String, String>;
@@ -41,11 +46,11 @@ type Handler = fn(&[String], &Options) -> Result<(), Box<dyn Error>>;
 
 /// Every subcommand: its name, its arguments as the usage text shows them
 /// (a newline continues the line), and its handler. An option's value
-/// placeholder follows its name (`--nodes N`); [`FLAG`] alone takes none.
-/// A command reads exactly the options its line names: [`split_args`]
-/// refuses any other before the handler runs, and [`usage`] prints these
-/// lines.
-const COMMANDS: [(&str, &str, Handler); 12] = [
+/// placeholder follows its name (`--nodes N`); a flag has none
+/// (`[--resume]`). A command reads exactly the options its line names:
+/// [`split_args`] refuses any other before the handler runs, and [`usage`]
+/// prints these lines.
+const COMMANDS: [(&str, &str, Handler); 19] = [
     (
         "generate",
         "--nodes N [--seed S] --out design.bench",
@@ -95,10 +100,18 @@ const COMMANDS: [(&str, &str, Handler); 12] = [
     ),
     ("store", "stat|scrub|compact DIR", cmd_store),
     ("checkpoints", "DIR", cmd_checkpoints),
+    ("table1", "[--nodes N]", cmd_table1),
+    ("table2", "[--nodes N] [--epochs N] [--cone N]", cmd_table2),
+    ("table3", "[--nodes N] [--epochs N]", cmd_table3),
+    (
+        "fig8",
+        "[--nodes N] [--epochs N] [--eval-every N] [--lr F]",
+        cmd_fig8,
+    ),
+    ("fig9", "[--nodes N] [--epochs N]", cmd_fig9),
+    ("fig10", "[--max-nodes N] [--full-recursion]", cmd_fig10),
+    ("ablation", "[--nodes N] [--epochs N]", cmd_ablation),
 ];
-
-/// The one option that takes no value.
-const FLAG: &str = "resume";
 
 /// Handles `--metrics-out PATH`: enables the global metrics registry for
 /// the rest of the process and returns where to write snapshots. Must run
@@ -153,41 +166,54 @@ fn usage() -> String {
     }
     text += "\n--metrics-out writes a metrics snapshot (JSON, or Prometheus text\n\
              for .prom/.txt paths) at shutdown. Machine-readable lines use the\n\
-             NET_*/LOADGEN_*/METRICS_* prefix convention (see README, Observability).\n";
+             NET_*/LOADGEN_*/METRICS_* prefix convention (see README, Observability).\n\
+             table1 … ablation regenerate the paper's evaluation and write\n\
+             results/<name>.json under the working directory.\n";
     text
 }
 
-/// Splits `args` into positionals and options. Every option but [`FLAG`]
-/// takes the next token as its value; an option `spec` does not name, or
-/// one missing its value, is a usage error.
+/// Splits `args` into positionals and options as `spec` reads them: an
+/// option followed by a placeholder takes the next token as its value, a
+/// flag takes none, and a positional is accepted only where `spec` names
+/// one. Anything else, or an option missing its value, is a usage error.
 fn split_args(
     command: &str,
     spec: &str,
     args: &[String],
 ) -> Result<(Vec<String>, Options), String> {
-    let known: Vec<&str> = spec
-        .split_whitespace()
-        .filter_map(|token| token.trim_start_matches('[').strip_prefix("--"))
-        .map(|option| option.trim_end_matches(']'))
-        .collect();
+    let is_option = |token: &str| token.trim_start_matches('[').starts_with("--");
+    let (mut known, mut takes_positional) = (Vec::new(), false);
+    let mut tokens = spec.split_whitespace().peekable();
+    while let Some(token) = tokens.next() {
+        let Some(option) = token.trim_start_matches('[').strip_prefix("--") else {
+            takes_positional = true;
+            continue;
+        };
+        let name = option.trim_end_matches(']');
+        let valued = name == option && tokens.next_if(|next| !is_option(next)).is_some();
+        known.push((name, valued));
+    }
     let mut positional = Vec::new();
     let mut options = Options::new();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         let Some(key) = arg.strip_prefix("--") else {
+            if !takes_positional {
+                return Err(format!("gcnt {command} takes no argument '{arg}'"));
+            }
             positional.push(arg.clone());
             continue;
         };
-        if !known.contains(&key) {
+        let Some(&(_, valued)) = known.iter().find(|(name, _)| *name == key) else {
             return Err(format!("gcnt {command} has no option --{key}"));
-        }
-        let value = if key == FLAG {
-            String::new()
-        } else {
+        };
+        let value = if valued {
             args.next()
                 .filter(|value| !value.starts_with("--"))
                 .ok_or(format!("--{key} needs a value"))?
                 .clone()
+        } else {
+            String::new()
         };
         options.insert(key.to_string(), value);
     }
@@ -880,6 +906,75 @@ fn cmd_atpg(positional: &[String], options: &Options) -> Result<(), Box<dyn Erro
     Ok(())
 }
 
+/// Writes an experiment's rows to `results/<name>.json` under the working
+/// directory, atomically: an interrupted run leaves the old file or the
+/// new one, never a truncated mix.
+fn write_results(name: &str, rows: &impl Serialize) -> Result<(), Box<dyn Error>> {
+    let dir = Path::new("results");
+    fs::create_dir_all(dir)
+        .map_err(|e| format!("cannot create directory '{}': {e}", dir.display()))?;
+    let path = dir.join(format!("{name}.json"));
+    atomic_write(&path, serde_json::to_string_pretty(rows)?.as_bytes())?;
+    println!("(wrote {})", path.display());
+    Ok(())
+}
+
+fn cmd_table1(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
+    let rows = experiments::table1(opt_usize(options, "nodes", 20_000)?)?;
+    write_results("table1", &rows)
+}
+
+fn cmd_table2(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
+    let rows = experiments::table2(
+        opt_usize(options, "nodes", 3_000)?,
+        opt_usize(options, "epochs", 150)?,
+        opt_usize(options, "cone", 500)?,
+    )?;
+    write_results("table2", &rows)
+}
+
+fn cmd_table3(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
+    let rows = experiments::table3(
+        opt_usize(options, "nodes", 3_000)?,
+        opt_usize(options, "epochs", 60)?,
+    )?;
+    write_results("table3", &rows)
+}
+
+fn cmd_fig8(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
+    let rows = experiments::fig8(
+        opt_usize(options, "nodes", 3_000)?,
+        opt_usize(options, "epochs", 150)?,
+        opt_usize(options, "eval-every", 10)?,
+        opt_f64(options, "lr", 0.05)? as f32,
+    )?;
+    write_results("fig8", &rows)
+}
+
+fn cmd_fig9(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
+    let rows = experiments::fig9(
+        opt_usize(options, "nodes", 3_000)?,
+        opt_usize(options, "epochs", 60)?,
+    )?;
+    write_results("fig9", &rows)
+}
+
+fn cmd_fig10(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
+    let rows = experiments::fig10(
+        opt_usize(options, "max-nodes", 100_000)?,
+        options.contains_key("full-recursion"),
+    )?;
+    write_results("fig10", &rows)
+}
+
+fn cmd_ablation(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
+    let rows = experiments::ablation(
+        opt_usize(options, "nodes", 3_000)?,
+        opt_usize(options, "epochs", 150)?,
+    )?;
+    write_results("ablation", &rows)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1050,7 +1145,100 @@ mod tests {
             .expect_err("a valued option needs its value")
             .to_string();
         assert!(err.contains("--model needs a value"), "{err}");
+        let err = run_tokens(&["generate", "--out", &model, "300"])
+            .expect_err("a command whose usage names no positional takes none")
+            .to_string();
+        assert!(err.contains("'300'"), "{err}");
+        assert!(!Path::new(&model).exists(), "the refused run wrote {model}");
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The `gcnt` command lines of a document, with their 1-based line
+    /// numbers: the lines of its fenced code blocks (of every line, for a
+    /// script) whose first word is `gcnt` or a path to it, each cut at the
+    /// first shell operator or comment and without the `gcnt` word.
+    fn command_lines(text: &str, fenced: bool) -> Vec<(usize, Vec<&str>)> {
+        let mut inside = !fenced;
+        let mut lines = Vec::new();
+        for (i, line) in text.lines().enumerate() {
+            if fenced && line.trim_start().starts_with("```") {
+                inside = !inside;
+                continue;
+            }
+            let mut words = line.split_whitespace().take_while(|word| {
+                !word.starts_with('#') && !["|", "||", "&&", ";", "&", ">"].contains(word)
+            });
+            if inside
+                && words
+                    .next()
+                    .is_some_and(|w| w == "gcnt" || w.ends_with("/gcnt"))
+            {
+                lines.push((i + 1, words.collect()));
+            }
+        }
+        lines
+    }
+
+    /// Why `gcnt` would refuse a documented command line, if it would.
+    fn refusal(words: &[&str]) -> Option<String> {
+        let Some((command, args)) = words.split_first() else {
+            return Some("names no command".to_string());
+        };
+        let Some((_, spec, _)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+            return Some(format!("unknown subcommand '{command}'"));
+        };
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+        split_args(command, spec, &args).err()
+    }
+
+    #[test]
+    fn every_documented_command_line_parses() {
+        let planted =
+            "```sh\ngcnt fig10 --full-recursion --max-nodes 9\ngcnt table1 --node 300\n```";
+        let planted = command_lines(planted, true);
+        assert_eq!(refusal(&planted[0].1), None);
+        assert_eq!(
+            refusal(&planted[1].1).as_deref(),
+            Some("gcnt table1 has no option --node")
+        );
+
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut docs: Vec<(std::path::PathBuf, bool)> = [
+            "README.md",
+            "DESIGN.md",
+            "EXPERIMENTS.md",
+            ".claude/skills/verify/SKILL.md",
+        ]
+        .iter()
+        .map(|doc| (root.join(doc), true))
+        .collect();
+        for entry in fs::read_dir(root.join("scripts")).expect("scripts/") {
+            let path = entry.expect("directory entry").path();
+            if path.extension().is_some_and(|ext| ext == "sh") {
+                docs.push((path, false));
+            }
+        }
+        let mut refused = Vec::new();
+        let mut scripted = Vec::new();
+        for (path, fenced) in &docs {
+            let text = fs::read_to_string(path).expect("readable doc");
+            for (line, words) in command_lines(&text, *fenced) {
+                match refusal(&words) {
+                    Some(why) => refused.push(format!("{}:{line}: {why}", path.display())),
+                    None if !fenced => scripted.push(words[0].to_string()),
+                    None => {}
+                }
+            }
+        }
+        assert!(refused.is_empty(), "{}", refused.join("\n"));
+        for experiment in [
+            "table1", "table2", "table3", "fig8", "fig9", "fig10", "ablation",
+        ] {
+            assert!(
+                scripted.iter().any(|c| c == experiment),
+                "no script runs {experiment}"
+            );
+        }
     }
 
     #[test]
