@@ -9,8 +9,8 @@ use serde::Serialize;
 use gcnt_core::metrics::Confusion;
 use gcnt_core::train::{evaluate, train, TrainConfig};
 use gcnt_core::{
-    recursive, train_test_rotation, Gcn, GcnConfig, GraphData, GraphTensors, MatrixBackend,
-    MultiStageConfig, MultiStageGcn,
+    recursive, train_test_rotation, Gcn, GcnConfig, GraphData, GraphTensors, MultiStageConfig,
+    MultiStageGcn,
 };
 use gcnt_dft::atpg::AtpgConfig;
 use gcnt_dft::baseline::{testability_opi, BaselineConfig};
@@ -19,7 +19,7 @@ use gcnt_dft::labeler::LabelConfig;
 use gcnt_dft::report::{evaluate_insertion, ComparisonRow};
 use gcnt_netlist::{generate, GeneratorConfig};
 use gcnt_nn::seeded_rng;
-use gcnt_tensor::{ops, Budget, Matrix};
+use gcnt_tensor::{ops, Matrix};
 
 use crate::mlbase::features::{cone_features, ConeFeatureConfig};
 use crate::mlbase::{
@@ -511,7 +511,6 @@ pub fn fig9(nodes: usize, epochs: usize) -> Result<Vec<Fig9Row>> {
 pub struct Fig10Point {
     nodes: usize,
     edges: usize,
-    backend: &'static str,
     matrix_seconds: f64,
     recursion_seconds: f64,
     recursion_sampled: bool,
@@ -543,8 +542,8 @@ pub struct Fig10Point {
 pub fn fig10(max_nodes: usize, full_recursion: bool) -> Result<Vec<Fig10Point>> {
     println!("Figure 10: inference runtime, recursion vs sparse matrix form\n");
     println!(
-        "{:>9} {:>9} {:>12} {:>12} {:>14} {:>9}",
-        "#nodes", "#edges", "backend", "matrix (s)", "recursion (s)", "speedup"
+        "{:>9} {:>9} {:>12} {:>14} {:>9}",
+        "#nodes", "#edges", "matrix (s)", "recursion (s)", "speedup"
     );
 
     let gcn = Gcn::new(&GcnConfig::default(), &mut seeded_rng(1));
@@ -555,16 +554,9 @@ pub fn fig10(max_nodes: usize, full_recursion: bool) -> Result<Vec<Fig10Point>> 
         let data = GraphData::from_netlist(&net, None)?;
         let n = data.node_count();
 
-        // The call `infer_b1_120k` times: the backend `auto` picks for
-        // this size, built inside the timed region.
+        // The matrix form as a caller gets it: the default serial pass.
         let t0 = Instant::now();
-        let mut backend = MatrixBackend::auto(&data.tensors);
-        gcn.predict_proba_budgeted_with(
-            &data.tensors,
-            &data.features,
-            &Budget::unlimited(),
-            &mut backend,
-        )?;
+        gcn.predict_proba(&data.tensors, &data.features)?;
         let matrix_seconds = t0.elapsed().as_secs_f64();
 
         // Recursion side: full below the cutoff, sampled+extrapolated above.
@@ -575,10 +567,9 @@ pub fn fig10(max_nodes: usize, full_recursion: bool) -> Result<Vec<Fig10Point>> 
         let recursion_seconds = t0.elapsed().as_secs_f64() * (n as f64 / nodes.len() as f64);
         let speedup = recursion_seconds / matrix_seconds;
         println!(
-            "{:>9} {:>9} {:>12} {:>12.3} {:>13.3}{} {:>8.1}x",
+            "{:>9} {:>9} {:>12.3} {:>13.3}{} {:>8.1}x",
             n,
             data.tensors.edge_count(),
-            backend.label(),
             matrix_seconds,
             recursion_seconds,
             if sampled { "*" } else { " " },
@@ -587,7 +578,6 @@ pub fn fig10(max_nodes: usize, full_recursion: bool) -> Result<Vec<Fig10Point>> 
         points.push(Fig10Point {
             nodes: n,
             edges: data.tensors.edge_count(),
-            backend: backend.label(),
             matrix_seconds,
             recursion_seconds,
             recursion_sampled: sampled,

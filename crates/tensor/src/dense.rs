@@ -233,7 +233,7 @@ impl Matrix {
     }
 
     /// Matrix product `self * rhs`, parallelised over rows for large
-    /// outputs, on the blocked GEMM row.
+    /// outputs, on the dense GEMM row kernel.
     ///
     /// # Errors
     ///

@@ -1,5 +1,5 @@
-//! Row kernels: the sparse row primitive, the register-blocked dense
-//! GEMM row, and the band kernel of the transposed product.
+//! Row kernels: the sparse row primitive, the register-chunk dense GEMM
+//! row, and the band kernel of the transposed product.
 //!
 //! Every hot product in this crate (sparse [`crate::CsrMatrix::spmm`],
 //! partitioned [`crate::PartitionedCsr::spmm`], dense
@@ -11,20 +11,21 @@
 //!   zip. Netlist adjacencies hold ~1.4 stored coefficients per row, so
 //!   there is nothing to amortize blocking bookkeeping against, and LLVM
 //!   already vectorizes the zip.
-//! * The **dense** row (`gemm_row`) has fixed-width fast paths for the
-//!   embedding dimensions the model actually uses (32 and 64) and for
-//!   narrow outputs up to 8 columns (the two-class head) that keep the
-//!   whole output row in a stack accumulator — i.e. in vector registers
-//!   — across the shared dimension, plus 64-column tiling for other
-//!   widths. One rhs row is reused across the whole lhs row, which is
-//!   where the register accumulator pays (measured 1.4–2.3x; see
-//!   EXPERIMENTS.md). The forward products run it skipping exact-zero
-//!   coefficients; [`crate::Matrix::matmul_transpose`] (the input
-//!   gradient `dY·Wᵀ`) runs it with every term, over `W` transposed once.
+//! * The **dense** row (`gemm_row`) fills the output row one register
+//!   chunk at a time — 32 columns, or the whole row when it is 1..=8 wide
+//!   (the two-class head) — over the lhs row's coefficients, so one
+//!   accumulator stays in vector registers across the shared dimension.
+//!   The forward products skip exact-zero coefficients: the row's nonzero
+//!   coefficients are gathered once, without a branch on their values,
+//!   because post-ReLU layer inputs are 42–77 % nonzero and a per-term
+//!   `continue` there mispredicts about as often as it is taken (see
+//!   EXPERIMENTS.md). [`crate::Matrix::matmul_transpose`] (the input
+//!   gradient `dY·Wᵀ`) runs the same chunks over every term, with `W`
+//!   transposed once.
 //! * The **band** kernel (`transpose_gemm_band`) is the weight gradient
 //!   [`crate::Matrix::transpose_matmul`] (`Xᵀ·dY`): each worker owns a
 //!   contiguous band of output rows and streams both operands once, row
-//!   by row, instead of walking all of them once per output row.
+//!   by row, gathering each row's nonzero band coefficients the same way.
 //!
 //! Both backward products also come in row-block forms
 //! ([`crate::Matrix::transpose_matmul_acc`],
@@ -38,25 +39,36 @@
 //! than by tolerance:
 //!
 //! * every output element accumulates its terms in exactly that loop's
-//!   order (the shared-dimension order); tiling, banding and transposing
+//!   order (the shared-dimension order): the gather keeps ascending
+//!   order and drops exactly the terms the loop skips (`+0.0` and `-0.0`
+//!   coefficients; NaN is kept), and chunking, banding and transposing
 //!   only regroup *independent* output elements, so no dependent chain
 //!   reorders;
 //! * each term stays a separate `mul` + `add` — nothing is fused into a
 //!   wider accumulation tree, and rustc does not contract `a * b + c`
 //!   into an FMA on its own (not even under `-C target-cpu=native`,
 //!   which the CI kernel-equivalence job pins down);
-//! * the fixed-width paths copy the output row into the stack
-//!   accumulator and back bitwise.
+//! * a chunk copies its output columns into the stack accumulator and
+//!   back bitwise.
 //!
 //! This is what keeps the full / incremental / partitioned equality
 //! properties the rest of the workspace is built on.
-//! `tests/kernel_properties.rs` compares `matmul`, `transpose_matmul` and
-//! `matmul_transpose` bitwise against element-at-a-time loops of its own.
+//! `tests/kernel_properties.rs` compares `matmul`, `matmul_bias_into`,
+//! `transpose_matmul` and `matmul_transpose` bitwise against
+//! element-at-a-time loops of its own.
 
-/// Columns per tile in the generic blocked path: 64 f32 = 256 bytes of
-/// output tile, four cache lines, comfortably register/L1-resident
-/// across one row's coefficients.
-const TILE_COLS: usize = 64;
+/// Columns per register chunk of the dense row: a `[f32; 32]`
+/// accumulator is 8 of the 16 vector registers of the default x86-64
+/// target, which leaves room for the rhs operand and the broadcast
+/// coefficient (a 64-wide chunk measured no faster).
+const CHUNK: usize = 32;
+
+/// Coefficients gathered per block: a row of any width the model uses
+/// (at most 128) is one block; a longer row goes block after block.
+const GATHER: usize = 256;
+
+/// One gathered coefficient: its index within the block and its value.
+type Pair = (u32, f32);
 
 /// One sparse output row: `out_row[j] += v * fetch(c)[j]` for every
 /// stored `(c, v)` of the row, in stored order. `fetch` maps a stored
@@ -72,77 +84,106 @@ where
     }
 }
 
+/// Collects the nonzero coefficients of `block` into `pairs` as
+/// `(index, value)`, in ascending index, and returns how many there are.
+/// Exact zeros (`-0.0` included) are dropped and NaN is kept, as a
+/// `a == 0.0` skip would. The slot is written unconditionally and the
+/// count advances by the comparison, so no branch depends on a
+/// coefficient.
+#[inline]
+fn gather(pairs: &mut [Pair; GATHER], block: &[f32]) -> usize {
+    let mut cnt = 0usize;
+    for (i, &a) in (0u32..).zip(block) {
+        // `cnt <= i < GATHER`, so the mask only proves the bound.
+        if let Some(slot) = pairs.get_mut(cnt % GATHER) {
+            *slot = (i, a);
+        }
+        cnt += usize::from(a != 0.0);
+    }
+    cnt
+}
+
 /// One dense GEMM output row: `out_row[j] += a * rhs_row(kk)[j]` over
 /// the lhs row's entries in `kk` order. With `SKIP_ZEROS` an exact-zero
 /// `a` adds no term — the forward products skip them, because post-ReLU
-/// activations are mostly zero, and skipping is semantically different
+/// activations are largely zero, and skipping is semantically different
 /// from adding `0.0 * b` for non-finite `b`; without it every term is
 /// added, which is the dot-product chain of `dY·Wᵀ`. `rhs` is the full
 /// row-major right-hand data of width `n`.
 ///
-/// Fixed-width register-accumulator fast paths cover the model's widths
-/// 32/64 and narrow outputs up to 8 columns — the two-class head (one
-/// rhs row is reused across the whole lhs row, so keeping `out` in
-/// registers amortizes over the shared dimension `k` — unlike the sparse
-/// case, where nnz is tiny; for narrow outputs the fully-unrolled body
-/// also removes the per-`kk` loop machinery that otherwise dwarfs the
-/// arithmetic); other widths run in 64-column tiles.
+/// The skipping form [`gather`]s the row's nonzero coefficients first, a
+/// block at a time; both forms then fill the row with [`fill_row`].
 pub(crate) fn gemm_row<const SKIP_ZEROS: bool>(
     out_row: &mut [f32],
     lhs_row: &[f32],
     rhs: &[f32],
     n: usize,
 ) {
-    macro_rules! fixed {
-        ($d:literal) => {
-            if let Ok(out) = <&mut [f32; $d]>::try_from(&mut *out_row) {
-                return gemm_row_fixed::<$d, SKIP_ZEROS>(out, lhs_row, rhs);
-            }
-        };
+    if !SKIP_ZEROS {
+        return fill_row(out_row, lhs_row.iter().copied().enumerate(), rhs, n);
     }
-    match n {
-        1 => fixed!(1),
-        2 => fixed!(2),
-        3 => fixed!(3),
-        4 => fixed!(4),
-        5 => fixed!(5),
-        6 => fixed!(6),
-        7 => fixed!(7),
-        8 => fixed!(8),
-        32 => fixed!(32),
-        64 => fixed!(64),
-        _ => {}
-    }
-    let mut offset = 0usize;
-    for tile in out_row.chunks_mut(TILE_COLS) {
-        for (kk, &a) in lhs_row.iter().enumerate() {
-            if SKIP_ZEROS && a == 0.0 {
-                continue;
-            }
-            let src = rhs.get(kk * n + offset..kk * n + n).unwrap_or(&[]);
-            axpy(tile, a, src);
-        }
-        offset += TILE_COLS;
+    let mut pairs = [(0, 0.0); GATHER];
+    for (block, rhs) in lhs_row.chunks(GATHER).zip(rhs.chunks(GATHER * n.max(1))) {
+        let cnt = gather(&mut pairs, block);
+        let pairs = pairs.get(..cnt).unwrap_or(&[]);
+        fill_row(out_row, pairs.iter().map(|&(i, a)| (i as usize, a)), rhs, n);
     }
 }
 
-/// Fixed-width dense row with the register accumulator.
-///
-/// Walking the rhs with `chunks_exact` consumes the same rows as
-/// `rhs.get(kk * n..(kk + 1) * n)`: a ragged trailing fragment produces
-/// no complete chunk, so it is never read.
-fn gemm_row_fixed<const D: usize, const SKIP_ZEROS: bool>(
-    out: &mut [f32; D],
-    lhs_row: &[f32],
+/// Fills one dense output row from its `(kk, a)` coefficients, in
+/// order, one register [`chunk`] at a time: the whole row when it is
+/// 1..=8 wide (the two-class head), else 32-column chunks and the plain
+/// [`axpy`] for a ragged tail. One rhs row segment is reused across a
+/// whole chunk, so its accumulator stays in registers over the shared
+/// dimension.
+fn fill_row<I>(out_row: &mut [f32], coeffs: I, rhs: &[f32], n: usize)
+where
+    I: Iterator<Item = (usize, f32)> + Clone,
+{
+    macro_rules! narrow {
+        ($($d:literal)*) => {
+            match n {
+                $($d => if let Ok(out) = <&mut [f32; $d]>::try_from(&mut *out_row) {
+                    return chunk(out, coeffs, rhs, n, 0);
+                },)*
+                _ => {}
+            }
+        };
+    }
+    narrow!(1 2 3 4 5 6 7 8);
+    let mut chunks = out_row.chunks_exact_mut(CHUNK);
+    let mut offset = 0;
+    for out in &mut chunks {
+        if let Ok(out) = <&mut [f32; CHUNK]>::try_from(out) {
+            chunk(out, coeffs.clone(), rhs, n, offset);
+        }
+        offset += CHUNK;
+    }
+    let tail = chunks.into_remainder();
+    if !tail.is_empty() {
+        for (kk, a) in coeffs {
+            axpy(tail, a, rhs.get(kk * n + offset..kk * n + n).unwrap_or(&[]));
+        }
+    }
+}
+
+/// Columns `offset..offset + W` of one dense output row, accumulated in
+/// a `[f32; W]` register chunk over the coefficients in order:
+/// `out[j] += a * rhs[kk][offset + j]`. The chunk is copied in and back
+/// out bitwise, so each element's chain is the row's own.
+#[inline]
+fn chunk<const W: usize>(
+    out: &mut [f32; W],
+    coeffs: impl Iterator<Item = (usize, f32)>,
     rhs: &[f32],
+    n: usize,
+    offset: usize,
 ) {
     let mut acc = *out;
-    for (&a, src) in lhs_row.iter().zip(rhs.chunks_exact(D)) {
-        if SKIP_ZEROS && a == 0.0 {
+    for (kk, a) in coeffs {
+        let start = kk * n + offset;
+        let Some(Ok(b)) = rhs.get(start..start + W).map(<&[f32; W]>::try_from) else {
             continue;
-        }
-        let Ok(b) = <&[f32; D]>::try_from(src) else {
-            continue; // unreachable: chunks_exact yields exact-D slices
         };
         for (x, &b) in acc.iter_mut().zip(b) {
             *x += a * b;
@@ -154,8 +195,9 @@ fn gemm_row_fixed<const D: usize, const SKIP_ZEROS: bool>(
 /// A band of `Xᵀ·Y` output rows — rows `first..` of the `k x n` product,
 /// `band.len() / n` of them — accumulated by streaming both operands
 /// once, row `r` ascending: `band[kk] += X[r][first + kk] * Y[r]` for
-/// every nonzero `X[r][first + kk]`. Each output element therefore sums
-/// its terms in `r` order with exact zeros skipped, the chain of the
+/// every nonzero `X[r][first + kk]`, [`gather`]ed per row without a
+/// branch on the coefficient. Each output element therefore sums its
+/// terms in `r` order with exact zeros skipped, the chain of the
 /// element-at-a-time `Xᵀ·Y`, while X and Y are read once per band
 /// instead of once per output row. `lhs` is `rows x k`, `rhs` `rows x n`.
 pub(crate) fn transpose_gemm_band(
@@ -170,11 +212,16 @@ pub(crate) fn transpose_gemm_band(
         return;
     }
     let width = band.len() / n;
+    let mut pairs = [(0, 0.0); GATHER];
     for (lhs_row, rhs_row) in lhs.chunks_exact(k).zip(rhs.chunks_exact(n)) {
         let lhs_band = lhs_row.get(first..first + width).unwrap_or(&[]);
-        for (&a, out_row) in lhs_band.iter().zip(band.chunks_exact_mut(n)) {
-            if a != 0.0 {
-                axpy(out_row, a, rhs_row);
+        for (block, band) in lhs_band.chunks(GATHER).zip(band.chunks_mut(GATHER * n)) {
+            let cnt = gather(&mut pairs, block);
+            for &(kk, a) in pairs.get(..cnt).unwrap_or(&[]) {
+                let start = kk as usize * n;
+                if let Some(out_row) = band.get_mut(start..start + n) {
+                    axpy(out_row, a, rhs_row);
+                }
             }
         }
     }

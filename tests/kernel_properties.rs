@@ -1,10 +1,11 @@
 //! Property-based tests for the dense products: each must be
 //! *bit-identical* to the element-at-a-time loop written out below, on
-//! arbitrary shapes — the forward `matmul` at every dimension around the
-//! blocking breakpoints (the narrow 1..=8 fixed paths, the 32/64 fixed
-//! widths, the 64-column tile edge), and the two backward products on
-//! both sides of their parallel thresholds, over operands holding exact
-//! zeros, `-0.0`, ±inf and NaN.
+//! arbitrary shapes — the forward `matmul` and `matmul_bias_into` at
+//! every width around the register chunks (the narrow 1..=8 widths, 32
+//! columns at a time, ragged tails, the model's widest output 128) and at
+//! shared dimensions on both sides of a 256-coefficient gather block, and
+//! the two backward products on both sides of their parallel thresholds,
+//! over operands holding exact zeros, `-0.0`, ±inf and NaN.
 //!
 //! The CI kernel-equivalence job runs this file as built and again under
 //! `RUSTFLAGS="-C target-cpu=native"`, the leg that would expose an FMA
@@ -14,10 +15,13 @@ use proptest::prelude::*;
 
 use gcn_testability::tensor::Matrix;
 
-/// Dense widths straddling every blocking breakpoint: each narrow
-/// fixed GEMM path (1..=8) plus just past it, the 32/64 fixed paths,
-/// and the 64-column tile edge.
-const DIMS: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 63, 64, 65];
+/// Dense widths straddling every breakpoint of the forward row: each
+/// narrow fixed width (1..=8) plus just past it, one to four 32-column
+/// register chunks with and without a ragged tail, and the model's widest
+/// output (128).
+const DIMS: &[usize] = &[
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 63, 64, 65, 96, 127, 128, 129,
+];
 
 /// Row counts on both sides of 256 and, times the widest of [`WIDTHS`],
 /// of 16 Ki elements — the operand size at which the backward products
@@ -59,6 +63,21 @@ fn backward_operand(rows: usize, cols: usize, salt: usize, special_every: usize)
         }
     }
     m
+}
+
+/// A `k x dim` [`dense_operand`] with ±inf or NaN in one column of every
+/// row `kk` where some row of `lhs` holds a zero (`+0.0` or `-0.0`) at
+/// `kk`: the product must skip those terms, and one that did not would
+/// add `0 · inf = NaN` to an output the loop keeps finite.
+fn poisoned_rhs(lhs: &Matrix, dim: usize, salt: usize) -> Matrix {
+    let mut rhs = dense_operand(lhs.cols(), dim, salt);
+    for kk in 0..lhs.cols() {
+        if (0..lhs.rows()).any(|r| lhs.get(r, kk) == 0.0) {
+            let v = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][kk % 3];
+            rhs.set(kk, (kk * 7 + salt) % dim, v);
+        }
+    }
+    rhs
 }
 
 /// The bit patterns of `values`, every NaN mapped to one pattern: which
@@ -132,34 +151,51 @@ fn matmul_transpose_loop(y: &Matrix, w: &Matrix) -> Vec<f32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Dense × dense (the embed loop's GEMM): the blocked row equals the
-    /// element-at-a-time loop, including through the zero-skip path
-    /// (post-ReLU activations are mostly zero, so the lhs is sprinkled
-    /// with exact zeros here).
+    /// Dense × dense (the encode and head GEMM, plain and with its bias):
+    /// the gathered row equals the element-at-a-time loop at every width
+    /// around the register chunks, with shared dimensions on both sides of
+    /// a gather block. The lhs holds exact zeros, `-0.0`, ±inf and NaN,
+    /// and the rhs puts ±inf or NaN in rows where the lhs has a zero, so a
+    /// skipped term that leaked in (`0 · inf`) turns a finite output NaN.
     #[test]
     fn matmul_blocked_is_bitwise_scalar(
         rows in 1usize..24,
         k in 1usize..24,
         salt in 0usize..64,
-        zero_every in 2usize..5,
+        special_every in 2usize..400,
     ) {
-        for &dim in DIMS {
-            let mut lhs = dense_operand(rows, k, salt);
-            for r in 0..rows {
-                for c in 0..k {
-                    if (r + c) % zero_every == 0 {
-                        lhs.set(r, c, 0.0);
-                    }
+        for k in [k, 255, 256, 257, 600] {
+            // The gather works row by row: a few long rows cross its blocks.
+            let rows = if k > 24 { rows % 4 + 1 } else { rows };
+            let lhs = backward_operand(rows, k, salt, special_every);
+            for &dim in DIMS {
+                let rhs = poisoned_rhs(&lhs, dim, salt + 1);
+                let mut expected = matmul_loop(&lhs, &rhs);
+                let blocked = lhs.matmul(&rhs).unwrap();
+                prop_assert_eq!(
+                    bits(&expected),
+                    bits(blocked.as_slice()),
+                    "matmul diverged at {} x {} x {}",
+                    rows,
+                    k,
+                    dim
+                );
+                let bias = dense_operand(1, dim, salt + 2);
+                for (e, &b) in expected.iter_mut().zip(bias.as_slice().iter().cycle()) {
+                    *e += b;
                 }
+                let mut out = vec![f32::NAN; rows * dim];
+                let lhs_rows = lhs.as_slice().chunks_exact(k);
+                Matrix::matmul_bias_into(lhs_rows, &rhs, bias.as_slice(), &mut out).unwrap();
+                prop_assert_eq!(
+                    bits(&expected),
+                    bits(&out),
+                    "matmul_bias_into diverged at {} x {} x {}",
+                    rows,
+                    k,
+                    dim
+                );
             }
-            let rhs = dense_operand(k, dim, salt + 1);
-            let blocked = lhs.matmul(&rhs).unwrap();
-            prop_assert_eq!(
-                matmul_loop(&lhs, &rhs),
-                blocked.as_slice(),
-                "matmul diverged at dim {}",
-                dim
-            );
         }
     }
 
