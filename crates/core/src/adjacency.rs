@@ -3,7 +3,7 @@ use std::borrow::Cow;
 use serde::{Deserialize, Serialize};
 
 use gcnt_netlist::{Netlist, NodeId};
-use gcnt_tensor::{CooMatrix, CsrMatrix, Matrix, Result, TensorError};
+use gcnt_tensor::{CsrMatrix, Matrix, Result, TensorError};
 
 /// Sparse-tensor view of a netlist graph, ready for matrix-form GCN
 /// inference and training.
@@ -83,6 +83,29 @@ fn combine_rows(src: &Matrix, rows: &[usize], wa: f32, wb: f32, a: &mut [f32], b
     }
 }
 
+/// The unweighted `n x n` CSR whose row `v` holds `list(net, v)`: copied
+/// straight from the netlist's adjacency lists and sorted in place row by
+/// row. A netlist never repeats a wire, so nothing needs merging, and the
+/// result is what `CooMatrix::to_csr` builds from the same entries.
+fn adjacency_csr(net: &Netlist, list: impl Fn(&Netlist, NodeId) -> &[NodeId]) -> CsrMatrix {
+    let n = net.node_count();
+    let mut indptr = Vec::with_capacity(n + 1);
+    let mut indices: Vec<u32> = Vec::with_capacity(net.edge_count());
+    indptr.push(0);
+    for v in net.nodes() {
+        let start = indices.len();
+        indices.extend(list(net, v).iter().map(|u| u.index() as u32));
+        if let Some(row) = indices.get_mut(start..) {
+            row.sort_unstable();
+        }
+        indptr.push(indices.len());
+    }
+    let values = vec![1.0; indices.len()];
+    let csr = CsrMatrix::from_raw_parts_unchecked(n, n, indptr, indices, values);
+    debug_assert!(csr.structure_ok());
+    csr
+}
+
 impl GraphTensors {
     /// Builds the tensors from a netlist.
     pub fn from_netlist(net: &Netlist) -> Self {
@@ -98,21 +121,10 @@ impl GraphTensors {
     /// from them); a disabled direction contributes an all-zero product
     /// to the `aggregate*` methods of this value.
     pub fn with_directions(net: &Netlist, use_pred: bool, use_succ: bool) -> Self {
-        let n = net.node_count();
-        let mut fanin = CooMatrix::with_capacity(n, n, net.edge_count());
-        let mut fanout = CooMatrix::with_capacity(n, n, net.edge_count());
-        for v in net.nodes() {
-            for &u in net.fanin(v) {
-                fanin.push(v.index(), u.index(), 1.0);
-            }
-            for &u in net.fanout(v) {
-                fanout.push(v.index(), u.index(), 1.0);
-            }
-        }
         GraphTensors {
-            n,
-            pred: fanin.to_csr(),
-            succ: fanout.to_csr(),
+            n: net.node_count(),
+            pred: adjacency_csr(net, Netlist::fanin),
+            succ: adjacency_csr(net, Netlist::fanout),
             use_pred,
             use_succ,
             generation: 0,

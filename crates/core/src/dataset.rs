@@ -50,6 +50,7 @@ impl GraphData {
     /// None: levels and SCOAP cannot fail on a [`Netlist`], which is
     /// valid by construction.
     pub fn from_netlist(net: &Netlist, normalizer: Option<&FeatureNormalizer>) -> NetResult<Self> {
+        let _span = gcnt_obs::span(gcnt_obs::histograms::CORE_FEATURIZE_NS);
         let raw = raw_features_of(net)?;
         let normalizer = match normalizer {
             Some(n) => n.clone(),

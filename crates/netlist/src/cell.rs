@@ -99,8 +99,9 @@ impl CellKind {
 
     /// Parses a mnemonic (case-insensitive).
     pub fn from_mnemonic(s: &str) -> Option<CellKind> {
-        let lower = s.to_ascii_lowercase();
-        CellKind::ALL.into_iter().find(|k| k.mnemonic() == lower)
+        CellKind::ALL
+            .into_iter()
+            .find(|k| k.mnemonic().eq_ignore_ascii_case(s))
     }
 }
 

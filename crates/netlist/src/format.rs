@@ -21,8 +21,9 @@
 //! with identical structure (node numbering may differ; semantics are
 //! preserved).
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::Write as _;
+use std::ops::Range;
 
 use crate::{CellKind, Netlist, NetlistError, NodeId, Result};
 
@@ -46,7 +47,13 @@ use crate::{CellKind, Netlist, NetlistError, NodeId, Result};
 /// # Ok::<(), gcnt_netlist::NetlistError>(())
 /// ```
 pub fn write(net: &Netlist) -> String {
-    let mut out = String::new();
+    // An upper bound on the text, so the string is allocated once: a cell
+    // line costs at most 12 bytes and one index, a wire 3 bytes and one
+    // index, and the header 70 bytes and the name.
+    let digits = net.node_count().max(1).ilog10() as usize + 1;
+    let cap =
+        70 + net.name().len() + net.node_count() * (12 + digits) + net.edge_count() * (3 + digits);
+    let mut out = String::with_capacity(cap);
     let _ = writeln!(out, "# design: {}", net.name());
     let _ = writeln!(
         out,
@@ -70,18 +77,14 @@ pub fn write(net: &Netlist) -> String {
         if kind == CellKind::Input || kind == CellKind::Output {
             continue;
         }
-        let args: Vec<String> = net
-            .fanin(id)
-            .iter()
-            .map(|f| format!("n{}", f.index()))
-            .collect();
-        let _ = writeln!(
-            out,
-            "n{} = {}({})",
-            id.index(),
-            kind.mnemonic().to_ascii_uppercase(),
-            args.join(", ")
-        );
+        let _ = write!(out, "n{} = ", id.index());
+        out.extend(kind.mnemonic().chars().map(|c| c.to_ascii_uppercase()));
+        out.push('(');
+        for (i, f) in net.fanin(id).iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            let _ = write!(out, "{sep}n{}", f.index());
+        }
+        out.push_str(")\n");
     }
     out
 }
@@ -97,18 +100,25 @@ pub fn write(net: &Netlist) -> String {
 ///   wrong number of drivers (`y = NOT()` is a well-formed line) or a
 ///   combinational cycle.
 pub fn read(text: &str) -> Result<Netlist> {
+    let _span = gcnt_obs::span(gcnt_obs::histograms::NETLIST_PARSE_NS);
+    /// A statement: an `OUTPUT`, or the definition of signal `name` — cell
+    /// `id`, driven by `args` — by an `INPUT` (no arguments) or a gate.
     enum Stmt<'a> {
-        Input(&'a str),
         Output(&'a str),
-        Gate {
+        Def {
             name: &'a str,
-            kind: CellKind,
-            args: Vec<&'a str>,
+            id: NodeId,
+            args: Range<usize>,
         },
     }
 
-    let mut name = "parsed".to_string();
+    let mut design = "parsed".to_string();
     let mut stmts: Vec<(usize, Stmt)> = Vec::new();
+    // Every gate's arguments back to back; a gate holds its range.
+    let mut all_args: Vec<&str> = Vec::new();
+    // A defined signal's id is its rank among the definitions, since a
+    // redefinition fails the read; `OUTPUT` cells are numbered after them.
+    let mut kinds: Vec<CellKind> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
         let line = raw.trim();
@@ -116,107 +126,90 @@ pub fn read(text: &str) -> Result<Netlist> {
             continue;
         }
         if let Some(comment) = line.strip_prefix('#') {
-            if let Some(design) = comment.trim().strip_prefix("design:") {
-                name = design.trim().to_string();
+            if let Some(named) = comment.trim().strip_prefix("design:") {
+                design = named.trim().to_string();
             }
             continue;
         }
-        if let Some(arg) = parse_call(line, "INPUT") {
-            stmts.push((lineno, Stmt::Input(arg)));
+        let first = all_args.len();
+        let (name, kind) = if let Some(arg) = parse_call(line, "INPUT") {
+            (arg, CellKind::Input)
         } else if let Some(arg) = parse_call(line, "OUTPUT") {
             stmts.push((lineno, Stmt::Output(arg)));
+            continue;
         } else if let Some((lhs, rhs)) = line.split_once('=') {
-            let lhs = lhs.trim();
             let rhs = rhs.trim();
-            let open = rhs.find('(').ok_or_else(|| NetlistError::Parse {
-                line: lineno,
-                message: "expected GATE(args)".to_string(),
-            })?;
+            let open = rhs
+                .find('(')
+                .ok_or_else(|| parse_error(lineno, "expected GATE(args)"))?;
             if !rhs.ends_with(')') {
-                return Err(NetlistError::Parse {
-                    line: lineno,
-                    message: "missing closing parenthesis".to_string(),
-                });
+                return Err(parse_error(lineno, "missing closing parenthesis"));
             }
             let kind_str = rhs[..open].trim();
-            let kind = CellKind::from_mnemonic(kind_str).ok_or_else(|| NetlistError::Parse {
-                line: lineno,
-                message: format!("unknown gate kind '{kind_str}'"),
-            })?;
+            let kind = CellKind::from_mnemonic(kind_str)
+                .ok_or_else(|| parse_error(lineno, format!("unknown gate kind '{kind_str}'")))?;
             if kind == CellKind::Input || kind == CellKind::Output {
-                return Err(NetlistError::Parse {
-                    line: lineno,
-                    message: format!("'{kind_str}' is not a gate"),
-                });
+                return Err(parse_error(lineno, format!("'{kind_str}' is not a gate")));
             }
-            let args: Vec<&str> = rhs[open + 1..rhs.len() - 1]
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .collect();
-            stmts.push((
-                lineno,
-                Stmt::Gate {
-                    name: lhs,
-                    kind,
-                    args,
-                },
-            ));
+            let inner = rhs[open + 1..rhs.len() - 1].split(',').map(str::trim);
+            all_args.extend(inner.filter(|s| !s.is_empty()));
+            (lhs.trim(), kind)
         } else {
-            return Err(NetlistError::Parse {
-                line: lineno,
-                message: format!("unrecognised statement '{line}'"),
-            });
-        }
-    }
-
-    // Pass 1: create cells for all defined signals.
-    let mut net = Netlist::new(name);
-    let mut by_name: HashMap<&str, NodeId> = HashMap::new();
-    for (lineno, stmt) in &stmts {
-        let (sig, kind) = match stmt {
-            Stmt::Input(sig) => (*sig, CellKind::Input),
-            Stmt::Gate { name, kind, .. } => (*name, *kind),
-            Stmt::Output(_) => continue,
+            let message = format!("unrecognised statement '{line}'");
+            return Err(parse_error(lineno, message));
         };
-        if by_name.contains_key(sig) {
-            return Err(NetlistError::Parse {
-                line: *lineno,
-                message: format!("signal '{sig}' redefined"),
-            });
-        }
-        by_name.insert(sig, net.add_cell(kind));
+        let (id, args) = (NodeId::from_index(kinds.len()), first..all_args.len());
+        kinds.push(kind);
+        stmts.push((lineno, Stmt::Def { name, id, args }));
     }
 
-    // Pass 2: connect.
+    // Pass 1: name every defined signal, each hashed once.
+    let mut by_name: HashMap<&str, NodeId> = HashMap::with_capacity(kinds.len());
     for (lineno, stmt) in &stmts {
+        if let Stmt::Def { name, id, .. } = stmt {
+            let Entry::Vacant(slot) = by_name.entry(name) else {
+                return Err(parse_error(*lineno, format!("signal '{name}' redefined")));
+            };
+            slot.insert(*id);
+        }
+    }
+
+    // Pass 2: resolve every reference, in statement order, into one edge
+    // list: one wire per gate argument and one per `OUTPUT`.
+    let outputs = stmts.len() - kinds.len();
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(all_args.len() + outputs);
+    for (lineno, stmt) in &stmts {
+        let undefined = |what: &str, sig: &str| {
+            let message = format!("{what} references undefined signal '{sig}'");
+            parse_error(*lineno, message)
+        };
         match stmt {
-            Stmt::Input(_) => {}
             Stmt::Output(sig) => {
-                let driver = *by_name.get(sig).ok_or_else(|| NetlistError::Parse {
-                    line: *lineno,
-                    message: format!("output references undefined signal '{sig}'"),
-                })?;
-                let po = net.add_cell(CellKind::Output);
-                net.connect(driver, po)?;
+                let driver = *by_name.get(sig).ok_or_else(|| undefined("output", sig))?;
+                edges.push((driver, NodeId::from_index(kinds.len())));
+                kinds.push(CellKind::Output);
             }
-            Stmt::Gate { name, args, .. } => {
-                let id = by_name[*name];
-                for arg in args {
-                    let src = *by_name.get(arg).ok_or_else(|| NetlistError::Parse {
-                        line: *lineno,
-                        message: format!("gate references undefined signal '{arg}'"),
-                    })?;
-                    // The only way to fail: `src` is already a fanin.
-                    net.connect(src, id).map_err(|_| NetlistError::Parse {
-                        line: *lineno,
-                        message: format!("gate '{name}' reads signal '{arg}' twice"),
-                    })?;
+            Stmt::Def { name, id, args } => {
+                let first = edges.len();
+                for arg in &all_args[args.clone()] {
+                    let src = *by_name.get(arg).ok_or_else(|| undefined("gate", arg))?;
+                    if edges[first..].iter().any(|&(s, _)| s == src) {
+                        let message = format!("gate '{name}' reads signal '{arg}' twice");
+                        return Err(parse_error(*lineno, message));
+                    }
+                    edges.push((src, *id));
                 }
             }
         }
     }
-    net.validated()
+    Netlist::from_edges(design, kinds, &edges)
+}
+
+fn parse_error(line: usize, message: impl Into<String>) -> NetlistError {
+    NetlistError::Parse {
+        line,
+        message: message.into(),
+    }
 }
 
 fn parse_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
@@ -338,6 +331,21 @@ mod tests {
         p1.sort_unstable();
         p2.sort_unstable();
         assert_eq!(p1, p2);
+    }
+
+    /// The writer's bytes on a fixed generated design, pinned by their
+    /// FNV-1a as the per-line `format!` writer produced them.
+    #[test]
+    fn writer_bytes_are_pinned() {
+        let net = generate(&GeneratorConfig::sized("fnv", 7, 2000));
+        let text = write(&net);
+        let fnv = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(
+            (net.node_count(), text.len(), fnv),
+            (2052, 39774, 0x353b_7202_d317_7566)
+        );
     }
 
     #[test]

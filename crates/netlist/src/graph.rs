@@ -200,6 +200,34 @@ impl Netlist {
         Ok(())
     }
 
+    /// The cells `kinds` wired by `edges` — `(driver, sink)` pairs in
+    /// connection order — then validated: what [`Netlist::connect`] per
+    /// edge would build, with each adjacency list allocated once at its
+    /// length. The caller guarantees the ids are in range, no edge repeats
+    /// and no `Output` cell drives.
+    pub(crate) fn from_edges(
+        name: String,
+        kinds: Vec<CellKind>,
+        edges: &[(NodeId, NodeId)],
+    ) -> Result<Self> {
+        let mut lens = vec![(0, 0); kinds.len()];
+        for &(from, to) in edges {
+            lens[to.index()].0 += 1;
+            lens[from.index()].1 += 1;
+        }
+        let mut net = Netlist::new(name);
+        (net.fanin, net.fanout) = lens
+            .into_iter()
+            .map(|(ins, outs)| (Vec::with_capacity(ins), Vec::with_capacity(outs)))
+            .unzip();
+        (net.kinds, net.edge_count) = (kinds, edges.len());
+        for &(from, to) in edges {
+            net.fanin[to.index()].push(from);
+            net.fanout[from.index()].push(to);
+        }
+        net.validated()
+    }
+
     /// The one validator: collects every arity violation in node order,
     /// then runs Kahn's algorithm once and keeps the order it finds.
     pub(crate) fn validated(mut self) -> Result<Self> {

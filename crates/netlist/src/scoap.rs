@@ -84,8 +84,22 @@ impl Scoap {
             scoap.cc0[id.index()] = c0;
             scoap.cc1[id.index()] = c1;
         }
+        // Observability, pushed from each sink to its fanins: the constant
+        // branches of the pseudo outputs first (a DFF leads the order), then
+        // every gate in reverse topological order, its own CO final by then.
+        for id in net.nodes() {
+            let kind = net.kind(id);
+            if kind == CellKind::Output {
+                scoap.co[id.index()] = 0;
+            }
+            if kind.is_pseudo_output() {
+                scoap.lower_fanins(net, id, 0);
+            }
+        }
         for &id in order.iter().rev() {
-            scoap.co[id.index()] = scoap.observability_of(net, id);
+            if !net.kind(id).is_pseudo_output() {
+                scoap.lower_fanins(net, id, scoap.co[id.index()]);
+            }
         }
         Ok(scoap)
     }
@@ -278,49 +292,65 @@ impl Scoap {
     }
 
     /// Observability of `v` with fanout observabilities supplied by a
-    /// lookup (lets [`Scoap::preview_observe`] overlay hypothetical values).
+    /// lookup (lets [`Scoap::preview_observe`] overlay hypothetical values):
+    /// the cheapest [`branch`] over its fanouts, pulled.
     fn observability_with(&self, net: &Netlist, v: NodeId, co: impl Fn(NodeId) -> u32) -> u32 {
         if net.kind(v) == CellKind::Output {
             return 0;
         }
         let mut best = SCOAP_INF;
         for &u in net.fanout(v) {
-            let branch = match net.kind(u) {
-                CellKind::Output => 0,
-                CellKind::Dff => SCAN_COST,
-                CellKind::Buf | CellKind::Not => sat_add(co(u), 1),
-                CellKind::And | CellKind::Nand => {
-                    let side: u32 = net
-                        .fanin(u)
-                        .iter()
-                        .filter(|&&w| w != v)
-                        .map(|w| self.cc1[w.index()])
-                        .fold(0, sat_add);
-                    sat_add(sat_add(co(u), side), 1)
-                }
-                CellKind::Or | CellKind::Nor => {
-                    let side: u32 = net
-                        .fanin(u)
-                        .iter()
-                        .filter(|&&w| w != v)
-                        .map(|w| self.cc0[w.index()])
-                        .fold(0, sat_add);
-                    sat_add(sat_add(co(u), side), 1)
-                }
-                CellKind::Xor | CellKind::Xnor => {
-                    let side: u32 = net
-                        .fanin(u)
-                        .iter()
-                        .filter(|&&w| w != v)
-                        .map(|w| self.cc0[w.index()].min(self.cc1[w.index()]))
-                        .fold(0, sat_add);
-                    sat_add(sat_add(co(u), side), 1)
-                }
-                CellKind::Input => SCOAP_INF, // cannot drive an input; unreachable
-            };
-            best = best.min(branch);
+            let kind = net.kind(u);
+            let side = net
+                .fanin(u)
+                .iter()
+                .filter(|&&w| w != v)
+                .map(|&w| self.side_cost(kind, w))
+                .sum();
+            best = best.min(branch(kind, co(u), side));
         }
         best
+    }
+
+    /// Lowers each fanin's CO to its [`branch`] through `id`, whose CO is
+    /// `co_id`: one side sum per cell, each fanin's own cost taken back
+    /// out of it.
+    fn lower_fanins(&mut self, net: &Netlist, id: NodeId, co_id: u32) {
+        let (kind, fanin) = (net.kind(id), net.fanin(id));
+        let total: u64 = fanin.iter().map(|&w| self.side_cost(kind, w)).sum();
+        for &f in fanin {
+            let co = branch(kind, co_id, total - self.side_cost(kind, f));
+            self.co[f.index()] = self.co[f.index()].min(co);
+        }
+    }
+
+    /// What side input `w` of a `kind` cell costs to sensitise the cell to
+    /// another input: its non-controlling value (1 for AND/NAND, 0 for
+    /// OR/NOR), either value for XOR/XNOR, nothing for one-input cells.
+    fn side_cost(&self, kind: CellKind, w: NodeId) -> u64 {
+        let w = w.index();
+        u64::from(match kind {
+            CellKind::And | CellKind::Nand => self.cc1[w],
+            CellKind::Or | CellKind::Nor => self.cc0[w],
+            CellKind::Xor | CellKind::Xnor => self.cc0[w].min(self.cc1[w]),
+            _ => 0,
+        })
+    }
+}
+
+/// The observability a fanin gets through one sink of `kind`, whose own
+/// observability is `co_sink` and whose other inputs cost `side` in sum
+/// ([`Scoap::side_cost`]), capped at [`SCOAP_INF`] — the SCOAP branch rule
+/// that the full compute pushes and [`Scoap::observe`] pulls.
+fn branch(kind: CellKind, co_sink: u32, side: u64) -> u32 {
+    match kind {
+        CellKind::Output => 0,
+        CellKind::Dff => SCAN_COST,
+        CellKind::Input => SCOAP_INF, // cannot drive an input; unreachable
+        _ => {
+            let side = u32::try_from(side.min(u64::from(SCOAP_INF))).unwrap_or(SCOAP_INF);
+            sat_add(sat_add(co_sink, side), 1)
+        }
     }
 }
 

@@ -362,6 +362,14 @@ declare_histograms! {
     /// Embedding-row work spent per admitted request.
     SERVE_REQUEST_ROWS_SPENT => "gcnt_serve_request_rows_spent",
         "Embedding-row budget units spent per admitted request", ROW_BUCKETS;
+    /// Wall-clock time of one `format::read`: design text to a validated
+    /// netlist.
+    NETLIST_PARSE_NS => "gcnt_netlist_parse_ns",
+        "Design text parse and validation latency (ns)", NS_BUCKETS;
+    /// Wall-clock time of one `GraphData::from_netlist`: levels, SCOAP,
+    /// the feature matrix and both adjacency CSRs.
+    CORE_FEATURIZE_NS => "gcnt_core_featurize_ns",
+        "Netlist to features and adjacency tensors latency (ns)", NS_BUCKETS;
     /// Wall-clock latency per flow iteration.
     DFT_FLOW_ITERATION_NS => "gcnt_dft_flow_iteration_ns",
         "OP-insertion flow iteration latency (ns)", NS_BUCKETS;

@@ -171,8 +171,10 @@ impl CsrMatrix {
 
     /// Builds a CSR matrix from raw arrays without validation.
     ///
-    /// Intended for tests and tooling that deliberately construct broken
-    /// matrices (e.g. to exercise the lint rules); every kernel assumes
+    /// For builders that produce the arrays directly (the netlist
+    /// adjacency, copied from its fanin/fanout lists), and for tests and
+    /// tooling that deliberately construct broken matrices (e.g. to
+    /// exercise the lint rules); every kernel assumes
     /// [`CsrMatrix::structure_ok`], so feeding an invalid matrix to them
     /// is unspecified (panics or wrong results, but never UB).
     pub fn from_raw_parts_unchecked(

@@ -13,26 +13,39 @@ const PAR_GEMM_THRESHOLD: usize = 16 * 1024;
 /// One output row of `lhs · rhs + bias`, accumulated onto a zeroed
 /// `out_row`: the complete `k`-order sum, then the bias.
 #[inline]
-fn bias_row(out_row: &mut [f32], lhs_row: &[f32], rhs: &Matrix, bias: &[f32]) {
-    kernel::gemm_row::<true>(out_row, lhs_row, &rhs.data, rhs.cols);
+fn bias_row(
+    out_row: &mut [f32],
+    lhs_row: &[f32],
+    rhs: &Matrix,
+    bias: &[f32],
+    pairs: &mut kernel::GatherBlock,
+) {
+    kernel::gemm_row(out_row, lhs_row, &rhs.data, rhs.cols, pairs);
     for (o, &b) in out_row.iter_mut().zip(bias) {
         *o += b;
     }
 }
 
-/// Runs `row(r, out_row)` on every row of `out`, on the row-parallel
-/// primitive once the output reaches [`PAR_GEMM_THRESHOLD`] elements.
+/// Runs `row(r, out_row, pairs)` on every row of `out`, on the
+/// row-parallel primitive once the output reaches [`PAR_GEMM_THRESHOLD`]
+/// elements, with one gather block per worker reused across its rows.
 /// A zero-width output has no rows to visit.
-fn for_each_row(out: &mut Matrix, row: impl Fn(usize, &mut [f32]) + Sync) {
+fn for_each_row(
+    out: &mut Matrix,
+    row: impl Fn(usize, &mut [f32], &mut kernel::GatherBlock) + Sync,
+) {
     let n = out.cols.max(1);
     if out.data.len() >= PAR_GEMM_THRESHOLD {
-        out.data
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(r, out_row)| row(r, out_row));
+        out.data.par_chunks_mut(n).enumerate().for_each_init(
+            kernel::gather_block,
+            |pairs, (r, out_row)| {
+                row(r, out_row, pairs);
+            },
+        );
     } else {
+        let mut pairs = kernel::gather_block();
         for (r, out_row) in out.data.chunks_mut(n).enumerate() {
-            row(r, out_row);
+            row(r, out_row, &mut pairs);
         }
     }
 }
@@ -249,9 +262,9 @@ impl Matrix {
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         let k = self.cols;
-        for_each_row(&mut out, |r, out_row| {
+        for_each_row(&mut out, |r, out_row, pairs| {
             let lhs_row = self.data.get(r * k..(r + 1) * k).unwrap_or(&[]);
-            kernel::gemm_row::<true>(out_row, lhs_row, &rhs.data, rhs.cols);
+            kernel::gemm_row(out_row, lhs_row, &rhs.data, rhs.cols, pairs);
         });
         Ok(out)
     }
@@ -283,9 +296,9 @@ impl Matrix {
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         let k = self.cols;
-        for_each_row(&mut out, |r, out_row| {
+        for_each_row(&mut out, |r, out_row, pairs| {
             let lhs_row = self.data.get(r * k..(r + 1) * k).unwrap_or(&[]);
-            bias_row(out_row, lhs_row, rhs, bias);
+            bias_row(out_row, lhs_row, rhs, bias, pairs);
         });
         Ok(out)
     }
@@ -331,13 +344,14 @@ impl Matrix {
                 actual: out.len(),
             });
         }
+        let mut pairs = kernel::gather_block();
         // A zero-width product has no rows to cut `out` into.
         for (out_row, lhs_row) in out.chunks_exact_mut(n.max(1)).zip(lhs_rows) {
             if lhs_row.len() != rhs.rows {
                 return Err(mismatch((1, lhs_row.len()), rhs.shape()));
             }
             out_row.fill(0.0);
-            bias_row(out_row, lhs_row, rhs, bias);
+            bias_row(out_row, lhs_row, rhs, bias, &mut pairs);
         }
         Ok(())
     }
@@ -406,9 +420,9 @@ impl Matrix {
         let k = self.cols;
         let rhs_t = rhs.transpose();
         let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for_each_row(&mut out, |r, out_row| {
+        for_each_row(&mut out, |r, out_row, _| {
             let lhs_row = self.data.get(r * k..(r + 1) * k).unwrap_or(&[]);
-            kernel::gemm_row::<false>(out_row, lhs_row, &rhs_t.data, rhs_t.cols);
+            kernel::gemm_row_full(out_row, lhs_row, &rhs_t.data, rhs_t.cols);
         });
         Ok(out)
     }
@@ -465,7 +479,7 @@ impl Matrix {
         out.fill(0.0);
         if k > 0 && n > 0 {
             for (out_row, lhs_row) in out.chunks_exact_mut(n).zip(lhs.chunks_exact(k)) {
-                kernel::gemm_row::<false>(out_row, lhs_row, &rhs_t.data, n);
+                kernel::gemm_row_full(out_row, lhs_row, &rhs_t.data, n);
             }
         }
         Ok(())

@@ -70,6 +70,16 @@ const GATHER: usize = 256;
 /// One gathered coefficient: its index within the block and its value.
 type Pair = (u32, f32);
 
+/// Room for one block of a row's gathered coefficients. A product holds
+/// one per call (one per worker when it runs parallel) and reuses it
+/// row after row, so no row pays to initialise 2 KB.
+pub(crate) type GatherBlock = [Pair; GATHER];
+
+/// A fresh [`GatherBlock`].
+pub(crate) fn gather_block() -> GatherBlock {
+    [(0, 0.0); GATHER]
+}
+
 /// One sparse output row: `out_row[j] += v * fetch(c)[j]` for every
 /// stored `(c, v)` of the row, in stored order. `fetch` maps a stored
 /// column index to its dense source row (the CSR product passes
@@ -91,7 +101,7 @@ where
 /// count advances by the comparison, so no branch depends on a
 /// coefficient.
 #[inline]
-fn gather(pairs: &mut [Pair; GATHER], block: &[f32]) -> usize {
+fn gather(pairs: &mut GatherBlock, block: &[f32]) -> usize {
     let mut cnt = 0usize;
     for (i, &a) in (0u32..).zip(block) {
         // `cnt <= i < GATHER`, so the mask only proves the bound.
@@ -104,30 +114,32 @@ fn gather(pairs: &mut [Pair; GATHER], block: &[f32]) -> usize {
 }
 
 /// One dense GEMM output row: `out_row[j] += a * rhs_row(kk)[j]` over
-/// the lhs row's entries in `kk` order. With `SKIP_ZEROS` an exact-zero
-/// `a` adds no term — the forward products skip them, because post-ReLU
-/// activations are largely zero, and skipping is semantically different
-/// from adding `0.0 * b` for non-finite `b`; without it every term is
-/// added, which is the dot-product chain of `dY·Wᵀ`. `rhs` is the full
-/// row-major right-hand data of width `n`.
+/// the lhs row's nonzero entries in `kk` order. An exact-zero `a` adds no
+/// term — the forward products skip them, because post-ReLU activations
+/// are largely zero, and skipping is semantically different from adding
+/// `0.0 * b` for non-finite `b`. `rhs` is the full row-major right-hand
+/// data of width `n`.
 ///
-/// The skipping form [`gather`]s the row's nonzero coefficients first, a
-/// block at a time; both forms then fill the row with [`fill_row`].
-pub(crate) fn gemm_row<const SKIP_ZEROS: bool>(
+/// The row's nonzero coefficients are [`gather`]ed into `pairs` a block
+/// at a time, then [`fill_row`] fills the row from them.
+pub(crate) fn gemm_row(
     out_row: &mut [f32],
     lhs_row: &[f32],
     rhs: &[f32],
     n: usize,
+    pairs: &mut GatherBlock,
 ) {
-    if !SKIP_ZEROS {
-        return fill_row(out_row, lhs_row.iter().copied().enumerate(), rhs, n);
-    }
-    let mut pairs = [(0, 0.0); GATHER];
     for (block, rhs) in lhs_row.chunks(GATHER).zip(rhs.chunks(GATHER * n.max(1))) {
-        let cnt = gather(&mut pairs, block);
+        let cnt = gather(pairs, block);
         let pairs = pairs.get(..cnt).unwrap_or(&[]);
         fill_row(out_row, pairs.iter().map(|&(i, a)| (i as usize, a)), rhs, n);
     }
+}
+
+/// [`gemm_row`] over every term, exact zeros included: the dot-product
+/// chain of `dY·Wᵀ`.
+pub(crate) fn gemm_row_full(out_row: &mut [f32], lhs_row: &[f32], rhs: &[f32], n: usize) {
+    fill_row(out_row, lhs_row.iter().copied().enumerate(), rhs, n);
 }
 
 /// Fills one dense output row from its `(kk, a)` coefficients, in
@@ -212,7 +224,7 @@ pub(crate) fn transpose_gemm_band(
         return;
     }
     let width = band.len() / n;
-    let mut pairs = [(0, 0.0); GATHER];
+    let mut pairs = gather_block();
     for (lhs_row, rhs_row) in lhs.chunks_exact(k).zip(rhs.chunks_exact(n)) {
         let lhs_band = lhs_row.get(first..first + width).unwrap_or(&[]);
         for (block, band) in lhs_band.chunks(GATHER).zip(band.chunks_mut(GATHER * n)) {
