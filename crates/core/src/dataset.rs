@@ -1,10 +1,10 @@
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
-use gcnt_netlist::{Netlist, Result as NetResult};
+use gcnt_netlist::{logic_levels, Netlist, Result as NetResult, Scoap};
 use gcnt_tensor::Matrix;
 
-use crate::features::{raw_features_of, FeatureNormalizer};
+use crate::features::{raw_features, FeatureNormalizer};
 use crate::GraphTensors;
 
 /// A netlist prepared for GCN consumption: sparse tensors, normalised
@@ -50,21 +50,38 @@ impl GraphData {
     /// None: levels and SCOAP cannot fail on a [`Netlist`], which is
     /// valid by construction.
     pub fn from_netlist(net: &Netlist, normalizer: Option<&FeatureNormalizer>) -> NetResult<Self> {
+        Self::featurize(net, normalizer).map(|(data, _)| data)
+    }
+
+    /// [`GraphData::from_netlist`], also handing back the SCOAP measures
+    /// the features were built from, computed once — what the insertion
+    /// flow keeps updating. Every design enters the model through here,
+    /// under the `gcnt_core_featurize_ns` span.
+    ///
+    /// # Errors
+    ///
+    /// As [`GraphData::from_netlist`].
+    pub fn featurize(
+        net: &Netlist,
+        normalizer: Option<&FeatureNormalizer>,
+    ) -> NetResult<(Self, Scoap)> {
         let _span = gcnt_obs::span(gcnt_obs::histograms::CORE_FEATURIZE_NS);
-        let raw = raw_features_of(net)?;
+        let scoap = Scoap::compute(net)?;
+        let raw = raw_features(&logic_levels(net)?, &scoap);
         let normalizer = match normalizer {
             Some(n) => n.clone(),
             None => FeatureNormalizer::fit(&[&raw]),
         };
         let features = normalizer.apply(&raw);
-        Ok(GraphData {
+        let data = GraphData {
             name: net.name().to_string(),
             tensors: GraphTensors::from_netlist(net),
             raw_features: raw,
             features,
             normalizer,
             labels: Vec::new(),
-        })
+        };
+        Ok((data, scoap))
     }
 
     /// Attaches node labels.

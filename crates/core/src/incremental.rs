@@ -12,7 +12,8 @@
 //!   ([`GraphTensors::halo_step`]);
 //! * the affected rows are recomputed in place in the cached layer by
 //!   the row-tiled layer step every pass runs ([`crate::pass`]), their old
-//!   values kept for the undo.
+//!   values kept until the call returns, so a budget stop or a preview
+//!   can put them back.
 //!
 //! The same step runs the halo *backwards* for the filtered cascade: the
 //! final embedding of a few surviving rows needs the layer below on their
@@ -51,10 +52,10 @@ use crate::{Gcn, GraphTensors, MultiStageGcn};
 /// single authoritative copy and pass it to every call, so a flow state and
 /// its session never hold diverging feature matrices.
 ///
-/// Every row of a cache handed out is valid: [`Gcn::embed_cached`],
-/// [`EmbeddingCache::from_layers`] and [`CascadeSession::into_caches`] all
-/// make complete ones. Only a later stage inside a session holds some rows
-/// unfilled, and a valid row there never reads one: its own row and its
+/// Every row of a cache handed out is valid:
+/// [`EmbeddingCache::from_layers`] and [`CascadeSession::into_caches`]
+/// both make complete ones. Only a later stage inside a session holds some
+/// rows unfilled, and a valid row there never reads one: its own row and its
 /// neighbours' are valid in the layer below. (Between an insertion's
 /// [`CascadeSession::sync_nodes`] and the refresh it calls for, the new
 /// node's neighbours are the exception; that refresh recomputes them.)
@@ -151,8 +152,8 @@ impl EmbeddingCache {
     ///
     /// # Panics
     ///
-    /// Panics if the cache holds no layers; [`Gcn::embed_cached`] always
-    /// produces at least one.
+    /// Panics if the cache holds no layers; every constructor refuses a
+    /// cache without one.
     #[expect(
         clippy::expect_used,
         reason = "documented-panic accessor; a built cache always holds a layer"
@@ -169,7 +170,7 @@ impl EmbeddingCache {
         clippy::expect_used,
         reason = "a zero row of the layer's own width always fits"
     )]
-    pub fn extend_to(&mut self, n: usize, generation: u64) {
+    fn extend_to(&mut self, n: usize, generation: u64) {
         for (layer, valid) in self.layers.iter_mut().zip(&mut self.valid) {
             let zero = vec![0.0; layer.cols()];
             while layer.rows() < n {
@@ -370,16 +371,17 @@ impl EmbeddingCache {
         layer_rows
     }
 
-    /// Restores the rows recorded in `delta`, undoing the matching
-    /// [`Gcn::embed_incremental`] call: the rows it overwrote get their
-    /// old values, the rows it grew are invalid again, and the rows it
-    /// forgot get their old values back and are valid again. Deltas must
-    /// be reverted in reverse order of application.
+    /// Restores the rows recorded in `delta` within the call that made
+    /// it: the rows it overwrote get their old values, the rows it grew
+    /// are invalid again, and the rows it forgot are valid again — their
+    /// values are still in place, since nothing in the same call writes a
+    /// row it forgot. Deltas must be reverted in reverse order of
+    /// application.
     #[expect(
         clippy::expect_used,
         reason = "undo rows were gathered from this layer, so they scatter back"
     )]
-    pub fn revert(&mut self, delta: EmbeddingDelta) {
+    fn revert(&mut self, delta: EmbeddingDelta) {
         for (layer, (rows, old)) in self.layers.iter_mut().zip(delta.layer_undo) {
             layer
                 .scatter_rows(&rows, &old)
@@ -388,113 +390,29 @@ impl EmbeddingCache {
         for (d, rows) in delta.grown.iter().enumerate() {
             self.mark(d, rows, false);
         }
-        for (layer, (rows, old)) in self.layers.iter_mut().zip(&delta.forgot) {
-            layer
-                .scatter_rows(rows, old)
-                .expect("forgotten rows were gathered from this layer");
-        }
-        for (d, (rows, _)) in delta.forgot.iter().enumerate() {
+        for (d, rows) in delta.forgot.iter().enumerate() {
             self.mark(d, rows, true);
         }
     }
 }
 
-/// Undo record plus work accounting returned by [`Gcn::embed_incremental`].
-#[derive(Debug, Clone)]
-pub struct EmbeddingDelta {
+/// What one call changed in one stage's cache, kept until the call
+/// returns, plus its work accounting.
+#[derive(Debug)]
+struct EmbeddingDelta {
     /// Per layer: the recomputed rows that were valid, and their previous
     /// values.
     layer_undo: Vec<(Vec<usize>, Matrix)>,
     /// Per layer: the rows made valid that were not. Their values belong
     /// to the changed state, so the undo makes them invalid again.
     grown: Vec<Vec<usize>>,
-    /// Per layer: the valid rows a refresh stopped holding and their
-    /// values, which the undo puts back and holds again — a later call may
-    /// grow over an invalid row and leave its own value there.
-    forgot: Vec<(Vec<usize>, Matrix)>,
+    /// Per layer: the valid rows a refresh stopped holding.
+    forgot: Vec<Vec<usize>>,
+    /// Total embedding rows recomputed across all layers (`Σ_d |S_d|`).
     rows_computed: usize,
 }
 
-impl EmbeddingDelta {
-    /// Total embedding rows recomputed across all layers (`Σ_d |S_d|`).
-    pub fn rows_computed(&self) -> usize {
-        self.rows_computed
-    }
-}
-
 impl Gcn {
-    /// Full forward pass that retains every intermediate layer, seeding an
-    /// [`EmbeddingCache`]. `final_embedding()` is bit-identical to
-    /// [`Gcn::embed`] on the same inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` does not match the graph/node shape, or
-    /// a length error for a depth-0 model (nothing to cache).
-    pub fn embed_cached(&self, t: &GraphTensors, x: &Matrix) -> Result<EmbeddingCache> {
-        self.embed_cached_budgeted_with(t, x, &Budget::unlimited(), &mut MatrixBackend::serial())
-    }
-
-    /// [`Gcn::embed_cached`] under an explicit work [`Budget`] and
-    /// [`MatrixBackend`]: each layer charges one unit per node before
-    /// computing, so an exhausted budget stops the pass at a
-    /// layer boundary. Each layer's tiles write straight into the matrix
-    /// the cache keeps. The seeded cache is bit-identical across backends
-    /// (only a backend's staleness check is used), so the dirty-halo
-    /// patching that follows composes with any of them.
-    ///
-    /// # Errors
-    ///
-    /// As [`Gcn::embed_cached`], plus budget errors
-    /// ([`TensorError::BudgetExceeded`])
-    /// from the inter-layer checkpoints and [`TensorError::StaleCache`]
-    /// from a partitioned backend built against an older graph generation.
-    pub fn embed_cached_budgeted_with(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-        backend: &mut MatrixBackend,
-    ) -> Result<EmbeddingCache> {
-        if self.encoders().is_empty() {
-            return Err(TensorError::LengthMismatch {
-                expected: 1,
-                actual: 0,
-            });
-        }
-        backend.check_fresh(t)?;
-        let layers = pass::embed_layers(pass::PER_CORE, self, self.encoders(), t, x, budget)?;
-        Ok(EmbeddingCache::complete(layers, t.generation()))
-    }
-
-    /// Patches `cache` in place after the feature rows `dirty` changed,
-    /// recomputing only the growing halo `S_d = halo_step(S_{d-1})` per
-    /// layer. The patched cache is bit-for-bit what [`Gcn::embed_cached`]
-    /// would rebuild from scratch (see the module docs for why exactness
-    /// holds).
-    ///
-    /// The returned [`EmbeddingDelta`] can be handed to
-    /// [`EmbeddingCache::revert`] to undo the patch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::StaleCache`] if the cache generation does not
-    /// match the graph, a length error if the cache shape disagrees with the
-    /// model or graph, or an index error for out-of-range dirty rows. On
-    /// any error the cache is left exactly as it was.
-    pub fn embed_incremental(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        cache: &mut EmbeddingCache,
-        dirty: &[usize],
-    ) -> Result<EmbeddingDelta> {
-        cache.check(self.depth(), t, x)?;
-        check_nodes(dirty, t.node_count())?;
-        let halos = dirty_halos(t, dirty, self.depth());
-        self.patch_layers(t, x, cache, &halos, &Budget::unlimited())
-    }
-
     /// Computes `layer_rows[d]` (ascending) of cached layer `d` in place,
     /// layer by layer from the bottom, charging the budget each layer's
     /// row count first, and marks them valid; a layer with no rows is
@@ -551,7 +469,7 @@ impl Gcn {
 
     /// Brings `cache`, this stage's, to a refresh: computes the rows
     /// [`EmbeddingCache::refreshed_rows`] lists and forgets the others.
-    /// The delta undoes both.
+    /// The delta undoes both within the refresh.
     #[expect(clippy::too_many_arguments, reason = "one refresh's inputs")]
     fn refresh_cache(
         &self,
@@ -566,11 +484,10 @@ impl Gcn {
     ) -> Result<EmbeddingDelta> {
         let (compute, forget) = cache.refreshed_rows(t, halos, deepest, alive, adopted);
         let mut delta = self.patch_layers(t, x, cache, &compute, budget)?;
-        for (d, rows) in forget.into_iter().enumerate() {
-            cache.mark(d, &rows, false);
-            let old = cache.layers.get(d).map(|layer| layer.gather_rows(&rows));
-            delta.forgot.extend(old.map(|old| (rows, old)));
+        for (d, rows) in forget.iter().enumerate() {
+            cache.mark(d, rows, false);
         }
+        delta.forgot = forget;
         Ok(delta)
     }
 }
@@ -615,19 +532,11 @@ fn within(rows: &[usize], halo: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-/// Undo record plus work accounting returned by [`CascadeSession::refresh`]:
-/// per stage the embedding rows it overwrote, grew and forgot, and the
-/// combined probabilities of the halo rows —
-/// everything a later call reads, since a session keeps no per-stage
-/// probabilities. The accounting counts embedding rows, grown ones
-/// included; the heads a refresh skips on filtered rows are not in it.
+/// Work accounting returned by [`CascadeSession::refresh`], in embedding
+/// rows, grown ones included; the heads a refresh skips on filtered rows
+/// are not in it.
 #[derive(Debug, Clone)]
 pub struct SessionDelta {
-    stage_deltas: Vec<EmbeddingDelta>,
-    /// Rows whose final embedding — and hence probability — was recomputed.
-    rows: Vec<usize>,
-    /// Previous combined probabilities of those rows.
-    old_probs: Vec<f32>,
     rows_computed: u64,
     rows_full: u64,
 }
@@ -643,11 +552,6 @@ impl SessionDelta {
     pub fn rows_full_equivalent(&self) -> u64 {
         self.rows_full
     }
-
-    /// Rows whose combined probability may have changed.
-    pub fn rows(&self) -> &[usize] {
-        &self.rows
-    }
 }
 
 /// A live incremental-inference session over a (possibly single-stage)
@@ -662,16 +566,17 @@ impl SessionDelta {
 /// (1-based) the `(D−d)`-hop backward halo of the rows that reach it.
 /// What it holds depends on the graph and features alone: a refresh
 /// recomputes the held rows in the dirty halo, grows a stage over the rows
-/// that newly reach it and forgets the rows that no longer do, a revert
-/// undoes all of that, and a preview keeps nothing. Stage `s+1`'s head
+/// that newly reach it and forgets the rows that no longer do, and a
+/// preview keeps nothing. Stage `s+1`'s head
 /// runs only on the rows stage `s` passed on, over all rows at open and
 /// over the halo at refresh. Per-stage probabilities are not kept: a row's
 /// combined probability is re-derived from stage 0 whenever its embedding
 /// changes.
 ///
 /// Probabilities served by [`CascadeSession::probs`] are bit-identical to
-/// [`MultiStageGcn::predict_proba`] (or [`Gcn::predict_proba`] for a
-/// single-stage session) on the same graph and features.
+/// [`MultiStageGcn::predict_proba`] on the same graph and features; a
+/// single [`Gcn`] is a one-stage cascade, whose only stage is never
+/// filtered.
 #[derive(Debug, Clone)]
 pub struct CascadeSession<'m> {
     stages: &'m [Gcn],
@@ -682,36 +587,11 @@ pub struct CascadeSession<'m> {
 }
 
 impl<'m> CascadeSession<'m> {
-    /// Opens a session over a single GCN (a one-stage cascade; the filter
-    /// threshold is never consulted because the only stage is the last)
-    /// under an explicit work [`Budget`] and [`MatrixBackend`] for the
-    /// opening full pass, which charges one unit per node per layer. The
-    /// session it produces is bit-identical to the serial one; later
-    /// `refresh`/`revert` calls always use the serial dirty-halo path.
-    /// Every cached layer is allocated once, with room for `room` more
-    /// nodes, so that many nodes adopted by
-    /// [`CascadeSession::sync_nodes`] never reallocate it.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` does not match the graph, a budget
-    /// error from the inter-layer checkpoints, or
-    /// [`TensorError::StaleCache`] from a stale partitioned backend.
-    pub fn for_gcn_budgeted_with(
-        gcn: &'m Gcn,
-        t: &GraphTensors,
-        x: &Matrix,
-        room: usize,
-        budget: &Budget,
-        backend: &mut MatrixBackend,
-    ) -> Result<Self> {
-        Self::open(std::slice::from_ref(gcn), 0.0, t, x, room, budget, backend)
-    }
-
     /// [`MultiStageGcn::open_session`] under an explicit work [`Budget`]
-    /// and [`MatrixBackend`] for the opening pass, with room for `room`
-    /// more nodes as [`CascadeSession::for_gcn_budgeted_with`]. The pass
-    /// charges what the filtered stateless pass
+    /// and [`MatrixBackend`] for the opening pass. Every cached layer is
+    /// allocated once, with room for `room` more nodes, so that many nodes
+    /// adopted by [`CascadeSession::sync_nodes`] never reallocate it. The
+    /// pass charges what the filtered stateless pass
     /// ([`MultiStageGcn::predict_proba_budgeted_with`]) does: one unit per
     /// node per layer of stage 0, and per row of a later stage's halo.
     /// Every stage shares the one backend — the adjacency, and hence the
@@ -918,15 +798,16 @@ impl<'m> CascadeSession<'m> {
     /// Re-derives embeddings and probabilities after the feature rows
     /// `dirty` changed: each stage recomputes only the rows it keeps in
     /// its D-hop halo, grows over the rows that newly reach it and forgets
-    /// the rows that no longer do. Returns a delta that
-    /// [`CascadeSession::revert`] can undo.
+    /// the rows that no longer do. Returns the rows it computed.
     ///
     /// # Errors
     ///
-    /// Propagates [`Gcn::embed_incremental`] errors (stale cache, shape or
-    /// index mismatch). Every stage is checked before any is patched, and
-    /// a step refused later rolls the patched stages back, so an error
-    /// leaves the session unmutated.
+    /// [`TensorError::StaleCache`] if the session was not synced to the
+    /// graph's generation, a length error if the graph or features
+    /// disagree with the caches, and an index error for an out-of-range
+    /// dirty row. Every stage is checked before any is patched, and a step
+    /// refused later rolls the patched stages back, so an error leaves the
+    /// session unmutated.
     pub fn refresh(
         &mut self,
         t: &GraphTensors,
@@ -966,10 +847,9 @@ impl<'m> CascadeSession<'m> {
                 return Err(e);
             }
         };
-        let mut old_probs = Vec::with_capacity(rows.len());
         for (&r, p) in rows.iter().zip(new_probs) {
             if let Some(slot) = self.probs.get_mut(r) {
-                old_probs.push(std::mem::replace(slot, p));
+                *slot = p;
             }
         }
         let rows_computed = rows_computed(&stage_deltas);
@@ -980,9 +860,6 @@ impl<'m> CascadeSession<'m> {
         }
         note_rows(rows_computed, rows_full);
         Ok(SessionDelta {
-            stage_deltas,
-            rows,
-            old_probs,
             rows_computed,
             rows_full,
         })
@@ -1052,9 +929,8 @@ impl<'m> CascadeSession<'m> {
     /// and that the halo can change or the stage does not hold yet:
     /// `N_D = alive ∩ S_D` and `N_d = halo_step(N_{d+1}) ∩ S_d`, with
     /// `S_d` the rows of layer `d` in `H_d` or not valid. The patched rows
-    /// are restored before it returns; a grown row outside `H_d` holds the
-    /// same value either way and stays valid. Each layer charges `budget`
-    /// its row count first.
+    /// are restored and the grown ones made invalid again before it
+    /// returns. Each layer charges `budget` its row count first.
     ///
     /// # Errors
     ///
@@ -1116,26 +992,6 @@ impl<'m> CascadeSession<'m> {
         }
     }
 
-    /// Undoes a [`CascadeSession::refresh`], restoring embeddings and
-    /// probabilities bit-for-bit and forgetting the rows it grew inside
-    /// the dirty halo, which hold the refreshed state's values. Deltas
-    /// must be reverted in reverse order of application.
-    pub fn revert(&mut self, delta: SessionDelta) {
-        gcnt_obs::global().incr(gcnt_obs::counters::CORE_SESSION_REVERTS);
-        let SessionDelta {
-            stage_deltas,
-            rows,
-            old_probs,
-            ..
-        } = delta;
-        self.revert_stages(stage_deltas);
-        for (&r, v) in rows.iter().zip(old_probs) {
-            if let Some(slot) = self.probs.get_mut(r) {
-                *slot = v;
-            }
-        }
-    }
-
     /// Adopts a grown graph after a committed observation-point insertion:
     /// extends every cache and probability vector to the new node count
     /// (new entries zeroed, new rows not valid) and the new generation. The
@@ -1178,7 +1034,7 @@ impl<'m> CascadeSession<'m> {
 
 /// Embedding rows computed by `deltas`, summed.
 fn rows_computed(deltas: &[EmbeddingDelta]) -> u64 {
-    deltas.iter().map(|d| d.rows_computed() as u64).sum()
+    deltas.iter().map(|d| d.rows_computed as u64).sum()
 }
 
 /// Adds a refresh's or a preview's embedding rows to the incremental
@@ -1246,12 +1102,30 @@ mod tests {
         (0..t.node_count()).collect()
     }
 
+    /// `gcn` as a one-stage cascade.
+    fn alone(gcn: &Gcn) -> MultiStageGcn {
+        MultiStageGcn::from_stages(vec![gcn.clone()], 0.5)
+    }
+
+    /// Every layer `E_1..E_D` of a full pass.
+    fn full_layers(gcn: &Gcn, t: &GraphTensors, x: &Matrix) -> Vec<Matrix> {
+        pass::embed_layers(
+            pass::PER_CORE,
+            gcn,
+            gcn.encoders(),
+            t,
+            x,
+            &Budget::unlimited(),
+        )
+        .unwrap()
+    }
+
     /// The invariant every session call keeps: a valid row holds the full
     /// pass's value, bit for bit, and reads only valid rows.
     fn assert_valid_rows_exact(session: &CascadeSession<'_>, t: &GraphTensors, x: &Matrix) {
         for (s, (gcn, cache)) in session.stages.iter().zip(&session.caches).enumerate() {
-            let full = gcn.embed_cached(t, x).unwrap();
-            for (d, (layer, want)) in cache.layers().iter().zip(full.layers()).enumerate() {
+            let full = full_layers(gcn, t, x);
+            for (d, (layer, want)) in cache.layers().iter().zip(&full).enumerate() {
                 for r in (0..t.node_count()).filter(|&r| cache.is_valid(d, r)) {
                     assert_eq!(
                         bits(layer.row(r)),
@@ -1282,8 +1156,8 @@ mod tests {
     /// Stage 0 is cached whole; a later stage only on the backward halo
     /// of the rows that reach it. Every call after keeps the valid rows
     /// exact, and what the session holds is what an open on the same
-    /// state would hold: refreshes, their reverts, previews and
-    /// insertions.
+    /// state would hold: refreshes, refreshes back to the state before,
+    /// previews and insertions.
     #[test]
     fn later_stages_cache_only_what_their_heads_read() {
         let (data, mut net) = design(19, 300);
@@ -1343,16 +1217,13 @@ mod tests {
                 held(&session) == held_at_open(&model, &t, &x),
                 "step {step}: refresh"
             );
+            assert!(delta.rows_computed() < delta.rows_full_equivalent());
             for (&r, &v) in dirty.iter().zip(&saved) {
                 x.set(r, 3, v);
             }
-            session.revert(delta);
-            assert_eq!(
-                bits(session.probs()),
-                bits(&before.0),
-                "step {step}: revert"
-            );
-            assert!(held(&session) == before.1, "step {step}: revert");
+            session.refresh(&t, &x, &dirty).unwrap();
+            assert_eq!(bits(session.probs()), bits(&before.0), "step {step}: back");
+            assert!(held(&session) == before.1, "step {step}: back");
             assert_valid_rows_exact(&session, &t, &x);
 
             let target = net
@@ -1383,40 +1254,16 @@ mod tests {
     }
 
     #[test]
-    fn embed_cached_final_layer_matches_embed() {
+    fn a_completed_cache_ends_in_the_embedding() {
         let (data, _) = design(3, 200);
         for depth in 1..=3 {
             let gcn = small_gcn(depth, 11);
-            let cache = gcn.embed_cached(&data.tensors, &data.features).unwrap();
-            assert_eq!(cache.layers().len(), depth);
+            let model = alone(&gcn);
+            let session = model.open_session(&data.tensors, &data.features).unwrap();
+            let caches = session.into_caches(&data.tensors, &data.features).unwrap();
+            assert_eq!(caches[0].layers().len(), depth);
             let full = gcn.embed(&data.tensors, &data.features).unwrap();
-            assert_eq!(cache.final_embedding(), &full);
-        }
-    }
-
-    #[test]
-    fn embed_incremental_is_bit_identical_and_revertible() {
-        let (data, _) = design(5, 300);
-        for depth in 1..=3 {
-            let gcn = small_gcn(depth, 23);
-            let mut x = data.features.clone();
-            let mut cache = gcn.embed_cached(&data.tensors, &x).unwrap();
-            let pristine = cache.clone();
-            // Perturb a few feature rows.
-            let dirty = [7usize, 19, 19, 42];
-            for &r in &dirty {
-                x.set(r, 3, x.get(r, 3) + 1.25);
-            }
-            let delta = gcn
-                .embed_incremental(&data.tensors, &x, &mut cache, &dirty)
-                .unwrap();
-            assert!(delta.rows_computed() > 0);
-            // Every layer equals a from-scratch recompute, bit for bit.
-            let fresh = gcn.embed_cached(&data.tensors, &x).unwrap();
-            assert_eq!(cache.layers(), fresh.layers());
-            // Revert restores the original cache, bit for bit.
-            cache.revert(delta);
-            assert_eq!(cache.layers(), pristine.layers());
+            assert_eq!(caches[0].final_embedding(), &full);
         }
     }
 
@@ -1424,33 +1271,35 @@ mod tests {
     fn a_refused_step_rolls_the_patched_layers_back() {
         let (data, _) = design(5, 300);
         let gcn = small_gcn(3, 23);
+        let t = &data.tensors;
         let mut x = data.features.clone();
-        let good = gcn.embed_cached(&data.tensors, &x).unwrap();
         // A last layer of a width the model does not make: its step is
         // refused after the two layers below were patched in place.
-        let mut layers = good.layers().to_vec();
+        let mut layers = full_layers(&gcn, t, &x);
         layers[2] = Matrix::zeros(x.rows(), 9);
-        let mut cache = EmbeddingCache::from_layers(layers, good.generation()).unwrap();
+        let mut cache = EmbeddingCache::from_layers(layers, t.generation()).unwrap();
         let pristine = cache.clone();
         x.set(7, 3, x.get(7, 3) + 1.25);
-        let err = gcn.embed_incremental(&data.tensors, &x, &mut cache, &[7]);
+        let halos = dirty_halos(t, &[7], gcn.depth());
+        let err = gcn.patch_layers(t, &x, &mut cache, &halos, &Budget::unlimited());
         assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })));
         assert_eq!(cache.layers(), pristine.layers());
+        assert_eq!(cache.valid, pristine.valid);
     }
 
     #[test]
     fn stale_cache_is_refused() {
         let (data, mut net) = design(7, 120);
-        let gcn = small_gcn(2, 3);
+        let model = alone(&small_gcn(2, 3));
         let mut t = data.tensors.clone();
-        let mut cache = gcn.embed_cached(&t, &data.features).unwrap();
+        let mut session = model.open_session(&t, &data.features).unwrap();
         let target = net
             .nodes()
             .find(|&v| !net.fanout(v).is_empty())
             .expect("generated design has internal nodes");
         let op = net.insert_observation_point(target).unwrap();
         t.insert_observation_point(target, op).unwrap();
-        let err = gcn.embed_incremental(&t, &data.features, &mut cache, &[0]);
+        let err = session.refresh(&t, &data.features, &[0]);
         assert!(matches!(
             err,
             Err(TensorError::StaleCache { cache: 0, graph: 1 })
@@ -1465,17 +1314,10 @@ mod tests {
         let session = model.open_session(&data.tensors, &data.features).unwrap();
         let reference = model.predict_proba(&data.tensors, &data.features).unwrap();
         assert_eq!(session.probs(), reference.as_slice());
-        // Single-stage sessions match the bare GCN too.
+        // A one-stage session matches its bare GCN too.
         let gcn = small_gcn(2, 41);
-        let single = CascadeSession::for_gcn_budgeted_with(
-            &gcn,
-            &data.tensors,
-            &data.features,
-            0,
-            &Budget::unlimited(),
-            &mut MatrixBackend::serial(),
-        )
-        .unwrap();
+        let model = alone(&gcn);
+        let single = model.open_session(&data.tensors, &data.features).unwrap();
         let reference = gcn.predict_proba(&data.tensors, &data.features).unwrap();
         assert_eq!(single.probs(), reference.as_slice());
     }
@@ -1526,7 +1368,7 @@ mod tests {
     }
 
     #[test]
-    fn session_refresh_matches_full_recompute_and_reverts() {
+    fn session_refresh_matches_full_recompute_both_ways() {
         let (data, _) = design(13, 300);
         let stages = vec![small_gcn(2, 51), small_gcn(2, 52)];
         let model = MultiStageGcn::from_stages(stages, 0.25);
@@ -1542,7 +1384,8 @@ mod tests {
         assert!(delta.rows_computed() < delta.rows_full_equivalent());
         let reference = model.predict_proba(&data.tensors, &x).unwrap();
         assert_eq!(session.probs(), reference.as_slice());
-        session.revert(delta);
+        x = data.features.clone();
+        session.refresh(&data.tensors, &x, &dirty).unwrap();
         assert_eq!(session.probs(), before.as_slice());
     }
 
@@ -1574,10 +1417,11 @@ mod tests {
     fn sync_nodes_then_refresh_absorbs_an_insertion() {
         let (data, mut net) = design(17, 200);
         let gcn = small_gcn(2, 61);
+        let model = alone(&gcn);
         let mut t = data.tensors.clone();
         let mut x = data.features.clone();
-        let mut session = CascadeSession::for_gcn_budgeted_with(
-            &gcn,
+        let mut session = CascadeSession::for_cascade_budgeted_with(
+            &model,
             &t,
             &x,
             1,

@@ -64,7 +64,7 @@ pub mod train;
 pub use adjacency::GraphTensors;
 pub use backend::{MatrixBackend, PartitionedGraph};
 pub use dataset::{balanced_indices, train_test_rotation, GraphData};
-pub use incremental::{CascadeSession, EmbeddingCache, EmbeddingDelta, SessionDelta};
+pub use incremental::{CascadeSession, EmbeddingCache, SessionDelta};
 pub use metrics::Confusion;
 pub use model::{Gcn, GcnCache, GcnConfig, GcnGrads};
 pub use multistage::{CascadeTraining, MultiStageConfig, MultiStageGcn, OpenStage, StageReport};

@@ -259,38 +259,14 @@ impl Gcn {
         self.head.predict(&self.embed(t, x)?)
     }
 
-    /// Computes the final node embeddings `E_D` without classifying.
+    /// Computes the final node embeddings `E_D` without classifying, as
+    /// the row-tiled layer step of [`crate::pass`].
     ///
     /// # Errors
     ///
     /// Returns a shape error if `x` does not match the graph/node shape.
     pub fn embed(&self, t: &GraphTensors, x: &Matrix) -> Result<Matrix> {
-        self.embed_budgeted_with(t, x, &Budget::unlimited(), &mut MatrixBackend::serial())
-    }
-
-    /// [`Gcn::embed`] with the execution context explicit: a cooperative
-    /// work [`Budget`] and a [`MatrixBackend`]. Each layer charges one
-    /// unit per node *before* computing, so an exhausted budget stops the
-    /// pass at a layer boundary instead of running to completion. Every layer runs as the row-tiled step of
-    /// [`crate::pass`], which aggregates through the graph's own CSRs
-    /// whatever the backend — of a backend only the staleness check
-    /// remains — so the embeddings are the same bits for every backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` does not match the graph/node shape,
-    /// a budget error ([`gcnt_tensor::TensorError::BudgetExceeded`]) from
-    /// the checkpoint between layers, or [`gcnt_tensor::TensorError::StaleCache`] from a
-    /// partitioned backend built against an older graph generation.
-    pub fn embed_budgeted_with(
-        &self,
-        t: &GraphTensors,
-        x: &Matrix,
-        budget: &Budget,
-        backend: &mut MatrixBackend,
-    ) -> Result<Matrix> {
-        backend.check_fresh(t)?;
-        pass::embed_final(pass::PER_CORE, self, t, x, budget)
+        pass::embed_final(pass::PER_CORE, self, t, x, &Budget::unlimited())
     }
 
     /// Probability of the positive class (class 1) for every node.
@@ -303,14 +279,21 @@ impl Gcn {
     }
 
     /// [`Gcn::predict_proba`] under an explicit [`Budget`] and
-    /// [`MatrixBackend`]; bit-identical across backends. The last layer is
-    /// fused with the head, so the final embedding and the head's
+    /// [`MatrixBackend`]. Each layer charges one unit per node *before*
+    /// computing, so an exhausted budget stops the pass at a layer
+    /// boundary. The pass aggregates through the graph's own CSRs whatever
+    /// the backend — of a backend only the staleness check remains — so
+    /// the probabilities are the same bits for every backend. The last
+    /// layer is fused with the head, so the final embedding and the head's
     /// activations never exist at `n` rows ([`crate::pass`]).
     ///
     /// # Errors
     ///
-    /// Shape, budget and backend-staleness errors as in
-    /// [`Gcn::embed_budgeted_with`].
+    /// Returns a shape error if `x` does not match the graph/node shape,
+    /// a budget error ([`gcnt_tensor::TensorError::BudgetExceeded`]) from
+    /// the checkpoint between layers, or
+    /// [`gcnt_tensor::TensorError::StaleCache`] from a partitioned backend
+    /// built against an older graph generation.
     pub fn predict_proba_budgeted_with(
         &self,
         t: &GraphTensors,

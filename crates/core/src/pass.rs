@@ -16,13 +16,13 @@
 //!
 //! * a stateless pass (`predict_rows`) keeps two buffers in a
 //!   `PassWorkspace` — `E_D` and the head activations never exist;
-//! * `Gcn::embed*` (`embed_final`) keeps the same two until it returns
+//! * `Gcn::embed` (`embed_final`) keeps the same two until it returns
 //!   `E_D`;
-//! * a session open (`embed_layers`) keeps every `E_d`, because those
-//!   *are* the [`crate::EmbeddingCache`], and classifies from it
+//! * a session keeps every `E_d`, because those *are* the
+//!   [`crate::EmbeddingCache`]: its open grows them over the rows its
+//!   heads read and a dirty-halo refresh patches them in place
+//!   (`embed_layer` over those rows), and its heads classify from them
 //!   (`head_rows`);
-//! * a dirty-halo refresh patches the cached layers in place
-//!   (`embed_layer` over the halo);
 //! * a training step ([`crate::train::masked_loss_grads`]) keeps
 //!   `E_1..E_{D-1}` (`embed_layers` over all but the last encoder) and
 //!   runs the last layer with the head in tiles of its own.

@@ -26,10 +26,11 @@
 //!
 //! Step 2 re-runs inference once per candidate, which read literally makes
 //! the inner loop `O(candidates × N)` embedding rows per iteration. A
-//! model ([`Gcn`] or [`MultiStageGcn`]) instead opens a [`CascadeSession`]
-//! with one full pass — the only pass that takes a matrix backend
-//! ([`MatrixBackend::serial`], built and dropped inside `open`) — and each
-//! preview recomputes only the D-hop halo of the previewed cone,
+//! model (a [`MultiStageGcn`]; one `Gcn` is a one-stage cascade) instead
+//! opens a [`CascadeSession`] with one full pass — the only pass that
+//! takes a matrix backend ([`MatrixBackend::serial`], built and dropped
+//! inside `open`) — and each preview recomputes only the D-hop halo of
+//! the previewed cone,
 //! `O(candidates × |cone halo|)`, with bit-identical probabilities (see
 //! `gcnt_core::incremental`). A bare closure gets the literal procedure,
 //! which is the reference the session path is tested against.
@@ -56,9 +57,9 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use gcnt_core::features::{raw_features, squash, FeatureNormalizer};
-use gcnt_core::{CascadeSession, Gcn, GraphTensors, MatrixBackend, MultiStageGcn};
-use gcnt_netlist::{logic_levels, CellKind, Netlist, NetlistError, NodeId, Scoap};
+use gcnt_core::features::{squash, FeatureNormalizer};
+use gcnt_core::{CascadeSession, GraphData, GraphTensors, MatrixBackend, MultiStageGcn};
+use gcnt_netlist::{CellKind, Netlist, NetlistError, NodeId, Scoap};
 use gcnt_tensor::{Budget, Matrix, TensorError};
 
 /// Errors produced by the insertion flow.
@@ -126,9 +127,10 @@ pub type FullPass<'a> = &'a dyn Fn(&GraphTensors, &Matrix) -> Result<Vec<f32>, T
 /// [`Inference`] over the current graph state — and puts every later
 /// question to that object.
 ///
-/// Implemented for references to [`Gcn`] and [`MultiStageGcn`], which run
-/// one full pass on [`MatrixBackend::serial`] to open a [`CascadeSession`]
-/// and serve everything after it from halo refreshes, and
+/// Implemented for references to [`MultiStageGcn`] (a single `Gcn` is
+/// a one-stage cascade), which run one full pass on
+/// [`MatrixBackend::serial`] to open a [`CascadeSession`] and serve
+/// everything after it from halo refreshes, and
 /// blanket-implemented for any
 /// `Fn(&GraphTensors, &Matrix) -> Result<Vec<f32>, TensorError>` closure,
 /// which gets no session and re-runs the whole pass for every answer.
@@ -170,7 +172,7 @@ where
     }
 }
 
-impl FlowClassifier for &Gcn {
+impl FlowClassifier for &MultiStageGcn {
     fn open<'a>(
         &'a self,
         t: &GraphTensors,
@@ -180,21 +182,6 @@ impl FlowClassifier for &Gcn {
     ) -> Result<Inference<'a>, TensorError> {
         // Only the opening pass takes a backend, and asks it no more than
         // whether it is fresh: the serial one costs nothing to build.
-        let mut backend = MatrixBackend::serial();
-        let session =
-            CascadeSession::for_gcn_budgeted_with(self, t, x, room, budget, &mut backend)?;
-        Ok(Inference::session(session, budget))
-    }
-}
-
-impl FlowClassifier for &MultiStageGcn {
-    fn open<'a>(
-        &'a self,
-        t: &GraphTensors,
-        x: &Matrix,
-        room: usize,
-        budget: &'a Budget,
-    ) -> Result<Inference<'a>, TensorError> {
         let mut backend = MatrixBackend::serial();
         let session =
             CascadeSession::for_cascade_budgeted_with(self, t, x, room, budget, &mut backend)?;
@@ -630,11 +617,12 @@ where
     F: FlowClassifier,
     C: FnMut(&mut FlowState, NodeId) -> Result<(), FlowError>,
 {
-    let levels = logic_levels(net)?;
-    let scoap = Scoap::compute(net)?;
-    let features = normalizer.apply(&raw_features(&levels, &scoap));
+    let (data, scoap) = GraphData::featurize(net, Some(normalizer))?;
+    let GraphData {
+        tensors, features, ..
+    } = data;
     let mut state = FlowState {
-        tensors: GraphTensors::from_netlist(net),
+        tensors,
         net: net.clone(),
         scoap,
         features,
@@ -929,8 +917,9 @@ fn evaluate_impact(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcnt_core::features::RAW_DIM;
-    use gcnt_netlist::{generate, GeneratorConfig};
+    use gcnt_core::features::{raw_features, RAW_DIM};
+    use gcnt_core::Gcn;
+    use gcnt_netlist::{generate, logic_levels, GeneratorConfig};
     use proptest::prelude::*;
 
     fn shadowed_design(seed: u64) -> Netlist {
@@ -1258,8 +1247,9 @@ mod tests {
         let mut net_full = net.clone();
         let full_pass = |t: &GraphTensors, x: &Matrix| gcn.predict_proba(t, x);
         let full = run_gcn_opi(&mut net_full, &norm, full_pass, &cfg).unwrap();
+        let model = MultiStageGcn::from_stages(vec![gcn.clone()], 0.5);
         let mut net_inc = net.clone();
-        let inc = run_gcn_opi(&mut net_inc, &norm, &gcn, &cfg).unwrap();
+        let inc = run_gcn_opi(&mut net_inc, &norm, &model, &cfg).unwrap();
 
         assert_eq!(full.inserted, inc.inserted);
         assert_eq!(full.converged, inc.converged);
@@ -1279,9 +1269,9 @@ mod tests {
         assert_eq!(full.inference.rows_computed, full.inference.rows_full);
     }
 
-    /// A [`Gcn`] whose session opens on a three-way partitioned backend,
+    /// A cascade whose session opens on a three-way partitioned backend,
     /// whatever the design size.
-    struct Sharded<'g>(&'g Gcn);
+    struct Sharded<'g>(&'g MultiStageGcn);
 
     impl FlowClassifier for Sharded<'_> {
         fn open<'a>(
@@ -1292,8 +1282,14 @@ mod tests {
             budget: &'a Budget,
         ) -> Result<Inference<'a>, TensorError> {
             let mut backend = MatrixBackend::partitioned(t, 3)?;
-            let session =
-                CascadeSession::for_gcn_budgeted_with(self.0, t, x, room, budget, &mut backend)?;
+            let session = CascadeSession::for_cascade_budgeted_with(
+                self.0,
+                t,
+                x,
+                room,
+                budget,
+                &mut backend,
+            )?;
             Ok(Inference::session(session, budget))
         }
     }
@@ -1319,6 +1315,7 @@ mod tests {
             },
             &mut gcnt_nn::seeded_rng(9),
         );
+        let model = MultiStageGcn::from_stages(vec![gcn], 0.5);
         let norm = data.normalizer.clone();
         let cfg = FlowConfig {
             max_iterations: 4,
@@ -1333,7 +1330,7 @@ mod tests {
         let reference = run_gcn_opi_resumable(
             &mut net_ref,
             &norm,
-            &gcn,
+            &model,
             &cfg,
             &Budget::unlimited(),
             &[],
@@ -1351,7 +1348,7 @@ mod tests {
             let resumed = run_gcn_opi_resumable(
                 &mut net_resumed,
                 &norm,
-                &gcn,
+                &model,
                 &cfg,
                 &Budget::unlimited(),
                 &records[..cut],
@@ -1484,16 +1481,17 @@ mod tests {
     fn every_insertion_of_a_gcn_run_matches_a_rebuild() {
         let (net, norm, model) = trained_cascade(108);
         let gcn = &model.stages()[0];
+        let single = MultiStageGcn::from_stages(vec![gcn.clone()], model.filter_threshold());
         let fresh = |t: &GraphTensors, x: &Matrix| gcn.predict_proba(t, x);
         let mut checked_net = net.clone();
         let (outcome, records, checked) =
-            run_with_oracle(&mut checked_net, &norm, gcn, &fresh, &oracle_cfg(), &[]);
+            run_with_oracle(&mut checked_net, &norm, &single, &fresh, &oracle_cfg(), &[]);
         assert!(outcome.inserted.len() > 4, "{outcome:?}");
         let batches = records.iter().filter(|r| !r.inserted.is_empty()).count();
         assert_eq!(checked, [outcome.inserted.len(), batches]);
         // The oracle's commit seam changes nothing about the run.
         let mut plain_net = net.clone();
-        let plain = run_gcn_opi(&mut plain_net, &norm, gcn, &oracle_cfg()).unwrap();
+        let plain = run_gcn_opi(&mut plain_net, &norm, &single, &oracle_cfg()).unwrap();
         assert_eq!(outcome, plain);
         assert_eq!(checked_net, plain_net);
     }
@@ -1687,10 +1685,11 @@ mod tests {
                 candidate_limit: 6,
                 ..FlowConfig::default()
             };
+            let model = MultiStageGcn::from_stages(vec![gcn], 0.5);
             let mut net_serial = net.clone();
-            let serial = run_gcn_opi(&mut net_serial, &data.normalizer, &gcn, &cfg).unwrap();
+            let serial = run_gcn_opi(&mut net_serial, &data.normalizer, &model, &cfg).unwrap();
             let mut net_part = net.clone();
-            let part = run_gcn_opi(&mut net_part, &data.normalizer, Sharded(&gcn), &cfg).unwrap();
+            let part = run_gcn_opi(&mut net_part, &data.normalizer, Sharded(&model), &cfg).unwrap();
             prop_assert_eq!(serial, part);
             prop_assert_eq!(net_serial, net_part);
         }

@@ -10,6 +10,7 @@
 //! journal to a bit-identical outcome.
 
 use std::io::Write;
+use std::net::TcpStream;
 use std::time::Duration;
 
 use gcnt_runtime::FaultPlan;
@@ -20,22 +21,18 @@ use crate::message::{
     decode_message, encode_message, DrainAck, ErrorReply, FlowReply, FlowRequest, Hello, HelloAck,
     InferReply, InferRequest,
 };
-use crate::transport::{Conn, LocalDialer};
 
 /// Where a client connects.
 #[derive(Debug, Clone)]
 pub enum Dialer {
     /// A TCP address, e.g. `127.0.0.1:7421`.
     Tcp(String),
-    /// The client side of a [`crate::transport::local_transport`].
-    Local(LocalDialer),
 }
 
 impl Dialer {
-    fn dial(&self) -> std::io::Result<Conn> {
+    fn dial(&self) -> std::io::Result<TcpStream> {
         match self {
-            Dialer::Tcp(addr) => std::net::TcpStream::connect(addr.as_str()).map(Conn::Tcp),
-            Dialer::Local(d) => d.connect(),
+            Dialer::Tcp(addr) => TcpStream::connect(addr.as_str()),
         }
     }
 }
@@ -76,7 +73,7 @@ pub struct NetClient {
     dialer: Dialer,
     config: ClientConfig,
     plan: FaultPlan,
-    conn: Option<Conn>,
+    conn: Option<TcpStream>,
     frames_sent: u64,
     shards: u32,
 }
@@ -151,7 +148,7 @@ impl NetClient {
                 last = "connection refused (injected)".to_string();
                 continue;
             }
-            let mut conn = match self.dialer.dial() {
+            let conn = match self.dialer.dial() {
                 Ok(c) => c,
                 Err(e) => {
                     last = e.to_string();

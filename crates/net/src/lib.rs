@@ -21,9 +21,6 @@
 //!   and write failures; a disconnect mid-flow-job resubmits under the
 //!   same job id and resumes the server-side journal to a bit-identical
 //!   outcome.
-//! - **Transports** ([`transport`]): real TCP and an in-process
-//!   loopback (`local_transport`) so every protocol path — including
-//!   the whole fault matrix — runs deterministically in unit tests.
 //!
 //! Frame layout (17-byte header, little-endian):
 //!
@@ -74,4 +71,4 @@ pub use message::{
 pub use router::{route_key, ShardRouter};
 pub use server::{flow_digest, serve, DrainSummary, NetServerConfig};
 pub use signal::{install_term_handler, request_term, reset_term, term_requested};
-pub use transport::{local_pair, local_transport, Conn, Listener, LocalConn, LocalDialer};
+pub use transport::Listener;

@@ -20,6 +20,7 @@
 //! same job id resumes to a bit-identical outcome.
 
 use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,7 +38,7 @@ use crate::message::{
 };
 use crate::router::ShardRouter;
 use crate::signal;
-use crate::transport::{Conn, Listener};
+use crate::transport::Listener;
 
 /// Network server configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +134,7 @@ pub fn flow_digest(outcome_json: &str, net_text: &str) -> String {
     checksum_hex(format!("{outcome_json}{net_text}").as_bytes())
 }
 
-fn send_frame(conn: &mut Conn, frame: &Frame) -> Result<(), NetError> {
+fn send_frame(conn: &mut TcpStream, frame: &Frame) -> Result<(), NetError> {
     let bytes = frame.encode();
     conn.write_all(&bytes)
         .map_err(|e| NetError::Io(e.to_string()))?;
@@ -144,7 +145,7 @@ fn send_frame(conn: &mut Conn, frame: &Frame) -> Result<(), NetError> {
     Ok(())
 }
 
-fn send_error(conn: &mut Conn, ctx: &Ctx, reply: &ErrorReply) -> Result<(), NetError> {
+fn send_error(conn: &mut TcpStream, ctx: &Ctx, reply: &ErrorReply) -> Result<(), NetError> {
     ctx.stats.refusals.fetch_add(1, Ordering::Relaxed);
     gcnt_obs::global().incr(gcnt_obs::counters::NET_ERROR_FRAMES_SENT);
     send_frame(conn, &encode_message(FrameKind::Error, reply))
@@ -211,14 +212,16 @@ fn flow_reply(ctx: &Ctx, req: &FlowRequest) -> Result<FlowReply, ErrorReply> {
 }
 
 /// Handles one connection until EOF, eviction, corruption, or drain.
-fn handle_conn(mut conn: Conn, ctx: &Ctx) {
+fn handle_conn(mut conn: TcpStream, ctx: &Ctx) {
     let obs = gcnt_obs::global();
     ctx.stats.connections.fetch_add(1, Ordering::Relaxed);
     let open = ctx.stats.open.fetch_add(1, Ordering::Relaxed) + 1;
     obs.incr(gcnt_obs::counters::NET_CONNECTIONS_OPENED);
     obs.gauge_set(gcnt_obs::gauges::NET_CONNECTIONS_OPEN, open as f64);
     obs.gauge_max(gcnt_obs::gauges::NET_CONNECTIONS_PEAK, open as f64);
-    let peer = conn.peer();
+    let peer = conn
+        .peer_addr()
+        .map_or_else(|_| "tcp:?".to_string(), |a| a.to_string());
     let _ = conn.set_read_timeout(Some(ctx.config.read_timeout));
     let _ = conn.set_write_timeout(Some(ctx.config.write_timeout));
 
@@ -289,7 +292,7 @@ fn handle_conn(mut conn: Conn, ctx: &Ctx) {
 /// should close. With `sever` set, the request is fully processed (and
 /// journaled) but the reply is never written — the deterministic
 /// "connection died before the answer" fault.
-fn dispatch(conn: &mut Conn, ctx: &Ctx, frame: &Frame, sever: bool) -> bool {
+fn dispatch(conn: &mut TcpStream, ctx: &Ctx, frame: &Frame, sever: bool) -> bool {
     let reply = match frame.kind {
         FrameKind::Hello => match decode_message::<Hello>(frame) {
             Ok(h) if h.version == u32::from(PROTOCOL_VERSION) => encode_message(
@@ -393,7 +396,7 @@ fn draining_reply() -> ErrorReply {
     }
 }
 
-fn bad_request(conn: &mut Conn, ctx: &Ctx, e: &NetError) -> Result<(), NetError> {
+fn bad_request(conn: &mut TcpStream, ctx: &Ctx, e: &NetError) -> Result<(), NetError> {
     send_error(
         conn,
         ctx,
@@ -406,9 +409,8 @@ fn bad_request(conn: &mut Conn, ctx: &Ctx, e: &NetError) -> Result<(), NetError>
 }
 
 /// Runs the server until a drain is requested (SIGTERM via
-/// [`signal::term_requested`], a `Drain` frame, or the listener's
-/// dialers all hanging up while `drain_when_idle` holds). Returns the
-/// lifetime summary and the drained cores.
+/// [`signal::term_requested`] or a `Drain` frame). Returns the lifetime
+/// summary and the drained cores.
 ///
 /// # Errors
 ///

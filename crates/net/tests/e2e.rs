@@ -1,8 +1,8 @@
 //! End-to-end protocol tests: a real server (shard router + serve
-//! cores) behind the in-process loopback transport, driven by the real
-//! client. The fault-matrix scenarios assert the serving contract:
-//! every injected network fault ends in a typed error or a
-//! bit-identical resumed outcome — never a hang, panic, or wrong payload.
+//! cores) listening on a loopback TCP port, driven by the real client.
+//! The fault-matrix scenarios assert the serving contract: every
+//! injected network fault ends in a typed error or a bit-identical
+//! resumed outcome — never a hang, panic, or wrong payload.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use gcnt_core::{features::FeatureNormalizer, Gcn, GcnConfig, GraphData, MultiStageGcn};
 use gcnt_net::{
-    local_transport, serve, ClientConfig, Dialer, DrainSummary, ErrorCode, FlowRequest, Listener,
-    LocalDialer, NetClient, NetError, NetServerConfig, ShardRouter,
+    serve, ClientConfig, Dialer, DrainSummary, ErrorCode, FlowRequest, Listener, NetClient,
+    NetError, NetServerConfig, ShardRouter,
 };
 use gcnt_netlist::{format, generate, GeneratorConfig, Netlist};
 use gcnt_nn::seeded_rng;
@@ -62,14 +62,15 @@ fn server_config() -> NetServerConfig {
 
 type ServerHandle = std::thread::JoinHandle<Result<(DrainSummary, Vec<ServeCore>), NetError>>;
 
-/// Starts a sharded server over the loopback transport in a thread.
+/// Starts a sharded server on an ephemeral loopback port in a thread;
+/// returns the address it listens on.
 fn start_server(
     net: &Netlist,
     shards: usize,
     tag: &str,
     config: NetServerConfig,
     plan: FaultPlan,
-) -> (LocalDialer, ServerHandle) {
+) -> (String, ServerHandle) {
     start_server_in(&temp_dir(tag), net, shards, config, plan)
 }
 
@@ -80,25 +81,29 @@ fn start_server_in(
     shards: usize,
     config: NetServerConfig,
     plan: FaultPlan,
-) -> (LocalDialer, ServerHandle) {
+) -> (String, ServerHandle) {
     let router = ShardRouter::start(cores_for(net, shards), dir).unwrap();
-    let (listener, dialer) = local_transport();
+    let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
     let handle = std::thread::spawn(move || serve(listener, router, config, &plan));
-    (dialer, handle)
+    (addr, handle)
 }
 
-fn quick_client(dialer: LocalDialer) -> NetClient {
-    quick_client_with_faults(dialer, FaultPlan::none())
-}
-
-fn quick_client_with_faults(dialer: LocalDialer, plan: FaultPlan) -> NetClient {
-    let cfg = ClientConfig {
+fn quick_config() -> ClientConfig {
+    ClientConfig {
         backoff: Duration::from_millis(2),
         read_timeout: Duration::from_millis(50),
         max_idle_polls: 600,
         ..ClientConfig::default()
-    };
-    NetClient::connect_with_faults(Dialer::Local(dialer), cfg, plan).unwrap()
+    }
+}
+
+fn quick_client(addr: &str) -> NetClient {
+    quick_client_with_faults(addr, FaultPlan::none())
+}
+
+fn quick_client_with_faults(addr: &str, plan: FaultPlan) -> NetClient {
+    NetClient::connect_with_faults(Dialer::Tcp(addr.to_string()), quick_config(), plan).unwrap()
 }
 
 fn flow_request(net: &Netlist, job_id: &str) -> FlowRequest {
@@ -115,8 +120,8 @@ fn flow_request(net: &Netlist, job_id: &str) -> FlowRequest {
 #[test]
 fn infer_round_trips_and_is_deterministic() {
     let net = generate(&GeneratorConfig::sized("e2e-infer", 5, 120));
-    let (dialer, handle) = start_server(&net, 2, "infer", server_config(), FaultPlan::none());
-    let mut client = quick_client(dialer);
+    let (addr, handle) = start_server(&net, 2, "infer", server_config(), FaultPlan::none());
+    let mut client = quick_client(&addr);
     assert_eq!(client.shards(), 2, "handshake reports shard count");
 
     let text = format::write(&net);
@@ -139,8 +144,8 @@ fn infer_round_trips_and_is_deterministic() {
 #[test]
 fn flow_resubmit_under_same_job_id_is_bit_identical() {
     let net = generate(&GeneratorConfig::sized("e2e-flow", 5, 120));
-    let (dialer, handle) = start_server(&net, 2, "flow", server_config(), FaultPlan::none());
-    let mut client = quick_client(dialer);
+    let (addr, handle) = start_server(&net, 2, "flow", server_config(), FaultPlan::none());
+    let mut client = quick_client(&addr);
 
     let req = flow_request(&net, "resub");
     let first = client.flow(&req).unwrap();
@@ -163,8 +168,8 @@ fn flow_resubmit_under_same_job_id_is_bit_identical() {
 #[test]
 fn unparseable_design_is_a_typed_refusal() {
     let net = generate(&GeneratorConfig::sized("e2e-bad", 3, 90));
-    let (dialer, handle) = start_server(&net, 1, "bad", server_config(), FaultPlan::none());
-    let mut client = quick_client(dialer);
+    let (addr, handle) = start_server(&net, 1, "bad", server_config(), FaultPlan::none());
+    let mut client = quick_client(&addr);
 
     let err = client.infer("this is not a netlist", 0).unwrap_err();
     match err {
@@ -202,8 +207,8 @@ fn malformed_design_is_a_bad_request_and_the_shard_lives() {
     ];
     let net = generate(&GeneratorConfig::sized("e2e-arity", 3, 90));
     let dir = temp_dir("arity");
-    let (dialer, handle) = start_server_in(&dir, &net, 1, server_config(), FaultPlan::none());
-    let mut client = quick_client(dialer);
+    let (addr, handle) = start_server_in(&dir, &net, 1, server_config(), FaultPlan::none());
+    let mut client = quick_client(&addr);
 
     for (i, bad) in MALFORMED.iter().enumerate() {
         let bad_flow = FlowRequest {
@@ -248,10 +253,10 @@ fn wrong_wire_version_gets_a_typed_version_mismatch() {
     use gcnt_net::{decode, Frame, FrameKind, ReadOutcome};
 
     let net = generate(&GeneratorConfig::sized("e2e-ver", 3, 90));
-    let (dialer, handle) = start_server(&net, 1, "ver", server_config(), FaultPlan::none());
+    let (addr, handle) = start_server(&net, 1, "ver", server_config(), FaultPlan::none());
 
     // Speak a future protocol version by hand.
-    let mut conn = dialer.connect().unwrap();
+    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
     conn.set_read_timeout(Some(Duration::from_millis(50)))
         .unwrap();
     let bytes = Frame::new(FrameKind::Hello, b"{\"version\":9}".to_vec()).encode_with_version(9);
@@ -281,7 +286,7 @@ fn wrong_wire_version_gets_a_typed_version_mismatch() {
     }
     drop(conn);
 
-    let mut client = quick_client(dialer);
+    let mut client = quick_client(&addr);
     client.drain().unwrap();
     handle.join().unwrap().unwrap();
 }
@@ -293,8 +298,8 @@ fn drain_refuses_new_work_and_reports_a_summary() {
         read_timeout: Duration::from_millis(25),
         ..NetServerConfig::default()
     };
-    let (dialer, handle) = start_server(&net, 2, "drain", config, FaultPlan::none());
-    let mut client = quick_client(dialer);
+    let (addr, handle) = start_server(&net, 2, "drain", config, FaultPlan::none());
+    let mut client = quick_client(&addr);
 
     let text = format::write(&net);
     client.infer(&text, 0).unwrap();
@@ -316,36 +321,13 @@ fn drain_refuses_new_work_and_reports_a_summary() {
     assert!(summary.frames_received >= 2);
 }
 
-#[test]
-fn tcp_round_trips_like_loopback() {
-    let net = generate(&GeneratorConfig::sized("e2e-tcp", 3, 90));
-    let dir = temp_dir("tcp");
-    let router = ShardRouter::start(cores_for(&net, 2), &dir).unwrap();
-    let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let config = server_config();
-    let handle = std::thread::spawn(move || serve(listener, router, config, &FaultPlan::none()));
-
-    let cfg = ClientConfig {
-        backoff: Duration::from_millis(2),
-        ..ClientConfig::default()
-    };
-    let mut client = NetClient::connect(Dialer::Tcp(addr.to_string()), cfg).unwrap();
-    let reply = client.infer(&format::write(&net), 0).unwrap();
-    assert_eq!(reply.probs_len as usize, net.node_count());
-
-    client.drain().unwrap();
-    let (summary, _) = handle.join().unwrap().unwrap();
-    assert!(summary.jobs_completed >= 1);
-}
-
 mod fault_matrix {
     use super::*;
 
     #[test]
     fn connect_refused_heals_after_retries() {
         let net = generate(&GeneratorConfig::sized("e2e-refuse", 3, 90));
-        let (dialer, handle) = start_server(&net, 2, "refuse", server_config(), FaultPlan::none());
+        let (addr, handle) = start_server(&net, 2, "refuse", server_config(), FaultPlan::none());
 
         // The first two dials are refused: a two-attempt budget runs out
         // on them, while backoff with a third attempt connects.
@@ -355,16 +337,13 @@ mod fault_matrix {
             backoff: Duration::from_millis(2),
             ..ClientConfig::default()
         };
-        let refused = NetClient::connect_with_faults(
-            Dialer::Local(dialer.clone()),
-            two_attempts,
-            plan.clone(),
-        );
+        let refused =
+            NetClient::connect_with_faults(Dialer::Tcp(addr.clone()), two_attempts, plan.clone());
         assert!(
             matches!(refused, Err(NetError::RetriesExhausted { attempts: 2, .. })),
             "both dials must be refused"
         );
-        let mut client = quick_client_with_faults(dialer, plan);
+        let mut client = quick_client_with_faults(&addr, plan);
         let reply = client.infer(&format::write(&net), 0).unwrap();
         assert_eq!(reply.probs_len as usize, net.node_count());
 
@@ -375,12 +354,12 @@ mod fault_matrix {
     #[test]
     fn corrupt_frame_checksum_is_a_typed_refusal() {
         let net = generate(&GeneratorConfig::sized("e2e-corrupt", 3, 90));
-        let (dialer, handle) = start_server(&net, 2, "corrupt", server_config(), FaultPlan::none());
+        let (addr, handle) = start_server(&net, 2, "corrupt", server_config(), FaultPlan::none());
 
         // Frame 0 is the Hello; frame 1 — the first request — is sent
         // with one checksum bit flipped.
         let plan = FaultPlan::none().with_net_corrupt_frame_checksum(1);
-        let mut client = quick_client_with_faults(dialer.clone(), plan);
+        let mut client = quick_client_with_faults(&addr, plan);
         let err = client.infer(&format::write(&net), 0).unwrap_err();
         match err {
             NetError::Server { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
@@ -388,7 +367,7 @@ mod fault_matrix {
         }
 
         // The fault was one-shot: a fresh client sails through.
-        let mut client = quick_client(dialer);
+        let mut client = quick_client(&addr);
         client.infer(&format::write(&net), 0).unwrap();
         client.drain().unwrap();
         let (summary, _) = handle.join().unwrap().unwrap();
@@ -403,13 +382,13 @@ mod fault_matrix {
             frame_budget: Duration::from_millis(80),
             ..NetServerConfig::default()
         };
-        let (dialer, handle) = start_server(&net, 2, "loris", config, FaultPlan::none());
+        let (addr, handle) = start_server(&net, 2, "loris", config, FaultPlan::none());
 
         // The first frame trickles at ~100 bytes/s; the server's frame
         // budget evicts it, the one-shot fault clears, and the retry
         // completes at full speed.
         let plan = FaultPlan::none().with_net_slow_loris(100);
-        let mut client = quick_client_with_faults(dialer, plan);
+        let mut client = quick_client_with_faults(&addr, plan);
         let reply = client.infer(&format::write(&net), 0).unwrap();
         assert_eq!(reply.probs_len as usize, net.node_count());
 
@@ -426,9 +405,9 @@ mod fault_matrix {
         let net = generate(&GeneratorConfig::sized("e2e-sever", 5, 120));
 
         // Reference: the same job on a fault-free server.
-        let (clean_dialer, clean_handle) =
+        let (clean_addr, clean_handle) =
             start_server(&net, 2, "sever-clean", server_config(), FaultPlan::none());
-        let mut clean = quick_client(clean_dialer);
+        let mut clean = quick_client(&clean_addr);
         let expected = clean.flow(&flow_request(&net, "sever-job")).unwrap();
         clean.drain().unwrap();
         clean_handle.join().unwrap().unwrap();
@@ -438,8 +417,8 @@ mod fault_matrix {
         // frame 2 = the flow request). The client reconnects and
         // resubmits the same job id; the journal resumes.
         let plan = FaultPlan::none().with_net_disconnect_after_frames(2);
-        let (dialer, handle) = start_server(&net, 2, "sever", server_config(), plan);
-        let mut client = quick_client(dialer);
+        let (addr, handle) = start_server(&net, 2, "sever", server_config(), plan);
+        let mut client = quick_client(&addr);
         let resumed = client.flow(&flow_request(&net, "sever-job")).unwrap();
 
         assert_eq!(

@@ -163,9 +163,6 @@ declare_counters! {
     /// Incremental session refreshes (`CascadeSession::refresh*`).
     CORE_SESSION_REFRESHES => "gcnt_core_session_refreshes_total",
         "Incremental cascade-session refreshes";
-    /// Incremental session reverts (`CascadeSession::revert`).
-    CORE_SESSION_REVERTS => "gcnt_core_session_reverts_total",
-        "Incremental cascade-session reverts (preview undo)";
     /// Embedding rows actually recomputed by session refreshes.
     CORE_INCR_ROWS_COMPUTED => "gcnt_core_incremental_rows_computed_total",
         "Embedding rows recomputed by incremental refreshes (cache misses)";
@@ -254,11 +251,11 @@ declare_counters! {
     NETLIST_SCOAP_COMPUTES => "gcnt_netlist_scoap_computes_total",
         "Full SCOAP testability computations";
 
-    // --- net: the TCP/loopback wire protocol and shard router ---
-    /// Connections accepted by the net server (plus loopback pairs).
+    // --- net: the TCP wire protocol and shard router ---
+    /// Connections accepted by the net server or opened by its clients.
     NET_CONNECTIONS_OPENED => "gcnt_net_connections_opened_total",
         "Network connections accepted by the serving layer";
-    /// Frames written to any connection (both directions of a loopback).
+    /// Frames written to any connection, by either end.
     NET_FRAMES_SENT => "gcnt_net_frames_sent_total",
         "Wire frames written to connections";
     /// Frames read and verified from any connection.

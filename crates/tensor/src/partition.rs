@@ -24,7 +24,7 @@
 //! bitwise copy, the partitioned product is **bit-identical** to the
 //! serial one for any partition count (property-tested in
 //! `tests/partition_properties.rs`, the same guarantee discipline as
-//! `train_parallel` and `embed_incremental`).
+//! `train_parallel` and `CascadeSession::refresh`).
 
 use std::time::Instant;
 

@@ -1241,6 +1241,33 @@ mod tests {
         }
     }
 
+    /// The commands of `COMMANDS` no fenced `gcnt` line of `readme` runs.
+    fn undocumented_commands(readme: &str) -> Vec<&'static str> {
+        let documented = command_lines(readme, true);
+        COMMANDS
+            .iter()
+            .map(|&(name, ..)| name)
+            .filter(|name| {
+                !documented
+                    .iter()
+                    .any(|(_, words)| words.first() == Some(name))
+            })
+            .collect()
+    }
+
+    /// The reverse of `every_documented_command_line_parses`: a command
+    /// the CLI has is one the README shows.
+    #[test]
+    fn every_command_appears_in_the_readme() {
+        let planted = "```sh\ngcnt stats d.bench\n```\n\ngcnt infer d.bench\n";
+        let missing = undocumented_commands(planted);
+        assert!(!missing.contains(&"stats") && missing.contains(&"infer"));
+
+        let readme = Path::new(env!("CARGO_MANIFEST_DIR")).join("README.md");
+        let readme = fs::read_to_string(readme).expect("readable README");
+        assert_eq!(undocumented_commands(&readme), [""; 0]);
+    }
+
     #[test]
     fn usage_names_every_option_a_command_reads() {
         let text = usage();

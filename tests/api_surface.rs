@@ -55,21 +55,28 @@ fn gcn_default_and_explicit_forms_agree() {
     let model = cascade();
     let gcn = &model.stages()[0];
 
-    let embedded = gcn.embed(t, x).unwrap();
+    let probs = gcn.predict_proba(t, x).unwrap();
     for mut backend in [
         MatrixBackend::serial(),
         MatrixBackend::auto(t),
         MatrixBackend::partitioned(t, 3).unwrap(),
     ] {
         let explicit = gcn
-            .embed_budgeted_with(t, x, &Budget::unlimited(), &mut backend)
+            .predict_proba_budgeted_with(t, x, &Budget::unlimited(), &mut backend)
             .unwrap();
-        assert_eq!(embedded, explicit, "backend {}", backend.label());
+        assert_eq!(probs, explicit, "backend {}", backend.label());
     }
+    let embedded = gcn.embed(t, x).unwrap();
+    let single = MultiStageGcn::from_stages(vec![gcn.clone()], 0.5);
+    let caches = single
+        .open_session(t, x)
+        .unwrap()
+        .into_caches(t, x)
+        .unwrap();
     assert_eq!(
-        gcn.embed_cached(t, x).unwrap().final_embedding(),
+        caches[0].final_embedding(),
         &embedded,
-        "the cached pass keeps the layers the lean pass drops"
+        "a session's completed cache keeps the layers the lean pass drops"
     );
 
     // Training entry points: forward's logits are the inference logits,
@@ -196,10 +203,11 @@ fn flow_and_ladder_entry_points() {
         flowed.node_count(),
         net.node_count() + outcome.inserted.len()
     );
-    // The other two classifier kinds: a single GCN (session path) and a
-    // bare closure over the same model (full passes) pick the same OPs.
+    // A single GCN as a one-stage cascade (session path) and a bare
+    // closure over the same GCN (full passes) pick the same OPs.
     let gcn = &model.stages()[0];
-    let by_session = run_gcn_opi(&mut net.clone(), &data.normalizer, gcn, &cfg).unwrap();
+    let single = MultiStageGcn::from_stages(vec![gcn.clone()], 0.5);
+    let by_session = run_gcn_opi(&mut net.clone(), &data.normalizer, &single, &cfg).unwrap();
     let full_pass = |t: &GraphTensors, x: &Matrix| gcn.predict_proba(t, x);
     let by_closure = run_gcn_opi(&mut net.clone(), &data.normalizer, full_pass, &cfg).unwrap();
     assert_eq!(by_session.inserted, by_closure.inserted);

@@ -21,7 +21,6 @@ use proptest::prelude::*;
 use gcn_testability::gcn::features::squash;
 use gcn_testability::gcn::{
     CascadeSession, Gcn, GcnConfig, GraphData, GraphTensors, MatrixBackend, MultiStageGcn,
-    SessionDelta,
 };
 use gcn_testability::netlist::{
     generate, CellKind, GeneratorConfig, Netlist, NetlistBuilder, Scoap,
@@ -498,8 +497,8 @@ fn crossing_fixture() -> (Netlist, GraphData, MultiStageGcn) {
 
 /// A session maintained over insertions, the way the flow maintains it
 /// (`tests/api_surface.rs`): exact after every step, with rows crossing
-/// the threshold in both directions, previews reverted bit for bit, and
-/// the work accounting `Held` counts.
+/// the threshold in both directions, previews that keep nothing, and the
+/// work accounting `Held` counts.
 #[test]
 fn session_stays_exact_while_rows_cross_the_threshold() {
     let _counters = counters_lock();
@@ -528,36 +527,33 @@ fn session_stays_exact_while_rows_cross_the_threshold() {
         held_reused += full - rows;
     };
     for step in 0..10 {
-        // Preview: perturb a few rows, refresh, look, put everything back.
+        // Preview: perturb a few rows, look at every row, put the
+        // features back.
         let kept = bits(session.probs());
-        let peek: Vec<usize> = (0..3)
-            .map(|k| (step * 37 + k * 11) % t.node_count())
-            .collect();
+        let n = t.node_count();
+        let peek: Vec<usize> = (0..3).map(|k| (step * 37 + k * 11) % n).collect();
         let saved: Vec<f32> = peek.iter().map(|&r| x.get(r, 3)).collect();
         for &r in &peek {
             x.set(r, 3, x.get(r, 3) - 0.75);
         }
-        let preview = session.refresh(&t, &x, &peek).unwrap();
+        let every: Vec<usize> = (0..n).collect();
+        let (seen, rows) = session
+            .probs_after(&t, &x, &peek, &every, &Budget::unlimited())
+            .unwrap();
+        assert_eq!(bits(&seen), oracle(&model, &t, &x), "preview {step}");
         assert_eq!(
-            bits(session.probs()),
-            oracle(&model, &t, &x),
-            "preview {step}"
-        );
-        let (rows, before) = held.refresh(&model, &t, &x, &peek);
-        assert_eq!(
-            preview.rows_computed(),
             rows,
+            held.preview(&model, &t, &x, &peek, &every),
             "preview {step}: rows computed"
         );
-        note(rows, preview.rows_full_equivalent());
+        note(rows, session.full_rows(n));
         for (&r, &v) in peek.iter().zip(&saved) {
             x.set(r, 3, v);
         }
-        session.revert(preview);
-        held = before;
-        assert_eq!(bits(session.probs()), kept, "revert {step}");
+        assert_eq!(bits(session.probs()), kept, "preview {step} kept");
+        assert_eq!(session.cached_rows(), held.count(), "preview {step} kept");
 
-        // Commit: a different dirty set, straight after the revert.
+        // Commit: a different dirty set, straight after the preview.
         let stage0_before = model.stages()[0].predict_proba(&t, &x).unwrap();
         let target = net
             .nodes()
@@ -760,11 +756,11 @@ fn commit(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(600))]
 
-    /// A 2–3-stage session driven through random refreshes, reverts of
-    /// them, previews and committed insertions serves the oracle's bits
-    /// after every step and computes exactly the rows [`Held`] counts.
-    /// Stage 0's median as the threshold and changes of either sign move
-    /// rows across it both ways.
+    /// A 2–3-stage session driven through random refreshes, refreshes
+    /// back to the features before one, previews and committed insertions
+    /// serves the oracle's bits after every step and computes exactly the
+    /// rows [`Held`] counts. Stage 0's median as the threshold and changes
+    /// of either sign move rows across it both ways.
     #[test]
     fn a_session_driven_at_random_stays_the_oracle(
         net in arb_netlist(),
@@ -786,8 +782,8 @@ proptest! {
         let mut session = model.open_session(&t, &x).unwrap();
         let (mut held, opened) = Held::opened(&model, &t, &x);
         prop_assert_eq!(session.cached_rows(), opened);
-        // Refreshes a revert may still undo, the newest last.
-        let mut undo: Vec<(SessionDelta, Vec<usize>, Vec<f32>, Held)> = Vec::new();
+        // Refreshes a refresh back may still return from, the newest last.
+        let mut undo: Vec<(Vec<usize>, Vec<f32>, Held)> = Vec::new();
         for (step, (kind, picks)) in steps.iter().enumerate() {
             let n = t.node_count();
             let dirty: Vec<usize> = picks.iter().map(|&p| p % n).collect();
@@ -797,13 +793,15 @@ proptest! {
                     let delta = session.refresh(&t, &x, &dirty).unwrap();
                     let (rows, before) = held.refresh(&model, &t, &x, &dirty);
                     prop_assert_eq!(delta.rows_computed(), rows, "step {}: refresh", step);
-                    undo.push((delta, dirty, saved, before));
+                    undo.push((dirty, saved, before));
                 }
                 1 => {
-                    if let Some((delta, dirty, saved, before)) = undo.pop() {
+                    if let Some((dirty, saved, before)) = undo.pop() {
                         restore(&mut x, &dirty, &saved);
-                        session.revert(delta);
-                        held = before;
+                        let delta = session.refresh(&t, &x, &dirty).unwrap();
+                        let (rows, _) = held.refresh(&model, &t, &x, &dirty);
+                        prop_assert_eq!(delta.rows_computed(), rows, "step {}: back", step);
+                        prop_assert!(held == before, "step {}: back holds what it held", step);
                     }
                 }
                 2 => {
@@ -837,59 +835,54 @@ proptest! {
     }
 }
 
-/// The revert trap. A refresh that moves row `r` over the threshold grows
-/// stage 1 over `r` inside its dirty halo, so `r`'s cached row holds the
-/// refreshed value. Its revert must forget `r`: under a second, different
-/// change `r` reaches stage 1 again from outside that change's stage-1
-/// halo, and a kept row would be read stale.
-#[test]
-fn a_row_grown_inside_the_halo_is_forgotten_by_the_revert() {
-    let net = generate(&GeneratorConfig::sized("trap", 31, 300));
-    let data = GraphData::from_netlist(&net, None).unwrap();
-    let (t, base) = (&data.tensors, &data.features);
-    let n = t.node_count();
-    // Stage 0 sees three hops, stage 1 one: a change two hops from `r`
-    // moves `r`'s stage-0 score without touching its stage-1 row.
-    let stages = stages(&[3, 1], 5);
-    let thr = threshold(2, &stages[0], t, base);
-    let model = MultiStageGcn::from_stages(stages, thr);
-    let p0 = |x: &Matrix| model.stages()[0].predict_proba(t, x).unwrap();
-    let before = p0(base);
-    let rises = |x: &Matrix, r: usize| before[r] < thr && p0(x)[r] >= thr;
-    let changed = |v: usize, pick: usize| {
-        let mut x = base.clone();
-        perturb(&mut x, &[v], &[pick]);
-        x
-    };
-    let found = (0..n).flat_map(|a| [(a, 0), (a, 1)]).find_map(|(a, sa)| {
-        let first = changed(a, sa);
-        let lifted = t.halo_step(&[a]).into_iter().filter(|&r| rises(&first, r));
-        lifted.into_iter().find_map(|r| {
-            let near = t.halo_step(&[r]);
-            let far = t.halo_step(&t.halo_step(&near));
-            far.into_iter()
-                .filter(|b| near.binary_search(b).is_err())
-                .flat_map(|b| [(b, 0), (b, 1)])
-                .find(|&(b, sb)| rises(&changed(b, sb), r))
-                .map(|(b, sb)| (a, sa, r, b, sb))
-        })
-    });
-    let (a, sa, r, b, sb) = found.expect("a design with a row both changes lift");
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    let mut x = base.clone();
-    let mut session = model.open_session(t, &x).unwrap();
-    let saved = perturb(&mut x, &[a], &[sa]);
-    let delta = session.refresh(t, &x, &[a]).unwrap();
-    assert_eq!(bits(session.probs()), oracle(&model, t, &x), "first change");
-    restore(&mut x, &[a], &saved);
-    session.revert(delta);
-    assert_eq!(bits(session.probs()), oracle(&model, t, &x), "revert");
-    perturb(&mut x, &[b], &[sb]);
-    session.refresh(t, &x, &[b]).unwrap();
-    assert!(!filtered(p0(&x)[r], thr), "row {r} reaches stage 1 again");
-    assert_eq!(
-        bits(session.probs()),
-        oracle(&model, t, &x),
-        "second change: row {r}, grown under {a}, read under {b}"
-    );
+    /// A refresh the budget stops part-way rolls back inside the call: for
+    /// every cap below its full charge, `probs()` and `cached_rows()` stay
+    /// bitwise as before, and the next unlimited refresh serves the
+    /// oracle, computes what [`Held`] counts and charges exactly that. A
+    /// stage that forgets the rows no longer reaching it is rolled back
+    /// when a later stage stops, so those rows must be held again.
+    #[test]
+    fn a_refresh_stopped_at_any_cap_leaves_the_session_as_it_was(
+        net in arb_netlist(),
+        depths in proptest::collection::vec(1usize..4, 2..4),
+        seed in any::<u64>(),
+        steps in proptest::collection::vec(proptest::collection::vec(any::<usize>(), 1..5), 1..4),
+    ) {
+        let _counters = counters_lock();
+        let data = GraphData::from_netlist(&net, None).unwrap();
+        let (t, n) = (&data.tensors, data.tensors.node_count());
+        let mut x = data.features.clone();
+        let stages = stages(&depths, seed);
+        let thr = threshold(2, &stages[0], t, &x);
+        let model = MultiStageGcn::from_stages(stages, thr);
+        let mut session = model.open_session(t, &x).unwrap();
+        let (mut held, _) = Held::opened(&model, t, &x);
+        for (step, picks) in steps.iter().enumerate() {
+            let dirty: Vec<usize> = picks.iter().map(|&p| p % n).collect();
+            perturb(&mut x, &dirty, picks);
+            let charge = {
+                let budget = Budget::unlimited();
+                session.clone().refresh_budgeted(t, &x, &dirty, &budget).unwrap();
+                budget.spent()
+            };
+            let before = (bits(session.probs()), session.cached_rows());
+            for cap in 0..charge {
+                let stopped = session.refresh_budgeted(t, &x, &dirty, &Budget::with_cap(cap));
+                prop_assert!(
+                    matches!(stopped, Err(TensorError::BudgetExceeded { .. })),
+                    "step {}: a cap of {} for a charge of {}", step, cap, charge
+                );
+                let after = (bits(session.probs()), session.cached_rows());
+                prop_assert!(after == before, "step {}: a stop at {} of {} changed the session", step, cap, charge);
+            }
+            let delta = session.refresh(t, &x, &dirty).unwrap();
+            let (rows, _) = held.refresh(&model, t, &x, &dirty);
+            prop_assert_eq!(delta.rows_computed(), rows, "step {}: rows computed", step);
+            prop_assert_eq!(delta.rows_computed(), charge, "step {}: charge", step);
+            prop_assert_eq!(bits(session.probs()), oracle(&model, t, &x), "step {}", step);
+        }
+    }
 }

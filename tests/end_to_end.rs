@@ -7,7 +7,7 @@ use gcn_testability::dft::fault::collapsed_faults;
 use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig};
 use gcn_testability::dft::labeler::{label_difficult_to_observe, LabelConfig};
 use gcn_testability::gcn::train::{evaluate, train, TrainConfig};
-use gcn_testability::gcn::{balanced_indices, Gcn, GcnConfig, GraphData};
+use gcn_testability::gcn::{balanced_indices, Gcn, GcnConfig, GraphData, MultiStageGcn};
 use gcn_testability::netlist::{generate, GeneratorConfig, Scoap};
 use gcn_testability::nn::seeded_rng;
 
@@ -96,12 +96,13 @@ fn trained_flow_improves_coverage() {
     )
     .unwrap();
 
+    let model = MultiStageGcn::from_stages(vec![gcn], 0.5);
     let original = generate(&GeneratorConfig::sized("victim", 212, 2_000));
     let mut modified = original.clone();
     let outcome = run_gcn_opi(
         &mut modified,
         &train_data.normalizer,
-        &gcn,
+        &model,
         &FlowConfig {
             max_iterations: 10,
             ..FlowConfig::default()

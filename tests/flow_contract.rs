@@ -3,8 +3,8 @@
 //! `run_gcn_opi`'s internals are free to change; what a caller, a journal
 //! and the benchmark's goldens see is not. The literals below hold the
 //! [`FlowOutcome`] — inference accounting included — every journaled
-//! [`BatchRecord`] and the final netlist, for each of the three classifier
-//! kinds on one fixed design. A refactor that reorders an inference, drops
+//! [`BatchRecord`] and the final netlist, for a single GCN (a one-stage
+//! cascade), a two-stage cascade and a closure on one fixed design. A refactor that reorders an inference, drops
 //! a refresh or double-counts the session's opening pass changes
 //! `inferences` / `rows_computed` / `rows_full` here first, at 400 nodes,
 //! instead of in `flow_b1_20k`'s output checks at 20k.
@@ -129,7 +129,8 @@ fn check<F: FlowClassifier + Copy>(kind: &str, classify: F, golden_run: &str, go
 fn every_classifier_kind_reproduces_the_recorded_run() {
     let model = cascade();
     let gcn = &model.stages()[0];
-    check("&Gcn", gcn, GCN_RUN, GCN_NET);
+    let single = MultiStageGcn::from_stages(vec![gcn.clone()], model.filter_threshold());
+    check("one stage", &single, GCN_RUN, GCN_NET);
     check("&MultiStageGcn", &model, CASCADE_RUN, CASCADE_NET);
     let full_pass = |t: &GraphTensors, x: &Matrix| gcn.predict_proba(t, x);
     check("closure", full_pass, CLOSURE_RUN, GCN_NET);
@@ -158,9 +159,10 @@ fn degenerate_designs_flow_with_a_model_classifier() {
     chain.connect(prev, out).unwrap();
 
     let model = cascade();
+    let single = MultiStageGcn::from_stages(vec![model.stages()[0].clone()], 0.5);
     let normalizer = GraphData::from_netlist(&design(), None).unwrap().normalizer;
     for net in [empty, one_input, wire, chain].map(|b| b.build().unwrap()) {
-        flows_intact(&net, &normalizer, &model.stages()[0]);
+        flows_intact(&net, &normalizer, &single);
         flows_intact(&net, &normalizer, &model);
     }
 }

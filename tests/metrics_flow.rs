@@ -6,12 +6,22 @@
 //! paragraph (the benchmark's `flow_b1_20k` is the same flow at 20k
 //! nodes). Training metrics are checked the same way: every training path
 //! must record its epochs.
+//!
+//! The registry is process-wide, so each test holds [`LOCK`] while it
+//! records: a design featurized by one test must not land in another's
+//! window.
 
 use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig};
 use gcn_testability::gcn::{Gcn, GcnConfig, GraphData, MultiStageConfig, MultiStageGcn};
 use gcn_testability::netlist::{generate, GeneratorConfig, Scoap};
 use gcn_testability::nn::seeded_rng;
-use gcn_testability::obs::catalog::counters;
+use gcn_testability::obs::catalog::{counters, histograms};
+
+static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn lock() -> std::sync::MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Counter deltas rather than absolutes: the global registry is process-wide
 /// and other tests in this binary could in principle record into it.
@@ -32,6 +42,7 @@ fn counter_deltas<const N: usize>(
 
 #[test]
 fn flow_metrics_match_inference_accounting() {
+    let _lock = lock();
     let net = generate(&GeneratorConfig::sized("x", 9, 400));
     let data = GraphData::from_netlist(&net, None).expect("acyclic");
     let gcn = Gcn::new(
@@ -42,13 +53,16 @@ fn flow_metrics_match_inference_accounting() {
         },
         &mut seeded_rng(9),
     );
+    let model = MultiStageGcn::from_stages(vec![gcn], 0.5);
     let cfg = FlowConfig {
         max_iterations: 2,
         ops_per_iteration: 4,
         ..FlowConfig::default()
     };
 
-    gcn_testability::obs::global().enable();
+    let registry = gcn_testability::obs::global();
+    registry.enable();
+    let featurized = registry.histogram_count(histograms::CORE_FEATURIZE_NS);
     let mut outcome = None;
     let [spmm_rows, rows_computed, rows_full, inferences, ops_inserted, rows_reused] =
         counter_deltas(
@@ -62,11 +76,14 @@ fn flow_metrics_match_inference_accounting() {
             ],
             || {
                 outcome = Some(
-                    run_gcn_opi(&mut net.clone(), &data.normalizer, &gcn, &cfg).expect("flow runs"),
+                    run_gcn_opi(&mut net.clone(), &data.normalizer, &model, &cfg)
+                        .expect("flow runs"),
                 );
             },
         );
     let outcome = outcome.unwrap();
+    let featurized = registry.histogram_count(histograms::CORE_FEATURIZE_NS) - featurized;
+    assert_eq!(featurized, 1, "a flow featurizes its design once");
 
     // The counters are recorded at the same funnel that fills
     // `FlowOutcome::inference`, so on a fresh run they must agree exactly.
@@ -93,6 +110,7 @@ fn flow_metrics_match_inference_accounting() {
 
 #[test]
 fn every_training_path_records_its_epochs() {
+    let _lock = lock();
     let net = generate(&GeneratorConfig::sized("epochs", 5, 150));
     let scoap = Scoap::compute(&net).expect("acyclic");
     let labels = net.nodes().map(|v| u8::from(scoap.co(v) > 6)).collect();

@@ -9,7 +9,9 @@
 
 use proptest::prelude::*;
 
-use gcn_testability::gcn::{Gcn, GcnConfig, GraphData, GraphTensors, MatrixBackend};
+use gcn_testability::gcn::{
+    CascadeSession, Gcn, GcnConfig, GraphData, GraphTensors, MatrixBackend, MultiStageGcn,
+};
 use gcn_testability::netlist::{generate, GeneratorConfig, Netlist};
 use gcn_testability::nn::seeded_rng;
 use gcn_testability::tensor::{Budget, Matrix, PartitionedCsr};
@@ -59,9 +61,10 @@ proptest! {
         }
     }
 
-    /// The three inference paths agree bit for bit: a plain full embed, a
-    /// partitioned-backend embed, and a dirty-halo incremental update of
-    /// a cache that was *built on the partitioned backend*.
+    /// The three inference paths agree bit for bit: a plain full pass, a
+    /// partitioned-backend pass, and a dirty-halo refresh of a session
+    /// *opened on the partitioned backend* (a single GCN runs as a
+    /// one-stage cascade).
     #[test]
     fn embed_full_partitioned_incremental_agree(
         net in arb_netlist(),
@@ -78,42 +81,42 @@ proptest! {
             },
             &mut seeded_rng(seed),
         );
+        let t = &data.tensors;
         let n = data.node_count();
-        let mut backend = MatrixBackend::partitioned(&data.tensors, parts).unwrap();
+        let mut backend = MatrixBackend::partitioned(t, parts).unwrap();
 
         // Full serial vs backend-threaded full pass.
-        let full = gcn.embed(&data.tensors, &data.features).unwrap();
+        let full = gcn.predict_proba(t, &data.features).unwrap();
         let backed = gcn
-            .embed_budgeted_with(
-                &data.tensors,
-                &data.features,
-                &Budget::unlimited(),
-                &mut backend,
-            )
+            .predict_proba_budgeted_with(t, &data.features, &Budget::unlimited(), &mut backend)
             .unwrap();
         prop_assert_eq!(&full, &backed);
 
-        // A cache built through the partitioned backend, updated by the
-        // serial dirty-halo engine, must land exactly where a serial
-        // from-scratch recompute lands.
+        // A session opened through the partitioned backend, refreshed by
+        // the serial dirty-halo engine, must land exactly where a serial
+        // from-scratch pass lands.
+        let model = MultiStageGcn::from_stages(vec![gcn.clone()], 0.5);
         let mut x = data.features.clone();
-        let mut cache = gcn
-            .embed_cached_budgeted_with(
-                &data.tensors,
-                &x,
-                &Budget::unlimited(),
-                &mut backend,
-            )
-            .unwrap();
-        let serial_cache = gcn.embed_cached(&data.tensors, &x).unwrap();
-        prop_assert_eq!(cache.layers(), serial_cache.layers());
+        let mut session = CascadeSession::for_cascade_budgeted_with(
+            &model,
+            t,
+            &x,
+            0,
+            &Budget::unlimited(),
+            &mut backend,
+        )
+        .unwrap();
+        let serial = model.open_session(t, &x).unwrap();
+        prop_assert_eq!(session.probs(), serial.probs());
         let dirty: Vec<usize> = dirty_picks.iter().map(|&p| p as usize % n).collect();
         for &r in &dirty {
             x.set(r, 3, x.get(r, 3) + 0.5);
         }
-        gcn.embed_incremental(&data.tensors, &x, &mut cache, &dirty)
-            .unwrap();
-        let fresh = gcn.embed(&data.tensors, &x).unwrap();
-        prop_assert_eq!(cache.final_embedding(), &fresh);
+        session.refresh(t, &x, &dirty).unwrap();
+        let probs = gcn.predict_proba(t, &x).unwrap();
+        prop_assert_eq!(session.probs(), probs.as_slice());
+        let caches = session.into_caches(t, &x).unwrap();
+        let fresh = gcn.embed(t, &x).unwrap();
+        prop_assert_eq!(caches[0].final_embedding(), &fresh);
     }
 }

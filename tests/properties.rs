@@ -5,7 +5,9 @@ use proptest::prelude::*;
 
 use gcn_testability::dft::atpg::{run_random_atpg, AtpgConfig};
 use gcn_testability::dft::flow::{run_gcn_opi, FlowConfig};
-use gcn_testability::gcn::{recursive, Gcn, GcnConfig, GraphData, GraphTensors};
+use gcn_testability::gcn::{
+    recursive, CascadeSession, Gcn, GcnConfig, GraphData, GraphTensors, MultiStageGcn,
+};
 use gcn_testability::lint::{lint_csr, lint_graph_tensors, lint_netlist, lint_violations, RuleId};
 use gcn_testability::netlist::{
     format, generate, logic_levels, CellKind, GeneratorConfig, Netlist, NetlistBuilder,
@@ -393,8 +395,9 @@ proptest! {
     }
 
     /// The incremental dirty-halo engine is bit-for-bit identical to the
-    /// full forward pass at every depth, and its revert restores the
-    /// cache exactly — the invariant the flow's preview path stands on.
+    /// full forward pass at every depth, and refreshing the old features
+    /// back restores the cache exactly — the invariant the flow's
+    /// session stands on. A single GCN runs as a one-stage cascade.
     #[test]
     fn incremental_embedding_matches_full(
         net in arb_netlist(),
@@ -411,25 +414,32 @@ proptest! {
             },
             &mut seeded_rng(seed),
         );
+        let model = MultiStageGcn::from_stages(vec![gcn.clone()], 0.5);
+        let t = &data.tensors;
+        let layers = |session: &CascadeSession<'_>, x: &Matrix| {
+            let caches = session.clone().into_caches(t, x).unwrap();
+            caches.iter().map(|c| c.layers().to_vec()).collect::<Vec<_>>()
+        };
         let n = data.node_count();
         let mut x = data.features.clone();
-        let mut cache = gcn.embed_cached(&data.tensors, &x).unwrap();
-        let pristine = cache.clone();
+        let mut session = model.open_session(t, &x).unwrap();
+        let pristine = layers(&session, &x);
         let dirty: Vec<usize> = dirty_picks.iter().map(|&p| p as usize % n).collect();
         for &r in &dirty {
             x.set(r, 3, x.get(r, 3) + 0.5);
         }
-        let delta = gcn
-            .embed_incremental(&data.tensors, &x, &mut cache, &dirty)
-            .unwrap();
+        session.refresh(t, &x, &dirty).unwrap();
         // Bit-identical to a from-scratch recompute, layer by layer.
-        let fresh = gcn.embed_cached(&data.tensors, &x).unwrap();
-        prop_assert_eq!(cache.layers(), fresh.layers());
-        let full = gcn.embed(&data.tensors, &x).unwrap();
-        prop_assert_eq!(cache.final_embedding(), &full);
-        // Revert restores the pristine cache, bit for bit.
-        cache.revert(delta);
-        prop_assert_eq!(cache.layers(), pristine.layers());
+        let patched = layers(&session, &x);
+        let fresh = model.open_session(t, &x).unwrap();
+        prop_assert_eq!(&patched, &layers(&fresh, &x));
+        let full = gcn.embed(t, &x).unwrap();
+        prop_assert_eq!(patched[0].last(), Some(&full));
+        let probs = gcn.predict_proba(t, &x).unwrap();
+        prop_assert_eq!(session.probs(), probs.as_slice());
+        // The old features refreshed back give the pristine cache.
+        session.refresh(t, &data.features, &dirty).unwrap();
+        prop_assert_eq!(layers(&session, &data.features), pristine);
     }
 
     /// The flow's incremental impact scoring (a model reference opens a
@@ -456,8 +466,9 @@ proptest! {
         let mut net_full = net.clone();
         let full_pass = |t: &GraphTensors, x: &Matrix| gcn.predict_proba(t, x);
         let full = run_gcn_opi(&mut net_full, &data.normalizer, full_pass, &cfg).unwrap();
+        let model = MultiStageGcn::from_stages(vec![gcn.clone()], 0.5);
         let mut net_inc = net.clone();
-        let inc = run_gcn_opi(&mut net_inc, &data.normalizer, &gcn, &cfg).unwrap();
+        let inc = run_gcn_opi(&mut net_inc, &data.normalizer, &model, &cfg).unwrap();
         prop_assert_eq!(full.inserted, inc.inserted);
         prop_assert_eq!(full.converged, inc.converged);
         prop_assert_eq!(full.remaining_positives, inc.remaining_positives);

@@ -1,8 +1,10 @@
 //! What neither rustc nor clippy can see, read as text from the checked-out
 //! tree: atomic orderings say why, the docs cite only declared benchmark
 //! names, the README rule table is the lint registry, `CHANGES.md`
-//! counts its entries, and only tests arm a fault. Each check is a small function over text, and each
-//! test first plants a violation to prove the check still bites.
+//! counts its entries, only tests arm a fault, every public function has a
+//! caller outside the tests or a stated reason not to, and the docs stay
+//! within their line budgets. Each check is a small function over text,
+//! and each test first plants a violation to prove the check still bites.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -382,4 +384,205 @@ fn only_tests_arm_a_fault() {
         "non-test code arms a fault outside the tests; production passes \
          `FaultPlan::none()`: {bad:?}"
     );
+}
+
+/// Where non-test code lives: a use there keeps a public function alive.
+const CODE_ROOTS: [&str; 4] = ["crates/", "src/", "examples/", "benchmark/src/"];
+
+/// The public functions whose only callers are tests, each with why it
+/// stays. A function that loses its last non-test caller must be deleted
+/// or listed here; a listed one that gains a caller must leave the list.
+const TEST_ONLY_API: [(&str, &str); 21] = [
+    (
+        "with_nan_grads",
+        "FaultPlan builder: how a test arms a fault",
+    ),
+    (
+        "with_worker_kill",
+        "FaultPlan builder: how a test arms a fault",
+    ),
+    (
+        "with_latency_multiplier",
+        "FaultPlan builder: how a test arms a fault",
+    ),
+    (
+        "with_queue_saturation",
+        "FaultPlan builder: how a test arms a fault",
+    ),
+    (
+        "with_cache_poison",
+        "FaultPlan builder: how a test arms a fault",
+    ),
+    (
+        "with_kill_after_record",
+        "FaultPlan builder: how a test arms a fault",
+    ),
+    (
+        "with_store_disk_full_after",
+        "FaultPlan builder: how a test arms a fault",
+    ),
+    (
+        "with_kill_mid_compaction",
+        "FaultPlan builder: how a test arms a fault",
+    ),
+    (
+        "with_net_disconnect_after_frames",
+        "FaultPlan builder: how a test arms a fault",
+    ),
+    (
+        "with_net_slow_loris",
+        "FaultPlan builder: how a test arms a fault",
+    ),
+    (
+        "with_net_corrupt_frame_checksum",
+        "FaultPlan builder: how a test arms a fault",
+    ),
+    (
+        "with_net_connect_refused",
+        "FaultPlan builder: how a test arms a fault",
+    ),
+    ("label_by_scoap", "the pure-SCOAP labeler PAPER.md promises"),
+    (
+        "exact_detection",
+        "the exact fault-simulation reference of the labeler tests",
+    ),
+    (
+        "identity",
+        "Matrix constructor for doctests and integration tests",
+    ),
+    (
+        "from_rows",
+        "Matrix constructor for doctests and integration tests",
+    ),
+    ("to_csr", "the COO build the CSR builders are held to"),
+    ("fired", "LintReport query the rule tests assert with"),
+    (
+        "uniform",
+        "partition layer, kept until ROADMAP item 1(b) deletes it",
+    ),
+    (
+        "from_csr",
+        "partition layer, kept until ROADMAP item 1(b) deletes it",
+    ),
+    (
+        "halo_total",
+        "partition layer, kept until ROADMAP item 1(b) deletes it",
+    ),
+];
+
+/// `text` without its test modules and `//` comments, if `path` holds
+/// non-test code at all (a `tests/` or `benches/` directory does not).
+fn non_test_code(path: &str, text: &str) -> Option<String> {
+    let test_dir = path.split('/').any(|c| c == "tests" || c == "benches");
+    if test_dir || !CODE_ROOTS.iter().any(|root| path.starts_with(root)) {
+        return None;
+    }
+    let lines = without_test_modules(text);
+    let code = lines
+        .iter()
+        .map(|line| line.split("//").next().unwrap_or(""));
+    Some(code.collect::<Vec<_>>().join("\n"))
+}
+
+/// The `pub fn`s defined under `crates/*/src` whose name occurs once in
+/// the non-test code of `files` — their own definition. Names, not
+/// paths: a dead method that shares its name with a live one is missed.
+fn dead_pub_fns(files: &[(String, String)]) -> BTreeSet<String> {
+    let code: Vec<(&str, String)> = files
+        .iter()
+        .filter_map(|(path, text)| Some((path.as_str(), non_test_code(path, text)?)))
+        .collect();
+    let mut uses = std::collections::HashMap::<&str, usize>::new();
+    for (_, text) in &code {
+        let words = text.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+        for word in words.filter(|w| !w.is_empty()) {
+            *uses.entry(word).or_default() += 1;
+        }
+    }
+    let crate_src = |path: &str| {
+        let mut parts = path.split('/');
+        parts.next() == Some("crates") && parts.next().is_some() && parts.next() == Some("src")
+    };
+    code.iter()
+        .filter(|(path, _)| crate_src(path))
+        .flat_map(|(_, text)| text.lines())
+        .filter_map(|line| line.trim_start().strip_prefix("pub fn "))
+        .map(|rest| {
+            rest.chars()
+                .take_while(|&c| c.is_alphanumeric() || c == '_')
+                .collect::<String>()
+        })
+        .filter(|name| uses.get(name.as_str()).copied().unwrap_or(0) <= 1)
+        .collect()
+}
+
+#[test]
+fn every_public_function_has_a_caller_or_a_reason() {
+    let planted = [
+        (
+            "crates/a/src/lib.rs",
+            "pub fn used() {}\npub fn dead() {}\n#[cfg(test)]\nmod tests {\n    fn t() {\n        \
+             super::dead();\n    }\n}\n",
+        ),
+        (
+            "src/main.rs",
+            "fn main() {\n    a::used(); // a::dead()\n}\n",
+        ),
+        ("tests/it.rs", "fn t() {\n    a::dead();\n}\n"),
+    ]
+    .map(|(path, text)| (path.to_string(), text.to_string()));
+    assert_eq!(dead_pub_fns(&planted), BTreeSet::from(["dead".to_string()]));
+
+    let dead = dead_pub_fns(&rust_sources());
+    let listed: BTreeSet<String> = TEST_ONLY_API
+        .iter()
+        .map(|(name, _)| name.to_string())
+        .collect();
+    assert_eq!(listed.len(), TEST_ONLY_API.len(), "a name is listed twice");
+    let unlisted: Vec<&String> = dead.difference(&listed).collect();
+    assert!(
+        unlisted.is_empty(),
+        "public functions with only test callers: delete them, or list them with a \
+         reason in TEST_ONLY_API: {unlisted:?}"
+    );
+    let stale: Vec<&String> = listed.difference(&dead).collect();
+    assert!(
+        stale.is_empty(),
+        "listed in TEST_ONLY_API but called outside the tests (or gone): {stale:?}"
+    );
+}
+
+/// Each doc's line budget, set at its size when the budgets came in. A
+/// doc that grows past its budget fails; raising one is a decision made
+/// in the change that needs it, and a cut lowers it.
+const LINE_BUDGETS: [(&str, usize); 4] = [
+    ("README.md", 841),
+    ("DESIGN.md", 522),
+    ("EXPERIMENTS.md", 1368),
+    (".claude/skills/verify/SKILL.md", 321),
+];
+
+/// `doc: lines > budget` for each `(doc, text, budget)` over its budget.
+fn over_budget<'a>(docs: impl IntoIterator<Item = (&'a str, String, usize)>) -> Vec<String> {
+    docs.into_iter()
+        .filter_map(|(doc, text, budget)| {
+            let lines = text.lines().count();
+            (lines > budget).then(|| format!("{doc}: {lines} lines > {budget}"))
+        })
+        .collect()
+}
+
+#[test]
+fn every_doc_keeps_to_its_line_budget() {
+    assert_eq!(
+        over_budget([
+            ("a.md", "x\ny\n".to_string(), 2),
+            ("b.md", "x\ny\nz\n".to_string(), 2)
+        ]),
+        ["b.md: 3 lines > 2"]
+    );
+
+    let docs = LINE_BUDGETS.map(|(doc, budget)| (doc, read(doc), budget));
+    let bad = over_budget(docs);
+    assert!(bad.is_empty(), "over the line budget: {bad:?}");
 }

@@ -402,11 +402,14 @@ fn a_stale_partitioning_is_still_refused() {
         &mut backend
     )));
     assert!(matches!(
-        gcn.embed_budgeted_with(&t, &x, &Budget::unlimited(), &mut backend),
-        Err(TensorError::StaleCache { .. })
-    ));
-    assert!(matches!(
-        gcn.embed_cached_budgeted_with(&t, &x, &Budget::unlimited(), &mut backend),
+        CascadeSession::for_cascade_budgeted_with(
+            &model,
+            &t,
+            &x,
+            0,
+            &Budget::unlimited(),
+            &mut backend
+        ),
         Err(TensorError::StaleCache { .. })
     ));
 }
