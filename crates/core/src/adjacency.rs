@@ -85,8 +85,7 @@ fn combine_rows(src: &Matrix, rows: &[usize], wa: f32, wb: f32, a: &mut [f32], b
 
 /// The unweighted `n x n` CSR whose row `v` holds `list(net, v)`: copied
 /// straight from the netlist's adjacency lists and sorted in place row by
-/// row. A netlist never repeats a wire, so nothing needs merging, and the
-/// result is what `CooMatrix::to_csr` builds from the same entries.
+/// row. A netlist never repeats a wire, so nothing needs merging.
 fn adjacency_csr(net: &Netlist, list: impl Fn(&Netlist, NodeId) -> &[NodeId]) -> CsrMatrix {
     let n = net.node_count();
     let mut indptr = Vec::with_capacity(n + 1);
@@ -231,43 +230,24 @@ impl GraphTensors {
         Matrix::from_vec(self.n, cols, data)
     }
 
-    /// Row-sliced variant of [`GraphTensors::aggregate`]: computes only the
-    /// listed rows of `G = E + w_pr * P·E + w_su * S·E`, returned as a dense
-    /// `rows.len() x e.cols()` matrix.
+    /// Row-sliced variant of [`GraphTensors::aggregate`] into
+    /// caller-provided row blocks: `g` (one row of `e.cols()` values per
+    /// entry of `rows`, overwritten) receives those rows of
+    /// `G = E + w_pr * P·E + w_su * S·E`, and `scratch`, of the same
+    /// length, holds `S·E` on the way. Nothing is allocated, and only the
+    /// listed rows of `e` and their one-hop neighbours are read — the rest
+    /// of `e` may hold anything.
     ///
     /// Uses the same per-row kernels and the same accumulation order
     /// (`(e + w_pr·pe) + w_su·se` per element) as the full aggregation, so
-    /// each returned row is bit-for-bit equal to the corresponding row of
-    /// the full `G` — the contract [`crate::incremental`] depends on.
+    /// each row is bit-for-bit equal to the corresponding row of the full
+    /// `G` — the contract [`crate::incremental`] depends on.
     ///
     /// # Errors
     ///
-    /// Returns a shape error unless `e.rows()` equals the node count, or an
-    /// index error if any requested row is out of range.
-    pub fn aggregate_rows(
-        &self,
-        e: &Matrix,
-        rows: &[usize],
-        w_pr: f32,
-        w_su: f32,
-    ) -> Result<Matrix> {
-        let mut g = Matrix::zeros(rows.len(), e.cols());
-        let mut se = vec![0.0; rows.len() * e.cols()];
-        self.aggregate_rows_into(e, rows, w_pr, w_su, g.as_mut_slice(), &mut se)?;
-        Ok(g)
-    }
-
-    /// [`GraphTensors::aggregate_rows`] into caller-provided row blocks:
-    /// `g` (one row of `e.cols()` values per entry of `rows`, overwritten)
-    /// receives the aggregate and `scratch`, of the same length, holds
-    /// `S·E` on the way. Nothing is allocated, and only the listed rows of
-    /// `e` and their one-hop neighbours are read — the rest of `e` may
-    /// hold anything.
-    ///
-    /// # Errors
-    ///
-    /// As [`GraphTensors::aggregate_rows`], plus a length error unless `g`
-    /// and `scratch` hold `rows.len() * e.cols()` values.
+    /// Returns a shape error unless `e.rows()` equals the node count, an
+    /// index error if any requested row is out of range, and a length
+    /// error unless `g` and `scratch` hold `rows.len() * e.cols()` values.
     pub fn aggregate_rows_into(
         &self,
         e: &Matrix,
@@ -512,11 +492,20 @@ mod tests {
         (net, a, g, o)
     }
 
+    /// The listed rows of `G`, through [`GraphTensors::aggregate_rows_into`].
+    fn aggregate_rows(t: &GraphTensors, e: &Matrix, rows: &[usize], w: (f32, f32)) -> Matrix {
+        let mut g = Matrix::zeros(rows.len(), e.cols());
+        let mut scratch = vec![0.0; rows.len() * e.cols()];
+        t.aggregate_rows_into(e, rows, w.0, w.1, g.as_mut_slice(), &mut scratch)
+            .unwrap();
+        g
+    }
+
     #[test]
     fn pred_succ_are_transposes_of_each_other() {
         let (net, ..) = tiny_net();
         let t = GraphTensors::from_netlist(&net);
-        assert_eq!(t.pred().to_dense(), t.succ().to_dense().transpose());
+        assert_eq!(*t.pred(), t.succ().transpose());
     }
 
     #[test]
@@ -605,7 +594,7 @@ mod tests {
         let t = GraphTensors::from_netlist(&net);
         let e = Matrix::from_fn(3, 2, |r, c| (r as f32 + 0.3) * (c as f32 - 1.7));
         let (full, _, _) = t.aggregate(&e, 0.62, 0.31).unwrap();
-        let sliced = t.aggregate_rows(&e, &[2, 0], 0.62, 0.31).unwrap();
+        let sliced = aggregate_rows(&t, &e, &[2, 0], (0.62, 0.31));
         assert_eq!(sliced.row(0), full.row(2));
         assert_eq!(sliced.row(1), full.row(0));
 
@@ -720,7 +709,7 @@ mod tests {
         assert_eq!(gm, pred_only.aggregate_g(&e, 1.0, 1.0).unwrap());
         assert_eq!(
             gm.gather_rows(&[2, 0]),
-            pred_only.aggregate_rows(&e, &[2, 0], 1.0, 1.0).unwrap()
+            aggregate_rows(&pred_only, &e, &[2, 0], (1.0, 1.0))
         );
         // The w_su gradient is <dG, S·E>: exactly 0 with S·E all zero.
         let dg = Matrix::from_rows(&[&[2.0], &[3.0], &[5.0]]).unwrap();

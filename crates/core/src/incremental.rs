@@ -670,11 +670,11 @@ impl<'m> CascadeSession<'m> {
                     actual: cache.layers().len(),
                 });
             }
-            for layer in cache.layers() {
-                if layer.rows() != n {
+            for (layer, enc) in cache.layers().iter().zip(gcn.encoders()) {
+                if layer.shape() != (n, enc.fan_out()) {
                     return Err(TensorError::ShapeMismatch {
                         op: "CascadeSession::from_caches",
-                        lhs: (n, layer.cols()),
+                        lhs: (n, enc.fan_out()),
                         rhs: layer.shape(),
                     });
                 }
@@ -1364,6 +1364,24 @@ mod tests {
         assert!(matches!(
             EmbeddingCache::from_layers(Vec::new(), 0),
             Err(TensorError::LengthMismatch { .. })
+        ));
+
+        // A layer of the wrong width is refused here, not at the first
+        // refresh.
+        let mut caches = model
+            .open_session(&data.tensors, &data.features)
+            .unwrap()
+            .into_caches(&data.tensors, &data.features)
+            .unwrap();
+        let mut layers = caches[0].layers().to_vec();
+        layers[0] = Matrix::zeros(data.tensors.node_count(), 9);
+        caches[0] = EmbeddingCache::from_layers(layers, caches[0].generation()).unwrap();
+        assert!(matches!(
+            CascadeSession::from_caches(&model, &data.tensors, &data.features, caches),
+            Err(TensorError::ShapeMismatch {
+                op: "CascadeSession::from_caches",
+                ..
+            })
         ));
     }
 

@@ -9,7 +9,7 @@
 //!    (weighted sum over predecessors and successors with learned scalars
 //!    `w_pr` / `w_su`, Eq. (1)) and *encode* (`E_d = ReLU(G_d W_d)`), then
 //!    classifies with a 4-layer FC head (Fig. 1 / Alg. 1).
-//! 3. Inference is formulated as sparse matrix products over the COO/CSR
+//! 3. Inference is formulated as sparse matrix products over the CSR
 //!    adjacency ([`GraphTensors`]), which is what makes the model scale to
 //!    millions of cells (§3.4.1, Fig. 10). The recursion-based baseline it
 //!    is compared against lives in [`recursive`]. Every inference pass

@@ -170,12 +170,15 @@ mod tests {
     use super::*;
     use gcnt_netlist::{generate, CellKind, GeneratorConfig};
 
+    /// Entries (0, 1) = 1, (1, 0) = 2 and (2, 2) = 3.
     fn sample_csr() -> CsrMatrix {
-        let mut coo = gcnt_tensor::CooMatrix::new(3, 3);
-        coo.push(0, 1, 1.0);
-        coo.push(1, 0, 2.0);
-        coo.push(2, 2, 3.0);
-        coo.to_csr()
+        CsrMatrix::from_raw_parts_unchecked(
+            3,
+            3,
+            vec![0, 1, 2, 3],
+            vec![1, 0, 2],
+            vec![1.0, 2.0, 3.0],
+        )
     }
 
     #[test]

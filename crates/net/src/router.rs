@@ -5,13 +5,14 @@
 //! write-ahead journals, page store — because the cores own them; the
 //! router adds nothing shared except the routing function.
 //! A design's requests always land on the same shard (FNV-1a of the
-//! design text, mod shard count), so per-design journals and warm
-//! embedding pages never migrate and never interleave across shards.
+//! design text as the request carried it, mod shard count), so
+//! per-design journals and warm embedding pages never migrate and never
+//! interleave across shards.
 
 use std::path::{Path, PathBuf};
 
 use gcnt_dft::flow::FlowConfig;
-use gcnt_netlist::{format, Netlist};
+use gcnt_netlist::Netlist;
 use gcnt_runtime::fnv1a64;
 use gcnt_serve::{FlowJobResult, InferResponse, ServeCore, ServeError, ServeHandle};
 
@@ -100,11 +101,6 @@ impl ShardRouter {
         (key % self.shards.len().max(1) as u64) as usize
     }
 
-    /// The shard a design routes to.
-    pub fn shard_for_design(&self, net: &Netlist) -> usize {
-        self.shard_for(route_key(&format::write(net)))
-    }
-
     /// Where `job_id`'s journal lives on `shard` — always inside that
     /// shard's own directory, with the id sanitised first.
     pub fn journal_path(&self, shard: usize, job_id: &str) -> PathBuf {
@@ -133,38 +129,42 @@ impl ShardRouter {
         }
     }
 
-    /// Routes and runs an inference request; returns the shard index
-    /// alongside the answer.
+    /// Runs an inference request on the shard `key` (the design's
+    /// [`route_key`]) lands on; returns the shard index alongside the
+    /// answer.
     ///
     /// # Errors
     ///
     /// The shard's [`ServeError`] (admission, loading, serving).
     pub fn infer(
         &self,
+        key: u64,
         net: Netlist,
         deadline: Option<u64>,
     ) -> Result<(usize, InferResponse), ServeError> {
-        let idx = self.shard_for_design(&net);
+        let idx = self.shard_for(key);
         let ticket = self.shard(idx)?.handle.submit_infer(net, deadline)?;
         self.note_depth(idx);
         Ok((idx, ticket.wait()?))
     }
 
-    /// Routes and runs a journaled flow job. The journal lives in the
-    /// shard's own directory keyed by `job_id`, so resubmitting the same
-    /// id after a disconnect resumes the same journal on the same shard.
+    /// Runs a journaled flow job on the shard `key` (the design's
+    /// [`route_key`]) lands on. The journal lives in the shard's own
+    /// directory keyed by `job_id`, so resubmitting the same id after a
+    /// disconnect resumes the same journal on the same shard.
     ///
     /// # Errors
     ///
     /// The shard's [`ServeError`].
     pub fn flow(
         &self,
+        key: u64,
         net: Netlist,
         cfg: FlowConfig,
         job_id: &str,
         deadline: Option<u64>,
     ) -> Result<(usize, FlowJobResult), ServeError> {
-        let idx = self.shard_for_design(&net);
+        let idx = self.shard_for(key);
         let journal = self.journal_path(idx, job_id);
         let ticket = self
             .shard(idx)?
@@ -201,7 +201,7 @@ impl ShardRouter {
 mod tests {
     use super::*;
     use gcnt_core::{features::FeatureNormalizer, Gcn, GcnConfig, GraphData, MultiStageGcn};
-    use gcnt_netlist::{generate, GeneratorConfig};
+    use gcnt_netlist::{format, generate, GeneratorConfig};
     use gcnt_nn::seeded_rng;
     use gcnt_serve::ServeConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -245,8 +245,8 @@ mod tests {
         let net = generate(&GeneratorConfig::sized("route", 5, 120));
         let dir = temp_dir("routing");
         let router = ShardRouter::start(cores(&net, 4), &dir).unwrap();
-        let a = router.shard_for_design(&net);
-        let b = router.shard_for_design(&net);
+        let a = router.shard_for(route_key(&format::write(&net)));
+        let b = router.shard_for(route_key(&format::write(&net)));
         assert_eq!(a, b, "same design, same shard");
         assert!(a < 4);
         router.shutdown().unwrap();
@@ -285,8 +285,9 @@ mod tests {
         let net = generate(&GeneratorConfig::sized("rt", 5, 120));
         let dir = temp_dir("rt");
         let router = ShardRouter::start(cores(&net, 2), &dir).unwrap();
-        let (shard, resp) = router.infer(net.clone(), None).unwrap();
-        assert_eq!(shard, router.shard_for_design(&net));
+        let key = route_key(&format::write(&net));
+        let (shard, resp) = router.infer(key, net.clone(), None).unwrap();
+        assert_eq!(shard, router.shard_for(key));
         assert_eq!(resp.probs.len(), net.node_count());
 
         let cfg = FlowConfig {
@@ -295,7 +296,7 @@ mod tests {
             candidate_limit: 4,
             ..FlowConfig::default()
         };
-        let (fshard, done) = router.flow(net.clone(), cfg, "j1", None).unwrap();
+        let (fshard, done) = router.flow(key, net.clone(), cfg, "j1", None).unwrap();
         assert_eq!(fshard, shard, "flow routes like infer");
         assert!(done.response.journal_records > 0);
         let wal = router.journal_path(fshard, "j1");

@@ -36,7 +36,7 @@ use crate::message::{
     decode_message, encode_message, DrainAck, ErrorCode, ErrorReply, FlowReply, FlowRequest, Hello,
     HelloAck, InferReply, InferRequest,
 };
-use crate::router::ShardRouter;
+use crate::router::{route_key, ShardRouter};
 use crate::signal;
 use crate::transport::Listener;
 
@@ -160,7 +160,7 @@ fn infer_reply(ctx: &Ctx, req: &InferRequest) -> Result<InferReply, ErrorReply> 
     let deadline = (req.deadline_rows > 0).then_some(req.deadline_rows);
     let (shard, resp) = ctx
         .router
-        .infer(net, deadline)
+        .infer(route_key(&req.design), net, deadline)
         .map_err(|e| map_serve_error(&e))?;
     let mut prob_bytes = Vec::with_capacity(resp.probs.len() * 4);
     for p in &resp.probs {
@@ -195,7 +195,7 @@ fn flow_reply(ctx: &Ctx, req: &FlowRequest) -> Result<FlowReply, ErrorReply> {
     let deadline = (req.deadline_rows > 0).then_some(req.deadline_rows);
     let (shard, done) = ctx
         .router
-        .flow(net, cfg, &req.job_id, deadline)
+        .flow(route_key(&req.design), net, cfg, &req.job_id, deadline)
         .map_err(|e| map_serve_error(&e))?;
     let outcome_json = serde_json::to_string(&done.response.outcome).unwrap_or_default();
     let net_text = format::write(&done.net);

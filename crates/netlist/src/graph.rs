@@ -434,8 +434,8 @@ impl Netlist {
     ///
     /// This is the graph-modification primitive of the paper's iterative
     /// flow (§4): the adjacency matrix of the modified graph differs from
-    /// the original by exactly the three COO tuples `(w_pr, p, target)`,
-    /// `(w_su, target, p)` and `(1, p, p)`.
+    /// the original by exactly three `(value, row, col)` entries:
+    /// `(w_pr, p, target)`, `(w_su, target, p)` and `(1, p, p)`.
     ///
     /// # Errors
     ///

@@ -291,7 +291,7 @@ mod tests {
         let mut rng = seeded_rng(2);
         let layer = Linear::new(2, 2, &mut rng);
         let x = Matrix::zeros(3, 2);
-        let dy = Matrix::filled(3, 2, 1.0);
+        let dy = Matrix::from_fn(3, 2, |_, _| 1.0);
         let (grads, _) = layer.backward(&x, &dy).unwrap();
         assert_eq!(grads.bias, vec![3.0, 3.0]);
     }
@@ -303,7 +303,7 @@ mod tests {
         let mut layer = Linear::new(3, 2, &mut rng);
         let x = xavier_uniform(4, 3, &mut rng);
         // Loss = sum(forward(x)) so dL/dy = 1.
-        let dy = Matrix::filled(4, 2, 1.0);
+        let dy = Matrix::from_fn(4, 2, |_, _| 1.0);
         let (grads, dx) = layer.backward(&x, &dy).unwrap();
 
         let eps = 1e-3f32;
@@ -345,9 +345,9 @@ mod tests {
         // Minimise sum(y) for a fixed input: every step must reduce it.
         let mut rng = seeded_rng(4);
         let mut layer = Linear::new(2, 1, &mut rng);
-        let x = Matrix::filled(1, 2, 1.0);
+        let x = Matrix::from_fn(1, 2, |_, _| 1.0);
         let before = layer.forward(&x).unwrap().sum();
-        let dy = Matrix::filled(1, 1, 1.0);
+        let dy = Matrix::from_fn(1, 1, |_, _| 1.0);
         let (grads, _) = layer.backward(&x, &dy).unwrap();
         layer.apply_sgd(&grads, 0.1);
         let after = layer.forward(&x).unwrap().sum();
@@ -359,8 +359,8 @@ mod tests {
         let mut rng = seeded_rng(5);
         let layer = Linear::new(2, 2, &mut rng);
         let mut g1 = layer.zero_grads();
-        let x = Matrix::filled(1, 2, 1.0);
-        let dy = Matrix::filled(1, 2, 1.0);
+        let x = Matrix::from_fn(1, 2, |_, _| 1.0);
+        let dy = Matrix::from_fn(1, 2, |_, _| 1.0);
         let (g2, _) = layer.backward(&x, &dy).unwrap();
         g1.accumulate(&g2);
         g1.accumulate(&g2);

@@ -378,7 +378,7 @@ mod tests {
     fn accumulate_averages_two_workers() {
         let mut rng = seeded_rng(5);
         let mlp = Mlp::new(&[2, 2], &mut rng);
-        let x = Matrix::filled(1, 2, 1.0);
+        let x = Matrix::from_fn(1, 2, |_, _| 1.0);
         let (logits, cache) = mlp.forward(&x).unwrap();
         let (_, d) = softmax_cross_entropy(&logits, &[0]);
         let (g, _) = mlp.backward(&cache, &d).unwrap();

@@ -2,7 +2,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::kernel;
-use crate::{CooMatrix, Matrix, Result, TensorError};
+use crate::{Matrix, Result, TensorError};
 
 /// spmm falls back to a serial loop below this many output elements.
 const PAR_SPMM_THRESHOLD: usize = 8 * 1024;
@@ -17,12 +17,10 @@ const PAR_SPMM_THRESHOLD: usize = 8 * 1024;
 /// # Examples
 ///
 /// ```
-/// use gcnt_tensor::{CooMatrix, Matrix};
+/// use gcnt_tensor::{CsrMatrix, Matrix};
 ///
-/// let mut coo = CooMatrix::new(2, 2);
-/// coo.push(0, 0, 2.0);
-/// coo.push(1, 0, 1.0);
-/// let csr = coo.to_csr();
+/// // Row 0 holds (0, 0) = 2; row 1 holds (1, 0) = 1.
+/// let csr = CsrMatrix::from_raw_parts_unchecked(2, 2, vec![0, 1, 2], vec![0, 0], vec![2.0, 1.0]);
 /// let x = Matrix::from_rows(&[&[1.0], &[10.0]]).unwrap();
 /// let y = csr.spmm(&x).unwrap();
 /// assert_eq!(y.get(0, 0), 2.0);
@@ -49,86 +47,6 @@ impl CsrMatrix {
             indptr: vec![0; rows + 1],
             indices: Vec::new(),
             values: Vec::new(),
-        }
-    }
-
-    /// Builds a CSR matrix from a COO matrix, summing duplicates.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "a column round-trips from the COO's u32 column storage"
-    )]
-    pub fn from_coo(coo: &CooMatrix) -> Self {
-        let rows = coo.rows();
-        let cols = coo.cols();
-        // Counting sort by row.
-        let mut counts = vec![0usize; rows + 1];
-        for (r, _, _) in coo.iter() {
-            if let Some(slot) = counts.get_mut(r + 1) {
-                *slot += 1;
-            }
-        }
-        let mut running = 0usize;
-        for count in counts.iter_mut() {
-            running += *count;
-            *count = running;
-        }
-        let indptr_raw = counts.clone();
-        let nnz = coo.nnz();
-        let mut indices = vec![0u32; nnz];
-        let mut values = vec![0f32; nnz];
-        let mut cursor = indptr_raw.clone();
-        for (r, c, v) in coo.iter() {
-            let pos = cursor.get(r).copied().unwrap_or(0);
-            if let Some(slot) = indices.get_mut(pos) {
-                *slot = c as u32;
-            }
-            if let Some(slot) = values.get_mut(pos) {
-                *slot = v;
-            }
-            if let Some(slot) = cursor.get_mut(r) {
-                *slot += 1;
-            }
-        }
-        // Sort each row by column and merge duplicates.
-        let mut out_indptr = vec![0usize; rows + 1];
-        let mut out_indices = Vec::with_capacity(nnz);
-        let mut out_values = Vec::with_capacity(nnz);
-        for r in 0..rows {
-            let start = indptr_raw.get(r).copied().unwrap_or(0);
-            let end = indptr_raw.get(r + 1).copied().unwrap_or(start);
-            let mut row: Vec<(u32, f32)> = indices
-                .get(start..end)
-                .unwrap_or(&[])
-                .iter()
-                .copied()
-                .zip(values.get(start..end).unwrap_or(&[]).iter().copied())
-                .collect();
-            row.sort_unstable_by_key(|&(c, _)| c);
-            let row_start = out_indices.len();
-            for (c, v) in row {
-                // The row is sorted, so duplicates of a column are
-                // adjacent: merge into the entry just pushed (guarded to
-                // stay inside this row's slice).
-                match (out_indices.last(), out_values.last_mut()) {
-                    (Some(&last), Some(acc)) if out_indices.len() > row_start && last == c => {
-                        *acc += v;
-                    }
-                    _ => {
-                        out_indices.push(c);
-                        out_values.push(v);
-                    }
-                }
-            }
-            if let Some(slot) = out_indptr.get_mut(r + 1) {
-                *slot = out_indices.len();
-            }
-        }
-        CsrMatrix {
-            rows,
-            cols,
-            indptr: out_indptr,
-            indices: out_indices,
-            values: out_values,
         }
     }
 
@@ -422,8 +340,7 @@ impl CsrMatrix {
     ///
     /// `n` is the largest index on both axes, so the second entry lands at
     /// the end of row `reader` and every row stays sorted — the result is
-    /// element for element what [`CsrMatrix::from_coo`] builds from the
-    /// grown edge list. This is the paper's observation-point update (§4)
+    /// element for element the CSR of the grown edge list. This is the paper's observation-point update (§4)
     /// applied to the CSR form directly.
     ///
     /// # Errors
@@ -475,7 +392,7 @@ impl CsrMatrix {
     /// Returns the transpose as a new CSR matrix.
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "rows beyond u32 cannot hold entries: every stored row index came from the COO's u32 storage"
+        reason = "the adjacency is square, so a row index fits the u32 column index storage"
     )]
     pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0usize; self.cols + 1];
@@ -515,109 +432,85 @@ impl CsrMatrix {
             values,
         }
     }
-
-    /// Naive COO-traversal product, kept as the *unoptimised* reference for
-    /// the spmm ablation bench. Identical result to [`CsrMatrix::spmm`] but
-    /// single-threaded with per-element dispatch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] unless
-    /// `self.cols() == rhs.rows()`.
-    pub fn spmm_reference(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.rows() {
-            return Err(TensorError::ShapeMismatch {
-                op: "spmm_reference",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let n = rhs.cols();
-        let mut out = Matrix::zeros(self.rows, n);
-        for r in 0..self.rows {
-            for (c, v) in self.row(r) {
-                for j in 0..n {
-                    let cur = out.get(r, j);
-                    out.set(r, j, cur + v * rhs.get(c, j));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Converts to a dense matrix. Intended for tests and small examples.
-    pub fn to_dense(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            for (c, v) in self.row(r) {
-                m.set(r, c, v);
-            }
-        }
-        m
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_coo() -> CooMatrix {
-        let mut m = CooMatrix::new(3, 3);
-        m.push(0, 0, 1.0);
-        m.push(0, 2, 2.0);
-        m.push(1, 1, 3.0);
-        m.push(2, 0, 4.0);
-        m.push(2, 2, 5.0);
-        m
+    /// The CSR of `(row, col, value)` entries with distinct coordinates, in
+    /// any order.
+    fn csr(rows: usize, cols: usize, entries: &[(usize, usize, f32)]) -> CsrMatrix {
+        let mut sorted = entries.to_vec();
+        sorted.sort_by_key(|&(r, c, _)| (r, c));
+        let mut indptr = vec![0; rows + 1];
+        for &(r, _, _) in &sorted {
+            indptr[r + 1] += 1;
+        }
+        for r in 0..rows {
+            indptr[r + 1] += indptr[r];
+        }
+        let indices = sorted
+            .iter()
+            .map(|&(_, c, _)| u32::try_from(c).unwrap())
+            .collect();
+        let values = sorted.iter().map(|&(_, _, v)| v).collect();
+        CsrMatrix::from_raw_parts_unchecked(rows, cols, indptr, indices, values)
     }
 
-    #[test]
-    fn from_coo_preserves_entries() {
-        let csr = sample_coo().to_csr();
-        assert_eq!(csr.nnz(), 5);
-        assert_eq!(csr.to_dense(), sample_coo().to_dense());
+    const SAMPLE: [(usize, usize, f32); 5] = [
+        (0, 0, 1.0),
+        (0, 2, 2.0),
+        (1, 1, 3.0),
+        (2, 0, 4.0),
+        (2, 2, 5.0),
+    ];
+
+    fn sample() -> CsrMatrix {
+        csr(3, 3, &SAMPLE)
     }
 
-    #[test]
-    fn from_coo_sums_duplicates() {
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 1, 1.0);
-        coo.push(0, 1, 2.5);
-        let csr = coo.to_csr();
-        assert_eq!(csr.nnz(), 1);
-        assert_eq!(csr.to_dense().get(0, 1), 3.5);
+    fn dense(m: &CsrMatrix) -> Matrix {
+        let mut d = Matrix::zeros(m.rows(), m.cols());
+        for r in 0..m.rows() {
+            for (c, v) in m.row(r) {
+                d.set(r, c, v);
+            }
+        }
+        d
     }
 
-    #[test]
-    fn from_coo_sorts_columns() {
-        let mut coo = CooMatrix::new(1, 4);
-        coo.push(0, 3, 3.0);
-        coo.push(0, 0, 0.5);
-        coo.push(0, 2, 2.0);
-        let csr = coo.to_csr();
-        let cols: Vec<usize> = csr.row(0).map(|(c, _)| c).collect();
-        assert_eq!(cols, vec![0, 2, 3]);
+    /// The product one element and one non-zero at a time.
+    fn spmm_reference(a: &CsrMatrix, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), rhs.cols());
+        for r in 0..a.rows() {
+            for (c, v) in a.row(r) {
+                for j in 0..rhs.cols() {
+                    out.set(r, j, out.get(r, j) + v * rhs.get(c, j));
+                }
+            }
+        }
+        out
     }
 
     #[test]
     fn spmm_matches_dense() {
-        let csr = sample_coo().to_csr();
+        let csr = sample();
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
         let sparse = csr.spmm(&x).unwrap();
-        let dense = sample_coo().to_dense().matmul(&x).unwrap();
-        assert_eq!(sparse, dense);
+        assert_eq!(sparse, dense(&csr).matmul(&x).unwrap());
     }
 
     #[test]
     fn spmm_reference_matches_spmm() {
-        let csr = sample_coo().to_csr();
+        let csr = sample();
         let x = Matrix::from_fn(3, 5, |r, c| (r + c) as f32);
-        assert_eq!(csr.spmm(&x).unwrap(), csr.spmm_reference(&x).unwrap());
+        assert_eq!(csr.spmm(&x).unwrap(), spmm_reference(&csr, &x));
     }
 
     #[test]
     fn spmm_shape_mismatch() {
-        let csr = sample_coo().to_csr();
+        let csr = sample();
         let x = Matrix::zeros(2, 2);
         assert!(matches!(
             csr.spmm(&x),
@@ -627,7 +520,7 @@ mod tests {
 
     #[test]
     fn spmm_rows_matches_full_product_bitwise() {
-        let csr = sample_coo().to_csr();
+        let csr = sample();
         let x = Matrix::from_fn(3, 5, |r, c| (r as f32 + 0.37) * (c as f32 - 1.21));
         let full = csr.spmm(&x).unwrap();
         let sliced = csr.spmm_rows(&x, &[2, 0]).unwrap();
@@ -637,7 +530,7 @@ mod tests {
 
     #[test]
     fn spmm_rows_checks_bounds_and_shape() {
-        let csr = sample_coo().to_csr();
+        let csr = sample();
         assert!(matches!(
             csr.spmm_rows(&Matrix::zeros(2, 2), &[0]),
             Err(TensorError::ShapeMismatch {
@@ -653,23 +546,17 @@ mod tests {
 
     #[test]
     fn transpose_matches_dense_transpose() {
-        let csr = sample_coo().to_csr();
-        assert_eq!(
-            csr.transpose().to_dense(),
-            sample_coo().to_dense().transpose()
-        );
+        let csr = sample();
+        assert_eq!(dense(&csr.transpose()), dense(&csr).transpose());
     }
 
     #[test]
     fn append_node_equals_rebuilding_from_the_grown_edge_list() {
         // Row 2 gains (2, 3) behind its existing columns; row 3 is [1].
-        let mut grown = sample_coo().to_csr();
+        let mut grown = sample();
         grown.append_node(Some(1), Some(2)).unwrap();
-        let mut coo = CooMatrix::new(4, 4);
-        coo.extend(sample_coo().iter());
-        coo.push(3, 1, 1.0);
-        coo.push(2, 3, 1.0);
-        assert_eq!(grown, coo.to_csr());
+        let edges = [&SAMPLE[..], &[(3, 1, 1.0), (2, 3, 1.0)]].concat();
+        assert_eq!(grown, csr(4, 4, &edges));
         assert!(grown.structure_ok());
 
         // No entries at all still grows the shape.
@@ -680,7 +567,7 @@ mod tests {
 
     #[test]
     fn append_node_rejects_bad_input_and_leaves_the_matrix_untouched() {
-        let mut csr = sample_coo().to_csr();
+        let mut csr = sample();
         let before = csr.clone();
         // Neither end of a new edge may be the new node itself (or beyond).
         assert!(matches!(
@@ -704,9 +591,8 @@ mod tests {
 
     #[test]
     fn empty_rows_are_fine() {
-        let coo = CooMatrix::new(4, 4); // no entries at all
-        let csr = coo.to_csr();
-        let x = Matrix::filled(4, 3, 1.0);
+        let csr = CsrMatrix::new(4, 4); // no entries at all
+        let x = Matrix::from_fn(4, 3, |_, _| 1.0);
         let y = csr.spmm(&x).unwrap();
         assert!(y.as_slice().iter().all(|&v| v == 0.0));
     }
@@ -715,12 +601,10 @@ mod tests {
     fn large_spmm_parallel_path() {
         // Big enough to take the rayon branch.
         let n = 512;
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 2.0);
-            coo.push(i, (i + 1) % n, 1.0);
-        }
-        let csr = coo.to_csr();
+        let entries: Vec<_> = (0..n)
+            .flat_map(|i| [(i, i, 2.0), (i, (i + 1) % n, 1.0)])
+            .collect();
+        let csr = csr(n, n, &entries);
         let x = Matrix::from_fn(n, 32, |r, c| ((r * 31 + c) % 17) as f32);
         let y = csr.spmm(&x).unwrap();
         // Spot-check: y[i] = 2*x[i] + x[(i+1)%n]
@@ -734,7 +618,7 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let csr = sample_coo().to_csr();
+        let csr = sample();
         let json = serde_json::to_string(&csr).unwrap();
         let back: CsrMatrix = serde_json::from_str(&json).unwrap();
         assert_eq!(csr, back);

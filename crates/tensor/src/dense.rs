@@ -62,9 +62,9 @@ fn for_each_row(
 /// use gcnt_tensor::Matrix;
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-/// let b = Matrix::identity(2);
-/// let c = a.matmul(&b).unwrap();
-/// assert_eq!(c, a);
+/// let b = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
+/// let c = a.matmul_bias(&b, &[10.0, 20.0]).unwrap();
+/// assert_eq!(c, Matrix::from_rows(&[&[12.0, 21.0], &[14.0, 23.0]]).unwrap());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
@@ -103,25 +103,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// Creates a `rows x cols` matrix with every element set to `value`.
-    pub fn filled(rows: usize, cols: usize, value: f32) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
-    /// Creates the `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        // The diagonal is every (n + 1)-th element.
-        for d in m.data.iter_mut().step_by(n + 1) {
-            *d = 1.0;
-        }
-        m
     }
 
     /// Creates a matrix from row-major data.
@@ -508,15 +489,6 @@ impl Matrix {
         self.zip_with(rhs, "add", |a, b| a + b)
     }
 
-    /// Element-wise difference `self - rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn sub(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, "sub", |a, b| a - b)
-    }
-
     /// Element-wise (Hadamard) product.
     ///
     /// # Errors
@@ -764,7 +736,7 @@ mod tests {
     #[test]
     fn identity_matmul_is_noop() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        let i = Matrix::identity(3);
+        let i = Matrix::from_fn(3, 3, |r, c| f32::from(u8::from(r == c)));
         assert_eq!(a.matmul(&i).unwrap(), a);
     }
 
@@ -811,7 +783,7 @@ mod tests {
     fn zero_width_products_are_empty_matrices() {
         // Below and past the parallel thresholds.
         for rows in [3, 20_000] {
-            let a = Matrix::filled(rows, 2, 1.5);
+            let a = Matrix::from_fn(rows, 2, |_, _| 1.5);
             let empty = Matrix::zeros(2, 0);
             let none = Matrix::zeros(rows, 0);
             assert_eq!(a.matmul(&empty).unwrap().shape(), (rows, 0));
@@ -833,16 +805,12 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_hadamard() {
+    fn add_and_hadamard() {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
         let b = Matrix::from_rows(&[&[3.0, 5.0]]).unwrap();
         assert_eq!(
             a.add(&b).unwrap(),
             Matrix::from_rows(&[&[4.0, 7.0]]).unwrap()
-        );
-        assert_eq!(
-            b.sub(&a).unwrap(),
-            Matrix::from_rows(&[&[2.0, 3.0]]).unwrap()
         );
         assert_eq!(
             a.hadamard(&b).unwrap(),

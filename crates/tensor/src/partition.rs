@@ -128,12 +128,10 @@ struct Block<'a> {
 /// # Examples
 ///
 /// ```
-/// use gcnt_tensor::{CooMatrix, Matrix, PartitionedCsr};
+/// use gcnt_tensor::{CsrMatrix, Matrix, PartitionedCsr};
 ///
-/// let mut coo = CooMatrix::new(4, 4);
-/// coo.push(0, 3, 2.0); // row 0 reads column 3: a halo of partition 0
-/// coo.push(3, 0, 1.0);
-/// let csr = coo.to_csr();
+/// // Row 0 reads column 3 (a halo of partition 0); row 3 reads column 0.
+/// let csr = CsrMatrix::from_raw_parts_unchecked(4, 4, vec![0, 1, 1, 1, 2], vec![3, 0], vec![2.0, 1.0]);
 /// let part = PartitionedCsr::from_csr(&csr, 2).unwrap();
 /// let x = Matrix::from_fn(4, 2, |r, c| (r * 2 + c) as f32);
 /// assert_eq!(part.spmm(&x).unwrap(), csr.spmm(&x).unwrap());
@@ -527,16 +525,20 @@ fn spmm_block(block: Block<'_>, rhs: &Matrix, cols: usize, n: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CooMatrix;
 
+    /// Row `r` reads `r`, `r + 1` and `r - 3`, all mod `n` (`n >= 5`).
     fn ring(n: usize) -> CsrMatrix {
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 1.5);
-            coo.push(i, (i + 1) % n, 0.25);
-            coo.push((i + 3) % n, i, -0.75);
+        let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+        for r in 0..n {
+            let mut row = [(r, 1.5), ((r + 1) % n, 0.25), ((r + n - 3) % n, -0.75)];
+            row.sort_by_key(|&(c, _)| c);
+            for (c, v) in row {
+                indices.push(u32::try_from(c).unwrap());
+                values.push(v);
+            }
+            indptr.push(indices.len());
         }
-        coo.to_csr()
+        CsrMatrix::from_raw_parts_unchecked(n, n, indptr, indices, values)
     }
 
     #[test]
@@ -569,8 +571,7 @@ mod tests {
 
     #[test]
     fn from_csr_rejects_non_square() {
-        let coo = CooMatrix::new(3, 4);
-        let err = PartitionedCsr::from_csr(&coo.to_csr(), 2).unwrap_err();
+        let err = PartitionedCsr::from_csr(&CsrMatrix::new(3, 4), 2).unwrap_err();
         assert!(matches!(err, TensorError::ShapeMismatch { .. }));
     }
 
@@ -650,7 +651,7 @@ mod tests {
 
     #[test]
     fn empty_matrix_round_trips() {
-        let csr = CooMatrix::new(0, 0).to_csr();
+        let csr = CsrMatrix::new(0, 0);
         let part = PartitionedCsr::from_csr(&csr, 4).unwrap();
         assert_eq!(part.partitions(), 1);
         let out = part.spmm(&Matrix::zeros(0, 3)).unwrap();

@@ -15,7 +15,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`netlist`] | gate-level graphs, SCOAP, synthetic design generator, observation-point insertion |
-//! | [`tensor`] | dense + COO/CSR sparse kernels |
+//! | [`tensor`] | dense + CSR sparse kernels |
 //! | [`nn`] | linear/MLP layers, weighted losses, optimisers |
 //! | [`gcn`] | the GCN model, multi-stage cascade, sparse + recursive inference, one-worker-per-graph training |
 //! | [`dft`] | logic simulation, CPT, ATPG, labeling, both OP-insertion flows |

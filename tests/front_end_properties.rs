@@ -12,8 +12,9 @@
 //! * `Scoap::compute`'s CO against a per-node pull in reverse topological
 //!   order, each side sum folded with saturation, on random designs, a
 //!   1,000-fanout hub and a 40-level ladder whose CC1 saturates.
-//! * `GraphTensors::from_netlist` against the COO build
-//!   (`CooMatrix::to_csr`), before and after random OP insertions.
+//! * `GraphTensors::from_netlist` against CSR arrays built here from
+//!   `(row, col)` triplets, sorted and counted per row, before and after
+//!   random OP insertions.
 
 use std::collections::HashMap;
 
@@ -26,7 +27,6 @@ use gcn_testability::netlist::{
     Scoap, SCOAP_INF,
 };
 use gcn_testability::nn::seeded_rng;
-use gcn_testability::tensor::{CooMatrix, CsrMatrix};
 
 fn arb_netlist() -> impl Strategy<Value = Netlist> {
     (2usize..12, 5usize..60, any::<u64>()).prop_map(|(inputs, gates, seed)| {
@@ -272,26 +272,39 @@ fn check_co(net: &Netlist) {
     assert_eq!(s.co_all(), pulled_co(net, &s).as_slice());
 }
 
-/// The adjacency through COO triplets: `P[v][u] = 1` per fanin `u` of
-/// `v`, `S[v][u] = 1` per fanout.
-fn coo_csrs(net: &Netlist) -> (CsrMatrix, CsrMatrix) {
-    let n = net.node_count();
-    let (mut p, mut s) = (CooMatrix::new(n, n), CooMatrix::new(n, n));
-    for v in net.nodes() {
-        for &u in net.fanin(v) {
-            p.push(v.index(), u.index(), 1.0);
-        }
-        for &u in net.fanout(v) {
-            s.push(v.index(), u.index(), 1.0);
-        }
+/// The CSR arrays `(indptr, indices, values)` of the `n x n` matrix with a
+/// 1 at each `(row, col)` of `entries`: the triplets sorted, then counted
+/// per row.
+fn triplet_csr(n: usize, mut entries: Vec<(usize, usize)>) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
+    entries.sort_unstable();
+    let mut indptr = vec![0; n + 1];
+    for &(r, _) in &entries {
+        indptr[r + 1] += 1;
     }
-    (p.to_csr(), s.to_csr())
+    for r in 0..n {
+        indptr[r + 1] += indptr[r];
+    }
+    let indices = entries.iter().map(|&(_, c)| c as u32).collect();
+    (indptr, indices, vec![1.0; entries.len()])
 }
 
+/// `P[v][u] = 1` per fanin `u` of `v`, `S[v][u] = 1` per fanout.
 fn check_tensors(net: &Netlist, t: &GraphTensors) {
-    let (p, s) = coo_csrs(net);
-    assert_eq!(t.pred(), &p);
-    assert_eq!(t.succ(), &s);
+    let n = net.node_count();
+    let (mut pred, mut succ) = (Vec::new(), Vec::new());
+    for v in net.nodes() {
+        pred.extend(net.fanin(v).iter().map(|u| (v.index(), u.index())));
+        succ.extend(net.fanout(v).iter().map(|u| (v.index(), u.index())));
+    }
+    for (csr, entries) in [(t.pred(), pred), (t.succ(), succ)] {
+        assert_eq!(csr.shape(), (n, n));
+        let arrays = (
+            csr.indptr().to_vec(),
+            csr.indices().to_vec(),
+            csr.values().to_vec(),
+        );
+        assert_eq!(arrays, triplet_csr(n, entries));
+    }
 }
 
 proptest! {
@@ -318,7 +331,7 @@ proptest! {
         check_co(&net);
     }
 
-    /// Both CSRs equal the COO build, and stay equal to a rebuild through
+    /// Both CSRs equal the triplet build, and stay equal to a rebuild through
     /// OP insertions made in place.
     #[test]
     fn tensors_are_the_coo_build(net in arb_netlist(), seed in any::<u64>()) {

@@ -2,11 +2,12 @@
 //! tree: atomic orderings say why, the docs cite only declared benchmark
 //! names, the README rule table is the lint registry, `CHANGES.md`
 //! counts its entries, only tests arm a fault, every public function has a
-//! caller outside the tests or a stated reason not to, and the docs stay
-//! within their line budgets. Each check is a small function over text,
-//! and each test first plants a violation to prove the check still bites.
+//! caller outside the tests or a stated reason not to, and the docs and
+//! the non-test code stay within their line budgets. Each check is a
+//! small function over text, and each test first plants a violation to
+//! prove the check still bites.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::path::Path;
 
@@ -392,7 +393,7 @@ const CODE_ROOTS: [&str; 4] = ["crates/", "src/", "examples/", "benchmark/src/"]
 /// The public functions whose only callers are tests, each with why it
 /// stays. A function that loses its last non-test caller must be deleted
 /// or listed here; a listed one that gains a caller must leave the list.
-const TEST_ONLY_API: [(&str, &str); 21] = [
+const TEST_ONLY_API: [(&str, &str); 24] = [
     (
         "with_nan_grads",
         "FaultPlan builder: how a test arms a fault",
@@ -447,14 +448,26 @@ const TEST_ONLY_API: [(&str, &str); 21] = [
         "the exact fault-simulation reference of the labeler tests",
     ),
     (
-        "identity",
-        "Matrix constructor for doctests and integration tests",
-    ),
-    (
         "from_rows",
         "Matrix constructor for doctests and integration tests",
     ),
-    ("to_csr", "the COO build the CSR builders are held to"),
+    (
+        "matmul",
+        "the plain GEMM the kernel properties hold the fused products to",
+    ),
+    ("softmax_rows", "the row softmax `softmax_col` is held to"),
+    (
+        "with_faults",
+        "ServeCore and PageStore seam: how a test arms a fault",
+    ),
+    (
+        "into_string",
+        "how the line-grammar test reads a report line",
+    ),
+    (
+        "build",
+        "NetlistBuilder: how a test hand-builds a netlist that validates",
+    ),
     ("fired", "LintReport query the rule tests assert with"),
     (
         "uniform",
@@ -470,68 +483,144 @@ const TEST_ONLY_API: [(&str, &str); 21] = [
     ),
 ];
 
-/// `text` without its test modules and `//` comments, if `path` holds
-/// non-test code at all (a `tests/` or `benches/` directory does not).
-fn non_test_code(path: &str, text: &str) -> Option<String> {
-    let test_dir = path.split('/').any(|c| c == "tests" || c == "benches");
-    if test_dir || !CODE_ROOTS.iter().any(|root| path.starts_with(root)) {
-        return None;
-    }
-    let lines = without_test_modules(text);
-    let code = lines
-        .iter()
-        .map(|line| line.split("//").next().unwrap_or(""));
-    Some(code.collect::<Vec<_>>().join("\n"))
+/// Whether `c` can be part of an identifier.
+fn is_word(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
 }
 
-/// The `pub fn`s defined under `crates/*/src` whose name occurs once in
-/// the non-test code of `files` — their own definition. Names, not
-/// paths: a dead method that shares its name with a live one is missed.
+/// `text` with its comments and the contents of its string and char
+/// literals blanked, newlines kept, so that a word counts only where it is
+/// code: `op: "matmul"` or `expect("filled")` names nothing.
+fn code_only(text: &str) -> String {
+    let chars: Vec<char> = text.chars().collect();
+    let mut out = String::with_capacity(text.len());
+    let mut i = 0;
+    while i < chars.len() {
+        let end = literal_end(&chars, i);
+        if end == i {
+            out.push(chars[i]);
+            i += 1;
+        } else {
+            let blanked = chars[i..end]
+                .iter()
+                .map(|&c| if c == '\n' { c } else { ' ' });
+            out.extend(blanked);
+            i = end;
+        }
+    }
+    out
+}
+
+/// Where the comment or literal that starts at `chars[i]` ends, or `i` if
+/// none starts there. A `'` opens a char literal only if it closes one
+/// char or one escape later, so a lifetime stays code.
+fn literal_end(chars: &[char], i: usize) -> usize {
+    let at = |k: usize| chars.get(i + k).copied().unwrap_or('\0');
+    let past = |from: usize, close: &[char]| {
+        (from..chars.len())
+            .find(|&j| chars[j..].starts_with(close))
+            .map_or(chars.len(), |j| j + close.len())
+    };
+    let hashes = (1..).take_while(|&k| at(k) == '#').count();
+    let raw = at(0) == 'r' && at(hashes + 1) == '"' && (i == 0 || !is_word(chars[i - 1]));
+    match (at(0), at(1), at(2)) {
+        ('/', '/', _) => past(i, &['\n']),
+        ('/', '*', _) => past(i + 2, &['*', '/']),
+        _ if raw => {
+            let close: Vec<char> = std::iter::once('"').chain(vec!['#'; hashes]).collect();
+            past(i + hashes + 2, &close)
+        }
+        ('"', _, _) => {
+            let mut j = i + 1;
+            while j < chars.len() && chars[j] != '"' {
+                j += if chars[j] == '\\' { 2 } else { 1 };
+            }
+            (j + 1).min(chars.len())
+        }
+        ('\'', '\\', _) => past(i + 3, &['\'']),
+        ('\'', _, '\'') => i + 3,
+        _ => i,
+    }
+}
+
+/// The code of `text` outside its test modules, comments and literals, if
+/// `path` holds non-test code at all (a `tests/` or `benches/` directory
+/// does not).
+fn non_test_code(path: &str, text: &str) -> Option<String> {
+    if in_test_dir(path) || !CODE_ROOTS.iter().any(|root| path.starts_with(root)) {
+        return None;
+    }
+    Some(without_test_modules(&code_only(text)).join("\n"))
+}
+
+fn in_test_dir(path: &str) -> bool {
+    path.split('/').any(|c| c == "tests" || c == "benches")
+}
+
+/// Whether `path` lies under `src/` or a `crates/*/src`, the code that
+/// ships (its `tests/` and `benches/` directories aside).
+fn product_source(path: &str) -> bool {
+    let mut parts = path.split('/');
+    let under_src = path.starts_with("src/")
+        || parts.next() == Some("crates") && parts.next().is_some() && parts.next() == Some("src");
+    under_src && !in_test_dir(path)
+}
+
+/// The `pub fn`s defined under `crates/*/src` or `src/` whose name occurs
+/// in the non-test code of `files` no more often than `fn` of any
+/// visibility defines it there: only definitions name it, so two dead
+/// methods of one name do not keep each other alive. Names, not paths: a
+/// dead method that shares its name with a live one is missed.
 fn dead_pub_fns(files: &[(String, String)]) -> BTreeSet<String> {
     let code: Vec<(&str, String)> = files
         .iter()
         .filter_map(|(path, text)| Some((path.as_str(), non_test_code(path, text)?)))
         .collect();
-    let mut uses = std::collections::HashMap::<&str, usize>::new();
+    let name = |rest: &str| rest.chars().take_while(|&c| is_word(c)).collect::<String>();
+    let (mut uses, mut defs) = (
+        HashMap::<&str, usize>::new(),
+        HashMap::<String, usize>::new(),
+    );
     for (_, text) in &code {
-        let words = text.split(|c: char| !(c.is_alphanumeric() || c == '_'));
-        for word in words.filter(|w| !w.is_empty()) {
+        for word in text.split(|c: char| !is_word(c)).filter(|w| !w.is_empty()) {
             *uses.entry(word).or_default() += 1;
         }
+        for (at, _) in text.match_indices("fn ") {
+            if !text[..at].ends_with(is_word) {
+                *defs.entry(name(&text[at + 3..])).or_default() += 1;
+            }
+        }
     }
-    let crate_src = |path: &str| {
-        let mut parts = path.split('/');
-        parts.next() == Some("crates") && parts.next().is_some() && parts.next() == Some("src")
-    };
     code.iter()
-        .filter(|(path, _)| crate_src(path))
+        .filter(|(path, _)| product_source(path))
         .flat_map(|(_, text)| text.lines())
         .filter_map(|line| line.trim_start().strip_prefix("pub fn "))
-        .map(|rest| {
-            rest.chars()
-                .take_while(|&c| c.is_alphanumeric() || c == '_')
-                .collect::<String>()
-        })
-        .filter(|name| uses.get(name.as_str()).copied().unwrap_or(0) <= 1)
+        .map(name)
+        .filter(|name| uses.get(name.as_str()) <= defs.get(name))
         .collect()
 }
 
 #[test]
 fn every_public_function_has_a_caller_or_a_reason() {
+    // `dead` is called only by tests; `quoted` only inside a string;
+    // `twin` is two dead methods of one name; `helper` is dead under `src/`.
     let planted = [
         (
             "crates/a/src/lib.rs",
-            "pub fn used() {}\npub fn dead() {}\n#[cfg(test)]\nmod tests {\n    fn t() {\n        \
-             super::dead();\n    }\n}\n",
+            "pub fn used() {}\npub fn dead() {}\npub fn quoted() {}\n\
+             impl A {\n    pub fn twin() {}\n}\nimpl B {\n    pub fn twin() {}\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t() {\n        super::dead();\n    }\n}\n",
         ),
         (
             "src/main.rs",
-            "fn main() {\n    a::used(); // a::dead()\n}\n",
+            "pub fn helper() {}\nfn main() {\n    let q = '\"';\n    a::used(); // a::dead()\n    \
+             q.expect(\"quoted\");\n}\n",
         ),
         ("tests/it.rs", "fn t() {\n    a::dead();\n}\n"),
     ]
     .map(|(path, text)| (path.to_string(), text.to_string()));
-    assert_eq!(dead_pub_fns(&planted), BTreeSet::from(["dead".to_string()]));
+    let expected = ["dead", "helper", "quoted", "twin"].map(String::from);
+    assert_eq!(dead_pub_fns(&planted), BTreeSet::from(expected));
 
     let dead = dead_pub_fns(&rust_sources());
     let listed: BTreeSet<String> = TEST_ONLY_API
@@ -556,10 +645,10 @@ fn every_public_function_has_a_caller_or_a_reason() {
 /// doc that grows past its budget fails; raising one is a decision made
 /// in the change that needs it, and a cut lowers it.
 const LINE_BUDGETS: [(&str, usize); 4] = [
-    ("README.md", 841),
+    ("README.md", 772),
     ("DESIGN.md", 522),
     ("EXPERIMENTS.md", 1368),
-    (".claude/skills/verify/SKILL.md", 321),
+    (".claude/skills/verify/SKILL.md", 320),
 ];
 
 /// `doc: lines > budget` for each `(doc, text, budget)` over its budget.
@@ -585,4 +674,39 @@ fn every_doc_keeps_to_its_line_budget() {
     let docs = LINE_BUDGETS.map(|(doc, budget)| (doc, read(doc), budget));
     let bad = over_budget(docs);
     assert!(bad.is_empty(), "over the line budget: {bad:?}");
+}
+
+/// The lines of non-test code under `crates/*/src` and `src/`, set at
+/// their count when the budget came in. Code that grows past it fails;
+/// raising it is a decision made, and said why, in the change that needs
+/// it, and a cut lowers it.
+const NON_TEST_CODE_BUDGET: usize = 14_311;
+
+/// Non-blank lines of `text` outside its test modules that do not start
+/// with `//`.
+fn code_lines(text: &str) -> usize {
+    without_test_modules(text)
+        .iter()
+        .map(|line| line.trim())
+        .filter(|line| !line.is_empty() && !line.starts_with("//"))
+        .count()
+}
+
+#[test]
+fn non_test_code_keeps_to_its_budget() {
+    let planted =
+        "/// Doc.\nfn a() {}\n\n    // note\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+    assert_eq!(code_lines(planted), 1);
+    assert!(product_source("crates/a/src/lib.rs") && product_source("src/bin/gcnt.rs"));
+    assert!(!product_source("crates/a/tests/it.rs") && !product_source("benchmark/src/main.rs"));
+
+    let lines: usize = rust_sources()
+        .iter()
+        .filter(|(path, _)| product_source(path))
+        .map(|(_, text)| code_lines(text))
+        .sum();
+    assert!(
+        lines <= NON_TEST_CODE_BUDGET,
+        "{lines} lines of non-test code > the budget of {NON_TEST_CODE_BUDGET}"
+    );
 }
