@@ -50,8 +50,8 @@ use crate::{Gcn, GraphTensors};
 /// and `S·E` at 64 columns, encoder output and head activations at 128)
 /// come to ~0.5 MB, which stays in a core's L2 beside the rows the
 /// aggregate gathers. The pass reads the same from 64 to 4096 rows on a
-/// 4 MB L2 and loses a quarter at 16k (sweep in EXPERIMENTS.md "Tiled
-/// pass"); this is the plateau's small end, for hosts with a quarter of
+/// 4 MB L2 and loses a quarter at 16k (sweep in EXPERIMENTS.md#tiled-pass);
+/// this is the plateau's small end, for hosts with a quarter of
 /// that cache. It is not a tuning knob.
 pub const TILE_ROWS: usize = 256;
 

@@ -10,8 +10,9 @@
 //!   a reviewable artifact: renaming or dropping a metric changes the
 //!   committed golden list (`tests/golden/metrics_keys.txt`) and fails CI
 //!   instead of silently drifting.
-//! * **A single place to read the name catalog** — the README's
-//!   "Observability" section is generated from the `help` strings here.
+//! * **A single place to read the name catalog** — every name and its
+//!   `help` string is here; README.md#observability says what each layer
+//!   reports.
 //!
 //! Naming convention: `gcnt_<crate>_<what>[_total|_ns]`, following the
 //! Prometheus exposition conventions (`_total` for counters, `_ns` for
@@ -281,7 +282,7 @@ declare_counters! {
     /// Pages read from the data file (cache misses; hits cost nothing).
     STORE_PAGE_READS => "gcnt_store_page_reads_total",
         "Store pages read from disk (page-cache misses)";
-    /// Pages written to the data file (appends and compaction copies).
+    /// Pages written to the data file.
     STORE_PAGE_WRITES => "gcnt_store_page_writes_total",
         "Store pages written to disk";
     /// Pages evicted from the bounded page cache.
@@ -290,9 +291,6 @@ declare_counters! {
     /// Integrity-check failures (page, segment, or metadata checksums).
     STORE_CHECKSUM_FAILURES => "gcnt_store_checksum_failures_total",
         "Store integrity-check failures (page/segment/metadata checksums)";
-    /// Compaction runs completed (data-file generation switches).
-    STORE_COMPACTIONS => "gcnt_store_compactions_total",
-        "Store compaction runs completed";
 }
 
 declare_gauges! {

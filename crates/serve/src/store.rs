@@ -372,7 +372,7 @@ mod tests {
         std::fs::write(&data_file, &bytes).unwrap();
 
         let mut js = JobStore::open(&dir, StorePolicy::default()).unwrap();
-        let keys_before = js.store().keys().len();
+        let segments_before = js.store().stat().unwrap().segments;
         assert!(
             js.load_caches(&fp, generation, n, &model)
                 .unwrap()
@@ -380,7 +380,7 @@ mod tests {
             "corruption is a miss, never wrong data"
         );
         assert!(
-            js.store().keys().len() < keys_before,
+            js.store().stat().unwrap().segments < segments_before,
             "the bad segment was quarantined"
         );
         // Re-saving (the cold path's recompute) heals the store.

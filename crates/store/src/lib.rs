@@ -17,7 +17,7 @@
 //! * **The failure contract.** Every open/read path either *recovers*
 //!   (torn append tail truncated away, quarantine-and-recompute for a
 //!   corrupt page) or fails loudly with a typed [`StoreError`] —
-//!   never silent corruption. `gcnt store scrub` reports every damaged
+//!   never silent corruption. [`PageStore::scrub`] reports every damaged
 //!   page and dangling page reference as a [`StoreError`] without
 //!   stopping at the first hit.
 //!
@@ -44,8 +44,8 @@ mod pager;
 
 pub use error::StoreError;
 pub use pager::{
-    CompactStats, PageStore, SegmentKey, StoreFaults, StoreStat, DEFAULT_CACHE_PAGES, PAGE_DATA,
-    PAGE_HEADER, PAGE_SIZE, STORE_VERSION,
+    PageStore, SegmentKey, StoreFaults, StoreStat, DEFAULT_CACHE_PAGES, PAGE_DATA, PAGE_HEADER,
+    PAGE_SIZE, STORE_VERSION,
 };
 
 use std::fs;

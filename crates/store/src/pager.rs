@@ -106,7 +106,9 @@ struct SegmentEntry {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct StoreMeta {
     page_size: u32,
-    /// Data-file generation; compaction bumps it and switches files.
+    /// Data-file generation: the store reads `pages-NNNN.dat` of this
+    /// number. This version writes 0; a store written by an older binary
+    /// may name a later file.
     data_generation: u64,
     /// Committed pages in the data file; bytes beyond this are orphans.
     page_count: u64,
@@ -210,17 +212,8 @@ pub struct StoreStat {
     pub live_bytes: u64,
     /// Data file size on disk in bytes.
     pub data_bytes: u64,
-    /// Data-file generation (bumped by compaction).
+    /// Data-file generation: the number of the `pages-NNNN.dat` in use.
     pub data_generation: u64,
-}
-
-/// Outcome of a [`PageStore::compact`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactStats {
-    /// Committed pages before compaction.
-    pub pages_before: u64,
-    /// Committed pages after compaction.
-    pub pages_after: u64,
 }
 
 /// A crash-safe paged store rooted at a directory.
@@ -460,16 +453,10 @@ impl PageStore {
         self.meta.segments.iter().any(|s| &s.key == key)
     }
 
-    /// Committed segment keys, in commit order.
-    pub fn keys(&self) -> Vec<SegmentKey> {
-        self.meta.segments.iter().map(|s| s.key.clone()).collect()
-    }
-
     /// Writes `bytes` as a segment: appends pages past the committed
     /// count, fsyncs the data file, then commits metadata atomically.
     /// An existing segment with the same `(design, kind, generation,
-    /// start)` is replaced (its pages become orphans until
-    /// [`PageStore::compact`]).
+    /// start)` is replaced (its pages become orphans).
     ///
     /// # Errors
     ///
@@ -565,8 +552,7 @@ impl PageStore {
 
     /// Drops a segment from the committed view (quarantine-and-
     /// recompute: the caller regenerates the contents from source).
-    /// Returns whether the key existed. Pages are orphaned until
-    /// [`PageStore::compact`].
+    /// Returns whether the key existed. Its pages become orphans.
     ///
     /// # Errors
     ///
@@ -619,74 +605,6 @@ impl PageStore {
         }
         self.cache.clear();
         Ok(found)
-    }
-
-    /// Rewrites the data file with only live pages (dropping orphans
-    /// from replaced/quarantined segments), switching to a new
-    /// data-file generation. Crash-safe: the new file is written and
-    /// fsynced in full before the metadata commit flips over to it; a
-    /// crash in between leaves the old committed view intact.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on filesystem failures,
-    /// [`StoreError::PageCorrupt`] if a live page fails verification
-    /// while being copied (nothing is committed in that case).
-    pub fn compact(&mut self) -> Result<CompactStats, StoreError> {
-        let pages_before = self.meta.page_count;
-        let new_gen = self.meta.data_generation + 1;
-        let new_path = self.dir.join(data_file_name(new_gen));
-        let io = |p: &Path| {
-            let path = p.to_path_buf();
-            move |source| StoreError::Io { path, source }
-        };
-        // Read+write: this handle becomes `self.data` after the commit.
-        let mut new_file = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&new_path)
-            .map_err(io(&new_path))?;
-        let mut next = self.meta.clone();
-        next.data_generation = new_gen;
-        next.page_count = 0;
-        for entry in &mut next.segments {
-            let mut new_pages = Vec::with_capacity(entry.pages.len());
-            for &old_idx in &entry.pages {
-                // Re-verify while copying: compaction must not launder
-                // a corrupt page into a fresh-looking file.
-                let payload = {
-                    let buf = self.read_page_raw(old_idx)?;
-                    Self::decode_page(&self.data_path(), old_idx, &buf)?
-                };
-                new_file
-                    .write_all(&Self::encode_page(&payload))
-                    .map_err(io(&new_path))?;
-                gcnt_obs::global().incr(gcnt_obs::counters::STORE_PAGE_WRITES);
-                new_pages.push(next.page_count);
-                next.page_count += 1;
-            }
-            entry.pages = new_pages;
-        }
-        new_file.sync_all().map_err(io(&new_path))?;
-        let old_path = self.data_path();
-        let pages_after = next.page_count;
-        let prev = std::mem::replace(&mut self.meta, next);
-        if let Err(e) = self.commit_meta() {
-            self.meta = prev;
-            let _ = fs::remove_file(&new_path);
-            return Err(e);
-        }
-        // Committed: switch handles, drop the old generation.
-        self.data = new_file;
-        self.cache.clear();
-        let _ = fs::remove_file(old_path);
-        gcnt_obs::global().incr(gcnt_obs::counters::STORE_COMPACTIONS);
-        Ok(CompactStats {
-            pages_before,
-            pages_after,
-        })
     }
 
     /// Current page/segment accounting.
@@ -778,8 +696,8 @@ mod tests {
     }
 
     #[test]
-    fn replacement_orphans_pages_and_compaction_reclaims_them() {
-        let dir = temp_store("compact");
+    fn replacement_orphans_the_old_pages() {
+        let dir = temp_store("replace");
         let mut store = PageStore::open(&dir).unwrap();
         store
             .put_segment(&key("a"), &blob(PAGE_DATA * 2, 1))
@@ -790,15 +708,7 @@ mod tests {
         let stat = store.stat().unwrap();
         assert_eq!(stat.page_count, 5);
         assert_eq!(stat.live_pages, 3);
-        let out = store.compact().unwrap();
-        assert_eq!(out.pages_before, 5);
-        assert_eq!(out.pages_after, 3);
         assert_eq!(store.get_segment(&key("a")).unwrap().unwrap(), fresh);
-        // And the compacted store reopens clean.
-        drop(store);
-        let mut store = PageStore::open(&dir).unwrap();
-        assert_eq!(store.get_segment(&key("a")).unwrap().unwrap(), fresh);
-        assert!(store.scrub().unwrap().is_empty());
     }
 
     #[test]

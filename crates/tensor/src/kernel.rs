@@ -19,7 +19,7 @@
 //!   coefficients are gathered once, without a branch on their values,
 //!   because post-ReLU layer inputs are 42–77 % nonzero and a per-term
 //!   `continue` there mispredicts about as often as it is taken (see
-//!   EXPERIMENTS.md). [`crate::Matrix::matmul_transpose`] (the input
+//!   DESIGN.md#the-row-kernels). [`crate::Matrix::matmul_transpose`] (the input
 //!   gradient `dY·Wᵀ`) runs the same chunks over every term, with `W`
 //!   transposed once.
 //! * The **band** kernel (`transpose_gemm_band`) is the weight gradient

@@ -1,5 +1,5 @@
 //! What the inference-time filter saves on the benchmark's own designs
-//! (EXPERIMENTS.md "Filtered cascade"): how many rows each stage of the
+//! (EXPERIMENTS.md#filtered-cascade): how many rows each stage of the
 //! checked-in cascade passes on, how large the backward halo of those
 //! survivors is per embedding layer, what the `Budget` is charged, and how
 //! one filtered `MultiStageGcn::predict_proba_budgeted_with` compares with

@@ -50,7 +50,7 @@ type Handler = fn(&[String], &Options) -> Result<(), Box<dyn Error>>;
 /// (`[--resume]`). A command reads exactly the options its line names:
 /// [`split_args`] refuses any other before the handler runs, and [`usage`]
 /// prints these lines.
-const COMMANDS: [(&str, &str, Handler); 19] = [
+const COMMANDS: [(&str, &str, Handler); 18] = [
     (
         "generate",
         "--nodes N [--seed S] --out design.bench",
@@ -98,7 +98,6 @@ const COMMANDS: [(&str, &str, Handler); 19] = [
          [--flow-jobs N] [--journal-dir DIR] [--metrics-out m.json]",
         cmd_loadgen,
     ),
-    ("store", "stat|scrub|compact DIR", cmd_store),
     ("checkpoints", "DIR", cmd_checkpoints),
     ("table1", "[--nodes N]", cmd_table1),
     ("table2", "[--nodes N] [--epochs N] [--cone N]", cmd_table2),
@@ -166,7 +165,7 @@ fn usage() -> String {
     }
     text += "\n--metrics-out writes a metrics snapshot (JSON, or Prometheus text\n\
              for .prom/.txt paths) at shutdown. Machine-readable lines use the\n\
-             NET_*/LOADGEN_*/METRICS_* prefix convention (see README, Observability).\n\
+             NET_*/LOADGEN_*/METRICS_* prefix convention (see README.md#observability).\n\
              table1 … ablation regenerate the paper's evaluation and write\n\
              results/<name>.json under the working directory.\n";
     text
@@ -175,7 +174,9 @@ fn usage() -> String {
 /// Splits `args` into positionals and options as `spec` reads them: an
 /// option followed by a placeholder takes the next token as its value, a
 /// flag takes none, and a positional is accepted only where `spec` names
-/// one. Anything else, or an option missing its value, is a usage error.
+/// one. Anything else, an option missing its value, or a value its
+/// placeholder says is a number (`N` or `S` an integer, `F` a float) that
+/// does not parse as one is a usage error, found before any file is read.
 fn split_args(
     command: &str,
     spec: &str,
@@ -190,8 +191,11 @@ fn split_args(
             continue;
         };
         let name = option.trim_end_matches(']');
-        let valued = name == option && tokens.next_if(|next| !is_option(next)).is_some();
-        known.push((name, valued));
+        let placeholder = (name == option)
+            .then(|| tokens.next_if(|next| !is_option(next)))
+            .flatten()
+            .map(|p| p.trim_end_matches(']'));
+        known.push((name, placeholder));
     }
     let mut positional = Vec::new();
     let mut options = Options::new();
@@ -204,31 +208,44 @@ fn split_args(
             positional.push(arg.clone());
             continue;
         };
-        let Some(&(_, valued)) = known.iter().find(|(name, _)| *name == key) else {
+        let Some(&(_, placeholder)) = known.iter().find(|(name, _)| *name == key) else {
             return Err(format!("gcnt {command} has no option --{key}"));
         };
-        let value = if valued {
-            args.next()
-                .filter(|value| !value.starts_with("--"))
-                .ok_or(format!("--{key} needs a value"))?
-                .clone()
-        } else {
-            String::new()
+        let value = match placeholder {
+            Some(placeholder) => {
+                let value = args
+                    .next()
+                    .filter(|value| !value.starts_with("--"))
+                    .ok_or(format!("--{key} needs a value"))?;
+                let parses = match placeholder {
+                    "N" | "S" => value.parse::<usize>().is_ok(),
+                    "F" => value.parse::<f64>().is_ok(),
+                    _ => true,
+                };
+                if !parses {
+                    return Err(not_a_number(key, value));
+                }
+                value.clone()
+            }
+            None => String::new(),
         };
         options.insert(key.to_string(), value);
     }
     Ok((positional, options))
 }
 
-/// `default` when `--key` is absent; a value that is present but does not
-/// parse is a usage error naming the option and the text, never a silent
-/// run at the default.
+/// The usage error for a value of `--key` that is not a number: it names
+/// the option and the text, and is never a silent run at the default.
+fn not_a_number(key: &str, text: &str) -> String {
+    format!("--{key}: cannot parse `{text}` as a number")
+}
+
+/// `default` when `--key` is absent, else its value, which [`split_args`]
+/// has already checked.
 fn opt_parsed<T: std::str::FromStr>(options: &Options, key: &str, default: T) -> Result<T, String> {
     match options.get(key) {
         None => Ok(default),
-        Some(text) => text
-            .parse()
-            .map_err(|_| format!("--{key}: cannot parse `{text}` as a number")),
+        Some(text) => text.parse().map_err(|_| not_a_number(key, text)),
     }
 }
 
@@ -240,8 +257,12 @@ fn opt_f64(options: &Options, key: &str, default: f64) -> Result<f64, String> {
     opt_parsed(options, key, default)
 }
 
+fn read_design(path: &str) -> Result<String, String> {
+    fs::read_to_string(path).map_err(|e| format!("cannot read design '{path}': {e}"))
+}
+
 fn load_design(path: &str) -> Result<Netlist, Box<dyn Error>> {
-    Ok(format::read(&fs::read_to_string(path)?)?)
+    Ok(format::read(&read_design(path)?)?)
 }
 
 fn cmd_generate(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
@@ -385,19 +406,15 @@ fn load_model(options: &Options) -> Result<ModelBundle, Box<dyn Error>> {
         .map_err(|e| format!("model '{model_path}' is not a valid model bundle: {e}"))?)
 }
 
-/// The directory an inspecting command reads. It must exist already: the
-/// stores behind these commands create a missing one on open, which would
-/// turn a mistyped path into a freshly made, trivially clean store.
-fn existing_dir<'a>(dir: Option<&'a String>, what: &str) -> Result<&'a str, Box<dyn Error>> {
-    let dir = dir.ok_or(format!("expected a {what} directory"))?;
-    if !Path::new(dir).is_dir() {
-        return Err(format!("no {what} directory at '{dir}'").into());
-    }
-    Ok(dir)
-}
-
 fn cmd_checkpoints(positional: &[String], _: &Options) -> Result<(), Box<dyn Error>> {
-    let dir = existing_dir(positional.first(), "checkpoint")?;
+    let dir = positional
+        .first()
+        .ok_or("expected a checkpoint directory")?;
+    // Opening a store creates a missing directory, which would turn a
+    // mistyped path into a freshly made, trivially clean one.
+    if !Path::new(dir).is_dir() {
+        return Err(format!("no checkpoint directory at '{dir}'").into());
+    }
     let store = CheckpointStore::open(dir, usize::MAX)?;
     let files = store.list()?;
     if files.is_empty() {
@@ -517,7 +534,7 @@ fn cmd_lint(positional: &[String], options: &Options) -> Result<(), Box<dyn Erro
     let path = positional.first().ok_or("expected a design file")?;
     // A design that fails validation is exactly what the linter is for:
     // report every violation the reader found, not just the first.
-    let report = match format::read(&fs::read_to_string(path)?) {
+    let report = match format::read(&read_design(path)?) {
         Ok(net) => lint_design(&net),
         Err(NetlistError::Invalid(violations)) => lint_violations(&violations),
         Err(e) => return Err(e.into()),
@@ -829,65 +846,6 @@ fn cmd_loadgen(_: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// `gcnt store`: operator tooling over a [`gcn_testability::store`]
-/// directory. `stat` summarises pages/segments, `scrub` re-reads and
-/// re-checksums every committed page and page reference (failing with one
-/// line per error), and `compact` rewrites live segments into a fresh
-/// data file, dropping dead pages.
-fn cmd_store(positional: &[String], _: &Options) -> Result<(), Box<dyn Error>> {
-    use gcn_testability::store::PageStore;
-
-    let action = positional
-        .first()
-        .ok_or("expected an action: stat, scrub, or compact")?;
-    let dir = existing_dir(positional.get(1), "store")?;
-    let mut store = PageStore::open(dir)?;
-    match action.as_str() {
-        "stat" => {
-            let s = store.stat()?;
-            println!("store     : {dir}");
-            println!(
-                "pages     : {} committed, {} live",
-                s.page_count, s.live_pages
-            );
-            println!("segments  : {}", s.segments);
-            println!("live bytes: {}", s.live_bytes);
-            println!(
-                "data bytes: {} (generation {})",
-                s.data_bytes, s.data_generation
-            );
-            for key in store.keys() {
-                println!("  {}", key.display());
-            }
-            Ok(())
-        }
-        "scrub" => {
-            let errors: Vec<String> = store.scrub()?.iter().map(ToString::to_string).collect();
-            if !errors.is_empty() {
-                return Err(format!(
-                    "scrub found {} error(s):\n{}",
-                    errors.len(),
-                    errors.join("\n")
-                )
-                .into());
-            }
-            println!("scrub clean: every committed page verifies");
-            Ok(())
-        }
-        "compact" => {
-            let stats = store.compact()?;
-            println!(
-                "compacted {dir}: {} -> {} pages",
-                stats.pages_before, stats.pages_after
-            );
-            Ok(())
-        }
-        other => {
-            Err(format!("unknown store action '{other}' (use stat, scrub, or compact)").into())
-        }
-    }
-}
-
 fn cmd_atpg(positional: &[String], options: &Options) -> Result<(), Box<dyn Error>> {
     let path = positional.first().ok_or("expected a design file")?;
     let net = load_design(path)?;
@@ -990,8 +948,11 @@ mod tests {
         fs::create_dir_all(&dir).expect("create temp dir");
         let path = |name: &str| dir.join(name).to_str().expect("utf-8").to_string();
         let (design, out, wal, ck) = (path("d.bench"), path("out"), path("wal"), path("ck"));
+        let (no_model, no_design) = (path("missing.json"), path("missing.bench"));
         run_tokens(&["generate", "--nodes", "60", "--out", &design]).expect("generate");
-        let cases: [(&[&str], &str, &str); 5] = [
+        // A flow or label that read its files first would fail on the
+        // missing one instead of naming the option.
+        let cases: [(&[&str], &str, &str); 7] = [
             (&["generate", "--out", &out], "--nodes", "2k"),
             (&["generate", "--out", &out], "--seed", "-1"),
             (&["loadgen", "--journal-dir", &wal], "--sessions", "2k"),
@@ -1001,6 +962,12 @@ mod tests {
                 "--checkpoint-every",
                 "2k",
             ),
+            (
+                &["flow", &design, "--model", &no_model],
+                "--iterations",
+                "2k",
+            ),
+            (&["label", &no_design], "--threshold", "0.5.1"),
         ];
         for (args, option, text) in cases {
             let err = run_tokens(&[args, &[option, text]].concat())
@@ -1015,13 +982,12 @@ mod tests {
             }
         }
         fs::remove_dir_all(&dir).ok();
-        let (_, options) = split_args(
+        let err = split_args(
             "infer",
             "[--threshold F]",
             &["--threshold".to_string(), "abc".to_string()],
         )
-        .expect("a known option with a value");
-        let err = opt_f64(&options, "threshold", 0.5).unwrap_err();
+        .expect_err("a float placeholder takes only a float");
         assert!(err.contains("--threshold") && err.contains("abc"), "{err}");
     }
 
@@ -1029,51 +995,11 @@ mod tests {
     fn inspecting_a_missing_directory_fails_and_creates_nothing() {
         let dir = std::env::temp_dir().join(format!("gcnt-cli-missing-{}", std::process::id()));
         let dir_str = dir.to_str().expect("temp path is utf-8");
-        for action in ["stat", "scrub", "compact"] {
-            let err = run_tokens(&["store", action, dir_str])
-                .expect_err("a missing store directory is an error")
-                .to_string();
-            assert!(err.contains(dir_str), "store {action}: {err}");
-            assert!(!dir.exists(), "store {action} created {dir_str}");
-        }
         let err = run_tokens(&["checkpoints", dir_str])
             .expect_err("a missing checkpoint directory is an error")
             .to_string();
         assert!(err.contains(dir_str), "checkpoints: {err}");
         assert!(!dir.exists(), "checkpoints created {dir_str}");
-    }
-
-    #[test]
-    fn store_scrub_passes_a_clean_store_and_refuses_a_damaged_one() {
-        use gcn_testability::serve::{JobStore, StorePolicy};
-
-        let dir = std::env::temp_dir().join(format!("gcnt-cli-store-{}", std::process::id()));
-        let dir_str = dir.to_str().expect("temp path is utf-8");
-        let _ = fs::remove_dir_all(&dir);
-        let core = net_fixture_cores(1)
-            .expect("fixture")
-            .pop()
-            .expect("one core");
-        let store = JobStore::open(&dir, StorePolicy::default()).expect("open store");
-        let mut core = core.with_store(store);
-        let net = generate(&GeneratorConfig::sized("netfixture", 7, 400));
-        core.handle_infer(&net, None).expect("infer persists pages");
-        drop(core);
-        run_tokens(&["store", "scrub", dir_str]).expect("a fresh store scrubs clean");
-
-        let data = dir.join("pages-0000.dat");
-        let clean = fs::read(&data).expect("read page data");
-        let mut flipped = clean.clone();
-        flipped[64] ^= 0x01; // inside page 0's payload
-        fs::write(&data, &flipped).expect("flip a payload byte");
-        let err = run_tokens(&["store", "scrub", dir_str])
-            .expect_err("a flipped payload byte fails the scrub")
-            .to_string();
-        assert!(err.contains("corrupt page 0"), "{err}");
-
-        fs::write(&data, &clean[..clean.len() / 2]).expect("cut the data file");
-        run_tokens(&["store", "scrub", dir_str]).expect_err("a cut data file fails the scrub");
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
