@@ -657,6 +657,13 @@ pub fn ablation(nodes: usize, epochs: usize) -> Result<Vec<AblationRow>> {
             w_su: gcn.w_su(),
         });
     }
-    println!("\nexpectation: both >= either single direction >= self-only");
+    // Rows in the order above: both, predecessors, successors, self.
+    let acc: Vec<f64> = rows.iter().map(|r| r.test_accuracy).collect();
+    let single = acc[1].max(acc[2]);
+    let met = acc[0] >= single && single >= acc[3];
+    println!(
+        "\nexpectation: both >= max(single direction) >= self-only: {}",
+        if met { "met" } else { "not met" }
+    );
     Ok(rows)
 }

@@ -168,16 +168,6 @@ impl FeatureNormalizer {
         }
         v
     }
-
-    /// The fitted per-column means.
-    pub fn means(&self) -> &[f32] {
-        &self.means
-    }
-
-    /// The fitted per-column standard deviations.
-    pub fn stds(&self) -> &[f32] {
-        &self.stds
-    }
 }
 
 #[cfg(test)]
@@ -304,6 +294,6 @@ mod tests {
         let rb = raw_features_of(&b).unwrap();
         let joint = FeatureNormalizer::fit(&[&ra, &rb]);
         let solo = FeatureNormalizer::fit(&[&ra]);
-        assert_ne!(joint.means(), solo.means());
+        assert_ne!(joint.means, solo.means);
     }
 }

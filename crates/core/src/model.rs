@@ -377,22 +377,6 @@ impl Gcn {
         out.extend(self.head.params_mut());
         out
     }
-
-    /// Flat parameter slice lengths in [`Gcn::params_mut`] order, without
-    /// borrowing mutably — the shape a checkpoint loader validates saved
-    /// optimiser state against.
-    pub fn param_lens(&self) -> Vec<usize> {
-        let mut out = vec![2usize];
-        for enc in &self.encoders {
-            out.push(enc.weight().as_slice().len());
-            out.push(enc.bias().len());
-        }
-        for layer in self.head.layers() {
-            out.push(layer.weight().as_slice().len());
-            out.push(layer.bias().len());
-        }
-        out
-    }
 }
 
 impl GcnGrads {
@@ -699,14 +683,6 @@ mod tests {
                 .contains("encoder 0 emits 4 features, encoder 1 expects 3"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn param_lens_match_params_mut() {
-        let mut gcn = Gcn::new(&tiny_cfg(), &mut seeded_rng(8));
-        let lens = gcn.param_lens();
-        let mut_lens: Vec<usize> = gcn.params_mut().iter().map(|s| s.len()).collect();
-        assert_eq!(lens, mut_lens);
     }
 
     #[test]

@@ -652,19 +652,16 @@ pub fn train(
 
 /// Builds the optimiser state for a training run (`None` when plain SGD
 /// suffices, i.e. zero momentum).
-///
-/// Public so checkpoint-aware trainers can rebuild matching state when a
-/// checkpoint carries none.
 pub fn optimizer_for(gcn: &mut Gcn, cfg: &TrainConfig) -> Option<gcnt_nn::ModelOptimizer> {
     if cfg.momentum == 0.0 {
         return None;
     }
     let lens: Vec<usize> = gcn.params_mut().iter().map(|s| s.len()).collect();
     Some(gcnt_nn::ModelOptimizer::new(
-        gcnt_nn::OptimizerConfig::Sgd(gcnt_nn::SgdConfig {
+        gcnt_nn::SgdConfig {
             lr: cfg.lr,
             momentum: cfg.momentum,
-        }),
+        },
         lens,
     ))
 }

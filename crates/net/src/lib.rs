@@ -70,5 +70,5 @@ pub use message::{
 };
 pub use router::{route_key, ShardRouter};
 pub use server::{flow_digest, serve, DrainSummary, NetServerConfig};
-pub use signal::{install_term_handler, request_term, reset_term, term_requested};
+pub use signal::{install_term_handler, term_requested};
 pub use transport::Listener;

@@ -27,7 +27,7 @@ extern "C" fn on_term(_sig: i32) {
 }
 
 /// Installs the SIGTERM handler (idempotent). On non-unix targets this
-/// is a no-op and drains are triggered via [`request_term`] only.
+/// is a no-op.
 #[cfg_attr(
     unix,
     expect(unsafe_code, reason = "signal(2) is the only way to install a handler")
@@ -49,26 +49,20 @@ pub fn term_requested() -> bool {
     TERM.load(Ordering::Relaxed)
 }
 
-/// Requests a drain without a signal (tests, the Drain admin frame).
-pub fn request_term() {
-    TERM.store(true, Ordering::Relaxed);
-}
-
-/// Clears the flag so one process can serve, drain, and serve again
-/// (tests do; production servers exit after one drain).
-pub fn reset_term() {
-    TERM.store(false, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Clears the flag so one test process can drain more than once.
+    fn reset_term() {
+        TERM.store(false, Ordering::Relaxed);
+    }
 
     #[test]
     fn flag_round_trips() {
         reset_term();
         assert!(!term_requested());
-        request_term();
+        TERM.store(true, Ordering::Relaxed);
         assert!(term_requested());
         reset_term();
         assert!(!term_requested());

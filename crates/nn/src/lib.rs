@@ -39,7 +39,7 @@ mod optimizer;
 pub use init::xavier_uniform;
 pub use linear::{Linear, LinearGrads};
 pub use mlp::{Mlp, MlpCache, MlpGrads};
-pub use optimizer::{ModelOptimizer, OptimizerConfig, ParamOptimizer, SgdConfig};
+pub use optimizer::{ModelOptimizer, ParamOptimizer, SgdConfig};
 
 use rand_chacha::ChaCha8Rng;
 

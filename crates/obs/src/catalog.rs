@@ -393,25 +393,6 @@ pub const GAUGE_COUNT: usize = GAUGES.len();
 /// Number of histograms in the catalog.
 pub const HISTOGRAM_COUNT: usize = HISTOGRAMS.len();
 
-/// Looks up a counter id by exposition name (test/tooling helper; the hot
-/// paths use the constants).
-pub fn counter_by_name(name: &str) -> Option<CounterId> {
-    COUNTERS.iter().position(|d| d.name == name).map(CounterId)
-}
-
-/// Looks up a gauge id by exposition name.
-pub fn gauge_by_name(name: &str) -> Option<GaugeId> {
-    GAUGES.iter().position(|d| d.name == name).map(GaugeId)
-}
-
-/// Looks up a histogram id by exposition name.
-pub fn histogram_by_name(name: &str) -> Option<HistogramId> {
-    HISTOGRAMS
-        .iter()
-        .position(|d| d.name == name)
-        .map(HistogramId)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,22 +439,5 @@ mod tests {
                 assert!(w[0] < w[1], "{}: buckets not increasing", d.name);
             }
         }
-    }
-
-    #[test]
-    fn lookup_by_name_round_trips() {
-        assert_eq!(
-            counter_by_name("gcnt_tensor_spmm_rows_total"),
-            Some(counters::TENSOR_SPMM_ROWS)
-        );
-        assert_eq!(
-            gauge_by_name("gcnt_core_train_loss"),
-            Some(gauges::CORE_TRAIN_LOSS)
-        );
-        assert_eq!(
-            histogram_by_name("gcnt_serve_journal_fsync_ns"),
-            Some(histograms::SERVE_JOURNAL_FSYNC_NS)
-        );
-        assert_eq!(counter_by_name("nope"), None);
     }
 }

@@ -44,9 +44,8 @@ pub mod snapshot;
 pub mod span;
 
 pub use catalog::{
-    counter_by_name, counters, gauge_by_name, gauges, histogram_by_name, histograms, CounterDef,
-    CounterId, GaugeDef, GaugeId, HistogramDef, HistogramId, COUNTERS, COUNTER_COUNT, GAUGES,
-    GAUGE_COUNT, HISTOGRAMS, HISTOGRAM_COUNT,
+    counters, gauges, histograms, CounterDef, CounterId, GaugeDef, GaugeId, HistogramDef,
+    HistogramId, COUNTERS, COUNTER_COUNT, GAUGES, GAUGE_COUNT, HISTOGRAMS, HISTOGRAM_COUNT,
 };
 pub use registry::{global, MetricsRegistry};
 pub use snapshot::{HistogramSnapshot, Snapshot};

@@ -26,10 +26,10 @@
 //!
 //! [`CheckpointStore::load_latest`] walks checkpoints newest-to-oldest and
 //! returns the first one that passes every integrity check (envelope
-//! version and checksum, a payload that decodes — models and optimizer
-//! state refuse bad shapes and non-finite values at decode — and the
-//! optimizer contract), collecting the typed error of every rejected file
-//! so the caller can report *why* older state was used.
+//! version and checksum, and a payload that decodes — models refuse bad
+//! shapes and non-finite values at decode, and a file without cascade
+//! state does not decode at all), collecting the typed error of every
+//! rejected file so the caller can report *why* older state was used.
 
 use std::fmt;
 use std::fs;
@@ -38,21 +38,21 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use gcnt_core::{CascadeTraining, EpochStats, Gcn, StageReport};
-use gcnt_nn::ModelOptimizer;
 use gcnt_store::envelope::{self, EnvelopeError};
 use rand_chacha::ChaCha8Rng;
 
 /// The checkpoint format version this build reads and writes.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-/// Everything needed to resume a training run bit-for-bit: the cursor
-/// (stage and epoch), the effective hyper-parameters after any guard
-/// backoff, the model and optimizer, per-epoch history, and — for
-/// multi-stage runs — the completed stages, active masks, stage reports,
-/// and the RNG that seeds the next stage's weights.
+/// Everything needed to resume a cascade run bit-for-bit: the cursor
+/// (stage and epoch), the learning rate after any guard backoff, the
+/// model, the stage's per-epoch history, and the [`CascadeTraining`]
+/// stepper's state — completed stages, active masks, stage reports, and
+/// the RNG that seeds the next stage's weights. The cascade trains with
+/// plain SGD, so there is no optimizer state to carry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainState {
-    /// Cascade stage this state belongs to (0 for single-model runs).
+    /// Cascade stage this state belongs to.
     pub stage: usize,
     /// Next epoch to run within the stage (epochs `0..epoch` are done).
     pub epoch: usize,
@@ -62,8 +62,6 @@ pub struct TrainState {
     pub retries_used: usize,
     /// The model being trained.
     pub model: Gcn,
-    /// Momentum state, absent for plain SGD.
-    pub optimizer: Option<ModelOptimizer>,
     /// Per-epoch statistics of the current stage so far.
     pub history: Vec<EpochStats>,
     /// Fully trained earlier cascade stages.
@@ -72,37 +70,11 @@ pub struct TrainState {
     pub active: Vec<Vec<usize>>,
     /// Reports of completed stages.
     pub reports: Vec<StageReport>,
-    /// RNG state for the next stage's weight initialisation; `None` for
-    /// runs that never touch an RNG after the model exists.
-    pub rng: Option<ChaCha8Rng>,
+    /// RNG state for the next stage's weight initialisation.
+    pub rng: ChaCha8Rng,
 }
 
 impl TrainState {
-    /// State for a single-model (non-cascade) run: stage 0 and no cascade
-    /// context.
-    pub fn single(
-        epoch: usize,
-        model: &Gcn,
-        optimizer: &Option<ModelOptimizer>,
-        lr: f32,
-        retries_used: usize,
-        history: &[EpochStats],
-    ) -> Self {
-        TrainState {
-            stage: 0,
-            epoch,
-            lr,
-            retries_used,
-            model: model.clone(),
-            optimizer: optimizer.clone(),
-            history: history.to_vec(),
-            completed: Vec::new(),
-            active: Vec::new(),
-            reports: Vec::new(),
-            rng: None,
-        }
-    }
-
     /// State for a cascade run: the cursor's stage is the number of
     /// completed stages, and the stepper's state rides along, so
     /// `epoch == 0` is a stage boundary and anything else is mid-stage.
@@ -110,18 +82,21 @@ impl TrainState {
         cascade: &CascadeTraining,
         epoch: usize,
         model: &Gcn,
-        optimizer: &Option<ModelOptimizer>,
         lr: f32,
         retries_used: usize,
         history: &[EpochStats],
     ) -> Self {
         TrainState {
             stage: cascade.completed.len(),
+            epoch,
+            lr,
+            retries_used,
+            model: model.clone(),
+            history: history.to_vec(),
             completed: cascade.completed.clone(),
             active: cascade.active.clone(),
             reports: cascade.reports.clone(),
-            rng: Some(cascade.rng.clone()),
-            ..TrainState::single(epoch, model, optimizer, lr, retries_used, history)
+            rng: cascade.rng.clone(),
         }
     }
 }
@@ -137,7 +112,7 @@ pub enum CheckpointError {
         source: std::io::Error,
     },
     /// The file is not parseable as a checkpoint (truncated write, foreign
-    /// file, or garbage payload), or its model or optimizer state does not
+    /// file, garbage payload, or no cascade state), or its model does not
     /// decode (mis-shaped or non-finite).
     Malformed {
         /// Path of the unparseable file.
@@ -160,23 +135,6 @@ pub enum CheckpointError {
         stored: String,
         /// Checksum recomputed over the payload.
         computed: String,
-    },
-    /// The file lacks state a resume needs: optimizer velocity for a
-    /// momentum run, or the RNG a cascade resume draws from.
-    MissingState {
-        /// Path of the rejected file.
-        path: PathBuf,
-        /// The absent section, e.g. `"optimizer"` or `"rng"`.
-        section: &'static str,
-    },
-    /// The optimizer state was saved against a differently shaped model.
-    OptimizerShape {
-        /// Path of the rejected file.
-        path: PathBuf,
-        /// Per-parameter lengths of the model.
-        model: Vec<usize>,
-        /// Per-parameter lengths of the optimizer state.
-        optimizer: Vec<usize>,
     },
 }
 
@@ -201,21 +159,6 @@ impl fmt::Display for CheckpointError {
             } => write!(
                 f,
                 "checkpoint {} stores checksum {stored} but its payload hashes to {computed}",
-                path.display()
-            ),
-            CheckpointError::MissingState { path, section } => write!(
-                f,
-                "checkpoint {} lacks the `{section}` state a resume needs",
-                path.display()
-            ),
-            CheckpointError::OptimizerShape {
-                path,
-                model,
-                optimizer,
-            } => write!(
-                f,
-                "checkpoint {}: optimizer state shape {optimizer:?} does not match model \
-                 parameter shape {model:?}",
                 path.display()
             ),
         }
@@ -268,11 +211,6 @@ impl CheckpointStore {
         })
     }
 
-    /// The directory this store writes to.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Checkpoint paths, oldest first.
     ///
     /// # Errors
@@ -298,7 +236,7 @@ impl CheckpointStore {
 
     /// The file a state is saved to: its cursor, so lexicographic order is
     /// (stage, epoch) order.
-    pub(crate) fn path_of(&self, state: &TrainState) -> PathBuf {
+    fn path_of(&self, state: &TrainState) -> PathBuf {
         self.dir
             .join(format!("ckpt-{:04}-{:06}.json", state.stage, state.epoch))
     }
@@ -339,61 +277,29 @@ impl CheckpointStore {
 
     /// Loads and fully validates one checkpoint file.
     ///
-    /// `require_optimizer` marks optimizer state as mandatory (a momentum
-    /// run cannot resume bit-for-bit without its velocity).
-    ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] if the file cannot be read,
-    /// [`CheckpointError::Malformed`] if it cannot be parsed or its model
-    /// or optimizer state does not decode,
-    /// [`CheckpointError::Unsupported`] / [`CheckpointError::ChecksumMismatch`]
-    /// if the envelope fails, and [`CheckpointError::MissingState`] /
-    /// [`CheckpointError::OptimizerShape`] if the optimizer contract fails.
-    pub fn load(
-        &self,
-        path: &Path,
-        require_optimizer: bool,
-    ) -> Result<TrainState, CheckpointError> {
+    /// [`CheckpointError::Malformed`] if it cannot be parsed or its state
+    /// does not decode, and [`CheckpointError::Unsupported`] /
+    /// [`CheckpointError::ChecksumMismatch`] if the envelope fails.
+    pub fn load(&self, path: &Path) -> Result<TrainState, CheckpointError> {
         let text = fs::read_to_string(path).map_err(|source| CheckpointError::Io {
             path: path.to_path_buf(),
             source,
         })?;
-        let path = path.to_path_buf();
-        let state: TrainState = envelope::open(&text, CHECKPOINT_VERSION).map_err(|e| match e {
-            EnvelopeError::Malformed(detail) => CheckpointError::Malformed {
-                path: path.clone(),
-                detail,
-            },
-            EnvelopeError::Version(version) => CheckpointError::Unsupported {
-                path: path.clone(),
-                version,
-            },
-            EnvelopeError::Checksum { stored, computed } => CheckpointError::ChecksumMismatch {
-                path: path.clone(),
-                stored,
-                computed,
-            },
-        })?;
-        match &state.optimizer {
-            Some(opt) => {
-                let (model, optimizer) = (state.model.param_lens(), opt.param_lens());
-                if model != optimizer {
-                    return Err(CheckpointError::OptimizerShape {
-                        path,
-                        model,
-                        optimizer,
-                    });
-                }
-            }
-            None if require_optimizer => {
-                return Err(CheckpointError::MissingState {
+        let state = envelope::open(&text, CHECKPOINT_VERSION).map_err(|e| {
+            let path = path.to_path_buf();
+            match e {
+                EnvelopeError::Malformed(detail) => CheckpointError::Malformed { path, detail },
+                EnvelopeError::Version(version) => CheckpointError::Unsupported { path, version },
+                EnvelopeError::Checksum { stored, computed } => CheckpointError::ChecksumMismatch {
                     path,
-                    section: "optimizer",
-                })
+                    stored,
+                    computed,
+                },
             }
-            None => {}
-        }
+        })?;
         gcnt_obs::global().incr(gcnt_obs::counters::RUNTIME_CHECKPOINTS_LOADED);
         Ok(state)
     }
@@ -411,11 +317,10 @@ impl CheckpointStore {
     /// individual bad files are skipped, not errors.
     pub fn load_latest(
         &self,
-        require_optimizer: bool,
     ) -> Result<(Option<TrainState>, Vec<CheckpointError>), CheckpointError> {
         let mut skipped = Vec::new();
         for path in self.list()?.iter().rev() {
-            match self.load(path, require_optimizer) {
+            match self.load(path) {
                 Ok(state) => return Ok((Some(state), skipped)),
                 Err(e) => skipped.push(e),
             }
@@ -444,12 +349,11 @@ mod tests {
             lr: 0.05,
             retries_used: 0,
             model: gcn,
-            optimizer: None,
             history: vec![],
             completed: vec![],
             active: vec![vec![0, 1, 2]],
             reports: vec![],
-            rng: Some(gcnt_nn::seeded_rng(9)),
+            rng: gcnt_nn::seeded_rng(9),
         }
     }
 
@@ -474,7 +378,7 @@ mod tests {
         let state = tiny_state(0, 10);
         let path = store.save(&state).unwrap();
         assert!(path.to_str().unwrap().contains("ckpt-0000-000010"));
-        let back = store.load(&path, false).unwrap();
+        let back = store.load(&path).unwrap();
         assert_eq!(back, state);
         // No stray temp file survives.
         assert!(!path.with_extension("tmp").exists());
@@ -501,7 +405,7 @@ mod tests {
         let store = CheckpointStore::open(&dir, 5).unwrap();
         store.save(&tiny_state(0, 5)).unwrap();
         store.save(&tiny_state(1, 0)).unwrap();
-        let (state, skipped) = store.load_latest(false).unwrap();
+        let (state, skipped) = store.load_latest().unwrap();
         assert_eq!(state.unwrap().stage, 1);
         assert!(skipped.is_empty());
         let _ = fs::remove_dir_all(&dir);
@@ -515,7 +419,7 @@ mod tests {
         let newest = store.save(&tiny_state(0, 6)).unwrap();
         let bytes = fs::read(&newest).unwrap();
         fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
-        let (state, skipped) = store.load_latest(false).unwrap();
+        let (state, skipped) = store.load_latest().unwrap();
         assert_eq!(state.unwrap().epoch, 5, "falls back to the older file");
         assert!(
             matches!(&skipped[..], [CheckpointError::Malformed { path, .. }] if *path == newest),
@@ -541,7 +445,7 @@ mod tests {
             envelope::seal(CHECKPOINT_VERSION, &damaged).unwrap(),
         )
         .unwrap();
-        let (state, skipped) = store.load_latest(false).unwrap();
+        let (state, skipped) = store.load_latest().unwrap();
         assert_eq!(state.unwrap().epoch, 5, "falls back to the older file");
         match &skipped[..] {
             [CheckpointError::Malformed { path, detail }] if *path == newest => {
@@ -556,32 +460,29 @@ mod tests {
     }
 
     #[test]
-    fn an_optimizer_saved_against_another_model_shape_is_refused() {
-        let dir = temp_dir("optimizer-shape");
+    fn a_checkpoint_without_cascade_state_is_skipped_as_malformed() {
+        let dir = temp_dir("no-rng");
         let store = CheckpointStore::open(&dir, 5).unwrap();
-        let mut other = Gcn::new(
-            &GcnConfig {
-                embed_dims: vec![5],
-                fc_dims: vec![3],
-                ..GcnConfig::default()
-            },
-            &mut gcnt_nn::seeded_rng(9),
+        store.save(&tiny_state(0, 5)).unwrap();
+        let newest = store.save(&tiny_state(0, 6)).unwrap();
+        // A single-model run once wrote `"rng":null`; only a cascade
+        // checkpoint decodes now.
+        let payload = serde_json::to_string(&tiny_state(0, 6)).unwrap();
+        let rng = payload.find(r#""rng":"#).unwrap();
+        let payload: serde_json::Value = format!(r#"{}"rng":null}}"#, &payload[..rng])
+            .parse()
+            .unwrap();
+        fs::write(
+            &newest,
+            envelope::seal(CHECKPOINT_VERSION, &payload).unwrap(),
+        )
+        .unwrap();
+        let (state, skipped) = store.load_latest().unwrap();
+        assert_eq!(state.unwrap().epoch, 5, "falls back to the older file");
+        assert!(
+            matches!(&skipped[..], [CheckpointError::Malformed { path, .. }] if *path == newest),
+            "{skipped:?}"
         );
-        let momentum = gcnt_core::TrainConfig {
-            epochs: 1,
-            lr: 0.05,
-            momentum: 0.9,
-            pos_weight: 1.0,
-        };
-        let mut state = tiny_state(0, 1);
-        state.optimizer = gcnt_core::train::optimizer_for(&mut other, &momentum);
-        let path = store.save(&state).unwrap();
-        match store.load(&path, true) {
-            Err(CheckpointError::OptimizerShape {
-                model, optimizer, ..
-            }) => assert_ne!(model, optimizer),
-            other => panic!("expected an optimizer-shape refusal, got {other:?}"),
-        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -589,41 +490,9 @@ mod tests {
     fn empty_store_returns_none() {
         let dir = temp_dir("empty");
         let store = CheckpointStore::open(&dir, 5).unwrap();
-        let (state, skipped) = store.load_latest(false).unwrap();
+        let (state, skipped) = store.load_latest().unwrap();
         assert!(state.is_none());
         assert!(skipped.is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// A momentum checkpoint written by the build before `ParamOptimizer`
-    /// lost its Adam state: every per-parameter entry still carries
-    /// `"second":[],"t":0`. The payload is checksummed as written, extra
-    /// fields are ignored on parse, so it loads — velocity included.
-    const PRE_ADAM_REMOVAL_CHECKPOINT: &str = r#"{"version":1,"checksum":"22c3d9ba139ca124","payload":"{\"stage\":0,\"epoch\":1,\"lr\":0.05000000074505806,\"retries_used\":0,\"model\":{\"agg_weights\":[0.4749999940395355,0.5],\"encoders\":[{\"weight\":{\"rows\":4,\"cols\":1,\"data\":[1.0034422874450684,0.29499173164367676,-0.3195344805717468,-0.28922832012176514]},\"bias\":[0.0]}],\"head\":{\"layers\":[{\"weight\":{\"rows\":1,\"cols\":1,\"data\":[1.5707393884658813]},\"bias\":[0.0]},{\"weight\":{\"rows\":1,\"cols\":2,\"data\":[-0.9608134031295776,-1.1394996643066406]},\"bias\":[0.0,0.0]}]}},\"optimizer\":{\"params\":[{\"cfg\":{\"Sgd\":{\"lr\":0.05000000074505806,\"momentum\":0.8999999761581421}},\"velocity\":[0.5,0.0],\"second\":[],\"t\":0},{\"cfg\":{\"Sgd\":{\"lr\":0.05000000074505806,\"momentum\":0.8999999761581421}},\"velocity\":[0.0,0.0,0.0,0.0],\"second\":[],\"t\":0},{\"cfg\":{\"Sgd\":{\"lr\":0.05000000074505806,\"momentum\":0.8999999761581421}},\"velocity\":[0.0],\"second\":[],\"t\":0},{\"cfg\":{\"Sgd\":{\"lr\":0.05000000074505806,\"momentum\":0.8999999761581421}},\"velocity\":[0.0],\"second\":[],\"t\":0},{\"cfg\":{\"Sgd\":{\"lr\":0.05000000074505806,\"momentum\":0.8999999761581421}},\"velocity\":[0.0],\"second\":[],\"t\":0},{\"cfg\":{\"Sgd\":{\"lr\":0.05000000074505806,\"momentum\":0.8999999761581421}},\"velocity\":[0.0,0.0],\"second\":[],\"t\":0},{\"cfg\":{\"Sgd\":{\"lr\":0.05000000074505806,\"momentum\":0.8999999761581421}},\"velocity\":[0.0,0.0],\"second\":[],\"t\":0}]},\"history\":[],\"completed\":[],\"active\":[],\"reports\":[],\"rng\":null}"}"#;
-
-    #[test]
-    fn momentum_checkpoint_from_before_adam_removal_still_loads() {
-        let dir = temp_dir("pre-adam-removal");
-        let store = CheckpointStore::open(&dir, 3).unwrap();
-        let path = dir.join("ckpt-0000-000001.json");
-        fs::write(&path, PRE_ADAM_REMOVAL_CHECKPOINT).unwrap();
-        let state = store.load(&path, true).unwrap();
-        assert_eq!(state.epoch, 1);
-        let mut model = state.model;
-        let mut optimizer = state.optimizer;
-        let before = model.params_mut()[0][0];
-        // The stored velocity of the first parameter is 0.5: a zero
-        // gradient still moves it by lr * momentum * 0.5.
-        let cfg = gcnt_core::TrainConfig {
-            epochs: 1,
-            lr: 0.05,
-            momentum: 0.9,
-            pos_weight: 1.0,
-        };
-        let no_gradient = model.zero_grads();
-        gcnt_core::apply_update(&mut model, &no_gradient, &cfg, &mut optimizer);
-        let moved = before - model.params_mut()[0][0];
-        assert!((moved - 0.05 * 0.9 * 0.5).abs() < 1e-7, "moved {moved}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

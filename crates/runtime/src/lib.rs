@@ -8,31 +8,30 @@
 //! those failures recoverable instead of fatal:
 //!
 //! - **Checkpoint/resume** ([`CheckpointStore`], [`TrainState`]):
-//!   versioned, checksummed training checkpoints — model weights,
-//!   optimizer state, RNG state, and the epoch/stage cursor — written
-//!   atomically (temp file + fsync + rename) and pruned to the newest
-//!   `keep` files. A resumed run is bit-for-bit identical to an
+//!   versioned, checksummed cascade checkpoints — the model being
+//!   trained, the stage's history, the cascade stepper's state (completed
+//!   stages, active masks, reports, RNG) and the stage/epoch cursor —
+//!   written atomically (temp file + fsync + rename) and pruned to the
+//!   newest `keep` files. They are validated on load — envelope version
+//!   and checksum, and a state that decodes (mis-shaped or non-finite
+//!   parameters refuse at decode) — falling back to older checkpoints on
+//!   corruption. A resumed run is bit-for-bit identical to an
 //!   uninterrupted one.
-//! - **Divergence guards** ([`TrainSession`], [`GuardConfig`]): every
-//!   epoch is checked for NaN/Inf loss, loss spikes, and exploding
-//!   gradient norms; a violation rolls the model back to the last good
-//!   state, backs off the learning rate, and retries within a bounded
-//!   budget, surfacing [`TrainError`] when the budget is exhausted.
-//!   Checkpoints are validated on load — envelope version and checksum,
-//!   a model and optimizer state that decode (mis-shaped or non-finite
-//!   parameters refuse at decode), and the optimizer contract — falling
-//!   back to older checkpoints on corruption.
+//! - **Divergence guards**: every epoch is checked for NaN/Inf loss, loss
+//!   spikes, and exploding gradient norms; a violation rolls the model
+//!   back to the last good state, halves the learning rate, and retries,
+//!   at most 8 times per stage, surfacing [`TrainError`] when the budget
+//!   is exhausted.
 //! - **Fault injection** ([`FaultPlan`]): deterministic, named
 //!   injection points — kill a worker thread, poison a gradient with
 //!   NaN, abort after a journal record — armed only by the plan's
 //!   `with_*` builders in tests, so the recovery paths are tested, not
 //!   hoped for.
 //!
-//! [`TrainSession`] is the guarded epoch loop around
-//! `gcnt_core::epoch_grads`; [`MultiStageTrainer`] drives
-//! `gcnt_core::CascadeTraining` — the stage stepper
-//! `MultiStageGcn::train` drives too — with a `TrainSession` per stage,
-//! checkpointing at epoch and stage granularity.
+//! [`MultiStageTrainer`] is the one trainer that uses them: it drives
+//! `gcnt_core::CascadeTraining` — the stage stepper `MultiStageGcn::train`
+//! drives too — through a guarded epoch loop around
+//! `gcnt_core::epoch_grads`, checkpointing at epoch and stage granularity.
 //!
 //! # Examples
 //!
@@ -47,6 +46,7 @@
 //! let refs: Vec<&GraphData> = graphs.iter().collect();
 //! let store = CheckpointStore::open("checkpoints", 3)?;
 //! let mut trainer = MultiStageTrainer::new(MultiStageConfig::default());
+//! trainer.checkpoint_every = 10; // and at every stage's end
 //! trainer.store = Some(&store);
 //! trainer.resume = true; // picks up where a killed run left off
 //! let outcome = trainer.run(&refs)?;
@@ -74,7 +74,5 @@ pub use checkpoint::{
     checksum_hex, fnv1a64, CheckpointError, CheckpointStore, TrainState, CHECKPOINT_VERSION,
 };
 pub use fault::FaultPlan;
-pub use guard::{
-    DivergenceCause, GuardConfig, GuardedOutcome, RollbackEvent, TrainError, TrainSession,
-};
+pub use guard::{DivergenceCause, RollbackEvent, TrainError};
 pub use multistage::{MultiStageOutcome, MultiStageTrainer};

@@ -3,16 +3,22 @@
 //! [`MultiStageTrainer`] drives the same [`CascadeTraining`] stepper as
 //! [`gcnt_core::MultiStageGcn::train`] — the stepper owns the RNG draws,
 //! the per-stage positive weight and the filtering — but trains each
-//! stage through the guarded [`TrainSession`] and checkpoints both within
-//! stages (epoch granularity) and at stage boundaries. A checkpoint
-//! carries the stepper's whole state, so a resumed run is bit-for-bit
-//! identical to an uninterrupted one.
+//! stage through a guarded epoch loop and checkpoints both within stages
+//! (epoch granularity) and at stage boundaries. That loop is
+//! [`gcnt_core::epoch_grads`] and [`gcnt_core::commit_epoch`] — the two
+//! halves of the plain trainer's epoch — with the guard's checks in
+//! between, so a run that never trips a guard is bit-for-bit the plain
+//! trainer's. A checkpoint carries the stepper's whole state, so a resumed
+//! run is bit-for-bit identical to an uninterrupted one.
 
-use gcnt_core::{CascadeTraining, GraphData, MultiStageConfig, MultiStageGcn, StageReport};
+use gcnt_core::{
+    commit_epoch, epoch_grads, CascadeTraining, GraphData, MultiStageConfig, MultiStageGcn,
+    OpenStage, StageReport, TrainConfig,
+};
 
 use crate::checkpoint::{CheckpointError, CheckpointStore, TrainState};
 use crate::fault::FaultPlan;
-use crate::guard::{GuardConfig, RollbackEvent, TrainError, TrainSession};
+use crate::guard::{check_epoch, RollbackEvent, TrainError, LR_BACKOFF, MAX_RETRIES};
 
 /// Result of a resilient cascade run.
 #[derive(Debug)]
@@ -38,8 +44,9 @@ pub struct MultiStageOutcome {
 pub struct MultiStageTrainer<'a> {
     /// Cascade configuration (shared with the plain trainer).
     pub cfg: MultiStageConfig,
-    /// Guard policy for every stage.
-    pub guard: GuardConfig,
+    /// Save a checkpoint every this many completed epochs of a stage
+    /// (0 = only at the end of the stage). Ignored without a store.
+    pub checkpoint_every: usize,
     /// Where checkpoints go (`None` disables checkpointing).
     pub store: Option<&'a CheckpointStore>,
     /// Restore the newest usable checkpoint before training.
@@ -49,11 +56,11 @@ pub struct MultiStageTrainer<'a> {
 }
 
 impl<'a> MultiStageTrainer<'a> {
-    /// A trainer with default guard policy and no checkpointing.
+    /// A trainer that checkpoints every 25 epochs once it has a store.
     pub fn new(cfg: MultiStageConfig) -> Self {
         MultiStageTrainer {
             cfg,
-            guard: GuardConfig::default(),
+            checkpoint_every: 25,
             store: None,
             resume: false,
             fault: FaultPlan::none(),
@@ -72,89 +79,136 @@ impl<'a> MultiStageTrainer<'a> {
     ///
     /// Panics if `graphs` is empty or any graph is unlabeled.
     pub fn run(&mut self, graphs: &[&GraphData]) -> Result<MultiStageOutcome, TrainError> {
-        let cfg = &self.cfg;
-        let mut cascade = CascadeTraining::new(cfg, graphs);
+        let mut cascade = CascadeTraining::new(&self.cfg, graphs);
         let mut mid_stage: Option<TrainState> = None;
         let mut resumed_from = None;
         let mut skipped = Vec::new();
 
-        if self.resume {
-            if let Some(store) = self.store {
-                // The cascade trains with plain SGD (no optimizer state),
-                // but the RNG is mandatory for deterministic resumption.
-                let (state, rejected) = store.load_latest(false)?;
-                skipped = rejected;
-                if let Some(mut state) = state {
-                    if let Some(rng) = state.rng.take() {
-                        resumed_from = Some((state.stage, state.epoch));
-                        cascade = CascadeTraining {
-                            rng,
-                            active: std::mem::take(&mut state.active),
-                            completed: std::mem::take(&mut state.completed),
-                            reports: std::mem::take(&mut state.reports),
-                        };
-                        if state.epoch > 0 && state.stage < cfg.stages {
-                            mid_stage = Some(state);
-                        }
-                    } else {
-                        // Without its RNG a cascade resume would not be
-                        // deterministic: start fresh and say why.
-                        skipped.push(CheckpointError::MissingState {
-                            path: store.path_of(&state),
-                            section: "rng",
-                        });
-                    }
+        if let (true, Some(store)) = (self.resume, self.store) {
+            let (state, rejected) = store.load_latest()?;
+            skipped = rejected;
+            if let Some(mut state) = state {
+                resumed_from = Some((state.stage, state.epoch));
+                cascade = CascadeTraining {
+                    rng: state.rng.clone(),
+                    active: std::mem::take(&mut state.active),
+                    completed: std::mem::take(&mut state.completed),
+                    reports: std::mem::take(&mut state.reports),
+                };
+                if state.epoch > 0 && state.stage < self.cfg.stages {
+                    mid_stage = Some(state);
                 }
             }
         }
 
         let mut rollbacks = Vec::new();
         let mut recovered_workers = Vec::new();
-        while cascade.completed.len() < cfg.stages {
+        while cascade.completed.len() < self.cfg.stages {
             let restored = mid_stage.as_ref().map(|state| state.model.clone());
-            let mut stage = cascade.begin_stage(cfg, graphs, restored);
-            let mut session = TrainSession {
-                cfg: stage.train.clone(),
-                guard: self.guard,
-                store: self.store,
-                resume: false,
-                fault: std::mem::take(&mut self.fault),
-            };
-            let outcome = session.run_stage(
-                &mut stage.gcn,
+            let mut stage = cascade.begin_stage(&self.cfg, graphs, restored);
+            self.guarded_stage(
+                &cascade,
+                &mut stage,
                 graphs,
-                &cascade.active,
                 mid_stage.take(),
-                |epoch, model, optimizer, lr, retries, history| {
-                    TrainState::cascade(&cascade, epoch, model, optimizer, lr, retries, history)
-                },
-            );
-            self.fault = std::mem::take(&mut session.fault);
-            let outcome = outcome?;
-            rollbacks.extend(outcome.rollbacks);
-            recovered_workers.extend(outcome.recovered_workers);
-
-            cascade.finish_stage(cfg, graphs, stage)?;
+                &mut rollbacks,
+                &mut recovered_workers,
+            )?;
+            cascade.finish_stage(&self.cfg, graphs, stage)?;
             if let (Some(store), Some(last)) = (self.store, cascade.completed.last()) {
-                store.save(&TrainState::cascade(
-                    &cascade,
-                    0,
-                    last,
-                    &None,
-                    cfg.lr,
-                    0,
-                    &[],
-                ))?;
+                store.save(&TrainState::cascade(&cascade, 0, last, self.cfg.lr, 0, &[]))?;
             }
         }
 
         Ok(MultiStageOutcome {
-            model: MultiStageGcn::from_stages(cascade.completed, cfg.filter_threshold),
+            model: MultiStageGcn::from_stages(cascade.completed, self.cfg.filter_threshold),
             reports: cascade.reports,
             resumed_from,
             rollbacks,
             recovered_workers,
             skipped,
         })
+    }
+
+    /// The guarded epoch loop of one stage, from `resume`'s cursor if
+    /// given (its model is already `stage.gcn`). An epoch whose loss or
+    /// gradient fails [`check_epoch`] rewinds the model to before the
+    /// update that diverged, backs off the learning rate and replays that
+    /// epoch, at most [`MAX_RETRIES`] times per stage.
+    fn guarded_stage(
+        &mut self,
+        cascade: &CascadeTraining,
+        stage: &mut OpenStage,
+        graphs: &[&GraphData],
+        resume: Option<TrainState>,
+        rollbacks: &mut Vec<RollbackEvent>,
+        recovered_workers: &mut Vec<(usize, usize)>,
+    ) -> Result<(), TrainError> {
+        let (gcn, cfg) = (&mut stage.gcn, &stage.train);
+        let class_weights = [1.0, cfg.pos_weight];
+        let (mut epoch, mut lr, mut retries, mut history) = match resume {
+            Some(r) => (r.epoch, r.lr, r.retries_used, r.history),
+            None => (0, cfg.lr, 0, Vec::with_capacity(cfg.epochs)),
+        };
+        // The rollback target: the model *before* the most recent
+        // parameter update, plus the loop cursor to replay it.
+        let mut good = (gcn.clone(), epoch, history.clone());
+        let mut prev_loss: Option<f32> = history.last().map(|s| s.loss);
+        let mut good_prev_loss = prev_loss;
+
+        while epoch < cfg.epochs {
+            let fault = &self.fault;
+            let mut computed = epoch_grads(gcn, graphs, &cascade.active, &class_weights, &|w| {
+                fault.kill_if_planned(epoch, w);
+            })?;
+            recovered_workers.extend(computed.recovered.iter().map(|&w| (epoch, w)));
+            self.fault.corrupt_grads(epoch, &mut computed.grads);
+
+            if let Some(cause) = check_epoch(computed.loss, &computed.grads, prev_loss) {
+                if retries >= MAX_RETRIES {
+                    return Err(TrainError::Diverged {
+                        epoch,
+                        cause,
+                        retries,
+                    });
+                }
+                retries += 1;
+                lr *= LR_BACKOFF;
+                gcnt_obs::global().incr(gcnt_obs::counters::RUNTIME_ROLLBACKS);
+                rollbacks.push(RollbackEvent {
+                    epoch,
+                    cause,
+                    lr_after: lr,
+                });
+                // Rewind to the state before the update that diverged and
+                // replay that epoch with the smaller rate.
+                *gcn = good.0.clone();
+                epoch = good.1;
+                history = good.2.clone();
+                prev_loss = good_prev_loss;
+                continue;
+            }
+
+            // This epoch's forward pass proved the current parameters
+            // good; snapshot them before the (possibly diverging) update.
+            good = (gcn.clone(), epoch, history.clone());
+            good_prev_loss = prev_loss;
+            let step_cfg = TrainConfig { lr, ..cfg.clone() };
+            // The cascade trains with plain SGD: no optimizer state.
+            history.push(commit_epoch(gcn, epoch, &computed, &step_cfg, &mut None));
+            prev_loss = Some(computed.loss);
+            epoch += 1;
+
+            if let Some(store) = self.store {
+                let due = (self.checkpoint_every != 0 && epoch % self.checkpoint_every == 0)
+                    || epoch == cfg.epochs;
+                if due {
+                    store.save(&TrainState::cascade(
+                        cascade, epoch, gcn, lr, retries, &history,
+                    ))?;
+                }
+            }
+        }
+        Ok(())
     }
 }

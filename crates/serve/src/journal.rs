@@ -465,11 +465,6 @@ impl FlowJournal {
         self.compaction.as_ref().map_or(0, |s| s.compacted_through)
     }
 
-    /// Current on-disk size of the journal file.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
     /// The journal's path.
     pub fn path(&self) -> &Path {
         &self.path
@@ -730,7 +725,7 @@ mod tests {
                     .unwrap();
                 assert_eq!(folded, 16);
             }
-            max_bytes = max_bytes.max(rec.journal.bytes());
+            max_bytes = max_bytes.max(rec.journal.bytes);
         }
         // The file never outgrows ~one compaction window of records.
         let cap = 16 * 1024;

@@ -143,11 +143,6 @@ impl ServeCore {
         self.store.as_mut()
     }
 
-    /// The model currently served.
-    pub fn model(&self) -> &MultiStageGcn {
-        &self.model
-    }
-
     /// Requests admitted so far.
     pub fn admitted(&self) -> u64 {
         self.admitted
@@ -799,7 +794,7 @@ mod tests {
     fn segment_key_is_the_one_shot_fingerprint() {
         use crate::store::design_fingerprint;
         let (mut core, net) = core();
-        let expected = design_fingerprint(&net, core.model()).unwrap();
+        let expected = design_fingerprint(&net, &core.model).unwrap();
         // The first call computes the model half, the second reuses it.
         assert_eq!(core.segment_design(&net).unwrap(), expected);
         assert_eq!(core.segment_design(&net).unwrap(), expected);

@@ -312,11 +312,6 @@ impl PageStore {
         self.faults = faults;
     }
 
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn meta_path(&self) -> PathBuf {
         self.dir.join(META_FILE)
     }

@@ -67,11 +67,6 @@ impl Budget {
         self
     }
 
-    /// The cap, if any.
-    pub fn cap(&self) -> Option<u64> {
-        self.cap
-    }
-
     /// Units charged so far (after the cost multiplier).
     pub fn spent(&self) -> u64 {
         self.spent.load(Ordering::Relaxed)

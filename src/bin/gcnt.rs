@@ -321,6 +321,14 @@ fn cmd_train(positional: &[String], options: &Options) -> Result<(), Box<dyn Err
         return Err("expected at least one training design".into());
     }
     let model_path = options.get("model").ok_or("--model is required")?;
+    if !options.contains_key("checkpoint-dir") {
+        if let Some(option) = ["resume", "keep", "checkpoint-every"]
+            .into_iter()
+            .find(|&o| options.contains_key(o))
+        {
+            return Err(format!("--{option} needs --checkpoint-dir").into());
+        }
+    }
     let label_cfg = LabelConfig {
         patterns: opt_usize(options, "patterns", 8192)?,
         threshold: opt_f64(options, "threshold", 0.0005)?,
@@ -363,7 +371,7 @@ fn cmd_train(positional: &[String], options: &Options) -> Result<(), Box<dyn Err
         None => None,
     };
     let mut trainer = MultiStageTrainer::new(ms_cfg);
-    trainer.guard.checkpoint_every = checkpoint_every;
+    trainer.checkpoint_every = checkpoint_every;
     trainer.store = store.as_ref();
     trainer.resume = options.contains_key("resume");
     let outcome = trainer.run(&refs)?;
@@ -423,19 +431,14 @@ fn cmd_checkpoints(positional: &[String], _: &Options) -> Result<(), Box<dyn Err
     }
     let mut bad = 0usize;
     for path in &files {
-        match store.load(path, false) {
+        match store.load(path) {
             Ok(state) => println!(
-                "{}: stage {}, epoch {}, lr {:.6}, {} retries used{}",
+                "{}: stage {}, epoch {}, lr {:.6}, {} retries used",
                 path.display(),
                 state.stage,
                 state.epoch,
                 state.lr,
                 state.retries_used,
-                if state.rng.is_some() {
-                    ", resumable cascade"
-                } else {
-                    ""
-                }
             ),
             Err(e) => {
                 bad += 1;
@@ -1033,16 +1036,12 @@ mod tests {
         run_tokens(&["generate", "--nodes", "60", "--seed", "1", "--out", &a]).expect("a");
         run_tokens(&["generate", "--nodes", "60", "--seed", "2", "--out", &b]).expect("b");
         let quick = ["--epochs", "1", "--stages", "1", "--patterns", "256"];
-        let (both, resumed) = (path("both.json"), path("resumed.json"));
+        let (both, resumed, ck) = (path("both.json"), path("resumed.json"), path("ck"));
         run_tokens(&[&["train", &a, &b, "--model", &both][..], &quick].concat()).expect("train");
-        run_tokens(
-            &[
-                &["train", "--resume", &a, &b, "--model", &resumed][..],
-                &quick,
-            ]
-            .concat(),
-        )
-        .expect("train --resume");
+        // An empty checkpoint directory: nothing to resume from.
+        let resume = ["train", "--resume", &a, &b, "--model", &resumed];
+        run_tokens(&[&resume[..], &["--checkpoint-dir", &ck], &quick].concat())
+            .expect("train --resume");
         assert_eq!(
             fs::read(&both).expect("model"),
             fs::read(&resumed).expect("model"),
@@ -1066,6 +1065,24 @@ mod tests {
                 .expect_err("there is no fault plan option")
                 .to_string();
             assert!(err.contains("--faults"), "{command}: {err}");
+        }
+        // A checkpoint option without a directory would be ignored; the
+        // refusal comes before the (missing) design is read.
+        let missing = path("missing.bench");
+        for option in [
+            &["--resume"][..],
+            &["--keep", "0"],
+            &["--checkpoint-every", "1"],
+        ] {
+            let train = ["train", &missing, "--model", &model];
+            let err = run_tokens(&[&train[..], option].concat())
+                .expect_err("a checkpoint option needs --checkpoint-dir")
+                .to_string();
+            assert!(
+                err.contains(option[0]) && err.contains("--checkpoint-dir"),
+                "{err}"
+            );
+            assert!(!Path::new(&model).exists(), "the refused run wrote {model}");
         }
         let err = run_tokens(&["infer", &design, "--model"])
             .expect_err("a valued option needs its value")

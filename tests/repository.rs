@@ -394,7 +394,7 @@ const CODE_ROOTS: [&str; 4] = ["crates/", "src/", "examples/", "benchmark/src/"]
 /// The public functions whose only callers are tests, each with why it
 /// stays. A function that loses its last non-test caller must be deleted
 /// or listed here; a listed one that gains a caller must leave the list.
-const TEST_ONLY_API: [(&str, &str); 25] = [
+const TEST_ONLY_API: [(&str, &str); 34] = [
     (
         "with_nan_grads",
         "FaultPlan builder: how a test arms a fault",
@@ -486,6 +486,42 @@ const TEST_ONLY_API: [(&str, &str); 25] = [
         "halo_total",
         "partition layer, kept until ROADMAP item 1(b) deletes it",
     ),
+    (
+        "halo_cols",
+        "partition layer, kept until ROADMAP item 1(b) deletes it",
+    ),
+    (
+        "halo_starts",
+        "partition layer, kept until ROADMAP item 1(b) deletes it",
+    ),
+    (
+        "nnz_starts",
+        "partition layer, kept until ROADMAP item 1(b) deletes it",
+    ),
+    (
+        "cc0",
+        "per-node SCOAP query the controllability tests assert with",
+    ),
+    (
+        "cc1",
+        "per-node SCOAP query the controllability tests assert with",
+    ),
+    (
+        "admitted",
+        "ServeCore query: how the admission tests count what ran",
+    ),
+    (
+        "design_fingerprint",
+        "the one-shot segment key `ServeCore::segment_design` is held to",
+    ),
+    (
+        "findings",
+        "LintReport query: how a rule test counts one rule's findings",
+    ),
+    (
+        "shards",
+        "net Client query: how the e2e test reads the handshake",
+    ),
 ];
 
 /// Whether `c` can be part of an identifier.
@@ -571,60 +607,78 @@ fn product_source(path: &str) -> bool {
     under_src && !in_test_dir(path)
 }
 
-/// The `pub fn`s defined under `crates/*/src` or `src/` whose name occurs
-/// in the non-test code of `files` no more often than `fn` of any
-/// visibility defines it there: only definitions name it, so two dead
-/// methods of one name do not keep each other alive. Names, not paths: a
-/// dead method that shares its name with a live one is missed.
+/// The names the code `text` uses: each identifier that is called
+/// (`name(`, `name::<`) or named by path (`::name`), unless it is the name
+/// of a `fn` being defined. A word that is only a field, a variable or a
+/// definition is no use.
+fn called_names(text: &str) -> BTreeSet<&str> {
+    let mut used = BTreeSet::new();
+    let mut at = 0;
+    while let Some(start) = text[at..].find(is_word).map(|i| at + i) {
+        at = text[start..]
+            .find(|c: char| !is_word(c))
+            .map_or(text.len(), |i| start + i);
+        let (before, word, after) = (&text[..start], &text[start..at], &text[at..]);
+        let spaced = before.trim_end();
+        let defined = spaced.len() < before.len()
+            && spaced
+                .strip_suffix("fn")
+                .is_some_and(|pre| !pre.ends_with(is_word));
+        let called = after.starts_with('(') || after.starts_with("::<");
+        if !defined && (called || before.ends_with("::")) {
+            used.insert(word);
+        }
+    }
+    used
+}
+
+/// The `pub fn`s defined under `crates/*/src` or `src/` that no non-test
+/// code of `files` uses in the sense of [`called_names`]. Names, not
+/// paths: a dead method that shares its name with a live one is missed.
 fn dead_pub_fns(files: &[(String, String)]) -> BTreeSet<String> {
     let code: Vec<(&str, String)> = files
         .iter()
         .filter_map(|(path, text)| Some((path.as_str(), non_test_code(path, text)?)))
         .collect();
-    let name = |rest: &str| rest.chars().take_while(|&c| is_word(c)).collect::<String>();
-    let (mut uses, mut defs) = (
-        HashMap::<&str, usize>::new(),
-        HashMap::<String, usize>::new(),
-    );
-    for (_, text) in &code {
-        for word in text.split(|c: char| !is_word(c)).filter(|w| !w.is_empty()) {
-            *uses.entry(word).or_default() += 1;
-        }
-        for (at, _) in text.match_indices("fn ") {
-            if !text[..at].ends_with(is_word) {
-                *defs.entry(name(&text[at + 3..])).or_default() += 1;
-            }
-        }
-    }
+    let used: BTreeSet<&str> = code
+        .iter()
+        .flat_map(|(_, text)| called_names(text))
+        .collect();
     code.iter()
         .filter(|(path, _)| product_source(path))
         .flat_map(|(_, text)| text.lines())
         .filter_map(|line| line.trim_start().strip_prefix("pub fn "))
-        .map(name)
-        .filter(|name| uses.get(name.as_str()) <= defs.get(name))
+        .map(|rest| rest.chars().take_while(|&c| is_word(c)).collect::<String>())
+        .filter(|name| !used.contains(name.as_str()))
         .collect()
 }
 
 #[test]
 fn every_public_function_has_a_caller_or_a_reason() {
     // `dead` is called only by tests; `quoted` only inside a string;
-    // `twin` is two dead methods of one name; `helper` is dead under `src/`.
+    // `twin` is two dead methods of one name; `helper` is dead under `src/`;
+    // `dir` is only a field and a variable besides its definition. `width`
+    // is used only as a path and `generic` only through a turbofish.
     let planted = [
         (
             "crates/a/src/lib.rs",
             "pub fn used() {}\npub fn dead() {}\npub fn quoted() {}\n\
              impl A {\n    pub fn twin() {}\n}\nimpl B {\n    pub fn twin() {}\n}\n\
+             pub struct S {\n    dir: u8,\n}\nimpl S {\n    pub fn dir(&self) -> u8 {\n        \
+             let dir = self.dir;\n        dir\n    }\n    pub fn width(&self) -> u8 {\n        \
+             1\n    }\n}\npub fn generic<T>(t: T) -> T {\n    t\n}\n\
              #[cfg(test)]\nmod tests {\n    fn t() {\n        super::dead();\n    }\n}\n",
         ),
         (
             "src/main.rs",
             "pub fn helper() {}\nfn main() {\n    let q = '\"';\n    a::used(); // a::dead()\n    \
-             q.expect(\"quoted\");\n}\n",
+             q.expect(\"quoted\");\n    let _ = [S { dir: 1 }].iter().map(S::width);\n    \
+             generic::<u8>(1);\n}\n",
         ),
         ("tests/it.rs", "fn t() {\n    a::dead();\n}\n"),
     ]
     .map(|(path, text)| (path.to_string(), text.to_string()));
-    let expected = ["dead", "helper", "quoted", "twin"].map(String::from);
+    let expected = ["dead", "dir", "helper", "quoted", "twin"].map(String::from);
     assert_eq!(dead_pub_fns(&planted), BTreeSet::from(expected));
 
     let dead = dead_pub_fns(&rust_sources());
@@ -651,12 +705,12 @@ fn every_public_function_has_a_caller_or_a_reason() {
 /// raising one is a decision made in the change that needs it, and a cut
 /// lowers it.
 const LINE_BUDGETS: [(&str, usize); 4] = [
-    ("README.md", 353),
+    ("README.md", 351),
     ("DESIGN.md", 400),
     ("EXPERIMENTS.md", 388),
     (".claude/skills/verify/SKILL.md", 197),
 ];
-const DOCS_TOTAL_BUDGET: usize = 1_338;
+const DOCS_TOTAL_BUDGET: usize = 1_336;
 
 /// `doc: lines > budget` for each `(doc, text, budget)` over its budget,
 /// then `total: lines > total` if the docs together are over `total`.
@@ -842,7 +896,7 @@ fn doc_links_resolve() {
 /// their count when the budget came in. Code that grows past it fails;
 /// raising it is a decision made, and said why, in the change that needs
 /// it, and a cut lowers it.
-const NON_TEST_CODE_BUDGET: usize = 14_211;
+const NON_TEST_CODE_BUDGET: usize = 13_948;
 
 /// Non-blank lines of `text` outside its test modules that do not start
 /// with `//`.

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 
 use gcn_testability::dft::flow::{BatchRecord, FlowConfig, InferenceStats};
-use gcn_testability::gcn::{train::optimizer_for, Gcn, GcnConfig, TrainConfig};
+use gcn_testability::gcn::{CascadeTraining, Gcn, GcnConfig};
 use gcn_testability::netlist::{generate, GeneratorConfig};
 use gcn_testability::nn::seeded_rng;
 use gcn_testability::runtime::{CheckpointStore, TrainState};
@@ -123,7 +123,7 @@ fn seed_journal(path: &Path, n: usize) -> (JournalHeader, Vec<BatchRecord>) {
     (header, records)
 }
 
-/// Saves two checkpoints of a small momentum run (epochs 1 and 2) and
+/// Saves two checkpoints of a small cascade stage (epochs 1 and 2) and
 /// returns the store with both saved states, oldest first.
 fn seed_checkpoints(dir: &Path) -> (CheckpointStore, Vec<TrainState>) {
     let store = CheckpointStore::open(dir, 5).unwrap();
@@ -132,16 +132,16 @@ fn seed_checkpoints(dir: &Path) -> (CheckpointStore, Vec<TrainState>) {
         fc_dims: vec![3],
         ..GcnConfig::default()
     };
-    let mut model = Gcn::new(&cfg, &mut seeded_rng(5));
-    let momentum = TrainConfig {
-        epochs: 2,
-        lr: 0.05,
-        momentum: 0.9,
-        pos_weight: 1.0,
+    let mut rng = seeded_rng(5);
+    let model = Gcn::new(&cfg, &mut rng);
+    let cascade = CascadeTraining {
+        rng,
+        active: vec![(0..40).collect()],
+        completed: vec![model.clone()],
+        reports: vec![],
     };
-    let optimizer = optimizer_for(&mut model, &momentum);
     let states: Vec<TrainState> = (1..=2)
-        .map(|epoch| TrainState::single(epoch, &model, &optimizer, 0.05, 0, &[]))
+        .map(|epoch| TrainState::cascade(&cascade, epoch, &model, 0.05, 0, &[]))
         .collect();
     for state in &states {
         store.save(state).unwrap();
@@ -154,14 +154,14 @@ fn seed_checkpoints(dir: &Path) -> (CheckpointStore, Vec<TrainState>) {
 /// saved states — never on a state nobody saved.
 fn check_checkpoints(store: &CheckpointStore, saved: &[TrainState]) -> Result<(), TestCaseError> {
     let newest = store.list().unwrap().pop().unwrap();
-    if let Ok(state) = store.load(&newest, true) {
+    if let Ok(state) = store.load(&newest) {
         prop_assert_eq!(
             &state,
             &saved[1],
             "the damaged file loaded a different state"
         );
     }
-    let (state, _) = store.load_latest(true).unwrap();
+    let (state, _) = store.load_latest().unwrap();
     let state = state.expect("the older checkpoint is intact");
     prop_assert!(
         saved.contains(&state),

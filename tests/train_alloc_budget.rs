@@ -78,7 +78,7 @@ fn a_training_step_requests_little_more_than_what_it_keeps() {
     let n = data.node_count();
     let mask: Vec<usize> = (0..n).collect();
     let cfg = GcnConfig::default();
-    let gcn = Gcn::new(&cfg, &mut seeded_rng(3));
+    let mut gcn = Gcn::new(&cfg, &mut seeded_rng(3));
 
     COUNTING.store(true, Ordering::Relaxed);
     let step = masked_loss_grads(&gcn, &data, &mask, &[1.0, 8.0]);
@@ -95,7 +95,7 @@ fn a_training_step_requests_little_more_than_what_it_keeps() {
     // term and a prediction; per mask entry a label and a prediction.
     let per_row = n * (words + 1 + 8 + words) + mask.len() * 2 * words;
     // The gradients, and every weight transposed once.
-    let params: usize = gcn.param_lens().iter().sum::<usize>() * 2 * f32s;
+    let params: usize = gcn.params_mut().iter().map(|p| p.len()).sum::<usize>() * 2 * f32s;
     // Tile buffers: the step's (`P·E`, `S·E`, `G`, the head's activations,
     // two gradient tiles) and, per worker of the first layers, the layer
     // step's (aggregate, `S·E`, encoder output).
